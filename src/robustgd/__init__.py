@@ -43,15 +43,8 @@ from .simulation import (
     gradient_dispersion,
     run_training,
     run_variant,
-    worker_local_gradient,
+    worker_step,
 )
-from .surrogate import (
-    AscentReport,
-    DROConfig,
-    EpsilonSchedule,
-    inner_maximize,
-    required_iterations,
-    surrogate_gradient,
-)
+from .surrogate import DROConfig, EpsilonSchedule, required_iterations
 
 __version__ = "0.1.0"

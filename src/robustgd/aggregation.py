@@ -20,27 +20,14 @@ class GradientSet:
     """A batch of m same-dimension vectors, stored one per row."""
 
     def __init__(self, vectors):
-        vectors = [np.asarray(v, dtype=float) for v in vectors]
-        if len(vectors) == 0:
-            raise ShapeError("need at least one vector")
-        dim = vectors[0].shape
-        if len(dim) != 1 or dim[0] < 1:
-            raise ShapeError(f"inputs must be 1-d vectors, got shape {dim}")
-        for i, v in enumerate(vectors):
-            if v.shape != dim:
-                raise ShapeError(
-                    f"dimension mismatch: input 0 has shape {dim}, input {i} has {v.shape}"
-                )
-        self.matrix = np.stack(vectors)
-
-    @classmethod
-    def from_matrix(cls, matrix):
-        obj = cls.__new__(cls)
-        matrix = np.asarray(matrix, dtype=float)
+        """Take an (m, d) matrix, or a list of m equal-length vectors."""
+        try:
+            matrix = np.asarray(vectors, dtype=float)
+        except ValueError as exc:  # ragged input
+            raise ShapeError(f"inputs must be vectors of one dimension: {exc}") from exc
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ShapeError(f"expected a 2-d (m, d) matrix, got shape {matrix.shape}")
-        obj.matrix = matrix
-        return obj
+        self.matrix = matrix
 
     @property
     def m(self):

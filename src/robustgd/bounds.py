@@ -13,7 +13,7 @@ constants (logistic) the reports are diagnostic.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,11 +205,7 @@ def check_aggregate_deviation(trace, inputs: TheoryInputs):
     reports = []
     for t in range(trace.iterations):
         grad_norm = float(np.linalg.norm(trace.true_gradients[t]))
-        per_t = TheoryInputs(
-            constants=inputs.constants, lam=inputs.lam, alpha=inputs.alpha,
-            beta=inputs.beta, eps=float(eps[t]), sigma=inputs.sigma,
-            lambda_f=inputs.lambda_f, r=inputs.r, k=inputs.k,
-        )
+        per_t = replace(inputs, eps=float(eps[t]))
         measured = float(np.linalg.norm(trace.aggregated[t] - trace.true_gradients[t]))
         reports.append(BoundReport.compare(aggregate_deviation_bound(per_t, grad_norm), measured))
     return reports
@@ -249,12 +245,7 @@ def check_suboptimality(trace, inputs: TheoryInputs, theta_star, f_star, f_final
             "measured trajectory factor %.3g makes the objective-gap bound vacuous", k
         )
     theta0_dist = float(np.linalg.norm(trace.snapshot(0) - theta_star))
-    with_k = TheoryInputs(
-        constants=inputs.constants, lam=inputs.lam, alpha=inputs.alpha,
-        beta=inputs.beta, eps=inputs.eps, sigma=inputs.sigma,
-        lambda_f=inputs.lambda_f, r=inputs.r, k=k,
-    )
-    bound = suboptimality_bound(with_k, theta0_dist, trace.iterations)
+    bound = suboptimality_bound(replace(inputs, k=k), theta0_dist, trace.iterations)
     return BoundReport.compare(bound, f_final - f_star)
 
 

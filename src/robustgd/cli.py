@@ -1,8 +1,9 @@
 """Command-line shell: run experiments, sweep a config axis, verify bounds, report.
 
-Config resolution order: dataclass defaults, then a JSON config file
-(--config), then explicit flags. The output directory comes from --out or
-the ROBUSTGD_OUT environment variable.
+Config precedence: dataclass defaults < preset < JSON config file (--config)
+< explicit flags. The preset may come from the file or from --preset; the
+layering itself is ExperimentConfig's, so the API and the CLI agree. The
+output directory comes from --out or the ROBUSTGD_OUT environment variable.
 """
 
 import argparse
@@ -13,11 +14,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import verify as verify_mod
+from .errors import ConfigError
 from .experiments import (
     PRESETS,
     SWEEP_AXES,
     ExperimentConfig,
-    config_from_dict,
     export_csv,
     read_records,
     report_table,
@@ -54,7 +55,7 @@ def _add_config_flags(parser):
 
 
 def _build_config(args):
-    """Defaults < preset expansion < config-file fields < explicit flags."""
+    """Config-file fields < explicit flags, handed to ExperimentConfig to layer on the preset."""
     values = {}
     if args.config:
         with open(args.config) as fh:
@@ -68,12 +69,10 @@ def _build_config(args):
         if flag is not None:
             values[name] = flag
     values.pop("variant", None)
-    preset = values.pop("preset", None)
-    if preset:
-        if preset not in PRESETS:
-            raise SystemExit(f"unknown preset {preset!r}")
-        values = {**PRESETS[preset], "environment": preset, **values}
-    return config_from_dict(values)
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _variants(args):
@@ -114,6 +113,9 @@ def cmd_run(args):
 def cmd_sweep(args):
     values = [float(v) for v in args.values.split(",")]
     if args.axis in ("alpha_m", "t_z"):
+        fractional = [v for v in values if not v.is_integer()]
+        if fractional:
+            raise SystemExit(f"--values: axis {args.axis} takes integers, got {fractional}")
         values = [int(v) for v in values]
     cfg = _build_config(args)
     _streamed(_out_dir(args), f"sweep_{args.axis}",

@@ -49,7 +49,7 @@ class ExperimentConfig:
     """Flat, JSON-serializable description of one experiment."""
 
     dataset: str = "synthetic"      # CSV path, or "synthetic" for the stand-in corpus
-    preset: str | None = None       # pending environment expansion; cleared once applied
+    preset: str | None = None       # environment preset; applied and cleared at construction
     environment: str | None = None  # label of the expanded preset
     variant: str = "alg2"
     m: int = 20
@@ -60,34 +60,43 @@ class ExperimentConfig:
     eta_z: float = 0.05
     t_z: int = 10
     screen_count: int = 3
-    attack: str = "none"
-    alpha_m: int = 0
+    attack: str | None = None       # None: taken from the preset (E0 without one)
+    alpha_m: int | None = None
     attack_scale: float = 10.0
     attack_ratio: float = 0.8
     attack_shared_direction: bool = False
-    shift_norm: str = "l1"
-    shift_q: float = 0.0
+    shift_norm: str | None = None
+    shift_q: float | None = None
     shift_steps: int = 20
     seed: int = 0
     data_seed: int = 0
     allow_excess_byzantine: bool = False
     check_bounds: bool = False      # diagnostic deviation-bound report per run
 
-    def resolved(self):
-        """Expand a pending preset into explicit fields (one-shot, idempotent).
+    def __post_init__(self):
+        """Apply the preset: dataclass defaults < preset < fields passed explicitly.
 
-        The preset field is cleared after expansion so later field overrides
-        stick; the environment name survives as a label.
+        Each preset-controlled field left at None takes the preset's value;
+        without a preset that is E0, whose values are the plain defaults. The
+        preset is cleared once applied and its name survives as
+        ``environment``, so ``replace`` and a round trip through the record's
+        config dict rebuild the same config.
         """
-        if self.preset is None:
-            return self
-        if self.preset not in PRESETS:
+        if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}, expected one of {sorted(PRESETS)}")
-        return replace(self, preset=None, environment=self.preset, **PRESETS[self.preset])
+        for name, value in PRESETS[self.preset or "E0"].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.preset is not None:
+            object.__setattr__(self, "environment", self.preset)
+            object.__setattr__(self, "preset", None)
 
+    def resolved(self):
+        """The config itself: presets are applied at construction.
 
-def config_from_dict(d):
-    return ExperimentConfig(**d)
+        Kept for callers of the former expansion step (perfbench/workload.py).
+        """
+        return self
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -115,7 +124,7 @@ def _roster(cfg: ExperimentConfig, sharded):
         shards=sharded.shards,
         byzantine=tuple(range(cfg.alpha_m)),
         attack=_attack_spec(cfg),
-        allow_unscreened_byzantine=cfg.allow_excess_byzantine,
+        allow_excess_byzantine=cfg.allow_excess_byzantine,
     )
 
 
@@ -216,7 +225,6 @@ def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
     callers can flush partial results; a failure mid-way surfaces with the
     variant and full config in the error context.
     """
-    cfg = cfg.resolved()
     variants = [cfg.variant] if variants is None else list(variants)
     sharded = prepare_data(cfg)
     records = []
@@ -249,7 +257,6 @@ def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
     Records are handed to ``on_record`` as each point finishes, in
     declaration order.
     """
-    cfg = cfg.resolved()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     variants = [cfg.variant] if variants is None else list(variants)

@@ -5,16 +5,16 @@ in the experiments) and an isotropic quadratic ``c/2 * ||theta - z||^2``
 whose Lipschitz constants are exact, which makes it the workhorse for
 numerical checks of the convergence bounds.
 
-All batch operations take ``Z`` with one sample per row and return
-per-sample rows; single-sample methods are thin wrappers over the batch
-path so both share the same floating-point behavior.
+Every operation is batched: it takes ``Z`` with one sample per row and
+``Y`` with one label per sample, and returns one row per sample. A single
+sample is a one-row batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 PROB_CLAMP = 1e-12
 
@@ -58,16 +58,6 @@ def _check_finite(name, arr):
         raise NumericError(f"non-finite values in {name}")
 
 
-def _as_batch(theta, z, y):
-    theta = np.asarray(theta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if theta.ndim != 1 or z.ndim != 1 or theta.shape != z.shape:
-        raise ShapeError(
-            f"theta and z must be 1-d of equal length, got {theta.shape} and {z.shape}"
-        )
-    return theta, z.reshape(1, -1), np.asarray([y], dtype=float)
-
-
 class LogisticLoss:
     """Binary cross-entropy with a = sigmoid(theta . z) and no bias term."""
 
@@ -93,25 +83,6 @@ class LogisticLoss:
     def mean_grad_theta(self, theta, Z, Y):
         return self.grads_theta(theta, Z, Y).mean(axis=0)
 
-    def value(self, theta, z, y):
-        self._check_label(y)
-        theta, Z, Y = _as_batch(theta, z, y)
-        return float(self.values(theta, Z, Y)[0])
-
-    def grad_theta(self, theta, z, y):
-        self._check_label(y)
-        theta, Z, Y = _as_batch(theta, z, y)
-        _check_finite("theta", theta)
-        _check_finite("z", Z)
-        return self.grads_theta(theta, Z, Y)[0]
-
-    def grad_z(self, theta, z, y):
-        self._check_label(y)
-        theta, Z, Y = _as_batch(theta, z, y)
-        _check_finite("theta", theta)
-        _check_finite("z", Z)
-        return self.grads_z(theta, Z, Y)[0]
-
     def constants(self, data_bound, theta_bound):
         """Conservative Lipschitz estimates over ||z|| <= data_bound, ||theta|| <= theta_bound.
 
@@ -129,11 +100,6 @@ class LogisticLoss:
             l_zz=theta_bound ** 2 / 4.0,
             exact=False,
         )
-
-    @staticmethod
-    def _check_label(y):
-        if y not in (0, 1, 0.0, 1.0):
-            raise ValueError(f"logistic label must be 0 or 1, got {y!r}")
 
 
 class QuadraticLoss:
@@ -164,22 +130,6 @@ class QuadraticLoss:
 
     def mean_grad_theta(self, theta, Z, Y):
         return self.grads_theta(theta, Z, Y).mean(axis=0)
-
-    def value(self, theta, z, y=0):
-        theta, Z, Y = _as_batch(theta, z, y)
-        return float(self.values(theta, Z, Y)[0])
-
-    def grad_theta(self, theta, z, y=0):
-        theta, Z, Y = _as_batch(theta, z, y)
-        _check_finite("theta", theta)
-        _check_finite("z", Z)
-        return self.grads_theta(theta, Z, Y)[0]
-
-    def grad_z(self, theta, z, y=0):
-        theta, Z, Y = _as_batch(theta, z, y)
-        _check_finite("theta", theta)
-        _check_finite("z", Z)
-        return self.grads_z(theta, Z, Y)[0]
 
     def constants(self, data_bound=0.0, theta_bound=0.0):
         c = self.curvature

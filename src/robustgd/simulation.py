@@ -41,7 +41,7 @@ class WorkerRoster:
     shards: list                      # per-worker sample index arrays
     byzantine: tuple = ()
     attack: AttackSpec | None = None
-    allow_unscreened_byzantine: bool = False  # breakpoint demos set this
+    allow_excess_byzantine: bool = False  # more byzantine workers than screen_count
 
     def __post_init__(self):
         self.byzantine = tuple(sorted(set(int(i) for i in self.byzantine)))
@@ -76,10 +76,10 @@ def validate_roster(roster: WorkerRoster, n_samples, screen: ScreenConfig):
     sizes = {len(s) for s in roster.shards}
     if 0 in sizes:
         raise ConfigError("every worker needs a non-empty shard")
-    if len(roster.byzantine) > screen.screen_count and not roster.allow_unscreened_byzantine:
+    if len(roster.byzantine) > screen.screen_count and not roster.allow_excess_byzantine:
         raise ConfigError(
             f"{len(roster.byzantine)} byzantine workers exceed screen_count="
-            f"{screen.screen_count}; set allow_unscreened_byzantine to demo this regime"
+            f"{screen.screen_count}; set allow_excess_byzantine to demo this regime"
         )
 
 
@@ -138,14 +138,13 @@ def initial_theta(dim, seed):
     return 0.01 * rng.standard_normal(dim)
 
 
-def worker_local_gradient(model, theta, shard_X, shard_Y, dro: DROConfig, t_z=None):
-    """Mean surrogate gradient over one worker's samples."""
-    Z, _ = ascend(model, theta, shard_X, shard_Y, dro, t_z=t_z)
-    return model.mean_grad_theta(theta, Z, shard_Y)
+def worker_step(model, theta, shard_X, shard_Y, dro: DROConfig, t_z):
+    """One honest worker's report: (mean surrogate gradient, mean inner objective).
 
-
-def _worker_step(model, theta, shard_X, shard_Y, dro, t_z):
-    Z, _ = ascend(model, theta, shard_X, shard_Y, dro, t_z=t_z)
+    The gradient is the loss gradient at the ascent output, averaged over the
+    worker's samples.
+    """
+    Z = ascend(model, theta, shard_X, shard_Y, dro, t_z=t_z)
     grad = model.mean_grad_theta(theta, Z, shard_Y)
     obj = penalized_objectives(model, theta, Z, shard_Y, shard_X, dro.lam).mean()
     return grad, float(obj)
@@ -203,17 +202,17 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         honest_objs = np.empty(len(honest))
         for j, i in enumerate(honest):
             try:
-                grads[i], honest_objs[j] = _worker_step(
+                grads[i], honest_objs[j] = worker_step(
                     model, theta, X[roster.shards[i]], Y[roster.shards[i]], cfg.dro, t_z
                 )
             except NumericError as exc:
                 raise NumericError(f"iteration {t}, worker {i}: {exc}") from exc
-        honest_set = GradientSet.from_matrix(grads[list(honest)])
+        honest_set = GradientSet(grads[list(honest)])
         reference = honest_set.matrix.mean(axis=0)
         for i in roster.byzantine:
             grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
 
-        G = norm_screen(GradientSet.from_matrix(grads), cfg.screen)
+        G = norm_screen(GradientSet(grads), cfg.screen)
         if not np.all(np.isfinite(G)):
             raise NumericError(f"iteration {t}: non-finite aggregated gradient")
 
@@ -234,13 +233,13 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
                 trace.inner_eps[t] = _ascent_error_factor(model, cfg.dro) ** t_z * start_dist
             else:
                 precise = DROConfig(lam, theoretical_ascent_step(lam), cfg.true_solver_t_z)
-                z_star, _ = ascend(model, theta, X, Y, precise)
+                z_star = ascend(model, theta, X, Y, precise)
                 trace.true_objectives[t] = penalized_objectives(
                     model, theta, z_star, Y, X, lam
                 ).mean()
                 trace.true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
                 # measured accuracy: worker-precision ascent vs the diagnostic solve
-                z_eps, _ = ascend(model, theta, X, Y, cfg.dro, t_z=t_z)
+                z_eps = ascend(model, theta, X, Y, cfg.dro, t_z=t_z)
                 trace.inner_eps[t] = np.linalg.norm(z_eps - z_star, axis=1).max()
 
         theta = theta - cfg.eta * G
@@ -265,7 +264,7 @@ def variant_config(variant, cfg: TrainConfig, roster: WorkerRoster):
     if variant in ("dro_only", "erm"):
         new_cfg = replace(new_cfg, screen=ScreenConfig(0))
         if roster.byzantine:
-            new_roster = replace(roster, allow_unscreened_byzantine=True)
+            new_roster = replace(roster, allow_excess_byzantine=True)
     if variant in ("nbs_only", "erm"):
         new_cfg = replace(new_cfg, dro=replace(new_cfg.dro, t_z=0), eps_schedule=None)
     return new_cfg, new_roster
@@ -276,15 +275,14 @@ def run_variant(variant, model, X, Y, roster: WorkerRoster, cfg: TrainConfig) ->
     return run_training(model, X, Y, new_roster, new_cfg)
 
 
-def gradient_dispersion(model, X, Y, theta, lam, precision_t_z=400, eta_z=None):
+def gradient_dispersion(model, X, Y, theta, lam, precision_t_z=400):
     """Largest distance from a single-sample surrogate gradient to their mean.
 
     Maximizers are solved to high precision by running the ascent for
-    precision_t_z steps at the theoretical step size (or eta_z if given).
+    precision_t_z steps at the theoretical step size.
     """
-    dro = DROConfig(lam, eta_z if eta_z is not None else theoretical_ascent_step(lam),
-                    precision_t_z)
-    Z, _ = ascend(model, theta, np.asarray(X, dtype=float), np.asarray(Y, dtype=float), dro)
+    dro = DROConfig(lam, theoretical_ascent_step(lam), precision_t_z)
+    Z = ascend(model, theta, np.asarray(X, dtype=float), np.asarray(Y, dtype=float), dro)
     per_sample = model.grads_theta(theta, Z, np.asarray(Y, dtype=float))
     mean = per_sample.mean(axis=0)
     return float(np.linalg.norm(per_sample - mean, axis=1).max())

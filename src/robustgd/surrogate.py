@@ -40,13 +40,6 @@ class DROConfig:
             raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
 
 
-@dataclass
-class AscentReport:
-    z_final: np.ndarray
-    iterations: int
-    objective_trace: np.ndarray  # value at z0 and after each step, length t_z + 1
-
-
 def transport_costs(Z, X):
     diff = Z - X
     return 0.5 * np.einsum("ij,ij->i", diff, diff)
@@ -57,44 +50,22 @@ def penalized_objectives(model, theta, Z, Y, X, lam):
     return model.values(theta, Z, Y) - lam * transport_costs(Z, X)
 
 
-def ascend(model, theta, X, Y, cfg, t_z=None, record_objective=False):
+def ascend(model, theta, X, Y, cfg, t_z=None):
     """Batched gradient ascent on the penalized objective, one row per sample.
 
     Runs exactly ``t_z`` steps (default cfg.t_z) of
-    z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x.
-    Returns (Z, objective_trace or None).
+    z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x and
+    returns the final rows Z.
     """
     steps = cfg.t_z if t_z is None else t_z
     X = np.asarray(X, dtype=float)
     Z = X.copy()
-    trace = None
-    if record_objective:
-        trace = np.empty(steps + 1)
-        trace[0] = penalized_objectives(model, theta, Z, Y, X, cfg.lam).mean()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
             Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
             if not np.all(np.isfinite(Z)):
                 raise NumericError(f"inner ascent diverged at step {k + 1}")
-            if record_objective:
-                trace[k + 1] = penalized_objectives(model, theta, Z, Y, X, cfg.lam).mean()
-    return Z, trace
-
-
-def inner_maximize(model, theta, x, y, cfg):
-    """Single-sample ascent with the per-step objective recorded."""
-    x = np.asarray(x, dtype=float)
-    Z, trace = ascend(
-        model, theta, x.reshape(1, -1), np.asarray([y], dtype=float), cfg,
-        record_objective=True,
-    )
-    return AscentReport(z_final=Z[0], iterations=cfg.t_z, objective_trace=trace)
-
-
-def surrogate_gradient(model, theta, x, y, cfg):
-    """Gradient of the surrogate loss in theta: loss gradient at the ascent output."""
-    report = inner_maximize(model, theta, x, y, cfg)
-    return model.grad_theta(theta, report.z_final, y)
+    return Z
 
 
 def exact_inner_maximizer(model, theta, X, lam):
@@ -117,7 +88,7 @@ def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
     return 2.0 / (lam * l_c + lam)
 
 
-def surrogate_state(model, theta, X, Y, lam, t_z=400, eta_z=None, exact=None):
+def surrogate_state(model, theta, X, Y, lam, t_z=400, exact=None):
     """Objective value and gradient of the surrogate averaged over a sample set.
 
     Diagnostic-grade: maximizers come from the closed form when the model has
@@ -131,8 +102,7 @@ def surrogate_state(model, theta, X, Y, lam, t_z=400, eta_z=None, exact=None):
     if exact:
         Z = exact_inner_maximizer(model, theta, X, lam)
     else:
-        cfg = DROConfig(lam, eta_z if eta_z is not None else theoretical_ascent_step(lam), t_z)
-        Z, _ = ascend(model, theta, X, Y, cfg)
+        Z = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), t_z))
     value = float(penalized_objectives(model, theta, Z, Y, X, lam).mean())
     return value, model.mean_grad_theta(theta, Z, Y)
 

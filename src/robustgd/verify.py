@@ -6,7 +6,7 @@ randomized screening instances, and returns structured results instead of
 printing, so callers decide how to report.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _random_screening_instance(rng):
     order = rng.permutation(m)
     vectors = np.vstack([honest, byz.reshape(a, d)])[order]
     honest_idx = np.flatnonzero(order < m - a)
-    return GradientSet.from_matrix(vectors), honest_idx, ScreenConfig(b), S
+    return GradientSet(vectors), honest_idx, ScreenConfig(b), S
 
 
 def fuzz_screening_bound(n_instances=10_000, seed=0):
@@ -149,10 +149,8 @@ def rate_bound_suite(n_seeds=20, horizons=(50, 200)):
                 seed, T, attack_kind="aggressive" if seed % 2 == 0 else "counterexample"
             )
             theta_star, f_star = solve_reference_optimum(model, X, Y, inputs.lam)
-            eps = _global_eps(trace)
-            loaded = TheoryInputs(
-                constants=inputs.constants, lam=inputs.lam, alpha=inputs.alpha,
-                beta=inputs.beta, eps=eps, sigma=inputs.sigma,
+            loaded = replace(
+                inputs, eps=_global_eps(trace),
                 lambda_f=surrogate_smoothness(model.constants(), inputs.lam),
             )
             f_final, _ = surrogate_state(model, trace.theta_final, X, Y, inputs.lam)
@@ -192,7 +190,6 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
             shards=shards,
             byzantine=tuple(range(byz_count)),
             attack=AttackSpec(kind="counterexample", target_rank=1, rng_seed=seed),
-            allow_unscreened_byzantine=False,
         )
         cfg = TrainConfig(
             eta=1.0 / l_f,

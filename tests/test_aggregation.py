@@ -34,24 +34,24 @@ class TestNormScreen:
 
     def test_zero_screening_equals_arithmetic_mean(self, rng):
         vectors = rng.standard_normal((17, 9))
-        out = norm_screen(GradientSet.from_matrix(vectors), ScreenConfig(0))
+        out = norm_screen(GradientSet(vectors), ScreenConfig(0))
         np.testing.assert_allclose(out, vectors.mean(axis=0), atol=1e-12)
 
     def test_permutation_invariance_on_tie_free_inputs(self, rng):
         vectors = rng.standard_normal((12, 5)) * np.arange(1, 13)[:, None]
         cfg = ScreenConfig(4)
-        base = norm_screen(GradientSet.from_matrix(vectors), cfg)
+        base = norm_screen(GradientSet(vectors), cfg)
         for _ in range(20):
             perm = rng.permutation(12)
-            out = norm_screen(GradientSet.from_matrix(vectors[perm]), cfg)
+            out = norm_screen(GradientSet(vectors[perm]), cfg)
             np.testing.assert_allclose(out, base, rtol=1e-12)
 
     @pytest.mark.parametrize("c", [2.5, -1.25, 1e-3])
     def test_scaling_equivariance(self, rng, c):
         vectors = rng.standard_normal((9, 4))
         cfg = ScreenConfig(3)
-        base = norm_screen(GradientSet.from_matrix(vectors), cfg)
-        out = norm_screen(GradientSet.from_matrix(c * vectors), cfg)
+        base = norm_screen(GradientSet(vectors), cfg)
+        out = norm_screen(GradientSet(c * vectors), cfg)
         np.testing.assert_allclose(out, c * base, rtol=1e-12)
 
     def test_ties_keep_lower_original_index(self):
@@ -91,7 +91,7 @@ class TestDeviationBound:
         vectors = rng.standard_normal((8, 3))
         S = rng.standard_normal(3)
         bound = screening_deviation_bound(
-            GradientSet.from_matrix(vectors), range(8), ScreenConfig(2), S
+            GradientSet(vectors), range(8), ScreenConfig(2), S
         )
         assert bound.c_alpha == 0.0
         expected = np.linalg.norm(vectors - S, axis=1).max()

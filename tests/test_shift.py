@@ -63,7 +63,7 @@ class TestPerturbation:
         Z = perturb_test_set(theta, x.reshape(1, -1), np.array([y]), spec)
         # steepest ascent for a linear logit: x + q * (a - y) theta / ||(a - y) theta||
         model = LogisticLoss()
-        g = model.grad_z(theta, x, y)
+        g = model.grads_z(theta, x.reshape(1, -1), np.array([y]))[0]
         expected = x + q * g / np.linalg.norm(g)
         np.testing.assert_allclose(Z[0], expected, rtol=1e-12)
         assert np.linalg.norm(Z[0] - x) == pytest.approx(q, rel=1e-12)

@@ -13,13 +13,13 @@ from robustgd.simulation import (
     gradient_dispersion,
     run_training,
     run_variant,
-    worker_local_gradient,
+    worker_step,
 )
 from robustgd.surrogate import (
     DROConfig,
     EpsilonSchedule,
+    ascend,
     required_iterations,
-    surrogate_gradient,
     theoretical_ascent_step,
 )
 
@@ -40,18 +40,19 @@ class TestWorkerGradient:
         dro = DROConfig(3.0, 0.05, 10)
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
-        grad = worker_local_gradient(model, theta, x.reshape(1, -1), np.array([1.0]), dro)
-        np.testing.assert_array_equal(grad, surrogate_gradient(model, theta, x, 1.0, dro))
+        X, Y = x.reshape(1, -1), np.array([1.0])
+        grad, _ = worker_step(model, theta, X, Y, dro, dro.t_z)
+        # the surrogate gradient of one sample: the loss gradient at the ascent output
+        Z = ascend(model, theta, X, Y, dro)
+        np.testing.assert_array_equal(grad, model.grads_theta(theta, Z, Y)[0])
 
     def test_duplicated_sample_changes_nothing(self, rng):
         model = QuadraticLoss(1.0)
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single = worker_local_gradient(model, theta, x.reshape(1, -1), np.zeros(1), dro)
-        double = worker_local_gradient(
-            model, theta, np.vstack([x, x]), np.zeros(2), dro
-        )
+        single, _ = worker_step(model, theta, x.reshape(1, -1), np.zeros(1), dro, dro.t_z)
+        double, _ = worker_step(model, theta, np.vstack([x, x]), np.zeros(2), dro, dro.t_z)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -61,7 +62,7 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        grad = worker_local_gradient(model, theta, X, np.zeros(9), dro)
+        grad, _ = worker_step(model, theta, X, np.zeros(9), dro, dro.t_z)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
@@ -100,7 +101,7 @@ class TestRunTraining:
 
         theta = initial_theta(3, 9)
         for _ in range(15):
-            theta = theta - 0.5 * worker_local_gradient(model, theta, X, Y, dro)
+            theta = theta - 0.5 * worker_step(model, theta, X, Y, dro, dro.t_z)[0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -136,7 +137,7 @@ class TestRunTraining:
         from robustgd.simulation import initial_theta
 
         theta = initial_theta(3, 6)
-        grads = [worker_local_gradient(model, theta, X[s], Y[s], dro) for s in shards]
+        grads = [worker_step(model, theta, X[s], Y[s], dro, dro.t_z)[0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_trace_shapes_and_finiteness(self):
@@ -194,7 +195,7 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="screen_count"):
             run_training(QuadraticLoss(), X, Y, crowded, cfg)  # screen_count=0 < 1 byz
         ok = WorkerRoster(shards=shards, byzantine=(0,), attack=attack,
-                          allow_unscreened_byzantine=True)
+                          allow_excess_byzantine=True)
         run_training(QuadraticLoss(), X, Y, ok, cfg)  # override permits the demo regime
         with pytest.raises(ConfigError):
             WorkerRoster(shards=shards, byzantine=(0, 1, 2), attack=attack)

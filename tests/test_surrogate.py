@@ -10,13 +10,29 @@ from robustgd.surrogate import (
     ascend,
     contraction_factor,
     exact_inner_maximizer,
-    inner_maximize,
     penalized_objectives,
     required_iterations,
-    surrogate_gradient,
     surrogate_state,
     theoretical_ascent_step,
 )
+
+
+def one_row(x, y=0.0):
+    """A single sample as the one-row batch (X, Y) the ascent takes."""
+    return np.reshape(x, (1, -1)), np.array([y], dtype=float)
+
+
+def objective_trace(model, theta, x, y, cfg):
+    """Inner objective at z = x and after each of the cfg.t_z ascent steps."""
+    X, Y = one_row(x, y)
+    iterates = [ascend(model, theta, X, Y, cfg, t_z=k) for k in range(cfg.t_z + 1)]
+    return np.array([penalized_objectives(model, theta, Z, Y, X, cfg.lam)[0] for Z in iterates])
+
+
+def surrogate_grad(model, theta, x, y, cfg):
+    """Surrogate gradient of one sample: the loss gradient at the ascent output."""
+    X, Y = one_row(x, y)
+    return model.mean_grad_theta(theta, ascend(model, theta, X, Y, cfg), Y)
 
 
 class TestInnerMaximize:
@@ -25,8 +41,8 @@ class TestInnerMaximize:
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.0, eta_z=theoretical_ascent_step(2.0), t_z=30)
         assert cfg.eta_z == pytest.approx(0.5)
-        report = inner_maximize(model, np.array([1.0]), np.array([0.0]), 0, cfg)
-        assert abs(report.z_final[0] - (-1.0)) <= 0.5 ** 30 * 1.0 + 1e-15
+        Z = ascend(model, np.array([1.0]), *one_row([0.0]), cfg)
+        assert abs(Z[0, 0] - (-1.0)) <= 0.5 ** 30 * 1.0 + 1e-15
 
     def test_per_step_contraction_is_exact(self, rng):
         model = QuadraticLoss(1.0)
@@ -38,7 +54,7 @@ class TestInnerMaximize:
         z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)[0]
         dists = []
         for t in range(26):
-            Z, _ = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
+            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
             dists.append(np.linalg.norm(Z[0] - z_star))
         for t in range(25):
             if dists[t] < 1e-13:
@@ -49,8 +65,8 @@ class TestInnerMaximize:
         model = QuadraticLoss(1.0)
         x = np.array([0.7, -0.1])
         cfg = DROConfig(lam=2.0, eta_z=0.3, t_z=15)
-        report = inner_maximize(model, x, x, 0, cfg)  # grad_z f = 0 at z = x = theta
-        np.testing.assert_array_equal(report.z_final, x)
+        Z = ascend(model, x, *one_row(x), cfg)  # grad_z f = 0 at z = x = theta
+        np.testing.assert_array_equal(Z[0], x)
 
     def test_linear_rate_bound_along_the_run(self, rng):
         model = QuadraticLoss(1.3)
@@ -61,7 +77,7 @@ class TestInnerMaximize:
         d0 = np.linalg.norm(x - z_star)
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=1)
         for t in range(40):
-            Z, _ = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
+            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
             assert np.linalg.norm(Z[0] - z_star) <= p ** t * d0 + 1e-12
 
     def test_paper_settings_trace_is_nondecreasing(self, rng):
@@ -72,23 +88,20 @@ class TestInnerMaximize:
             theta = rng.standard_normal(d)
             theta *= min(1.0, 3.0 / np.linalg.norm(theta))  # keep lam > L_zz
             x = rng.standard_normal(d)
-            report = inner_maximize(model, theta, x, int(rng.integers(0, 2)), cfg)
-            assert report.objective_trace.size == cfg.t_z + 1
-            diffs = np.diff(report.objective_trace)
-            assert (diffs >= -1e-12).all()
+            trace = objective_trace(model, theta, x, int(rng.integers(0, 2)), cfg)
+            assert (np.diff(trace) >= -1e-12).all()
 
     def test_ascent_monotone_in_strongly_concave_regime(self, rng):
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.5, eta_z=theoretical_ascent_step(2.5), t_z=25)
         theta, x = rng.standard_normal((2, 4))
-        report = inner_maximize(model, theta, x, 0, cfg)
-        assert (np.diff(report.objective_trace) >= -1e-12).all()
+        assert (np.diff(objective_trace(model, theta, x, 0, cfg)) >= -1e-12).all()
 
     def test_divergent_ascent_raises_with_step_index(self):
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
         with pytest.raises(NumericError, match="step"):
-            inner_maximize(model, np.array([1.0]), np.array([0.0]), 0, cfg)
+            ascend(model, np.array([1.0]), *one_row([0.0]), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -104,14 +117,14 @@ class TestSurrogateGradient:
         # grad phi = lam*(theta - x)/(lam - 1) = 2 for lam=2, theta=1, x=0
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.0, eta_z=theoretical_ascent_step(2.0), t_z=60)
-        grad = surrogate_gradient(model, np.array([1.0]), np.array([0.0]), 0, cfg)
+        grad = surrogate_grad(model, np.array([1.0]), np.array([0.0]), 0, cfg)
         assert grad[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_matched_point_gives_zero(self):
         model = QuadraticLoss(1.0)
         x = np.array([0.4, 0.4])
         cfg = DROConfig(lam=2.0, eta_z=0.25, t_z=40)
-        grad = surrogate_gradient(model, x, x, 0, cfg)
+        grad = surrogate_grad(model, x, x, 0, cfg)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_envelope_identity_on_quadratic_family(self, rng):
@@ -123,8 +136,8 @@ class TestSurrogateGradient:
             model = QuadraticLoss(c)
             d = int(rng.integers(1, 6))
             theta, x = rng.standard_normal((2, d))
-            z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)[0]
-            envelope = model.grad_theta(theta, z_star, 0)
+            Z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)
+            envelope = model.grads_theta(theta, Z_star, np.zeros(1))[0]
             np.testing.assert_allclose(
                 envelope, c * lam * (theta - x) / (lam - c), rtol=1e-12
             )
@@ -140,12 +153,12 @@ class TestSurrogateGradient:
             y = int(rng.integers(0, 2))
 
             def phi(t):
-                Z, _ = ascend(model, t, x.reshape(1, -1), np.array([float(y)]), cfg)
+                Z = ascend(model, t, x.reshape(1, -1), np.array([float(y)]), cfg)
                 return float(penalized_objectives(
                     model, t, Z, np.array([float(y)]), x.reshape(1, -1), lam
                 )[0])
 
-            grad = surrogate_gradient(model, theta, x, y, cfg)
+            grad = surrogate_grad(model, theta, x, y, cfg)
             fd = central_difference(phi, theta, h=1e-6)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -199,7 +212,7 @@ class TestIterationCount:
             cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=1)
             steps = 0
             while True:
-                Z, _ = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=steps)
+                Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=steps)
                 if np.linalg.norm(Z[0] - z_star) <= eps:
                     break
                 steps += 1
