@@ -45,6 +45,6 @@ from .simulation import (
     run_variant,
     worker_step,
 )
-from .surrogate import DROConfig, EpsilonSchedule, required_iterations
+from .surrogate import DROConfig, required_iterations
 
 __version__ = "0.1.0"

@@ -187,33 +187,29 @@ class BoundReport:
         )
 
 
-def _per_iteration_eps(trace, inputs):
-    if trace.inner_eps is None:
-        return np.full(trace.iterations, inputs.eps)
-    return np.where(np.isnan(trace.inner_eps), inputs.eps, trace.inner_eps)
+def _require_diagnostics(trace):
+    if trace.true_gradients is None:
+        raise ConfigError("trace has no true-gradient diagnostics; see with_diagnostics")
 
 
 def check_aggregate_deviation(trace, inputs: TheoryInputs):
     """Per-iteration reports for ||G - grad F|| against its bound.
 
-    The trace must have been recorded with true-gradient tracking; the
-    inner-solve accuracy is taken per iteration from the trace when recorded.
+    The trace must carry the true-gradient diagnostics; the inner-solve
+    accuracy is taken per iteration from the trace, not from ``inputs.eps``.
     """
-    if trace.true_gradients is None:
-        raise ConfigError("trace was recorded without true-gradient tracking")
-    eps = _per_iteration_eps(trace, inputs)
+    _require_diagnostics(trace)
     reports = []
     for t in range(trace.iterations):
         grad_norm = float(np.linalg.norm(trace.true_gradients[t]))
-        per_t = replace(inputs, eps=float(eps[t]))
+        per_t = replace(inputs, eps=float(trace.inner_eps[t]))
         measured = float(np.linalg.norm(trace.aggregated[t] - trace.true_gradients[t]))
         reports.append(BoundReport.compare(aggregate_deviation_bound(per_t, grad_norm), measured))
     return reports
 
 
 def check_avg_sq_gradient(trace, inputs: TheoryInputs, f_star):
-    if trace.true_gradients is None or trace.true_objectives is None:
-        raise ConfigError("trace was recorded without true-gradient tracking")
+    _require_diagnostics(trace)
     measured = float(np.mean(np.linalg.norm(trace.true_gradients, axis=1) ** 2))
     bound = avg_sq_gradient_bound(
         inputs, float(trace.true_objectives[0]) - f_star, trace.iterations
@@ -222,18 +218,16 @@ def check_avg_sq_gradient(trace, inputs: TheoryInputs, f_star):
 
 
 def measured_trajectory_factor(trace, theta_star):
-    """max_t ||theta_t - theta*|| / ||theta_0 - theta*|| over recorded snapshots."""
-    if trace.snapshots.shape[0] == 0:
-        raise ConfigError("trace has no snapshots; run with snapshot_every=1")
-    dists = np.linalg.norm(trace.snapshots - theta_star, axis=1)
-    theta0_dist = float(np.linalg.norm(trace.snapshot(0) - theta_star))
+    """max_t ||theta_t - theta*|| / ||theta_0 - theta*|| over the recorded iterates."""
+    dists = np.linalg.norm(trace.iterates - theta_star, axis=1)
+    theta0_dist = float(np.linalg.norm(trace.iterates[0] - theta_star))
     if theta0_dist == 0.0:
         raise ConfigError("theta_0 coincides with theta*; factor undefined")
     return float(dists.max()) / theta0_dist
 
 
 def check_suboptimality(trace, inputs: TheoryInputs, theta_star, f_star, f_final):
-    """Check the convex-gap bound with k measured from the trace snapshots.
+    """Check the convex-gap bound with k measured from the trace iterates.
 
     The trajectory-boundedness factor is a hypothesis, not an algorithm
     output; when the measured value is so large that the bound says nothing,
@@ -244,14 +238,14 @@ def check_suboptimality(trace, inputs: TheoryInputs, theta_star, f_star, f_final
         log.warning(
             "measured trajectory factor %.3g makes the objective-gap bound vacuous", k
         )
-    theta0_dist = float(np.linalg.norm(trace.snapshot(0) - theta_star))
+    theta0_dist = float(np.linalg.norm(trace.iterates[0] - theta_star))
     bound = suboptimality_bound(replace(inputs, k=k), theta0_dist, trace.iterations)
     return BoundReport.compare(bound, f_final - f_star)
 
 
 def check_distance(trace, inputs: TheoryInputs, theta_star):
     """Check the strongly convex distance bound on the final iterate."""
-    theta0_dist = float(np.linalg.norm(trace.snapshot(0) - theta_star))
+    theta0_dist = float(np.linalg.norm(trace.iterates[0] - theta_star))
     bound = distance_bound(inputs, theta0_dist, trace.iterations)
     measured = float(np.linalg.norm(trace.theta_final - theta_star))
     return BoundReport.compare(bound, measured)

@@ -19,6 +19,7 @@ from .experiments import (
     PRESETS,
     SWEEP_AXES,
     ExperimentConfig,
+    check_sweep_values,
     export_csv,
     read_records,
     report_table,
@@ -110,13 +111,23 @@ def cmd_run(args):
     return 0
 
 
+def _grid_values(args):
+    """The --values grid as floats, checked against the axis before any file is written."""
+    values = []
+    for token in args.values.split(","):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise SystemExit(f"--values: {token!r} is not a number") from None
+    try:
+        check_sweep_values(args.axis, values)
+    except ConfigError as exc:
+        raise SystemExit(f"--values: {exc}") from exc
+    return values
+
+
 def cmd_sweep(args):
-    values = [float(v) for v in args.values.split(",")]
-    if args.axis in ("alpha_m", "t_z"):
-        fractional = [v for v in values if not v.is_integer()]
-        if fractional:
-            raise SystemExit(f"--values: axis {args.axis} takes integers, got {fractional}")
-        values = [int(v) for v in values]
+    values = _grid_values(args)
     cfg = _build_config(args)
     _streamed(_out_dir(args), f"sweep_{args.axis}",
               lambda sink: sweep(cfg, args.axis, values,

@@ -29,6 +29,7 @@ from .simulation import (
     gradient_dispersion,
     run_variant,
     variant_config,
+    with_diagnostics,
 )
 from .surrogate import DROConfig
 
@@ -42,6 +43,7 @@ PRESETS = {
 }
 
 SWEEP_AXES = ("shift_q", "alpha_m", "lam", "t_z")
+INTEGER_AXES = ("alpha_m", "t_z")
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,17 @@ class ExperimentConfig:
         without a preset that is E0, whose values are the plain defaults. The
         preset is cleared once applied and its name survives as
         ``environment``, so ``replace`` and a round trip through the record's
-        config dict rebuild the same config.
+        config dict rebuild the same config. A preset given next to an
+        environment label is refused: the fields the label names are already
+        explicit, so the preset would only relabel them.
         """
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}, expected one of {sorted(PRESETS)}")
+        if self.preset is not None and self.environment is not None:
+            raise ConfigError(
+                f"preset {self.preset!r} given for a config already expanded from "
+                f"{self.environment!r}; build a new config from the preset instead"
+            )
         for name, value in PRESETS[self.preset or "E0"].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -135,9 +144,6 @@ def _train_config(cfg: ExperimentConfig):
         dro=DROConfig(cfg.lam, cfg.eta_z, cfg.t_z),
         screen=ScreenConfig(cfg.screen_count),
         seed=cfg.seed,
-        snapshot_every=1 if cfg.check_bounds else 0,
-        track_true_gradient=cfg.check_bounds,
-        true_solver_t_z=150,
     )
 
 
@@ -165,9 +171,9 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     """Deviation-bound report with estimated constants; diagnostic, never certified.
 
     Lipschitz constants come from measured norm bounds, sigma from
-    high-precision dispersion measurements, and the per-iteration inner-solve
-    accuracy from the trace; a violated bound here means the estimates were
-    optimistic, not that the run is wrong.
+    high-precision dispersion measurements, and the true gradients and
+    per-iteration inner-solve accuracy from the recorded iterates; a violated
+    bound here means the estimates were optimistic, not that the run is wrong.
     """
     effective, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg, sharded))
     alpha = len(roster.byzantine) / roster.m
@@ -179,17 +185,18 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     X, Y = sharded.train_features, sharded.train_labels
     data_bound = float(np.linalg.norm(X, axis=1).max())
     theta_bound = float(max(
-        np.linalg.norm(trace.snapshots, axis=1).max(),
+        np.linalg.norm(trace.iterates, axis=1).max(),
         np.linalg.norm(trace.theta_final),
     ))
     sigma = max(
-        gradient_dispersion(model, X, Y, trace.snapshot(0), cfg.lam, precision_t_z=150),
+        gradient_dispersion(model, X, Y, trace.iterates[0], cfg.lam, precision_t_z=150),
         gradient_dispersion(model, X, Y, trace.theta_final, cfg.lam, precision_t_z=150),
     )
     inputs = TheoryInputs(
         constants=model.constants(data_bound, theta_bound),
         lam=cfg.lam, alpha=alpha, beta=beta, sigma=sigma,
     )
+    trace = with_diagnostics(model, X, Y, trace, effective.dro, true_solver_t_z=150)
     reports = check_aggregate_deviation(trace, inputs)
     return {
         "certified": False,
@@ -247,18 +254,28 @@ def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
     return records
 
 
+def check_sweep_values(axis, values):
+    """Refuse an unknown axis, or a non-integral value on an integer axis."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
+    if axis in INTEGER_AXES:
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ConfigError(f"sweep axis {axis} takes integers, got {fractional}")
+
+
 def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
     """Grid over one config axis; one record per (variant, value).
 
     A shift-budget sweep reuses one trained model per variant and
     warm-starts each budget from the previous one; other axes retrain.
     Points on the alpha_m axis beyond the screening count are run with the
-    excess-byzantine override, since probing that regime is the point.
+    excess-byzantine override, since probing that regime is the point; the
+    integer axes refuse non-integral values instead of truncating them.
     Records are handed to ``on_record`` as each point finishes, in
     declaration order.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
+    check_sweep_values(axis, values)
     variants = [cfg.variant] if variants is None else list(variants)
     records = []
 

@@ -7,9 +7,11 @@ norm, averages the survivors, and steps. Everything is deterministic for a
 fixed seed: worker order, reduction order, and attack randomness are all
 pinned, so two runs with the same config produce bit-identical traces.
 
-Diagnostics (the true surrogate gradient/objective over all samples and the
-worst-case inner-solve error) can be recorded per iteration for the bound
-checkers; they never feed back into the update.
+The round loop runs only the algorithm. The trace records every iterate, so
+the diagnostics the bound checkers need (the true surrogate gradient and
+objective over all samples and the worst-case inner-solve error) are
+computed after the run by ``with_diagnostics``; they never feed back into
+the update.
 """
 
 from dataclasses import dataclass, replace
@@ -22,12 +24,9 @@ from .errors import ConfigError, NumericError
 from .losses import QuadraticLoss
 from .surrogate import (
     DROConfig,
-    EpsilonSchedule,
     ascend,
     exact_inner_maximizer,
     penalized_objectives,
-    required_iterations,
-    surrogate_state,
     theoretical_ascent_step,
 )
 
@@ -91,19 +90,12 @@ class TrainConfig:
     screen: ScreenConfig
     seed: int = 0
     theta0: np.ndarray | None = None
-    snapshot_every: int = 0            # 0: no intermediate snapshots
-    eps_schedule: EpsilonSchedule | None = None
-    schedule_distance: float = 0.0     # start-to-maximizer distance bound for the schedule
-    track_true_gradient: bool = False
-    true_solver_t_z: int = 400
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.eps_schedule is not None and self.schedule_distance <= 0:
-            raise ConfigError("eps_schedule requires a positive schedule_distance")
 
 
 @dataclass
@@ -113,10 +105,9 @@ class RunTrace:
     aggregated_norms: np.ndarray     # (T,)
     objective_estimates: np.ndarray  # (T,) mean honest-worker inner objective
     worker_norms: np.ndarray         # (T, m) reported gradient norms
-    t_z_used: np.ndarray             # (T,)
-    snapshot_iterations: np.ndarray  # iterations whose iterate was recorded
-    snapshots: np.ndarray            # (k, d) iterate before the update
+    iterates: np.ndarray             # (T, d) iterate before each update
     theta_final: np.ndarray
+    # filled by with_diagnostics
     true_gradients: np.ndarray | None = None   # (T, d)
     true_objectives: np.ndarray | None = None  # (T,)
     inner_eps: np.ndarray | None = None        # (T,) worst ||z_eps - z*||
@@ -125,12 +116,6 @@ class RunTrace:
     def iterations(self):
         return self.aggregated.shape[0]
 
-    def snapshot(self, t):
-        hits = np.flatnonzero(self.snapshot_iterations == t)
-        if hits.size == 0:
-            raise KeyError(f"no snapshot recorded at iteration {t}")
-        return self.snapshots[hits[0]]
-
 
 def initial_theta(dim, seed):
     """Seeded small random initialization, shared across compared variants."""
@@ -138,21 +123,16 @@ def initial_theta(dim, seed):
     return 0.01 * rng.standard_normal(dim)
 
 
-def worker_step(model, theta, shard_X, shard_Y, dro: DROConfig, t_z):
+def worker_step(model, theta, shard_X, shard_Y, dro: DROConfig):
     """One honest worker's report: (mean surrogate gradient, mean inner objective).
 
     The gradient is the loss gradient at the ascent output, averaged over the
     worker's samples.
     """
-    Z = ascend(model, theta, shard_X, shard_Y, dro, t_z=t_z)
+    Z = ascend(model, theta, shard_X, shard_Y, dro)
     grad = model.mean_grad_theta(theta, Z, shard_Y)
     obj = penalized_objectives(model, theta, Z, shard_Y, shard_X, dro.lam).mean()
     return grad, float(obj)
-
-
-def _ascent_error_factor(model, dro: DROConfig):
-    # per-step contraction of ||z - z*|| for the quadratic family
-    return abs(1.0 - dro.eta_z * (dro.lam - model.curvature))
 
 
 def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
@@ -165,45 +145,25 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
     if theta.shape != (d,):
         raise ConfigError(f"theta0 must have shape ({d},), got {theta.shape}")
 
-    quadratic = isinstance(model, QuadraticLoss)
-    if cfg.eps_schedule is not None and not quadratic:
-        raise ConfigError("the accuracy schedule needs exact constants (quadratic family)")
-    track = cfg.track_true_gradient
-
     trace = RunTrace(
         eta=cfg.eta,
         aggregated=np.empty((T, d)),
         aggregated_norms=np.empty(T),
         objective_estimates=np.empty(T),
         worker_norms=np.empty((T, m)),
-        t_z_used=np.empty(T, dtype=int),
-        snapshot_iterations=np.empty(0, dtype=int),
-        snapshots=np.empty((0, d)),
+        iterates=np.empty((T, d)),
         theta_final=np.empty(d),
-        true_gradients=np.empty((T, d)) if track else None,
-        true_objectives=np.empty(T) if track else None,
-        inner_eps=np.full(T, np.nan) if track else None,
     )
-    snap_iters, snaps = [], []
     honest = roster.honest
 
     for t in range(T):
-        t_z = cfg.dro.t_z
-        if cfg.eps_schedule is not None:
-            t_z, _ = required_iterations(
-                model.constants(), cfg.dro.lam, 1.0,
-                cfg.eps_schedule(t), cfg.schedule_distance,
-            )
-        if cfg.snapshot_every > 0 and t % cfg.snapshot_every == 0:
-            snap_iters.append(t)
-            snaps.append(theta.copy())
-
+        trace.iterates[t] = theta
         grads = np.empty((m, d))
         honest_objs = np.empty(len(honest))
         for j, i in enumerate(honest):
             try:
                 grads[i], honest_objs[j] = worker_step(
-                    model, theta, X[roster.shards[i]], Y[roster.shards[i]], cfg.dro, t_z
+                    model, theta, X[roster.shards[i]], Y[roster.shards[i]], cfg.dro
                 )
             except NumericError as exc:
                 raise NumericError(f"iteration {t}, worker {i}: {exc}") from exc
@@ -220,36 +180,49 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         trace.aggregated_norms[t] = np.linalg.norm(G)
         trace.objective_estimates[t] = honest_objs.mean()
         trace.worker_norms[t] = np.linalg.norm(grads, axis=1)
-        trace.t_z_used[t] = t_z
-
-        if track:
-            lam = cfg.dro.lam
-            if quadratic:
-                trace.true_objectives[t], trace.true_gradients[t] = surrogate_state(
-                    model, theta, X, Y, lam
-                )
-                z_star = exact_inner_maximizer(model, theta, X, lam)
-                start_dist = np.linalg.norm(X - z_star, axis=1).max()
-                trace.inner_eps[t] = _ascent_error_factor(model, cfg.dro) ** t_z * start_dist
-            else:
-                precise = DROConfig(lam, theoretical_ascent_step(lam), cfg.true_solver_t_z)
-                z_star = ascend(model, theta, X, Y, precise)
-                trace.true_objectives[t] = penalized_objectives(
-                    model, theta, z_star, Y, X, lam
-                ).mean()
-                trace.true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
-                # measured accuracy: worker-precision ascent vs the diagnostic solve
-                z_eps = ascend(model, theta, X, Y, cfg.dro, t_z=t_z)
-                trace.inner_eps[t] = np.linalg.norm(z_eps - z_star, axis=1).max()
 
         theta = theta - cfg.eta * G
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"iteration {t}: iterate diverged to non-finite values")
 
-    trace.snapshot_iterations = np.asarray(snap_iters, dtype=int)
-    trace.snapshots = np.asarray(snaps) if snaps else np.empty((0, d))
     trace.theta_final = theta
     return trace
+
+
+def _ascent_error_factor(model, dro: DROConfig):
+    # per-step contraction of ||z - z*|| for the quadratic family
+    return abs(1.0 - dro.eta_z * (dro.lam - model.curvature))
+
+
+def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig, true_solver_t_z=400):
+    """A copy of the trace with the true-gradient diagnostics filled in.
+
+    At every recorded iterate: the surrogate objective and gradient over all
+    samples, and the worst distance of a worker-precision ascent (``dro``,
+    the run's inner settings) from the exact maximizer. The quadratic family
+    uses the closed-form maximizer and the analytic error factor; other
+    losses use a ``true_solver_t_z``-step ascent at the theoretical step size
+    and measure the error against it.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    T, d = trace.aggregated.shape
+    quadratic = isinstance(model, QuadraticLoss)
+    precise = DROConfig(dro.lam, theoretical_ascent_step(dro.lam), true_solver_t_z)
+    true_gradients, true_objectives, inner_eps = np.empty((T, d)), np.empty(T), np.empty(T)
+    for t, theta in enumerate(trace.iterates):
+        if quadratic:
+            z_star = exact_inner_maximizer(model, theta, X, dro.lam)
+            start_dist = np.linalg.norm(X - z_star, axis=1).max()
+            inner_eps[t] = _ascent_error_factor(model, dro) ** dro.t_z * start_dist
+        else:
+            z_star = ascend(model, theta, X, Y, precise)
+            z_eps = ascend(model, theta, X, Y, dro)
+            inner_eps[t] = np.linalg.norm(z_eps - z_star, axis=1).max()
+        true_objectives[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
+        true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
+    return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,
+                   inner_eps=inner_eps)
 
 
 def variant_config(variant, cfg: TrainConfig, roster: WorkerRoster):
@@ -266,7 +239,7 @@ def variant_config(variant, cfg: TrainConfig, roster: WorkerRoster):
         if roster.byzantine:
             new_roster = replace(roster, allow_excess_byzantine=True)
     if variant in ("nbs_only", "erm"):
-        new_cfg = replace(new_cfg, dro=replace(new_cfg.dro, t_z=0), eps_schedule=None)
+        new_cfg = replace(new_cfg, dro=replace(new_cfg.dro, t_z=0))
     return new_cfg, new_roster
 
 

@@ -129,20 +129,3 @@ def required_iterations(constants: SmoothnessConstants, lam, l_c, eps, d_z):
     # tiny slack so exact-power cases are not bumped up by float rounding
     return max(0, math.ceil(ratio - 1e-9)), p
 
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Two-stage accuracy target: coarse before the boundary iteration, fine after."""
-
-    phase_boundary: int
-    eps_coarse: float
-    eps_fine: float
-
-    def __post_init__(self):
-        if not (self.eps_coarse >= self.eps_fine > 0):
-            raise ConfigError(
-                f"need eps_coarse >= eps_fine > 0, got {self.eps_coarse}, {self.eps_fine}"
-            )
-
-    def __call__(self, t):
-        return self.eps_coarse if t < self.phase_boundary else self.eps_fine

@@ -29,6 +29,7 @@ from .simulation import (
     WorkerRoster,
     gradient_dispersion,
     run_training,
+    with_diagnostics,
 )
 from .surrogate import surrogate_state, theoretical_ascent_step
 
@@ -86,7 +87,7 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
 def _quadratic_run(seed, iterations, m=20, byz_count=3, screen_count=3, dim=6,
                    n_per_worker=10, lam=2.0, curvature=1.0, t_z=6,
                    attack_kind="aggressive", eta=None, theoretical_step=True):
-    """One tracked byzantine run on the quadratic family; returns run pieces."""
+    """One byzantine run on the quadratic family, with diagnostics; returns run pieces."""
     model = QuadraticLoss(curvature)
     X, Y = quadratic_cloud(m * n_per_worker, dim, spread=1.0, seed=seed)
     shards, _ = even_shards(X.shape[0], m)
@@ -106,11 +107,9 @@ def _quadratic_run(seed, iterations, m=20, byz_count=3, screen_count=3, dim=6,
         dro=dro,
         screen=ScreenConfig(screen_count),
         seed=seed,
-        snapshot_every=1,
-        track_true_gradient=True,
     )
-    trace = run_training(model, X, Y, roster, cfg)
-    sigma = gradient_dispersion(model, X, Y, trace.snapshot(0), lam)
+    trace = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), dro)
+    sigma = gradient_dispersion(model, X, Y, trace.iterates[0], lam)
     inputs = TheoryInputs(
         constants=model.constants(), lam=lam,
         alpha=byz_count / m, beta=screen_count / m, sigma=sigma,
@@ -134,10 +133,6 @@ def deviation_trace_suite(n_seeds=20, iterations=120):
     )
 
 
-def _global_eps(trace):
-    return float(np.nanmax(trace.inner_eps))
-
-
 def rate_bound_suite(n_seeds=20, horizons=(50, 200)):
     """Average-gradient, objective-gap, and iterate-distance bounds on tracked runs."""
     worst = np.inf
@@ -150,7 +145,7 @@ def rate_bound_suite(n_seeds=20, horizons=(50, 200)):
             )
             theta_star, f_star = solve_reference_optimum(model, X, Y, inputs.lam)
             loaded = replace(
-                inputs, eps=_global_eps(trace),
+                inputs, eps=float(trace.inner_eps.max()),
                 lambda_f=surrogate_smoothness(model.constants(), inputs.lam),
             )
             f_final, _ = surrogate_state(model, trace.theta_final, X, Y, inputs.lam)
@@ -197,10 +192,9 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
             dro=DROConfig(lam, theoretical_ascent_step(lam), 40),
             screen=ScreenConfig(byz_count),
             seed=seed,
-            snapshot_every=1,
         )
         trace = run_training(model, X, Y, roster, cfg)
-        dists = np.linalg.norm(trace.snapshots - theta_star, axis=1)
+        dists = np.linalg.norm(trace.iterates - theta_star, axis=1)
         out[frac] = np.append(dists, np.linalg.norm(trace.theta_final - theta_star))
     return out
 

@@ -1,0 +1,57 @@
+"""The names the benchmark binds in robustgd must exist.
+
+``perfbench/tracer.py`` wraps functions and methods by (module, attribute)
+and skips a name it cannot find, so a rename in the package would turn its
+per-layer metrics into silent zeros. These tests read the tracer's tables
+and the other bindings the benchmark relies on, without editing them.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from robustgd.experiments import ExperimentConfig
+from robustgd.simulation import RunTrace
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _tracer()
+
+
+@pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))
+def test_traced_function_resolves(span):
+    modname, attr = tracer.FUNCTIONS[span]
+    assert callable(vars(importlib.import_module(modname)).get(attr)), span
+
+
+@pytest.mark.parametrize("span", sorted(tracer.METHODS))
+def test_traced_method_resolves(span):
+    modname, cls_name, attr = tracer.METHODS[span]
+    cls = getattr(importlib.import_module(modname), cls_name)
+    assert callable(vars(cls).get(attr)), span
+
+
+def test_hook_bindings_resolve():
+    # the tracer's work counters bind these parameters and trace fields by name
+    from robustgd.simulation import run_training
+    from robustgd.surrogate import ascend
+
+    assert {"roster", "cfg"} <= set(inspect.signature(run_training).parameters)
+    assert {"X", "cfg", "t_z"} <= set(inspect.signature(ascend).parameters)
+    assert "worker_norms" in RunTrace.__dataclass_fields__
+
+
+def test_experiment_config_resolved_exists():
+    cfg = ExperimentConfig(preset="E1")
+    assert cfg.resolved() == cfg

@@ -204,7 +204,7 @@ class TestReportsAndOptimum:
         assert k >= 1.0
         loaded = TheoryInputs(
             constants=base.constants, lam=base.lam, alpha=base.alpha, beta=base.beta,
-            eps=float(np.nanmax(trace.inner_eps)), sigma=base.sigma,
+            eps=float(trace.inner_eps.max()), sigma=base.sigma,
             lambda_f=surrogate_smoothness(base.constants, base.lam),
         )
         for report in check_aggregate_deviation(trace, loaded):
@@ -220,17 +220,15 @@ class TestReportsAndOptimum:
         from robustgd.simulation import RunTrace
 
         T, d = 3, 2
-        snapshots = np.array([[1.0, 0.0], [50.0, 0.0], [500.0, 0.0]])
+        iterates = np.array([[1.0, 0.0], [50.0, 0.0], [500.0, 0.0]])
         trace = RunTrace(
             eta=0.1,
             aggregated=np.zeros((T, d)),
             aggregated_norms=np.zeros(T),
             objective_estimates=np.zeros(T),
             worker_norms=np.zeros((T, 1)),
-            t_z_used=np.zeros(T, dtype=int),
-            snapshot_iterations=np.arange(T),
-            snapshots=snapshots,
-            theta_final=snapshots[-1],
+            iterates=iterates,
+            theta_final=iterates[-1],
         )
         ti = inputs_for(constants(1, 1, 1, 1), 2.0)
         with caplog.at_level(logging.WARNING, logger="robustgd.bounds"):
@@ -253,7 +251,9 @@ class TestReportsAndOptimum:
         with pytest.raises(ConfigError):
             check_aggregate_deviation(trace, ti)
         with pytest.raises(ConfigError):
-            measured_trajectory_factor(trace, np.zeros(2))
+            check_avg_sq_gradient(trace, ti, f_star=0.0)
+        with pytest.raises(ConfigError, match="coincides"):
+            measured_trajectory_factor(trace, trace.iterates[0])
 
 
 def test_c_alpha_validation():

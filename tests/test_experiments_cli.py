@@ -59,6 +59,11 @@ class TestPresets:
         with pytest.raises(ConfigError):
             ExperimentConfig(preset="E9")
 
+    def test_preset_on_an_expanded_config_is_refused(self):
+        # E1's attack and shift are explicit by now: E3 would only relabel them
+        with pytest.raises(ConfigError, match="E3"):
+            replace(ExperimentConfig(preset="E1"), preset="E3")
+
 
 class TestRecords:
     def test_round_trip_and_byte_identical_reruns(self, tmp_path):
@@ -133,6 +138,11 @@ class TestSweep:
         by_value = {r["sweep"]["value"]: r for r in records}
         assert not by_value[0]["config"]["allow_excess_byzantine"]
         assert by_value[2]["config"]["allow_excess_byzantine"]  # 2 > screen_count=1
+
+    @pytest.mark.parametrize("axis", ["alpha_m", "t_z"])
+    def test_integer_axes_reject_fractional_values(self, axis):
+        with pytest.raises(ConfigError, match="integers"):
+            sweep(fast_config(), axis, [1.5], variants=["erm"])
 
     def test_axis_values_survive_preset_expansion(self):
         cfg = ExperimentConfig(preset="E0", **FAST)
@@ -218,11 +228,12 @@ class TestCli:
 
     @pytest.mark.parametrize("axis", ["alpha_m", "t_z"])
     def test_integer_sweep_axes_reject_fractional_values(self, tmp_path, axis):
-        with pytest.raises(SystemExit, match="integers"):
-            main(["sweep", "--axis", axis, "--values", "1,2.5", "--variant", "erm",
-                  "--m", "4", "--iterations", "2", "--screen-count", "1",
-                  "--out", str(tmp_path)])
-        assert not (tmp_path / f"sweep_{axis}.jsonl").exists()
+        for values, message in (("1,2.5", "integers"), ("1,a", "'a' is not a number")):
+            with pytest.raises(SystemExit, match=message):
+                main(["sweep", "--axis", axis, "--values", values, "--variant", "erm",
+                      "--m", "4", "--iterations", "2", "--screen-count", "1",
+                      "--out", str(tmp_path)])
+            assert not (tmp_path / f"sweep_{axis}.jsonl").exists()
 
     def test_sweep_and_report_commands(self, tmp_path, capsys):
         code = main([

@@ -11,15 +11,17 @@ from robustgd.simulation import (
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
+    initial_theta,
     run_training,
     run_variant,
+    with_diagnostics,
     worker_step,
 )
 from robustgd.surrogate import (
     DROConfig,
-    EpsilonSchedule,
     ascend,
-    required_iterations,
+    exact_inner_maximizer,
+    surrogate_state,
     theoretical_ascent_step,
 )
 
@@ -41,7 +43,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
         X, Y = x.reshape(1, -1), np.array([1.0])
-        grad, _ = worker_step(model, theta, X, Y, dro, dro.t_z)
+        grad, _ = worker_step(model, theta, X, Y, dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascend(model, theta, X, Y, dro)
         np.testing.assert_array_equal(grad, model.grads_theta(theta, Z, Y)[0])
@@ -51,8 +53,8 @@ class TestWorkerGradient:
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single, _ = worker_step(model, theta, x.reshape(1, -1), np.zeros(1), dro, dro.t_z)
-        double, _ = worker_step(model, theta, np.vstack([x, x]), np.zeros(2), dro, dro.t_z)
+        single, _ = worker_step(model, theta, x.reshape(1, -1), np.zeros(1), dro)
+        double, _ = worker_step(model, theta, np.vstack([x, x]), np.zeros(2), dro)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -62,7 +64,7 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        grad, _ = worker_step(model, theta, X, np.zeros(9), dro, dro.t_z)
+        grad, _ = worker_step(model, theta, X, np.zeros(9), dro)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
@@ -77,14 +79,13 @@ class TestRunTraining:
         l_f = surrogate_smoothness(model.constants(), lam)
         # half the exact step so the distance contracts by 1/2 each round
         cfg = plain_config(
-            0.5 / l_f, 30, DROConfig(lam, theoretical_ascent_step(lam), 80),
-            seed=1, snapshot_every=1, track_true_gradient=True,
+            0.5 / l_f, 30, DROConfig(lam, theoretical_ascent_step(lam), 80), seed=1,
         )
-        trace = run_training(model, X, Y, roster, cfg)
+        trace = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), cfg.dro)
         norms = np.linalg.norm(trace.true_gradients, axis=1)
         assert (np.diff(norms) < 1e-12).all()
         theta_star = X.mean(axis=0)
-        d0 = np.linalg.norm(trace.snapshot(0) - theta_star)
+        d0 = np.linalg.norm(trace.iterates[0] - theta_star)
         final = np.linalg.norm(trace.theta_final - theta_star)
         assert final <= 0.5 ** 30 * d0 + 1e-9
 
@@ -97,11 +98,9 @@ class TestRunTraining:
         cfg = plain_config(0.5, 15, dro, seed=9)
         trace = run_training(model, X, Y, roster, cfg)
 
-        from robustgd.simulation import initial_theta
-
         theta = initial_theta(3, 9)
         for _ in range(15):
-            theta = theta - 0.5 * worker_step(model, theta, X, Y, dro, dro.t_z)[0]
+            theta = theta - 0.5 * worker_step(model, theta, X, Y, dro)[0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -112,15 +111,12 @@ class TestRunTraining:
             shards=shards, byzantine=(0, 1),
             attack=AttackSpec(kind="intelligent", rng_seed=3),
         )
-        cfg = plain_config(
-            0.2, 12, DROConfig(2.0, 0.3, 6), screen_count=2, seed=4,
-            snapshot_every=3, track_true_gradient=True,
-        )
-        a = run_training(model, X, Y, roster, cfg)
-        b = run_training(model, X, Y, roster, cfg)
+        cfg = plain_config(0.2, 12, DROConfig(2.0, 0.3, 6), screen_count=2, seed=4)
+        a = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), cfg.dro)
+        b = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), cfg.dro)
         np.testing.assert_array_equal(a.aggregated, b.aggregated)
         np.testing.assert_array_equal(a.theta_final, b.theta_final)
-        np.testing.assert_array_equal(a.snapshots, b.snapshots)
+        np.testing.assert_array_equal(a.iterates, b.iterates)
         np.testing.assert_array_equal(a.true_gradients, b.true_gradients)
         np.testing.assert_array_equal(a.worker_norms, b.worker_norms)
 
@@ -134,10 +130,8 @@ class TestRunTraining:
         cfg = plain_config(0.3, 3, dro, seed=6)
         trace = run_training(model, X, Y, roster, cfg)
 
-        from robustgd.simulation import initial_theta
-
         theta = initial_theta(3, 6)
-        grads = [worker_step(model, theta, X[s], Y[s], dro, dro.t_z)[0] for s in shards]
+        grads = [worker_step(model, theta, X[s], Y[s], dro)[0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_trace_shapes_and_finiteness(self):
@@ -145,43 +139,31 @@ class TestRunTraining:
         X, Y = make_cloud(n=30, dim=2, seed=3)
         shards, _ = even_shards(30, 6)
         roster = WorkerRoster(shards=shards)
-        cfg = plain_config(0.2, 7, DROConfig(2.0, 0.3, 4), seed=0, snapshot_every=2)
+        cfg = plain_config(0.2, 7, DROConfig(2.0, 0.3, 4), seed=0)
         trace = run_training(model, X, Y, roster, cfg)
         assert trace.iterations == 7
         assert trace.aggregated.shape == (7, 2)
         assert trace.worker_norms.shape == (7, 6)
+        assert trace.iterates.shape == (7, 2)
         assert np.isfinite(trace.aggregated).all()
-        np.testing.assert_array_equal(trace.snapshot_iterations, [0, 2, 4, 6])
-        assert (trace.t_z_used == 4).all()
+        assert trace.true_gradients is None and trace.inner_eps is None
 
-    def test_accuracy_schedule_drives_iteration_counts(self):
+    def test_iterates_are_the_descent_sequence(self):
+        # iterates[t] is theta_t before update t, and each update is one
+        # eta-step along the aggregate: bitwise, with byzantine workers present
         model = QuadraticLoss(1.0)
-        X, Y = make_cloud(n=20, dim=2, seed=8)
-        shards, _ = even_shards(20, 4)
-        roster = WorkerRoster(shards=shards)
-        lam, d_z = 2.0, 4.0
-        schedule = EpsilonSchedule(5, 1e-1, 1e-3)
-        cfg = plain_config(
-            0.2, 10, DROConfig(lam, theoretical_ascent_step(lam), 6),
-            seed=1, eps_schedule=schedule, schedule_distance=d_z,
+        X, Y = make_cloud(n=40, dim=3, seed=7)
+        shards, _ = even_shards(40, 8)
+        roster = WorkerRoster(
+            shards=shards, byzantine=(0, 1),
+            attack=AttackSpec(kind="aggressive", rng_seed=2),
         )
+        cfg = plain_config(0.3, 9, DROConfig(2.0, 0.3, 5), screen_count=2, seed=5)
         trace = run_training(model, X, Y, roster, cfg)
-        coarse, _ = required_iterations(model.constants(), lam, 1.0, 1e-1, d_z)
-        fine, _ = required_iterations(model.constants(), lam, 1.0, 1e-3, d_z)
-        assert coarse < fine
-        assert (trace.t_z_used[:5] == coarse).all()
-        assert (trace.t_z_used[5:] == fine).all()
-
-    def test_schedule_requires_exact_constants(self):
-        X = np.zeros((4, 2))
-        Y = np.zeros(4)
-        roster = WorkerRoster(shards=[np.arange(4)])
-        cfg = plain_config(
-            0.2, 3, DROConfig(3.0, 0.05, 5), seed=0,
-            eps_schedule=EpsilonSchedule(1, 1e-1, 1e-2), schedule_distance=1.0,
-        )
-        with pytest.raises(ConfigError):
-            run_training(LogisticLoss(), X, Y, roster, cfg)
+        np.testing.assert_array_equal(trace.iterates[0], initial_theta(3, 5))
+        stepped = trace.iterates - cfg.eta * trace.aggregated
+        np.testing.assert_array_equal(trace.iterates[1:], stepped[:-1])
+        np.testing.assert_array_equal(trace.theta_final, stepped[-1])
 
     def test_roster_validation(self):
         X, Y = make_cloud(n=12, dim=2, seed=0)
@@ -212,6 +194,50 @@ class TestRunTraining:
             run_training(QuadraticLoss(), X, Y, roster, cfg)
 
 
+class TestDiagnostics:
+    def test_quadratic_diagnostics_use_the_closed_form(self):
+        model = QuadraticLoss(1.0)
+        X, Y = make_cloud(n=24, dim=3, seed=4)
+        shards, _ = even_shards(24, 4)
+        lam = 2.0
+        cfg = plain_config(0.3, 5, DROConfig(lam, 0.3, 3), seed=2)
+        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        diag = with_diagnostics(model, X, Y, trace, cfg.dro)
+        assert trace.true_gradients is None  # the input trace is left as it was
+        np.testing.assert_array_equal(diag.iterates, trace.iterates)
+        for t, theta in enumerate(diag.iterates):
+            value, grad = surrogate_state(model, theta, X, Y, lam)
+            assert diag.true_objectives[t] == value
+            np.testing.assert_array_equal(diag.true_gradients[t], grad)
+            # the analytic error factor bounds the measured worker-precision error
+            measured = np.linalg.norm(
+                ascend(model, theta, X, Y, cfg.dro) - exact_inner_maximizer(model, theta, X, lam),
+                axis=1,
+            ).max()
+            assert measured <= diag.inner_eps[t] * (1 + 1e-12)
+
+    def test_logistic_diagnostics_measure_against_a_long_ascent(self, rng):
+        model = LogisticLoss()
+        X = rng.standard_normal((16, 3))
+        Y = rng.integers(0, 2, size=16).astype(float)
+        shards, _ = even_shards(16, 4)
+        lam = 3.0
+        cfg = plain_config(0.5, 4, DROConfig(lam, 0.05, 5), seed=3)
+        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        diag = with_diagnostics(model, X, Y, trace, cfg.dro, true_solver_t_z=120)
+        for t, theta in enumerate(diag.iterates):
+            value, grad = surrogate_state(model, theta, X, Y, lam, t_z=120)
+            assert diag.true_objectives[t] == value
+            np.testing.assert_array_equal(diag.true_gradients[t], grad)
+            precise = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), 120))
+            expected = np.linalg.norm(ascend(model, theta, X, Y, cfg.dro) - precise, axis=1).max()
+            assert diag.inner_eps[t] == expected
+        # a worker-precision ascent with more steps lands closer to the maximizer
+        finer = with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.05, 40),
+                                 true_solver_t_z=120)
+        assert (finer.inner_eps < diag.inner_eps).all()
+
+
 class TestVariants:
     def setup_method(self):
         self.model = LogisticLoss()
@@ -238,8 +264,6 @@ class TestVariants:
         # empirical loss (worker shards average back to the global mean)
         clean = WorkerRoster(shards=self.roster.shards)
         trace = run_variant("erm", self.model, self.X, self.Y, clean, self.cfg)
-
-        from robustgd.simulation import initial_theta
 
         theta = initial_theta(3, 2)
         for _ in range(self.cfg.iterations):

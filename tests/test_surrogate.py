@@ -6,7 +6,6 @@ from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.surrogate import (
     DROConfig,
-    EpsilonSchedule,
     ascend,
     contraction_factor,
     exact_inner_maximizer,
@@ -226,22 +225,3 @@ class TestIterationCount:
         with pytest.raises(ConfigError):
             required_iterations(model.constants(), lam=3.0, l_c=1.0, eps=0.0, d_z=1.0)
 
-
-class TestEpsilonSchedule:
-    def test_boundary_zero_is_always_fine(self):
-        schedule = EpsilonSchedule(0, 1e-1, 1e-3)
-        assert all(schedule(t) == 1e-3 for t in range(5))
-
-    def test_boundary_at_horizon_is_always_coarse(self):
-        schedule = EpsilonSchedule(300, 1e-1, 1e-3)
-        assert all(schedule(t) == 1e-1 for t in range(300))
-
-    def test_step_function_switches_at_boundary(self):
-        schedule = EpsilonSchedule(150, 1e-1, 1e-3)
-        values = [schedule(t) for t in range(300)]
-        assert values[:150] == [1e-1] * 150
-        assert values[150:] == [1e-3] * 150
-
-    def test_ordering_validation(self):
-        with pytest.raises(ConfigError):
-            EpsilonSchedule(10, 1e-3, 1e-1)
