@@ -43,7 +43,7 @@ from .simulation import (
     gradient_dispersion,
     run_training,
     run_variant,
-    worker_step,
+    worker_reports,
 )
 from .surrogate import DROConfig, required_iterations
 

@@ -19,12 +19,12 @@ from .experiments import (
     PRESETS,
     SWEEP_AXES,
     ExperimentConfig,
-    check_sweep_values,
     export_csv,
     read_records,
     report_table,
     run_experiment,
     sweep,
+    sweep_points,
 )
 from .simulation import VARIANTS
 
@@ -111,8 +111,9 @@ def cmd_run(args):
     return 0
 
 
-def _grid_values(args):
-    """The --values grid as floats, checked against the axis before any file is written."""
+def _grid_values(args, cfg):
+    """The --values grid as floats, checked against the axis and the config before any
+    file is written."""
     values = []
     for token in args.values.split(","):
         try:
@@ -120,15 +121,15 @@ def _grid_values(args):
         except ValueError:
             raise SystemExit(f"--values: {token!r} is not a number") from None
     try:
-        check_sweep_values(args.axis, values)
+        sweep_points(cfg, args.axis, values)
     except ConfigError as exc:
         raise SystemExit(f"--values: {exc}") from exc
     return values
 
 
 def cmd_sweep(args):
-    values = _grid_values(args)
     cfg = _build_config(args)
+    values = _grid_values(args, cfg)
     _streamed(_out_dir(args), f"sweep_{args.axis}",
               lambda sink: sweep(cfg, args.axis, values,
                                  variants=_variants(args), on_record=sink))

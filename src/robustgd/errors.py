@@ -14,7 +14,14 @@ class RegimeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values.
+
+    ``rows``, when known, indexes the batch rows that went non-finite.
+    """
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class DataFormatError(ValueError):

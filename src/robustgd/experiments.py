@@ -99,6 +99,22 @@ class ExperimentConfig:
         if self.preset is not None:
             object.__setattr__(self, "environment", self.preset)
             object.__setattr__(self, "preset", None)
+        self._check_ranges()
+
+    def _check_ranges(self):
+        """Refuse, at construction, the values the simulation would reject deep in a run."""
+        for name in ("m", "iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.t_z < 0:
+            raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
+        for name in ("alpha_m", "screen_count"):
+            if not 0 <= getattr(self, name) < self.m:
+                raise ConfigError(f"{name} must be in [0, m={self.m}), got {getattr(self, name)}")
+        if self.alpha_m > 0 and self.attack == "none":
+            raise ConfigError(
+                f"alpha_m={self.alpha_m} byzantine workers need an attack, got attack='none'"
+            )
 
     def resolved(self):
         """The config itself: presets are applied at construction.
@@ -254,28 +270,38 @@ def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
     return records
 
 
-def check_sweep_values(axis, values):
-    """Refuse an unknown axis, or a non-integral value on an integer axis."""
+def sweep_points(cfg: ExperimentConfig, axis, values):
+    """One config per grid value, each checked at construction.
+
+    Refuses an unknown axis, a non-integral value on an integer axis, and a
+    point the config itself rejects. Points on the alpha_m axis beyond the
+    screening count carry the excess-byzantine override, since probing that
+    regime is the point.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     if axis in INTEGER_AXES:
         fractional = [v for v in values if not float(v).is_integer()]
         if fractional:
             raise ConfigError(f"sweep axis {axis} takes integers, got {fractional}")
+    points = []
+    for value in values:
+        point = replace(cfg, **{axis: type(getattr(cfg, axis))(value)})
+        if axis == "alpha_m" and value > cfg.screen_count:
+            point = replace(point, allow_excess_byzantine=True)
+        points.append(point)
+    return points
 
 
 def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
     """Grid over one config axis; one record per (variant, value).
 
     A shift-budget sweep reuses one trained model per variant and
-    warm-starts each budget from the previous one; other axes retrain.
-    Points on the alpha_m axis beyond the screening count are run with the
-    excess-byzantine override, since probing that regime is the point; the
-    integer axes refuse non-integral values instead of truncating them.
-    Records are handed to ``on_record`` as each point finishes, in
-    declaration order.
+    warm-starts each budget from the previous one; other axes retrain one
+    ``sweep_points`` config per value. Records are handed to ``on_record`` as
+    each point finishes, in declaration order.
     """
-    check_sweep_values(axis, values)
+    points = sweep_points(cfg, axis, values)
     variants = [cfg.variant] if variants is None else list(variants)
     records = []
 
@@ -305,10 +331,7 @@ def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
                 emit(_record(pcfg, results, trace, sweep={"axis": axis, "value": q}))
         return records
 
-    for value in values:
-        pcfg = replace(cfg, **{axis: type(getattr(cfg, axis))(value)})
-        if axis == "alpha_m" and value > cfg.screen_count:
-            pcfg = replace(pcfg, allow_excess_byzantine=True)
+    for pcfg in points:
         for record in run_experiment(pcfg, variants=variants):
             record["sweep"] = {"axis": axis, "value": record["config"][axis]}
             emit(record)

@@ -3,9 +3,12 @@
 Each round the server broadcasts the iterate; honest workers run the inner
 maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
-norm, averages the survivors, and steps. Everything is deterministic for a
-fixed seed: worker order, reduction order, and attack randomness are all
-pinned, so two runs with the same config produce bit-identical traces.
+norm, averages the survivors, and steps. The honest rows are gathered once
+before the loop, so one batched ascent per round (``worker_reports``) serves
+every honest worker and each worker's mean is a segment reduction.
+Everything is deterministic for a fixed seed: worker order, reduction order,
+and attack randomness are all pinned, so two runs with the same config
+produce bit-identical traces.
 
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
@@ -123,16 +126,22 @@ def initial_theta(dim, seed):
     return 0.01 * rng.standard_normal(dim)
 
 
-def worker_step(model, theta, shard_X, shard_Y, dro: DROConfig):
-    """One honest worker's report: (mean surrogate gradient, mean inner objective).
+def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
+    """Honest workers' reports: (mean surrogate gradients, mean inner objectives).
 
-    The gradient is the loss gradient at the ascent output, averaged over the
-    worker's samples.
+    ``X`` and ``Y`` hold the workers' rows back to back, ``counts[j]`` rows
+    for worker j. One ascent runs over all rows; each worker's gradient is the
+    loss gradient at the ascent output averaged over its rows. Returns a (k, d)
+    gradient matrix and a (k,) objective vector for the k workers.
     """
-    Z = ascend(model, theta, shard_X, shard_Y, dro)
-    grad = model.mean_grad_theta(theta, Z, shard_Y)
-    obj = penalized_objectives(model, theta, Z, shard_Y, shard_X, dro.lam).mean()
-    return grad, float(obj)
+    counts = np.asarray(counts, dtype=int)
+    if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
+        raise ConfigError(f"row counts {counts.tolist()} must be positive and sum to {len(X)}")
+    starts = np.cumsum(counts) - counts
+    Z = ascend(model, theta, X, Y, dro)
+    grads = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0) / counts[:, None]
+    objs = np.add.reduceat(penalized_objectives(model, theta, Z, Y, X, dro.lam), starts)
+    return grads, objs / counts
 
 
 def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
@@ -154,21 +163,27 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         iterates=np.empty((T, d)),
         theta_final=np.empty(d),
     )
-    honest = roster.honest
+    honest = list(roster.honest)
+    rows = np.concatenate([np.asarray(roster.shards[i], dtype=int) for i in honest])
+    honest_X, honest_Y = X[rows], Y[rows]
+    counts = np.array([len(roster.shards[i]) for i in honest])
+    ends = np.cumsum(counts)
 
     for t in range(T):
         trace.iterates[t] = theta
+        try:
+            honest_grads, honest_objs = worker_reports(
+                model, theta, honest_X, honest_Y, counts, cfg.dro
+            )
+        except NumericError as exc:
+            # a failure without rows (a non-finite theta) hits every worker
+            first = 0 if exc.rows is None else exc.rows[0]
+            worker = honest[np.searchsorted(ends, first, side="right")]
+            raise NumericError(f"iteration {t}, worker {worker}: {exc}") from exc
         grads = np.empty((m, d))
-        honest_objs = np.empty(len(honest))
-        for j, i in enumerate(honest):
-            try:
-                grads[i], honest_objs[j] = worker_step(
-                    model, theta, X[roster.shards[i]], Y[roster.shards[i]], cfg.dro
-                )
-            except NumericError as exc:
-                raise NumericError(f"iteration {t}, worker {i}: {exc}") from exc
-        honest_set = GradientSet(grads[list(honest)])
-        reference = honest_set.matrix.mean(axis=0)
+        grads[honest] = honest_grads
+        honest_set = GradientSet(honest_grads)
+        reference = honest_grads.mean(axis=0)
         for i in roster.byzantine:
             grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
 

@@ -6,6 +6,12 @@ plain gradient ascent started at z = x; the gradient of the surrogate in
 theta is then the loss gradient evaluated at the ascent output (envelope
 property), which is what the training loop aggregates.
 
+The logistic loss sees z only through theta . z, so its z-gradient is a
+multiple of theta and every ascent iterate stays on the line x + c * theta.
+``ascend`` runs that case as a scalar recursion per row (the WRM surrogate of
+Sinha, Namkoong & Duchi, ICLR 2018, specialised to a generalized linear
+model); other losses take the generic row-by-row ascent.
+
 The cost is 1-strongly convex and COST_SMOOTHNESS-smooth, so for
 ``lam > L_zz`` the inner objective is strongly concave and the ascent
 contracts linearly; ``required_iterations`` converts a target accuracy into
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, RegimeError
-from .losses import QuadraticLoss, SmoothnessConstants
+from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
 
 COST_SMOOTHNESS = 1.0  # c(z, x) = ||z - x||^2 / 2
 
@@ -55,17 +61,46 @@ def ascend(model, theta, X, Y, cfg, t_z=None):
 
     Runs exactly ``t_z`` steps (default cfg.t_z) of
     z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x and
-    returns the final rows Z.
+    returns the final rows Z. For the logistic loss the steps run on the line
+    z = x + c * theta (see the module docstring). A step that leaves a row
+    non-finite raises ``NumericError`` whose ``rows`` holds those rows.
     """
     steps = cfg.t_z if t_z is None else t_z
     X = np.asarray(X, dtype=float)
+    if steps == 0:
+        return X.copy()
+    if isinstance(model, LogisticLoss):
+        return _ascend_on_line(theta, X, Y, cfg, steps)
     Z = X.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
             Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
-            if not np.all(np.isfinite(Z)):
-                raise NumericError(f"inner ascent diverged at step {k + 1}")
+            _check_rows(Z, k + 1)
     return Z
+
+
+def _ascend_on_line(theta, X, Y, cfg, steps):
+    # grad_z f = (sigmoid(theta . z) - y) * theta, so with z = x + c * theta the
+    # step is c <- c + eta_z * ((sigmoid(theta . x + c * ||theta||^2) - y) - lam * c)
+    theta = np.asarray(theta, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    margins = X @ theta
+    sq_norm = theta @ theta
+    c = np.zeros(X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
+        for k in range(steps):
+            c += cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c)
+            _check_rows(c, k + 1)
+        Z = X + c[:, None] * theta
+    _check_rows(Z, steps)
+    return Z
+
+
+def _check_rows(A, step):
+    finite = np.isfinite(A)
+    if not finite.all():
+        bad = ~finite.reshape(A.shape[0], -1).all(axis=1)
+        raise NumericError(f"inner ascent diverged at step {step}", rows=np.flatnonzero(bad))
 
 
 def exact_inner_maximizer(model, theta, X, lam):

@@ -54,6 +54,23 @@ class TestNormScreen:
         out = norm_screen(GradientSet(c * vectors), cfg)
         np.testing.assert_allclose(out, c * base, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_within_the_count_are_dropped(self, rng, bad):
+        finite = rng.standard_normal((5, 3))
+        bad_rows = [[bad, 0.0, 1.0], [1.0, bad, bad], [bad] * 3]
+        vectors = np.insert(finite, [0, 2, 5], bad_rows, axis=0)
+        out = norm_screen(GradientSet(vectors), ScreenConfig(3))
+        expected = np.zeros(3)
+        for row in finite:  # left to right, as the screen sums
+            expected += row
+        np.testing.assert_array_equal(out, expected / 5)
+
+    def test_more_non_finite_rows_than_the_count_leak_into_the_mean(self, rng):
+        # the screen does not judge finiteness; the round loop refuses the result
+        vectors = np.vstack([rng.standard_normal((4, 2)), [[np.inf, 0.0], [np.nan, 1.0]]])
+        out = norm_screen(GradientSet(vectors), ScreenConfig(1))
+        assert not np.isfinite(out).all()
+
     def test_ties_keep_lower_original_index(self):
         # two vectors of equal norm straddling the cut: lower index survives
         grads = scalars(3, -3, 1, 5)

@@ -59,6 +59,20 @@ class TestPresets:
         with pytest.raises(ConfigError):
             ExperimentConfig(preset="E9")
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(alpha_m=2, m=4, screen_count=2), "attack"),
+        (dict(m=0, screen_count=0), "m must be"),
+        (dict(iterations=0), "iterations"),
+        (dict(t_z=-1), "t_z"),
+        (dict(attack="aggressive", alpha_m=-1), "alpha_m"),
+        (dict(attack="aggressive", alpha_m=4, m=4, screen_count=1), "alpha_m"),
+        (dict(screen_count=4, m=4), "screen_count"),
+        (dict(screen_count=-1), "screen_count"),
+    ])
+    def test_out_of_range_fields_are_refused_at_construction(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**fields)
+
     def test_preset_on_an_expanded_config_is_refused(self):
         # E1's attack and shift are explicit by now: E3 would only relabel them
         with pytest.raises(ConfigError, match="E3"):
@@ -234,6 +248,16 @@ class TestCli:
                       "--m", "4", "--iterations", "2", "--screen-count", "1",
                       "--out", str(tmp_path)])
             assert not (tmp_path / f"sweep_{axis}.jsonl").exists()
+
+    def test_byzantine_sweep_without_an_attack_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="attack"):
+            main(["sweep", "--axis", "alpha_m", "--values", "0,2", "--variant", "erm",
+                  "--m", "4", "--iterations", "2", "--screen-count", "1",
+                  "--out", str(tmp_path)])
+        assert not (tmp_path / "sweep_alpha_m.jsonl").exists()
+        with pytest.raises(SystemExit, match="screen_count"):
+            main(["run", "--m", "4", "--screen-count", "4", "--out", str(tmp_path)])
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_sweep_and_report_commands(self, tmp_path, capsys):
         code = main([

@@ -5,7 +5,7 @@ from robustgd.aggregation import ScreenConfig
 from robustgd.attacks import AttackSpec
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
-from robustgd.errors import ConfigError
+from robustgd.errors import ConfigError, NumericError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.simulation import (
     TrainConfig,
@@ -15,12 +15,13 @@ from robustgd.simulation import (
     run_training,
     run_variant,
     with_diagnostics,
-    worker_step,
+    worker_reports,
 )
 from robustgd.surrogate import (
     DROConfig,
     ascend,
     exact_inner_maximizer,
+    penalized_objectives,
     surrogate_state,
     theoretical_ascent_step,
 )
@@ -43,7 +44,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
         X, Y = x.reshape(1, -1), np.array([1.0])
-        grad, _ = worker_step(model, theta, X, Y, dro)
+        (grad,), _ = worker_reports(model, theta, X, Y, [1], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascend(model, theta, X, Y, dro)
         np.testing.assert_array_equal(grad, model.grads_theta(theta, Z, Y)[0])
@@ -53,8 +54,8 @@ class TestWorkerGradient:
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single, _ = worker_step(model, theta, x.reshape(1, -1), np.zeros(1), dro)
-        double, _ = worker_step(model, theta, np.vstack([x, x]), np.zeros(2), dro)
+        single, _ = worker_reports(model, theta, x.reshape(1, -1), np.zeros(1), [1], dro)
+        double, _ = worker_reports(model, theta, np.vstack([x, x]), np.zeros(2), [2], dro)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -64,9 +65,36 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        grad, _ = worker_step(model, theta, X, np.zeros(9), dro)
+        (grad,), _ = worker_reports(model, theta, X, np.zeros(9), [9], dro)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
+                             ids=["logistic", "quadratic"])
+    def test_unequal_shards_match_one_ascent_per_worker(self, rng, model):
+        dro = DROConfig(3.0, 0.05, 10)
+        theta = 0.5 * rng.standard_normal(4)
+        counts = [3, 1, 7, 2]
+        X = rng.standard_normal((sum(counts), 4))
+        Y = rng.integers(0, 2, size=sum(counts)).astype(float)
+        grads, objs = worker_reports(model, theta, X, Y, counts, dro)
+        assert grads.shape == (4, 4) and objs.shape == (4,)
+        start = 0
+        for j, n in enumerate(counts):
+            rows = slice(start, start + n)
+            Z = ascend(model, theta, X[rows], Y[rows], dro)
+            np.testing.assert_allclose(grads[j], model.mean_grad_theta(theta, Z, Y[rows]),
+                                       rtol=0, atol=1e-14)
+            obj = penalized_objectives(model, theta, Z, Y[rows], X[rows], dro.lam).mean()
+            assert objs[j] == pytest.approx(obj, rel=0, abs=1e-14)
+            start += n
+
+    @pytest.mark.parametrize("counts", [[2, 2], [4, 0, 1], [6], []])
+    def test_row_counts_must_cover_the_rows(self, rng, counts):
+        X = rng.standard_normal((5, 2))
+        with pytest.raises(ConfigError, match="row counts"):
+            worker_reports(QuadraticLoss(), np.zeros(2), X, np.zeros(5), counts,
+                           DROConfig(2.0, 0.3, 2))
 
 
 class TestRunTraining:
@@ -100,7 +128,7 @@ class TestRunTraining:
 
         theta = initial_theta(3, 9)
         for _ in range(15):
-            theta = theta - 0.5 * worker_step(model, theta, X, Y, dro)[0]
+            theta = theta - 0.5 * worker_reports(model, theta, X, Y, [12], dro)[0][0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -131,7 +159,7 @@ class TestRunTraining:
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 6)
-        grads = [worker_step(model, theta, X[s], Y[s], dro)[0] for s in shards]
+        grads = [worker_reports(model, theta, X[s], Y[s], [len(s)], dro)[0][0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_trace_shapes_and_finiteness(self):
@@ -185,6 +213,49 @@ class TestRunTraining:
             WorkerRoster(shards=shards, byzantine=(5,), attack=attack)
         with pytest.raises(ConfigError):
             WorkerRoster(shards=shards, byzantine=(0,))  # no attack spec
+
+    def test_divergent_ascent_names_the_iteration_and_the_worker(self):
+        # workers 0 and 1 hold rows at theta0 = 0, where the quadratic ascent
+        # stays put; only worker 2's rows can diverge
+        X = np.vstack([np.zeros((4, 2)), np.ones((2, 2))])
+        roster = WorkerRoster(shards=[np.arange(2), np.arange(2, 4), np.arange(4, 6)])
+        cfg = plain_config(0.1, 3, DROConfig(2.0, 50.0, 500), theta0=np.zeros(2))
+        with pytest.raises(NumericError, match=r"iteration 0, worker 2: inner ascent diverged"):
+            run_training(QuadraticLoss(), X, np.zeros(6), roster, cfg)
+
+    def test_divergent_logistic_ascent_names_the_first_honest_worker(self, rng):
+        # at theta = 0 every row's line coordinate grows by 149x per step alike
+        X = rng.standard_normal((12, 3))
+        Y = rng.integers(0, 2, size=12).astype(float)
+        shards, _ = even_shards(12, 4)
+        roster = WorkerRoster(shards=shards, byzantine=(0,),
+                              attack=AttackSpec(kind="aggressive"))
+        cfg = plain_config(0.1, 3, DROConfig(3.0, 50.0, 500), screen_count=1,
+                           theta0=np.zeros(3))
+        with pytest.raises(NumericError, match=r"iteration 0, worker 1: inner ascent diverged"):
+            run_training(LogisticLoss(), X, Y, roster, cfg)
+
+    def test_non_finite_byzantine_reports(self):
+        # an infinite attack scale makes every byzantine report non-finite
+        # (-inf * reference, NaN where the reference is zero)
+        X, Y = make_cloud(n=30, dim=3, seed=8)
+        shards, _ = even_shards(30, 6)
+        attack = AttackSpec(kind="aggressive", scale=np.inf)
+        roster = WorkerRoster(shards=shards, byzantine=(0, 1), attack=attack)
+        dro = DROConfig(2.0, 0.3, 3)
+        trace = run_training(QuadraticLoss(), X, Y, roster,
+                             plain_config(0.2, 4, dro, screen_count=2, seed=1))
+        assert np.isfinite(trace.aggregated).all()
+        assert not np.isfinite(trace.worker_norms[:, :2]).any()
+        clean = run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=shards[2:]),
+                             plain_config(0.2, 4, dro, seed=1))
+        np.testing.assert_array_equal(trace.aggregated, clean.aggregated)
+        # more non-finite reports than the screen drops: the run fails with context
+        excess = WorkerRoster(shards=shards, byzantine=(0, 1), attack=attack,
+                              allow_excess_byzantine=True)
+        with pytest.raises(NumericError, match="iteration 0: non-finite aggregated"):
+            run_training(QuadraticLoss(), X, Y, excess,
+                         plain_config(0.2, 4, dro, screen_count=1, seed=1))
 
     def test_theta0_shape_checked(self):
         X, Y = make_cloud(n=8, dim=3, seed=1)

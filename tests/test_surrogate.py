@@ -28,6 +28,14 @@ def objective_trace(model, theta, x, y, cfg):
     return np.array([penalized_objectives(model, theta, Z, Y, X, cfg.lam)[0] for Z in iterates])
 
 
+def rowwise_ascent(model, theta, X, Y, cfg, t_z):
+    """The generic row-by-row ascent, the reference for the logistic line path."""
+    Z = X.copy()
+    for _ in range(t_z):
+        Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
+    return Z
+
+
 def surrogate_grad(model, theta, x, y, cfg):
     """Surrogate gradient of one sample: the loss gradient at the ascent output."""
     X, Y = one_row(x, y)
@@ -102,6 +110,15 @@ class TestInnerMaximize:
         with pytest.raises(NumericError, match="step"):
             ascend(model, np.array([1.0]), *one_row([0.0]), cfg)
 
+    def test_divergent_logistic_ascent_raises_with_step_index(self, rng):
+        model = LogisticLoss()
+        cfg = DROConfig(lam=3.0, eta_z=50.0, t_z=500)  # |1 - eta_z*lam| = 149 per step
+        X = rng.standard_normal((6, 3))
+        Y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(NumericError, match="step") as err:
+            ascend(model, rng.standard_normal(3), X, Y, cfg)
+        assert err.value.rows.size > 0
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             DROConfig(lam=0.0)
@@ -109,6 +126,27 @@ class TestInnerMaximize:
             DROConfig(lam=1.0, eta_z=-0.1)
         with pytest.raises(ConfigError):
             DROConfig(lam=1.0, t_z=-1)
+
+
+class TestLogisticLinePath:
+    """The logistic ascent runs on the line x + c * theta; the row-by-row loop is its oracle."""
+
+    @pytest.mark.parametrize("t_z", [0, 1, 10, 150, 400])
+    @pytest.mark.parametrize("theta_norm", [0.0, 5.0])
+    def test_matches_the_rowwise_ascent(self, rng, t_z, theta_norm):
+        model = LogisticLoss()
+        cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=t_z)
+        X = rng.standard_normal((40, 6))
+        Y = rng.integers(0, 2, size=40).astype(float)
+        theta = rng.standard_normal(6)
+        theta *= theta_norm / np.linalg.norm(theta)
+        Z = ascend(model, theta, X, Y, cfg)
+        reference = rowwise_ascent(model, theta, X, Y, cfg, t_z)
+        np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            model.mean_grad_theta(theta, Z, Y), model.mean_grad_theta(theta, reference, Y),
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestSurrogateGradient:
