@@ -21,6 +21,7 @@ from .experiments import (
     ExperimentConfig,
     export_csv,
     read_records,
+    record_line,
     report_table,
     run_experiment,
     sweep,
@@ -94,7 +95,7 @@ def _streamed(out_dir, stem, runner):
     records = []
     with open(jsonl, "w") as fh:
         def sink(record):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(record_line(record))
             fh.flush()
             records.append(record)
 

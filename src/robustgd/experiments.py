@@ -11,6 +11,7 @@ config, so diffing output files is a meaningful regression check.
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .aggregation import ScreenConfig
 from .attacks import AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .losses import LogisticLoss
 from .shift import ShiftSpec, misclassification_rate, perturb_test_set, sweep_budgets
 from .simulation import (
@@ -102,19 +103,27 @@ class ExperimentConfig:
         self._check_ranges()
 
     def _check_ranges(self):
-        """Refuse, at construction, the values the simulation would reject deep in a run."""
-        for name in ("m", "iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.t_z < 0:
-            raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
+        """Refuse, at construction, the values the simulation would reject deep in a run.
+
+        The specs a run builds (training, inner ascent, screening, test shift
+        and, unless the attack is 'none', the attack) are built here once, so
+        their own checks are the only copy of each rule.
+        """
+        if self.m < 1:
+            raise ConfigError(f"m must be >= 1, got {self.m}")
         for name in ("alpha_m", "screen_count"):
             if not 0 <= getattr(self, name) < self.m:
                 raise ConfigError(f"{name} must be in [0, m={self.m}), got {getattr(self, name)}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.alpha_m > 0 and self.attack == "none":
             raise ConfigError(
                 f"alpha_m={self.alpha_m} byzantine workers need an attack, got attack='none'"
             )
+        _train_config(self)
+        _shift_spec(self)
+        if self.attack != "none":
+            _attack_spec(self)
 
     def resolved(self):
         """The config itself: presets are applied at construction.
@@ -133,8 +142,6 @@ def prepare_data(cfg: ExperimentConfig):
 
 
 def _attack_spec(cfg: ExperimentConfig):
-    if cfg.attack == "none" or cfg.alpha_m == 0:
-        return None
     return AttackSpec(
         kind=cfg.attack,
         scale=cfg.attack_scale,
@@ -144,11 +151,15 @@ def _attack_spec(cfg: ExperimentConfig):
     )
 
 
+def _shift_spec(cfg: ExperimentConfig):
+    return ShiftSpec(norm=cfg.shift_norm, budget=cfg.shift_q, ascent_steps=cfg.shift_steps)
+
+
 def _roster(cfg: ExperimentConfig, sharded):
     return WorkerRoster(
         shards=sharded.shards,
         byzantine=tuple(range(cfg.alpha_m)),
-        attack=_attack_spec(cfg),
+        attack=None if cfg.alpha_m == 0 else _attack_spec(cfg),
         allow_excess_byzantine=cfg.allow_excess_byzantine,
     )
 
@@ -177,8 +188,7 @@ def evaluate(theta, sharded, cfg: ExperimentConfig):
     if cfg.shift_q == 0.0:
         shifted = clean
     else:
-        spec = ShiftSpec(norm=cfg.shift_norm, budget=cfg.shift_q, ascent_steps=cfg.shift_steps)
-        Z = perturb_test_set(theta, sharded.test_features, sharded.test_labels, spec)
+        Z = perturb_test_set(theta, sharded.test_features, sharded.test_labels, _shift_spec(cfg))
         shifted = misclassification_rate(theta, Z, sharded.test_labels)
     return {"clean_misclassification": float(clean), "shift_misclassification": float(shifted)}
 
@@ -338,12 +348,37 @@ def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
     return records
 
 
+def record_line(record):
+    """One record as a JSON line with sorted keys; byte-stable for a fixed config.
+
+    A non-finite number is refused with the fields that hold it rather than
+    written as non-standard JSON.
+    """
+    try:
+        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(
+            f"non-finite record fields {list(_non_finite_fields(record))} "
+            f"for config={record.get('config')}"
+        ) from exc
+
+
+def _non_finite_fields(value, path=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path
+
+
 def write_records(records, path):
-    """Line-delimited JSON, sorted keys; byte-stable for a fixed config."""
+    """Line-delimited JSON (``record_line``); byte-stable for a fixed config."""
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+            fh.write(record_line(record))
 
 
 def read_records(path):

@@ -43,14 +43,24 @@ class SmoothnessConstants:
 
 
 def sigmoid(t):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With e = exp(-|t|) in [0, 1] this is 1/(1 + e) for t >= 0 and e/(1 + e)
+    otherwise; neither branch can overflow, so both are computed and selected
+    without masking.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def cross_entropy(a, Y):
+    """Per-sample binary cross-entropy of probabilities ``a`` against labels ``Y``.
+
+    ``a`` is clipped to [PROB_CLAMP, 1 - PROB_CLAMP], so the result is finite.
+    """
+    a = np.clip(a, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return -(Y * np.log(a) + (1.0 - Y) * np.log(1.0 - a))
 
 
 def _check_finite(name, arr):
@@ -69,8 +79,7 @@ class LogisticLoss:
     def values(self, theta, Z, Y):
         _check_finite("theta", theta)
         _check_finite("Z", Z)
-        a = np.clip(self.probabilities(theta, Z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        return -(Y * np.log(a) + (1.0 - Y) * np.log(1.0 - a))
+        return cross_entropy(self.probabilities(theta, Z), Y)
 
     def grads_theta(self, theta, Z, Y):
         a = self.probabilities(theta, Z)

@@ -5,7 +5,9 @@ maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
 norm, averages the survivors, and steps. The honest rows are gathered once
 before the loop, so one batched ascent per round (``worker_reports``) serves
-every honest worker and each worker's mean is a segment reduction.
+every honest worker and each worker's mean is a segment reduction. For the
+logistic loss that ascent is a scalar recursion per row, and the reports come
+from the margins and line coefficients without an (n, d) perturbed matrix.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
@@ -24,11 +26,12 @@ import numpy as np
 from .aggregation import GradientSet, ScreenConfig, norm_screen
 from .attacks import AttackSpec, craft
 from .errors import ConfigError, NumericError
-from .losses import QuadraticLoss
+from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import (
     DROConfig,
     ascend,
     exact_inner_maximizer,
+    line_surrogate,
     penalized_objectives,
     theoretical_ascent_step,
 )
@@ -131,17 +134,24 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
 
     ``X`` and ``Y`` hold the workers' rows back to back, ``counts[j]`` rows
     for worker j. One ascent runs over all rows; each worker's gradient is the
-    loss gradient at the ascent output averaged over its rows. Returns a (k, d)
-    gradient matrix and a (k,) objective vector for the k workers.
+    loss gradient at the ascent output averaged over its rows. The logistic
+    loss is evaluated from the line coefficients (``line_surrogate``) without
+    forming the ascent output. Returns a (k, d) gradient matrix and a (k,)
+    objective vector for the k workers.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
         raise ConfigError(f"row counts {counts.tolist()} must be positive and sum to {len(X)}")
     starts = np.cumsum(counts) - counts
-    Z = ascend(model, theta, X, Y, dro)
-    grads = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0) / counts[:, None]
-    objs = np.add.reduceat(penalized_objectives(model, theta, Z, Y, X, dro.lam), starts)
-    return grads, objs / counts
+    if isinstance(model, LogisticLoss):
+        r, c, objectives = line_surrogate(theta, X, Y, dro)
+        grad_sums = (np.add.reduceat(r[:, None] * X, starts, axis=0)
+                     + np.add.reduceat(r * c, starts)[:, None] * theta)
+    else:
+        Z = ascend(model, theta, X, Y, dro)
+        grad_sums = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0)
+        objectives = penalized_objectives(model, theta, Z, Y, X, dro.lam)
+    return grad_sums / counts[:, None], np.add.reduceat(objectives, starts) / counts
 
 
 def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:

@@ -8,9 +8,14 @@ property), which is what the training loop aggregates.
 
 The logistic loss sees z only through theta . z, so its z-gradient is a
 multiple of theta and every ascent iterate stays on the line x + c * theta.
-``ascend`` runs that case as a scalar recursion per row (the WRM surrogate of
-Sinha, Namkoong & Duchi, ICLR 2018, specialised to a generalized linear
-model); other losses take the generic row-by-row ascent.
+``line_ascent`` runs that case as a scalar recursion per row (the WRM
+surrogate of Sinha, Namkoong & Duchi, ICLR 2018, specialised to a generalized
+linear model). ``line_surrogate`` evaluates the surrogate at the ascent output
+from the margins theta . x and the coefficients c alone, never forming z:
+theta . z = theta . x + c * ||theta||^2, the theta-gradient is
+r * x + (r * c) * theta with r = sigmoid(theta . z) - y, and the transport
+cost is c^2 * ||theta||^2 / 2. ``ascend`` builds z from the same recursion for
+the logistic loss; other losses take the generic row-by-row ascent.
 
 The cost is 1-strongly convex and COST_SMOOTHNESS-smooth, so for
 ``lam > L_zz`` the inner objective is strongly concave and the ascent
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, RegimeError
-from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
+from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, cross_entropy, sigmoid
 
 COST_SMOOTHNESS = 1.0  # c(z, x) = ||z - x||^2 / 2
 
@@ -62,45 +67,79 @@ def ascend(model, theta, X, Y, cfg, t_z=None):
     Runs exactly ``t_z`` steps (default cfg.t_z) of
     z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x and
     returns the final rows Z. For the logistic loss the steps run on the line
-    z = x + c * theta (see the module docstring). A step that leaves a row
-    non-finite raises ``NumericError`` whose ``rows`` holds those rows.
+    z = x + c * theta (``line_ascent``). A step that leaves a row non-finite
+    raises ``NumericError`` whose ``rows`` holds those rows.
     """
     steps = cfg.t_z if t_z is None else t_z
     X = np.asarray(X, dtype=float)
     if steps == 0:
         return X.copy()
     if isinstance(model, LogisticLoss):
-        return _ascend_on_line(theta, X, Y, cfg, steps)
+        _, c, _ = line_ascent(theta, X, Y, cfg, steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
+            Z = X + c[:, None] * theta
+        _check_rows(Z, f"inner ascent diverged at step {steps}")
+        return Z
     Z = X.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
             Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
-            _check_rows(Z, k + 1)
+            _check_rows(Z, f"inner ascent diverged at step {k + 1}")
     return Z
 
 
-def _ascend_on_line(theta, X, Y, cfg, steps):
-    # grad_z f = (sigmoid(theta . z) - y) * theta, so with z = x + c * theta the
-    # step is c <- c + eta_z * ((sigmoid(theta . x + c * ||theta||^2) - y) - lam * c)
+def line_ascent(theta, X, Y, cfg, t_z=None):
+    """The logistic ascent on the line z = x + c * theta, one coefficient per row.
+
+    grad_z f = (sigmoid(theta . z) - y) * theta, so each of the ``t_z`` steps
+    (default cfg.t_z) is c <- c + eta_z * ((sigmoid(theta . x + c * ||theta||^2) - y) - lam * c)
+    from c = 0. Returns (margins X @ theta, c, ||theta||^2). A non-finite theta,
+    ||theta||^2, margin or coefficient raises ``NumericError``; its ``rows``
+    holds the offending rows when there are any.
+    """
+    steps = cfg.t_z if t_z is None else t_z
     theta = np.asarray(theta, dtype=float)
+    X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    margins = X @ theta
-    sq_norm = theta @ theta
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("non-finite values in theta")
+    with np.errstate(over="ignore"):  # overflow is refused below
+        sq_norm = theta @ theta
+        margins = X @ theta
+    if not np.isfinite(sq_norm):
+        raise NumericError("||theta||^2 overflows")
+    _check_rows(margins, "non-finite margins theta . x")
     c = np.zeros(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
             c += cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c)
-            _check_rows(c, k + 1)
-        Z = X + c[:, None] * theta
-    _check_rows(Z, steps)
-    return Z
+            _check_rows(c, f"inner ascent diverged at step {k + 1}")
+    return margins, c, sq_norm
 
 
-def _check_rows(A, step):
+def line_surrogate(theta, X, Y, cfg):
+    """The logistic surrogate per row at the ascent output, without forming z.
+
+    Returns (r, c, objectives): r = sigmoid(theta . z) - y and the line
+    coefficients c of z = x + c * theta, so the row's theta-gradient is
+    r * x + (r * c) * theta, and the penalized objectives
+    f(theta; z) - lam * c^2 * ||theta||^2 / 2. A row whose objective
+    overflows raises ``NumericError`` as a divergence of the last step.
+    """
+    Y = np.asarray(Y, dtype=float)
+    margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused below
+        a = sigmoid(margins + c * sq_norm)
+        objectives = cross_entropy(a, Y) - cfg.lam * (0.5 * (c * c) * sq_norm)
+    _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
+    return a - Y, c, objectives
+
+
+def _check_rows(A, message):
     finite = np.isfinite(A)
     if not finite.all():
         bad = ~finite.reshape(A.shape[0], -1).all(axis=1)
-        raise NumericError(f"inner ascent diverged at step {step}", rows=np.flatnonzero(bad))
+        raise NumericError(message, rows=np.flatnonzero(bad))
 
 
 def exact_inner_maximizer(model, theta, X, lam):

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from robustgd.cli import main
-from robustgd.errors import ConfigError
+from robustgd.errors import ConfigError, NumericError
 from robustgd.experiments import (
     PRESETS,
     ExperimentConfig,
@@ -68,6 +68,17 @@ class TestPresets:
         (dict(attack="aggressive", alpha_m=4, m=4, screen_count=1), "alpha_m"),
         (dict(screen_count=4, m=4), "screen_count"),
         (dict(screen_count=-1), "screen_count"),
+        (dict(shift_norm="l3", shift_q=0.3), "norm"),
+        (dict(shift_q=-0.5), "budget"),
+        (dict(shift_steps=0), "ascent_steps"),
+        (dict(lam=-1.0), "lam"),
+        (dict(eta_z=0.0), "eta_z"),
+        (dict(eta=0.0), "eta"),
+        (dict(attack="bogus"), "attack kind"),
+        (dict(attack="aggressive", attack_scale=-1.0), "scale"),
+        (dict(train_frac=1.5), "train_frac"),
+        (dict(train_frac=1.0), "train_frac"),
+        (dict(train_frac=0.0), "train_frac"),
     ])
     def test_out_of_range_fields_are_refused_at_construction(self, fields, message):
         with pytest.raises(ConfigError, match=message):
@@ -80,6 +91,21 @@ class TestPresets:
 
 
 class TestRecords:
+    def test_non_finite_results_are_refused_with_their_fields(self, tmp_path):
+        (record,) = run_experiment(fast_config(), variants=["erm"])
+        record["results"]["clean_misclassification"] = float("nan")
+        record["trace"]["final_objective_estimate"] = float("-inf")
+        with pytest.raises(NumericError, match=r"results.clean_misclassification.*"
+                                               r"trace.final_objective_estimate"):
+            write_records([record], tmp_path / "r.jsonl")
+
+    def test_cli_records_match_write_records_byte_for_byte(self, tmp_path):
+        main(["run", "--preset", "E1", "--variant", "alg2", "--m", "4", "--iterations", "4",
+              "--t-z", "3", "--screen-count", "1", "--alpha-m", "1", "--out", str(tmp_path)])
+        cfg = ExperimentConfig(preset="E1", m=4, iterations=4, t_z=3, screen_count=1, alpha_m=1)
+        write_records(run_experiment(cfg), tmp_path / "api.jsonl")
+        assert (tmp_path / "records.jsonl").read_bytes() == (tmp_path / "api.jsonl").read_bytes()
+
     def test_round_trip_and_byte_identical_reruns(self, tmp_path):
         cfg = fast_config(attack="aggressive", alpha_m=1, shift_q=0.1)
         records = run_experiment(cfg, variants=["alg2", "erm"])

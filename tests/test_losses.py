@@ -138,6 +138,28 @@ def test_sigmoid_stable_branches():
     np.testing.assert_allclose(sigmoid(t) + sigmoid(-t), 1.0, atol=1e-15)
 
 
+def two_branch_sigmoid(t):
+    """Reference: the masked two-branch form, exp(-t) on t >= 0 and exp(t) below."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_form(rng):
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 1e308, -1e308,
+                        tiny, -tiny, 1e3 * tiny, -1e3 * tiny])
+    scales = 10.0 ** rng.uniform(-3, 3, size=100_000)
+    t = np.concatenate([special, scales * rng.standard_normal(100_000)])
+    got, expected = sigmoid(t), two_branch_sigmoid(t)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 def test_smoothness_constants_validation():
     with pytest.raises(ValueError):
         SmoothnessConstants(-1.0, 0.0, 0.0, 0.0)

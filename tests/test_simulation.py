@@ -47,7 +47,7 @@ class TestWorkerGradient:
         (grad,), _ = worker_reports(model, theta, X, Y, [1], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascend(model, theta, X, Y, dro)
-        np.testing.assert_array_equal(grad, model.grads_theta(theta, Z, Y)[0])
+        np.testing.assert_allclose(grad, model.grads_theta(theta, Z, Y)[0], rtol=1e-14)
 
     def test_duplicated_sample_changes_nothing(self, rng):
         model = QuadraticLoss(1.0)
@@ -95,6 +95,78 @@ class TestWorkerGradient:
         with pytest.raises(ConfigError, match="row counts"):
             worker_reports(QuadraticLoss(), np.zeros(2), X, np.zeros(5), counts,
                            DROConfig(2.0, 0.3, 2))
+
+
+def z_path_reports(model, theta, X, Y, counts, dro):
+    """Reference reports: materialise the ascent output, then segment-average."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    Z = ascend(model, theta, X, Y, dro)
+    grads = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0) / counts[:, None]
+    objs = np.add.reduceat(penalized_objectives(model, theta, Z, Y, X, dro.lam), starts)
+    return grads, objs / counts
+
+
+class TestLogisticMarginPath:
+    """The logistic reports come from margins and line coefficients, never from Z."""
+
+    model = LogisticLoss()
+
+    @staticmethod
+    def data(rng, counts, dim=5, theta_norm=5.0):
+        n = sum(counts)
+        X = rng.standard_normal((n, dim))
+        Y = rng.integers(0, 2, size=n).astype(float)
+        theta = rng.standard_normal(dim)
+        return theta * (theta_norm / np.linalg.norm(theta)), X, Y
+
+    @pytest.mark.parametrize("counts", [[6, 6, 6], [3, 1, 7, 2]], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("theta_norm", [0.0, 5.0])
+    @pytest.mark.parametrize("t_z", [0, 1, 10, 150])
+    def test_matches_the_materialised_ascent(self, rng, t_z, theta_norm, counts):
+        theta, X, Y = self.data(rng, counts, theta_norm=theta_norm)
+        dro = DROConfig(3.0, 0.05, t_z)
+        grads, objs = worker_reports(self.model, theta, X, Y, counts, dro)
+        ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, counts, dro)
+        np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(objs, ref_objs, rtol=1e-12)
+
+    @pytest.mark.parametrize("counts", [[6, 6, 6], [3, 1, 7, 2]], ids=["equal", "unequal"])
+    def test_zero_ascent_steps_are_bit_equal(self, rng, counts):
+        theta, X, Y = self.data(rng, counts)
+        dro = DROConfig(3.0, 0.05, 0)
+        grads, objs = worker_reports(self.model, theta, X, Y, counts, dro)
+        ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, counts, dro)
+        np.testing.assert_array_equal(grads, ref_grads)
+        np.testing.assert_array_equal(objs, ref_objs)
+
+    @pytest.mark.parametrize("t_z", [0, 4])
+    def test_non_finite_theta_raises(self, rng, t_z):
+        _, X, Y = self.data(rng, [4, 4])
+        theta = np.array([1.0, np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(NumericError, match="theta"):
+            worker_reports(self.model, theta, X, Y, [4, 4], DROConfig(3.0, 0.05, t_z))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("t_z", [0, 4])
+    def test_non_finite_row_raises_with_the_row(self, rng, t_z, bad):
+        theta, X, Y = self.data(rng, [4, 4])
+        X[5, 2] = bad
+        with pytest.raises(NumericError) as err:
+            worker_reports(self.model, theta, X, Y, [4, 4], DROConfig(3.0, 0.05, t_z))
+        np.testing.assert_array_equal(err.value.rows, [5])
+
+    @pytest.mark.parametrize("t_z", [0, 4])
+    def test_run_training_names_the_iteration_and_the_worker(self, rng, t_z):
+        theta, X, Y = self.data(rng, [4, 4, 4])
+        X[9, 0] = np.nan  # worker 2's second row
+        roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 8), np.arange(8, 12)])
+        cfg = plain_config(0.1, 3, DROConfig(3.0, 0.05, t_z), theta0=theta)
+        with pytest.raises(NumericError, match=r"iteration 0, worker 2: non-finite"):
+            run_training(self.model, X, Y, roster, cfg)
+        cfg = plain_config(0.1, 3, DROConfig(3.0, 0.05, t_z), theta0=np.full(5, np.inf))
+        with pytest.raises(NumericError, match=r"iteration 0, worker 0: non-finite values in theta"):
+            run_training(self.model, np.nan_to_num(X), Y, roster, cfg)
 
 
 class TestRunTraining:
