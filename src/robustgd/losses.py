@@ -1,4 +1,4 @@
-"""Loss models with gradients in both the parameter and the data argument.
+"""Loss models: per-sample values and gradients in the parameter.
 
 Two families are provided: logistic regression cross-entropy (the model used
 in the experiments) and an isotropic quadratic ``c/2 * ||theta - z||^2``
@@ -8,6 +8,11 @@ numerical checks of the convergence bounds.
 Every operation is batched: it takes ``Z`` with one sample per row and
 ``Y`` with one label per sample, and returns one row per sample. A single
 sample is a one-row batch.
+
+The quadratic also gives its gradient in the data argument (``grads_z``) for
+the generic inner ascent. The logistic loss sees z only through theta . z, so
+the inner ascent and the test shift work on its margins instead
+(``surrogate.line_ascent``, ``shift.perturb_test_set``).
 """
 
 from dataclasses import dataclass
@@ -84,10 +89,6 @@ class LogisticLoss:
     def grads_theta(self, theta, Z, Y):
         a = self.probabilities(theta, Z)
         return (a - Y)[:, None] * Z
-
-    def grads_z(self, theta, Z, Y):
-        a = self.probabilities(theta, Z)
-        return np.outer(a - Y, theta)
 
     def mean_grad_theta(self, theta, Z, Y):
         return self.grads_theta(theta, Z, Y).mean(axis=0)

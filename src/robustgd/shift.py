@@ -1,19 +1,21 @@
 """Test-time distributional shift: norm-bounded adversarial feature perturbation.
 
-Each test feature vector is pushed by projected gradient ascent on the
-cross-entropy loss of a fixed trained model, staying inside an L1 or L2 ball
-of radius q around the original point; labels are untouched. The returned
-point is the best (highest-loss) feasible iterate seen, so per-sample loss
-never decreases relative to the starting point, and warm-starting a larger
-budget from a smaller one makes attack strength monotone in q.
+Each test feature vector moves inside an L1 or L2 ball of radius q around the
+original point to maximize the cross-entropy loss of a fixed trained model;
+labels are untouched. The model is linear in z, and the loss of a row falls
+with its margin s * theta . z (s = 2y - 1), so the worst point in the ball
+lowers every margin by exactly q * ||theta||_*, the dual norm of the ball:
+x - s * q * sign(theta_j) * e_j with j = argmax |theta_j| for L1 (the lowest
+such index on ties) and x - s * q * theta / ||theta|| for L2 (the linear case
+of Goodfellow, Shlens & Szegedy, ICLR 2015). A larger budget lowers every
+margin further, so misclassification is non-decreasing in q.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .losses import LogisticLoss
+from .errors import ConfigError, NumericError, ShapeError
 
 L1 = "l1"
 L2 = "l2"
@@ -23,109 +25,62 @@ L2 = "l2"
 class ShiftSpec:
     norm: str = L2
     budget: float = 0.0
-    ascent_steps: int = 20
-    step_size: float | None = None  # default 2.5 * budget / ascent_steps
 
     def __post_init__(self):
         if self.norm not in (L1, L2):
             raise ConfigError(f"norm must be {L1!r} or {L2!r}, got {self.norm!r}")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
-        if self.ascent_steps < 1:
-            raise ConfigError(f"ascent_steps must be >= 1, got {self.ascent_steps}")
-
-    def resolved_step(self):
-        if self.step_size is not None:
-            return self.step_size
-        return 2.5 * self.budget / self.ascent_steps
 
 
-def project_l2(V, radius):
-    """Radially project rows of V onto the L2 ball of the given radius."""
-    norms = np.linalg.norm(V, axis=1)
-    factor = np.ones_like(norms)
-    over = norms > radius
-    factor[over] = radius / norms[over]
-    return V * factor[:, None]
-
-
-def project_l1(V, radius):
-    """Project rows of V onto the L1 ball via the sorted-threshold method."""
-    A = np.abs(V)
-    inside = A.sum(axis=1) <= radius
-    if inside.all():
-        return V.copy()
-    U = np.sort(A, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1)
-    j = np.arange(1, V.shape[1] + 1)
-    rho = (U - (css - radius) / j > 0).sum(axis=1)
-    tau = (css[np.arange(V.shape[0]), rho - 1] - radius) / rho
-    tau = np.where(inside, 0.0, np.maximum(tau, 0.0))
-    return np.sign(V) * np.maximum(A - tau[:, None], 0.0)
-
-
-def _ascent_direction(norm, grads):
-    if norm == L2:
-        norms = np.linalg.norm(grads, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return grads / safe[:, None]
-    # L1 steepest ascent: move only the largest-magnitude coordinate
-    # (ties resolved to the lowest coordinate index by argmax)
-    idx = np.argmax(np.abs(grads), axis=1)
-    rows = np.arange(grads.shape[0])
-    direction = np.zeros_like(grads)
-    direction[rows, idx] = np.sign(grads[rows, idx])
-    return direction
-
-
-def perturb_test_set(theta, X, Y, spec: ShiftSpec, start=None):
-    """Adversarially shift features within the budget ball around each row of X.
-
-    ``start`` warm-starts the ascent (must already be feasible for the budget);
-    by default the ascent starts at X. Returns the perturbed feature matrix.
-    """
+def _checked(theta, X, Y):
+    """theta, X and Y as float arrays: X of shape (n, theta.size), labels (n,) in {0, 1}."""
+    theta = np.asarray(theta, dtype=float)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if spec.budget == 0.0:
-        return X.copy()
-    model = LogisticLoss()
-    project = project_l2 if spec.norm == L2 else project_l1
-    step = spec.resolved_step()
-
-    Z = X.copy() if start is None else np.asarray(start, dtype=float).copy()
-    Z = X + project(Z - X, spec.budget)
-    best = Z.copy()
-    best_loss = model.values(theta, Z, Y)
-    for _ in range(spec.ascent_steps):
-        grads = model.grads_z(theta, Z, Y)
-        Z = Z + step * _ascent_direction(spec.norm, grads)
-        Z = X + project(Z - X, spec.budget)
-        if not np.all(np.isfinite(Z)):
-            raise NumericError("shift ascent produced non-finite features")
-        loss = model.values(theta, Z, Y)
-        gain = loss > best_loss
-        best[gain] = Z[gain]
-        best_loss = np.maximum(best_loss, loss)
-    return best
+    if theta.ndim != 1 or X.ndim != 2 or X.shape[1] != theta.size:
+        raise ShapeError(f"need X of shape (n, {theta.size}) for theta of shape "
+                         f"{theta.shape}, got X of shape {X.shape}")
+    if Y.shape != (X.shape[0],):
+        raise ShapeError(f"need one label per row of X, shape ({X.shape[0]},), got {Y.shape}")
+    if not np.isin(Y, (0.0, 1.0)).all():
+        raise ConfigError("labels must be 0 or 1")
+    return theta, X, Y
 
 
-def sweep_budgets(theta, X, Y, norm, budgets, ascent_steps=20):
-    """Misclassification under increasing budgets, each warm-started from the last.
+def perturb_test_set(theta, X, Y, spec: ShiftSpec):
+    """The loss-maximizing point of the budget ball around each row of X.
 
-    Budgets are evaluated in ascending order and every level starts from the
-    previous level's perturbation, which makes attack strength monotone in
-    the budget by construction. Returns a list of (budget, rate) pairs in the
-    order requested.
+    Returns a new feature matrix; with theta = 0 or a zero budget every row
+    stays where it is. A non-finite theta or output row raises ``NumericError``.
     """
-    order = np.argsort(np.asarray(budgets, dtype=float), kind="stable")
-    rates = {}
-    current = None
-    for i in order:
-        q = float(budgets[i])
-        spec = ShiftSpec(norm=norm, budget=q, ascent_steps=ascent_steps)
-        current = perturb_test_set(theta, X, Y, spec, start=current)
-        rates[i] = misclassification_rate(theta, current, Y)
-    return [(float(budgets[i]), rates[i]) for i in range(len(budgets))]
+    theta, X, Y = _checked(theta, X, Y)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("non-finite values in theta")
+    Z = X.copy()
+    scale = np.abs(theta).max(initial=0.0)
+    if spec.budget == 0.0 or scale == 0.0:
+        return Z
+    s = 2.0 * Y - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+        if spec.norm == L1:
+            j = int(np.argmax(np.abs(theta)))
+            Z[:, j] -= s * (spec.budget * np.sign(theta[j]))
+        else:
+            unit = theta / scale  # ||theta|| itself may overflow
+            Z -= np.outer(s, spec.budget * (unit / np.linalg.norm(unit)))
+    if not np.all(np.isfinite(Z)):
+        raise NumericError("shifted features are non-finite")
+    return Z
+
+
+def sweep_budgets(theta, X, Y, norm, budgets):
+    """Misclassification under each budget; a list of (budget, rate) pairs in order."""
+    rates = []
+    for q in budgets:
+        Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=float(q)))
+        rates.append((float(q), misclassification_rate(theta, Z, Y)))
+    return rates
 
 
 def misclassification_rate(theta, X, Y):
@@ -134,6 +89,6 @@ def misclassification_rate(theta, X, Y):
     The decision rule predicts 1 when sigmoid(theta . x) >= 1/2, i.e. when the
     logit is nonnegative; the boundary case counts as predicting 1.
     """
-    X = np.asarray(X, dtype=float)
-    predictions = (X @ np.asarray(theta, dtype=float) >= 0.0).astype(int)
-    return float(np.mean(predictions != np.asarray(Y).astype(int)))
+    theta, X, Y = _checked(theta, X, Y)
+    predictions = (X @ theta >= 0.0).astype(int)
+    return float(np.mean(predictions != Y.astype(int)))

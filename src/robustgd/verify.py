@@ -201,10 +201,10 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
 
 def breakpoint_suite(iterations=150):
     dists = breakpoint_demo(iterations=iterations)
-    d0 = dists[0.4][0]
+    d0 = float(dists[0.4][0])
     diverged = float(dists[0.4][-50:].min())
     converged = float(dists[0.2][-1])
-    passed = diverged > d0 and converged < 1e-2 * dists[0.2][0]
+    passed = diverged > d0 and converged < 1e-2 * float(dists[0.2][0])
     return SuiteResult(
         name="screening breakpoint demo (corrupted fraction 0.4 vs 0.2)",
         passed=passed,

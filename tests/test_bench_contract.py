@@ -28,18 +28,29 @@ def _tracer():
 
 tracer = _tracer()
 
+# Spans whose function was deleted from the package while the tracer still
+# lists them; each must stay gone until the benchmark drops the span.
+RETIRED = {"shift.project_l1", "losses.logistic.grads_z"}
+
 
 @pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))
 def test_traced_function_resolves(span):
     modname, attr = tracer.FUNCTIONS[span]
-    assert callable(vars(importlib.import_module(modname)).get(attr)), span
+    resolves = callable(vars(importlib.import_module(modname)).get(attr))
+    assert resolves != (span in RETIRED), span
 
 
 @pytest.mark.parametrize("span", sorted(tracer.METHODS))
 def test_traced_method_resolves(span):
     modname, cls_name, attr = tracer.METHODS[span]
     cls = getattr(importlib.import_module(modname), cls_name)
-    assert callable(vars(cls).get(attr)), span
+    resolves = callable(vars(cls).get(attr))
+    assert resolves != (span in RETIRED), span
+
+
+def test_retired_spans_are_still_traced():
+    # once the tracer drops a span, its entry here goes too
+    assert RETIRED <= set(tracer.FUNCTIONS) | set(tracer.METHODS)
 
 
 def test_hook_bindings_resolve():

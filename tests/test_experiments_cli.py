@@ -3,6 +3,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from robustgd import verify as verify_mod
 from robustgd.cli import main
 from robustgd.errors import ConfigError, NumericError
 from robustgd.experiments import (
@@ -17,7 +18,7 @@ from robustgd.experiments import (
 )
 
 # small but non-trivial settings so the orchestration tests stay fast
-FAST = dict(m=4, iterations=4, t_z=3, screen_count=1, shift_steps=4)
+FAST = dict(m=4, iterations=4, t_z=3, screen_count=1)
 
 
 def fast_config(**overrides):
@@ -70,7 +71,6 @@ class TestPresets:
         (dict(screen_count=-1), "screen_count"),
         (dict(shift_norm="l3", shift_q=0.3), "norm"),
         (dict(shift_q=-0.5), "budget"),
-        (dict(shift_steps=0), "ascent_steps"),
         (dict(lam=-1.0), "lam"),
         (dict(eta_z=0.0), "eta_z"),
         (dict(eta=0.0), "eta"),
@@ -171,6 +171,17 @@ class TestSweep:
         assert clean[0] == clean[1]  # one training, two evaluation budgets
         rates = [r["results"]["shift_misclassification"] for r in records]
         assert rates[1] >= rates[0]
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_shift_axis_matches_single_runs_bitwise(self, norm):
+        cfg = fast_config(attack="aggressive", alpha_m=1, shift_norm=norm)
+        qs = [0.3, 0.0, 0.1]
+        records = sweep(cfg, "shift_q", qs, variants=["alg2", "erm"])
+        for record in records:
+            single = replace(cfg, variant=record["config"]["variant"],
+                             shift_q=record["sweep"]["value"])
+            (expected,) = run_experiment(single)
+            assert {k: v for k, v in record.items() if k != "sweep"} == expected
 
     def test_alpha_axis_enables_the_excess_override_beyond_the_screen_count(self):
         cfg = fast_config(attack="aggressive", alpha_m=1)
@@ -312,6 +323,20 @@ class TestCli:
         config_path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit):
             main(["run", "--config", str(config_path)])
+
+    def test_config_file_with_a_removed_field_is_refused(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**FAST, "shift_steps": 20}))
+        with pytest.raises(SystemExit, match=r"unknown config fields: \['shift_steps'\]"):
+            main(["run", "--config", str(config_path), "--out", str(tmp_path)])
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_verify_suites_report_python_bools(self):
+        results = verify_mod.run_all(fuzz_instances=50, n_seeds=1)
+        assert len(results) == 4
+        for result in results:
+            assert type(result.passed) is bool, result.name
+        json.dumps([asdict(r) for r in results])
 
     def test_verify_command_smoke(self, capsys):
         assert main(["verify", "--fuzz-instances", "50", "--seeds", "1"]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference
+from conftest import central_difference, logistic_grads_z
 from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.surrogate import (
@@ -28,11 +28,11 @@ def objective_trace(model, theta, x, y, cfg):
     return np.array([penalized_objectives(model, theta, Z, Y, X, cfg.lam)[0] for Z in iterates])
 
 
-def rowwise_ascent(model, theta, X, Y, cfg, t_z):
-    """The generic row-by-row ascent, the reference for the logistic line path."""
+def rowwise_ascent(theta, X, Y, cfg, t_z):
+    """The logistic ascent row by row in z, the reference for the line path."""
     Z = X.copy()
     for _ in range(t_z):
-        Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
+        Z += cfg.eta_z * (logistic_grads_z(theta, Z, Y) - cfg.lam * (Z - X))
     return Z
 
 
@@ -141,7 +141,7 @@ class TestLogisticLinePath:
         theta = rng.standard_normal(6)
         theta *= theta_norm / np.linalg.norm(theta)
         Z = ascend(model, theta, X, Y, cfg)
-        reference = rowwise_ascent(model, theta, X, Y, cfg, t_z)
+        reference = rowwise_ascent(theta, X, Y, cfg, t_z)
         np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             model.mean_grad_theta(theta, Z, Y), model.mean_grad_theta(theta, reference, Y),
