@@ -80,10 +80,9 @@ def norm_screen(grads: GradientSet, cfg: ScreenConfig) -> np.ndarray:
     output is bit-stable.
     """
     kept = _kept_indices(grads, cfg)
-    acc = np.zeros(grads.dim)
-    for i in kept:
-        acc += grads.matrix[i]
-    return acc / kept.size
+    # accumulate adds row by row in order (reduce would sum a single column
+    # pairwise); + 0.0 gives the +0.0 a zero-started sum has where all rows are -0.0
+    return (np.add.accumulate(grads.matrix[kept], axis=0)[-1] + 0.0) / kept.size
 
 
 def screening_deviation_bound(grads, honest_idx, cfg, S) -> DeviationBound:

@@ -9,10 +9,11 @@ Every operation is batched: it takes ``Z`` with one sample per row and
 ``Y`` with one label per sample, and returns one row per sample. A single
 sample is a one-row batch.
 
-The quadratic also gives its gradient in the data argument (``grads_z``) for
-the generic inner ascent. The logistic loss sees z only through theta . z, so
-the inner ascent and the test shift work on its margins instead
-(``surrogate.line_ascent``, ``shift.perturb_test_set``).
+Neither family gives a gradient in the data argument: the inner ascent
+keeps z on a line through x (``surrogate.line_ascent`` for the logistic
+loss, which sees z only through theta . z, and
+``surrogate.quadratic_line_ascent``), and the test shift works on the
+logistic margins (``shift.perturb_test_set``).
 """
 
 from dataclasses import dataclass
@@ -134,9 +135,6 @@ class QuadraticLoss:
 
     def grads_theta(self, theta, Z, Y):
         return self.curvature * (theta - Z)
-
-    def grads_z(self, theta, Z, Y):
-        return self.curvature * (Z - theta)
 
     def mean_grad_theta(self, theta, Z, Y):
         return self.grads_theta(theta, Z, Y).mean(axis=0)

@@ -5,9 +5,12 @@ maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
 norm, averages the survivors, and steps. The honest rows are gathered once
 before the loop, so one batched ascent per round (``worker_reports``) serves
-every honest worker and each worker's mean is a segment reduction. For the
-logistic loss that ascent is a scalar recursion per row, and the reports come
-from the margins and line coefficients without an (n, d) perturbed matrix.
+every honest worker and each worker's mean is a segment reduction. That
+ascent is a scalar recursion on a line through each row: one coefficient per
+row for the logistic loss, one coefficient shared by every row for the
+quadratic. The reports come from those coefficients and the segment sums of
+the rows (margins for the logistic loss, theta - x for the quadratic) without
+an (n, d) perturbed matrix.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
@@ -16,7 +19,8 @@ The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
 objective over all samples and the worst-case inner-solve error) are
 computed after the run by ``with_diagnostics``; they never feed back into
-the update.
+the update. For the quadratic family they, and ``gradient_dispersion``, are
+closed forms at the exact inner maximizer.
 """
 
 from dataclasses import dataclass, replace
@@ -30,9 +34,10 @@ from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import (
     DROConfig,
     ascend,
-    exact_inner_maximizer,
+    exact_quadratic_rows,
     line_surrogate,
     penalized_objectives,
+    quadratic_surrogate,
     theoretical_ascent_step,
 )
 
@@ -134,10 +139,10 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
 
     ``X`` and ``Y`` hold the workers' rows back to back, ``counts[j]`` rows
     for worker j. One ascent runs over all rows; each worker's gradient is the
-    loss gradient at the ascent output averaged over its rows. The logistic
-    loss is evaluated from the line coefficients (``line_surrogate``) without
-    forming the ascent output. Returns a (k, d) gradient matrix and a (k,)
-    objective vector for the k workers.
+    loss gradient at the ascent output averaged over its rows, evaluated from
+    the line coefficients (``line_surrogate``, ``quadratic_surrogate``)
+    without forming the ascent output. Returns a (k, d) gradient matrix and a
+    (k,) objective vector for the k workers.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
@@ -148,9 +153,8 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
         grad_sums = (np.add.reduceat(r[:, None] * X, starts, axis=0)
                      + np.add.reduceat(r * c, starts)[:, None] * theta)
     else:
-        Z = ascend(model, theta, X, Y, dro)
-        grad_sums = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0)
-        objectives = penalized_objectives(model, theta, Z, Y, X, dro.lam)
+        D, rate, objectives = quadratic_surrogate(model, theta, X, dro)
+        grad_sums = rate * np.add.reduceat(D, starts, axis=0)
     return grad_sums / counts[:, None], np.add.reduceat(objectives, starts) / counts
 
 
@@ -214,38 +218,38 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
     return trace
 
 
-def _ascent_error_factor(model, dro: DROConfig):
-    # per-step contraction of ||z - z*|| for the quadratic family
-    return abs(1.0 - dro.eta_z * (dro.lam - model.curvature))
-
-
 def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig, true_solver_t_z=400):
     """A copy of the trace with the true-gradient diagnostics filled in.
 
     At every recorded iterate: the surrogate objective and gradient over all
     samples, and the worst distance of a worker-precision ascent (``dro``,
     the run's inner settings) from the exact maximizer. The quadratic family
-    uses the closed-form maximizer and the analytic error factor; other
-    losses use a ``true_solver_t_z``-step ascent at the theoretical step size
-    and measure the error against it.
+    is evaluated in closed form (``exact_quadratic_rows``, the same numbers
+    as ``surrogate_state``), with the analytic error
+    |1 - eta_z * (lam - c)|^t_z * max ||z* - x||; the logistic loss uses a
+    ``true_solver_t_z``-step ascent at the theoretical step size and measures
+    the error against it (``true_solver_t_z`` applies to it only).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T, d = trace.aggregated.shape
-    quadratic = isinstance(model, QuadraticLoss)
-    precise = DROConfig(dro.lam, theoretical_ascent_step(dro.lam), true_solver_t_z)
     true_gradients, true_objectives, inner_eps = np.empty((T, d)), np.empty(T), np.empty(T)
-    for t, theta in enumerate(trace.iterates):
-        if quadratic:
-            z_star = exact_inner_maximizer(model, theta, X, dro.lam)
-            start_dist = np.linalg.norm(X - z_star, axis=1).max()
-            inner_eps[t] = _ascent_error_factor(model, dro) ** dro.t_z * start_dist
-        else:
+    if isinstance(model, QuadraticLoss):
+        # per-step contraction of ||z - z*||, over lam: ||z* - x|| = ||theta-gradient|| / lam
+        error_factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
+        for t, theta in enumerate(trace.iterates):
+            grads, objectives = exact_quadratic_rows(model, theta, X, dro.lam)
+            true_objectives[t] = objectives.mean()
+            true_gradients[t] = grads.mean(axis=0)
+            inner_eps[t] = error_factor * np.linalg.norm(grads, axis=1).max()
+    else:
+        precise = DROConfig(dro.lam, theoretical_ascent_step(dro.lam), true_solver_t_z)
+        for t, theta in enumerate(trace.iterates):
             z_star = ascend(model, theta, X, Y, precise)
             z_eps = ascend(model, theta, X, Y, dro)
             inner_eps[t] = np.linalg.norm(z_eps - z_star, axis=1).max()
-        true_objectives[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
-        true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
+            true_objectives[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
+            true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
     return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,
                    inner_eps=inner_eps)
 
@@ -276,11 +280,18 @@ def run_variant(variant, model, X, Y, roster: WorkerRoster, cfg: TrainConfig) ->
 def gradient_dispersion(model, X, Y, theta, lam, precision_t_z=400):
     """Largest distance from a single-sample surrogate gradient to their mean.
 
-    Maximizers are solved to high precision by running the ascent for
-    precision_t_z steps at the theoretical step size.
+    The quadratic family takes the gradients at the exact maximizers in
+    closed form (``exact_quadratic_rows``; the dispersion is
+    c * lam / (lam - c) * max ||x_i - mean x|| whatever theta is). For the
+    logistic loss the maximizers are solved to high precision by running the
+    ascent for ``precision_t_z`` steps at the theoretical step size.
     """
-    dro = DROConfig(lam, theoretical_ascent_step(lam), precision_t_z)
-    Z = ascend(model, theta, np.asarray(X, dtype=float), np.asarray(Y, dtype=float), dro)
-    per_sample = model.grads_theta(theta, Z, np.asarray(Y, dtype=float))
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if isinstance(model, QuadraticLoss):
+        per_sample, _ = exact_quadratic_rows(model, theta, X, lam)
+    else:
+        dro = DROConfig(lam, theoretical_ascent_step(lam), precision_t_z)
+        per_sample = model.grads_theta(theta, ascend(model, theta, X, Y, dro), Y)
     mean = per_sample.mean(axis=0)
     return float(np.linalg.norm(per_sample - mean, axis=1).max())

@@ -6,16 +6,26 @@ plain gradient ascent started at z = x; the gradient of the surrogate in
 theta is then the loss gradient evaluated at the ascent output (envelope
 property), which is what the training loop aggregates.
 
-The logistic loss sees z only through theta . z, so its z-gradient is a
-multiple of theta and every ascent iterate stays on the line x + c * theta.
-``line_ascent`` runs that case as a scalar recursion per row (the WRM
-surrogate of Sinha, Namkoong & Duchi, ICLR 2018, specialised to a generalized
-linear model). ``line_surrogate`` evaluates the surrogate at the ascent output
-from the margins theta . x and the coefficients c alone, never forming z:
-theta . z = theta . x + c * ||theta||^2, the theta-gradient is
-r * x + (r * c) * theta with r = sigmoid(theta . z) - y, and the transport
-cost is c^2 * ||theta||^2 / 2. ``ascend`` builds z from the same recursion for
-the logistic loss; other losses take the generic row-by-row ascent.
+Both loss families keep every ascent iterate on a line through x, so the
+ascent is a scalar recursion (the WRM surrogate of Sinha, Namkoong & Duchi,
+ICLR 2018, specialised to each family):
+
+- The logistic loss sees z only through theta . z, so its z-gradient is a
+  multiple of theta and z = x + c * theta with one coefficient per row.
+  ``line_ascent`` runs that recursion; ``line_surrogate`` evaluates the
+  surrogate at the ascent output from the margins theta . x and the
+  coefficients c alone, never forming z: theta . z = theta . x + c * ||theta||^2,
+  the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
+  and the transport cost is c^2 * ||theta||^2 / 2.
+- The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
+  z = x + k * (x - theta) with one coefficient k shared by every row.
+  ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
+  theta-gradient c * (1 + k) * (theta - x) and the objective
+  (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2. The exact maximizer is
+  the fixed point k = c / (lam - c), so ``exact_quadratic_rows`` gives the
+  surrogate at it in closed form.
+
+``ascend`` builds z from these recursions.
 
 The cost is 1-strongly convex and COST_SMOOTHNESS-smooth, so for
 ``lam > L_zz`` the inner objective is strongly concave and the ascent
@@ -66,9 +76,10 @@ def ascend(model, theta, X, Y, cfg, t_z=None):
 
     Runs exactly ``t_z`` steps (default cfg.t_z) of
     z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x and
-    returns the final rows Z. For the logistic loss the steps run on the line
-    z = x + c * theta (``line_ascent``). A step that leaves a row non-finite
-    raises ``NumericError`` whose ``rows`` holds those rows.
+    returns the final rows Z. The steps run on the line z = x + c * theta for
+    the logistic loss (``line_ascent``) and z = x + k * (x - theta) for the
+    quadratic (``quadratic_line_ascent``). A diverging ascent raises
+    ``NumericError`` whose ``rows`` holds the rows it carries away.
     """
     steps = cfg.t_z if t_z is None else t_z
     X = np.asarray(X, dtype=float)
@@ -78,13 +89,11 @@ def ascend(model, theta, X, Y, cfg, t_z=None):
         _, c, _ = line_ascent(theta, X, Y, cfg, steps)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
             Z = X + c[:, None] * theta
-        _check_rows(Z, f"inner ascent diverged at step {steps}")
-        return Z
-    Z = X.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
-        for k in range(steps):
-            Z += cfg.eta_z * (model.grads_z(theta, Z, Y) - cfg.lam * (Z - X))
-            _check_rows(Z, f"inner ascent diverged at step {k + 1}")
+    else:
+        k, D = quadratic_line_ascent(model, theta, X, cfg, steps)
+        with np.errstate(over="ignore"):  # divergence handled below
+            Z = X - k * D
+    _check_rows(Z, f"inner ascent diverged at step {steps}")
     return Z
 
 
@@ -135,6 +144,55 @@ def line_surrogate(theta, X, Y, cfg):
     return a - Y, c, objectives
 
 
+def quadratic_line_ascent(model, theta, X, cfg, t_z=None):
+    """The quadratic ascent on the line z = x + k * (x - theta), one coefficient for all rows.
+
+    grad_z f = c * (z - theta), so each of the ``t_z`` steps (default cfg.t_z)
+    is k <- k + eta_z * (c * (1 + k) - lam * k) from k = 0. Returns
+    (k, D) with D = theta - X, so z = x - k * D. A non-finite theta or row of
+    D raises ``NumericError``, as does a diverging k; rows at x = theta never
+    move, so only the other rows are named.
+    """
+    steps = cfg.t_z if t_z is None else t_z
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("non-finite values in theta")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        D = theta - np.asarray(X, dtype=float)
+    _check_rows(D, "non-finite differences theta - x")
+    # Python floats: an overflowing k becomes inf or nan without a numpy warning
+    c, lam, eta, k = model.curvature, float(cfg.lam), float(cfg.eta_z), 0.0
+    if D.any():  # with every row at theta, z = x whatever k is
+        for step in range(1, steps + 1):
+            k += eta * (c * (1.0 + k) - lam * k)
+            if not math.isfinite(k):
+                raise NumericError(f"inner ascent diverged at step {step}", rows=_moving_rows(D))
+    return k, D
+
+
+def quadratic_surrogate(model, theta, X, cfg):
+    """The quadratic surrogate per row at the ascent output, without forming z.
+
+    Returns (D, g, objectives): D = theta - X and the scalar g = c * (1 + k),
+    so row i's theta-gradient is g * D_i, and the penalized objectives
+    (c * (1 + k)^2 - lam * k^2) / 2 * ||D_i||^2. A row whose objective
+    overflows raises ``NumericError`` as a divergence of the last step.
+    """
+    k, D = quadratic_line_ascent(model, theta, X, cfg)
+    c, lam = model.curvature, float(cfg.lam)
+    weight = 0.5 * (c * (1.0 + k) * (1.0 + k) - lam * k * k)
+    if not math.isfinite(weight):
+        raise NumericError(f"inner ascent diverged at step {cfg.t_z}", rows=_moving_rows(D))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused below
+        objectives = weight * np.einsum("ij,ij->i", D, D)
+    _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
+    return D, c * (1.0 + k), objectives
+
+
+def _moving_rows(D):
+    return np.flatnonzero(D.any(axis=1))
+
+
 def _check_rows(A, message):
     finite = np.isfinite(A)
     if not finite.all():
@@ -148,13 +206,33 @@ def exact_inner_maximizer(model, theta, X, lam):
     Only the quadratic loss admits a closed form; it is the oracle against
     which the iterative ascent is checked.
     """
+    c = _concave_curvature(model, lam)
+    X = np.asarray(X, dtype=float)
+    return (lam * X - c * theta) / (lam - c)
+
+
+def exact_quadratic_rows(model, theta, X, lam):
+    """The quadratic surrogate per row at the exact inner maximizer, in closed form.
+
+    The maximizer is the end of the ascent line, z* = x + k * (x - theta) with
+    k = c / (lam - c). With s = c * lam / (lam - c) = lam * k, row i's
+    theta-gradient is s * (theta - x_i), its objective
+    s / 2 * ||theta - x_i||^2, and its distance ||z* - x_i|| is the
+    gradient's norm over lam. Returns (theta-gradients, objectives).
+    """
+    c = _concave_curvature(model, lam)
+    s = c * lam / (lam - c)
+    D = theta - np.asarray(X, dtype=float)
+    return s * D, (0.5 * s) * np.einsum("ij,ij->i", D, D)
+
+
+def _concave_curvature(model, lam):
     if not isinstance(model, QuadraticLoss):
         raise TypeError(f"no closed-form inner maximizer for {model.kind} loss")
     c = model.curvature
     if lam <= c:
         raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
-    X = np.asarray(X, dtype=float)
-    return (lam * X - c * theta) / (lam - c)
+    return c
 
 
 def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
@@ -165,18 +243,20 @@ def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
 def surrogate_state(model, theta, X, Y, lam, t_z=400, exact=None):
     """Objective value and gradient of the surrogate averaged over a sample set.
 
-    Diagnostic-grade: maximizers come from the closed form when the model has
-    one (default for the quadratic family), otherwise from a long ascent at
-    the theoretical step size. Returns (value, gradient).
+    Diagnostic-grade: the quadratic family is evaluated in closed form at the
+    exact maximizers (``exact_quadratic_rows``; the default for it), otherwise
+    the maximizers come from a ``t_z``-step ascent at the theoretical step
+    size, so ``t_z`` applies to the logistic loss (or ``exact=False``) only.
+    Returns (value, gradient).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if exact is None:
         exact = isinstance(model, QuadraticLoss)
     if exact:
-        Z = exact_inner_maximizer(model, theta, X, lam)
-    else:
-        Z = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), t_z))
+        grads, objectives = exact_quadratic_rows(model, theta, X, lam)
+        return float(objectives.mean()), grads.mean(axis=0)
+    Z = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), t_z))
     value = float(penalized_objectives(model, theta, Z, Y, X, lam).mean())
     return value, model.mean_grad_theta(theta, Z, Y)
 

@@ -8,6 +8,7 @@ from robustgd.aggregation import (
     norm_screen,
     screening_deviation_bound,
 )
+from robustgd import verify
 from robustgd.errors import ConfigError, RegimeError, ShapeError
 
 
@@ -88,6 +89,64 @@ class TestNormScreen:
     def test_negative_screen_count_rejected(self):
         with pytest.raises(ConfigError):
             ScreenConfig(-1)
+
+
+def loop_screen(grads, cfg):
+    """The screened mean as a left-to-right loop over the kept rows, the reference for the reduction."""
+    keep = grads.m - cfg.screen_count
+    kept = np.sort(np.argsort(np.linalg.norm(grads.matrix, axis=1), kind="stable")[:keep])
+    acc = np.zeros(grads.dim)
+    for i in kept:
+        acc += grads.matrix[i]
+    return acc / kept.size
+
+
+def assert_same_bits(out, expected):
+    assert out.shape == expected.shape
+    np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+class TestNormScreenMatchesTheLoop:
+    """The one-pass screened mean gives the left-to-right loop's bits."""
+
+    def test_random_screening_instances(self):
+        rng = np.random.default_rng([0, 0xF1])
+        dims = set()
+        for _ in range(2000):
+            grads, _, cfg, _ = verify._random_screening_instance(rng)
+            assert_same_bits(norm_screen(grads, cfg), loop_screen(grads, cfg))
+            dims.add(grads.dim)
+        assert 1 in dims  # a single column, which a plain sum would add pairwise
+
+    @pytest.mark.parametrize("m", [1, 3, 20])
+    def test_rows_of_signed_zeros(self, rng, m):
+        signs = rng.choice([-0.0, 0.0], size=(m, 4))
+        signs[:, 0] = -0.0  # a column of negative zeros only
+        for vectors in (signs, np.full((m, 4), -0.0)):
+            grads = GradientSet(vectors)
+            out = norm_screen(grads, ScreenConfig(m // 3))
+            assert_same_bits(out, loop_screen(grads, ScreenConfig(m // 3)))
+            assert not np.signbit(out).any()
+
+    def test_ties_in_norm(self, rng):
+        base = rng.standard_normal(5)
+        # sign flips and permutations keep the norm: every row ties with every other
+        vectors = np.array([rng.permutation(base) * rng.choice([-1.0, 1.0], 5)
+                            for _ in range(12)])
+        for b in range(12):
+            grads = GradientSet(vectors)
+            assert_same_bits(norm_screen(grads, ScreenConfig(b)), loop_screen(grads, ScreenConfig(b)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_byzantine_rows_are_screened(self, rng, bad):
+        for dim in (1, 7):
+            vectors = rng.standard_normal((19, dim))
+            vectors[[0, 5, 11, 18]] = bad
+            vectors[11, 0] = 1.0  # partly finite where dim > 1
+            grads = GradientSet(vectors)
+            out = norm_screen(grads, ScreenConfig(4))
+            assert np.isfinite(out).all()
+            assert_same_bits(out, loop_screen(grads, ScreenConfig(4)))
 
 
 class TestDeviationBound:

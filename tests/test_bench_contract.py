@@ -30,7 +30,7 @@ tracer = _tracer()
 
 # Spans whose function was deleted from the package while the tracer still
 # lists them; each must stay gone until the benchmark drops the span.
-RETIRED = {"shift.project_l1", "losses.logistic.grads_z"}
+RETIRED = {"shift.project_l1", "losses.logistic.grads_z", "losses.quadratic.grads_z"}
 
 
 @pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))

@@ -1,11 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from conftest import quadratic_grads_z, rowwise_ascent
+from robustgd import verify
 from robustgd.aggregation import ScreenConfig
 from robustgd.attacks import AttackSpec
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
-from robustgd.errors import ConfigError, NumericError
+from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.simulation import (
     TrainConfig,
@@ -167,6 +171,45 @@ class TestLogisticMarginPath:
         cfg = plain_config(0.1, 3, DROConfig(3.0, 0.05, t_z), theta0=np.full(5, np.inf))
         with pytest.raises(NumericError, match=r"iteration 0, worker 0: non-finite values in theta"):
             run_training(self.model, np.nan_to_num(X), Y, roster, cfg)
+
+
+class TestQuadraticLineReports:
+    """The quadratic reports come from one line coefficient and the segment sums of theta - x."""
+
+    @staticmethod
+    def oracle_reports(model, theta, X, counts, dro):
+        """Reports from the row-by-row ascent, segment-averaged."""
+        grads_z = partial(quadratic_grads_z, curvature=model.curvature)
+        Z = rowwise_ascent(grads_z, theta, X, None, dro, dro.t_z)
+        starts = np.cumsum(counts) - counts
+        grads = np.add.reduceat(model.grads_theta(theta, Z, None), starts, axis=0)
+        objs = np.add.reduceat(penalized_objectives(model, theta, Z, None, X, dro.lam), starts)
+        return grads / np.array(counts)[:, None], objs / counts
+
+    @pytest.mark.parametrize("t_z", [0, 1, 6, 40, 400])
+    @pytest.mark.parametrize("curvature", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("eta_z", [0.05, theoretical_ascent_step(2.0)], ids=["0.05", "theory"])
+    def test_matches_the_rowwise_ascent(self, rng, t_z, curvature, eta_z):
+        model = QuadraticLoss(curvature)
+        dro = DROConfig(2.0, eta_z, t_z)
+        counts = [3, 1, 7, 2]
+        X = rng.standard_normal((sum(counts), 6))
+        theta = rng.standard_normal(6)
+        grads, objs = worker_reports(model, theta, X, np.zeros(len(X)), counts, dro)
+        ref_grads, ref_objs = self.oracle_reports(model, theta, X, counts, dro)
+        np.testing.assert_allclose(grads, ref_grads, rtol=1e-13)
+        np.testing.assert_allclose(objs, ref_objs, rtol=1e-13)
+
+    @pytest.mark.parametrize("t_z, rows", [(60, [2]), (100, [1, 2])])
+    def test_overflowing_objectives_name_their_rows(self, t_z, rows):
+        # k ~ 49^t_z. At 60 steps k ~ 1e101 and k^2 ~ 1e203 are finite and only
+        # the far row's objective, ~ 1e203 * 1e200, overflows; at 100 steps
+        # k^2 ~ 1e338 overflows for every row that moves, but not for row 0 at theta
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0]])
+        with pytest.raises(NumericError, match=f"inner ascent diverged at step {t_z}") as err:
+            worker_reports(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(3), [2, 1],
+                           DROConfig(2.0, 50.0, t_z))
+        np.testing.assert_array_equal(err.value.rows, rows)
 
 
 class TestRunTraining:
@@ -380,6 +423,39 @@ class TestDiagnostics:
                                  true_solver_t_z=120)
         assert (finer.inner_eps < diag.inner_eps).all()
 
+    @staticmethod
+    def maximizer_diagnostics(model, X, Y, trace, dro):
+        """The diagnostics from the closed-form maximizer rows, one iterate at a time."""
+        T, d = trace.aggregated.shape
+        grads, objs, eps = np.empty((T, d)), np.empty(T), np.empty(T)
+        factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature))
+        for t, theta in enumerate(trace.iterates):
+            z_star = exact_inner_maximizer(model, theta, X, dro.lam)
+            eps[t] = factor ** dro.t_z * np.linalg.norm(X - z_star, axis=1).max()
+            objs[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
+            grads[t] = model.mean_grad_theta(theta, z_star, Y)
+        return grads, objs, eps
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_matches_the_maximizer_rows(self, seed):
+        model, X, Y, trace, inputs = verify._quadratic_run(seed, 120)
+        dro = DROConfig(inputs.lam, theoretical_ascent_step(inputs.lam), 6)  # the run's settings
+        grads, objs, eps = self.maximizer_diagnostics(model, X, Y, trace, dro)
+        np.testing.assert_allclose(trace.true_objectives, objs, rtol=1e-13)
+        np.testing.assert_allclose(trace.inner_eps, eps, rtol=1e-13)
+        # per iterate, relative to the gradient's norm: components pass through zero
+        drift = np.linalg.norm(trace.true_gradients - grads, axis=1)
+        assert (drift <= 1e-13 * np.linalg.norm(grads, axis=1)).all()
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_quadratic_diagnostics_need_a_concave_inner_problem(self, lam):
+        model = QuadraticLoss(2.0)
+        X, Y = make_cloud(n=12, dim=2, seed=1)
+        cfg = plain_config(0.1, 2, DROConfig(3.0, 0.2, 2), seed=0)
+        trace = run_training(model, X, Y, WorkerRoster(shards=[np.arange(12)]), cfg)
+        with pytest.raises(RegimeError, match="not concave"):
+            with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.2, 2))
+
 
 class TestVariants:
     def setup_method(self):
@@ -445,6 +521,12 @@ class TestGradientDispersion:
         c_f = lam / (lam - 1.0)
         expected = c_f * np.linalg.norm(X[0] - X[1]) / 2.0
         assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_quadratic_needs_a_concave_inner_problem(self, lam):
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(RegimeError, match="not concave"):
+            gradient_dispersion(QuadraticLoss(2.0), X, np.zeros(2), np.zeros(2), lam)
 
     def test_positive_and_finite_on_generic_data(self, rng):
         model = LogisticLoss()

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from conftest import central_difference, logistic_grads_z
+from conftest import central_difference, logistic_grads_z, quadratic_grads_z, rowwise_ascent
 from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.surrogate import (
@@ -9,6 +11,7 @@ from robustgd.surrogate import (
     ascend,
     contraction_factor,
     exact_inner_maximizer,
+    exact_quadratic_rows,
     penalized_objectives,
     required_iterations,
     surrogate_state,
@@ -26,14 +29,6 @@ def objective_trace(model, theta, x, y, cfg):
     X, Y = one_row(x, y)
     iterates = [ascend(model, theta, X, Y, cfg, t_z=k) for k in range(cfg.t_z + 1)]
     return np.array([penalized_objectives(model, theta, Z, Y, X, cfg.lam)[0] for Z in iterates])
-
-
-def rowwise_ascent(theta, X, Y, cfg, t_z):
-    """The logistic ascent row by row in z, the reference for the line path."""
-    Z = X.copy()
-    for _ in range(t_z):
-        Z += cfg.eta_z * (logistic_grads_z(theta, Z, Y) - cfg.lam * (Z - X))
-    return Z
 
 
 def surrogate_grad(model, theta, x, y, cfg):
@@ -141,12 +136,60 @@ class TestLogisticLinePath:
         theta = rng.standard_normal(6)
         theta *= theta_norm / np.linalg.norm(theta)
         Z = ascend(model, theta, X, Y, cfg)
-        reference = rowwise_ascent(theta, X, Y, cfg, t_z)
+        reference = rowwise_ascent(logistic_grads_z, theta, X, Y, cfg, t_z)
         np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             model.mean_grad_theta(theta, Z, Y), model.mean_grad_theta(theta, reference, Y),
             rtol=0, atol=1e-12,
         )
+
+
+class TestQuadraticLinePath:
+    """The quadratic ascent runs on the line x + k * (x - theta); the row-by-row loop is its oracle."""
+
+    @pytest.mark.parametrize("t_z", [0, 1, 6, 40, 400])
+    @pytest.mark.parametrize("curvature", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("eta_z", [0.05, theoretical_ascent_step(2.0)], ids=["0.05", "theory"])
+    def test_matches_the_rowwise_ascent(self, rng, t_z, curvature, eta_z):
+        model = QuadraticLoss(curvature)
+        cfg = DROConfig(lam=2.0, eta_z=eta_z, t_z=t_z)
+        X = rng.standard_normal((40, 6))
+        theta = rng.standard_normal(6)
+        Z = ascend(model, theta, X, np.zeros(40), cfg)
+        grads_z = partial(quadratic_grads_z, curvature=curvature)
+        np.testing.assert_allclose(Z, rowwise_ascent(grads_z, theta, X, None, cfg, t_z), rtol=1e-13)
+
+    def test_diverging_coefficient_names_only_the_moving_rows(self):
+        # rows 0 and 2 sit at theta and never move; |1 - eta_z * (lam - c)| = 49 per step
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [-2.0, 0.5]])
+        cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
+        with pytest.raises(NumericError, match="inner ascent diverged at step") as err:
+            ascend(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(4), cfg)
+        np.testing.assert_array_equal(err.value.rows, [1, 3])
+
+    def test_rows_at_theta_stay_put_whatever_the_step(self):
+        X = np.full((3, 2), 0.25)
+        cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
+        np.testing.assert_array_equal(ascend(QuadraticLoss(1.0), X[0], X, np.zeros(3), cfg), X)
+
+    def test_overflowing_rows_are_named(self):
+        # k is about 49^150 ~ 1e253: finite, but it carries only the far row past overflow
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0]])
+        cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=150)
+        with pytest.raises(NumericError, match="inner ascent diverged at step 150") as err:
+            ascend(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(3), cfg)
+        np.testing.assert_array_equal(err.value.rows, [2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        model, cfg = QuadraticLoss(1.0), DROConfig(2.0, 0.5, 3)
+        X = np.zeros((3, 2))
+        with pytest.raises(NumericError, match="theta"):
+            ascend(model, np.array([bad, 0.0]), X, np.zeros(3), cfg)
+        X[1, 0] = bad
+        with pytest.raises(NumericError, match="theta - x") as err:
+            ascend(model, np.zeros(2), X, np.zeros(3), cfg)
+        np.testing.assert_array_equal(err.value.rows, [1])
 
 
 class TestSurrogateGradient:
@@ -204,6 +247,33 @@ class TestSurrogateGradient:
             exact_inner_maximizer(QuadraticLoss(2.0), np.zeros(1), np.zeros((1, 1)), 1.0)
         with pytest.raises(TypeError):
             exact_inner_maximizer(LogisticLoss(), np.zeros(1), np.zeros((1, 1)), 3.0)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_closed_form_rows_require_concavity(self, lam):
+        X, Y = np.zeros((2, 1)), np.zeros(2)
+        with pytest.raises(RegimeError, match="not concave"):
+            exact_quadratic_rows(QuadraticLoss(2.0), np.ones(1), X, lam)
+        with pytest.raises(RegimeError, match="not concave"):
+            surrogate_state(QuadraticLoss(2.0), np.ones(1), X, Y, lam)
+        with pytest.raises(TypeError):
+            surrogate_state(LogisticLoss(), np.ones(1), X, Y, 3.0, exact=True)
+
+    def test_closed_form_rows_match_the_exact_maximizer(self, rng):
+        for _ in range(25):
+            c = float(rng.uniform(0.5, 2.0))
+            lam = c + float(rng.uniform(0.5, 3.0))
+            model = QuadraticLoss(c)
+            d = int(rng.integers(1, 6))
+            theta, X = rng.standard_normal(d), rng.standard_normal((7, d))
+            z_star = exact_inner_maximizer(model, theta, X, lam)
+            grads, objectives = exact_quadratic_rows(model, theta, X, lam)
+            np.testing.assert_allclose(grads, model.grads_theta(theta, z_star, None), rtol=1e-12)
+            np.testing.assert_allclose(
+                objectives, penalized_objectives(model, theta, z_star, None, X, lam), rtol=1e-12
+            )
+            # the maximizer's distance from x is the theta-gradient's norm over lam
+            np.testing.assert_allclose(np.linalg.norm(grads, axis=1) / lam,
+                                       np.linalg.norm(z_star - X, axis=1), rtol=1e-12)
 
     def test_surrogate_state_exact_and_iterative_agree(self, rng):
         model = QuadraticLoss(1.0)
