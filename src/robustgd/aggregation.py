@@ -28,6 +28,7 @@ class GradientSet:
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ShapeError(f"expected a 2-d (m, d) matrix, got shape {matrix.shape}")
         self.matrix = matrix
+        self._norms = None
 
     @property
     def m(self):
@@ -38,7 +39,10 @@ class GradientSet:
         return self.matrix.shape[1]
 
     def norms(self):
-        return np.linalg.norm(self.matrix, axis=1)
+        """Row norms, computed on first use and kept: the rows are not meant to change."""
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.matrix, axis=1)
+        return self._norms
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .aggregation import ScreenConfig
 from .attacks import AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, RegimeError
 from .losses import LogisticLoss
 from .shift import ShiftSpec, misclassification_rate, sweep_budgets
 from .simulation import (
@@ -193,34 +193,40 @@ def evaluate(theta, sharded, cfg: ExperimentConfig):
 def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     """Deviation-bound report with estimated constants; diagnostic, never certified.
 
-    Lipschitz constants come from measured norm bounds, sigma from
-    high-precision dispersion measurements, and the true gradients and
+    Lipschitz constants come from measured norm bounds, sigma from the
+    dispersion at the exact inner maximizers, and the true gradients and
     per-iteration inner-solve accuracy from the recorded iterates; a violated
     bound here means the estimates were optimistic, not that the run is wrong.
+    The report is inapplicable when screening cannot cover the corrupted
+    fraction, or when an iterate leaves the strongly concave inner regime
+    (lam <= ||theta||^2 / 4), where no exact maximizer is defined.
     """
     effective, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg, sharded))
     alpha = len(roster.byzantine) / roster.m
     beta = effective.screen.screen_count / roster.m
     if beta < alpha:
-        return {"certified": False, "applicable": False,
-                "reason": "corrupted fraction exceeds screened fraction"}
+        return _inapplicable("corrupted fraction exceeds screened fraction")
     model = LogisticLoss()
     X, Y = sharded.train_features, sharded.train_labels
+    try:
+        diagnosed = with_diagnostics(model, X, Y, trace, effective.dro)  # names a failing iterate
+    except RegimeError as exc:
+        return _inapplicable(str(exc))
+    try:
+        sigma_final = gradient_dispersion(model, X, Y, trace.theta_final, cfg.lam)
+    except RegimeError as exc:
+        return _inapplicable(f"iterate {trace.iterations}: {exc}")
+    sigma = max(gradient_dispersion(model, X, Y, trace.iterates[0], cfg.lam), sigma_final)
     data_bound = float(np.linalg.norm(X, axis=1).max())
     theta_bound = float(max(
         np.linalg.norm(trace.iterates, axis=1).max(),
         np.linalg.norm(trace.theta_final),
     ))
-    sigma = max(
-        gradient_dispersion(model, X, Y, trace.iterates[0], cfg.lam, precision_t_z=150),
-        gradient_dispersion(model, X, Y, trace.theta_final, cfg.lam, precision_t_z=150),
-    )
     inputs = TheoryInputs(
         constants=model.constants(data_bound, theta_bound),
         lam=cfg.lam, alpha=alpha, beta=beta, sigma=sigma,
     )
-    trace = with_diagnostics(model, X, Y, trace, effective.dro, true_solver_t_z=150)
-    reports = check_aggregate_deviation(trace, inputs)
+    reports = check_aggregate_deviation(diagnosed, inputs)
     return {
         "certified": False,
         "applicable": True,
@@ -230,6 +236,10 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
             "min_margin": float(min(r.margin for r in reports)),
         },
     }
+
+
+def _inapplicable(reason):
+    return {"certified": False, "applicable": False, "reason": reason}
 
 
 def _record(cfg, results, trace, sweep=None):

@@ -1,26 +1,23 @@
-"""Loss models: per-sample values and gradients in the parameter.
+"""Loss models: the two families, their Lipschitz constants and the logistic primitives.
 
 Two families are provided: logistic regression cross-entropy (the model used
 in the experiments) and an isotropic quadratic ``c/2 * ||theta - z||^2``
 whose Lipschitz constants are exact, which makes it the workhorse for
 numerical checks of the convergence bounds.
 
-Every operation is batched: it takes ``Z`` with one sample per row and
-``Y`` with one label per sample, and returns one row per sample. A single
-sample is a one-row batch.
-
-Neither family gives a gradient in the data argument: the inner ascent
-keeps z on a line through x (``surrogate.line_ascent`` for the logistic
-loss, which sees z only through theta . z, and
-``surrogate.quadratic_line_ascent``), and the test shift works on the
-logistic margins (``shift.perturb_test_set``).
+A loss class names its family (``kind``) and gives its smoothness constants;
+it evaluates nothing itself. Every value and gradient the package uses is
+taken on the line its inner ascent keeps z on: ``surrogate.line_surrogate``
+and ``surrogate.quadratic_surrogate`` at the ascent output (with zero ascent
+steps, the plain loss and its parameter gradient), ``surrogate.exact_rows``
+at the exact inner maximizer. The logistic ones are built from the
+branch-free ``sigmoid`` and the clipped ``cross_entropy`` below; the test
+shift works on the logistic margins (``shift.perturb_test_set``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericError
 
 PROB_CLAMP = 1e-12
 
@@ -69,30 +66,10 @@ def cross_entropy(a, Y):
     return -(Y * np.log(a) + (1.0 - Y) * np.log(1.0 - a))
 
 
-def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {name}")
-
-
 class LogisticLoss:
     """Binary cross-entropy with a = sigmoid(theta . z) and no bias term."""
 
     kind = "logistic"
-
-    def probabilities(self, theta, Z):
-        return sigmoid(Z @ theta)
-
-    def values(self, theta, Z, Y):
-        _check_finite("theta", theta)
-        _check_finite("Z", Z)
-        return cross_entropy(self.probabilities(theta, Z), Y)
-
-    def grads_theta(self, theta, Z, Y):
-        a = self.probabilities(theta, Z)
-        return (a - Y)[:, None] * Z
-
-    def mean_grad_theta(self, theta, Z, Y):
-        return self.grads_theta(theta, Z, Y).mean(axis=0)
 
     def constants(self, data_bound, theta_bound):
         """Conservative Lipschitz estimates over ||z|| <= data_bound, ||theta|| <= theta_bound.
@@ -126,18 +103,6 @@ class QuadraticLoss:
         if not np.isfinite(curvature) or curvature <= 0:
             raise ValueError(f"curvature must be positive, got {curvature}")
         self.curvature = float(curvature)
-
-    def values(self, theta, Z, Y):
-        _check_finite("theta", theta)
-        _check_finite("Z", Z)
-        diff = theta - Z
-        return 0.5 * self.curvature * np.einsum("ij,ij->i", diff, diff)
-
-    def grads_theta(self, theta, Z, Y):
-        return self.curvature * (theta - Z)
-
-    def mean_grad_theta(self, theta, Z, Y):
-        return self.grads_theta(theta, Z, Y).mean(axis=0)
 
     def constants(self, data_bound=0.0, theta_bound=0.0):
         c = self.curvature

@@ -19,8 +19,9 @@ The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
 objective over all samples and the worst-case inner-solve error) are
 computed after the run by ``with_diagnostics``; they never feed back into
-the update. For the quadratic family they, and ``gradient_dispersion``, are
-closed forms at the exact inner maximizer.
+the update. They, and ``gradient_dispersion``, are taken at the exact inner
+maximizer (``surrogate.exact_rows``): in closed form for the quadratic family,
+by a bracketed scalar root solve per row for the logistic loss.
 """
 
 from dataclasses import dataclass, replace
@@ -29,17 +30,9 @@ import numpy as np
 
 from .aggregation import GradientSet, ScreenConfig, norm_screen
 from .attacks import AttackSpec, craft
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, RegimeError
 from .losses import LogisticLoss, QuadraticLoss
-from .surrogate import (
-    DROConfig,
-    ascend,
-    exact_quadratic_rows,
-    line_surrogate,
-    penalized_objectives,
-    quadratic_surrogate,
-    theoretical_ascent_step,
-)
+from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
 
@@ -201,14 +194,15 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         for i in roster.byzantine:
             grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
 
-        G = norm_screen(GradientSet(grads), cfg.screen)
+        reports = GradientSet(grads)
+        G = norm_screen(reports, cfg.screen)
         if not np.all(np.isfinite(G)):
             raise NumericError(f"iteration {t}: non-finite aggregated gradient")
 
         trace.aggregated[t] = G
         trace.aggregated_norms[t] = np.linalg.norm(G)
         trace.objective_estimates[t] = honest_objs.mean()
-        trace.worker_norms[t] = np.linalg.norm(grads, axis=1)
+        trace.worker_norms[t] = reports.norms()  # computed once, by the screen
 
         theta = theta - cfg.eta * G
         if not np.all(np.isfinite(theta)):
@@ -218,38 +212,38 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
     return trace
 
 
-def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig, true_solver_t_z=400):
+def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
     """A copy of the trace with the true-gradient diagnostics filled in.
 
     At every recorded iterate: the surrogate objective and gradient over all
-    samples, and the worst distance of a worker-precision ascent (``dro``,
-    the run's inner settings) from the exact maximizer. The quadratic family
-    is evaluated in closed form (``exact_quadratic_rows``, the same numbers
-    as ``surrogate_state``), with the analytic error
-    |1 - eta_z * (lam - c)|^t_z * max ||z* - x||; the logistic loss uses a
-    ``true_solver_t_z``-step ascent at the theoretical step size and measures
-    the error against it (``true_solver_t_z`` applies to it only).
+    samples at the exact inner maximizers (``exact_rows``, the same numbers
+    as ``surrogate_state``), and the worst distance of a worker-precision
+    ascent (``dro``, the run's inner settings) from them. For the quadratic
+    family that distance is analytic, |1 - eta_z * (lam - c)|^t_z * max ||z* - x||;
+    for the logistic loss both points lie on the line x + c * theta, so it is
+    max |c_eps - c*| * ||theta|| with c_eps from ``line_ascent``. An iterate
+    outside the strongly concave regime raises ``RegimeError`` naming it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T, d = trace.aggregated.shape
     true_gradients, true_objectives, inner_eps = np.empty((T, d)), np.empty(T), np.empty(T)
-    if isinstance(model, QuadraticLoss):
+    quadratic = isinstance(model, QuadraticLoss)
+    if quadratic:
         # per-step contraction of ||z - z*||, over lam: ||z* - x|| = ||theta-gradient|| / lam
         error_factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
-        for t, theta in enumerate(trace.iterates):
-            grads, objectives = exact_quadratic_rows(model, theta, X, dro.lam)
-            true_objectives[t] = objectives.mean()
-            true_gradients[t] = grads.mean(axis=0)
+    for t, theta in enumerate(trace.iterates):
+        try:
+            grads, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
+        except RegimeError as exc:
+            raise RegimeError(f"iterate {t}: {exc}") from exc
+        true_objectives[t] = objectives.mean()
+        true_gradients[t] = grads.mean(axis=0)
+        if quadratic:
             inner_eps[t] = error_factor * np.linalg.norm(grads, axis=1).max()
-    else:
-        precise = DROConfig(dro.lam, theoretical_ascent_step(dro.lam), true_solver_t_z)
-        for t, theta in enumerate(trace.iterates):
-            z_star = ascend(model, theta, X, Y, precise)
-            z_eps = ascend(model, theta, X, Y, dro)
-            inner_eps[t] = np.linalg.norm(z_eps - z_star, axis=1).max()
-            true_objectives[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
-            true_gradients[t] = model.mean_grad_theta(theta, z_star, Y)
+        else:
+            _, c_eps, sq_norm = line_ascent(theta, X, Y, dro)
+            inner_eps[t] = np.abs(c_eps - c_star).max() * np.sqrt(sq_norm)
     return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,
                    inner_eps=inner_eps)
 
@@ -277,21 +271,13 @@ def run_variant(variant, model, X, Y, roster: WorkerRoster, cfg: TrainConfig) ->
     return run_training(model, X, Y, new_roster, new_cfg)
 
 
-def gradient_dispersion(model, X, Y, theta, lam, precision_t_z=400):
+def gradient_dispersion(model, X, Y, theta, lam):
     """Largest distance from a single-sample surrogate gradient to their mean.
 
-    The quadratic family takes the gradients at the exact maximizers in
-    closed form (``exact_quadratic_rows``; the dispersion is
-    c * lam / (lam - c) * max ||x_i - mean x|| whatever theta is). For the
-    logistic loss the maximizers are solved to high precision by running the
-    ascent for ``precision_t_z`` steps at the theoretical step size.
+    The gradients are taken at the exact inner maximizers (``exact_rows``);
+    for the quadratic family the dispersion is
+    c * lam / (lam - c) * max ||x_i - mean x|| whatever theta is.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if isinstance(model, QuadraticLoss):
-        per_sample, _ = exact_quadratic_rows(model, theta, X, lam)
-    else:
-        dro = DROConfig(lam, theoretical_ascent_step(lam), precision_t_z)
-        per_sample = model.grads_theta(theta, ascend(model, theta, X, Y, dro), Y)
+    per_sample, _, _ = exact_rows(model, theta, X, Y, lam)
     mean = per_sample.mean(axis=0)
     return float(np.linalg.norm(per_sample - mean, axis=1).max())

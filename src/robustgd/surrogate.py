@@ -1,31 +1,33 @@
 """Worst-case data surrogate: per-sample penalized inner maximization.
 
 For a sample x the surrogate loss is ``sup_z { f(theta; z) - lam * c(z, x) }``
-with transport cost ``c(z, x) = ||z - x||^2 / 2``. Workers realize the sup by
-plain gradient ascent started at z = x; the gradient of the surrogate in
-theta is then the loss gradient evaluated at the ascent output (envelope
-property), which is what the training loop aggregates.
+with transport cost ``c(z, x) = ||z - x||^2 / 2``. Workers approximate the
+sup by a few gradient-ascent steps started at z = x; the gradient of the
+surrogate in theta is then the loss gradient evaluated at the ascent output
+(envelope property), which is what the training loop aggregates.
 
-Both loss families keep every ascent iterate on a line through x, so the
-ascent is a scalar recursion (the WRM surrogate of Sinha, Namkoong & Duchi,
-ICLR 2018, specialised to each family):
+Both loss families keep every ascent iterate, and the maximizer itself, on a
+line through x, so the ascent is a scalar recursion and z is never formed
+(the WRM surrogate of Sinha, Namkoong & Duchi, ICLR 2018, specialised to
+each family):
 
 - The logistic loss sees z only through theta . z, so its z-gradient is a
   multiple of theta and z = x + c * theta with one coefficient per row.
   ``line_ascent`` runs that recursion; ``line_surrogate`` evaluates the
   surrogate at the ascent output from the margins theta . x and the
-  coefficients c alone, never forming z: theta . z = theta . x + c * ||theta||^2,
+  coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
   and the transport cost is c^2 * ||theta||^2 / 2.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
   z = x + k * (x - theta) with one coefficient k shared by every row.
   ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
   theta-gradient c * (1 + k) * (theta - x) and the objective
-  (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2. The exact maximizer is
-  the fixed point k = c / (lam - c), so ``exact_quadratic_rows`` gives the
-  surrogate at it in closed form.
+  (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
 
-``ascend`` builds z from these recursions.
+``exact_rows`` evaluates the surrogate at the exact maximizer for both
+families: the fixed point k = c / (lam - c) in closed form for the
+quadratic, and for the logistic loss the root of one decreasing scalar
+function per row, found by a bracketed Newton solve.
 
 The cost is 1-strongly convex and COST_SMOOTHNESS-smooth, so for
 ``lam > L_zz`` the inner objective is strongly concave and the ascent
@@ -39,9 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, RegimeError
-from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, cross_entropy, sigmoid
+from .losses import QuadraticLoss, SmoothnessConstants, cross_entropy, sigmoid
 
 COST_SMOOTHNESS = 1.0  # c(z, x) = ||z - x||^2 / 2
+ROOT_STEPS = 50  # bisection alone reaches ROOT_TOL in 48; Newton took at most 15, at the regime edge
+ROOT_TOL = 16 * np.finfo(float).eps  # rounding level of g, whose terms are at most 1
 
 
 @dataclass(frozen=True)
@@ -61,42 +65,6 @@ class DROConfig:
             raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
 
 
-def transport_costs(Z, X):
-    diff = Z - X
-    return 0.5 * np.einsum("ij,ij->i", diff, diff)
-
-
-def penalized_objectives(model, theta, Z, Y, X, lam):
-    """Per-sample inner objective f(theta; z) - lam * c(z, x)."""
-    return model.values(theta, Z, Y) - lam * transport_costs(Z, X)
-
-
-def ascend(model, theta, X, Y, cfg, t_z=None):
-    """Batched gradient ascent on the penalized objective, one row per sample.
-
-    Runs exactly ``t_z`` steps (default cfg.t_z) of
-    z <- z + eta_z * (grad_z f(theta; z) - lam * (z - x)) from z = x and
-    returns the final rows Z. The steps run on the line z = x + c * theta for
-    the logistic loss (``line_ascent``) and z = x + k * (x - theta) for the
-    quadratic (``quadratic_line_ascent``). A diverging ascent raises
-    ``NumericError`` whose ``rows`` holds the rows it carries away.
-    """
-    steps = cfg.t_z if t_z is None else t_z
-    X = np.asarray(X, dtype=float)
-    if steps == 0:
-        return X.copy()
-    if isinstance(model, LogisticLoss):
-        _, c, _ = line_ascent(theta, X, Y, cfg, steps)
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
-            Z = X + c[:, None] * theta
-    else:
-        k, D = quadratic_line_ascent(model, theta, X, cfg, steps)
-        with np.errstate(over="ignore"):  # divergence handled below
-            Z = X - k * D
-    _check_rows(Z, f"inner ascent diverged at step {steps}")
-    return Z
-
-
 def line_ascent(theta, X, Y, cfg, t_z=None):
     """The logistic ascent on the line z = x + c * theta, one coefficient per row.
 
@@ -107,18 +75,9 @@ def line_ascent(theta, X, Y, cfg, t_z=None):
     holds the offending rows when there are any.
     """
     steps = cfg.t_z if t_z is None else t_z
-    theta = np.asarray(theta, dtype=float)
-    X = np.asarray(X, dtype=float)
+    margins, sq_norm = _margins(theta, X)
     Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite values in theta")
-    with np.errstate(over="ignore"):  # overflow is refused below
-        sq_norm = theta @ theta
-        margins = X @ theta
-    if not np.isfinite(sq_norm):
-        raise NumericError("||theta||^2 overflows")
-    _check_rows(margins, "non-finite margins theta . x")
-    c = np.zeros(X.shape[0])
+    c = np.zeros(margins.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
             c += cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c)
@@ -137,11 +96,31 @@ def line_surrogate(theta, X, Y, cfg):
     """
     Y = np.asarray(Y, dtype=float)
     margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused below
-        a = sigmoid(margins + c * sq_norm)
-        objectives = cross_entropy(a, Y) - cfg.lam * (0.5 * (c * c) * sq_norm)
+    r, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
-    return a - Y, c, objectives
+    return r, c, objectives
+
+
+def _margins(theta, X):
+    """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("non-finite values in theta")
+    with np.errstate(over="ignore"):  # overflow is refused below
+        sq_norm = theta @ theta
+        margins = np.asarray(X, dtype=float) @ theta
+    if not np.isfinite(sq_norm):
+        raise NumericError("||theta||^2 overflows")
+    _check_rows(margins, "non-finite margins theta . x")
+    return margins, sq_norm
+
+
+def _line_rows(margins, c, sq_norm, Y, lam):
+    """(r, penalized objectives) of the logistic rows at z = x + c * theta."""
+    with np.errstate(over="ignore", invalid="ignore"):  # line_surrogate refuses a diverged row
+        a = sigmoid(margins + c * sq_norm)
+        objectives = cross_entropy(a, Y) - lam * (0.5 * (c * c) * sq_norm)
+    return a - Y, objectives
 
 
 def quadratic_line_ascent(model, theta, X, cfg, t_z=None):
@@ -200,39 +179,65 @@ def _check_rows(A, message):
         raise NumericError(message, rows=np.flatnonzero(bad))
 
 
-def exact_inner_maximizer(model, theta, X, lam):
-    """Closed-form maximizer rows for the quadratic family: (lam*x - c*theta)/(lam - c).
+def exact_rows(model, theta, X, Y, lam):
+    """The surrogate per row at the exact inner maximizer z*, without forming z*.
 
-    Only the quadratic loss admits a closed form; it is the oracle against
-    which the iterative ascent is checked.
+    Returns (theta-gradients, penalized objectives, line coefficients of z*).
+    The maximizer is the end of the ascent line:
+
+    - quadratic: z* = x + k * (x - theta) with k = c / (lam - c) for every row.
+      With s = c * lam / (lam - c) = lam * k, row i's theta-gradient is
+      s * (theta - x_i), its objective s / 2 * ||theta - x_i||^2, and its
+      distance ||z* - x_i|| is the gradient's norm over lam.
+    - logistic: z* = x + c * theta with c the root of
+      g(c) = sigmoid(theta . x + c * ||theta||^2) - y - lam * c; the rows are
+      r * x + (r * c) * theta and the objectives of ``line_surrogate``.
+
+    Outside the strongly concave regime (lam <= c for the quadratic,
+    lam <= ||theta||^2 / 4 for the logistic loss) raises ``RegimeError``.
     """
-    c = _concave_curvature(model, lam)
     X = np.asarray(X, dtype=float)
-    return (lam * X - c * theta) / (lam - c)
+    if isinstance(model, QuadraticLoss):
+        c = model.curvature
+        if lam <= c:
+            raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
+        s = c * lam / (lam - c)
+        D = theta - X
+        return s * D, (0.5 * s) * np.einsum("ij,ij->i", D, D), c / (lam - c)
+    Y = np.asarray(Y, dtype=float)
+    margins, sq_norm = _margins(theta, X)
+    if lam <= sq_norm / 4.0:
+        raise RegimeError(
+            f"inner objective not concave: lam={lam} <= ||theta||^2/4={sq_norm / 4.0}"
+        )
+    c = _logistic_root(margins, sq_norm, Y, lam)
+    r, objectives = _line_rows(margins, c, sq_norm, Y, lam)
+    return r[:, None] * X + np.outer(r * c, theta), objectives, c
 
 
-def exact_quadratic_rows(model, theta, X, lam):
-    """The quadratic surrogate per row at the exact inner maximizer, in closed form.
+def _logistic_root(margins, sq_norm, Y, lam):
+    """The root c of g(c) = sigmoid(margin + c * ||theta||^2) - y - lam * c, per row.
 
-    The maximizer is the end of the ascent line, z* = x + k * (x - theta) with
-    k = c / (lam - c). With s = c * lam / (lam - c) = lam * k, row i's
-    theta-gradient is s * (theta - x_i), its objective
-    s / 2 * ||theta - x_i||^2, and its distance ||z* - x_i|| is the
-    gradient's norm over lam. Returns (theta-gradients, objectives).
+    For lam > ||theta||^2 / 4, g' = ||theta||^2 * a * (1 - a) - lam < 0, and
+    g changes sign on [-y / lam, (1 - y) / lam], so each row has one root
+    there. Each step shrinks the row's bracket to the sign change and takes
+    the Newton point when it lies in the closed bracket, else the midpoint;
+    the ends count because a saturated margin puts the root within rounding
+    of one. A residual still above ROOT_TOL after ROOT_STEPS steps raises
+    ``NumericError``.
     """
-    c = _concave_curvature(model, lam)
-    s = c * lam / (lam - c)
-    D = theta - np.asarray(X, dtype=float)
-    return s * D, (0.5 * s) * np.einsum("ij,ij->i", D, D)
-
-
-def _concave_curvature(model, lam):
-    if not isinstance(model, QuadraticLoss):
-        raise TypeError(f"no closed-form inner maximizer for {model.kind} loss")
-    c = model.curvature
-    if lam <= c:
-        raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
-    return c
+    lo, hi = -Y / lam, (1.0 - Y) / lam
+    c = np.zeros_like(margins)
+    for _ in range(ROOT_STEPS):
+        a = sigmoid(margins + c * sq_norm)
+        g = a - Y - lam * c
+        if np.all(np.abs(g) <= ROOT_TOL):
+            return c
+        lo, hi = np.where(g > 0.0, c, lo), np.where(g > 0.0, hi, c)
+        newton = c - g / (sq_norm * a * (1.0 - a) - lam)
+        c = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+    raise NumericError(f"inner maximizer not found in {ROOT_STEPS} steps",
+                       rows=np.flatnonzero(np.abs(g) > ROOT_TOL))
 
 
 def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
@@ -240,25 +245,14 @@ def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
     return 2.0 / (lam * l_c + lam)
 
 
-def surrogate_state(model, theta, X, Y, lam, t_z=400, exact=None):
+def surrogate_state(model, theta, X, Y, lam):
     """Objective value and gradient of the surrogate averaged over a sample set.
 
-    Diagnostic-grade: the quadratic family is evaluated in closed form at the
-    exact maximizers (``exact_quadratic_rows``; the default for it), otherwise
-    the maximizers come from a ``t_z``-step ascent at the theoretical step
-    size, so ``t_z`` applies to the logistic loss (or ``exact=False``) only.
-    Returns (value, gradient).
+    Evaluated at the exact inner maximizers (``exact_rows``). Returns
+    (value, gradient).
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if exact is None:
-        exact = isinstance(model, QuadraticLoss)
-    if exact:
-        grads, objectives = exact_quadratic_rows(model, theta, X, lam)
-        return float(objectives.mean()), grads.mean(axis=0)
-    Z = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), t_z))
-    value = float(penalized_objectives(model, theta, Z, Y, X, lam).mean())
-    return value, model.mean_grad_theta(theta, Z, Y)
+    grads, objectives, _ = exact_rows(model, theta, X, Y, lam)
+    return float(objectives.mean()), grads.mean(axis=0)
 
 
 def contraction_factor(l_zz, lam, l_c=COST_SMOOTHNESS):

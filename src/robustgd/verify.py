@@ -86,7 +86,7 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
 
 def _quadratic_run(seed, iterations, m=20, byz_count=3, screen_count=3, dim=6,
                    n_per_worker=10, lam=2.0, curvature=1.0, t_z=6,
-                   attack_kind="aggressive", eta=None, theoretical_step=True):
+                   attack_kind="aggressive"):
     """One byzantine run on the quadratic family, with diagnostics; returns run pieces."""
     model = QuadraticLoss(curvature)
     X, Y = quadratic_cloud(m * n_per_worker, dim, spread=1.0, seed=seed)
@@ -96,13 +96,9 @@ def _quadratic_run(seed, iterations, m=20, byz_count=3, screen_count=3, dim=6,
         attack = AttackSpec(kind=attack_kind, rng_seed=seed)
     roster = WorkerRoster(shards=shards, byzantine=tuple(range(byz_count)), attack=attack)
     l_f = surrogate_smoothness(model.constants(), lam)
-    dro = DROConfig(
-        lam,
-        theoretical_ascent_step(lam) if theoretical_step else 0.05,
-        t_z,
-    )
+    dro = DROConfig(lam, theoretical_ascent_step(lam), t_z)
     cfg = TrainConfig(
-        eta=1.0 / l_f if eta is None else eta,
+        eta=1.0 / l_f,
         iterations=iterations,
         dro=dro,
         screen=ScreenConfig(screen_count),

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from robustgd.losses import sigmoid
+from robustgd.errors import RegimeError
+from robustgd.losses import cross_entropy, sigmoid
+from robustgd.surrogate import line_ascent, quadratic_line_ascent
 
 
 def central_difference(f, x, h=1e-6):
@@ -35,6 +39,50 @@ def rowwise_ascent(grads_z, theta, X, Y, cfg, t_z):
     for _ in range(t_z):
         Z += cfg.eta_z * (grads_z(theta, Z, Y) - cfg.lam * (Z - X))
     return Z
+
+
+def loss_values(model, theta, Z, Y):
+    """Per-row loss f(theta; z) at explicit rows Z, for either family."""
+    if model.kind == "logistic":
+        return cross_entropy(sigmoid(Z @ theta), Y)
+    diff = theta - Z
+    return 0.5 * model.curvature * np.einsum("ij,ij->i", diff, diff)
+
+
+def loss_grads_theta(model, theta, Z, Y):
+    """Per-row gradient of the loss in the parameter at explicit rows Z."""
+    if model.kind == "logistic":
+        return (sigmoid(Z @ theta) - Y)[:, None] * Z
+    return model.curvature * (theta - Z)
+
+
+def penalized_objectives(model, theta, Z, Y, X, lam):
+    """Per-row inner objective f(theta; z) - lam * ||z - x||^2 / 2."""
+    diff = Z - X
+    return loss_values(model, theta, Z, Y) - lam * 0.5 * np.einsum("ij,ij->i", diff, diff)
+
+
+def ascent_rows(model, theta, X, Y, cfg, t_z=None):
+    """The ascent output z, built from the line coefficients the package ships.
+
+    z = x + c * theta for the logistic loss, z = x - k * (theta - x) for the
+    quadratic; ``t_z`` overrides cfg.t_z.
+    """
+    cfg = cfg if t_z is None else replace(cfg, t_z=t_z)
+    X = np.asarray(X, dtype=float)
+    if model.kind == "logistic":
+        _, c, _ = line_ascent(theta, X, Y, cfg)
+        return X + c[:, None] * theta
+    k, D = quadratic_line_ascent(model, theta, X, cfg)
+    return X - k * D
+
+
+def exact_inner_maximizer(model, theta, X, lam):
+    """Closed-form maximizer rows for the quadratic family: (lam*x - c*theta)/(lam - c)."""
+    c = model.curvature
+    if lam <= c:
+        raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
+    return (lam * np.asarray(X, dtype=float) - c * theta) / (lam - c)
 
 
 @pytest.fixture

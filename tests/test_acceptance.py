@@ -20,10 +20,10 @@ from robustgd.experiments import ExperimentConfig, run_experiment, sweep, write_
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
 from robustgd.surrogate import (
     DROConfig,
-    ascend,
     contraction_factor,
-    exact_inner_maximizer,
-    penalized_objectives,
+    exact_rows,
+    quadratic_line_ascent,
+    quadratic_surrogate,
     required_iterations,
     theoretical_ascent_step,
 )
@@ -33,7 +33,7 @@ from robustgd.verify import (
     fuzz_screening_bound,
     rate_bound_suite,
 )
-from conftest import central_difference
+from conftest import central_difference, exact_inner_maximizer
 
 DATASET = os.environ.get("ROBUSTGD_SPAMBASE", "synthetic")
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
@@ -104,35 +104,37 @@ def test_criterion_3_envelope_gradient_agreement():
         d = int(rng.integers(1, 7))
         theta, x = rng.standard_normal((2, d))
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=200)
-        X, Y = x.reshape(1, -1), np.zeros(1)
-        grad = model.mean_grad_theta(theta, ascend(model, theta, X, Y, cfg), Y)
+        D, rate, _ = quadratic_surrogate(model, theta, x.reshape(1, -1), cfg)
         np.testing.assert_allclose(
-            grad, lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
+            rate * D[0], lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
         )
 
+    # logistic: the gradient at the exact maximizer against central
+    # differences of the surrogate value there
     logistic = LogisticLoss()
     lam = 3.0
-    cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=500)
     worst = 0.0
     for _ in range(100):
         d = 4
         theta = 0.8 * rng.standard_normal(d)
-        x = rng.standard_normal(d)
-        y = float(rng.integers(0, 2))
+        X, Y = rng.standard_normal((1, d)), np.array([float(rng.integers(0, 2))])
 
         def surrogate_value(t):
-            Z = ascend(logistic, t, x.reshape(1, -1), np.array([y]), cfg)
-            return float(penalized_objectives(
-                logistic, t, Z, np.array([y]), x.reshape(1, -1), lam
-            )[0])
+            return float(exact_rows(logistic, t, X, Y, lam)[1][0])
 
-        X, Y = x.reshape(1, -1), np.array([y])
-        grad = logistic.mean_grad_theta(theta, ascend(logistic, theta, X, Y, cfg), Y)
+        grad = exact_rows(logistic, theta, X, Y, lam)[0][0]
         fd = central_difference(surrogate_value, theta, h=1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
         scale = max(np.abs(fd).max(), 1e-12)
         worst = max(worst, float(np.abs(grad - fd).max() / scale))
     announce(3, f"quadratic closed form to 1e-10; logistic FD worst rel err {worst:.2e} <= 1e-4")
+
+
+def quadratic_ascent_distance(model, theta, x, lam, steps, z_star):
+    """Distance to z* after ``steps`` shipped ascent steps, z = x - k * (theta - x)."""
+    cfg = DROConfig(lam, theoretical_ascent_step(lam), steps)
+    k, D = quadratic_line_ascent(model, theta, x.reshape(1, -1), cfg)
+    return np.linalg.norm(x - k * D[0] - z_star)
 
 
 def test_criterion_4_inner_maximizer_rate():
@@ -143,11 +145,7 @@ def test_criterion_4_inner_maximizer_rate():
         p = contraction_factor(1.0, lam)
         theta, x = rng.standard_normal((2, 6))
         z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)[0]
-        cfg = DROConfig(lam, theoretical_ascent_step(lam), 1)
-        dists = []
-        for t in range(12):
-            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
-            dists.append(np.linalg.norm(Z[0] - z_star))
+        dists = [quadratic_ascent_distance(model, theta, x, lam, t, z_star) for t in range(12)]
         for t in range(11):
             if dists[t] < 1e-12:
                 break
@@ -161,12 +159,8 @@ def test_criterion_4_inner_maximizer_rate():
         z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)[0]
         d_z = np.linalg.norm(x - z_star)
         eps = d_z / inv_eps
-        cfg = DROConfig(lam, theoretical_ascent_step(lam), 1)
         steps = 0
-        while True:
-            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=steps)
-            if np.linalg.norm(Z[0] - z_star) <= eps:
-                break
+        while quadratic_ascent_distance(model, theta, x, lam, steps, z_star) > eps:
             steps += 1
         predicted, _ = required_iterations(model.constants(), lam, 1.0, eps, d_z)
         assert steps == predicted

@@ -1,6 +1,8 @@
 import json
+import re
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from robustgd import verify as verify_mod
@@ -9,11 +11,14 @@ from robustgd.errors import ConfigError, NumericError
 from robustgd.experiments import (
     PRESETS,
     ExperimentConfig,
+    _diagnostic_bounds,
     export_csv,
+    prepare_data,
     read_records,
     report_table,
     run_experiment,
     sweep,
+    train,
     write_records,
 )
 
@@ -153,6 +158,29 @@ class TestRecords:
         assert 0 <= checks["satisfied"] <= checks["iterations"]
         # plain averaging with corrupted workers: the bound has no valid regime
         assert dro["bounds"]["applicable"] is False
+
+    def test_bound_report_is_inapplicable_outside_the_concave_inner_regime(self):
+        # at lam=0.3 the E1 iterates reach ||theta||^2/4 ~ 0.64 > lam, where the
+        # inner problem has no unique maximizer: the report says so, the run goes on
+        cfg = ExperimentConfig(preset="E1", variant="alg2", iterations=40, lam=0.3,
+                               check_bounds=True)
+        (record,) = run_experiment(cfg)
+        section = record["bounds"]
+        assert section == {"certified": False, "applicable": False, "reason": section["reason"]}
+        assert re.fullmatch(r"iterate [1-9]\d*: inner objective not concave: "
+                            r"lam=0\.3 <= \|\|theta\|\|\^2/4=0\.\d+", section["reason"])
+        assert 0.3 < float(section["reason"].rsplit("=", 1)[1])
+
+    def test_bound_report_names_a_final_iterate_outside_the_regime(self):
+        # the dispersion is also taken at theta_T, after the recorded iterates
+        cfg = fast_config(check_bounds=True)
+        sharded = prepare_data(cfg)
+        trace = train(cfg, sharded)
+        final = np.full_like(trace.theta_final, 10.0)
+        section = _diagnostic_bounds(cfg, sharded, replace(trace, theta_final=final))
+        assert section["applicable"] is False
+        reason = f"iterate {cfg.iterations}: inner objective not concave"
+        assert section["reason"].startswith(reason)
 
     def test_failures_carry_config_context_and_flush_partials(self):
         sunk = []

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import logistic_grads_z
+from conftest import logistic_grads_z, loss_values
 from robustgd.errors import ConfigError, NumericError, ShapeError
 from robustgd.losses import LogisticLoss
 from robustgd.shift import ShiftSpec, misclassification_rate, perturb_test_set, sweep_budgets
@@ -55,11 +55,11 @@ def projected_ascent(theta, X, Y, norm, budget, steps=20):
     project = project_l2 if norm == "l2" else project_l1
     step = 2.5 * budget / steps
     Z = X.copy()
-    best, best_loss = Z.copy(), model.values(theta, Z, Y)
+    best, best_loss = Z.copy(), loss_values(model, theta, Z, Y)
     for _ in range(steps):
         Z = Z + step * ascent_direction(norm, logistic_grads_z(theta, Z, Y))
         Z = X + project(Z - X, budget)
-        loss = model.values(theta, Z, Y)
+        loss = loss_values(model, theta, Z, Y)
         gain = loss > best_loss
         best[gain] = Z[gain]
         best_loss = np.maximum(best_loss, loss)
@@ -187,14 +187,14 @@ class TestPerturbation:
             q = float(rng.uniform(0.05, 1.0))
             _, oracle_loss = projected_ascent(theta, X, Y, norm, q)
             Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
-            assert (model.values(theta, Z, Y) >= oracle_loss - 1e-12).all()
+            assert (loss_values(model, theta, Z, Y) >= oracle_loss - 1e-12).all()
 
     def test_loss_never_decreases_per_sample(self, rng):
         model = LogisticLoss()
         theta, X, Y = instance(rng, n=60, d=5)
-        before = model.values(theta, X, Y)
+        before = loss_values(model, theta, X, Y)
         Z = perturb_test_set(theta, X, Y, ShiftSpec(norm="l2", budget=0.3))
-        after = model.values(theta, Z, Y)
+        after = loss_values(model, theta, Z, Y)
         assert (after >= before - 1e-15).all()
 
     def test_huge_model_does_not_overflow_the_norm(self):

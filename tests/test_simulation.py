@@ -1,9 +1,17 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import quadratic_grads_z, rowwise_ascent
+from conftest import (
+    ascent_rows,
+    exact_inner_maximizer,
+    loss_grads_theta,
+    penalized_objectives,
+    quadratic_grads_z,
+    rowwise_ascent,
+)
 from robustgd import verify
 from robustgd.aggregation import ScreenConfig
 from robustgd.attacks import AttackSpec
@@ -21,14 +29,7 @@ from robustgd.simulation import (
     with_diagnostics,
     worker_reports,
 )
-from robustgd.surrogate import (
-    DROConfig,
-    ascend,
-    exact_inner_maximizer,
-    penalized_objectives,
-    surrogate_state,
-    theoretical_ascent_step,
-)
+from robustgd.surrogate import DROConfig, surrogate_state, theoretical_ascent_step
 
 
 def make_cloud(n=60, dim=4, seed=0, spread=1.0):
@@ -50,8 +51,8 @@ class TestWorkerGradient:
         X, Y = x.reshape(1, -1), np.array([1.0])
         (grad,), _ = worker_reports(model, theta, X, Y, [1], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
-        Z = ascend(model, theta, X, Y, dro)
-        np.testing.assert_allclose(grad, model.grads_theta(theta, Z, Y)[0], rtol=1e-14)
+        Z = ascent_rows(model, theta, X, Y, dro)
+        np.testing.assert_allclose(grad, loss_grads_theta(model, theta, Z, Y)[0], rtol=1e-14)
 
     def test_duplicated_sample_changes_nothing(self, rng):
         model = QuadraticLoss(1.0)
@@ -86,8 +87,8 @@ class TestWorkerGradient:
         start = 0
         for j, n in enumerate(counts):
             rows = slice(start, start + n)
-            Z = ascend(model, theta, X[rows], Y[rows], dro)
-            np.testing.assert_allclose(grads[j], model.mean_grad_theta(theta, Z, Y[rows]),
+            Z = ascent_rows(model, theta, X[rows], Y[rows], dro)
+            np.testing.assert_allclose(grads[j], loss_grads_theta(model, theta, Z, Y[rows]).mean(0),
                                        rtol=0, atol=1e-14)
             obj = penalized_objectives(model, theta, Z, Y[rows], X[rows], dro.lam).mean()
             assert objs[j] == pytest.approx(obj, rel=0, abs=1e-14)
@@ -105,8 +106,8 @@ def z_path_reports(model, theta, X, Y, counts, dro):
     """Reference reports: materialise the ascent output, then segment-average."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
-    Z = ascend(model, theta, X, Y, dro)
-    grads = np.add.reduceat(model.grads_theta(theta, Z, Y), starts, axis=0) / counts[:, None]
+    Z = ascent_rows(model, theta, X, Y, dro)
+    grads = np.add.reduceat(loss_grads_theta(model, theta, Z, Y), starts, axis=0) / counts[:, None]
     objs = np.add.reduceat(penalized_objectives(model, theta, Z, Y, X, dro.lam), starts)
     return grads, objs / counts
 
@@ -182,7 +183,7 @@ class TestQuadraticLineReports:
         grads_z = partial(quadratic_grads_z, curvature=model.curvature)
         Z = rowwise_ascent(grads_z, theta, X, None, dro, dro.t_z)
         starts = np.cumsum(counts) - counts
-        grads = np.add.reduceat(model.grads_theta(theta, Z, None), starts, axis=0)
+        grads = np.add.reduceat(loss_grads_theta(model, theta, Z, None), starts, axis=0)
         objs = np.add.reduceat(penalized_objectives(model, theta, Z, None, X, dro.lam), starts)
         return grads / np.array(counts)[:, None], objs / counts
 
@@ -276,6 +277,17 @@ class TestRunTraining:
         theta = initial_theta(3, 6)
         grads = [worker_reports(model, theta, X[s], Y[s], [len(s)], dro)[0][0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
+
+    def test_worker_norms_are_the_norms_of_the_reports(self, rng):
+        model = LogisticLoss()
+        X = rng.standard_normal((20, 3))
+        Y = rng.integers(0, 2, size=20).astype(float)
+        dro = DROConfig(3.0, 0.05, 4)
+        shards, _ = even_shards(20, 5)
+        cfg = plain_config(0.3, 1, dro, screen_count=1, seed=6)
+        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        grads, _ = worker_reports(model, initial_theta(3, 6), X, Y, [4] * 5, dro)
+        np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
 
     def test_trace_shapes_and_finiteness(self):
         model = QuadraticLoss(1.0)
@@ -396,10 +408,9 @@ class TestDiagnostics:
             assert diag.true_objectives[t] == value
             np.testing.assert_array_equal(diag.true_gradients[t], grad)
             # the analytic error factor bounds the measured worker-precision error
-            measured = np.linalg.norm(
-                ascend(model, theta, X, Y, cfg.dro) - exact_inner_maximizer(model, theta, X, lam),
-                axis=1,
-            ).max()
+            z_star = exact_inner_maximizer(model, theta, X, lam)
+            measured = np.linalg.norm(ascent_rows(model, theta, X, Y, cfg.dro) - z_star,
+                                      axis=1).max()
             assert measured <= diag.inner_eps[t] * (1 + 1e-12)
 
     def test_logistic_diagnostics_measure_against_a_long_ascent(self, rng):
@@ -410,18 +421,33 @@ class TestDiagnostics:
         lam = 3.0
         cfg = plain_config(0.5, 4, DROConfig(lam, 0.05, 5), seed=3)
         trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
-        diag = with_diagnostics(model, X, Y, trace, cfg.dro, true_solver_t_z=120)
+        diag = with_diagnostics(model, X, Y, trace, cfg.dro)
+        converged = DROConfig(lam, theoretical_ascent_step(lam), 400)
         for t, theta in enumerate(diag.iterates):
-            value, grad = surrogate_state(model, theta, X, Y, lam, t_z=120)
+            value, grad = surrogate_state(model, theta, X, Y, lam)
             assert diag.true_objectives[t] == value
             np.testing.assert_array_equal(diag.true_gradients[t], grad)
-            precise = ascend(model, theta, X, Y, DROConfig(lam, theoretical_ascent_step(lam), 120))
-            expected = np.linalg.norm(ascend(model, theta, X, Y, cfg.dro) - precise, axis=1).max()
-            assert diag.inner_eps[t] == expected
+            # the exact maximizer is where a long ascent settles
+            precise = ascent_rows(model, theta, X, Y, converged)
+            np.testing.assert_allclose(grad, loss_grads_theta(model, theta, precise, Y).mean(0),
+                                       rtol=1e-12, atol=1e-15)
+            expected = np.linalg.norm(ascent_rows(model, theta, X, Y, cfg.dro) - precise,
+                                      axis=1).max()
+            assert diag.inner_eps[t] == pytest.approx(expected, rel=1e-9)
         # a worker-precision ascent with more steps lands closer to the maximizer
-        finer = with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.05, 40),
-                                 true_solver_t_z=120)
+        finer = with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.05, 40))
         assert (finer.inner_eps < diag.inner_eps).all()
+
+    def test_logistic_diagnostics_name_an_iterate_outside_the_regime(self, rng):
+        model = LogisticLoss()
+        X = rng.standard_normal((8, 3))
+        Y = rng.integers(0, 2, size=8).astype(float)
+        cfg = plain_config(0.5, 4, DROConfig(3.0, 0.05, 5), seed=3)
+        trace = run_training(model, X, Y, WorkerRoster(shards=[np.arange(8)]), cfg)
+        iterates = trace.iterates.copy()
+        iterates[2] = [4.0, 0.0, 0.0]  # ||theta||^2 / 4 = 4 > lam
+        with pytest.raises(RegimeError, match=r"iterate 2: inner objective not concave: lam=3.0"):
+            with_diagnostics(model, X, Y, replace(trace, iterates=iterates), cfg.dro)
 
     @staticmethod
     def maximizer_diagnostics(model, X, Y, trace, dro):
@@ -433,7 +459,7 @@ class TestDiagnostics:
             z_star = exact_inner_maximizer(model, theta, X, dro.lam)
             eps[t] = factor ** dro.t_z * np.linalg.norm(X - z_star, axis=1).max()
             objs[t] = penalized_objectives(model, theta, z_star, Y, X, dro.lam).mean()
-            grads[t] = model.mean_grad_theta(theta, z_star, Y)
+            grads[t] = loss_grads_theta(model, theta, z_star, Y).mean(axis=0)
         return grads, objs, eps
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -486,7 +512,7 @@ class TestVariants:
 
         theta = initial_theta(3, 2)
         for _ in range(self.cfg.iterations):
-            grads = [self.model.mean_grad_theta(theta, self.X[s], self.Y[s])
+            grads = [loss_grads_theta(self.model, theta, self.X[s], self.Y[s]).mean(axis=0)
                      for s in clean.shards]
             theta = theta - self.cfg.eta * np.mean(grads, axis=0)
         np.testing.assert_allclose(trace.theta_final, theta, atol=1e-12)
@@ -516,8 +542,7 @@ class TestGradientDispersion:
         model = QuadraticLoss(1.0)
         lam = 2.0
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = gradient_dispersion(model, X, np.zeros(2), np.array([0.3, -0.2]), lam,
-                                  precision_t_z=200)
+        got = gradient_dispersion(model, X, np.zeros(2), np.array([0.3, -0.2]), lam)
         c_f = lam / (lam - 1.0)
         expected = c_f * np.linalg.norm(X[0] - X[1]) / 2.0
         assert got == pytest.approx(expected, rel=1e-10)

@@ -3,16 +3,24 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import central_difference, logistic_grads_z, quadratic_grads_z, rowwise_ascent
+from conftest import (
+    ascent_rows,
+    central_difference,
+    exact_inner_maximizer,
+    logistic_grads_z,
+    loss_grads_theta,
+    penalized_objectives,
+    quadratic_grads_z,
+    rowwise_ascent,
+)
+from robustgd import surrogate
 from robustgd.errors import ConfigError, NumericError, RegimeError
-from robustgd.losses import LogisticLoss, QuadraticLoss
+from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
 from robustgd.surrogate import (
     DROConfig,
-    ascend,
     contraction_factor,
-    exact_inner_maximizer,
-    exact_quadratic_rows,
-    penalized_objectives,
+    exact_rows,
+    quadratic_surrogate,
     required_iterations,
     surrogate_state,
     theoretical_ascent_step,
@@ -27,14 +35,14 @@ def one_row(x, y=0.0):
 def objective_trace(model, theta, x, y, cfg):
     """Inner objective at z = x and after each of the cfg.t_z ascent steps."""
     X, Y = one_row(x, y)
-    iterates = [ascend(model, theta, X, Y, cfg, t_z=k) for k in range(cfg.t_z + 1)]
+    iterates = [ascent_rows(model, theta, X, Y, cfg, t_z=k) for k in range(cfg.t_z + 1)]
     return np.array([penalized_objectives(model, theta, Z, Y, X, cfg.lam)[0] for Z in iterates])
 
 
 def surrogate_grad(model, theta, x, y, cfg):
     """Surrogate gradient of one sample: the loss gradient at the ascent output."""
     X, Y = one_row(x, y)
-    return model.mean_grad_theta(theta, ascend(model, theta, X, Y, cfg), Y)
+    return loss_grads_theta(model, theta, ascent_rows(model, theta, X, Y, cfg), Y)[0]
 
 
 class TestInnerMaximize:
@@ -43,7 +51,7 @@ class TestInnerMaximize:
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.0, eta_z=theoretical_ascent_step(2.0), t_z=30)
         assert cfg.eta_z == pytest.approx(0.5)
-        Z = ascend(model, np.array([1.0]), *one_row([0.0]), cfg)
+        Z = ascent_rows(model, np.array([1.0]), *one_row([0.0]), cfg)
         assert abs(Z[0, 0] - (-1.0)) <= 0.5 ** 30 * 1.0 + 1e-15
 
     def test_per_step_contraction_is_exact(self, rng):
@@ -56,7 +64,7 @@ class TestInnerMaximize:
         z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)[0]
         dists = []
         for t in range(26):
-            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
+            Z = ascent_rows(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
             dists.append(np.linalg.norm(Z[0] - z_star))
         for t in range(25):
             if dists[t] < 1e-13:
@@ -67,7 +75,7 @@ class TestInnerMaximize:
         model = QuadraticLoss(1.0)
         x = np.array([0.7, -0.1])
         cfg = DROConfig(lam=2.0, eta_z=0.3, t_z=15)
-        Z = ascend(model, x, *one_row(x), cfg)  # grad_z f = 0 at z = x = theta
+        Z = ascent_rows(model, x, *one_row(x), cfg)  # grad_z f = 0 at z = x = theta
         np.testing.assert_array_equal(Z[0], x)
 
     def test_linear_rate_bound_along_the_run(self, rng):
@@ -79,7 +87,7 @@ class TestInnerMaximize:
         d0 = np.linalg.norm(x - z_star)
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=1)
         for t in range(40):
-            Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
+            Z = ascent_rows(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=t)
             assert np.linalg.norm(Z[0] - z_star) <= p ** t * d0 + 1e-12
 
     def test_paper_settings_trace_is_nondecreasing(self, rng):
@@ -103,7 +111,7 @@ class TestInnerMaximize:
         model = QuadraticLoss(1.0)
         cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
         with pytest.raises(NumericError, match="step"):
-            ascend(model, np.array([1.0]), *one_row([0.0]), cfg)
+            ascent_rows(model, np.array([1.0]), *one_row([0.0]), cfg)
 
     def test_divergent_logistic_ascent_raises_with_step_index(self, rng):
         model = LogisticLoss()
@@ -111,7 +119,7 @@ class TestInnerMaximize:
         X = rng.standard_normal((6, 3))
         Y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         with pytest.raises(NumericError, match="step") as err:
-            ascend(model, rng.standard_normal(3), X, Y, cfg)
+            ascent_rows(model, rng.standard_normal(3), X, Y, cfg)
         assert err.value.rows.size > 0
 
     def test_config_validation(self):
@@ -135,11 +143,11 @@ class TestLogisticLinePath:
         Y = rng.integers(0, 2, size=40).astype(float)
         theta = rng.standard_normal(6)
         theta *= theta_norm / np.linalg.norm(theta)
-        Z = ascend(model, theta, X, Y, cfg)
+        Z = ascent_rows(model, theta, X, Y, cfg)
         reference = rowwise_ascent(logistic_grads_z, theta, X, Y, cfg, t_z)
         np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            model.mean_grad_theta(theta, Z, Y), model.mean_grad_theta(theta, reference, Y),
+            loss_grads_theta(model, theta, Z, Y), loss_grads_theta(model, theta, reference, Y),
             rtol=0, atol=1e-12,
         )
 
@@ -155,7 +163,7 @@ class TestQuadraticLinePath:
         cfg = DROConfig(lam=2.0, eta_z=eta_z, t_z=t_z)
         X = rng.standard_normal((40, 6))
         theta = rng.standard_normal(6)
-        Z = ascend(model, theta, X, np.zeros(40), cfg)
+        Z = ascent_rows(model, theta, X, np.zeros(40), cfg)
         grads_z = partial(quadratic_grads_z, curvature=curvature)
         np.testing.assert_allclose(Z, rowwise_ascent(grads_z, theta, X, None, cfg, t_z), rtol=1e-13)
 
@@ -164,31 +172,23 @@ class TestQuadraticLinePath:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [-2.0, 0.5]])
         cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
         with pytest.raises(NumericError, match="inner ascent diverged at step") as err:
-            ascend(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(4), cfg)
+            ascent_rows(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(4), cfg)
         np.testing.assert_array_equal(err.value.rows, [1, 3])
 
     def test_rows_at_theta_stay_put_whatever_the_step(self):
         X = np.full((3, 2), 0.25)
         cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=500)
-        np.testing.assert_array_equal(ascend(QuadraticLoss(1.0), X[0], X, np.zeros(3), cfg), X)
-
-    def test_overflowing_rows_are_named(self):
-        # k is about 49^150 ~ 1e253: finite, but it carries only the far row past overflow
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0]])
-        cfg = DROConfig(lam=2.0, eta_z=50.0, t_z=150)
-        with pytest.raises(NumericError, match="inner ascent diverged at step 150") as err:
-            ascend(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(3), cfg)
-        np.testing.assert_array_equal(err.value.rows, [2])
+        np.testing.assert_array_equal(ascent_rows(QuadraticLoss(1.0), X[0], X, np.zeros(3), cfg), X)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inputs_raise(self, bad):
         model, cfg = QuadraticLoss(1.0), DROConfig(2.0, 0.5, 3)
         X = np.zeros((3, 2))
         with pytest.raises(NumericError, match="theta"):
-            ascend(model, np.array([bad, 0.0]), X, np.zeros(3), cfg)
+            ascent_rows(model, np.array([bad, 0.0]), X, np.zeros(3), cfg)
         X[1, 0] = bad
         with pytest.raises(NumericError, match="theta - x") as err:
-            ascend(model, np.zeros(2), X, np.zeros(3), cfg)
+            ascent_rows(model, np.zeros(2), X, np.zeros(3), cfg)
         np.testing.assert_array_equal(err.value.rows, [1])
 
 
@@ -208,19 +208,19 @@ class TestSurrogateGradient:
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_envelope_identity_on_quadratic_family(self, rng):
-        # with the exact inner maximizer the surrogate gradient is
-        # c*lam*(theta - x)/(lam - c) in closed form
+        # at the exact inner maximizer the surrogate gradient is the loss
+        # gradient there, c*lam*(theta - x)/(lam - c) in closed form
         for _ in range(25):
             c = float(rng.uniform(0.5, 2.0))
             lam = c + float(rng.uniform(0.5, 3.0))
             model = QuadraticLoss(c)
             d = int(rng.integers(1, 6))
             theta, x = rng.standard_normal((2, d))
+            grads, _, _ = exact_rows(model, theta, x.reshape(1, -1), None, lam)
             Z_star = exact_inner_maximizer(model, theta, x.reshape(1, -1), lam)
-            envelope = model.grads_theta(theta, Z_star, np.zeros(1))[0]
-            np.testing.assert_allclose(
-                envelope, c * lam * (theta - x) / (lam - c), rtol=1e-12
-            )
+            envelope = loss_grads_theta(model, theta, Z_star, None)[0]
+            np.testing.assert_allclose(envelope, c * lam * (theta - x) / (lam - c), rtol=1e-12)
+            np.testing.assert_allclose(grads[0], envelope, rtol=1e-12)
 
     def test_logistic_matches_finite_differences_of_the_surrogate(self, rng):
         model = LogisticLoss()
@@ -233,7 +233,7 @@ class TestSurrogateGradient:
             y = int(rng.integers(0, 2))
 
             def phi(t):
-                Z = ascend(model, t, x.reshape(1, -1), np.array([float(y)]), cfg)
+                Z = ascent_rows(model, t, x.reshape(1, -1), np.array([float(y)]), cfg)
                 return float(penalized_objectives(
                     model, t, Z, np.array([float(y)]), x.reshape(1, -1), lam
                 )[0])
@@ -242,21 +242,13 @@ class TestSurrogateGradient:
             fd = central_difference(phi, theta, h=1e-6)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
-    def test_exact_maximizer_requires_concavity_and_quadratic(self):
-        with pytest.raises(RegimeError):
-            exact_inner_maximizer(QuadraticLoss(2.0), np.zeros(1), np.zeros((1, 1)), 1.0)
-        with pytest.raises(TypeError):
-            exact_inner_maximizer(LogisticLoss(), np.zeros(1), np.zeros((1, 1)), 3.0)
-
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_closed_form_rows_require_concavity(self, lam):
         X, Y = np.zeros((2, 1)), np.zeros(2)
         with pytest.raises(RegimeError, match="not concave"):
-            exact_quadratic_rows(QuadraticLoss(2.0), np.ones(1), X, lam)
+            exact_rows(QuadraticLoss(2.0), np.ones(1), X, Y, lam)
         with pytest.raises(RegimeError, match="not concave"):
             surrogate_state(QuadraticLoss(2.0), np.ones(1), X, Y, lam)
-        with pytest.raises(TypeError):
-            surrogate_state(LogisticLoss(), np.ones(1), X, Y, 3.0, exact=True)
 
     def test_closed_form_rows_match_the_exact_maximizer(self, rng):
         for _ in range(25):
@@ -266,12 +258,14 @@ class TestSurrogateGradient:
             d = int(rng.integers(1, 6))
             theta, X = rng.standard_normal(d), rng.standard_normal((7, d))
             z_star = exact_inner_maximizer(model, theta, X, lam)
-            grads, objectives = exact_quadratic_rows(model, theta, X, lam)
-            np.testing.assert_allclose(grads, model.grads_theta(theta, z_star, None), rtol=1e-12)
+            grads, objectives, k = exact_rows(model, theta, X, None, lam)
+            np.testing.assert_allclose(grads, loss_grads_theta(model, theta, z_star, None),
+                                       rtol=1e-12)
             np.testing.assert_allclose(
                 objectives, penalized_objectives(model, theta, z_star, None, X, lam), rtol=1e-12
             )
-            # the maximizer's distance from x is the theta-gradient's norm over lam
+            # z* = x - k * (theta - x), at distance ||theta-gradient|| / lam from x
+            np.testing.assert_allclose(X - k * (theta - X), z_star, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(np.linalg.norm(grads, axis=1) / lam,
                                        np.linalg.norm(z_star - X, axis=1), rtol=1e-12)
 
@@ -282,9 +276,82 @@ class TestSurrogateGradient:
         Y = np.zeros(12)
         theta = rng.standard_normal(3)
         v_exact, g_exact = surrogate_state(model, theta, X, Y, lam)
-        v_iter, g_iter = surrogate_state(model, theta, X, Y, lam, t_z=200, exact=False)
-        assert v_iter == pytest.approx(v_exact, rel=1e-10)
-        np.testing.assert_allclose(g_iter, g_exact, atol=1e-10)
+        D, rate, objectives = quadratic_surrogate(
+            model, theta, X, DROConfig(lam, theoretical_ascent_step(lam), 200)
+        )
+        assert objectives.mean() == pytest.approx(v_exact, rel=1e-10)
+        np.testing.assert_allclose(rate * D.mean(axis=0), g_exact, atol=1e-10)
+
+
+class TestExactLogisticRows:
+    """The logistic maximizer x + c * theta, with c the root of one decreasing function per row."""
+
+    model = LogisticLoss()
+
+    @staticmethod
+    def data(rng, theta_norm, n=40, d=6):
+        theta = rng.standard_normal(d)
+        theta *= theta_norm / np.linalg.norm(theta)
+        X = rng.standard_normal((n, d))
+        Y = rng.integers(0, 2, size=n).astype(float)
+        return theta, X, Y
+
+    @pytest.mark.parametrize("theta_norm", [0.0, 0.5, 3.0, 3.46])
+    def test_stationarity_residual_at_rounding_level(self, rng, theta_norm):
+        lam = 3.0  # ||theta||^2 / 4 reaches 2.99 at the largest norm
+        theta, X, Y = self.data(rng, theta_norm)
+        X *= 10.0  # margins far into the saturated tails too
+        _, _, c = exact_rows(self.model, theta, X, Y, lam)
+        residual = sigmoid(X @ theta + c * (theta @ theta)) - Y - lam * c
+        assert np.abs(residual).max() <= 16 * np.finfo(float).eps
+
+    def test_coefficients_lie_in_their_bracket(self, rng):
+        for lam in (0.2, 3.0, 50.0):
+            theta, X, Y = self.data(rng, 0.9 * np.sqrt(4.0 * lam))
+            _, _, c = exact_rows(self.model, theta, X, Y, lam)
+            ones = Y == 1.0
+            assert ((-1.0 / lam <= c[ones]) & (c[ones] <= 0.0)).all()
+            assert ((0.0 <= c[~ones]) & (c[~ones] <= 1.0 / lam)).all()
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("theta_norm", [0.0, 0.5, 3.0])
+    def test_matches_the_converged_rowwise_ascent(self, rng, theta_norm, label):
+        lam = 3.0
+        theta, X, _ = self.data(rng, theta_norm)
+        Y = np.full(len(X), label)
+        # contraction 1 - (lam - ||theta||^2 / 4) / lam <= 3/4 per step at this step size
+        cfg = DROConfig(lam, theoretical_ascent_step(lam), 400)
+        Z = rowwise_ascent(logistic_grads_z, theta, X, Y, cfg, cfg.t_z)
+        grads, objectives, c = exact_rows(self.model, theta, X, Y, lam)
+        np.testing.assert_allclose(X + c[:, None] * theta, Z, rtol=1e-12)
+        np.testing.assert_allclose(grads, loss_grads_theta(self.model, theta, Z, Y), rtol=1e-12)
+        np.testing.assert_allclose(
+            objectives, penalized_objectives(self.model, theta, Z, Y, X, lam), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("excess", [1.0, 1.5])
+    def test_regime_error_outside_strong_concavity(self, rng, excess):
+        lam = 0.5
+        theta, X, Y = self.data(rng, np.sqrt(4.0 * lam * excess))
+        with pytest.raises(RegimeError, match=r"not concave: lam=0.5 <= \|\|theta\|\|\^2/4"):
+            exact_rows(self.model, theta, X, Y, lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise(self, rng, bad):
+        theta, X, Y = self.data(rng, 1.0)
+        with pytest.raises(NumericError, match="theta"):
+            exact_rows(self.model, np.append(theta[:-1], bad), X, Y, 3.0)
+        X[7, 2] = bad
+        with pytest.raises(NumericError, match="margins") as err:
+            exact_rows(self.model, theta, X, Y, 3.0)
+        np.testing.assert_array_equal(err.value.rows, [7])
+
+    def test_unconverged_solve_raises(self, rng, monkeypatch):
+        theta, X, Y = self.data(rng, 3.0)
+        monkeypatch.setattr(surrogate, "ROOT_STEPS", 1)
+        with pytest.raises(NumericError, match="not found in 1 steps") as err:
+            exact_rows(self.model, theta, X, Y, 3.0)
+        assert err.value.rows.size > 0
 
 
 class TestIterationCount:
@@ -319,7 +386,7 @@ class TestIterationCount:
             cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=1)
             steps = 0
             while True:
-                Z = ascend(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=steps)
+                Z = ascent_rows(model, theta, x.reshape(1, -1), np.zeros(1), cfg, t_z=steps)
                 if np.linalg.norm(Z[0] - z_star) <= eps:
                     break
                 steps += 1
