@@ -11,6 +11,7 @@ config, so diffing output files is a meaningful regression check.
 import csv
 import io
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -28,11 +29,13 @@ from .simulation import (
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
-    run_variant,
+    run_training,
     variant_config,
     with_diagnostics,
 )
 from .surrogate import DROConfig
+
+log = logging.getLogger(__name__)
 
 # Experiment environments: byzantine behavior plus the test-time shift.
 PRESETS = {
@@ -174,12 +177,37 @@ def _train_config(cfg: ExperimentConfig):
 
 
 def train(cfg: ExperimentConfig, sharded, variant=None):
-    """Train one variant and return its trace."""
+    """Train one variant and return its trace.
+
+    A variant that runs the inner ascent (t_z > 0) warns when an iterate
+    leaves the strongly concave inner regime, lam > ||theta||^2 / 4, where
+    the worker ascent no longer contracts; the records do not change.
+    """
     variant = cfg.variant if variant is None else variant
-    return run_variant(
-        variant, LogisticLoss(), sharded.train_features, sharded.train_labels,
-        _roster(cfg, sharded), _train_config(cfg),
+    tcfg, roster = variant_config(variant, _train_config(cfg), _roster(cfg, sharded))
+    trace = run_training(
+        LogisticLoss(), sharded.train_features, sharded.train_labels, roster, tcfg
     )
+    if tcfg.dro.t_z > 0:
+        _warn_outside_regime(trace.iterates, tcfg.dro.lam, variant)
+    return trace
+
+
+def _warn_outside_regime(iterates, lam, variant):
+    """Log the first iterate with ||theta||^2 / 4 >= lam, and the largest such value.
+
+    ||theta||^2 is the dot product ``exact_rows`` tests the regime with; it
+    is taken row by row, which keeps a (T, d) temporary out of the run.
+    """
+    quarter_sq_norms = 0.25 * np.array([theta @ theta for theta in iterates])
+    worst = quarter_sq_norms.max()
+    if worst >= lam:
+        first = int(np.argmax(quarter_sq_norms >= lam))
+        log.warning(
+            "variant %s leaves the strongly concave inner regime at iterate %d: "
+            "||theta||^2/4 = %.4g >= lam = %.4g (largest %.4g)",
+            variant, first, quarter_sq_norms[first], lam, worst,
+        )
 
 
 def evaluate(theta, sharded, cfg: ExperimentConfig):

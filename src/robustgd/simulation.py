@@ -8,9 +8,10 @@ before the loop, so one batched ascent per round (``worker_reports``) serves
 every honest worker and each worker's mean is a segment reduction. That
 ascent is a scalar recursion on a line through each row: one coefficient per
 row for the logistic loss, one coefficient shared by every row for the
-quadratic. The reports come from those coefficients and the segment sums of
-the rows (margins for the logistic loss, theta - x for the quadratic) without
-an (n, d) perturbed matrix.
+quadratic. The reports come from those coefficients without an (n, d)
+perturbed matrix: for the logistic loss, worker j's gradient sum is one
+matrix-vector product X_j^T r_j over its rows plus a segment sum of r * c
+times theta; for the quadratic, c * (1 + k) times segment sums of theta - x.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
@@ -134,17 +135,22 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
     for worker j. One ascent runs over all rows; each worker's gradient is the
     loss gradient at the ascent output averaged over its rows, evaluated from
     the line coefficients (``line_surrogate``, ``quadratic_surrogate``)
-    without forming the ascent output. Returns a (k, d) gradient matrix and a
-    (k,) objective vector for the k workers.
+    without forming the ascent output. A logistic worker's gradient sum is
+    X_j^T r_j + (sum of r * c) * theta over its rows X_j, the first term one
+    BLAS product per worker; the objectives and the quadratic sums are
+    segment sums. Returns a (k, d) gradient matrix and a (k,) objective
+    vector for the k workers.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
         raise ConfigError(f"row counts {counts.tolist()} must be positive and sum to {len(X)}")
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
     if isinstance(model, LogisticLoss):
         r, c, objectives = line_surrogate(theta, X, Y, dro)
-        grad_sums = (np.add.reduceat(r[:, None] * X, starts, axis=0)
-                     + np.add.reduceat(r * c, starts)[:, None] * theta)
+        grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
+        for j, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            grad_sums[j] += r[s:e] @ X[s:e]
     else:
         D, rate, objectives = quadratic_surrogate(model, theta, X, dro)
         grad_sums = rate * np.add.reduceat(D, starts, axis=0)

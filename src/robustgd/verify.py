@@ -84,19 +84,20 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
     )
 
 
-def _quadratic_run(seed, iterations, m=20, byz_count=3, screen_count=3, dim=6,
-                   n_per_worker=10, lam=2.0, curvature=1.0, t_z=6,
-                   attack_kind="aggressive"):
-    """One byzantine run on the quadratic family, with diagnostics; returns run pieces."""
-    model = QuadraticLoss(curvature)
-    X, Y = quadratic_cloud(m * n_per_worker, dim, spread=1.0, seed=seed)
+def _quadratic_run(seed, iterations, attack_kind="aggressive"):
+    """One byzantine run on the quadratic family, with diagnostics; returns run pieces.
+
+    20 workers of 10 six-dimensional points, 3 of them byzantine and 3
+    screened; unit curvature, lam = 2 and 6 inner ascent steps.
+    """
+    m, byz_count, screen_count, lam = 20, 3, 3, 2.0
+    model = QuadraticLoss(1.0)
+    X, Y = quadratic_cloud(m * 10, 6, spread=1.0, seed=seed)
     shards, _ = even_shards(X.shape[0], m)
-    attack = None
-    if byz_count:
-        attack = AttackSpec(kind=attack_kind, rng_seed=seed)
-    roster = WorkerRoster(shards=shards, byzantine=tuple(range(byz_count)), attack=attack)
+    roster = WorkerRoster(shards=shards, byzantine=tuple(range(byz_count)),
+                          attack=AttackSpec(kind=attack_kind, rng_seed=seed))
     l_f = surrogate_smoothness(model.constants(), lam)
-    dro = DROConfig(lam, theoretical_ascent_step(lam), t_z)
+    dro = DROConfig(lam, theoretical_ascent_step(lam), 6)
     cfg = TrainConfig(
         eta=1.0 / l_f,
         iterations=iterations,

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from dataclasses import asdict, replace
 
@@ -181,6 +182,24 @@ class TestRecords:
         assert section["applicable"] is False
         reason = f"iterate {cfg.iterations}: inner objective not concave"
         assert section["reason"].startswith(reason)
+
+    def test_run_outside_the_concave_inner_regime_warns(self, caplog):
+        cfg = ExperimentConfig(preset="E1", variant="alg2", iterations=40, lam=0.3)
+        with caplog.at_level(logging.WARNING, logger="robustgd.experiments"):
+            run_experiment(cfg)
+        [message] = [r.getMessage() for r in caplog.records if r.name == "robustgd.experiments"]
+        assert re.fullmatch(r"variant alg2 leaves the strongly concave inner regime at iterate 4: "
+                            r"\|\|theta\|\|\^2/4 = 0\.3444 >= lam = 0\.3 \(largest 0\.6363\)",
+                            message)
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(preset="E1", variant="alg2"),
+        ExperimentConfig(preset="E1", variant="nbs_only", iterations=40, lam=0.3),  # t_z = 0
+    ], ids=["inside", "no-ascent"])
+    def test_runs_inside_the_regime_or_without_ascent_do_not_warn(self, caplog, cfg):
+        with caplog.at_level(logging.WARNING, logger="robustgd.experiments"):
+            run_experiment(cfg)
+        assert not [r for r in caplog.records if r.name == "robustgd.experiments"]
 
     def test_failures_carry_config_context_and_flush_partials(self):
         sunk = []
