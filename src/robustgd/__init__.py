@@ -42,7 +42,6 @@ from .simulation import (
     WorkerRoster,
     gradient_dispersion,
     run_training,
-    run_variant,
     worker_reports,
 )
 from .surrogate import DROConfig, required_iterations

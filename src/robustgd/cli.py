@@ -138,7 +138,10 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run_all(fuzz_instances=args.fuzz_instances, n_seeds=args.seeds)
+    try:
+        results = verify_mod.run_all(fuzz_instances=args.fuzz_instances, n_seeds=args.seeds)
+    except ConfigError as exc:
+        raise SystemExit(f"verify: {exc}") from exc
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"

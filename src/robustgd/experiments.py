@@ -177,7 +177,7 @@ def _train_config(cfg: ExperimentConfig):
 
 
 def train(cfg: ExperimentConfig, sharded, variant=None):
-    """Train one variant and return its trace.
+    """Train one variant; returns (trace, effective TrainConfig, effective roster).
 
     A variant that runs the inner ascent (t_z > 0) warns when an iterate
     leaves the strongly concave inner regime, lam > ||theta||^2 / 4, where
@@ -190,7 +190,7 @@ def train(cfg: ExperimentConfig, sharded, variant=None):
     )
     if tcfg.dro.t_z > 0:
         _warn_outside_regime(trace.iterates, tcfg.dro.lam, variant)
-    return trace
+    return trace, tcfg, roster
 
 
 def _warn_outside_regime(iterates, lam, variant):
@@ -218,7 +218,7 @@ def evaluate(theta, sharded, cfg: ExperimentConfig):
             "shift_misclassification": shifted}
 
 
-def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
+def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRoster):
     """Deviation-bound report with estimated constants; diagnostic, never certified.
 
     Lipschitz constants come from measured norm bounds, sigma from the
@@ -228,8 +228,9 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     The report is inapplicable when screening cannot cover the corrupted
     fraction, or when an iterate leaves the strongly concave inner regime
     (lam <= ||theta||^2 / 4), where no exact maximizer is defined.
+    ``effective`` and ``roster`` are the run's own, as ``train`` returns them.
     """
-    effective, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg, sharded))
+    lam = effective.dro.lam
     alpha = len(roster.byzantine) / roster.m
     beta = effective.screen.screen_count / roster.m
     if beta < alpha:
@@ -241,10 +242,10 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     except RegimeError as exc:
         return _inapplicable(str(exc))
     try:
-        sigma_final = gradient_dispersion(model, X, Y, trace.theta_final, cfg.lam)
+        sigma_final = gradient_dispersion(model, X, Y, trace.theta_final, lam)
     except RegimeError as exc:
         return _inapplicable(f"iterate {trace.iterations}: {exc}")
-    sigma = max(gradient_dispersion(model, X, Y, trace.iterates[0], cfg.lam), sigma_final)
+    sigma = max(gradient_dispersion(model, X, Y, trace.iterates[0], lam), sigma_final)
     data_bound = float(np.linalg.norm(X, axis=1).max())
     theta_bound = float(max(
         np.linalg.norm(trace.iterates, axis=1).max(),
@@ -252,7 +253,7 @@ def _diagnostic_bounds(cfg: ExperimentConfig, sharded, trace):
     ))
     inputs = TheoryInputs(
         constants=model.constants(data_bound, theta_bound),
-        lam=cfg.lam, alpha=alpha, beta=beta, sigma=sigma,
+        lam=lam, alpha=alpha, beta=beta, sigma=sigma,
     )
     reports = check_aggregate_deviation(diagnosed, inputs)
     return {
@@ -301,10 +302,10 @@ def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
             raise ConfigError(f"unknown variant {variant!r}")
         vcfg = replace(cfg, variant=variant)
         try:
-            trace = train(vcfg, sharded)
+            trace, effective, roster = train(vcfg, sharded)
             record = _record(vcfg, evaluate(trace.theta_final, sharded, vcfg), trace)
             if cfg.check_bounds:
-                record["bounds"] = _diagnostic_bounds(vcfg, sharded, trace)
+                record["bounds"] = _diagnostic_bounds(sharded, trace, effective, roster)
         except Exception as exc:
             raise RuntimeError(
                 f"experiment failed for variant={variant!r}, config={asdict(vcfg)}"
@@ -359,7 +360,7 @@ def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
         sharded = prepare_data(cfg)
         for variant in variants:
             vcfg = replace(cfg, variant=variant)
-            trace = train(vcfg, sharded)
+            trace, _, _ = train(vcfg, sharded)
             clean = misclassification_rate(
                 trace.theta_final, sharded.test_features, sharded.test_labels
             )

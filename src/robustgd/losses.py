@@ -11,8 +11,10 @@ taken on the line its inner ascent keeps z on: ``surrogate.line_surrogate``
 and ``surrogate.quadratic_surrogate`` at the ascent output (with zero ascent
 steps, the plain loss and its parameter gradient), ``surrogate.exact_rows``
 at the exact inner maximizer. The logistic ones are built from the
-branch-free ``sigmoid`` and the clipped ``cross_entropy`` below; the test
-shift works on the logistic margins (``shift.perturb_test_set``).
+branch-free ``sigmoid`` and the clipped ``cross_entropy`` below, except the
+steps of ``surrogate.line_ascent``, which evaluate eta_z * sigmoid(u) in
+place as eta_z / (1 + exp(-u)); the test shift works on the logistic
+margins (``shift.perturb_test_set``).
 """
 
 from dataclasses import dataclass

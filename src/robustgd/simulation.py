@@ -272,11 +272,6 @@ def variant_config(variant, cfg: TrainConfig, roster: WorkerRoster):
     return new_cfg, new_roster
 
 
-def run_variant(variant, model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
-    new_cfg, new_roster = variant_config(variant, cfg, roster)
-    return run_training(model, X, Y, new_roster, new_cfg)
-
-
 def gradient_dispersion(model, X, Y, theta, lam):
     """Largest distance from a single-sample surrogate gradient to their mean.
 

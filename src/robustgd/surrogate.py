@@ -13,9 +13,12 @@ each family):
 
 - The logistic loss sees z only through theta . z, so its z-gradient is a
   multiple of theta and z = x + c * theta with one coefficient per row.
-  ``line_ascent`` runs that recursion; ``line_surrogate`` evaluates the
-  surrogate at the ascent output from the margins theta . x and the
-  coefficients c alone: theta . z = theta . x + c * ||theta||^2,
+  ``line_ascent`` runs that recursion in place, c <- rho * c +
+  eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam and
+  u = theta . x + c * ||theta||^2; where u is below about -709 the exp
+  overflows and eta_z * sigmoid(u) comes out as 0. ``line_surrogate``
+  evaluates the surrogate at the ascent output from the margins theta . x
+  and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
   and the transport cost is c^2 * ||theta||^2 / 2.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
@@ -69,18 +72,31 @@ def line_ascent(theta, X, Y, cfg, t_z=None):
     """The logistic ascent on the line z = x + c * theta, one coefficient per row.
 
     grad_z f = (sigmoid(theta . z) - y) * theta, so each of the ``t_z`` steps
-    (default cfg.t_z) is c <- c + eta_z * ((sigmoid(theta . x + c * ||theta||^2) - y) - lam * c)
-    from c = 0. Returns (margins X @ theta, c, ||theta||^2). A non-finite theta,
-    ||theta||^2, margin or coefficient raises ``NumericError``; its ``rows``
-    holds the offending rows when there are any.
+    (default cfg.t_z) is c <- c + eta_z * ((sigmoid(u) - y) - lam * c) from
+    c = 0, with u = theta . x + c * ||theta||^2. It runs in place as
+    c <- rho * c + eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam;
+    for u below about -709 the exp overflows and the middle term is 0, where
+    the true value is under eta_z * 1e-308. Returns (margins X @ theta, c,
+    ||theta||^2). A non-finite theta, ||theta||^2, margin or coefficient
+    raises ``NumericError``; its ``rows`` holds the offending rows when there
+    are any.
     """
     steps = cfg.t_z if t_z is None else t_z
     margins, sq_norm = _margins(theta, X)
-    Y = np.asarray(Y, dtype=float)
+    eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
+    neg_margins, eta_y = -margins, eta * np.asarray(Y, dtype=float)
     c = np.zeros(margins.shape[0])
+    v = np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
         for k in range(steps):
-            c += cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c)
+            np.multiply(c, sq_norm, out=v)
+            np.subtract(neg_margins, v, out=v)  # -u
+            np.exp(v, out=v)
+            v += 1.0
+            np.divide(eta, v, out=v)  # eta_z * sigmoid(u)
+            c *= rho
+            c += v
+            c -= eta_y
             _check_rows(c, f"inner ascent diverged at step {k + 1}")
     return margins, c, sq_norm
 

@@ -22,6 +22,7 @@ from .bounds import (
     surrogate_smoothness,
 )
 from .data import even_shards, quadratic_cloud
+from .errors import ConfigError
 from .losses import QuadraticLoss
 from .simulation import (
     DROConfig,
@@ -39,6 +40,11 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+
+
+def _require_count(name, value):
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def _random_screening_instance(rng):
@@ -69,6 +75,7 @@ def _random_screening_instance(rng):
 
 def fuzz_screening_bound(n_instances=10_000, seed=0):
     """Randomized instances of the screened-mean deviation inequality."""
+    _require_count("n_instances", n_instances)
     rng = np.random.default_rng([seed, 0xF1])
     worst = np.inf
     failures = 0
@@ -116,6 +123,7 @@ def _quadratic_run(seed, iterations, attack_kind="aggressive"):
 
 def deviation_trace_suite(n_seeds=20, iterations=120):
     """Aggregated-gradient deviation bound at every iteration, across seeds."""
+    _require_count("n_seeds", n_seeds)
     worst = np.inf
     bad = 0
     for seed in range(n_seeds):
@@ -132,6 +140,9 @@ def deviation_trace_suite(n_seeds=20, iterations=120):
 
 def rate_bound_suite(n_seeds=20, horizons=(50, 200)):
     """Average-gradient, objective-gap, and iterate-distance bounds on tracked runs."""
+    _require_count("n_seeds", n_seeds)
+    if not horizons:
+        raise ConfigError("horizons must not be empty")
     worst = np.inf
     bad = 0
     checks = 0
@@ -213,6 +224,9 @@ def breakpoint_suite(iterations=150):
 
 
 def run_all(fuzz_instances=10_000, n_seeds=20):
+    """Every suite; both counts are checked before any suite runs."""
+    _require_count("fuzz_instances", fuzz_instances)
+    _require_count("n_seeds", n_seeds)
     return [
         fuzz_screening_bound(n_instances=fuzz_instances),
         deviation_trace_suite(n_seeds=n_seeds),

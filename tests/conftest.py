@@ -41,6 +41,25 @@ def rowwise_ascent(grads_z, theta, X, Y, cfg, t_z):
     return Z
 
 
+def logistic_line_steps(theta, X, Y, cfg, t_z):
+    """Every coefficient of the logistic line ascent, by the plain update.
+
+    Row k is c after k steps of c += eta_z * ((sigmoid(u) - y) - lam * c) with
+    u = theta . x + c * ||theta||^2, from c = 0: the reference for
+    ``line_ascent``. Overflow runs on into inf and nan, so a diverging row
+    stays non-finite from its first non-finite step on.
+    """
+    theta = np.asarray(theta, dtype=float)
+    margins, sq_norm = np.asarray(X, dtype=float) @ theta, theta @ theta
+    Y = np.asarray(Y, dtype=float)
+    steps = [np.zeros(margins.shape[0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(t_z):
+            c = steps[-1]
+            steps.append(c + cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c))
+    return np.array(steps)
+
+
 def loss_values(model, theta, Z, Y):
     """Per-row loss f(theta; z) at explicit rows Z, for either family."""
     if model.kind == "logistic":

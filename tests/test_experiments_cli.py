@@ -1,7 +1,11 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,9 +180,9 @@ class TestRecords:
         # the dispersion is also taken at theta_T, after the recorded iterates
         cfg = fast_config(check_bounds=True)
         sharded = prepare_data(cfg)
-        trace = train(cfg, sharded)
+        trace, effective, roster = train(cfg, sharded)
         final = np.full_like(trace.theta_final, 10.0)
-        section = _diagnostic_bounds(cfg, sharded, replace(trace, theta_final=final))
+        section = _diagnostic_bounds(sharded, replace(trace, theta_final=final), effective, roster)
         assert section["applicable"] is False
         reason = f"iterate {cfg.iterations}: inner objective not concave"
         assert section["reason"].startswith(reason)
@@ -389,6 +393,38 @@ class TestCli:
         assert main(["verify", "--fuzz-instances", "50", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
+
+    @pytest.mark.parametrize("suite, kwargs, message", [
+        (verify_mod.fuzz_screening_bound, {"n_instances": 0}, "n_instances must be >= 1, got 0"),
+        (verify_mod.fuzz_screening_bound, {"n_instances": -5}, "n_instances must be >= 1"),
+        (verify_mod.deviation_trace_suite, {"n_seeds": 0}, "n_seeds must be >= 1, got 0"),
+        (verify_mod.rate_bound_suite, {"n_seeds": -1}, "n_seeds must be >= 1, got -1"),
+        (verify_mod.rate_bound_suite, {"n_seeds": 1, "horizons": ()}, "horizons must not be empty"),
+    ])
+    def test_verify_suites_refuse_empty_runs(self, suite, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            suite(**kwargs)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fuzz-instances", "-5", "--seeds", "-1"], "fuzz_instances must be >= 1, got -5"),
+        (["--fuzz-instances", "50", "--seeds", "0"], "n_seeds must be >= 1, got 0"),
+    ])
+    def test_verify_command_refuses_non_positive_counts(self, capsys, flags, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == f"verify: {message}"  # a message exits with status 1
+        assert "[PASS]" not in capsys.readouterr().out
+
+    def test_verify_command_refusal_exits_non_zero(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(verify_mod.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from robustgd.cli import main; sys.exit(main())",
+             "verify", "--fuzz-instances", "-5", "--seeds", "-1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.strip() == "verify: fuzz_instances must be >= 1, got -5"
 
 
 def test_config_dict_round_trip():

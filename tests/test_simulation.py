@@ -26,7 +26,7 @@ from robustgd.simulation import (
     gradient_dispersion,
     initial_theta,
     run_training,
-    run_variant,
+    variant_config,
     with_diagnostics,
     worker_reports,
 )
@@ -522,9 +522,13 @@ class TestVariants:
         )
         self.cfg = plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), screen_count=1, seed=2)
 
+    def run(self, variant, roster, cfg):
+        vcfg, vroster = variant_config(variant, cfg, roster)
+        return run_training(self.model, self.X, self.Y, vroster, vcfg)
+
     def test_zero_ascent_steps_match_plain_gradients(self):
-        nbs = run_variant("nbs_only", self.model, self.X, self.Y, self.roster, self.cfg)
-        erm = run_variant("erm", self.model, self.X, self.Y, self.roster, self.cfg)
+        nbs = self.run("nbs_only", self.roster, self.cfg)
+        erm = self.run("erm", self.roster, self.cfg)
         # honest workers of both variants see z = x, so norms agree at round 0
         honest = [i for i in range(6) if i != 0]
         np.testing.assert_array_equal(
@@ -535,7 +539,7 @@ class TestVariants:
         # t_z = 0 and no screening: the update is full-batch descent on the
         # empirical loss (worker shards average back to the global mean)
         clean = WorkerRoster(shards=self.roster.shards)
-        trace = run_variant("erm", self.model, self.X, self.Y, clean, self.cfg)
+        trace = self.run("erm", clean, self.cfg)
 
         theta = initial_theta(3, 2)
         for _ in range(self.cfg.iterations):
@@ -546,15 +550,14 @@ class TestVariants:
 
     def test_plain_mean_variant_with_clean_roster_matches_average(self):
         clean = WorkerRoster(shards=self.roster.shards)
-        dro_only = run_variant("dro_only", self.model, self.X, self.Y, clean, self.cfg)
-        alg2 = run_variant("alg2", self.model, self.X, self.Y, clean,
-                           plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), seed=2))
+        dro_only = self.run("dro_only", clean, self.cfg)
+        alg2 = self.run("alg2", clean, plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), seed=2))
         # with nothing to screen and b=0 both reduce to the same mean
         np.testing.assert_allclose(dro_only.theta_final, alg2.theta_final, atol=1e-12)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            run_variant("median", self.model, self.X, self.Y, self.roster, self.cfg)
+            variant_config("median", self.cfg, self.roster)
 
 
 class TestGradientDispersion:
