@@ -39,9 +39,15 @@ class GradientSet:
         return self.matrix.shape[1]
 
     def norms(self):
-        """Row norms, computed on first use and kept: the rows are not meant to change."""
+        """Row norms, computed on first use and kept: the rows are not meant to change.
+
+        A row whose squared norm passes the float range (a byzantine report
+        of 1e308, say) gets norm +inf without a numpy warning, so screening
+        ranks it above every finite row.
+        """
         if self._norms is None:
-            self._norms = np.linalg.norm(self.matrix, axis=1)
+            with np.errstate(over="ignore"):  # np.linalg.norm's own formula, without its overhead
+                self._norms = np.sqrt(np.add.reduce(self.matrix * self.matrix, axis=1))
         return self._norms
 
 

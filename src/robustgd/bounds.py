@@ -25,6 +25,8 @@ log = logging.getLogger(__name__)
 
 # a measured trajectory factor beyond this makes the convex-gap bound vacuous
 VACUOUS_TRAJECTORY_FACTOR = 100.0
+# largest denominator read from a worker fraction; see admissible_r_max
+FRACTION_DENOMINATOR = 10_000
 
 
 def surrogate_smoothness(constants: SmoothnessConstants, lam):
@@ -51,14 +53,26 @@ def error_floor(constants: SmoothnessConstants, eps, sigma):
 
 
 def admissible_r_max(alpha, beta):
-    """Upper end of the open interval the free parameter r must lie in."""
+    """Upper end of the open interval the free parameter r must lie in.
+
+    Raises ``RegimeError`` when 2*alpha/(1-beta) >= 1, decided on fractions:
+    alpha and beta are worker fractions k/m, so each is read as the nearest
+    fraction with a denominator of at most FRACTION_DENOMINATOR, which
+    recovers k/m exactly for m up to that size. In floats, 2*(1/3)/(1-1/3)
+    rounds to 0.9999999999999999 and would put alpha = beta = 1/3 below the
+    line.
+    """
+    # imported here so that runs which check no bound do not load decimal (~0.3 MB)
+    from fractions import Fraction
+
     if alpha == 0.0:
         return math.inf
-    c = c_alpha_factor(alpha, beta)
-    hi = 1.0 / c ** 2 - 1.0
-    if hi <= 0.0:
+    hi = 1.0 / c_alpha_factor(alpha, beta) ** 2 - 1.0
+    a, b = (Fraction(v).limit_denominator(FRACTION_DENOMINATOR) for v in (alpha, beta))
+    if 2 * a >= 1 - b or hi <= 0.0:
         raise RegimeError(
-            f"no admissible r: 2*alpha/(1-beta)={c} >= 1 (requires alpha < 1/3 when beta >= alpha)"
+            f"no admissible r: 2*alpha >= 1 - beta at alpha={a}, beta={b} "
+            f"(requires alpha < 1/3 when beta >= alpha)"
         )
     return hi
 

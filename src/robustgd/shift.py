@@ -87,8 +87,15 @@ def misclassification_rate(theta, X, Y):
     """Fraction of samples whose thresholded prediction disagrees with the label.
 
     The decision rule predicts 1 when sigmoid(theta . x) >= 1/2, i.e. when the
-    logit is nonnegative; the boundary case counts as predicting 1.
+    logit is nonnegative; the boundary case counts as predicting 1. A logit
+    that overflows to +-inf keeps its sign; a NaN logit (inf - inf, or a
+    non-finite input) has none and raises ``NumericError`` naming its rows.
     """
     theta, X, Y = _checked(theta, X, Y)
-    predictions = (X @ theta >= 0.0).astype(int)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN logits are refused below
+        logits = X @ theta
+    nan_rows = np.flatnonzero(np.isnan(logits))
+    if nan_rows.size:
+        raise NumericError(f"logits theta . x are NaN in {nan_rows.size} rows", rows=nan_rows)
+    predictions = (logits >= 0.0).astype(int)
     return float(np.mean(predictions != Y.astype(int)))

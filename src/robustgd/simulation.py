@@ -25,7 +25,7 @@ maximizer (``surrogate.exact_rows``): in closed form for the quadratic family,
 by a bracketed scalar root solve per row for the logistic loss.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
+# cap, in floats, on each (B, n, d) temporary of the blocked quadratic diagnostics
+DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 13
 
 
 @dataclass
@@ -121,6 +123,21 @@ class RunTrace:
     def iterations(self):
         return self.aggregated.shape[0]
 
+    def prefix(self, rounds):
+        """The first ``rounds`` rounds, bit-equal to a run stopped there.
+
+        A round depends only on the rounds before it, so every per-round
+        field is cut to its first ``rounds`` rows and ``theta_final`` is the
+        iterate that followed them.
+        """
+        if not 1 <= rounds <= self.iterations:
+            raise ConfigError(f"prefix needs 1 <= rounds <= {self.iterations}, got {rounds}")
+        if rounds == self.iterations:
+            return self
+        per_round = {f.name: getattr(self, f.name)[:rounds] for f in fields(self)
+                     if f.name not in ("eta", "theta_final") and getattr(self, f.name) is not None}
+        return replace(self, theta_final=self.iterates[rounds], **per_round)
+
 
 def initial_theta(dim, seed):
     """Seeded small random initialization, shared across compared variants."""
@@ -197,21 +214,27 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         grads[honest] = honest_grads
         honest_set = GradientSet(honest_grads)
         reference = honest_grads.mean(axis=0)
-        for i in roster.byzantine:
-            grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
-
-        reports = GradientSet(grads)
-        G = norm_screen(reports, cfg.screen)
-        if not np.all(np.isfinite(G)):
+        # The server's side of the round warns of nothing past the float
+        # range: a byzantine report there gets norm inf and is screened, a
+        # non-finite aggregate or iterate is refused below, and a finite G
+        # past 1e154 has norm inf, which the records refuse by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in roster.byzantine:
+                grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
+            reports = GradientSet(grads)
+            G = norm_screen(reports, cfg.screen)
+            G_norm = np.linalg.norm(G)
+            step = theta - cfg.eta * G
+        if not np.isfinite(G).all():
             raise NumericError(f"iteration {t}: non-finite aggregated gradient")
 
         trace.aggregated[t] = G
-        trace.aggregated_norms[t] = np.linalg.norm(G)
+        trace.aggregated_norms[t] = G_norm
         trace.objective_estimates[t] = honest_objs.mean()
         trace.worker_norms[t] = reports.norms()  # computed once, by the screen
 
-        theta = theta - cfg.eta * G
-        if not np.all(np.isfinite(theta)):
+        theta = step
+        if not np.isfinite(theta).all():
             raise NumericError(f"iteration {t}: iterate diverged to non-finite values")
 
     trace.theta_final = theta
@@ -225,29 +248,42 @@ def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
     samples at the exact inner maximizers (``exact_rows``, the same numbers
     as ``surrogate_state``), and the worst distance of a worker-precision
     ascent (``dro``, the run's inner settings) from them. For the quadratic
-    family that distance is analytic, |1 - eta_z * (lam - c)|^t_z * max ||z* - x||;
-    for the logistic loss both points lie on the line x + c * theta, so it is
+    family that distance is analytic, |1 - eta_z * (lam - c)|^t_z * max ||z* - x||,
+    and the iterates go to ``exact_rows`` in blocks of B = DIAGNOSTIC_BLOCK_ELEMENTS
+    // (n * d), at least 1: each (B, n, d) temporary (the gradients, and
+    their squares inside the norm) holds at most that many floats, or one
+    iterate's n * d when that is more. Every value is bit-equal to the
+    iterate taken alone. For the logistic loss, one iterate at a time, both
+    points lie on the line x + c * theta, so the distance is
     max |c_eps - c*| * ||theta|| with c_eps from ``line_ascent``. An iterate
-    outside the strongly concave regime raises ``RegimeError`` naming it.
+    outside the strongly concave regime raises ``RegimeError`` naming it; the
+    quadratic regime does not depend on theta, so that is iterate 0.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T, d = trace.aggregated.shape
     true_gradients, true_objectives, inner_eps = np.empty((T, d)), np.empty(T), np.empty(T)
-    quadratic = isinstance(model, QuadraticLoss)
-    if quadratic:
+    if isinstance(model, QuadraticLoss):
         # per-step contraction of ||z - z*||, over lam: ||z* - x|| = ||theta-gradient|| / lam
         error_factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
-    for t, theta in enumerate(trace.iterates):
-        try:
-            grads, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
-        except RegimeError as exc:
-            raise RegimeError(f"iterate {t}: {exc}") from exc
-        true_objectives[t] = objectives.mean()
-        true_gradients[t] = grads.mean(axis=0)
-        if quadratic:
-            inner_eps[t] = error_factor * np.linalg.norm(grads, axis=1).max()
-        else:
+        block = max(1, DIAGNOSTIC_BLOCK_ELEMENTS // X.size)
+        for start in range(0, T, block):
+            stop = min(start + block, T)
+            try:
+                grads, objectives, _ = exact_rows(model, trace.iterates[start:stop], X, Y, dro.lam)
+            except RegimeError as exc:
+                raise RegimeError(f"iterate {start}: {exc}") from exc
+            true_objectives[start:stop] = objectives.mean(axis=1)
+            true_gradients[start:stop] = grads.mean(axis=1)
+            inner_eps[start:stop] = error_factor * np.linalg.norm(grads, axis=2).max(axis=1)
+    else:
+        for t, theta in enumerate(trace.iterates):
+            try:
+                grads, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
+            except RegimeError as exc:
+                raise RegimeError(f"iterate {t}: {exc}") from exc
+            true_objectives[t] = objectives.mean()
+            true_gradients[t] = grads.mean(axis=0)
             _, c_eps, sq_norm = line_ascent(theta, X, Y, dro)
             inner_eps[t] = np.abs(c_eps - c_star).max() * np.sqrt(sq_norm)
     return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,

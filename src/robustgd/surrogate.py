@@ -199,7 +199,13 @@ def exact_rows(model, theta, X, Y, lam):
     """The surrogate per row at the exact inner maximizer z*, without forming z*.
 
     Returns (theta-gradients, penalized objectives, line coefficients of z*).
-    The maximizer is the end of the ascent line:
+    For the quadratic family ``theta`` may also be a (B, d) block of iterates:
+    D = theta[:, None, :] - X broadcasts over the leading axis, so the
+    gradients are (B, n, d) and the objectives (B, n), each iterate's slice
+    bit-equal to a call with that iterate alone. The gradients are the one
+    (B, n, d) array it allocates, so the caller bounds B (``with_diagnostics``
+    caps it at DIAGNOSTIC_BLOCK_ELEMENTS floats). The maximizer is the end
+    of the ascent line:
 
     - quadratic: z* = x + k * (x - theta) with k = c / (lam - c) for every row.
       With s = c * lam / (lam - c) = lam * k, row i's theta-gradient is
@@ -218,8 +224,10 @@ def exact_rows(model, theta, X, Y, lam):
         if lam <= c:
             raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
         s = c * lam / (lam - c)
-        D = theta - X
-        return s * D, (0.5 * s) * np.einsum("ij,ij->i", D, D), c / (lam - c)
+        D = np.asarray(theta, dtype=float)[..., None, :] - X
+        objectives = (0.5 * s) * np.einsum("...ij,...ij->...i", D, D)
+        D *= s  # the gradients, in place: no second (B, n, d) array
+        return D, objectives, c / (lam - c)
     Y = np.asarray(Y, dtype=float)
     margins, sq_norm = _margins(theta, X)
     if lam <= sq_norm / 4.0:

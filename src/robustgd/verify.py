@@ -4,8 +4,19 @@ These back the ``verify`` CLI subcommand and the acceptance tests. Every
 suite runs on problems with exact constants (the quadratic family) or on
 randomized screening instances, and returns structured results instead of
 printing, so callers decide how to report.
+
+The two trace suites check prefixes of shared runs. A round depends only on
+the rounds before it, so the first T rounds of a longer run with the same
+seed and attack are bit-equal to a T-round run (``RunTrace.prefix``). Each
+suite declares the (seed, attack, rounds) uses it will make; ``run_all``
+hands both suites one ``_SharedRuns`` built from both lists, which trains each
+(seed, attack) pair once, at the longest horizon declared for it, and drops
+it after its last use. At the defaults that is 30 runs and 5,200 rounds
+instead of 60 runs and 7,400 rounds. A suite called alone builds the same
+map from its own uses.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,13 +132,70 @@ def _quadratic_run(seed, iterations, attack_kind="aggressive"):
     return model, X, Y, trace, inputs
 
 
-def deviation_trace_suite(n_seeds=20, iterations=120):
-    """Aggregated-gradient deviation bound at every iteration, across seeds."""
+class _SharedRuns:
+    """Quadratic runs shared by trace suites, each (seed, attack) pair trained once.
+
+    Built from every (seed, attack, rounds) use the suites will make. A pair
+    is trained on its first request, at the longest horizon declared for it,
+    and dropped after its last declared use; each request gets the first
+    ``rounds`` rounds of that run. The trace checks read no worker norms,
+    aggregated norms or objective estimates, so a run is held without them.
+    """
+
+    def __init__(self, uses):
+        self._horizon, self._left, self._held = {}, Counter(), {}
+        for seed, attack, rounds in uses:
+            key = (seed, attack)
+            self._horizon[key] = max(rounds, self._horizon.get(key, 0))
+            self._left[key] += 1
+
+    def take(self, seed, attack, rounds):
+        """(model, X, Y, trace of the first ``rounds`` rounds, theory inputs)."""
+        key = (seed, attack)
+        if self._left[key] < 1:
+            raise ConfigError(f"run {key} has no declared use left")
+        run = self._held.pop(key, None)
+        if run is None:
+            model, X, Y, trace, inputs = _quadratic_run(seed, self._horizon[key], attack)
+            trace = replace(trace, worker_norms=None, aggregated_norms=None,
+                            objective_estimates=None)
+            run = model, X, Y, trace, inputs
+        self._left[key] -= 1
+        if self._left[key]:
+            self._held[key] = run
+        model, X, Y, trace, inputs = run
+        return model, X, Y, trace.prefix(rounds), inputs
+
+
+DEVIATION_ROUNDS = 120
+RATE_HORIZONS = (50, 200)
+
+
+def _deviation_uses(n_seeds, iterations):
+    return [(seed, "aggressive", iterations) for seed in range(n_seeds)]
+
+
+def _rate_attack(seed):
+    return "aggressive" if seed % 2 == 0 else "counterexample"
+
+
+def _rate_uses(n_seeds, horizons):
+    return [(seed, _rate_attack(seed), T) for seed in range(n_seeds) for T in horizons]
+
+
+def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
+    """Aggregated-gradient deviation bound at every iteration, across seeds.
+
+    ``runs`` is a ``_SharedRuns`` that declares this suite's uses; by default
+    the suite builds one of its own.
+    """
     _require_count("n_seeds", n_seeds)
+    uses = _deviation_uses(n_seeds, iterations)
+    runs = _SharedRuns(uses) if runs is None else runs
     worst = np.inf
     bad = 0
-    for seed in range(n_seeds):
-        _, _, _, trace, inputs = _quadratic_run(seed, iterations)
+    for seed, attack, rounds in uses:
+        _, _, _, trace, inputs = runs.take(seed, attack, rounds)
         for report in check_aggregate_deviation(trace, inputs):
             worst = min(worst, report.margin)
             bad += 0 if report.satisfied else 1
@@ -138,20 +206,28 @@ def deviation_trace_suite(n_seeds=20, iterations=120):
     )
 
 
-def rate_bound_suite(n_seeds=20, horizons=(50, 200)):
-    """Average-gradient, objective-gap, and iterate-distance bounds on tracked runs."""
+def rate_bound_suite(n_seeds=20, horizons=RATE_HORIZONS, runs=None):
+    """Average-gradient, objective-gap, and iterate-distance bounds on tracked runs.
+
+    Even seeds run the aggressive attack, odd seeds the counterexample; the
+    reference optimum is solved once per seed, for all horizons. ``runs`` is
+    a ``_SharedRuns`` that declares this suite's uses; by default the suite
+    builds one of its own.
+    """
     _require_count("n_seeds", n_seeds)
     if not horizons:
         raise ConfigError("horizons must not be empty")
+    runs = _SharedRuns(_rate_uses(n_seeds, horizons)) if runs is None else runs
     worst = np.inf
     bad = 0
     checks = 0
     for seed in range(n_seeds):
+        optimum = None
         for T in horizons:
-            model, X, Y, trace, inputs = _quadratic_run(
-                seed, T, attack_kind="aggressive" if seed % 2 == 0 else "counterexample"
-            )
-            theta_star, f_star = solve_reference_optimum(model, X, Y, inputs.lam)
+            model, X, Y, trace, inputs = runs.take(seed, _rate_attack(seed), T)
+            if optimum is None:
+                optimum = solve_reference_optimum(model, X, Y, inputs.lam)
+            theta_star, f_star = optimum
             loaded = replace(
                 inputs, eps=float(trace.inner_eps.max()),
                 lambda_f=surrogate_smoothness(model.constants(), inputs.lam),
@@ -224,12 +300,18 @@ def breakpoint_suite(iterations=150):
 
 
 def run_all(fuzz_instances=10_000, n_seeds=20):
-    """Every suite; both counts are checked before any suite runs."""
+    """Every suite; both counts are checked before any suite runs.
+
+    The two trace suites share one ``_SharedRuns``, so each (seed, attack)
+    pair is trained once for both.
+    """
     _require_count("fuzz_instances", fuzz_instances)
     _require_count("n_seeds", n_seeds)
+    runs = _SharedRuns(_deviation_uses(n_seeds, DEVIATION_ROUNDS)
+                       + _rate_uses(n_seeds, RATE_HORIZONS))
     return [
         fuzz_screening_bound(n_instances=fuzz_instances),
-        deviation_trace_suite(n_seeds=n_seeds),
-        rate_bound_suite(n_seeds=n_seeds),
+        deviation_trace_suite(n_seeds=n_seeds, runs=runs),
+        rate_bound_suite(n_seeds=n_seeds, runs=runs),
         breakpoint_suite(),
     ]

@@ -72,6 +72,19 @@ class TestNormScreen:
         out = norm_screen(GradientSet(vectors), ScreenConfig(1))
         assert not np.isfinite(out).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_row_past_the_float_range_ranks_as_inf_and_is_screened(self, rng):
+        finite = rng.standard_normal((4, 3))
+        vectors = np.insert(finite, 2, [1e308, -1e308, 1e308], axis=0)
+        grads = GradientSet(vectors)
+        assert grads.norms()[2] == np.inf
+        np.testing.assert_array_equal(grads.norms()[[0, 1, 3, 4]],
+                                      np.linalg.norm(finite, axis=1))
+        expected = np.zeros(3)
+        for row in finite:  # left to right, as the screen sums
+            expected += row
+        np.testing.assert_array_equal(norm_screen(grads, ScreenConfig(1)), expected / 4)
+
     def test_ties_keep_lower_original_index(self):
         # two vectors of equal norm straddling the cut: lower index survives
         grads = scalars(3, -3, 1, 5)

@@ -94,6 +94,14 @@ class TestAvgSqGradientBound:
         with pytest.raises(RegimeError):
             admissible_r_max(alpha=0.5, beta=0.5)
 
+    @pytest.mark.parametrize("m", range(3, 301, 3))
+    def test_the_one_third_line_is_decided_exactly(self, m):
+        # 2*(1/3)/(1 - 1/3) rounds to 0.9999999999999999 in floats
+        k = m // 3
+        with pytest.raises(RegimeError, match=r"alpha=1/3, beta=1/3"):
+            admissible_r_max(alpha=k / m, beta=k / m)
+        assert admissible_r_max(alpha=(k - 1) / m, beta=(k - 1) / m) > 0.0
+
     def test_default_r_midpoint_and_cap(self):
         assert default_r(0.0, 0.0) == 10.0
         hi = admissible_r_max(0.1, 0.1)

@@ -427,6 +427,18 @@ class TestCli:
         assert done.stderr.strip() == "verify: fuzz_instances must be >= 1, got -5"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_byzantine_report_past_the_float_range_is_screened():
+    cfg = ExperimentConfig(preset="E1", attack="intelligent", attack_ratio=1e308, iterations=5)
+    trace, _, roster = train(cfg, prepare_data(cfg))
+    byzantine = list(roster.byzantine)
+    assert (trace.worker_norms[:, byzantine] == np.inf).all()
+    honest = np.delete(trace.worker_norms, byzantine, axis=1)
+    assert np.isfinite(honest).all() and np.isfinite(trace.aggregated).all()
+    [record] = run_experiment(cfg)
+    assert all(np.isfinite(v) for v in record["results"].values())
+
+
 def test_config_dict_round_trip():
     cfg = fast_config(attack="intelligent", alpha_m=1, seed=3)
     assert ExperimentConfig(**asdict(cfg)) == cfg

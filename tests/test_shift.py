@@ -285,3 +285,17 @@ class TestMisclassification:
         X = np.zeros((2, 2))  # logit exactly zero
         assert misclassification_rate(np.array([1.0, 1.0]), X, np.array([1, 1])) == 0.0
         assert misclassification_rate(np.array([1.0, 1.0]), X, np.array([0, 0])) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_logit_keeps_its_sign(self):
+        X = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]])
+        theta = np.array([1e308, 1e308])  # logits +inf, -inf and 1e308
+        assert misclassification_rate(theta, X, np.array([1, 0, 1])) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_logit_is_refused_with_its_rows(self):
+        X = np.array([[np.nan, 1.0], [1.0, 1.0], [np.nan, -1.0]])
+        theta = np.array([1.0, 1.0])
+        with pytest.raises(NumericError, match="NaN in 2 rows") as exc:
+            misclassification_rate(theta, X, np.array([1, 1, 0]))
+        np.testing.assert_array_equal(exc.value.rows, [0, 2])

@@ -21,6 +21,7 @@ from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.simulation import (
+    DIAGNOSTIC_BLOCK_ELEMENTS,
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
@@ -30,7 +31,7 @@ from robustgd.simulation import (
     with_diagnostics,
     worker_reports,
 )
-from robustgd.surrogate import DROConfig, surrogate_state, theoretical_ascent_step
+from robustgd.surrogate import DROConfig, exact_rows, surrogate_state, theoretical_ascent_step
 
 
 def make_cloud(n=60, dim=4, seed=0, spread=1.0):
@@ -411,6 +412,39 @@ class TestRunTraining:
             run_training(QuadraticLoss(), X, Y, excess,
                          plain_config(0.2, 4, dro, screen_count=1, seed=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_report_past_the_float_range_is_screened(self):
+        # -1e308 times a reference entry above 1.8 overflows to -inf
+        X, Y = make_cloud(n=30, dim=3, seed=8)
+        shards, _ = even_shards(30, 6)
+        attack = AttackSpec(kind="aggressive", scale=1e308)
+        roster = WorkerRoster(shards=shards, byzantine=(0,), attack=attack)
+        dro = DROConfig(2.0, 0.3, 3)
+        cfg = plain_config(0.1, 3, dro, screen_count=1, theta0=np.full(3, 10.0))
+        trace = run_training(QuadraticLoss(), X, Y, roster, cfg)
+        assert (trace.worker_norms[:, 0] == np.inf).all()
+        clean = run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=shards[1:]),
+                             plain_config(0.1, 3, dro, theta0=np.full(3, 10.0)))
+        np.testing.assert_array_equal(trace.aggregated, clean.aggregated)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_finite_aggregate_has_norm_inf(self):
+        X, Y = make_cloud(n=30, dim=3, seed=8)
+        shards, _ = even_shards(30, 6)
+        roster = WorkerRoster(shards=shards, byzantine=(0,), allow_excess_byzantine=True,
+                              attack=AttackSpec(kind="aggressive", scale=1e200))
+        cfg = plain_config(1e-300, 2, DROConfig(2.0, 0.3, 3), theta0=np.full(3, 10.0))
+        trace = run_training(QuadraticLoss(), X, Y, roster, cfg)  # no screening
+        assert np.isfinite(trace.aggregated).all()
+        assert (trace.aggregated_norms == np.inf).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_update_names_the_iteration(self):
+        X, Y = make_cloud(n=8, dim=3, seed=1)
+        cfg = plain_config(1e308, 3, DROConfig(2.0, 0.3, 2), theta0=np.full(3, 10.0))
+        with pytest.raises(NumericError, match="iteration 0: iterate diverged"):
+            run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=[np.arange(8)]), cfg)
+
     def test_theta0_shape_checked(self):
         X, Y = make_cloud(n=8, dim=3, seed=1)
         roster = WorkerRoster(shards=[np.arange(8)])
@@ -508,6 +542,49 @@ class TestDiagnostics:
         trace = run_training(model, X, Y, WorkerRoster(shards=[np.arange(12)]), cfg)
         with pytest.raises(RegimeError, match="not concave"):
             with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.2, 2))
+
+    @staticmethod
+    def per_iterate_diagnostics(model, X, Y, trace, dro):
+        """The quadratic diagnostics from ``exact_rows``, one iterate at a time."""
+        T, d = trace.aggregated.shape
+        grads, objs, eps = np.empty((T, d)), np.empty(T), np.empty(T)
+        factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
+        for t, theta in enumerate(trace.iterates):
+            rows, objectives, _ = exact_rows(model, theta, X, Y, dro.lam)
+            objs[t] = objectives.mean()
+            grads[t] = rows.mean(axis=0)
+            eps[t] = factor * np.linalg.norm(rows, axis=1).max()
+        return grads, objs, eps
+
+    @pytest.mark.parametrize("T", ["one", "block", "block + 1", 200])
+    def test_blocked_quadratic_diagnostics_are_bit_equal_per_iterate(self, T):
+        X = quadratic_cloud(200, 6, spread=1.0, seed=0)[0]  # the verify problem
+        block = DIAGNOSTIC_BLOCK_ELEMENTS // X.size
+        assert 1 < block < 200
+        T = {"one": 1, "block": block, "block + 1": block + 1}.get(T, T)
+        model, X, Y, trace, inputs = verify._quadratic_run(0, T)
+        dro = DROConfig(inputs.lam, theoretical_ascent_step(inputs.lam), 6)  # the run's settings
+        grads, objs, eps = self.per_iterate_diagnostics(model, X, Y, trace, dro)
+        np.testing.assert_array_equal(trace.true_gradients, grads)
+        np.testing.assert_array_equal(trace.true_objectives, objs)
+        np.testing.assert_array_equal(trace.inner_eps, eps)
+
+    def test_exact_rows_broadcast_over_a_block_of_iterates(self, rng):
+        model = QuadraticLoss(1.5)
+        X = rng.standard_normal((9, 4))
+        thetas = rng.standard_normal((5, 4))
+        grads, objectives, k = exact_rows(model, thetas, X, None, 2.5)
+        assert grads.shape == (5, 9, 4) and objectives.shape == (5, 9)
+        for b, theta in enumerate(thetas):
+            one_grads, one_objectives, one_k = exact_rows(model, theta, X, None, 2.5)
+            np.testing.assert_array_equal(grads[b], one_grads)
+            np.testing.assert_array_equal(objectives[b], one_objectives)
+            assert k == one_k
+
+    def test_quadratic_regime_error_names_iterate_zero(self):
+        model, X, Y, trace, _ = verify._quadratic_run(0, 40)  # several blocks
+        with pytest.raises(RegimeError, match=r"^iterate 0: inner objective not concave"):
+            with_diagnostics(model, X, Y, trace, DROConfig(1.0, 0.2, 2))
 
 
 class TestVariants:
