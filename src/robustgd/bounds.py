@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 VACUOUS_TRAJECTORY_FACTOR = 100.0
 # largest denominator read from a worker fraction; see admissible_r_max
 FRACTION_DENOMINATOR = 10_000
+# step cap and gradient-norm stop of the descent in solve_reference_optimum
+REFERENCE_ITERATIONS = 100_000
+REFERENCE_TOL = 1e-13
 
 
 def surrogate_smoothness(constants: SmoothnessConstants, lam):
@@ -265,28 +268,27 @@ def check_distance(trace, inputs: TheoryInputs, theta_star):
     return BoundReport.compare(bound, measured)
 
 
-def solve_reference_optimum(model, X, Y, lam, eta=None, max_iterations=100_000,
-                            tol=1e-13, theta0=None):
+def solve_reference_optimum(model, X, Y, lam):
     """Locate theta* and F(theta*) by a long clean full-batch descent run.
 
-    Stops early once the true-gradient norm falls below tol. For exact
-    constants the default step is 1/L_F; estimated constants require an
-    explicit eta.
+    Descends from theta = 0 with step 1/L_F for up to REFERENCE_ITERATIONS
+    steps, stopping early once the true-gradient norm falls to REFERENCE_TOL.
+    A model without exact constants (the logistic loss, whose constants are
+    estimated from data) has no certified step and raises ``ConfigError``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if eta is None:
-        try:
-            constants = model.constants()
-        except TypeError as exc:
-            raise ConfigError("cannot derive a step size for this model: pass eta") from exc
-        if not constants.exact:
-            raise ConfigError("estimated constants: pass eta explicitly")
-        eta = 1.0 / surrogate_smoothness(constants, lam)
-    theta = np.zeros(X.shape[1]) if theta0 is None else np.array(theta0, dtype=float)
+    try:
+        constants = model.constants()
+    except TypeError as exc:
+        raise ConfigError("cannot derive a step size for this model") from exc
+    if not constants.exact:
+        raise ConfigError("estimated constants give no certified step size")
+    eta = 1.0 / surrogate_smoothness(constants, lam)
+    theta = np.zeros(X.shape[1])
     value, grad = surrogate_state(model, theta, X, Y, lam)
-    for _ in range(max_iterations):
-        if np.linalg.norm(grad) <= tol:
+    for _ in range(REFERENCE_ITERATIONS):
+        if np.linalg.norm(grad) <= REFERENCE_TOL:
             break
         theta = theta - eta * grad
         value, grad = surrogate_state(model, theta, X, Y, lam)

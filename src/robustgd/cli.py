@@ -1,8 +1,9 @@
 """Command-line shell: run experiments, sweep a config axis, verify bounds, report.
 
 Config precedence: dataclass defaults < preset < JSON config file (--config)
-< explicit flags. The preset may come from the file or from --preset; the
-layering itself is ExperimentConfig's, so the API and the CLI agree. The
+< explicit flags, for every field including the variant. The preset may come
+from the file or from --preset; the layering and the type and range checks
+are ExperimentConfig's, so the API and the CLI agree. The
 output directory comes from --out or the ROBUSTGD_OUT environment variable.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import verify as verify_mod
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .experiments import (
     PRESETS,
     SWEEP_AXES,
@@ -57,11 +58,21 @@ def _add_config_flags(parser):
 
 
 def _build_config(args):
-    """Config-file fields < explicit flags, handed to ExperimentConfig to layer on the preset."""
+    """(config, variants): config-file fields < explicit flags, handed to ExperimentConfig
+    to layer on the preset.
+
+    The variant follows the same rule; 'all' stands for every variant. Every
+    refusal is a usage error, raised before any file is written.
+    """
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise SystemExit(f"--config {args.config}: expected a JSON object of config fields")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise SystemExit(f"unknown config fields: {sorted(unknown)}")
@@ -70,16 +81,14 @@ def _build_config(args):
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    values.pop("variant", None)
+    every = values.get("variant") == "all"
+    if every:
+        del values["variant"]
     try:
-        return ExperimentConfig(**values)
+        cfg = ExperimentConfig(**values)
     except ConfigError as exc:
         raise SystemExit(str(exc)) from exc
-
-
-def _variants(args):
-    requested = getattr(args, "variant", None) or "alg2"
-    return list(VARIANTS) if requested == "all" else [requested]
+    return cfg, list(VARIANTS) if every else [cfg.variant]
 
 
 def _out_dir(args):
@@ -106,9 +115,9 @@ def _streamed(out_dir, stem, runner):
 
 
 def cmd_run(args):
-    cfg = _build_config(args)
+    cfg, variants = _build_config(args)
     _streamed(_out_dir(args), "records",
-              lambda sink: run_experiment(cfg, variants=_variants(args), on_record=sink))
+              lambda sink: run_experiment(cfg, variants=variants, on_record=sink))
     return 0
 
 
@@ -129,11 +138,10 @@ def _grid_values(args, cfg):
 
 
 def cmd_sweep(args):
-    cfg = _build_config(args)
+    cfg, variants = _build_config(args)
     values = _grid_values(args, cfg)
     _streamed(_out_dir(args), f"sweep_{args.axis}",
-              lambda sink: sweep(cfg, args.axis, values,
-                                 variants=_variants(args), on_record=sink))
+              lambda sink: sweep(cfg, args.axis, values, variants=variants, on_record=sink))
     return 0
 
 
@@ -153,7 +161,10 @@ def cmd_verify(args):
 def cmd_report(args):
     records = []
     for path in args.records:
-        records.extend(read_records(path))
+        try:
+            records.extend(read_records(path))
+        except (OSError, DataFormatError) as exc:
+            raise SystemExit(f"report: {exc}") from exc
     print(report_table(records), end="")
     return 0
 

@@ -27,7 +27,6 @@ class Dataset:
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,) values in {0, 1}
     source: str
-    normalization: dict | None = None  # set once features are standardized
 
     @property
     def n(self):
@@ -128,9 +127,8 @@ class ShardedData:
     dropped: int          # tail rows removed for divisibility
 
 
-def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0,
-                    apply_standardization=True) -> ShardedData:
-    """Stratified train/test split, optional standardization, even sharding.
+def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedData:
+    """Stratified train/test split, standardization, even sharding.
 
     Training rows are shuffled by seed then dealt into m contiguous shards of
     equal size; the divisibility tail is dropped.
@@ -140,9 +138,7 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0,
         raise ConfigError(f"m={m} workers exceed training size {train_idx.size}")
     train_X = ds.features[train_idx]
     test_X = ds.features[test_idx]
-    norm = None
-    if apply_standardization:
-        train_X, test_X, norm = standardize(train_X, test_X)
+    train_X, test_X, norm = standardize(train_X, test_X)
     rng = np.random.default_rng([seed, 0xD2])
     order = rng.permutation(train_idx.size)
     shards, dropped = even_shards(train_idx.size, m)

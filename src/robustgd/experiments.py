@@ -1,11 +1,13 @@
-"""Experiment orchestration: environment presets, sweeps, and metric records.
+"""Experiment orchestration: environment presets, one train-and-score loop, and records.
 
 An experiment trains one or more algorithm variants on a sharded dataset
 under a configured byzantine attack, then scores clean and shift-perturbed
-misclassification on the held-out split. Each (variant, environment,
-sweep-point) produces one JSON record; records are emitted line-delimited,
-contain no timestamps, and are byte-identical across reruns of the same
-config, so diffing output files is a meaningful regression check.
+misclassification on the held-out split. ``run_experiment`` and ``sweep`` are
+thin callers of one loop that trains each variant once per training config
+and scores every config. Each (variant, config) produces one JSON record;
+records are emitted line-delimited, contain no timestamps, and are
+byte-identical across reruns of the same config, so diffing output files is
+a meaningful regression check.
 """
 
 import csv
@@ -13,7 +15,9 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -21,9 +25,9 @@ from .aggregation import ScreenConfig
 from .attacks import AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
-from .errors import ConfigError, NumericError, RegimeError
+from .errors import ConfigError, DataFormatError, NumericError, RegimeError
 from .losses import LogisticLoss
-from .shift import ShiftSpec, misclassification_rate, sweep_budgets
+from .shift import ShiftSpec, misclassification_rate, perturb_test_set
 from .simulation import (
     VARIANTS,
     TrainConfig,
@@ -47,7 +51,6 @@ PRESETS = {
 }
 
 SWEEP_AXES = ("shift_q", "alpha_m", "lam", "t_z")
-INTEGER_AXES = ("alpha_m", "t_z")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class ExperimentConfig:
     check_bounds: bool = False      # diagnostic deviation-bound report per run
 
     def __post_init__(self):
-        """Apply the preset: dataclass defaults < preset < fields passed explicitly.
+        """Store each field as its declared type (``_as_declared``), then apply the
+        preset: dataclass defaults < preset < fields passed explicitly.
 
         Each preset-controlled field left at None takes the preset's value;
         without a preset that is E0, whose values are the plain defaults. The
@@ -89,6 +93,10 @@ class ExperimentConfig:
         environment label is refused: the fields the label names are already
         explicit, so the preset would only relabel them.
         """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or not typing.get_args(f.type):  # None only for X | None
+                object.__setattr__(self, f.name, _as_declared(f.name, value))
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}, expected one of {sorted(PRESETS)}")
         if self.preset is not None and self.environment is not None:
@@ -111,6 +119,8 @@ class ExperimentConfig:
         and, unless the attack is 'none', the attack) are built here once, so
         their own checks are the only copy of each rule.
         """
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         for name in ("alpha_m", "screen_count"):
@@ -133,6 +143,26 @@ class ExperimentConfig:
         Kept for callers of the former expansion step (perfbench/workload.py).
         """
         return self
+
+
+def _as_declared(name, value):
+    """``value`` as the declared type of config field ``name``, or ``ConfigError``.
+
+    A float field takes any real number but a bool; an int field takes an
+    integral one; str and bool fields take only their own type.
+    """
+    declared = ExperimentConfig.__dataclass_fields__[name].type
+    kind = (typing.get_args(declared) or (declared,))[0]  # X | None -> X
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, numbers.Integral)
+                                   or float(value).is_integer()):
+        return int(value)
+    if kind in (str, bool) and isinstance(value, kind):
+        return value
+    expected = {float: "numbers", int: "integers", str: "strings", bool: "true or false"}[kind]
+    raise ConfigError(f"{name} takes {expected}, got {value!r}")
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -176,20 +206,19 @@ def _train_config(cfg: ExperimentConfig):
     )
 
 
-def train(cfg: ExperimentConfig, sharded, variant=None):
-    """Train one variant; returns (trace, effective TrainConfig, effective roster).
+def train(cfg: ExperimentConfig, sharded):
+    """Train cfg.variant; returns (trace, effective TrainConfig, effective roster).
 
     A variant that runs the inner ascent (t_z > 0) warns when an iterate
     leaves the strongly concave inner regime, lam > ||theta||^2 / 4, where
     the worker ascent no longer contracts; the records do not change.
     """
-    variant = cfg.variant if variant is None else variant
-    tcfg, roster = variant_config(variant, _train_config(cfg), _roster(cfg, sharded))
+    tcfg, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg, sharded))
     trace = run_training(
         LogisticLoss(), sharded.train_features, sharded.train_labels, roster, tcfg
     )
     if tcfg.dro.t_z > 0:
-        _warn_outside_regime(trace.iterates, tcfg.dro.lam, variant)
+        _warn_outside_regime(trace.iterates, tcfg.dro.lam, cfg.variant)
     return trace, tcfg, roster
 
 
@@ -211,11 +240,19 @@ def _warn_outside_regime(iterates, lam, variant):
 
 
 def evaluate(theta, sharded, cfg: ExperimentConfig):
-    """Clean misclassification and misclassification under the shift of budget shift_q."""
+    """Clean misclassification and misclassification under the shift of budget shift_q.
+
+    A rate with NaN logits raises ``NumericError`` naming the result.
+    """
     X, Y = sharded.test_features, sharded.test_labels
-    [(_, shifted)] = sweep_budgets(theta, X, Y, cfg.shift_norm, [cfg.shift_q])
-    return {"clean_misclassification": misclassification_rate(theta, X, Y),
-            "shift_misclassification": shifted}
+    results = {"clean_misclassification": X,
+               "shift_misclassification": perturb_test_set(theta, X, Y, _shift_spec(cfg))}
+    for name, features in results.items():
+        try:
+            results[name] = misclassification_rate(theta, features, Y)
+        except NumericError as exc:
+            raise NumericError(f"{name}: {exc}", rows=exc.rows) from exc
+    return results
 
 
 def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRoster):
@@ -241,9 +278,9 @@ def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRos
         diagnosed = with_diagnostics(model, X, Y, trace, effective.dro)  # names a failing iterate
     except RegimeError as exc:
         return _inapplicable(str(exc))
-    try:
+    try:  # a theta_final whose ||theta||^2 overflows (NumericError) is far outside too
         sigma_final = gradient_dispersion(model, X, Y, trace.theta_final, lam)
-    except RegimeError as exc:
+    except (RegimeError, NumericError) as exc:
         return _inapplicable(f"iterate {trace.iterations}: {exc}")
     sigma = max(gradient_dispersion(model, X, Y, trace.iterates[0], lam), sigma_final)
     data_bound = float(np.linalg.norm(X, axis=1).max())
@@ -271,114 +308,100 @@ def _inapplicable(reason):
     return {"certified": False, "applicable": False, "reason": reason}
 
 
-def _record(cfg, results, trace, sweep=None):
+def _record(cfg, sharded, trace, bounds, axis):
     record = {
         "kind": "experiment",
         "config": asdict(cfg),
-        "results": results,
+        "results": evaluate(trace.theta_final, sharded, cfg),
         "trace": {
             "iterations": int(trace.iterations),
             "final_aggregated_norm": float(trace.aggregated_norms[-1]),
             "final_objective_estimate": float(trace.objective_estimates[-1]),
         },
     }
-    if sweep is not None:
-        record["sweep"] = sweep
+    if bounds:
+        record["bounds"] = bounds
+    if axis is not None:
+        record["sweep"] = {"axis": axis, "value": getattr(cfg, axis)}
     return record
 
 
+def _train_and_score(points, variants, on_record, axis=None):
+    """The one loop behind ``run_experiment`` and ``sweep``: a record per (variant, point).
+
+    Every (variant, point) config is built, and so checked, before anything
+    trains, and the data are prepared once: no sweep axis touches them.
+    Variant by variant, a point that differs from the last trained one only
+    in shift_q is scored on that run; any other point trains and, with
+    check_bounds, builds its bounds report. ``evaluate`` scores every record,
+    each goes to ``on_record`` as it is made, and a failure (a non-finite
+    record field included) is raised as a ``RuntimeError`` naming the
+    variant and the config.
+    """
+    variants = [points[0].variant] if variants is None else variants
+    runs = [[replace(point, variant=v) for point in points] for v in variants]
+    sharded = prepare_data(points[0])
+    records = []
+    for configs in runs:
+        trained = None  # config of the last trained run
+        for cfg in configs:
+            try:
+                if trained is None or replace(trained, shift_q=cfg.shift_q) != cfg:
+                    trained, (trace, effective, roster) = cfg, train(cfg, sharded)
+                    bounds = cfg.check_bounds and _diagnostic_bounds(
+                        sharded, trace, effective, roster)
+                record = _record(cfg, sharded, trace, bounds, axis)
+                record_line(record)  # refuses a non-finite field by name
+            except Exception as exc:
+                raise RuntimeError(
+                    f"experiment failed for variant={cfg.variant!r}, config={asdict(cfg)}"
+                ) from exc
+            records.append(record)
+            if on_record is not None:
+                on_record(record)
+    return records
+
+
 def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
-    """Train and score each requested variant; one record per variant.
+    """Train and score each requested variant (default: cfg.variant); one record per variant.
 
     ``on_record`` is called with each finished record as it is produced, so
     callers can flush partial results; a failure mid-way surfaces with the
     variant and full config in the error context.
     """
-    variants = [cfg.variant] if variants is None else list(variants)
-    sharded = prepare_data(cfg)
-    records = []
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-        vcfg = replace(cfg, variant=variant)
-        try:
-            trace, effective, roster = train(vcfg, sharded)
-            record = _record(vcfg, evaluate(trace.theta_final, sharded, vcfg), trace)
-            if cfg.check_bounds:
-                record["bounds"] = _diagnostic_bounds(sharded, trace, effective, roster)
-        except Exception as exc:
-            raise RuntimeError(
-                f"experiment failed for variant={variant!r}, config={asdict(vcfg)}"
-            ) from exc
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-    return records
+    return _train_and_score([cfg], variants, on_record)
 
 
 def sweep_points(cfg: ExperimentConfig, axis, values):
     """One config per grid value, each checked at construction.
 
-    Refuses an unknown axis, a non-integral value on an integer axis, and a
-    point the config itself rejects. Points on the alpha_m axis beyond the
-    screening count carry the excess-byzantine override, since probing that
-    regime is the point.
+    Each value is first cast to the axis's declared type, so a non-integral
+    value on an integer axis is refused before any point is built. Points on
+    the alpha_m axis beyond the screening count carry the excess-byzantine
+    override, since probing that regime is the point.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
-    if axis in INTEGER_AXES:
-        fractional = [v for v in values if not float(v).is_integer()]
-        if fractional:
-            raise ConfigError(f"sweep axis {axis} takes integers, got {fractional}")
+    values = [_as_declared(axis, value) for value in values]
+    if not values:
+        raise ConfigError(f"sweep axis {axis} needs at least one value")
     points = []
     for value in values:
-        point = replace(cfg, **{axis: type(getattr(cfg, axis))(value)})
-        if axis == "alpha_m" and value > cfg.screen_count:
+        point = replace(cfg, **{axis: value})
+        if axis == "alpha_m" and point.alpha_m > cfg.screen_count:
             point = replace(point, allow_excess_byzantine=True)
         points.append(point)
     return points
 
 
 def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
-    """Grid over one config axis; one record per (variant, value).
+    """Grid over one config axis; one record per (variant, value), variant by variant.
 
-    A shift-budget sweep reuses one trained model per variant and scores
-    each budget as ``run_experiment`` would at that budget; other axes retrain
-    one ``sweep_points`` config per value. Records are handed to ``on_record`` as
-    each point finishes, in declaration order.
+    The loop of ``run_experiment`` over the ``sweep_points`` configs: each
+    variant trains once per training config, so a shift_q grid scores every
+    budget on one run, each as ``run_experiment`` would, bounds included.
     """
-    points = sweep_points(cfg, axis, values)
-    variants = [cfg.variant] if variants is None else list(variants)
-    records = []
-
-    def emit(record):
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-
-    if axis == "shift_q":
-        sharded = prepare_data(cfg)
-        for variant in variants:
-            vcfg = replace(cfg, variant=variant)
-            trace, _, _ = train(vcfg, sharded)
-            clean = misclassification_rate(
-                trace.theta_final, sharded.test_features, sharded.test_labels
-            )
-            rates = sweep_budgets(
-                trace.theta_final, sharded.test_features, sharded.test_labels,
-                cfg.shift_norm, values,
-            )
-            for q, rate in rates:
-                pcfg = replace(vcfg, shift_q=q)
-                results = {"clean_misclassification": clean, "shift_misclassification": rate}
-                emit(_record(pcfg, results, trace, sweep={"axis": axis, "value": q}))
-        return records
-
-    for pcfg in points:
-        for record in run_experiment(pcfg, variants=variants):
-            record["sweep"] = {"axis": axis, "value": record["config"][axis]}
-            emit(record)
-    return records
+    return _train_and_score(sweep_points(cfg, axis, values), variants, on_record, axis)
 
 
 def record_line(record):
@@ -415,21 +438,34 @@ def write_records(records, path):
 
 
 def read_records(path):
+    """The records of a JSONL file; ``DataFormatError`` names a bad file line."""
+    records = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: not a JSON line") from None
+            if not (isinstance(record, dict)
+                    and all(isinstance(record.get(k), dict) for k in ("config", "results"))):
+                raise DataFormatError(f"{path}:{lineno}: not a record with config and results")
+            records.append(record)
+    return records
 
 
 def export_csv(records, path):
     """Flat plot-ready table with one row per record."""
-    fields = [
+    columns = [
         "environment", "variant", "attack", "alpha_m", "shift_norm", "shift_q",
         "lam", "t_z", "seed", "clean_misclassification", "shift_misclassification",
     ]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for record in records:
-            row = {k: record["config"].get(k) for k in fields if k in record["config"]}
+            row = {k: record["config"].get(k) for k in columns if k in record["config"]}
             row.update({k: record["results"][k] for k in
                         ("clean_misclassification", "shift_misclassification")})
             writer.writerow(row)

@@ -74,15 +74,6 @@ def perturb_test_set(theta, X, Y, spec: ShiftSpec):
     return Z
 
 
-def sweep_budgets(theta, X, Y, norm, budgets):
-    """Misclassification under each budget; a list of (budget, rate) pairs in order."""
-    rates = []
-    for q in budgets:
-        Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=float(q)))
-        rates.append((float(q), misclassification_rate(theta, Z, Y)))
-    return rates
-
-
 def misclassification_rate(theta, X, Y):
     """Fraction of samples whose thresholded prediction disagrees with the label.
 

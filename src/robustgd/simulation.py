@@ -107,7 +107,6 @@ class TrainConfig:
 
 @dataclass
 class RunTrace:
-    eta: float
     aggregated: np.ndarray           # (T, d)
     aggregated_norms: np.ndarray     # (T,)
     objective_estimates: np.ndarray  # (T,) mean honest-worker inner objective
@@ -135,7 +134,7 @@ class RunTrace:
         if rounds == self.iterations:
             return self
         per_round = {f.name: getattr(self, f.name)[:rounds] for f in fields(self)
-                     if f.name not in ("eta", "theta_final") and getattr(self, f.name) is not None}
+                     if f.name != "theta_final" and getattr(self, f.name) is not None}
         return replace(self, theta_final=self.iterates[rounds], **per_round)
 
 
@@ -156,7 +155,8 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
     X_j^T r_j + (sum of r * c) * theta over its rows X_j, the first term one
     BLAS product per worker; the objectives and the quadratic sums are
     segment sums. Returns a (k, d) gradient matrix and a (k,) objective
-    vector for the k workers.
+    vector for the k workers; an objective sum that overflows raises
+    ``NumericError`` with the worker's first row.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
@@ -171,7 +171,12 @@ def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
     else:
         D, rate, objectives = quadratic_surrogate(model, theta, X, dro)
         grad_sums = rate * np.add.reduceat(D, starts, axis=0)
-    return grad_sums / counts[:, None], np.add.reduceat(objectives, starts) / counts
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        objective_sums = np.add.reduceat(objectives, starts)
+    overflowed = starts[~np.isfinite(objective_sums)]  # each such worker's first row
+    if overflowed.size:
+        raise NumericError("inner objective sum overflows", rows=overflowed)
+    return grad_sums / counts[:, None], objective_sums / counts
 
 
 def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
@@ -185,7 +190,6 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         raise ConfigError(f"theta0 must have shape ({d},), got {theta.shape}")
 
     trace = RunTrace(
-        eta=cfg.eta,
         aggregated=np.empty((T, d)),
         aggregated_norms=np.empty(T),
         objective_estimates=np.empty(T),

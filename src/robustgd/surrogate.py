@@ -68,11 +68,11 @@ class DROConfig:
             raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
 
 
-def line_ascent(theta, X, Y, cfg, t_z=None):
+def line_ascent(theta, X, Y, cfg):
     """The logistic ascent on the line z = x + c * theta, one coefficient per row.
 
-    grad_z f = (sigmoid(theta . z) - y) * theta, so each of the ``t_z`` steps
-    (default cfg.t_z) is c <- c + eta_z * ((sigmoid(u) - y) - lam * c) from
+    grad_z f = (sigmoid(theta . z) - y) * theta, so each of the cfg.t_z steps
+    is c <- c + eta_z * ((sigmoid(u) - y) - lam * c) from
     c = 0, with u = theta . x + c * ||theta||^2. It runs in place as
     c <- rho * c + eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam;
     for u below about -709 the exp overflows and the middle term is 0, where
@@ -81,14 +81,13 @@ def line_ascent(theta, X, Y, cfg, t_z=None):
     raises ``NumericError``; its ``rows`` holds the offending rows when there
     are any.
     """
-    steps = cfg.t_z if t_z is None else t_z
     margins, sq_norm = _margins(theta, X)
     eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
     neg_margins, eta_y = -margins, eta * np.asarray(Y, dtype=float)
     c = np.zeros(margins.shape[0])
     v = np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
-        for k in range(steps):
+        for k in range(cfg.t_z):
             np.multiply(c, sq_norm, out=v)
             np.subtract(neg_margins, v, out=v)  # -u
             np.exp(v, out=v)
@@ -122,7 +121,7 @@ def _margins(theta, X):
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite values in theta")
-    with np.errstate(over="ignore"):  # overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf are refused below
         sq_norm = theta @ theta
         margins = np.asarray(X, dtype=float) @ theta
     if not np.isfinite(sq_norm):
@@ -139,16 +138,15 @@ def _line_rows(margins, c, sq_norm, Y, lam):
     return a - Y, objectives
 
 
-def quadratic_line_ascent(model, theta, X, cfg, t_z=None):
+def quadratic_line_ascent(model, theta, X, cfg):
     """The quadratic ascent on the line z = x + k * (x - theta), one coefficient for all rows.
 
-    grad_z f = c * (z - theta), so each of the ``t_z`` steps (default cfg.t_z)
-    is k <- k + eta_z * (c * (1 + k) - lam * k) from k = 0. Returns
+    grad_z f = c * (z - theta), so each of the cfg.t_z steps is
+    k <- k + eta_z * (c * (1 + k) - lam * k) from k = 0. Returns
     (k, D) with D = theta - X, so z = x - k * D. A non-finite theta or row of
     D raises ``NumericError``, as does a diverging k; rows at x = theta never
     move, so only the other rows are named.
     """
-    steps = cfg.t_z if t_z is None else t_z
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite values in theta")
@@ -158,7 +156,7 @@ def quadratic_line_ascent(model, theta, X, cfg, t_z=None):
     # Python floats: an overflowing k becomes inf or nan without a numpy warning
     c, lam, eta, k = model.curvature, float(cfg.lam), float(cfg.eta_z), 0.0
     if D.any():  # with every row at theta, z = x whatever k is
-        for step in range(1, steps + 1):
+        for step in range(1, cfg.t_z + 1):
             k += eta * (c * (1.0 + k) - lam * k)
             if not math.isfinite(k):
                 raise NumericError(f"inner ascent diverged at step {step}", rows=_moving_rows(D))

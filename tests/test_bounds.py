@@ -198,10 +198,15 @@ class TestReportsAndOptimum:
         assert f_star == pytest.approx(expected, rel=1e-12)
 
     def test_reference_optimum_requires_eta_for_estimates(self):
+        import inspect
+
         from robustgd.losses import LogisticLoss
 
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="step size"):
             solve_reference_optimum(LogisticLoss(), np.zeros((3, 2)), np.zeros(3), 3.0)
+        # the step always comes from exact constants: no step, start or stopping settings
+        assert list(inspect.signature(solve_reference_optimum).parameters) == [
+            "model", "X", "Y", "lam"]
 
     def test_trajectory_factor_and_checkers_on_a_tracked_run(self):
         from robustgd.verify import _quadratic_run
@@ -230,7 +235,6 @@ class TestReportsAndOptimum:
         T, d = 3, 2
         iterates = np.array([[1.0, 0.0], [50.0, 0.0], [500.0, 0.0]])
         trace = RunTrace(
-            eta=0.1,
             aggregated=np.zeros((T, d)),
             aggregated_norms=np.zeros(T),
             objective_estimates=np.zeros(T),

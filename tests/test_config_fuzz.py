@@ -1,0 +1,138 @@
+"""Seeded hostile-config fuzz: every config ends in records or in a named refusal.
+
+FUZZ_CONFIGS configs are drawn from one seed: presets E0-E4, a random
+variant, 1-5 iterations, t_z from 0 to 3, check_bounds on or off, and eta,
+lam, eta_z, shift_q, attack_scale and attack_ratio each drawn from VALUES.
+Each config must end in one of three ways: it writes strict records through
+``write_records``; it raises ``ConfigError`` at construction; or its run
+raises a ``RuntimeError`` whose cause is a robustgd error naming the
+iteration or the field. The suite turns RuntimeWarning into an error, so a
+bare numpy warning fails the config that raised it. The draw is budgeted at
+under 3 s; it takes about 0.9 s on a 2-core Intel Xeon VM.
+
+Config files with wrongly typed fields go through ``main`` and must end in
+a usage error naming the field before any file is written.
+"""
+
+import json
+import re
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from robustgd.cli import main
+from robustgd.errors import ConfigError, DataFormatError, NumericError, RegimeError, ShapeError
+from robustgd.experiments import ExperimentConfig, run_experiment, write_records
+from robustgd.simulation import VARIANTS
+
+FUZZ_SEED = 0
+FUZZ_CONFIGS = 64
+VALUES = (1e-300, 1e-8, 0.5, 1.0, 3.0, 1e3, 1e150, 1e308)
+DRAWN = ("eta", "lam", "eta_z", "shift_q", "attack_scale", "attack_ratio")
+ROBUSTGD_ERRORS = (ConfigError, DataFormatError, NumericError, RegimeError, ShapeError)
+RECORD_FIELDS = ("clean_misclassification", "shift_misclassification",
+                 "final_aggregated_norm", "final_objective_estimate")
+# an iteration, or a config or record field, as a whole word
+NAMED = re.compile(r"\biteration \d+\b|\b(?:{})\b".format(
+    "|".join([f.name for f in fields(ExperimentConfig)] + list(RECORD_FIELDS))))
+
+
+def hostile_configs():
+    rng = np.random.default_rng(FUZZ_SEED)
+    for _ in range(FUZZ_CONFIGS):
+        yield dict(
+            preset=f"E{rng.integers(5)}",
+            variant=str(rng.choice(VARIANTS)),
+            iterations=int(rng.integers(1, 6)),
+            t_z=int(rng.integers(0, 4)),
+            check_bounds=bool(rng.integers(2)),
+            **{name: float(rng.choice(VALUES)) for name in DRAWN},
+        )
+
+
+def test_hostile_configs_end_in_records_or_named_refusals(tmp_path):
+    outcomes = {"records": 0, "refused": 0, "failed": 0}
+    wrong = []
+    for drawn in hostile_configs():
+        try:
+            cfg = ExperimentConfig(**drawn)
+        except ConfigError:
+            outcomes["refused"] += 1
+            continue
+        try:
+            records = run_experiment(cfg)
+        except RuntimeError as exc:
+            cause = exc.__cause__
+            if not (isinstance(cause, ROBUSTGD_ERRORS) and NAMED.search(str(cause))):
+                wrong.append((drawn, repr(cause)))
+            outcomes["failed"] += 1
+            continue
+        write_records(records, tmp_path / "records.jsonl")
+        outcomes["records"] += 1
+    assert wrong == []
+    assert sum(outcomes.values()) == FUZZ_CONFIGS
+    assert outcomes["records"] > 0 and outcomes["failed"] > 0, outcomes
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"m": "20"}, "m takes integers"),
+    ({"lam": "3"}, "lam takes numbers"),
+    ({"iterations": 2.5}, "iterations takes integers"),
+    ({"alpha_m": 1.5, "attack": "aggressive"}, "alpha_m takes integers"),
+    ({"eta": None}, "eta takes numbers"),
+    ({"seed": True}, "seed takes integers"),
+    ({"check_bounds": "yes"}, "check_bounds takes true or false"),
+    ({"variant": 3}, "variant takes strings"),
+    ({"variant": "bogus"}, "unknown variant 'bogus'"),
+    ({"preset": 5}, "preset takes strings"),
+    ({"shift_norm": ["l1"]}, "shift_norm takes strings"),
+])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
+def test_wrongly_typed_config_file_fields_are_usage_errors(tmp_path, command, fields, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=message):
+        main([*command, "--config", str(config_path), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "expected a JSON object"),
+    ('"E1"', "expected a JSON object"),
+    ("{", "Expecting property name"),
+])
+def test_a_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, content, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(content)
+    with pytest.raises(SystemExit, match=message):
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+# Configs the same draw reaches at seeds 1-15, one per site it found there
+@pytest.mark.parametrize("drawn, message", [
+    (dict(preset="E3", variant="dro_only", iterations=4, t_z=1, eta=3.0, lam=1e308,
+          eta_z=0.5, shift_q=1000.0, attack_scale=1e-300, attack_ratio=1e-8),
+     r"iteration 1, worker 3: inner objective sum overflows"),
+    (dict(preset="E3", variant="nbs_only", iterations=1, eta=1e308, lam=1e-8, shift_q=1e308,
+          attack_ratio=1000.0),
+     r"shift_misclassification: logits theta \. x are NaN in 15 rows"),
+    (dict(preset="E3", variant="dro_only", iterations=5, t_z=2, eta=1e308, lam=1000.0,
+          eta_z=0.5, shift_q=0.5, attack_scale=0.5, attack_ratio=1e-8),  # inf - inf margins
+     r"iteration 1, worker 3: \|\|theta\|\|\^2 overflows"),
+])
+def test_overflowing_runs_fail_with_the_iteration_or_field(drawn, message):
+    with pytest.raises(RuntimeError, match=f"variant='{drawn['variant']}'") as exc:
+        run_experiment(ExperimentConfig(**drawn))
+    assert isinstance(exc.value.__cause__, NumericError)
+    assert re.fullmatch(message, str(exc.value.__cause__))
+
+
+def test_a_final_iterate_whose_norm_overflows_makes_the_bounds_report_inapplicable():
+    cfg = ExperimentConfig(preset="E0", iterations=1, t_z=1, check_bounds=True, eta=1e308,
+                           lam=1e150, eta_z=0.5)
+    [record] = run_experiment(cfg)
+    assert record["bounds"] == {"certified": False, "applicable": False,
+                                "reason": "iterate 1: ||theta||^2 overflows"}

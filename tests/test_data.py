@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,14 @@ class TestSplit:
         assert (labels[train_idx] == 1).sum() == 7   # round(20/3) = 7
         assert (labels[train_idx] == 0).sum() == 5   # round(14/3) = 5
         assert train_idx.size + test_idx.size == 17
+
+    def test_split_always_standardizes_from_the_training_rows(self):
+        ds = synthetic_spambase_like(seed=0)
+        assert [f.name for f in fields(Dataset)] == ["features", "labels", "source"]
+        assert "apply_standardization" not in inspect.signature(split_and_shard).parameters
+        sharded = split_and_shard(ds, m=4, seed=0)
+        assert sharded.normalization is not None
+        np.testing.assert_allclose(sharded.train_features.mean(axis=0), 0.0, atol=0.05)
 
     def test_split_and_shard_on_the_stand_in_corpus(self):
         ds = synthetic_spambase_like(seed=0)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robustgd import experiments
 from robustgd import verify as verify_mod
 from robustgd.cli import main
 from robustgd.errors import ConfigError, NumericError
@@ -20,9 +21,11 @@ from robustgd.experiments import (
     export_csv,
     prepare_data,
     read_records,
+    record_line,
     report_table,
     run_experiment,
     sweep,
+    sweep_points,
     train,
     write_records,
 )
@@ -33,6 +36,19 @@ FAST = dict(m=4, iterations=4, t_z=3, screen_count=1)
 
 def fast_config(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
+
+
+def count_calls(monkeypatch, name):
+    """Wrap experiments.<name> so that every call is counted; returns the counter."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
 
 
 class TestPresets:
@@ -98,6 +114,32 @@ class TestPresets:
         # E1's attack and shift are explicit by now: E3 would only relabel them
         with pytest.raises(ConfigError, match="E3"):
             replace(ExperimentConfig(preset="E1"), preset="E3")
+
+    def test_fields_are_stored_as_their_declared_type(self):
+        cfg = ExperimentConfig(preset="E1", lam=3, eta=1, shift_q=0, iterations=5.0,
+                               alpha_m=np.int64(2))
+        assert (cfg.lam, cfg.eta, cfg.shift_q, cfg.iterations, cfg.alpha_m) == (3, 1, 0, 5, 2)
+        assert [type(v) for v in (cfg.lam, cfg.eta, cfg.shift_q)] == [float] * 3
+        assert [type(v) for v in (cfg.iterations, cfg.alpha_m)] == [int] * 2
+        assert record_line({"config": asdict(cfg)}) == record_line(
+            {"config": asdict(ExperimentConfig(preset="E1", lam=3.0, eta=1.0, shift_q=0.0,
+                                               iterations=5, alpha_m=2))})
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(m="20"), r"m takes integers, got '20'"),
+        (dict(lam="3"), r"lam takes numbers, got '3'"),
+        (dict(iterations=2.5), r"iterations takes integers, got 2\.5"),
+        (dict(iterations=True), r"iterations takes integers, got True"),
+        (dict(lam=True), r"lam takes numbers, got True"),
+        (dict(t_z=float("nan")), r"t_z takes integers, got nan"),
+        (dict(check_bounds=1), r"check_bounds takes true or false, got 1"),
+        (dict(attack=3), r"attack takes strings, got 3"),
+        (dict(preset=["E1"]), r"preset takes strings, got \['E1'\]"),
+        (dict(variant="bogus"), r"unknown variant 'bogus'"),
+    ])
+    def test_wrongly_typed_fields_are_refused_at_construction(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**fields)
 
 
 class TestRecords:
@@ -272,6 +314,63 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(fast_config(), "eta", [0.1])
 
+    def test_shift_axis_with_check_bounds_carries_each_budgets_bounds(self):
+        cfg = fast_config(check_bounds=True)
+        records = sweep(cfg, "shift_q", [0.0, 0.2], variants=["alg2", "erm"])
+        assert len(records) == 4
+        for record in records:
+            single = replace(cfg, variant=record["config"]["variant"],
+                             shift_q=record["sweep"]["value"])
+            (expected,) = run_experiment(single)
+            assert record["bounds"] == expected["bounds"]
+            assert {k: v for k, v in record.items() if k != "sweep"} == expected
+
+    def test_failing_shift_sweep_names_the_variant_and_config(self):
+        cfg = fast_config(attack="aggressive", alpha_m=2)  # 2 byz > screen_count=1
+        with pytest.raises(RuntimeError, match="variant='alg2'") as exc:
+            sweep(cfg, "shift_q", [0.0, 0.1], variants=["alg2"])
+        assert "'shift_q': 0.0" in str(exc.value) and "'alpha_m': 2" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ConfigError)
+
+    def test_alpha_axis_prepares_the_data_once(self, monkeypatch):
+        prepared = count_calls(monkeypatch, "prepare_data")
+        trained = count_calls(monkeypatch, "train")
+        sweep(fast_config(attack="aggressive", alpha_m=1), "alpha_m", [0, 1, 2],
+              variants=["alg2", "erm"])
+        assert len(prepared) == 1
+        assert len(trained) == 6  # every alpha_m point is a training config
+
+    def test_shift_axis_trains_each_variant_once(self, monkeypatch):
+        runs = count_calls(monkeypatch, "run_training")
+        scored = count_calls(monkeypatch, "evaluate")
+        records = sweep(fast_config(), "shift_q", [0.0, 0.1, 0.2], variants=["alg2", "erm"])
+        assert len(runs) == 2 and len(scored) == len(records) == 6
+
+    def test_multi_variant_sweeps_come_variant_by_variant(self):
+        records = sweep(fast_config(), "lam", [1.0, 2.0], variants=["erm", "alg2"])
+        assert [(r["config"]["variant"], r["sweep"]["value"]) for r in records] == [
+            ("erm", 1.0), ("erm", 2.0), ("alg2", 1.0), ("alg2", 2.0)]
+
+    def test_unknown_variants_are_refused_before_anything_trains(self, monkeypatch):
+        runs = count_calls(monkeypatch, "run_training")
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            run_experiment(fast_config(), variants=["alg2", "bogus"])
+        with pytest.raises(ConfigError, match="bogus"):
+            sweep(fast_config(), "shift_q", [0.0], variants=["bogus"])
+        assert runs == []
+
+    def test_axis_values_take_the_declared_type(self):
+        points = sweep_points(ExperimentConfig(preset="E1", lam=3), "lam", [2.5, 4.5])
+        assert [p.lam for p in points] == [2.5, 4.5]
+        points = sweep_points(ExperimentConfig(shift_q=0), "shift_q", [0.1, 0.25])
+        assert [p.shift_q for p in points] == [0.1, 0.25]
+        points = sweep_points(fast_config(), "t_z", [0.0, 2.0])
+        assert [type(p.t_z) for p in points] == [int, int]
+
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ConfigError, match="at least one value"):
+            sweep(fast_config(), "lam", [])
+
 
 class TestCli:
     def test_run_writes_records_and_csv(self, tmp_path, capsys):
@@ -368,6 +467,51 @@ class TestCli:
             "--t-z", "2", "--screen-count", "1",
         ])
         assert (tmp_path / "env_out" / "records.jsonl").exists()
+
+    def test_config_file_variant_follows_the_precedence_rule(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**FAST, "iterations": 2, "variant": "erm"}))
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "file")])
+        (record,) = read_records(tmp_path / "file" / "records.jsonl")
+        assert record["config"]["variant"] == "erm"
+        main(["run", "--config", str(config_path), "--variant", "nbs_only",
+              "--out", str(tmp_path / "flag")])
+        (record,) = read_records(tmp_path / "flag" / "records.jsonl")
+        assert record["config"]["variant"] == "nbs_only"
+        config_path.write_text(json.dumps({**FAST, "iterations": 2, "variant": "all"}))
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "all")])
+        records = read_records(tmp_path / "all" / "records.jsonl")
+        assert [r["config"]["variant"] for r in records] == ["alg2", "dro_only", "nbs_only", "erm"]
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
+    def test_unknown_variant_is_a_usage_error_before_any_file(self, tmp_path, command):
+        with pytest.raises(SystemExit, match="unknown variant 'bogus'"):
+            main([*command, "--variant", "bogus", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_values_take_the_axis_type_from_a_config_file(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**FAST, "iterations": 2, "lam": 3, "shift_q": 0}))
+        for axis, values in (("lam", [2.5, 4.5]), ("shift_q", [0.1, 0.25])):
+            main(["sweep", "--config", str(config_path), "--axis", axis,
+                  "--values", ",".join(map(str, values)), "--out", str(tmp_path)])
+            records = read_records(tmp_path / f"sweep_{axis}.jsonl")
+            assert [r["config"][axis] for r in records] == values
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"config": {}, "results": {}}\nnot json\n', r"records.jsonl:2: not a JSON line"),
+        ('\n{"results": {}}\n', r"records.jsonl:2: not a record with config and results"),
+        ('{"config": [], "results": {}}\n', r"records.jsonl:1: not a record"),
+        ("[1, 2]\n", r"records.jsonl:1: not a record"),
+    ])
+    def test_report_refuses_bad_input_naming_the_file_and_line(self, tmp_path, content, message):
+        path = tmp_path / "records.jsonl"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["report", str(path)])
+        assert str(path) in str(exc.value)
 
     def test_unknown_config_field_rejected(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -6,7 +6,8 @@ import pytest
 from conftest import logistic_grads_z, loss_values
 from robustgd.errors import ConfigError, NumericError, ShapeError
 from robustgd.losses import LogisticLoss
-from robustgd.shift import ShiftSpec, misclassification_rate, perturb_test_set, sweep_budgets
+from robustgd.experiments import ExperimentConfig, prepare_data, sweep, train
+from robustgd.shift import ShiftSpec, misclassification_rate, perturb_test_set
 
 
 # -- oracle: projected gradient ascent with a best-so-far iterate ------------
@@ -70,6 +71,11 @@ NORMS = {
     "l1": (lambda D: np.abs(D).sum(axis=1), lambda t: np.abs(t).max()),
     "l2": (lambda D: np.linalg.norm(D, axis=1), lambda t: np.linalg.norm(t)),
 }
+
+
+def shifted_rate(theta, X, Y, norm, budget):
+    Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=budget))
+    return misclassification_rate(theta, Z, Y)
 
 
 def instance(rng, n=50, d=6, theta_scale=1.0):
@@ -219,17 +225,20 @@ class TestPerturbation:
         theta, X, Y = instance(rng, n=80, d=4, theta_scale=theta_scale)
         budgets = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8]
         for norm in ("l1", "l2"):
-            rates = [r for _, r in sweep_budgets(theta, X, Y, norm, budgets)]
+            rates = [shifted_rate(theta, X, Y, norm, q) for q in budgets]
             assert all(b >= a for a, b in zip(rates, rates[1:])), (norm, rates)
             assert rates[-1] > rates[0]
 
-    def test_sweep_returns_requested_order(self, rng):
-        theta, X, Y = instance(rng, n=20, d=3)
-        out = sweep_budgets(theta, X, Y, "l2", [0.3, 0.0, 0.1])
-        assert [q for q, _ in out] == [0.3, 0.0, 0.1]
-        for q, rate in out:
-            Z = perturb_test_set(theta, X, Y, ShiftSpec(norm="l2", budget=q))
-            assert rate == misclassification_rate(theta, Z, Y)
+    def test_sweep_returns_requested_order(self):
+        cfg = ExperimentConfig(m=4, iterations=3, t_z=2, screen_count=1, shift_norm="l2")
+        records = sweep(cfg, "shift_q", [0.3, 0.0, 0.1])
+        assert [r["sweep"]["value"] for r in records] == [0.3, 0.0, 0.1]
+        sharded = prepare_data(cfg)
+        theta = train(cfg, sharded)[0].theta_final
+        X, Y = sharded.test_features, sharded.test_labels
+        for record in records:
+            rate = shifted_rate(theta, X, Y, "l2", record["config"]["shift_q"])
+            assert record["results"]["shift_misclassification"] == rate
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -179,6 +179,13 @@ class TestLogisticLinePath:
         np.testing.assert_allclose(c, reference, rtol=0, atol=1e-15)
 
 
+    def test_ascent_steps_come_from_the_config_only(self):
+        import inspect
+
+        for ascent in (surrogate.line_ascent, surrogate.quadratic_line_ascent):
+            assert "t_z" not in inspect.signature(ascent).parameters, ascent.__name__
+
+
 class TestQuadraticLinePath:
     """The quadratic ascent runs on the line x + k * (x - theta); the row-by-row loop is its oracle."""
 

@@ -35,6 +35,15 @@ def test_prefix_refuses_rounds_outside_the_run():
             trace.prefix(rounds)
 
 
+def test_prefix_cuts_every_per_round_field():
+    *_, trace, _ = verify._quadratic_run(0, 5)
+    assert [f.name for f in fields(trace)][:2] == ["aggregated", "aggregated_norms"]  # no eta
+    prefix = trace.prefix(3)
+    for field in fields(trace):
+        if field.name != "theta_final":
+            assert len(getattr(prefix, field.name)) == 3, field.name
+
+
 def test_shared_runs_train_each_pair_once_at_its_longest_horizon(monkeypatch):
     trained = []
     real = verify._quadratic_run
