@@ -101,19 +101,22 @@ def screening_deviation_bound(grads, honest_idx, cfg, S) -> DeviationBound:
     Requires the corrupted fraction alpha = 1 - |honest|/m to satisfy
     alpha <= beta (enough inputs screened) and alpha <= 1/2.
     """
-    honest = np.unique(np.asarray(honest_idx, dtype=int))
-    if honest.size == 0:
+    honest_idx = np.asarray(honest_idx, dtype=int)
+    if honest_idx.size == 0:
         raise ConfigError("honest index set must be non-empty")
-    if honest.size != len(honest_idx):
-        raise ConfigError("honest indices must be unique")
-    if honest.min() < 0 or honest.max() >= grads.m:
+    if honest_idx.min() < 0 or honest_idx.max() >= grads.m:
         raise ConfigError(f"honest indices out of range [0, {grads.m})")
+    honest = np.zeros(grads.m, dtype=bool)  # a mask: its rows come out in ascending order
+    honest[honest_idx] = True
+    honest_count = np.count_nonzero(honest)
+    if honest_count != len(honest_idx):
+        raise ConfigError("honest indices must be unique")
     S = np.asarray(S, dtype=float)
     if S.shape != (grads.dim,):
         raise ShapeError(f"S must have shape ({grads.dim},), got {S.shape}")
 
     m = grads.m
-    byz_count = m - honest.size
+    byz_count = m - honest_count
     if byz_count > cfg.screen_count:
         raise RegimeError(
             f"bound inapplicable: alpha={byz_count}/{m} exceeds beta={cfg.screen_count}/{m}"
@@ -124,7 +127,8 @@ def screening_deviation_bound(grads, honest_idx, cfg, S) -> DeviationBound:
     alpha = byz_count / m
     beta = cfg.beta(m)
     c_alpha = 2.0 * alpha / (1.0 - beta)
-    delta = float(np.max(np.linalg.norm(grads.matrix[honest] - S, axis=1)))
+    gaps = grads.matrix[honest] - S
+    delta = float(np.sqrt(np.add.reduce(gaps * gaps, axis=1)).max())  # np.linalg.norm's formula
     return DeviationBound(
         c_alpha=c_alpha,
         delta=delta,

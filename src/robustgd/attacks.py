@@ -62,28 +62,33 @@ def _unit_direction(spec: AttackSpec, dim, iteration, worker):
     return g / n
 
 
-def craft(spec: AttackSpec, honest_grads: GradientSet, reference, iteration=0, worker=0):
-    """One byzantine gradient for the given worker at the given iteration.
+def craft(spec: AttackSpec, honest_grads: GradientSet, reference, iteration, workers):
+    """The byzantine rows of one round: a (len(workers), d) matrix, row i for workers[i].
 
     Deterministic given (rng_seed, iteration, worker); intelligent directions
-    are drawn fresh per worker per iteration unless shared_direction is set.
+    are drawn fresh per worker per iteration from their own generator unless
+    shared_direction is set. A zero reference makes every intelligent row
+    zero, with one warning naming the workers.
     """
     reference = np.asarray(reference, dtype=float)
+    rows = np.empty((len(workers), reference.size))
     if spec.kind == AGGRESSIVE:
-        return -spec.scale * reference
-    if spec.kind == INTELLIGENT:
+        rows[:] = -spec.scale * reference
+    elif spec.kind == INTELLIGENT:
         norm = float(np.linalg.norm(reference))
         if norm == 0.0:
-            log.warning(
-                "intelligent attack degenerate: zero reference at iteration %d", iteration
+            log.warning("intelligent attack degenerate: zero reference at iteration %d, "
+                        "workers %s", iteration, list(workers))
+            rows[:] = 0.0
+        else:
+            for row, worker in zip(rows, workers):
+                row[:] = _unit_direction(spec, reference.size, iteration, worker)
+            rows *= spec.ratio * norm
+    else:  # counterexample: negate the honest gradient at the target norm rank
+        if spec.target_rank >= honest_grads.m:
+            raise ConfigError(
+                f"target_rank={spec.target_rank} out of range for {honest_grads.m} honest gradients"
             )
-            return np.zeros_like(reference)
-        h = _unit_direction(spec, reference.size, iteration, worker)
-        return (spec.ratio * norm) * h
-    # counterexample: negate the honest gradient at the target norm rank
-    if spec.target_rank >= honest_grads.m:
-        raise ConfigError(
-            f"target_rank={spec.target_rank} out of range for {honest_grads.m} honest gradients"
-        )
-    order = np.argsort(honest_grads.norms(), kind="stable")
-    return -honest_grads.matrix[order[spec.target_rank]]
+        order = np.argsort(honest_grads.norms(), kind="stable")
+        rows[:] = -honest_grads.matrix[order[spec.target_rank]]
+    return rows

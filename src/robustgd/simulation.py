@@ -3,18 +3,20 @@
 Each round the server broadcasts the iterate; honest workers run the inner
 maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
-norm, averages the survivors, and steps. The honest rows are gathered once
-before the loop, so one batched ascent per round (``worker_reports``) serves
-every honest worker and each worker's mean is a segment reduction. That
+norm, averages the survivors, and steps. Every shard holds the same number
+of rows (``validate_roster`` refuses unequal sizes), so before the loop the
+k honest shards are gathered once into one (k, n, d) block, and one batched
+ascent per round (``worker_reports``) serves every honest worker. That
 ascent is a scalar recursion on a line through each row: one coefficient per
 row for the logistic loss, one coefficient shared by every row for the
 quadratic. The reports come from those coefficients without an (n, d)
-perturbed matrix: for the logistic loss, worker j's gradient sum is one
-matrix-vector product X_j^T r_j over its rows plus a segment sum of r * c
-times theta; for the quadratic, c * (1 + k) times segment sums of theta - x.
-Everything is deterministic for a fixed seed: worker order, reduction order,
-and attack randomness are all pinned, so two runs with the same config
-produce bit-identical traces.
+perturbed matrix: for the logistic loss, the k gradient sums are one stacked
+product r_j^T X_j over the block (one matrix-vector product per worker) plus
+segment sums of r * c times theta; for the quadratic, c * (1 + k) times
+segment sums of theta - x. The byzantine rows of a round come from one
+``craft`` call. Everything is deterministic for a fixed seed: worker order,
+reduction order, and attack randomness are all pinned, so two runs with the
+same config produce bit-identical traces.
 
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
@@ -79,9 +81,11 @@ def validate_roster(roster: WorkerRoster, n_samples, screen: ScreenConfig):
         raise ConfigError(f"shard indices out of range [0, {n_samples})")
     if np.unique(seen).size != seen.size:
         raise ConfigError("shards overlap")
-    sizes = {len(s) for s in roster.shards}
-    if 0 in sizes:
+    sizes = sorted({len(s) for s in roster.shards})
+    if sizes[0] == 0:
         raise ConfigError("every worker needs a non-empty shard")
+    if len(sizes) > 1:
+        raise ConfigError(f"every shard must hold the same number of rows, got sizes {sizes}")
     if len(roster.byzantine) > screen.screen_count and not roster.allow_excess_byzantine:
         raise ConfigError(
             f"{len(roster.byzantine)} byzantine workers exceed screen_count="
@@ -144,39 +148,40 @@ def initial_theta(dim, seed):
     return 0.01 * rng.standard_normal(dim)
 
 
-def worker_reports(model, theta, X, Y, counts, dro: DROConfig):
+def worker_reports(model, theta, X, Y, dro: DROConfig):
     """Honest workers' reports: (mean surrogate gradients, mean inner objectives).
 
-    ``X`` and ``Y`` hold the workers' rows back to back, ``counts[j]`` rows
-    for worker j. One ascent runs over all rows; each worker's gradient is the
-    loss gradient at the ascent output averaged over its rows, evaluated from
-    the line coefficients (``line_surrogate``, ``quadratic_surrogate``)
-    without forming the ascent output. A logistic worker's gradient sum is
-    X_j^T r_j + (sum of r * c) * theta over its rows X_j, the first term one
-    BLAS product per worker; the objectives and the quadratic sums are
-    segment sums. Returns a (k, d) gradient matrix and a (k,) objective
-    vector for the k workers; an objective sum that overflows raises
-    ``NumericError`` with the worker's first row.
+    ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, and
+    ``Y`` the (k, n) labels. One ascent runs over all k * n rows; each
+    worker's gradient is the loss gradient at the ascent output averaged over
+    its rows, evaluated from the line coefficients (``line_surrogate``,
+    ``quadratic_surrogate``) without forming the ascent output. A logistic
+    worker's gradient sum is X_j^T r_j + (sum of r * c) * theta over its
+    rows, the first terms one stacked product over the block; the objectives
+    and the quadratic sums are segment sums. Returns a (k, d) gradient matrix
+    and a (k,) objective vector; an objective sum that overflows raises
+    ``NumericError`` with the worker's first row. A ``NumericError`` row r
+    lies in worker r // n.
     """
-    counts = np.asarray(counts, dtype=int)
-    if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != len(X):
-        raise ConfigError(f"row counts {counts.tolist()} must be positive and sum to {len(X)}")
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    if X.ndim != 3 or 0 in X.shape or Y.shape != X.shape[:2]:
+        raise ConfigError(f"expected a (k, n, d) row block and (k, n) labels, "
+                          f"got shapes {X.shape} and {Y.shape}")
+    k, n, d = X.shape
+    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    starts = np.arange(0, k * n, n)
     if isinstance(model, LogisticLoss):
-        r, c, objectives = line_surrogate(theta, X, Y, dro)
+        r, c, objectives = line_surrogate(theta, rows, labels, dro)
         grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
-        for j, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-            grad_sums[j] += r[s:e] @ X[s:e]
+        grad_sums += np.matmul(r.reshape(k, 1, n), X).reshape(k, d)
     else:
-        D, rate, objectives = quadratic_surrogate(model, theta, X, dro)
+        D, rate, objectives = quadratic_surrogate(model, theta, rows, dro)
         grad_sums = rate * np.add.reduceat(D, starts, axis=0)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         objective_sums = np.add.reduceat(objectives, starts)
     overflowed = starts[~np.isfinite(objective_sums)]  # each such worker's first row
     if overflowed.size:
         raise NumericError("inner objective sum overflows", rows=overflowed)
-    return grad_sums / counts[:, None], objective_sums / counts
+    return grad_sums / n, objective_sums / n
 
 
 def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
@@ -197,34 +202,31 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         iterates=np.empty((T, d)),
         theta_final=np.empty(d),
     )
-    honest = list(roster.honest)
-    rows = np.concatenate([np.asarray(roster.shards[i], dtype=int) for i in honest])
-    honest_X, honest_Y = X[rows], Y[rows]
-    counts = np.array([len(roster.shards[i]) for i in honest])
-    ends = np.cumsum(counts)
+    honest = np.array(roster.honest)
+    byzantine = np.array(roster.byzantine, dtype=int)
+    shards = np.stack([np.asarray(roster.shards[i], dtype=int) for i in honest])  # (k, n)
+    honest_X, honest_Y = X[shards], Y[shards]
+    n = shards.shape[1]
+    grads = np.empty((m, d))  # every report of the round; nothing keeps it past the round
 
     for t in range(T):
         trace.iterates[t] = theta
         try:
-            honest_grads, honest_objs = worker_reports(
-                model, theta, honest_X, honest_Y, counts, cfg.dro
-            )
+            honest_grads, honest_objs = worker_reports(model, theta, honest_X, honest_Y, cfg.dro)
         except NumericError as exc:
             # a failure without rows (a non-finite theta) hits every worker
             first = 0 if exc.rows is None else exc.rows[0]
-            worker = honest[np.searchsorted(ends, first, side="right")]
-            raise NumericError(f"iteration {t}, worker {worker}: {exc}") from exc
-        grads = np.empty((m, d))
+            raise NumericError(f"iteration {t}, worker {honest[first // n]}: {exc}") from exc
         grads[honest] = honest_grads
-        honest_set = GradientSet(honest_grads)
-        reference = honest_grads.mean(axis=0)
         # The server's side of the round warns of nothing past the float
         # range: a byzantine report there gets norm inf and is screened, a
         # non-finite aggregate or iterate is refused below, and a finite G
         # past 1e154 has norm inf, which the records refuse by name.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in roster.byzantine:
-                grads[i] = craft(roster.attack, honest_set, reference, iteration=t, worker=i)
+            if byzantine.size:
+                reference = honest_grads.mean(axis=0)
+                grads[byzantine] = craft(roster.attack, GradientSet(honest_grads), reference,
+                                         t, roster.byzantine)
             reports = GradientSet(grads)
             G = norm_screen(reports, cfg.screen)
             G_norm = np.linalg.norm(G)

@@ -16,7 +16,13 @@ each family):
   ``line_ascent`` runs that recursion in place, c <- rho * c +
   eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam and
   u = theta . x + c * ||theta||^2; where u is below about -709 the exp
-  overflows and eta_z * sigmoid(u) comes out as 0. ``line_surrogate``
+  overflows and eta_z * sigmoid(u) comes out as 0. A non-finite c stays
+  non-finite under that update, so the coefficients are checked once,
+  after the last step; only when that check fails does the recursion rerun
+  from c = 0 with a check per step, to name the first diverging step and
+  its rows. The rows may be a whole (k, n, d) block of k workers' shards
+  flattened to k * n rows, so one call serves every honest worker of a
+  training round. ``line_surrogate``
   evaluates the surrogate at the ascent output from the margins theta . x
   and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
@@ -79,14 +85,26 @@ def line_ascent(theta, X, Y, cfg):
     the true value is under eta_z * 1e-308. Returns (margins X @ theta, c,
     ||theta||^2). A non-finite theta, ||theta||^2, margin or coefficient
     raises ``NumericError``; its ``rows`` holds the offending rows when there
-    are any.
+    are any. The coefficients are checked once, after the last step: a
+    non-finite c stays non-finite under the update (inf times rho, or plus a
+    finite term, is inf or nan), so only then does the ascent rerun from
+    c = 0, checking every step, to name the first diverging step and its rows.
     """
     margins, sq_norm = _margins(theta, X)
+    Y = np.asarray(Y, dtype=float)
+    c = _line_steps(margins, sq_norm, Y, cfg, check=False)
+    if not np.isfinite(c).all():
+        _line_steps(margins, sq_norm, Y, cfg, check=True)  # raises at the first diverging step
+    return margins, c, sq_norm
+
+
+def _line_steps(margins, sq_norm, Y, cfg, check):
+    """c after cfg.t_z in-place line steps; ``check`` refuses a non-finite c at every step."""
     eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
-    neg_margins, eta_y = -margins, eta * np.asarray(Y, dtype=float)
+    neg_margins, eta_y = -margins, eta * Y
     c = np.zeros(margins.shape[0])
     v = np.empty_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence handled by the caller
         for k in range(cfg.t_z):
             np.multiply(c, sq_norm, out=v)
             np.subtract(neg_margins, v, out=v)  # -u
@@ -96,8 +114,9 @@ def line_ascent(theta, X, Y, cfg):
             c *= rho
             c += v
             c -= eta_y
-            _check_rows(c, f"inner ascent diverged at step {k + 1}")
-    return margins, c, sq_norm
+            if check:
+                _check_rows(c, f"inner ascent diverged at step {k + 1}")
+    return c
 
 
 def line_surrogate(theta, X, Y, cfg):

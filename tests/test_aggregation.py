@@ -212,6 +212,25 @@ class TestDeviationBound:
         with pytest.raises(ConfigError):
             screening_deviation_bound(grads, [0, 0, 1], ScreenConfig(1), np.array([0.0]))
 
+    @pytest.mark.parametrize("honest, message", [
+        ([0, 0, 1], "honest indices must be unique"),
+        ([2, 1, 2], "honest indices must be unique"),
+        ([0, 3], r"honest indices out of range \[0, 3\)"),
+        ([-1, 1], r"honest indices out of range \[0, 3\)"),
+        ([0, 0, 3], r"honest indices out of range \[0, 3\)"),  # the range is checked first
+    ])
+    def test_bad_honest_indices_are_named(self, honest, message):
+        with pytest.raises(ConfigError, match=message):
+            screening_deviation_bound(scalars(1, 2, 3), honest, ScreenConfig(1), np.array([0.0]))
+
+    def test_honest_order_does_not_matter(self):
+        grads = GradientSet(np.arange(12.0).reshape(6, 2) ** 1.5)
+        S = np.array([0.5, -1.0])
+        a = screening_deviation_bound(grads, [4, 0, 2, 5], ScreenConfig(2), S)
+        b = screening_deviation_bound(grads, [0, 2, 4, 5], ScreenConfig(2), S)
+        assert a == b
+        assert a.delta == np.linalg.norm(grads.matrix[[0, 2, 4, 5]] - S, axis=1).max()
+
     def test_quick_fuzz(self, rng):
         from robustgd.verify import fuzz_screening_bound
 

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -27,11 +28,19 @@ from robustgd.simulation import (
     gradient_dispersion,
     initial_theta,
     run_training,
+    validate_roster,
     variant_config,
     with_diagnostics,
     worker_reports,
 )
-from robustgd.surrogate import DROConfig, exact_rows, surrogate_state, theoretical_ascent_step
+from robustgd.surrogate import (
+    DROConfig,
+    exact_rows,
+    line_surrogate,
+    quadratic_surrogate,
+    surrogate_state,
+    theoretical_ascent_step,
+)
 
 
 def make_cloud(n=60, dim=4, seed=0, spread=1.0):
@@ -44,6 +53,22 @@ def plain_config(eta, iterations, dro, screen_count=0, **kwargs):
     )
 
 
+def per_worker_reports(model, theta, X, Y, dro):
+    """Reference reports: one product r_j @ X_j per worker plus sequential segment sums."""
+    k, n, d = X.shape
+    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    starts = np.arange(0, k * n, n)
+    if model.kind == "logistic":
+        r, c, objectives = line_surrogate(theta, rows, labels, dro)
+        grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
+        for j, s in enumerate(starts):
+            grad_sums[j] += r[s:s + n] @ rows[s:s + n]
+    else:
+        D, rate, objectives = quadratic_surrogate(model, theta, rows, dro)
+        grad_sums = rate * np.add.reduceat(D, starts, axis=0)
+    return grad_sums / n, np.add.reduceat(objectives, starts) / n
+
+
 class TestWorkerGradient:
     def test_single_sample_shard_equals_surrogate_gradient(self, rng):
         model = LogisticLoss()
@@ -51,7 +76,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
         X, Y = x.reshape(1, -1), np.array([1.0])
-        (grad,), _ = worker_reports(model, theta, X, Y, [1], dro)
+        (grad,), _ = worker_reports(model, theta, X[None], Y[None], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascent_rows(model, theta, X, Y, dro)
         np.testing.assert_allclose(grad, loss_grads_theta(model, theta, Z, Y)[0], rtol=1e-14)
@@ -61,8 +86,8 @@ class TestWorkerGradient:
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single, _ = worker_reports(model, theta, x.reshape(1, -1), np.zeros(1), [1], dro)
-        double, _ = worker_reports(model, theta, np.vstack([x, x]), np.zeros(2), [2], dro)
+        single, _ = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), dro)
+        double, _ = worker_reports(model, theta, np.stack([x, x])[None], np.zeros((1, 2)), dro)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -72,46 +97,56 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        (grad,), _ = worker_reports(model, theta, X, np.zeros(9), [9], dro)
+        (grad,), _ = worker_reports(model, theta, X[None], np.zeros((1, 9)), dro)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
     @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
                              ids=["logistic", "quadratic"])
-    def test_unequal_shards_match_one_ascent_per_worker(self, rng, model):
+    def test_shards_match_one_ascent_per_worker(self, rng, model):
         dro = DROConfig(3.0, 0.05, 10)
         theta = 0.5 * rng.standard_normal(4)
-        counts = [3, 1, 7, 2]
-        X = rng.standard_normal((sum(counts), 4))
-        Y = rng.integers(0, 2, size=sum(counts)).astype(float)
-        grads, objs = worker_reports(model, theta, X, Y, counts, dro)
+        X = rng.standard_normal((4, 3, 4))
+        Y = rng.integers(0, 2, size=(4, 3)).astype(float)
+        grads, objs = worker_reports(model, theta, X, Y, dro)
         assert grads.shape == (4, 4) and objs.shape == (4,)
-        start = 0
-        for j, n in enumerate(counts):
-            rows = slice(start, start + n)
-            Z = ascent_rows(model, theta, X[rows], Y[rows], dro)
-            np.testing.assert_allclose(grads[j], loss_grads_theta(model, theta, Z, Y[rows]).mean(0),
+        for j in range(4):
+            Z = ascent_rows(model, theta, X[j], Y[j], dro)
+            np.testing.assert_allclose(grads[j], loss_grads_theta(model, theta, Z, Y[j]).mean(0),
                                        rtol=0, atol=1e-14)
-            obj = penalized_objectives(model, theta, Z, Y[rows], X[rows], dro.lam).mean()
+            obj = penalized_objectives(model, theta, Z, Y[j], X[j], dro.lam).mean()
             assert objs[j] == pytest.approx(obj, rel=0, abs=1e-14)
-            start += n
 
-    @pytest.mark.parametrize("counts", [[2, 2], [4, 0, 1], [6], []])
-    def test_row_counts_must_cover_the_rows(self, rng, counts):
-        X = rng.standard_normal((5, 2))
-        with pytest.raises(ConfigError, match="row counts"):
-            worker_reports(QuadraticLoss(), np.zeros(2), X, np.zeros(5), counts,
+    @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
+                             ids=["logistic", "quadratic"])
+    @pytest.mark.parametrize("t_z", [0, 10])
+    def test_stacked_reports_equal_the_per_worker_products(self, rng, model, t_z):
+        dro = DROConfig(3.0, 0.05, t_z)
+        theta = rng.standard_normal(57)
+        X = rng.standard_normal((17, 153, 57))
+        Y = rng.integers(0, 2, size=(17, 153)).astype(float)
+        grads, objs = worker_reports(model, theta, X, Y, dro)
+        ref_grads, ref_objs = per_worker_reports(model, theta, X, Y, dro)
+        np.testing.assert_array_equal(grads, ref_grads)
+        np.testing.assert_array_equal(objs, ref_objs)
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((5, 2), (5,)), ((2, 0, 2), (2, 0)),
+                                                  ((0, 3, 2), (0, 3)), ((2, 2, 2), (2, 3))])
+    def test_reports_need_a_row_block(self, x_shape, y_shape):
+        with pytest.raises(ConfigError, match=r"\(k, n, d\) row block"):
+            worker_reports(QuadraticLoss(), np.zeros(2), np.zeros(x_shape), np.zeros(y_shape),
                            DROConfig(2.0, 0.3, 2))
 
 
-def z_path_reports(model, theta, X, Y, counts, dro):
-    """Reference reports: materialise the ascent output, then segment-average."""
-    counts = np.asarray(counts)
-    starts = np.cumsum(counts) - counts
-    Z = ascent_rows(model, theta, X, Y, dro)
-    grads = np.add.reduceat(loss_grads_theta(model, theta, Z, Y), starts, axis=0) / counts[:, None]
-    objs = np.add.reduceat(penalized_objectives(model, theta, Z, Y, X, dro.lam), starts)
-    return grads, objs / counts
+def z_path_reports(model, theta, X, Y, dro):
+    """Reference reports: materialise the ascent output, then average per worker."""
+    k, n, d = X.shape
+    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    starts = np.arange(0, k * n, n)
+    Z = ascent_rows(model, theta, rows, labels, dro)
+    grads = np.add.reduceat(loss_grads_theta(model, theta, Z, labels), starts, axis=0) / n
+    objs = np.add.reduceat(penalized_objectives(model, theta, Z, labels, rows, dro.lam), starts)
+    return grads, objs / n
 
 
 class TestLogisticMarginPath:
@@ -120,54 +155,52 @@ class TestLogisticMarginPath:
     model = LogisticLoss()
 
     @staticmethod
-    def data(rng, counts, dim=5, theta_norm=5.0):
-        n = sum(counts)
-        X = rng.standard_normal((n, dim))
-        Y = rng.integers(0, 2, size=n).astype(float)
+    def data(rng, shape, dim=5, theta_norm=5.0):
+        X = rng.standard_normal((*shape, dim))
+        Y = rng.integers(0, 2, size=shape).astype(float)
         theta = rng.standard_normal(dim)
         return theta * (theta_norm / np.linalg.norm(theta)), X, Y
 
-    @pytest.mark.parametrize("counts", [[6, 6, 6], [3, 1, 7, 2], [1, 5, 1]],
-                             ids=["equal", "unequal", "single-rows"])
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 3), (3, 1)],
+                             ids=["equal", "four-workers", "single-rows"])
     @pytest.mark.parametrize("theta_norm", [0.0, 5.0])
     @pytest.mark.parametrize("t_z", [0, 1, 10, 150])
-    def test_matches_the_materialised_ascent(self, rng, t_z, theta_norm, counts):
-        theta, X, Y = self.data(rng, counts, theta_norm=theta_norm)
+    def test_matches_the_materialised_ascent(self, rng, t_z, theta_norm, shape):
+        theta, X, Y = self.data(rng, shape, theta_norm=theta_norm)
         dro = DROConfig(3.0, 0.05, t_z)
-        grads, objs = worker_reports(self.model, theta, X, Y, counts, dro)
-        ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, counts, dro)
+        grads, objs = worker_reports(self.model, theta, X, Y, dro)
+        ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(objs, ref_objs, rtol=1e-12)
 
-    @pytest.mark.parametrize("counts", [[6, 6, 6], [3, 1, 7, 2]], ids=["equal", "unequal"])
-    def test_zero_ascent_steps_are_bit_equal(self, rng, counts):
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 3)], ids=["equal", "four-workers"])
+    def test_zero_ascent_steps_are_bit_equal(self, rng, shape):
         # the objectives share the reference's reduceat
-        theta, X, Y = self.data(rng, counts)
+        theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        _, objs = worker_reports(self.model, theta, X, Y, counts, dro)
-        _, ref_objs = z_path_reports(self.model, theta, X, Y, counts, dro)
+        _, objs = worker_reports(self.model, theta, X, Y, dro)
+        _, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_array_equal(objs, ref_objs)
 
-    @pytest.mark.parametrize("counts", [[6, 6, 6], [3, 1, 7, 2]], ids=["equal", "unequal"])
-    def test_zero_ascent_gradients_match_to_rounding(self, rng, counts):
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 3)], ids=["equal", "four-workers"])
+    def test_zero_ascent_gradients_match_to_rounding(self, rng, shape):
         # per-worker BLAS products sum in another order than the reference's
         # reduceat (gap 1.1e-16 here, at most 4.4e-16 over 2000 random draws)
-        theta, X, Y = self.data(rng, counts)
+        theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        grads, _ = worker_reports(self.model, theta, X, Y, counts, dro)
-        ref_grads, _ = z_path_reports(self.model, theta, X, Y, counts, dro)
+        grads, _ = worker_reports(self.model, theta, X, Y, dro)
+        ref_grads, _ = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("t_z", [0, 10])
     def test_reports_allocate_no_row_matrix(self, rng, t_z):
         # an (n, d) temporary alone would be n * d * 8 bytes
         n, d = 20_000, 50
-        theta, X, Y = self.data(rng, [n], dim=d, theta_norm=1.0)
-        counts = [n // 20] * 20
+        theta, X, Y = self.data(rng, (20, n // 20), dim=d, theta_norm=1.0)
         dro = DROConfig(3.0, 0.05, t_z)
         tracemalloc.start()
         try:
-            worker_reports(self.model, theta, X, Y, counts, dro)
+            worker_reports(self.model, theta, X, Y, dro)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -175,23 +208,23 @@ class TestLogisticMarginPath:
 
     @pytest.mark.parametrize("t_z", [0, 4])
     def test_non_finite_theta_raises(self, rng, t_z):
-        _, X, Y = self.data(rng, [4, 4])
+        _, X, Y = self.data(rng, (2, 4))
         theta = np.array([1.0, np.nan, 0.0, 0.0, 0.0])
         with pytest.raises(NumericError, match="theta"):
-            worker_reports(self.model, theta, X, Y, [4, 4], DROConfig(3.0, 0.05, t_z))
+            worker_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("t_z", [0, 4])
     def test_non_finite_row_raises_with_the_row(self, rng, t_z, bad):
-        theta, X, Y = self.data(rng, [4, 4])
-        X[5, 2] = bad
+        theta, X, Y = self.data(rng, (2, 4))
+        X[1, 1, 2] = bad  # row 5 of the block
         with pytest.raises(NumericError) as err:
-            worker_reports(self.model, theta, X, Y, [4, 4], DROConfig(3.0, 0.05, t_z))
+            worker_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
         np.testing.assert_array_equal(err.value.rows, [5])
 
     @pytest.mark.parametrize("t_z", [0, 4])
     def test_run_training_names_the_iteration_and_the_worker(self, rng, t_z):
-        theta, X, Y = self.data(rng, [4, 4, 4])
+        theta, X, Y = self.data(rng, (12,))
         X[9, 0] = np.nan  # worker 2's second row
         roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 8), np.arange(8, 12)])
         cfg = plain_config(0.1, 3, DROConfig(3.0, 0.05, t_z), theta0=theta)
@@ -206,14 +239,15 @@ class TestQuadraticLineReports:
     """The quadratic reports come from one line coefficient and the segment sums of theta - x."""
 
     @staticmethod
-    def oracle_reports(model, theta, X, counts, dro):
-        """Reports from the row-by-row ascent, segment-averaged."""
+    def oracle_reports(model, theta, X, dro):
+        """Reports from the row-by-row ascent, averaged per worker."""
+        k, n, d = X.shape
+        rows, starts = X.reshape(k * n, d), np.arange(0, k * n, n)
         grads_z = partial(quadratic_grads_z, curvature=model.curvature)
-        Z = rowwise_ascent(grads_z, theta, X, None, dro, dro.t_z)
-        starts = np.cumsum(counts) - counts
+        Z = rowwise_ascent(grads_z, theta, rows, None, dro, dro.t_z)
         grads = np.add.reduceat(loss_grads_theta(model, theta, Z, None), starts, axis=0)
-        objs = np.add.reduceat(penalized_objectives(model, theta, Z, None, X, dro.lam), starts)
-        return grads / np.array(counts)[:, None], objs / counts
+        objs = np.add.reduceat(penalized_objectives(model, theta, Z, None, rows, dro.lam), starts)
+        return grads / n, objs / n
 
     @pytest.mark.parametrize("t_z", [0, 1, 6, 40, 400])
     @pytest.mark.parametrize("curvature", [0.5, 1.0, 1.5])
@@ -221,11 +255,10 @@ class TestQuadraticLineReports:
     def test_matches_the_rowwise_ascent(self, rng, t_z, curvature, eta_z):
         model = QuadraticLoss(curvature)
         dro = DROConfig(2.0, eta_z, t_z)
-        counts = [3, 1, 7, 2]
-        X = rng.standard_normal((sum(counts), 6))
+        X = rng.standard_normal((4, 3, 6))
         theta = rng.standard_normal(6)
-        grads, objs = worker_reports(model, theta, X, np.zeros(len(X)), counts, dro)
-        ref_grads, ref_objs = self.oracle_reports(model, theta, X, counts, dro)
+        grads, objs = worker_reports(model, theta, X, np.zeros((4, 3)), dro)
+        ref_grads, ref_objs = self.oracle_reports(model, theta, X, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-13)
         np.testing.assert_allclose(objs, ref_objs, rtol=1e-13)
 
@@ -233,10 +266,10 @@ class TestQuadraticLineReports:
     def test_overflowing_objectives_name_their_rows(self, t_z, rows):
         # k ~ 49^t_z. At 60 steps k ~ 1e101 and k^2 ~ 1e203 are finite and only
         # the far row's objective, ~ 1e203 * 1e200, overflows; at 100 steps
-        # k^2 ~ 1e338 overflows for every row that moves, but not for row 0 at theta
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0]])
+        # k^2 ~ 1e338 overflows for every row that moves, but not for rows 0 and 3 at theta
+        X = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1e100, 0.0], [0.0, 0.0]]])
         with pytest.raises(NumericError, match=f"inner ascent diverged at step {t_z}") as err:
-            worker_reports(QuadraticLoss(1.0), np.zeros(2), X, np.zeros(3), [2, 1],
+            worker_reports(QuadraticLoss(1.0), np.zeros(2), X, np.zeros((2, 2)),
                            DROConfig(2.0, 50.0, t_z))
         np.testing.assert_array_equal(err.value.rows, rows)
 
@@ -272,7 +305,7 @@ class TestRunTraining:
 
         theta = initial_theta(3, 9)
         for _ in range(15):
-            theta = theta - 0.5 * worker_reports(model, theta, X, Y, [12], dro)[0][0]
+            theta = theta - 0.5 * worker_reports(model, theta, X[None], Y[None], dro)[0][0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -303,7 +336,7 @@ class TestRunTraining:
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 6)
-        grads = [worker_reports(model, theta, X[s], Y[s], [len(s)], dro)[0][0] for s in shards]
+        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0][0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_worker_norms_are_the_norms_of_the_reports(self, rng):
@@ -314,7 +347,8 @@ class TestRunTraining:
         shards, _ = even_shards(20, 5)
         cfg = plain_config(0.3, 1, dro, screen_count=1, seed=6)
         trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
-        grads, _ = worker_reports(model, initial_theta(3, 6), X, Y, [4] * 5, dro)
+        grads, _ = worker_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
+                                  dro)
         np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
 
     def test_trace_shapes_and_finiteness(self):
@@ -368,6 +402,28 @@ class TestRunTraining:
             WorkerRoster(shards=shards, byzantine=(5,), attack=attack)
         with pytest.raises(ConfigError):
             WorkerRoster(shards=shards, byzantine=(0,))  # no attack spec
+
+    def test_unequal_shards_are_refused_with_their_sizes(self):
+        X, Y = make_cloud(n=12, dim=2, seed=0)
+        roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 7), np.arange(7, 12)])
+        cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
+        with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
+            validate_roster(roster, 12, cfg.screen)
+        with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
+            run_training(QuadraticLoss(), X, Y, roster, cfg)
+
+    def test_zero_reference_warns_once_per_round(self, caplog):
+        # every row at theta0 = 0: the honest reports, and so their mean, are exactly zero
+        X = np.zeros((12, 2))
+        roster = WorkerRoster(shards=even_shards(12, 6)[0], byzantine=(0, 1, 2),
+                              attack=AttackSpec(kind="intelligent"))
+        cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), screen_count=3, theta0=np.zeros(2))
+        with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
+            run_training(QuadraticLoss(), X, np.zeros(12), roster, cfg)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"intelligent attack degenerate: zero reference at iteration {t}, workers [0, 1, 2]"
+            for t in range(2)
+        ]
 
     def test_divergent_ascent_names_the_iteration_and_the_worker(self):
         # workers 0 and 1 hold rows at theta0 = 0, where the quadratic ascent

@@ -127,6 +127,20 @@ class TestInnerMaximize:
         with pytest.raises(NumericError, match=rf"^inner ascent diverged at step {step}$") as err:
             ascent_rows(model, theta, X, Y, cfg)
         np.testing.assert_array_equal(err.value.rows, np.flatnonzero(~finite[step]))
+        # rows whose first push eta_z * (sigmoid(u) - y) is near 0 (a margin of
+        # +-30 on the side of its label) trail by a few steps: only the first
+        # step's rows are named, though every row diverges before t_z
+        theta = np.array([1.0, 0.0, 0.0])
+        X = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [-30.0, 0.0, 0.0],
+                      [0.5, 1.0, 0.0], [30.0, 1.0, 1.0], [-20.0, 0.0, 1.0]])
+        Y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        finite = np.isfinite(logistic_line_steps(theta, X, Y, cfg, cfg.t_z))
+        first_steps = np.argmin(finite, axis=0)
+        assert not finite[-1].any() and np.unique(first_steps).size == 3
+        step = int(first_steps.min())
+        with pytest.raises(NumericError, match=rf"^inner ascent diverged at step {step}$") as err:
+            ascent_rows(model, theta, X, Y, cfg)
+        np.testing.assert_array_equal(err.value.rows, np.flatnonzero(first_steps == step))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
