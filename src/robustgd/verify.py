@@ -5,6 +5,17 @@ suite runs on problems with exact constants (the quadratic family) or on
 randomized screening instances, and returns structured results instead of
 printing, so callers decide how to report.
 
+The screening fuzz draws its instances in one fixed sequence of generator
+calls, so a seed names the same instances however they are checked. Each
+instance's rows go straight into one zero-padded block of
+``SCREENING_BLOCK_INSTANCES`` instances, which is checked and then refilled,
+so memory stays at one block whatever the count. The block check computes
+per instance only the reductions whose rounding depends on the width d (row
+norms, honest gaps to S, ||S|| and ||mean - S||) and does the norm ranks,
+the kept sum, c_alpha and the slack once per block. ``check_screening_bound``
+stays the one-instance reference: tier-1 holds the block check to it bit for
+bit.
+
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
 seed and attack are bit-equal to a T-round run (``RunTrace.prefix``). Each
@@ -16,12 +27,13 @@ instead of 60 runs and 7,400 rounds. A suite called alone builds the same
 map from its own uses.
 """
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregation import GradientSet, ScreenConfig, check_screening_bound
+from .aggregation import ScreenConfig
 from .attacks import AttackSpec
 from .bounds import (
     TheoryInputs,
@@ -33,7 +45,7 @@ from .bounds import (
     surrogate_smoothness,
 )
 from .data import even_shards, quadratic_cloud
-from .errors import ConfigError
+from .errors import ConfigError, RegimeError
 from .losses import QuadraticLoss
 from .simulation import (
     DROConfig,
@@ -54,51 +66,193 @@ class SuiteResult:
 
 
 def _require_count(name, value):
+    """``value`` as an int count of at least 1, or ``ConfigError`` naming ``name``.
+
+    An integral real (5 or 5.0) is taken; a bool, a non-integral number or a
+    string is refused.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer count, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
-def _random_screening_instance(rng):
-    d = int(rng.integers(1, 65))
-    m = int(rng.integers(3, 51))
-    b = int(rng.integers(0, m // 2 + 1))       # screened fraction <= 1/2
-    a = int(rng.integers(0, b + 1))            # corrupted fraction <= screened
-    scale = float(np.exp(rng.normal(0.0, 1.0)))
-    S = scale * rng.standard_normal(d)
-    honest = S + scale * rng.standard_normal((m - a, d))
-    mode = int(rng.integers(0, 4))
-    if mode == 0:
-        byz = -rng.uniform(0.0, 3.0) * np.tile(S, (a, 1))
-    elif mode == 1:
-        victims = rng.integers(0, m - a, size=a)
-        byz = -honest[victims]
-    elif mode == 2:
-        byz = 1e3 * scale * rng.standard_normal((a, d))
-    else:
-        radius = np.linalg.norm(honest, axis=1).max()
-        direction = S / np.linalg.norm(S) if np.linalg.norm(S) > 0 else np.eye(d)[0]
-        byz = np.tile(-radius * direction, (a, 1))
-    order = rng.permutation(m)
-    vectors = np.vstack([honest, byz.reshape(a, d)])[order]
-    honest_idx = np.flatnonzero(order < m - a)
-    return GradientSet(vectors), honest_idx, ScreenConfig(b), S
+SCREENING_BLOCK_INSTANCES = 32   # fuzz instances drawn and checked together: 0.8 MB of rows
+FUZZ_MAX_WORKERS, FUZZ_MAX_DIM = 50, 64   # the largest m and d the fuzz draws
+
+
+class _ScreeningBlock:
+    """Screening instances zero-padded into one (capacity, max_m, max_d) block, reused.
+
+    Slot i holds an instance of ``m[i]`` rows of width ``d[i]`` in
+    ``rows[i, :m[i], :d[i]]``, its reference vector in ``S[i, :d[i]]``, its
+    honest rows as the True entries of ``honest[i]`` and its screen count in
+    ``screened[i]``; the first ``size`` slots are filled.
+    """
+
+    def __init__(self, capacity, max_m=FUZZ_MAX_WORKERS, max_d=FUZZ_MAX_DIM):
+        self.rows = np.zeros((capacity, max_m, max_d))
+        self.S = np.zeros((capacity, max_d))
+        self.honest = np.zeros((capacity, max_m), dtype=bool)
+        self.m = np.zeros(capacity, dtype=np.int64)
+        self.d = np.zeros(capacity, dtype=np.int64)
+        self.screened = np.zeros(capacity, dtype=np.int64)
+        self.size = 0
+        self.scratch = np.empty(max_m * max_d)  # the draw's rows of one instance, unshuffled
+
+    def clear(self):
+        self.rows.fill(0.0)
+        self.S.fill(0.0)
+        self.honest.fill(False)
+        self.size = 0
+
+
+def _draw_screening_block(rng, block, count):
+    """Replace the block's contents with the fuzz's next ``count`` instances.
+
+    Each instance has m in [3, 50] workers of width d in [1, 64], b <= m/2 of
+    them screened and a <= b byzantine. Its honest rows scatter around a
+    random S; its byzantine rows follow one of four attacks (a multiple of
+    -S, negated honest rows, huge noise, or -S/||S|| at the largest honest
+    norm); then the rows are shuffled. The generator calls and their order
+    are fixed: a seed names the same instances for as long as they are kept.
+    """
+    block.clear()
+    for i in range(count):
+        d = int(rng.integers(1, FUZZ_MAX_DIM + 1))
+        m = int(rng.integers(3, FUZZ_MAX_WORKERS + 1))
+        b = int(rng.integers(0, m // 2 + 1))       # screened fraction <= 1/2
+        a = int(rng.integers(0, b + 1))            # corrupted fraction <= screened
+        k = m - a
+        scale = float(np.exp(rng.normal(0.0, 1.0)))
+        S = rng.standard_normal(out=block.S[i, :d])
+        S *= scale
+        stacked = block.scratch[: m * d].reshape(m, d)
+        honest, byz = stacked[:k], stacked[k:]
+        rng.standard_normal(out=honest)
+        honest *= scale
+        honest += S
+        mode = int(rng.integers(0, 4))
+        if mode == 0:
+            byz[:] = -rng.uniform(0.0, 3.0) * S
+        elif mode == 1:
+            np.negative(honest[rng.integers(0, k, size=a)], out=byz)
+        elif mode == 2:
+            rng.standard_normal(out=byz)
+            byz *= 1e3 * scale
+        else:
+            radius = np.linalg.norm(honest, axis=1).max()
+            s_norm = np.linalg.norm(S)
+            byz[:] = -radius * (S / s_norm if s_norm > 0 else np.eye(d)[0])
+        order = rng.permutation(m)
+        block.rows[i, :m, :d] = stacked[order]
+        block.honest[i, :m] = order < k
+        block.m[i], block.d[i], block.screened[i] = m, d, b
+    block.size = count
+
+
+def _check_screening_block(block, first):
+    """(c_alpha, delta, rhs, lhs) of each instance in the block, bit for bit as
+    ``check_screening_bound`` computes them; lhs is ||screened mean - S||.
+
+    Reductions whose rounding depends on the width d (the row norms, the
+    honest gaps to S, ||S|| and ||mean - S||) run per instance with the
+    formulas the oracle uses; the rest runs once for the block. ``first`` is
+    the fuzz index of slot 0, which names an instance whose bound does not
+    apply.
+    """
+    n = block.size
+    m, d, b = block.m[:n], block.d[:n], block.screened[:n]
+    honest = block.honest[:n]
+    byz = m - np.count_nonzero(honest, axis=1)
+    bad = (byz > b) | (2 * byz > m) | (b >= m)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _refuse_screening_instance(first + i, int(m[i]), int(byz[i]), int(b[i]))
+    depth, width = int(m.max()), int(d.max())
+    rows = block.rows[:n, :depth, :width]
+    sizes = list(zip(m.tolist(), d.tolist()))
+
+    norms = np.full((n, depth), np.nan)  # a padded row ranks after every row, NaN ones too
+    gaps = np.zeros((n, depth))
+    s_norm = np.empty(n)
+    with np.errstate(over="ignore"):  # a row past the float range has norm +inf, as in GradientSet
+        for i, (mi, di) in enumerate(sizes):
+            x, S = rows[i, :mi, :di], block.S[i, :di]
+            np.add.reduce(x * x, axis=1, out=norms[i, :mi])
+            g = x - S
+            np.add.reduce(g * g, axis=1, out=gaps[i, :mi])
+            s_norm[i] = S.dot(S)
+    np.sqrt(norms, out=norms)
+    np.sqrt(gaps, out=gaps)
+    np.sqrt(s_norm, out=s_norm)
+
+    # norm_screen's rule: keep the m - b smallest norms, ties to the lower index
+    kept = m - b
+    ranked = np.argsort(norms, axis=1, kind="stable")
+    keep = np.empty((n, depth), dtype=bool)
+    np.put_along_axis(keep, ranked, np.arange(depth) < kept[:, None], axis=1)
+    # row by row in index order, as norm_screen adds; a dropped row adds nothing, and
+    # starting from +0.0 gives the +0.0 norm_screen adds where every kept row is -0.0
+    total = np.zeros((n, width))
+    for j in range(depth):
+        np.add(total, rows[:, j], out=total, where=keep[:, j, None])
+    off = total / kept[:, None] - block.S[:n, :width]
+    lhs = np.array([off[i, :di].dot(off[i, :di]) for i, (_, di) in enumerate(sizes)])
+    np.sqrt(lhs, out=lhs)
+
+    c_alpha = 2.0 * (byz / m) / (1.0 - b / m)
+    delta = np.max(gaps, axis=1, where=honest[:, :depth], initial=-np.inf)
+    return c_alpha, delta, c_alpha * s_norm + delta, lhs
+
+
+def _refuse_screening_instance(index, m, byz, screened):
+    """Raise what ``check_screening_bound`` raises on the instance, naming it."""
+    name = f"screening instance {index}"
+    if byz > screened:
+        raise RegimeError(
+            f"{name}: bound inapplicable: alpha={byz}/{m} exceeds beta={screened}/{m}")
+    if 2 * byz > m:
+        raise RegimeError(f"{name}: bound inapplicable: alpha={byz}/{m} exceeds 1/2")
+    raise ConfigError(
+        f"{name}: screen_count={screened} must be < m={m} (keep at least one)")
+
+
+def _screening_fuzz_blocks(n_instances, seed):
+    """Yield (block, fuzz index of its slot 0) for the fuzz's first ``n_instances``.
+
+    One block is refilled for each yield, so only a block of instances is
+    ever held.
+    """
+    rng = np.random.default_rng([seed, 0xF1])
+    block = _ScreeningBlock(SCREENING_BLOCK_INSTANCES)
+    for first in range(0, n_instances, SCREENING_BLOCK_INSTANCES):
+        _draw_screening_block(rng, block, min(SCREENING_BLOCK_INSTANCES, n_instances - first))
+        yield block, first
 
 
 def fuzz_screening_bound(n_instances=10_000, seed=0):
-    """Randomized instances of the screened-mean deviation inequality."""
-    _require_count("n_instances", n_instances)
-    rng = np.random.default_rng([seed, 0xF1])
-    worst = np.inf
-    failures = 0
-    for _ in range(n_instances):
-        grads, honest_idx, cfg, S = _random_screening_instance(rng)
-        result = check_screening_bound(grads, honest_idx, cfg, S)
-        worst = min(worst, result.slack)
-        failures += 0 if result.holds else 1
+    """Randomized instances of the screened-mean deviation inequality.
+
+    The instances are drawn in order and checked a block at a time; the
+    detail line adds the tightest instance's ||G - S|| / rhs.
+    """
+    n_instances = _require_count("n_instances", n_instances)
+    worst, tightest, failures = np.inf, 0.0, 0
+    for block, first in _screening_fuzz_blocks(n_instances, seed):
+        _, _, rhs, lhs = _check_screening_block(block, first)
+        slack = rhs - lhs
+        worst = min(worst, float(slack.min()))
+        tightest = max(tightest, float((lhs / rhs).max()))
+        failures += int(np.count_nonzero(~(slack >= 0.0)))
     return SuiteResult(
         name=f"screening deviation fuzz ({n_instances} instances)",
         passed=failures == 0,
-        detail=f"failures={failures}, worst slack={worst:.3e}",
+        detail=(f"failures={failures}, worst slack={worst:.3e}, "
+                f"max ||G-S||/rhs={tightest:.4f}"),
     )
 
 
@@ -189,7 +343,7 @@ def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
     ``runs`` is a ``_SharedRuns`` that declares this suite's uses; by default
     the suite builds one of its own.
     """
-    _require_count("n_seeds", n_seeds)
+    n_seeds = _require_count("n_seeds", n_seeds)
     uses = _deviation_uses(n_seeds, iterations)
     runs = _SharedRuns(uses) if runs is None else runs
     worst = np.inf
@@ -214,7 +368,7 @@ def rate_bound_suite(n_seeds=20, horizons=RATE_HORIZONS, runs=None):
     a ``_SharedRuns`` that declares this suite's uses; by default the suite
     builds one of its own.
     """
-    _require_count("n_seeds", n_seeds)
+    n_seeds = _require_count("n_seeds", n_seeds)
     if not horizons:
         raise ConfigError("horizons must not be empty")
     runs = _SharedRuns(_rate_uses(n_seeds, horizons)) if runs is None else runs
@@ -305,8 +459,8 @@ def run_all(fuzz_instances=10_000, n_seeds=20):
     The two trace suites share one ``_SharedRuns``, so each (seed, attack)
     pair is trained once for both.
     """
-    _require_count("fuzz_instances", fuzz_instances)
-    _require_count("n_seeds", n_seeds)
+    fuzz_instances = _require_count("fuzz_instances", fuzz_instances)
+    n_seeds = _require_count("n_seeds", n_seeds)
     runs = _SharedRuns(_deviation_uses(n_seeds, DEVIATION_ROUNDS)
                        + _rate_uses(n_seeds, RATE_HORIZONS))
     return [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import screening_instance
 from robustgd.aggregation import (
     GradientSet,
     ScreenConfig,
@@ -123,12 +124,12 @@ class TestNormScreenMatchesTheLoop:
     """The one-pass screened mean gives the left-to-right loop's bits."""
 
     def test_random_screening_instances(self):
-        rng = np.random.default_rng([0, 0xF1])
         dims = set()
-        for _ in range(2000):
-            grads, _, cfg, _ = verify._random_screening_instance(rng)
-            assert_same_bits(norm_screen(grads, cfg), loop_screen(grads, cfg))
-            dims.add(grads.dim)
+        for block, _ in verify._screening_fuzz_blocks(2000, seed=0):
+            for i in range(block.size):
+                grads, _, cfg, _ = screening_instance(block, i)
+                assert_same_bits(norm_screen(grads, cfg), loop_screen(grads, cfg))
+                dims.add(grads.dim)
         assert 1 in dims  # a single column, which a plain sum would add pairwise
 
     @pytest.mark.parametrize("m", [1, 3, 20])

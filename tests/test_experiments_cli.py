@@ -533,6 +533,11 @@ class TestCli:
             assert type(result.passed) is bool, result.name
         json.dumps([asdict(r) for r in results])
 
+    def test_verify_counts_take_integral_numbers(self):
+        result = verify_mod.fuzz_screening_bound(n_instances=np.int64(40))
+        assert result == verify_mod.fuzz_screening_bound(n_instances=40.0)
+        assert result.name == "screening deviation fuzz (40 instances)"
+
     def test_verify_command_smoke(self, capsys):
         assert main(["verify", "--fuzz-instances", "50", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
@@ -544,6 +549,23 @@ class TestCli:
         (verify_mod.deviation_trace_suite, {"n_seeds": 0}, "n_seeds must be >= 1, got 0"),
         (verify_mod.rate_bound_suite, {"n_seeds": -1}, "n_seeds must be >= 1, got -1"),
         (verify_mod.rate_bound_suite, {"n_seeds": 1, "horizons": ()}, "horizons must not be empty"),
+        (verify_mod.fuzz_screening_bound, {"n_instances": True},
+         "n_instances must be an integer count, got True"),
+        (verify_mod.fuzz_screening_bound, {"n_instances": 2.5},
+         "n_instances must be an integer count, got 2.5"),
+        (verify_mod.fuzz_screening_bound, {"n_instances": "5"},
+         "n_instances must be an integer count, got '5'"),
+        (verify_mod.deviation_trace_suite, {"n_seeds": False},
+         "n_seeds must be an integer count, got False"),
+        (verify_mod.deviation_trace_suite, {"n_seeds": 1.5},
+         "n_seeds must be an integer count, got 1.5"),
+        (verify_mod.rate_bound_suite, {"n_seeds": "2"}, "n_seeds must be an integer count, got '2'"),
+        (verify_mod.rate_bound_suite, {"n_seeds": float("nan")},
+         "n_seeds must be an integer count, got nan"),
+        (verify_mod.run_all, {"fuzz_instances": True}, "fuzz_instances must be an integer count"),
+        (verify_mod.run_all, {"fuzz_instances": 50, "n_seeds": 0.5},
+         "n_seeds must be an integer count, got 0.5"),
+        (verify_mod.run_all, {"fuzz_instances": "50"}, "fuzz_instances must be an integer count"),
     ])
     def test_verify_suites_refuse_empty_runs(self, suite, kwargs, message):
         with pytest.raises(ConfigError, match=message):
