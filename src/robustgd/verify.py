@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregation import ScreenConfig
+from .aggregation import GradientSet, ScreenConfig, check_screening_bound
 from .attacks import AttackSpec
 from .bounds import (
     TheoryInputs,
@@ -85,7 +85,7 @@ FUZZ_MAX_WORKERS, FUZZ_MAX_DIM = 50, 64   # the largest m and d the fuzz draws
 
 
 class _ScreeningBlock:
-    """Screening instances zero-padded into one (capacity, max_m, max_d) block, reused.
+    """Fuzz instances zero-padded into one reused block of ``SCREENING_BLOCK_INSTANCES`` slots.
 
     Slot i holds an instance of ``m[i]`` rows of width ``d[i]`` in
     ``rows[i, :m[i], :d[i]]``, its reference vector in ``S[i, :d[i]]``, its
@@ -93,7 +93,8 @@ class _ScreeningBlock:
     ``screened[i]``; the first ``size`` slots are filled.
     """
 
-    def __init__(self, capacity, max_m=FUZZ_MAX_WORKERS, max_d=FUZZ_MAX_DIM):
+    def __init__(self):
+        capacity, max_m, max_d = SCREENING_BLOCK_INSTANCES, FUZZ_MAX_WORKERS, FUZZ_MAX_DIM
         self.rows = np.zeros((capacity, max_m, max_d))
         self.S = np.zeros((capacity, max_d))
         self.honest = np.zeros((capacity, max_m), dtype=bool)
@@ -108,6 +109,12 @@ class _ScreeningBlock:
         self.S.fill(0.0)
         self.honest.fill(False)
         self.size = 0
+
+    def instance(self, i):
+        """Slot i as ``check_screening_bound``'s arguments: views, valid until a refill."""
+        m, d = int(self.m[i]), int(self.d[i])
+        return (GradientSet(self.rows[i, :m, :d]), np.flatnonzero(self.honest[i, :m]),
+                ScreenConfig(int(self.screened[i])), self.S[i, :d])
 
 
 def _draw_screening_block(rng, block, count):
@@ -160,9 +167,9 @@ def _check_screening_block(block, first):
 
     Reductions whose rounding depends on the width d (the row norms, the
     honest gaps to S, ||S|| and ||mean - S||) run per instance with the
-    formulas the oracle uses; the rest runs once for the block. ``first`` is
-    the fuzz index of slot 0, which names an instance whose bound does not
-    apply.
+    formulas the oracle uses; the rest runs once for the block. An instance
+    whose bound does not apply is handed to the oracle, and its error is
+    raised naming the instance by its fuzz index (``first`` is slot 0's).
     """
     n = block.size
     m, d, b = block.m[:n], block.d[:n], block.screened[:n]
@@ -171,7 +178,11 @@ def _check_screening_block(block, first):
     bad = (byz > b) | (2 * byz > m) | (b >= m)
     if bad.any():
         i = int(np.argmax(bad))
-        _refuse_screening_instance(first + i, int(m[i]), int(byz[i]), int(b[i]))
+        try:  # at b = m the oracle divides by 1 - beta = 0 before it refuses
+            with np.errstate(invalid="ignore", divide="ignore"):
+                check_screening_bound(*block.instance(i))
+        except (ConfigError, RegimeError) as err:
+            raise type(err)(f"screening instance {first + i}: {err}") from None
     depth, width = int(m.max()), int(d.max())
     rows = block.rows[:n, :depth, :width]
     sizes = list(zip(m.tolist(), d.tolist()))
@@ -209,18 +220,6 @@ def _check_screening_block(block, first):
     return c_alpha, delta, c_alpha * s_norm + delta, lhs
 
 
-def _refuse_screening_instance(index, m, byz, screened):
-    """Raise what ``check_screening_bound`` raises on the instance, naming it."""
-    name = f"screening instance {index}"
-    if byz > screened:
-        raise RegimeError(
-            f"{name}: bound inapplicable: alpha={byz}/{m} exceeds beta={screened}/{m}")
-    if 2 * byz > m:
-        raise RegimeError(f"{name}: bound inapplicable: alpha={byz}/{m} exceeds 1/2")
-    raise ConfigError(
-        f"{name}: screen_count={screened} must be < m={m} (keep at least one)")
-
-
 def _screening_fuzz_blocks(n_instances, seed):
     """Yield (block, fuzz index of its slot 0) for the fuzz's first ``n_instances``.
 
@@ -228,7 +227,7 @@ def _screening_fuzz_blocks(n_instances, seed):
     ever held.
     """
     rng = np.random.default_rng([seed, 0xF1])
-    block = _ScreeningBlock(SCREENING_BLOCK_INSTANCES)
+    block = _ScreeningBlock()
     for first in range(0, n_instances, SCREENING_BLOCK_INSTANCES):
         _draw_screening_block(rng, block, min(SCREENING_BLOCK_INSTANCES, n_instances - first))
         yield block, first

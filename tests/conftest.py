@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustgd.aggregation import GradientSet, ScreenConfig
 from robustgd.errors import RegimeError
 from robustgd.losses import cross_entropy, sigmoid
 from robustgd.surrogate import line_ascent, quadratic_line_ascent
@@ -103,13 +102,6 @@ def exact_inner_maximizer(model, theta, X, lam):
     if lam <= c:
         raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
     return (lam * np.asarray(X, dtype=float) - c * theta) / (lam - c)
-
-
-def screening_instance(block, i):
-    """Slot i of a screening fuzz block as ``check_screening_bound``'s arguments."""
-    m, d = int(block.m[i]), int(block.d[i])
-    return (GradientSet(block.rows[i, :m, :d].copy()), np.flatnonzero(block.honest[i, :m]),
-            ScreenConfig(int(block.screened[i])), block.S[i, :d].copy())
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import screening_instance
 from robustgd.aggregation import (
     GradientSet,
     ScreenConfig,
@@ -127,7 +126,7 @@ class TestNormScreenMatchesTheLoop:
         dims = set()
         for block, _ in verify._screening_fuzz_blocks(2000, seed=0):
             for i in range(block.size):
-                grads, _, cfg, _ = screening_instance(block, i)
+                grads, _, cfg, _ = block.instance(i)
                 assert_same_bits(norm_screen(grads, cfg), loop_screen(grads, cfg))
                 dims.add(grads.dim)
         assert 1 in dims  # a single column, which a plain sum would add pairwise

@@ -16,7 +16,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import screening_instance
 from robustgd import verify
 from robustgd.aggregation import check_screening_bound, norm_screen
 from robustgd.errors import ConfigError, RegimeError
@@ -27,14 +26,9 @@ from robustgd.errors import ConfigError, RegimeError
 FIRST_500_DIGEST = "f944e703e4a39318cea8a1d81d8f95d2e8b2777e947381f3d11e8a50d87523b4"
 
 
-def hand_block(instances, max_m=None, max_d=None):
-    """A screening block holding (rows, honest indices, screen count, S) instances.
-
-    By default the block is exactly as deep and as wide as its largest instance.
-    """
-    max_m = max_m or max(len(rows) for rows, *_ in instances)
-    max_d = max_d or max(len(S) for *_, S in instances)
-    block = verify._ScreeningBlock(len(instances), max_m, max_d)
+def hand_block(instances):
+    """A screening block holding (rows, honest indices, screen count, S) instances."""
+    block = verify._ScreeningBlock()
     for i, (rows, honest, screened, S) in enumerate(instances):
         rows = np.asarray(rows, dtype=float)
         m, d = rows.shape
@@ -54,7 +48,7 @@ def assert_block_matches_the_oracle(block, first=0):
     """
     c_alpha, delta, rhs, lhs = verify._check_screening_block(block, first)
     for i in range(block.size):
-        grads, honest, cfg, S = screening_instance(block, i)
+        grads, honest, cfg, S = block.instance(i)
         oracle = check_screening_bound(grads, honest, cfg, S)
         got = np.array([c_alpha[i], delta[i], rhs[i], rhs[i] - lhs[i], lhs[i]])
         expected = np.array([oracle.bound.c_alpha, oracle.bound.delta, oracle.bound.rhs,
@@ -83,7 +77,7 @@ def test_draw_keeps_the_per_instance_draws_instances():
     digest = hashlib.sha256()
     for block, _ in verify._screening_fuzz_blocks(500, seed=0):
         for i in range(block.size):
-            grads, honest, cfg, S = screening_instance(block, i)
+            grads, honest, cfg, S = block.instance(i)
             digest.update(np.array([grads.m, grads.dim, cfg.screen_count], np.int64).tobytes())
             digest.update(grads.matrix.tobytes())
             digest.update(honest.astype(np.int64).tobytes())
@@ -112,9 +106,9 @@ def test_hostile_instances_match_the_oracle(rng):
         (huge, [0, 1, 3, 4, 5, 6], 3, np.zeros(4)),
     ]
     for instance in instances:
-        assert_block_matches_the_oracle(hand_block([instance]))  # one column wide for d = 1
-    assert_block_matches_the_oracle(hand_block(instances))
-    lhs, _ = assert_block_matches_the_oracle(hand_block(instances, 50, 64), first=40)
+        # alone, a d = 1 instance is checked one column wide
+        assert_block_matches_the_oracle(hand_block([instance]))
+    lhs, _ = assert_block_matches_the_oracle(hand_block(instances), first=40)
     assert np.isfinite(lhs[-2:]).all()  # the 1e308 row is screened
 
 
@@ -130,7 +124,7 @@ def test_block_names_the_instance_the_bound_refuses(rng, m, honest, screened):
     block = hand_block([good, good, bad, good])
     # at screen_count = m the oracle divides 0 by 1 - beta = 0 before it refuses
     with pytest.raises((ConfigError, RegimeError)) as oracle, np.errstate(invalid="ignore"):
-        check_screening_bound(*screening_instance(block, 2))
+        check_screening_bound(*block.instance(2))
     with pytest.raises(oracle.type, match=f"^{re.escape(f'screening instance 12: {oracle.value}')}$"):
         verify._check_screening_block(block, first=10)
     # a block of that instance alone names it too
