@@ -13,6 +13,7 @@ from .aggregation import (
     ScreenConfig,
     check_screening_bound,
     norm_screen,
+    screening_coefficient,
     screening_deviation_bound,
 )
 from .attacks import AttackSpec, craft

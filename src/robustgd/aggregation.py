@@ -3,9 +3,10 @@
 Screening bounds the influence of any single corrupted input: a gradient
 either gets dropped for its conspicuous norm or survives with a norm no
 larger than some honest input's. The deviation of the screened mean from
-any reference vector S is bounded by ``2*alpha/(1-beta) * ||S|| + Delta``
-where alpha is the corrupted fraction, beta the screened fraction, and
-Delta the worst honest distance to S; ``screening_deviation_bound`` computes
+any reference vector S is bounded by ``c_alpha * ||S|| + Delta``, where
+c_alpha = 2*alpha/(1-beta) for the corrupted fraction alpha and the screened
+fraction beta (``screening_coefficient``, from the worker counts) and Delta
+is the worst honest distance to S; ``screening_deviation_bound`` computes
 the bound and ``check_screening_bound`` tests it against the actual output.
 """
 
@@ -61,13 +62,10 @@ class ScreenConfig:
         if self.screen_count < 0:
             raise ConfigError(f"screen_count must be >= 0, got {self.screen_count}")
 
-    def beta(self, m):
-        return self.screen_count / m
-
 
 @dataclass(frozen=True)
 class DeviationBound:
-    c_alpha: float  # 2*alpha / (1 - beta)
+    c_alpha: float  # screening_coefficient of the instance
     delta: float    # max over honest i of ||g_i - S||
     rhs: float      # c_alpha * ||S|| + delta
 
@@ -95,11 +93,27 @@ def norm_screen(grads: GradientSet, cfg: ScreenConfig) -> np.ndarray:
     return (np.add.accumulate(grads.matrix[kept], axis=0)[-1] + 0.0) / kept.size
 
 
+def screening_coefficient(byzantine, screened, m):
+    """c_alpha = 2*alpha/(1-beta) from the worker counts: 2*byzantine / (m - screened).
+
+    Refuses ``screened >= m`` (``ConfigError``), then more byzantine workers
+    than screened ones or a byzantine majority (``RegimeError``). For counts
+    below 2**53 the quotient is >= 1 exactly when 2*byzantine >= m - screened.
+    """
+    if screened >= m:
+        raise ConfigError(f"screen_count={screened} must be < m={m} (keep at least one)")
+    if byzantine > screened:
+        raise RegimeError(
+            f"corrupted fraction {byzantine}/{m} exceeds screened fraction {screened}/{m}")
+    if 2 * byzantine > m:
+        raise RegimeError(f"corrupted fraction {byzantine}/{m} exceeds 1/2")
+    return 2.0 * byzantine / (m - screened)
+
+
 def screening_deviation_bound(grads, honest_idx, cfg, S) -> DeviationBound:
     """Worst-case deviation of the screened mean from a reference vector S.
 
-    Requires the corrupted fraction alpha = 1 - |honest|/m to satisfy
-    alpha <= beta (enough inputs screened) and alpha <= 1/2.
+    Requires counts that ``screening_coefficient`` accepts.
     """
     honest_idx = np.asarray(honest_idx, dtype=int)
     if honest_idx.size == 0:
@@ -115,18 +129,7 @@ def screening_deviation_bound(grads, honest_idx, cfg, S) -> DeviationBound:
     if S.shape != (grads.dim,):
         raise ShapeError(f"S must have shape ({grads.dim},), got {S.shape}")
 
-    m = grads.m
-    byz_count = m - honest_count
-    if byz_count > cfg.screen_count:
-        raise RegimeError(
-            f"bound inapplicable: alpha={byz_count}/{m} exceeds beta={cfg.screen_count}/{m}"
-        )
-    if 2 * byz_count > m:
-        raise RegimeError(f"bound inapplicable: alpha={byz_count}/{m} exceeds 1/2")
-
-    alpha = byz_count / m
-    beta = cfg.beta(m)
-    c_alpha = 2.0 * alpha / (1.0 - beta)
+    c_alpha = screening_coefficient(grads.m - honest_count, cfg.screen_count, grads.m)
     gaps = grads.matrix[honest] - S
     delta = float(np.sqrt(np.add.reduce(gaps * gaps, axis=1)).max())  # np.linalg.norm's formula
     return DeviationBound(

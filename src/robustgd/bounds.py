@@ -7,6 +7,9 @@ for convex losses, iterate distance for strongly convex objectives). The
 ``check_*`` functions compare a recorded training trace against the bound it
 should satisfy and report measured value, bound value, and margin.
 
+Screening enters every bound as one number, c_alpha, taken from the worker
+counts by ``aggregation.screening_coefficient``; the rate bounds need c_alpha < 1.
+
 Bounds are only meaningful with exact Lipschitz constants; on estimated
 constants (logistic) the reports are diagnostic.
 """
@@ -25,8 +28,8 @@ log = logging.getLogger(__name__)
 
 # a measured trajectory factor beyond this makes the convex-gap bound vacuous
 VACUOUS_TRAJECTORY_FACTOR = 100.0
-# largest denominator read from a worker fraction; see admissible_r_max
-FRACTION_DENOMINATOR = 10_000
+# the largest free parameter r that default_r picks
+DEFAULT_R_CAP = 10.0
 # step cap and gradient-norm stop of the descent in solve_reference_optimum
 REFERENCE_ITERATIONS = 100_000
 REFERENCE_TOL = 1e-13
@@ -43,63 +46,44 @@ def surrogate_smoothness(constants: SmoothnessConstants, lam):
     return constants.l_tt + constants.l_tz * constants.l_zt / (lam - constants.l_zz)
 
 
-def c_alpha_factor(alpha, beta):
-    """Screened-mean deviation coefficient 2*alpha / (1 - beta)."""
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta < 1.0:
-        raise ConfigError(f"need 0 <= alpha <= 1 and 0 <= beta < 1, got {alpha}, {beta}")
-    return 2.0 * alpha / (1.0 - beta)
-
-
 def error_floor(constants: SmoothnessConstants, eps, sigma):
     """Delta = L_tz * eps + sigma: inner-solve imprecision plus gradient dispersion."""
     return constants.l_tz * eps + sigma
 
 
-def admissible_r_max(alpha, beta):
-    """Upper end of the open interval the free parameter r must lie in.
+def admissible_r_max(c_alpha):
+    """Upper end 1/c_alpha^2 - 1 of the open interval the free parameter r must lie in.
 
-    Raises ``RegimeError`` when 2*alpha/(1-beta) >= 1, decided on fractions:
-    alpha and beta are worker fractions k/m, so each is read as the nearest
-    fraction with a denominator of at most FRACTION_DENOMINATOR, which
-    recovers k/m exactly for m up to that size. In floats, 2*(1/3)/(1-1/3)
-    rounds to 0.9999999999999999 and would put alpha = beta = 1/3 below the
-    line.
+    Raises ``RegimeError`` when c_alpha >= 1: the screened mean can then
+    cancel the gradient, and no NBS rate bound holds (with beta = alpha, from
+    a corrupted fraction of 1/3 on).
     """
-    # imported here so that runs which check no bound do not load decimal (~0.3 MB)
-    from fractions import Fraction
-
-    if alpha == 0.0:
-        return math.inf
-    hi = 1.0 / c_alpha_factor(alpha, beta) ** 2 - 1.0
-    a, b = (Fraction(v).limit_denominator(FRACTION_DENOMINATOR) for v in (alpha, beta))
-    if 2 * a >= 1 - b or hi <= 0.0:
-        raise RegimeError(
-            f"no admissible r: 2*alpha >= 1 - beta at alpha={a}, beta={b} "
-            f"(requires alpha < 1/3 when beta >= alpha)"
-        )
-    return hi
+    if c_alpha >= 1.0:
+        raise RegimeError(f"no admissible r: c_alpha={c_alpha!r} >= 1, that is "
+                          f"2*byzantine >= m - screened (alpha >= 1/3 when beta = alpha)")
+    squared = c_alpha * c_alpha
+    return math.inf if squared == 0.0 else 1.0 / squared - 1.0
 
 
-def default_r(alpha, beta, cap=10.0):
-    """Midpoint of the admissible r interval, clipped to the cap."""
-    hi = admissible_r_max(alpha, beta)
-    return cap if math.isinf(hi) else min(cap, hi / 2.0)
+def default_r(c_alpha):
+    """Midpoint of the admissible r interval, clipped to DEFAULT_R_CAP."""
+    return min(DEFAULT_R_CAP, admissible_r_max(c_alpha) / 2.0)
 
 
 @dataclass
 class TheoryInputs:
     """Everything the rate bounds consume, bundled.
 
-    ``eps`` is the inner-solve accuracy, ``sigma`` the gradient dispersion
-    bound, ``r`` the free parameter (None picks the default midpoint), ``k``
-    the trajectory-boundedness factor used by the convex-gap bound, and
+    ``c_alpha`` is ``aggregation.screening_coefficient`` of the worker counts,
+    ``eps`` the inner-solve accuracy, ``sigma`` the gradient dispersion bound,
+    ``r`` the free parameter (None picks the default midpoint), ``k`` the
+    trajectory-boundedness factor used by the convex-gap bound, and
     ``lambda_f`` the strong-convexity modulus (0 when unused).
     """
 
     constants: SmoothnessConstants
     lam: float
-    alpha: float = 0.0
-    beta: float = 0.0
+    c_alpha: float = 0.0
     eps: float = 0.0
     sigma: float = 0.0
     lambda_f: float = 0.0
@@ -107,24 +91,20 @@ class TheoryInputs:
     k: float = 1.0
 
     def __post_init__(self):
-        if self.beta < self.alpha:
-            raise ConfigError(f"need beta >= alpha, got alpha={self.alpha}, beta={self.beta}")
+        if not (math.isfinite(self.c_alpha) and self.c_alpha >= 0.0):
+            raise ConfigError(f"c_alpha must be finite and >= 0, got {self.c_alpha}")
 
     @property
     def l_f(self):
         return surrogate_smoothness(self.constants, self.lam)
 
     @property
-    def c_alpha(self):
-        return c_alpha_factor(self.alpha, self.beta)
-
-    @property
     def delta(self):
         return error_floor(self.constants, self.eps, self.sigma)
 
     def resolved_r(self):
-        r = default_r(self.alpha, self.beta) if self.r is None else self.r
-        hi = admissible_r_max(self.alpha, self.beta)
+        r = default_r(self.c_alpha) if self.r is None else self.r
+        hi = admissible_r_max(self.c_alpha)
         if not 0.0 < r < hi:
             raise RegimeError(f"r={r} outside the admissible interval (0, {hi})")
         return r
@@ -171,8 +151,8 @@ def distance_contraction(inputs: TheoryInputs):
     rho = (2.0 * l_f * inputs.c_alpha + l_f - inputs.lambda_f) / (l_f + inputs.lambda_f)
     if rho >= 1.0:
         raise RegimeError(
-            f"contraction factor {rho} >= 1: requires 2*alpha/(1-beta) < lambda_f/L_F "
-            f"(alpha below 1/(1 + 2*L_F/lambda_f))"
+            f"contraction factor {rho} >= 1: requires c_alpha < lambda_f/L_F "
+            f"(alpha below 1/(1 + 2*L_F/lambda_f) when beta = alpha)"
         )
     return rho
 

@@ -91,32 +91,34 @@ def _build_config(args):
     return cfg, list(VARIANTS) if every else [cfg.variant]
 
 
-def _out_dir(args):
-    out = args.out or os.environ.get("ROBUSTGD_OUT", "results")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _streamed(args, stem, runner):
+    """Run with each record appended to disk as it finishes; partial files survive errors.
 
+    The output directory and files are made at the first record, so a run
+    that fails before it, as on a dataset that cannot be read or parsed (a
+    usage error naming the path and line), writes nothing.
+    """
+    out = Path(args.out or os.environ.get("ROBUSTGD_OUT", "results"))
+    jsonl, records = out / f"{stem}.jsonl", []
 
-def _streamed(out_dir, stem, runner):
-    """Run with records flushed to disk as they finish; partial files survive errors."""
-    jsonl = out_dir / f"{stem}.jsonl"
-    records = []
-    with open(jsonl, "w") as fh:
-        def sink(record):
+    def sink(record):
+        out.mkdir(parents=True, exist_ok=True)
+        with open(jsonl, "a" if records else "w") as fh:
             fh.write(record_line(record))
-            fh.flush()
-            records.append(record)
+        records.append(record)
 
+    try:
         runner(sink)
-    export_csv(records, out_dir / f"{stem}.csv")
+    except DataFormatError as exc:
+        raise SystemExit(f"dataset {exc}") from exc
+    export_csv(records, out / f"{stem}.csv")
     print(f"wrote {len(records)} records to {jsonl}")
     print(report_table(records), end="")
 
 
 def cmd_run(args):
     cfg, variants = _build_config(args)
-    _streamed(_out_dir(args), "records",
+    _streamed(args, "records",
               lambda sink: run_experiment(cfg, variants=variants, on_record=sink))
     return 0
 
@@ -140,7 +142,7 @@ def _grid_values(args, cfg):
 def cmd_sweep(args):
     cfg, variants = _build_config(args)
     values = _grid_values(args, cfg)
-    _streamed(_out_dir(args), f"sweep_{args.axis}",
+    _streamed(args, f"sweep_{args.axis}",
               lambda sink: sweep(cfg, args.axis, values, variants=variants, on_record=sink))
     return 0
 

@@ -8,6 +8,7 @@ clouds used by the quadratic-family theory checks.
 """
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 
@@ -41,29 +42,44 @@ def load_spambase(path) -> Dataset:
     """Parse a spambase-format CSV: 57 numeric features + binary label per row.
 
     Raw features are returned as-is; standardization happens at split time so
-    its parameters can come from the training rows only.
+    its parameters can come from the training rows only. A file that cannot
+    be read, or a row that is not UTF-8 text of 58 finite numbers ending in a
+    0/1 label, raises ``DataFormatError`` naming the path and the line.
     """
-    rows = []
-    labels = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())
+        raise DataFormatError(
+            f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    rows, labels = [], []
+    reader = csv.reader(io.StringIO(text, newline=""))  # split into lines as open(newline="")
+    try:
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if not row:
                 continue
             if len(row) != SPAMBASE_FEATURES + 1:
                 raise DataFormatError(
-                    f"line {lineno}: expected {SPAMBASE_FEATURES + 1} columns, got {len(row)}"
+                    f"{where}: expected {SPAMBASE_FEATURES + 1} columns, got {len(row)}"
                 )
             try:
                 values = [float(tok) for tok in row]
             except ValueError as exc:
-                raise DataFormatError(f"line {lineno}: non-numeric token ({exc})") from exc
+                raise DataFormatError(f"{where}: non-numeric token ({exc})") from None
             if not all(np.isfinite(v) for v in values):
-                raise DataFormatError(f"line {lineno}: non-finite value")
+                raise DataFormatError(f"{where}: non-finite value")
             label = values[-1]
             if label not in (0.0, 1.0):
-                raise DataFormatError(f"line {lineno}: label must be 0 or 1, got {label}")
+                raise DataFormatError(f"{where}: label must be 0 or 1, got {label}")
             rows.append(values[:-1])
             labels.append(int(label))
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return Dataset(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .aggregation import ScreenConfig
+from .aggregation import ScreenConfig, screening_coefficient
 from .attacks import AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
@@ -263,18 +263,16 @@ def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRos
     per-iteration inner-solve accuracy from the recorded iterates; a violated
     bound here means the estimates were optimistic, not that the run is wrong.
     The report is inapplicable when screening cannot cover the corrupted
-    fraction, or when an iterate leaves the strongly concave inner regime
+    workers or they are a majority (``screening_coefficient`` refuses), or
+    when an iterate leaves the strongly concave inner regime
     (lam <= ||theta||^2 / 4), where no exact maximizer is defined.
     ``effective`` and ``roster`` are the run's own, as ``train`` returns them.
     """
-    lam = effective.dro.lam
-    alpha = len(roster.byzantine) / roster.m
-    beta = effective.screen.screen_count / roster.m
-    if beta < alpha:
-        return _inapplicable("corrupted fraction exceeds screened fraction")
-    model = LogisticLoss()
+    lam, model = effective.dro.lam, LogisticLoss()
     X, Y = sharded.train_features, sharded.train_labels
     try:
+        c_alpha = screening_coefficient(
+            len(roster.byzantine), effective.screen.screen_count, roster.m)
         diagnosed = with_diagnostics(model, X, Y, trace, effective.dro)  # names a failing iterate
     except RegimeError as exc:
         return _inapplicable(str(exc))
@@ -290,7 +288,7 @@ def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRos
     ))
     inputs = TheoryInputs(
         constants=model.constants(data_bound, theta_bound),
-        lam=lam, alpha=alpha, beta=beta, sigma=sigma,
+        lam=lam, c_alpha=c_alpha, sigma=sigma,
     )
     reports = check_aggregate_deviation(diagnosed, inputs)
     return {

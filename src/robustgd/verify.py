@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregation import GradientSet, ScreenConfig, check_screening_bound
+from .aggregation import GradientSet, ScreenConfig, screening_coefficient
 from .attacks import AttackSpec
 from .bounds import (
     TheoryInputs,
@@ -166,23 +166,15 @@ def _check_screening_block(block, first):
     ``check_screening_bound`` computes them; lhs is ||screened mean - S||.
 
     Reductions whose rounding depends on the width d (the row norms, the
-    honest gaps to S, ||S|| and ||mean - S||) run per instance with the
-    formulas the oracle uses; the rest runs once for the block. An instance
-    whose bound does not apply is handed to the oracle, and its error is
-    raised naming the instance by its fuzz index (``first`` is slot 0's).
+    honest gaps to S, ||S|| and ||mean - S||) and c_alpha run per instance
+    with the formulas the oracle uses; the rest runs once for the block. An
+    instance whose bound does not apply raises ``screening_coefficient``'s
+    error naming the instance by its fuzz index (``first`` is slot 0's).
     """
     n = block.size
     m, d, b = block.m[:n], block.d[:n], block.screened[:n]
     honest = block.honest[:n]
-    byz = m - np.count_nonzero(honest, axis=1)
-    bad = (byz > b) | (2 * byz > m) | (b >= m)
-    if bad.any():
-        i = int(np.argmax(bad))
-        try:  # at b = m the oracle divides by 1 - beta = 0 before it refuses
-            with np.errstate(invalid="ignore", divide="ignore"):
-                check_screening_bound(*block.instance(i))
-        except (ConfigError, RegimeError) as err:
-            raise type(err)(f"screening instance {first + i}: {err}") from None
+    byz = (m - np.count_nonzero(honest, axis=1)).tolist()
     depth, width = int(m.max()), int(d.max())
     rows = block.rows[:n, :depth, :width]
     sizes = list(zip(m.tolist(), d.tolist()))
@@ -190,8 +182,13 @@ def _check_screening_block(block, first):
     norms = np.full((n, depth), np.nan)  # a padded row ranks after every row, NaN ones too
     gaps = np.zeros((n, depth))
     s_norm = np.empty(n)
+    c_alpha = np.empty(n)
     with np.errstate(over="ignore"):  # a row past the float range has norm +inf, as in GradientSet
         for i, (mi, di) in enumerate(sizes):
+            try:
+                c_alpha[i] = screening_coefficient(byz[i], int(b[i]), mi)
+            except (ConfigError, RegimeError) as err:
+                raise type(err)(f"screening instance {first + i}: {err}") from None
             x, S = rows[i, :mi, :di], block.S[i, :di]
             np.add.reduce(x * x, axis=1, out=norms[i, :mi])
             g = x - S
@@ -215,7 +212,6 @@ def _check_screening_block(block, first):
     lhs = np.array([off[i, :di].dot(off[i, :di]) for i, (_, di) in enumerate(sizes)])
     np.sqrt(lhs, out=lhs)
 
-    c_alpha = 2.0 * (byz / m) / (1.0 - b / m)
     delta = np.max(gaps, axis=1, where=honest[:, :depth], initial=-np.inf)
     return c_alpha, delta, c_alpha * s_norm + delta, lhs
 
@@ -280,7 +276,7 @@ def _quadratic_run(seed, iterations, attack_kind="aggressive"):
     sigma = gradient_dispersion(model, X, Y, trace.iterates[0], lam)
     inputs = TheoryInputs(
         constants=model.constants(), lam=lam,
-        alpha=byz_count / m, beta=screen_count / m, sigma=sigma,
+        c_alpha=screening_coefficient(byz_count, screen_count, m), sigma=sigma,
     )
     return model, X, Y, trace, inputs
 
@@ -339,23 +335,26 @@ def _rate_uses(n_seeds, horizons):
 def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
     """Aggregated-gradient deviation bound at every iteration, across seeds.
 
+    The detail line ends with the tightest iteration's ||G - grad F|| / bound.
     ``runs`` is a ``_SharedRuns`` that declares this suite's uses; by default
     the suite builds one of its own.
     """
     n_seeds = _require_count("n_seeds", n_seeds)
     uses = _deviation_uses(n_seeds, iterations)
     runs = _SharedRuns(uses) if runs is None else runs
-    worst = np.inf
+    worst, tightest = np.inf, 0.0
     bad = 0
     for seed, attack, rounds in uses:
         _, _, _, trace, inputs = runs.take(seed, attack, rounds)
         for report in check_aggregate_deviation(trace, inputs):
             worst = min(worst, report.margin)
+            tightest = max(tightest, report.measured_value / report.bound_value)
             bad += 0 if report.satisfied else 1
     return SuiteResult(
         name=f"aggregate deviation trace check ({n_seeds} seeds x {iterations} iters)",
         passed=bad == 0,
-        detail=f"violations={bad}, worst margin={worst:.3e}",
+        detail=(f"violations={bad}, worst margin={worst:.3e}, "
+                f"max ||G-grad F||/bound={tightest:.4f}"),
     )
 
 

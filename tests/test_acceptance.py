@@ -185,18 +185,19 @@ def test_criterion_6_rate_bounds_and_contraction_threshold():
     result = rate_bound_suite(n_seeds=20, horizons=(50, 200))
     assert result.passed, result.detail
 
+    # the contraction needs c_alpha < lambda_F / L_F (alpha = beta below 1/(1 + 2 L_F/lambda_F))
     l_f, lam_f = 2.0, 1.0
-    threshold = 1.0 / (1.0 + 2.0 * l_f / lam_f)
+    threshold = lam_f / l_f
     fixed = SmoothnessConstants(l_f, 0.0, 0.0, 0.0)
     with pytest.raises(RegimeError):
-        distance_contraction(TheoryInputs(constants=fixed, lam=1.0, alpha=threshold,
-                                          beta=threshold, lambda_f=lam_f))
-    below = TheoryInputs(constants=fixed, lam=1.0, alpha=threshold - 1e-12,
-                         beta=threshold - 1e-12, lambda_f=lam_f)
+        distance_contraction(TheoryInputs(constants=fixed, lam=1.0, c_alpha=threshold,
+                                          lambda_f=lam_f))
+    below = TheoryInputs(constants=fixed, lam=1.0, c_alpha=threshold - 1e-15, lambda_f=lam_f)
     assert distance_contraction(below) < 1.0
     took = time.time() - start
     assert took < 300.0
-    announce(6, f"{result.detail}; contraction error fires exactly at alpha={threshold}; {took:.0f}s")
+    announce(6, f"{result.detail}; contraction error fires exactly at c_alpha={threshold}; "
+                f"{took:.0f}s")
 
 
 def test_criterion_7_environment_comparison(environment_rates):

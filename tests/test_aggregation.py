@@ -6,6 +6,7 @@ from robustgd.aggregation import (
     ScreenConfig,
     check_screening_bound,
     norm_screen,
+    screening_coefficient,
     screening_deviation_bound,
 )
 from robustgd import verify
@@ -223,6 +224,14 @@ class TestDeviationBound:
         with pytest.raises(ConfigError, match=message):
             screening_deviation_bound(scalars(1, 2, 3), honest, ScreenConfig(1), np.array([0.0]))
 
+    @pytest.mark.parametrize("honest", [[0, 1, 2, 3], [0, 1, 2]], ids=["all-honest", "one-byz"])
+    @pytest.mark.parametrize("check", [screening_deviation_bound, check_screening_bound])
+    def test_screening_every_input_is_a_config_error_without_a_warning(self, check, honest):
+        # tier-1 turns a RuntimeWarning into an error, so a 0/0 or x/0 on the way
+        # would replace the named refusal
+        with pytest.raises(ConfigError, match=r"^screen_count=4 must be < m=4 \(keep at least one\)$"):
+            check(scalars(1, 2, 3, 4), honest, ScreenConfig(4), np.array([0.0]))
+
     def test_honest_order_does_not_matter(self):
         grads = GradientSet(np.arange(12.0).reshape(6, 2) ** 1.5)
         S = np.array([0.5, -1.0])
@@ -236,3 +245,21 @@ class TestDeviationBound:
 
         result = fuzz_screening_bound(n_instances=1500, seed=7)
         assert result.passed, result.detail
+
+
+class TestScreeningCoefficient:
+    def test_value_is_twice_the_byzantine_count_over_the_kept_count(self):
+        assert screening_coefficient(0, 0, 1) == 0.0
+        assert screening_coefficient(3, 3, 20) == 6 / 17  # 2*0.15/0.85
+        assert screening_coefficient(1, 2, 10) == 0.25
+        assert screening_coefficient(10, 10, 30) == 1.0  # alpha = beta = 1/3, exactly
+
+    @pytest.mark.parametrize("byzantine, screened, m, error, message", [
+        (0, 4, 4, ConfigError, r"screen_count=4 must be < m=4 \(keep at least one\)"),
+        (5, 5, 4, ConfigError, r"screen_count=5 must be < m=4"),      # checked first
+        (3, 2, 10, RegimeError, r"corrupted fraction 3/10 exceeds screened fraction 2/10"),
+        (6, 8, 10, RegimeError, r"corrupted fraction 6/10 exceeds 1/2"),
+    ])
+    def test_refusals_come_in_order(self, byzantine, screened, m, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            screening_coefficient(byzantine, screened, m)

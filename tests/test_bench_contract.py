@@ -3,12 +3,15 @@
 ``perfbench/tracer.py`` wraps functions and methods by (module, attribute)
 and skips a name it cannot find, so a rename in the package would turn its
 per-layer metrics into silent zeros. These tests read the tracer's tables
-and the other bindings the benchmark relies on, without editing them.
+and the other bindings the benchmark relies on (the call shapes of
+``perfbench/workload.py`` included), without editing them.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,34 @@ def test_hook_bindings_resolve():
 
     assert {"roster", "cfg"} <= set(inspect.signature(run_training).parameters)
     assert "worker_norms" in RunTrace.__dataclass_fields__
+
+
+def test_workload_call_shapes_bind():
+    # perfbench/workload.py calls these with exactly these argument shapes
+    import robustgd
+    from robustgd import verify
+    from robustgd.experiments import write_records
+
+    cfg = ExperimentConfig(preset="E1")
+    calls = [
+        (verify.run_all, (), dict(fuzz_instances=200, n_seeds=2)),
+        (robustgd.sweep, (cfg, "shift_q", [0.0, 0.05]), dict(variants=["nbs_only", "erm"])),
+        (robustgd.run_experiment, (cfg,), {}),
+        (write_records, ([], Path("records.jsonl")), {}),
+    ]
+    for func, args, kwargs in calls:
+        inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_verify_suites_report_python_bools():
+    # the benchmark writes each SuiteResult.passed to JSON, which refuses a numpy bool
+    from robustgd import verify
+
+    results = verify.run_all(fuzz_instances=50, n_seeds=1)
+    assert len(results) == 4
+    for result in results:
+        assert type(result.passed) is bool, result.name
+    json.dumps([asdict(r) for r in results])
 
 
 def test_experiment_config_resolved_exists():

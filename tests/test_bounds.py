@@ -1,15 +1,17 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from robustgd.aggregation import screening_coefficient
 from robustgd.bounds import (
+    DEFAULT_R_CAP,
     BoundReport,
     TheoryInputs,
     admissible_r_max,
     aggregate_deviation_bound,
     avg_sq_gradient_bound,
-    c_alpha_factor,
     check_aggregate_deviation,
     check_avg_sq_gradient,
     check_distance,
@@ -56,13 +58,14 @@ class TestDeviationFloor:
         assert aggregate_deviation_bound(ti, grad_norm=5.0) == 0.0
 
     def test_arithmetic_instance(self):
-        # 2*0.15/0.85 * 1 + 0.1 = 0.4529...
-        ti = inputs_for(constants(1, 1, 1, 1), 2.0, alpha=0.15, beta=0.15, eps=0.0, sigma=0.1)
+        # 3 of 20 byzantine, 3 screened: 2*0.15/0.85 * 1 + 0.1 = 0.4529...
+        ti = inputs_for(constants(1, 1, 1, 1), 2.0, c_alpha=screening_coefficient(3, 3, 20),
+                        eps=0.0, sigma=0.1)
         assert aggregate_deviation_bound(ti, 1.0) == pytest.approx(0.3 / 0.85 + 0.1, rel=1e-12)
         assert aggregate_deviation_bound(ti, 1.0) == pytest.approx(0.45294117647, rel=1e-9)
 
     def test_floor_combines_solver_error_and_dispersion(self):
-        ti = inputs_for(constants(1, 2, 1, 1), 3.0, alpha=0.0, beta=0.0, eps=0.25, sigma=0.3)
+        ti = inputs_for(constants(1, 2, 1, 1), 3.0, c_alpha=0.0, eps=0.25, sigma=0.3)
         assert ti.delta == pytest.approx(2 * 0.25 + 0.3)
 
 
@@ -74,38 +77,66 @@ class TestAvgSqGradientBound:
         )
 
     def test_denominator_arithmetic(self):
-        # C=0.5, r=1 -> denominator 1 - 2*0.25 = 0.5
+        # 1 of 5 byzantine and screened: C=0.5, r=1 -> denominator 1 - 2*0.25 = 0.5
         ti = TheoryInputs(constants=constants(1, 0, 0, 0.5), lam=1.0,
-                          alpha=0.2, beta=0.2, r=1.0)
+                          c_alpha=screening_coefficient(1, 1, 5), r=1.0)
         assert ti.c_alpha == pytest.approx(0.5)
         value = avg_sq_gradient_bound(ti, f0_minus_fstar=1.0, T=10)
         assert value == pytest.approx(2 * 1.0 * 1.0 / (0.5 * 10))
 
     def test_r_outside_interval_rejected(self):
         ti = TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0,
-                          alpha=0.2, beta=0.2, r=100.0)
+                          c_alpha=screening_coefficient(1, 1, 5), r=100.0)
         with pytest.raises(RegimeError):
             avg_sq_gradient_bound(ti, 1.0, 10)
 
     def test_no_admissible_r_at_breakpoint(self):
-        # exactly representable fractions with 2*alpha/(1-beta) >= 1
-        with pytest.raises(RegimeError):
-            admissible_r_max(alpha=0.375, beta=0.375)
-        with pytest.raises(RegimeError):
-            admissible_r_max(alpha=0.5, beta=0.5)
+        # alpha = beta = 3/8 and 1/2: c_alpha = 1.2 and 2
+        for c_alpha in (screening_coefficient(3, 3, 8), screening_coefficient(1, 1, 2)):
+            for bound in (admissible_r_max, default_r):
+                with pytest.raises(RegimeError, match="no admissible r"):
+                    bound(c_alpha)
 
     @pytest.mark.parametrize("m", range(3, 301, 3))
     def test_the_one_third_line_is_decided_exactly(self, m):
-        # 2*(1/3)/(1 - 1/3) rounds to 0.9999999999999999 in floats
+        # 2*(1/3)/(1 - 1/3) rounds to 0.9999999999999999 in floats; 2k/(m - k) is 1.0
         k = m // 3
-        with pytest.raises(RegimeError, match=r"alpha=1/3, beta=1/3"):
-            admissible_r_max(alpha=k / m, beta=k / m)
-        assert admissible_r_max(alpha=(k - 1) / m, beta=(k - 1) / m) > 0.0
+        with pytest.raises(RegimeError, match=r"c_alpha=1\.0 >= 1"):
+            admissible_r_max(screening_coefficient(k, k, m))
+        assert admissible_r_max(screening_coefficient(k - 1, k - 1, m)) > 0.0
+
+    def test_the_line_is_decided_from_the_counts_on_every_small_roster(self):
+        # raises exactly when 2b >= m - s: every m <= 300 at s = b, and every
+        # b <= s < m with 2b <= m for m <= 50
+        cases = [(b, b, m) for m in range(1, 301) for b in range(m)]
+        cases += [(b, s, m) for m in range(1, 51) for b in range(m // 2 + 1)
+                  for s in range(b, m)]
+        wrong = []
+        for b, s, m in cases:
+            try:
+                hi = admissible_r_max(screening_coefficient(b, s, m))
+            except RegimeError:
+                hi = None
+            if (hi is None) != (2 * b >= m - s) or (hi is not None and not hi > 0.0):
+                wrong.append((b, s, m, hi))
+        assert wrong == []
+
+    @pytest.mark.parametrize("byzantine, m", [(10_000, 30_001), (33_334, 100_003)])
+    def test_large_rosters_just_below_the_line_are_admissible(self, byzantine, m):
+        # 2b < m - b, so c_alpha < 1; a fraction rebuilt with a denominator of at
+        # most 10,000 reads these as 1/3
+        c_alpha = screening_coefficient(byzantine, byzantine, m)
+        assert c_alpha < 1.0
+        assert 0.0 < admissible_r_max(c_alpha) < 1e-3
+        assert 0.0 < default_r(c_alpha) < admissible_r_max(c_alpha)
 
     def test_default_r_midpoint_and_cap(self):
-        assert default_r(0.0, 0.0) == 10.0
-        hi = admissible_r_max(0.1, 0.1)
-        assert default_r(0.1, 0.1) == pytest.approx(min(10.0, hi / 2))
+        assert default_r(0.0) == DEFAULT_R_CAP == 10.0
+        c_alpha = screening_coefficient(1, 1, 10)  # alpha = beta = 0.1
+        hi = admissible_r_max(c_alpha)
+        assert default_r(c_alpha) == pytest.approx(min(10.0, hi / 2))
+        c_alpha = screening_coefficient(3, 3, 20)
+        assert default_r(c_alpha) == admissible_r_max(c_alpha) / 2
 
 
 class TestSuboptimalityBound:
@@ -117,7 +148,7 @@ class TestSuboptimalityBound:
         )
 
     def test_long_horizon_returns_error_floor(self):
-        ti = inputs_for(constants(1, 1, 1, 1), 2.0, alpha=0.1, beta=0.1,
+        ti = inputs_for(constants(1, 1, 1, 1), 2.0, c_alpha=screening_coefficient(1, 1, 10),
                         eps=0.01, sigma=0.05, r=0.5, k=1.0)
         decayed = suboptimality_bound(ti, 1.0, T=1)
         floor = suboptimality_bound(ti, 1.0, T=10 ** 12)
@@ -136,24 +167,24 @@ class TestDistanceBound:
         assert distance_bound(ti, 1.0, T=10) == pytest.approx(rho ** 10)
 
     def test_corrupted_contraction_arithmetic(self):
-        # L_F=2, lambda_F=1, C=0.25: rho = (2*2*0.25 + 2 - 1)/3 = 2/3
+        # 1 of 10 byzantine, 2 screened: L_F=2, lambda_F=1, C=0.25:
+        # rho = (2*2*0.25 + 2 - 1)/3 = 2/3
         ti = TheoryInputs(constants=constants(2, 0, 0, 0.0), lam=1.0,
-                          alpha=0.1, beta=0.2, lambda_f=1.0)
+                          c_alpha=screening_coefficient(1, 2, 10), lambda_f=1.0)
         assert ti.c_alpha == pytest.approx(0.25)
         rho = distance_contraction(ti)
         assert rho == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert distance_bound(ti, 1.0, T=10) == pytest.approx((2.0 / 3.0) ** 10, rel=1e-12)
 
     def test_contraction_error_fires_exactly_at_threshold(self):
-        # threshold alpha = 1/(1 + 2 L_F / lambda_F) with beta = alpha
+        # threshold c_alpha = lambda_F / L_F (alpha = 1/(1 + 2 L_F / lambda_F) with beta = alpha)
         l_f, lam_f = 2.0, 1.0
-        threshold = 1.0 / (1.0 + 2.0 * l_f / lam_f)
+        threshold = lam_f / l_f
         at = TheoryInputs(constants=constants(l_f, 0, 0, 0.0), lam=1.0,
-                          alpha=threshold, beta=threshold, lambda_f=lam_f)
-        with pytest.raises(RegimeError):
+                          c_alpha=threshold, lambda_f=lam_f)
+        with pytest.raises(RegimeError, match="c_alpha < lambda_f/L_F"):
             distance_contraction(at)
-        below = TheoryInputs(constants=constants(l_f, 0, 0, 0.0), lam=1.0,
-                             alpha=threshold - 1e-9, beta=threshold - 1e-9, lambda_f=lam_f)
+        below = replace(at, c_alpha=threshold - 1e-15)
         assert distance_contraction(below) < 1.0
 
     def test_needs_positive_strong_convexity(self):
@@ -164,13 +195,14 @@ class TestDistanceBound:
 
 class TestMonotonicityInAlpha:
     def test_bounds_nondecreasing_in_corruption_level(self):
-        # grid stays inside every bound's admissible range for these constants
-        beta, r = 0.09, 0.05
-        grids = np.linspace(0.0, 0.09, 9)
+        # 0 to 9 byzantine of 100 with 9 screened (alpha up to beta = 0.09): the grid
+        # stays inside every bound's admissible range for these constants
+        r = 0.05
         prev = (-np.inf,) * 4
-        for alpha in grids:
-            ti = TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0, alpha=alpha,
-                              beta=beta, eps=0.01, sigma=0.05, lambda_f=0.5, r=r, k=1.2)
+        for byzantine in range(10):
+            ti = TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0,
+                              c_alpha=screening_coefficient(byzantine, 9, 100),
+                              eps=0.01, sigma=0.05, lambda_f=0.5, r=r, k=1.2)
             vals = (
                 aggregate_deviation_bound(ti, 1.0),
                 avg_sq_gradient_bound(ti, 1.0, 50),
@@ -216,7 +248,7 @@ class TestReportsAndOptimum:
         k = measured_trajectory_factor(trace, theta_star)
         assert k >= 1.0
         loaded = TheoryInputs(
-            constants=base.constants, lam=base.lam, alpha=base.alpha, beta=base.beta,
+            constants=base.constants, lam=base.lam, c_alpha=base.c_alpha,
             eps=float(trace.inner_eps.max()), sigma=base.sigma,
             lambda_f=surrogate_smoothness(base.constants, base.lam),
         )
@@ -268,10 +300,14 @@ class TestReportsAndOptimum:
             measured_trajectory_factor(trace, trace.iterates[0])
 
 
-def test_c_alpha_validation():
-    with pytest.raises(ConfigError):
-        c_alpha_factor(-0.1, 0.2)
-    with pytest.raises(ConfigError):
-        c_alpha_factor(0.1, 1.0)
-    with pytest.raises(ConfigError):
-        TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0, alpha=0.3, beta=0.2)
+@pytest.mark.parametrize("c_alpha", [-0.1, -math.inf, math.inf, math.nan])
+def test_c_alpha_validation(c_alpha):
+    with pytest.raises(ConfigError, match="c_alpha must be finite and >= 0"):
+        TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0, c_alpha=c_alpha)
+
+
+def test_theory_inputs_take_c_alpha_not_fractions():
+    settable = [f.name for f in fields(TheoryInputs)]
+    assert settable == ["constants", "lam", "c_alpha", "eps", "sigma", "lambda_f", "r", "k"]
+    # a tiny c_alpha squares to 0.0: the interval is unbounded, not a division by zero
+    assert admissible_r_max(1e-170) == math.inf

@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -64,6 +65,30 @@ class TestLoad:
         write_csv(path, [spam_row(1), spam_row(0), row])
         with pytest.raises(DataFormatError, match="line 3"):
             load_spambase(path)
+
+    def test_an_undecodable_byte_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        write_csv(path, [spam_row(1), spam_row(0)])
+        path.write_bytes(path.read_bytes() + b"0.5\xff" + b",0.5" * SPAMBASE_FEATURES + b"\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"^{re.escape(str(path))}, line 3: byte 0xff is not UTF-8$"):
+            load_spambase(path)
+
+    def test_a_missing_file_is_a_format_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: cannot read"):
+            load_spambase(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_any_line_ending_is_read_and_counted(self, tmp_path, newline):
+        path = tmp_path / "endings.csv"
+        rows = [spam_row(1), spam_row(0), spam_row(2)]
+        path.write_text(newline.join(",".join(map(str, row)) for row in rows) + newline,
+                        newline="")
+        with pytest.raises(DataFormatError, match=r", line 3: label must be 0 or 1"):
+            load_spambase(path)
+        path.write_text(newline.join(",".join(map(str, row)) for row in rows[:2]), newline="")
+        np.testing.assert_array_equal(load_spambase(path).labels, [1, 0])
 
     def test_non_finite_and_bad_label_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"

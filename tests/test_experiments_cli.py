@@ -204,7 +204,8 @@ class TestRecords:
         assert checks["iterations"] == fast_config().iterations
         assert 0 <= checks["satisfied"] <= checks["iterations"]
         # plain averaging with corrupted workers: the bound has no valid regime
-        assert dro["bounds"]["applicable"] is False
+        assert dro["bounds"] == {"certified": False, "applicable": False,
+                                 "reason": "corrupted fraction 1/4 exceeds screened fraction 0/4"}
 
     def test_bound_report_is_inapplicable_outside_the_concave_inner_regime(self):
         # at lam=0.3 the E1 iterates reach ||theta||^2/4 ~ 0.64 > lam, where the
@@ -282,6 +283,14 @@ class TestSweep:
         by_value = {r["sweep"]["value"]: r for r in records}
         assert not by_value[0]["config"]["allow_excess_byzantine"]
         assert by_value[2]["config"]["allow_excess_byzantine"]  # 2 > screen_count=1
+
+    def test_alpha_axis_past_half_the_workers_has_no_bounds_report(self):
+        # 3 of 4 workers screened covers 2 or 3 byzantine ones, but 3 are a majority
+        cfg = fast_config(attack="aggressive", alpha_m=1, screen_count=3, check_bounds=True)
+        records = sweep(cfg, "alpha_m", [2, 3], variants=["nbs_only"])
+        assert records[0]["bounds"]["applicable"] is True
+        assert records[1]["bounds"] == {"certified": False, "applicable": False,
+                                        "reason": "corrupted fraction 3/4 exceeds 1/2"}
 
     @pytest.mark.parametrize("axis", ["alpha_m", "t_z"])
     def test_integer_axes_reject_fractional_values(self, axis):
@@ -483,6 +492,24 @@ class TestCli:
         records = read_records(tmp_path / "all" / "records.jsonl")
         assert [r["config"]["variant"] for r in records] == ["alg2", "dro_only", "nbs_only", "erm"]
 
+    @pytest.mark.parametrize("content, message", [
+        (None, r": cannot read \(No such file or directory\)$"),
+        (b"0.5," * 57 + b"1\n" + b"0.5\xff," * 57 + b"0\n", r", line 2: byte 0xff is not UTF-8$"),
+        ((b"0.5," * 57 + b"1\n") * 2 + b"0.5," * 56 + b"0\n",
+         r", line 3: expected 58 columns, got 57$"),
+    ], ids=["missing", "not-utf8", "short-row"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
+    def test_a_bad_dataset_is_a_usage_error_before_any_file(self, tmp_path, command, content,
+                                                            message):
+        path = tmp_path / "spambase.data"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^dataset {re.escape(str(path))}{message}"):
+            main([*command, "--dataset", str(path), "--variant", "erm", "--m", "4",
+                  "--iterations", "2", "--screen-count", "1", "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
     def test_unknown_variant_is_a_usage_error_before_any_file(self, tmp_path, command):
         with pytest.raises(SystemExit, match="unknown variant 'bogus'"):
@@ -525,13 +552,6 @@ class TestCli:
         with pytest.raises(SystemExit, match=r"unknown config fields: \['shift_steps'\]"):
             main(["run", "--config", str(config_path), "--out", str(tmp_path)])
         assert not (tmp_path / "records.jsonl").exists()
-
-    def test_verify_suites_report_python_bools(self):
-        results = verify_mod.run_all(fuzz_instances=50, n_seeds=1)
-        assert len(results) == 4
-        for result in results:
-            assert type(result.passed) is bool, result.name
-        json.dumps([asdict(r) for r in results])
 
     def test_verify_counts_take_integral_numbers(self):
         result = verify_mod.fuzz_screening_bound(n_instances=np.int64(40))

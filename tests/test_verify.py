@@ -122,8 +122,7 @@ def test_block_names_the_instance_the_bound_refuses(rng, m, honest, screened):
     good = (rng.standard_normal((8, 3)), np.arange(7), 2, rng.standard_normal(3))
     bad = (rng.standard_normal((m, 3)), np.arange(honest), screened, rng.standard_normal(3))
     block = hand_block([good, good, bad, good])
-    # at screen_count = m the oracle divides 0 by 1 - beta = 0 before it refuses
-    with pytest.raises((ConfigError, RegimeError)) as oracle, np.errstate(invalid="ignore"):
+    with pytest.raises((ConfigError, RegimeError)) as oracle:
         check_screening_bound(*block.instance(2))
     with pytest.raises(oracle.type, match=f"^{re.escape(f'screening instance 12: {oracle.value}')}$"):
         verify._check_screening_block(block, first=10)
@@ -224,3 +223,18 @@ def test_run_all_trains_each_pair_once_and_reports_as_the_suites_alone(monkeypat
     ]
     assert shared == alone
     assert all(result.passed for result in shared)
+
+
+def test_deviation_suite_reports_its_tightest_iteration():
+    seeds, rounds = 3, 30
+    reports = []
+    for seed in range(seeds):
+        *_, trace, inputs = verify._quadratic_run(seed, rounds)
+        reports += verify.check_aggregate_deviation(trace, inputs)
+    worst = min(r.margin for r in reports)
+    tightest = max(r.measured_value / r.bound_value for r in reports)
+    assert 0.0 < tightest < 1.0
+    result = verify.deviation_trace_suite(n_seeds=seeds, iterations=rounds)
+    # the text before the figure is the one the suite printed without it
+    assert result.detail == (f"violations=0, worst margin={worst:.3e}, "
+                             f"max ||G-grad F||/bound={tightest:.4f}")
