@@ -9,9 +9,7 @@ checkers that verify recorded traces against them.
 
 from .aggregation import (
     DeviationBound,
-    GradientSet,
     ScreenConfig,
-    check_screening_bound,
     norm_screen,
     screening_coefficient,
     screening_deviation_bound,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import GradientSet
+from .aggregation import row_norms
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -62,8 +62,10 @@ def _unit_direction(spec: AttackSpec, dim, iteration, worker):
     return g / n
 
 
-def craft(spec: AttackSpec, honest_grads: GradientSet, reference, iteration, workers):
+def craft(spec: AttackSpec, honest_grads, reference, iteration, workers):
     """The byzantine rows of one round: a (len(workers), d) matrix, row i for workers[i].
+
+    ``honest_grads`` is the (k, d) array of the round's honest reports.
 
     Deterministic given (rng_seed, iteration, worker); intelligent directions
     are drawn fresh per worker per iteration from their own generator unless
@@ -85,10 +87,9 @@ def craft(spec: AttackSpec, honest_grads: GradientSet, reference, iteration, wor
                 row[:] = _unit_direction(spec, reference.size, iteration, worker)
             rows *= spec.ratio * norm
     else:  # counterexample: negate the honest gradient at the target norm rank
-        if spec.target_rank >= honest_grads.m:
-            raise ConfigError(
-                f"target_rank={spec.target_rank} out of range for {honest_grads.m} honest gradients"
-            )
-        order = np.argsort(honest_grads.norms(), kind="stable")
-        rows[:] = -honest_grads.matrix[order[spec.target_rank]]
+        if spec.target_rank >= len(honest_grads):
+            raise ConfigError(f"target_rank={spec.target_rank} out of range for "
+                              f"{len(honest_grads)} honest gradients")
+        order = np.argsort(row_norms(honest_grads), kind="stable")
+        rows[:] = -honest_grads[order[spec.target_rank]]
     return rows

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -26,3 +28,18 @@ class NumericError(ArithmeticError):
 
 class DataFormatError(ValueError):
     """An input file does not match the expected format."""
+
+
+def require_count(name, value, minimum):
+    """``value`` as an int count of at least ``minimum``, or ``ConfigError`` naming ``name``.
+
+    An integral real (5 or 5.0) is taken; a bool, a non-integral number or a
+    string is refused.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer count, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .aggregation import GradientSet, ScreenConfig, norm_screen
+from .aggregation import ScreenConfig, norm_screen
 from .attacks import AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError
 from .losses import LogisticLoss, QuadraticLoss
@@ -73,7 +73,7 @@ class WorkerRoster:
         return tuple(i for i in range(self.m) if i not in byz)
 
 
-def validate_roster(roster: WorkerRoster, n_samples, screen: ScreenConfig):
+def validate_roster(roster: WorkerRoster, n_samples, screen_count):
     seen = np.concatenate([np.asarray(s, dtype=int) for s in roster.shards])
     if seen.size == 0:
         raise ConfigError("empty shards")
@@ -86,10 +86,10 @@ def validate_roster(roster: WorkerRoster, n_samples, screen: ScreenConfig):
         raise ConfigError("every worker needs a non-empty shard")
     if len(sizes) > 1:
         raise ConfigError(f"every shard must hold the same number of rows, got sizes {sizes}")
-    if len(roster.byzantine) > screen.screen_count and not roster.allow_excess_byzantine:
+    if len(roster.byzantine) > screen_count and not roster.allow_excess_byzantine:
         raise ConfigError(
             f"{len(roster.byzantine)} byzantine workers exceed screen_count="
-            f"{screen.screen_count}; set allow_excess_byzantine to demo this regime"
+            f"{screen_count}; set allow_excess_byzantine to demo this regime"
         )
 
 
@@ -188,7 +188,7 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
     """Run the full round loop and return the per-iteration trace."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    validate_roster(roster, X.shape[0], cfg.screen)
+    validate_roster(roster, X.shape[0], cfg.screen.screen_count)
     m, d, T = roster.m, X.shape[1], cfg.iterations
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.array(cfg.theta0, dtype=float)
     if theta.shape != (d,):
@@ -225,10 +225,9 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine.size:
                 reference = honest_grads.mean(axis=0)
-                grads[byzantine] = craft(roster.attack, GradientSet(honest_grads), reference,
-                                         t, roster.byzantine)
-            reports = GradientSet(grads)
-            G = norm_screen(reports, cfg.screen)
+                grads[byzantine] = craft(roster.attack, honest_grads, reference, t,
+                                         roster.byzantine)
+            G, trace.worker_norms[t] = norm_screen(grads, cfg.screen.screen_count)
             G_norm = np.linalg.norm(G)
             step = theta - cfg.eta * G
         if not np.isfinite(G).all():
@@ -237,7 +236,6 @@ def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrac
         trace.aggregated[t] = G
         trace.aggregated_norms[t] = G_norm
         trace.objective_estimates[t] = honest_objs.mean()
-        trace.worker_norms[t] = reports.norms()  # computed once, by the screen
 
         theta = step
         if not np.isfinite(theta).all():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustgd.aggregation import GradientSet, ScreenConfig, check_screening_bound, norm_screen
+from robustgd.aggregation import norm_screen, screening_deviation_bound
 from robustgd.bounds import TheoryInputs, distance_contraction
 from robustgd.errors import RegimeError
 from robustgd.experiments import ExperimentConfig, run_experiment, sweep, write_records, read_records
@@ -67,12 +67,12 @@ def test_criterion_1_screening_bound_fuzz_and_toy_instance():
     result = fuzz_screening_bound(n_instances=10_000, seed=0)
     assert result.passed, result.detail
 
-    grads = GradientSet([np.array([4.0]), np.array([6.0]), np.array([-5.9])])
-    check = check_screening_bound(grads, [0, 1], ScreenConfig(1), np.array([5.0]))
-    lhs = check.bound.rhs - check.slack
+    grads, S = np.array([[4.0], [6.0], [-5.9]]), np.array([5.0])
+    lhs = np.linalg.norm(norm_screen(grads, 1)[0] - S)
+    rhs = screening_deviation_bound(grads, np.array([True, True, False]), 1, S).rhs
     assert lhs == pytest.approx(5.95, abs=1e-12)
-    assert check.bound.rhs == pytest.approx(6.0, abs=1e-12)
-    assert check.holds
+    assert rhs == pytest.approx(6.0, abs=1e-12)
+    assert lhs <= rhs
     took = time.time() - start
     assert took < 30.0
     announce(1, f"10^4 instances hold ({result.detail}); toy lhs=5.95 <= rhs=6; {took:.1f}s")
@@ -80,8 +80,8 @@ def test_criterion_1_screening_bound_fuzz_and_toy_instance():
 
 def test_criterion_2_counterexample_and_breakpoint():
     start = time.time()
-    vectors = [np.array([-2.0])] * 4 + [np.array([float(v)]) for v in (6, 5, 4, 3, 2, 1)]
-    out = norm_screen(GradientSet(vectors), ScreenConfig(4))
+    vectors = np.array([-2.0] * 4 + [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])[:, None]
+    out, _ = norm_screen(vectors, 4)
     assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
 
     dists = breakpoint_demo(iterations=150)

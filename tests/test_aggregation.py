@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from robustgd.aggregation import (
-    GradientSet,
     ScreenConfig,
-    check_screening_bound,
     norm_screen,
+    row_norms,
     screening_coefficient,
     screening_deviation_bound,
 )
@@ -14,46 +13,58 @@ from robustgd.errors import ConfigError, RegimeError, ShapeError
 
 
 def scalars(*values):
-    return GradientSet([np.array([float(v)]) for v in values])
+    return np.array(values, dtype=float)[:, None]
+
+
+def mask(m, honest):
+    out = np.zeros(m, dtype=bool)
+    out[list(honest)] = True
+    return out
+
+
+def screened_mean(reports, screen_count):
+    return norm_screen(reports, screen_count)[0]
 
 
 class TestNormScreen:
     def test_identical_inputs_returns_the_common_vector(self):
         v = np.array([1.5, -2.0, 0.25])
-        out = norm_screen(GradientSet([v] * 10), ScreenConfig(3))
+        out = screened_mean(np.tile(v, (10, 1)), 3)
         np.testing.assert_allclose(out, v, rtol=1e-15)
 
     def test_byzantine_dominated_instance(self):
         # 4 forgeries tying an honest norm all survive screening:
         # kept = {-2, -2, -2, -2, 2, 1}, mean = -5/6 (hand enumeration)
-        grads = scalars(-2, -2, -2, -2, 6, 5, 4, 3, 2, 1)
-        out = norm_screen(grads, ScreenConfig(4))
+        out = screened_mean(scalars(-2, -2, -2, -2, 6, 5, 4, 3, 2, 1), 4)
         assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
 
     def test_three_input_toy_screens_the_largest(self):
-        out = norm_screen(scalars(4, 6, -5.9), ScreenConfig(1))
+        out = screened_mean(scalars(4, 6, -5.9), 1)
         assert out[0] == pytest.approx(-0.95, abs=1e-12)
+
+    def test_returns_every_row_norm(self, rng):
+        vectors = rng.standard_normal((7, 4))
+        _, norms = norm_screen(vectors, 2)
+        np.testing.assert_array_equal(norms, np.linalg.norm(vectors, axis=1))
 
     def test_zero_screening_equals_arithmetic_mean(self, rng):
         vectors = rng.standard_normal((17, 9))
-        out = norm_screen(GradientSet(vectors), ScreenConfig(0))
+        out = screened_mean(vectors, 0)
         np.testing.assert_allclose(out, vectors.mean(axis=0), atol=1e-12)
 
     def test_permutation_invariance_on_tie_free_inputs(self, rng):
         vectors = rng.standard_normal((12, 5)) * np.arange(1, 13)[:, None]
-        cfg = ScreenConfig(4)
-        base = norm_screen(GradientSet(vectors), cfg)
+        base = screened_mean(vectors, 4)
         for _ in range(20):
             perm = rng.permutation(12)
-            out = norm_screen(GradientSet(vectors[perm]), cfg)
+            out = screened_mean(vectors[perm], 4)
             np.testing.assert_allclose(out, base, rtol=1e-12)
 
     @pytest.mark.parametrize("c", [2.5, -1.25, 1e-3])
     def test_scaling_equivariance(self, rng, c):
         vectors = rng.standard_normal((9, 4))
-        cfg = ScreenConfig(3)
-        base = norm_screen(GradientSet(vectors), cfg)
-        out = norm_screen(GradientSet(c * vectors), cfg)
+        base = screened_mean(vectors, 3)
+        out = screened_mean(c * vectors, 3)
         np.testing.assert_allclose(out, c * base, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,7 +72,7 @@ class TestNormScreen:
         finite = rng.standard_normal((5, 3))
         bad_rows = [[bad, 0.0, 1.0], [1.0, bad, bad], [bad] * 3]
         vectors = np.insert(finite, [0, 2, 5], bad_rows, axis=0)
-        out = norm_screen(GradientSet(vectors), ScreenConfig(3))
+        out = screened_mean(vectors, 3)
         expected = np.zeros(3)
         for row in finite:  # left to right, as the screen sums
             expected += row
@@ -70,48 +81,72 @@ class TestNormScreen:
     def test_more_non_finite_rows_than_the_count_leak_into_the_mean(self, rng):
         # the screen does not judge finiteness; the round loop refuses the result
         vectors = np.vstack([rng.standard_normal((4, 2)), [[np.inf, 0.0], [np.nan, 1.0]]])
-        out = norm_screen(GradientSet(vectors), ScreenConfig(1))
+        out = screened_mean(vectors, 1)
         assert not np.isfinite(out).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_row_past_the_float_range_ranks_as_inf_and_is_screened(self, rng):
         finite = rng.standard_normal((4, 3))
         vectors = np.insert(finite, 2, [1e308, -1e308, 1e308], axis=0)
-        grads = GradientSet(vectors)
-        assert grads.norms()[2] == np.inf
-        np.testing.assert_array_equal(grads.norms()[[0, 1, 3, 4]],
-                                      np.linalg.norm(finite, axis=1))
+        out, norms = norm_screen(vectors, 1)
+        np.testing.assert_array_equal(norms, row_norms(vectors))
+        assert norms[2] == np.inf
+        np.testing.assert_array_equal(norms[[0, 1, 3, 4]], np.linalg.norm(finite, axis=1))
         expected = np.zeros(3)
         for row in finite:  # left to right, as the screen sums
             expected += row
-        np.testing.assert_array_equal(norm_screen(grads, ScreenConfig(1)), expected / 4)
+        np.testing.assert_array_equal(out, expected / 4)
 
     def test_ties_keep_lower_original_index(self):
         # two vectors of equal norm straddling the cut: lower index survives
-        grads = scalars(3, -3, 1, 5)
-        out = norm_screen(grads, ScreenConfig(2))  # keep two smallest: 1 and the first "3"
+        out = screened_mean(scalars(3, -3, 1, 5), 2)  # keep two smallest: 1 and the first "3"
         assert out[0] == pytest.approx((3 + 1) / 2)
 
-    def test_dimension_mismatch_is_structural_error(self):
+    @pytest.mark.parametrize("reports", [
+        [np.array([1.0, 2.0]), np.array([1.0])],   # ragged
+        np.ones(3),                                # one vector, not a matrix
+        np.ones((0, 2)),                           # no report
+        np.ones((3, 0)),                           # no coordinate
+        np.ones((2, 2, 2)),
+    ])
+    def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, reports):
         with pytest.raises(ShapeError):
-            GradientSet([np.array([1.0, 2.0]), np.array([1.0])])
+            norm_screen(reports, 0)
+        with pytest.raises(ShapeError):
+            screening_deviation_bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
 
     def test_screening_everything_is_config_error(self):
-        with pytest.raises(ConfigError):
-            norm_screen(scalars(1, 2, 3), ScreenConfig(3))
-
-    def test_negative_screen_count_rejected(self):
-        with pytest.raises(ConfigError):
-            ScreenConfig(-1)
+        with pytest.raises(ConfigError, match=r"^screen_count=3 must be < m=3 \(keep at least one\)$"):
+            norm_screen(scalars(1, 2, 3), 3)
 
 
-def loop_screen(grads, cfg):
+class TestScreenConfig:
+    def test_integral_counts_are_stored_as_ints(self):
+        for count in (0, 2, np.int64(2), 2.0):
+            cfg = ScreenConfig(count)
+            assert cfg.screen_count == count and type(cfg.screen_count) is int
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "screen_count must be >= 0, got -1"),
+        (2.5, "screen_count must be an integer count, got 2.5"),
+        (True, "screen_count must be an integer count, got True"),
+        ("2", "screen_count must be an integer count, got '2'"),
+        (np.nan, "screen_count must be an integer count, got nan"),
+    ])
+    def test_bad_counts_are_refused_by_name(self, count, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ScreenConfig(count)
+
+
+def loop_screen(reports, screen_count):
     """The screened mean as a left-to-right loop over the kept rows, the reference for the reduction."""
-    keep = grads.m - cfg.screen_count
-    kept = np.sort(np.argsort(np.linalg.norm(grads.matrix, axis=1), kind="stable")[:keep])
-    acc = np.zeros(grads.dim)
+    keep = reports.shape[0] - screen_count
+    with np.errstate(over="ignore"):  # a row past the float range ranks as +inf
+        norms = np.linalg.norm(reports, axis=1)
+    kept = np.sort(np.argsort(norms, kind="stable")[:keep])
+    acc = np.zeros(reports.shape[1])
     for i in kept:
-        acc += grads.matrix[i]
+        acc += reports[i]
     return acc / kept.size
 
 
@@ -125,11 +160,9 @@ class TestNormScreenMatchesTheLoop:
 
     def test_random_screening_instances(self):
         dims = set()
-        for block, _ in verify._screening_fuzz_blocks(2000, seed=0):
-            for i in range(block.size):
-                grads, _, cfg, _ = block.instance(i)
-                assert_same_bits(norm_screen(grads, cfg), loop_screen(grads, cfg))
-                dims.add(grads.dim)
+        for rows, _, b, _ in verify._screening_instances(2000, seed=0):
+            assert_same_bits(screened_mean(rows, b), loop_screen(rows, b))
+            dims.add(rows.shape[1])
         assert 1 in dims  # a single column, which a plain sum would add pairwise
 
     @pytest.mark.parametrize("m", [1, 3, 20])
@@ -137,9 +170,8 @@ class TestNormScreenMatchesTheLoop:
         signs = rng.choice([-0.0, 0.0], size=(m, 4))
         signs[:, 0] = -0.0  # a column of negative zeros only
         for vectors in (signs, np.full((m, 4), -0.0)):
-            grads = GradientSet(vectors)
-            out = norm_screen(grads, ScreenConfig(m // 3))
-            assert_same_bits(out, loop_screen(grads, ScreenConfig(m // 3)))
+            out = screened_mean(vectors, m // 3)
+            assert_same_bits(out, loop_screen(vectors, m // 3))
             assert not np.signbit(out).any()
 
     def test_ties_in_norm(self, rng):
@@ -148,8 +180,7 @@ class TestNormScreenMatchesTheLoop:
         vectors = np.array([rng.permutation(base) * rng.choice([-1.0, 1.0], 5)
                             for _ in range(12)])
         for b in range(12):
-            grads = GradientSet(vectors)
-            assert_same_bits(norm_screen(grads, ScreenConfig(b)), loop_screen(grads, ScreenConfig(b)))
+            assert_same_bits(screened_mean(vectors, b), loop_screen(vectors, b))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_byzantine_rows_are_screened(self, rng, bad):
@@ -157,32 +188,56 @@ class TestNormScreenMatchesTheLoop:
             vectors = rng.standard_normal((19, dim))
             vectors[[0, 5, 11, 18]] = bad
             vectors[11, 0] = 1.0  # partly finite where dim > 1
-            grads = GradientSet(vectors)
-            out = norm_screen(grads, ScreenConfig(4))
+            out = screened_mean(vectors, 4)
             assert np.isfinite(out).all()
-            assert_same_bits(out, loop_screen(grads, ScreenConfig(4)))
+            assert_same_bits(out, loop_screen(vectors, 4))
+
+    def test_hostile_instances_hold_the_bound(self, rng):
+        column = rng.standard_normal((40, 1))        # its kept sum rounds apart when added pairwise
+        column[[3, 17, 29]] = 50.0                   # three forgeries, screened with two honest rows
+        zeros = np.full((6, 3), -0.0)
+        mixed_zeros = rng.choice([-0.0, 0.0], size=(9, 2))
+        base = rng.standard_normal(5)
+        ties = np.array([rng.permutation(base) * rng.choice([-1.0, 1.0], 5) for _ in range(12)])
+        huge = rng.standard_normal((7, 4))
+        huge[2] = 1e308                              # its squared norm overflows to +inf
+        instances = [
+            (column, np.setdiff1d(np.arange(40), [3, 17, 29]), 5, np.zeros(1)),  # lhs = |mean|
+            (column[:9], range(9), 2, np.array([-0.0])),
+            (zeros, range(6), 1, np.full(3, -0.0)),
+            (zeros, [0, 1, 3, 4, 5], 2, rng.standard_normal(3)),
+            (mixed_zeros, range(1, 9), 4, np.zeros(2)),
+            (ties, list(range(0, 12, 2)) + [1, 3, 5], 3, base),
+            (ties, range(12), 11, rng.standard_normal(5)),
+            (huge, [0, 1, 3, 4, 5, 6], 1, rng.standard_normal(4)),
+            (huge, [0, 1, 3, 4, 5, 6], 3, np.zeros(4)),
+        ]
+        for rows, honest, b, S in instances:
+            G, _ = norm_screen(rows, b)
+            assert_same_bits(G, loop_screen(rows, b))
+            lhs = np.linalg.norm(G - S)
+            assert screening_deviation_bound(rows, mask(len(rows), honest), b, S).rhs - lhs >= 0.0
+            if rows is huge:
+                assert np.isfinite(lhs)  # the 1e308 row is screened
 
 
 class TestDeviationBound:
     def test_toy_instance_values(self):
-        grads = scalars(4, 6, -5.9)
-        bound = screening_deviation_bound(grads, [0, 1], ScreenConfig(1), np.array([5.0]))
+        bound = screening_deviation_bound(scalars(4, 6, -5.9), mask(3, [0, 1]), 1, np.array([5.0]))
         assert bound.c_alpha == pytest.approx(1.0)
         assert bound.delta == pytest.approx(1.0)
         assert bound.rhs == pytest.approx(6.0)
 
     def test_toy_instance_check_slack(self):
-        grads = scalars(4, 6, -5.9)
-        result = check_screening_bound(grads, [0, 1], ScreenConfig(1), np.array([5.0]))
-        assert result.holds
-        assert result.slack == pytest.approx(0.05, abs=1e-12)  # 6 - 5.95
+        grads, S = scalars(4, 6, -5.9), np.array([5.0])
+        bound = screening_deviation_bound(grads, mask(3, [0, 1]), 1, S)
+        slack = bound.rhs - np.linalg.norm(screened_mean(grads, 1) - S)
+        assert slack == pytest.approx(0.05, abs=1e-12)  # 6 - 5.95
 
     def test_all_honest_rhs_is_delta(self, rng):
         vectors = rng.standard_normal((8, 3))
         S = rng.standard_normal(3)
-        bound = screening_deviation_bound(
-            GradientSet(vectors), range(8), ScreenConfig(2), S
-        )
+        bound = screening_deviation_bound(vectors, np.ones(8, dtype=bool), 2, S)
         assert bound.c_alpha == 0.0
         expected = np.linalg.norm(vectors - S, axis=1).max()
         assert bound.rhs == pytest.approx(expected, rel=1e-15)
@@ -190,55 +245,44 @@ class TestDeviationBound:
     def test_identical_inputs_slack_is_calpha_norm_s(self, rng):
         v = rng.standard_normal(6)
         S = rng.standard_normal(6)
-        grads = GradientSet([v] * 10)
-        result = check_screening_bound(grads, range(7), ScreenConfig(3), S)
-        assert result.holds
-        expected = result.bound.c_alpha * np.linalg.norm(S)
-        assert result.slack == pytest.approx(expected, rel=1e-12)
+        grads = np.tile(v, (10, 1))
+        bound = screening_deviation_bound(grads, mask(10, range(7)), 3, S)
+        slack = bound.rhs - np.linalg.norm(screened_mean(grads, 3) - S)
+        assert slack >= 0.0
+        assert slack == pytest.approx(bound.c_alpha * np.linalg.norm(S), rel=1e-12)
 
     def test_alpha_above_beta_is_inapplicable(self):
-        grads = scalars(1, 2, 3, 4, 5, 6)
         with pytest.raises(RegimeError):
-            screening_deviation_bound(grads, [0, 1, 2, 3], ScreenConfig(1), np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, range(4)), 1,
+                                      np.array([0.0]))
 
     def test_alpha_above_half_is_inapplicable(self):
-        grads = scalars(1, 2, 3, 4, 5, 6)
         with pytest.raises(RegimeError):
-            screening_deviation_bound(grads, [0, 1], ScreenConfig(5), np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, [0, 1]), 5,
+                                      np.array([0.0]))
 
-    def test_empty_or_duplicate_honest_indices_rejected(self):
-        grads = scalars(1, 2, 3)
-        with pytest.raises(ConfigError):
-            screening_deviation_bound(grads, [], ScreenConfig(1), np.array([0.0]))
-        with pytest.raises(ConfigError):
-            screening_deviation_bound(grads, [0, 0, 1], ScreenConfig(1), np.array([0.0]))
-
-    @pytest.mark.parametrize("honest, message", [
-        ([0, 0, 1], "honest indices must be unique"),
-        ([2, 1, 2], "honest indices must be unique"),
-        ([0, 3], r"honest indices out of range \[0, 3\)"),
-        ([-1, 1], r"honest indices out of range \[0, 3\)"),
-        ([0, 0, 3], r"honest indices out of range \[0, 3\)"),  # the range is checked first
+    @pytest.mark.parametrize("honest, error, message", [
+        (np.zeros(3, dtype=bool), ConfigError, "honest mask must mark at least one row"),
+        (np.ones(4, dtype=bool), ShapeError,
+         r"honest must be a boolean mask of shape \(3,\), got bool of shape \(4,\)"),
+        (np.ones((3, 1), dtype=bool), ShapeError, r"got bool of shape \(3, 1\)"),
+        (np.array([0, 1, 2]), ShapeError, r"got int64 of shape \(3,\)"),   # indices, not a mask
+        (np.array([1.0, 1.0, 0.0]), ShapeError, r"got float64 of shape \(3,\)"),
     ])
-    def test_bad_honest_indices_are_named(self, honest, message):
-        with pytest.raises(ConfigError, match=message):
-            screening_deviation_bound(scalars(1, 2, 3), honest, ScreenConfig(1), np.array([0.0]))
+    def test_bad_honest_masks_are_named(self, honest, error, message):
+        with pytest.raises(error, match=message):
+            screening_deviation_bound(scalars(1, 2, 3), honest, 1, np.array([0.0]))
+
+    def test_s_of_the_wrong_shape_is_named(self):
+        with pytest.raises(ShapeError, match=r"S must have shape \(1,\), got \(2,\)"):
+            screening_deviation_bound(scalars(1, 2, 3), np.ones(3, dtype=bool), 1, np.zeros(2))
 
     @pytest.mark.parametrize("honest", [[0, 1, 2, 3], [0, 1, 2]], ids=["all-honest", "one-byz"])
-    @pytest.mark.parametrize("check", [screening_deviation_bound, check_screening_bound])
-    def test_screening_every_input_is_a_config_error_without_a_warning(self, check, honest):
+    def test_screening_every_input_is_a_config_error_without_a_warning(self, honest):
         # tier-1 turns a RuntimeWarning into an error, so a 0/0 or x/0 on the way
         # would replace the named refusal
         with pytest.raises(ConfigError, match=r"^screen_count=4 must be < m=4 \(keep at least one\)$"):
-            check(scalars(1, 2, 3, 4), honest, ScreenConfig(4), np.array([0.0]))
-
-    def test_honest_order_does_not_matter(self):
-        grads = GradientSet(np.arange(12.0).reshape(6, 2) ** 1.5)
-        S = np.array([0.5, -1.0])
-        a = screening_deviation_bound(grads, [4, 0, 2, 5], ScreenConfig(2), S)
-        b = screening_deviation_bound(grads, [0, 2, 4, 5], ScreenConfig(2), S)
-        assert a == b
-        assert a.delta == np.linalg.norm(grads.matrix[[0, 2, 4, 5]] - S, axis=1).max()
+            screening_deviation_bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
 
     def test_quick_fuzz(self, rng):
         from robustgd.verify import fuzz_screening_bound
@@ -253,6 +297,7 @@ class TestScreeningCoefficient:
         assert screening_coefficient(3, 3, 20) == 6 / 17  # 2*0.15/0.85
         assert screening_coefficient(1, 2, 10) == 0.25
         assert screening_coefficient(10, 10, 30) == 1.0  # alpha = beta = 1/3, exactly
+        assert screening_coefficient(np.int64(1), 2.0, 10.0) == 0.25  # integral reals are counts
 
     @pytest.mark.parametrize("byzantine, screened, m, error, message", [
         (0, 4, 4, ConfigError, r"screen_count=4 must be < m=4 \(keep at least one\)"),
@@ -262,4 +307,20 @@ class TestScreeningCoefficient:
     ])
     def test_refusals_come_in_order(self, byzantine, screened, m, error, message):
         with pytest.raises(error, match=f"^{message}"):
+            screening_coefficient(byzantine, screened, m)
+
+    @pytest.mark.parametrize("byzantine, screened, m, message", [
+        (-1, 0, 5, "byzantine must be >= 0, got -1"),
+        (0, -1, 5, "screened must be >= 0, got -1"),
+        (1, 1, -5, "m must be >= 0, got -5"),
+        (1.5, 2, 5, "byzantine must be an integer count, got 1.5"),
+        (1, 2.5, 5, "screened must be an integer count, got 2.5"),
+        (1, 1, 5.5, "m must be an integer count, got 5.5"),
+        (True, 1, 5, "byzantine must be an integer count, got True"),
+        (0, False, 5, "screened must be an integer count, got False"),
+        (0, 0, "5", "m must be an integer count, got '5'"),
+    ])
+    def test_counts_that_are_not_integers_at_least_zero_are_refused_by_name(
+            self, byzantine, screened, m, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             screening_coefficient(byzantine, screened, m)

@@ -3,13 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from robustgd.aggregation import GradientSet, ScreenConfig, norm_screen
+from robustgd.aggregation import norm_screen
 from robustgd.attacks import AttackSpec, craft
 from robustgd.errors import ConfigError
 
 
 def honest_scalars(*values):
-    return GradientSet([np.array([float(v)]) for v in values])
+    return np.array(values, dtype=float)[:, None]
 
 
 class TestAggressive:
@@ -100,8 +100,7 @@ class TestCounterexample:
         spec = AttackSpec(kind="counterexample", target_rank=1)
         honest = honest_scalars(6, 5, 4, 3, 2, 1)
         forgeries = craft(spec, honest, np.array([3.5]), 0, range(4))
-        vectors = np.vstack([forgeries, honest.matrix])
-        out = norm_screen(GradientSet(vectors), ScreenConfig(4))
+        out, _ = norm_screen(np.vstack([forgeries, honest]), 4)
         # kept set is {-2, -2, -2, -2, 2, 1}: forgeries dominate the average
         assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
 

@@ -43,6 +43,7 @@ RETIRED = {
     "losses.logistic.values",
     "losses.logistic.grads_theta",
     "losses.quadratic.values",
+    "aggregation.check_screening_bound",
 }
 
 
@@ -67,11 +68,15 @@ def test_retired_spans_are_still_traced():
 
 
 def test_hook_bindings_resolve():
-    # the tracer's work counters bind these parameters and trace fields by name
+    # the tracer's work counters bind these parameters and fields by name
+    from robustgd.experiments import _train_config
     from robustgd.simulation import run_training
 
     assert {"roster", "cfg"} <= set(inspect.signature(run_training).parameters)
     assert "worker_norms" in RunTrace.__dataclass_fields__
+    # _count_training reads cfg.screen.screen_count of the TrainConfig it is given
+    cfg = _train_config(ExperimentConfig(preset="E1"))
+    assert cfg.screen.screen_count == ExperimentConfig(preset="E1").screen_count
 
 
 def test_workload_call_shapes_bind():

@@ -408,7 +408,7 @@ class TestRunTraining:
         roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 7), np.arange(7, 12)])
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
         with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
-            validate_roster(roster, 12, cfg.screen)
+            validate_roster(roster, 12, cfg.screen.screen_count)
         with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
             run_training(QuadraticLoss(), X, Y, roster, cfg)
 
