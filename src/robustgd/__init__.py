@@ -41,6 +41,7 @@ from .simulation import (
     WorkerRoster,
     gradient_dispersion,
     run_training,
+    train_runs,
     worker_reports,
 )
 from .surrogate import DROConfig, required_iterations

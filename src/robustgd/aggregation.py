@@ -7,7 +7,9 @@ any reference vector S is bounded by ``c_alpha * ||S|| + Delta``, where
 c_alpha = 2*alpha/(1-beta) for the corrupted fraction alpha and the screened
 fraction beta (``screening_coefficient``, from the worker counts) and Delta
 is the worst honest distance to S; ``screening_deviation_bound`` computes
-the bound. Every function takes the reports as one plain (m, d) array.
+the bound. Every function takes the reports as one plain (m, d) array;
+``norm_screen`` also takes a stack of them, (..., m, d), one screen per
+leading index, so a batch of training runs screens its round in one call.
 """
 
 from dataclasses import dataclass
@@ -17,26 +19,30 @@ import numpy as np
 from .errors import ConfigError, RegimeError, ShapeError, require_count
 
 
-def _report_matrix(reports):
-    """``reports`` as an (m, d) float matrix with m, d >= 1, or ``ShapeError``."""
+def _report_matrix(reports, stacked=False):
+    """``reports`` as an (m, d) float matrix, or (..., m, d) if ``stacked``, or ``ShapeError``.
+
+    Every axis must have length at least 1.
+    """
     try:
         reports = np.asarray(reports, dtype=float)
     except ValueError as exc:  # ragged input
         raise ShapeError(f"inputs must be vectors of one dimension: {exc}") from exc
-    if reports.ndim != 2 or reports.shape[0] < 1 or reports.shape[1] < 1:
-        raise ShapeError(f"expected a 2-d (m, d) matrix, got shape {reports.shape}")
+    if not (reports.ndim == 2 or stacked and reports.ndim > 2) or 0 in reports.shape:
+        expected = "an (m, d) matrix or a stack of them" if stacked else "a 2-d (m, d) matrix"
+        raise ShapeError(f"expected {expected}, got shape {reports.shape}")
     return reports
 
 
 def row_norms(rows):
-    """Euclidean norm of each row of a 2-d array.
+    """Euclidean norm of each row (last-axis vector) of an array.
 
     A row whose squared norm passes the float range (a byzantine report of
     1e308, say) gets norm +inf without a numpy warning, so screening ranks it
     above every finite row.
     """
     with np.errstate(over="ignore"):  # np.linalg.norm's own formula, without its overhead
-        return np.sqrt(np.add.reduce(rows * rows, axis=1))
+        return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -60,20 +66,27 @@ class DeviationBound:
 def norm_screen(reports, screen_count):
     """(mean of the m - screen_count smallest-norm rows, every row's norm).
 
-    ``reports`` is one (m, d) array. Ties in norm are broken by original
-    index (lower kept first); the kept rows are summed left to right in
-    ascending original index so the output is bit-stable.
+    ``reports`` is one (m, d) array, or a stack (..., m, d) screened one
+    (m, d) slice at a time: the results are then (..., d) and (..., m), each
+    slice bit-equal to a call on that slice alone. ``screen_count`` must be
+    an integer count below m (``ConfigError`` naming it). Ties in norm are
+    broken by original index (lower kept first); the kept rows are summed
+    left to right in ascending original index so the output is bit-stable.
     """
-    reports = _report_matrix(reports)
-    m = reports.shape[0]
+    reports = _report_matrix(reports, stacked=True)
+    screen_count = require_count("screen_count", screen_count, 0)
+    m, d = reports.shape[-2:]
     if screen_count >= m:
         raise ConfigError(f"screen_count={screen_count} must be < m={m} (keep at least one)")
     norms = row_norms(reports)
     # stable sort: equal norms keep the lower original index first
-    kept = np.sort(np.argsort(norms, kind="stable")[: m - screen_count])
+    kept = np.sort(np.argsort(norms, axis=-1, kind="stable")[..., : m - screen_count], axis=-1)
+    if norms.size > m:  # more than one slice: index the stacked rows, slice i's from i * m
+        kept += np.arange(0, norms.size, m).reshape(*norms.shape[:-1], 1)
     # accumulate adds row by row in order (reduce would sum a single column
     # pairwise); + 0.0 gives the +0.0 a zero-started sum has where all rows are -0.0
-    return (np.add.accumulate(reports[kept], axis=0)[-1] + 0.0) / kept.size, norms
+    kept_sum = np.add.accumulate(reports.reshape(-1, d)[kept], axis=-2)[..., -1, :] + 0.0
+    return kept_sum / (m - screen_count), norms
 
 
 def screening_coefficient(byzantine, screened, m):

@@ -36,6 +36,8 @@ def require_count(name, value, minimum):
     An integral real (5 or 5.0) is taken; a bool, a non-integral number or a
     string is refused.
     """
+    if type(value) is int and value >= minimum:  # the common case, without the ABC checks
+        return value
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not integral:

@@ -18,6 +18,15 @@ segment sums of theta - x. The byzantine rows of a round come from one
 reduction order, and attack randomness are all pinned, so two runs with the
 same config produce bit-identical traces.
 
+The loop runs R runs at once over a leading run axis (``train_runs``): an
+(R, k, n, d) block, (R, d) iterates, one ascent over the block and one
+screen of the (R, m, d) reports per round, one ``craft`` call per run. The
+runs of a batch share the roster shape, the inner settings and the number
+of rounds; each keeps its own data, shards, step size, initial iterate and
+attack. Every product over the run axis is the stacked form of the run's
+own (the aggregate norms are its (1, d) @ (d, 1) dot), so each run's trace
+is bit-equal to the run trained alone. ``run_training`` is the batch of one.
+
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
 objective over all samples and the worst-case inner-solve error) are
@@ -33,7 +42,7 @@ import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
 from .attacks import AttackSpec, craft
-from .errors import ConfigError, NumericError, RegimeError
+from .errors import ConfigError, NumericError, RegimeError, require_count
 from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
 
@@ -105,8 +114,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        self.iterations = require_count("iterations", self.iterations, 1)
 
 
 @dataclass
@@ -151,98 +159,158 @@ def initial_theta(dim, seed):
 def worker_reports(model, theta, X, Y, dro: DROConfig):
     """Honest workers' reports: (mean surrogate gradients, mean inner objectives).
 
-    ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, and
-    ``Y`` the (k, n) labels. One ascent runs over all k * n rows; each
-    worker's gradient is the loss gradient at the ascent output averaged over
-    its rows, evaluated from the line coefficients (``line_surrogate``,
+    ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, ``Y``
+    the (k, n) labels and ``theta`` the (d,) iterate; or, for R runs at once,
+    an (R, k, n, d) block, (R, k, n) labels and (R, d) iterates, each run's
+    reports bit-equal to its own call. One ascent runs over all the rows;
+    each worker's gradient is the loss gradient at the ascent output averaged
+    over its rows, evaluated from the line coefficients (``line_surrogate``,
     ``quadratic_surrogate``) without forming the ascent output. A logistic
     worker's gradient sum is X_j^T r_j + (sum of r * c) * theta over its
     rows, the first terms one stacked product over the block; the objectives
     and the quadratic sums are segment sums. Returns a (k, d) gradient matrix
-    and a (k,) objective vector; an objective sum that overflows raises
-    ``NumericError`` with the worker's first row. A ``NumericError`` row r
-    lies in worker r // n.
+    and a (k,) objective vector, with a leading R axis for R runs; an
+    objective sum that overflows raises ``NumericError`` with the worker's
+    first row. A ``NumericError`` row indexes the block's rows in order: row
+    i lies in run i // (k * n) and in worker i % (k * n) // n of that run.
     """
-    if X.ndim != 3 or 0 in X.shape or Y.shape != X.shape[:2]:
-        raise ConfigError(f"expected a (k, n, d) row block and (k, n) labels, "
-                          f"got shapes {X.shape} and {Y.shape}")
-    k, n, d = X.shape
-    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    theta = np.asarray(theta, dtype=float)
+    if (X.ndim not in (3, 4) or 0 in X.shape or Y.shape != X.shape[:-1]
+            or theta.shape != X.shape[:-3] + X.shape[-1:]):
+        raise ConfigError(f"expected a (k, n, d) row block with (k, n) labels and a (d,) "
+                          f"iterate, or each with a leading run axis, got shapes {X.shape}, "
+                          f"{Y.shape} and {theta.shape}")
+    *runs, k, n, d = X.shape
+    rows, labels = X.reshape(*runs, k * n, d), Y.reshape(*runs, k * n)
     starts = np.arange(0, k * n, n)
     if isinstance(model, LogisticLoss):
         r, c, objectives = line_surrogate(theta, rows, labels, dro)
-        grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
-        grad_sums += np.matmul(r.reshape(k, 1, n), X).reshape(k, d)
+        grad_sums = np.add.reduceat(r * c, starts, axis=-1)[..., None] * theta[..., None, :]
+        grad_sums += np.matmul(r.reshape(*runs, k, 1, n), X).reshape(*runs, k, d)
     else:
         D, rate, objectives = quadratic_surrogate(model, theta, rows, dro)
-        grad_sums = rate * np.add.reduceat(D, starts, axis=0)
+        grad_sums = rate * np.add.reduceat(D, starts, axis=-2)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        objective_sums = np.add.reduceat(objectives, starts)
-    overflowed = starts[~np.isfinite(objective_sums)]  # each such worker's first row
-    if overflowed.size:
-        raise NumericError("inner objective sum overflows", rows=overflowed)
+        objective_sums = np.add.reduceat(objectives, starts, axis=-1)
+    if not np.isfinite(objective_sums).all():  # name each such worker's first row
+        overflowed = np.flatnonzero(~np.isfinite(objective_sums))
+        raise NumericError("inner objective sum overflows", rows=n * overflowed)
     return grad_sums / n, objective_sums / n
 
 
-def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
-    """Run the full round loop and return the per-iteration trace."""
+# what the runs of one batch share: (field, its value for a run's roster and config)
+_SHARED = (
+    ("m", lambda roster, cfg: roster.m),
+    ("byzantine", lambda roster, cfg: roster.byzantine),
+    ("shard rows", lambda roster, cfg: len(roster.shards[0])),
+    ("screen_count", lambda roster, cfg: cfg.screen.screen_count),
+    ("dro", lambda roster, cfg: cfg.dro),
+    ("iterations", lambda roster, cfg: cfg.iterations),
+)
+
+
+def train_runs(model, X, Y, rosters, cfgs):
+    """Train R runs as one batch: one round loop over a leading run axis.
+
+    ``X`` is (R, N, d) and ``Y`` (R, N); run r trains on ``X[r]``, ``Y[r]``
+    with ``rosters[r]`` and ``cfgs[r]``, and its trace is bit-equal to
+    ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. The runs must
+    share m, the byzantine ids, the shard row count, screen_count, dro and
+    iterations (``ConfigError`` naming the field and the run); each keeps its
+    own data, shards, eta, seed or theta0 and attack. In a batch of more than
+    one run, an error a run raises names it ("run r, "), so a ``NumericError``
+    names the run, the iteration and the worker.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    validate_roster(roster, X.shape[0], cfg.screen.screen_count)
-    m, d, T = roster.m, X.shape[1], cfg.iterations
-    theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.array(cfg.theta0, dtype=float)
-    if theta.shape != (d,):
-        raise ConfigError(f"theta0 must have shape ({d},), got {theta.shape}")
+    R = len(rosters)
+    if R < 1 or len(cfgs) != R or X.ndim != 3 or X.shape[0] != R or Y.shape != X.shape[:2]:
+        raise ConfigError(f"expected (R, N, d) rows, (R, N) labels, R rosters and R configs "
+                          f"for R >= 1 runs, got shapes {X.shape} and {Y.shape}, "
+                          f"{R} rosters and {len(cfgs)} configs")
+    label = [f"run {r}, " if R > 1 else "" for r in range(R)]
+    _, N, d = X.shape
+    theta = np.empty((R, d))
+    for r, (roster, cfg) in enumerate(zip(rosters, cfgs)):
+        validate_roster(roster, N, cfg.screen.screen_count)
+        for field, value in _SHARED:
+            if value(roster, cfg) != value(rosters[0], cfgs[0]):
+                raise ConfigError(f"run {r}: {field}={value(roster, cfg)!r} differs from run "
+                                  f"0's {value(rosters[0], cfgs[0])!r}; a batch shares it")
+        theta0 = (initial_theta(d, cfg.seed) if cfg.theta0 is None
+                  else np.array(cfg.theta0, dtype=float))
+        if theta0.shape != (d,):
+            raise ConfigError(f"{label[r]}theta0 must have shape ({d},), got {theta0.shape}")
+        theta[r] = theta0
+    eta = np.array([[cfg.eta] for cfg in cfgs])  # (R, 1)
+    roster, cfg = rosters[0], cfgs[0]  # their shared fields
+    m, T, screen_count = roster.m, cfg.iterations, cfg.screen.screen_count
 
-    trace = RunTrace(
-        aggregated=np.empty((T, d)),
-        aggregated_norms=np.empty(T),
-        objective_estimates=np.empty(T),
-        worker_norms=np.empty((T, m)),
-        iterates=np.empty((T, d)),
-        theta_final=np.empty(d),
-    )
+    # run-major, so that each run's fields are contiguous; the loop writes
+    # round t of every run through round-major views
+    run_major = dict(aggregated=np.empty((R, T, d)), aggregated_norms=np.empty((R, T)),
+                     objective_estimates=np.empty((R, T)), worker_norms=np.empty((R, T, m)),
+                     iterates=np.empty((R, T, d)))
+    aggregated, aggregated_norms, objective_estimates, worker_norms, iterates = (
+        a.swapaxes(0, 1) for a in run_major.values())
     honest = np.array(roster.honest)
     byzantine = np.array(roster.byzantine, dtype=int)
-    shards = np.stack([np.asarray(roster.shards[i], dtype=int) for i in honest])  # (k, n)
-    honest_X, honest_Y = X[shards], Y[shards]
-    n = shards.shape[1]
-    grads = np.empty((m, d))  # every report of the round; nothing keeps it past the round
+    shards = np.array([[np.asarray(run.shards[i], dtype=int) for i in honest]
+                       for run in rosters])  # (R, k, n)
+    run_axis = np.arange(R)[:, None, None]
+    honest_X, honest_Y = X[run_axis, shards], Y[run_axis, shards]
+    k, n = shards.shape[1:]
+    grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
 
     for t in range(T):
-        trace.iterates[t] = theta
+        iterates[t] = theta
         try:
             honest_grads, honest_objs = worker_reports(model, theta, honest_X, honest_Y, cfg.dro)
         except NumericError as exc:
-            # a failure without rows (a non-finite theta) hits every worker
-            first = 0 if exc.rows is None else exc.rows[0]
-            raise NumericError(f"iteration {t}, worker {honest[first // n]}: {exc}") from exc
-        grads[honest] = honest_grads
+            # a failure without rows (a non-finite theta of one run) hits every worker
+            run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
+            raise NumericError(f"{label[run]}iteration {t}, worker {honest[row // n]}: "
+                               f"{exc}") from exc
+        grads[:, honest] = honest_grads
         # The server's side of the round warns of nothing past the float
         # range: a byzantine report there gets norm inf and is screened, a
         # non-finite aggregate or iterate is refused below, and a finite G
         # past 1e154 has norm inf, which the records refuse by name.
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine.size:
-                reference = honest_grads.mean(axis=0)
-                grads[byzantine] = craft(roster.attack, honest_grads, reference, t,
-                                         roster.byzantine)
-            G, trace.worker_norms[t] = norm_screen(grads, cfg.screen.screen_count)
-            G_norm = np.linalg.norm(G)
-            step = theta - cfg.eta * G
-        if not np.isfinite(G).all():
-            raise NumericError(f"iteration {t}: non-finite aggregated gradient")
-
-        trace.aggregated[t] = G
-        trace.aggregated_norms[t] = G_norm
-        trace.objective_estimates[t] = honest_objs.mean()
-
+                # np.mean's sum and division, without its overhead
+                references = np.add.reduce(honest_grads, axis=1) / k
+                for r, run in enumerate(rosters):
+                    grads[r, byzantine] = craft(run.attack, honest_grads[r], references[r], t,
+                                                run.byzantine)
+            G, worker_norms[t] = norm_screen(grads, screen_count)
+            # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
+            aggregated_norms[t] = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0, 0]
+            step = theta - eta * G
+        if not np.isfinite(step).all():  # also where G is not finite: one check for both
+            _refuse_non_finite(G, f"iteration {t}: non-finite aggregated gradient", label)
+            _refuse_non_finite(step, f"iteration {t}: iterate diverged to non-finite values",
+                               label)
+        aggregated[t] = G
+        objective_estimates[t] = np.add.reduce(honest_objs, axis=1) / k
         theta = step
-        if not np.isfinite(theta).all():
-            raise NumericError(f"iteration {t}: iterate diverged to non-finite values")
 
-    trace.theta_final = theta
-    return trace
+    return [RunTrace(theta_final=theta[r], **{name: a[r] for name, a in run_major.items()})
+            for r in range(R)]
+
+
+def run_training(model, X, Y, roster: WorkerRoster, cfg: TrainConfig) -> RunTrace:
+    """Run the full round loop and return the per-iteration trace: a batch of one run."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return train_runs(model, X[None], Y[None], [roster], [cfg])[0]
+
+
+def _refuse_non_finite(vectors, message, label):
+    """``NumericError`` naming the first run whose row of ``vectors`` is not all finite, if any."""
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise NumericError(label[np.argmin(finite)] + message)
 
 
 def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):

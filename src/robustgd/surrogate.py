@@ -22,7 +22,8 @@ each family):
   from c = 0 with a check per step, to name the first diverging step and
   its rows. The rows may be a whole (k, n, d) block of k workers' shards
   flattened to k * n rows, so one call serves every honest worker of a
-  training round. ``line_surrogate``
+  training round; with one iterate per run, (R, d) against (R, k * n, d)
+  rows, one call serves the round of R runs. ``line_surrogate``
   evaluates the surrogate at the ascent output from the margins theta . x
   and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
@@ -32,6 +33,11 @@ each family):
   ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
   theta-gradient c * (1 + k) * (theta - x) and the objective
   (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
+
+Over a leading run axis every product is the stacked form of the run's own
+(a (1, d) @ (d, 1) dot for ||theta||^2, an (N, d) @ (d, 1) product for the
+margins), so each run's values are bit-equal to a call with that run alone,
+and a ``NumericError``'s ``rows`` index the rows of all runs in order.
 
 ``exact_rows`` evaluates the surrogate at the exact maximizer for both
 families: the fixed point k = c / (lam - c) in closed form for the
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, RegimeError
+from .errors import ConfigError, NumericError, RegimeError, require_count
 from .losses import QuadraticLoss, SmoothnessConstants, cross_entropy, sigmoid
 
 COST_SMOOTHNESS = 1.0  # c(z, x) = ||z - x||^2 / 2
@@ -70,8 +76,7 @@ class DROConfig:
             raise ConfigError(f"lam must be positive, got {self.lam}")
         if not (np.isfinite(self.eta_z) and self.eta_z > 0):
             raise ConfigError(f"eta_z must be positive, got {self.eta_z}")
-        if self.t_z < 0:
-            raise ConfigError(f"t_z must be >= 0, got {self.t_z}")
+        object.__setattr__(self, "t_z", require_count("t_z", self.t_z, 0))  # stored as an int
 
 
 def line_ascent(theta, X, Y, cfg):
@@ -102,7 +107,7 @@ def _line_steps(margins, sq_norm, Y, cfg, check):
     """c after cfg.t_z in-place line steps; ``check`` refuses a non-finite c at every step."""
     eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
     neg_margins, eta_y = -margins, eta * Y
-    c = np.zeros(margins.shape[0])
+    c = np.zeros(margins.shape)
     v = np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled by the caller
         for k in range(cfg.t_z):
@@ -136,15 +141,22 @@ def line_surrogate(theta, X, Y, cfg):
 
 
 def _margins(theta, X):
-    """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin."""
+    """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin.
+
+    ``theta`` is one (d,) iterate against (N, d) rows, or one iterate per run,
+    (R, d) against (R, N, d) rows: the margins are then (R, N) and the
+    squared norms (R, 1), each from the stacked form of the run's own product.
+    """
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite values in theta")
+    X = np.asarray(X, dtype=float)
+    _check_iterates(theta, "non-finite values in theta", X)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf are refused below
-        sq_norm = theta @ theta
-        margins = np.asarray(X, dtype=float) @ theta
-    if not np.isfinite(sq_norm):
-        raise NumericError("||theta||^2 overflows")
+        if theta.ndim == 1:
+            sq_norm, margins = theta @ theta, X @ theta
+        else:
+            column = theta[:, :, None]
+            sq_norm, margins = (theta[:, None, :] @ column)[:, 0], (X @ column)[..., 0]
+    _check_iterates(sq_norm, "||theta||^2 overflows", X)
     _check_rows(margins, "non-finite margins theta . x")
     return margins, sq_norm
 
@@ -162,16 +174,18 @@ def quadratic_line_ascent(model, theta, X, cfg):
 
     grad_z f = c * (z - theta), so each of the cfg.t_z steps is
     k <- k + eta_z * (c * (1 + k) - lam * k) from k = 0. Returns
-    (k, D) with D = theta - X, so z = x - k * D. A non-finite theta or row of
-    D raises ``NumericError``, as does a diverging k; rows at x = theta never
-    move, so only the other rows are named.
+    (k, D) with D = theta - X, so z = x - k * D. ``theta`` may be one
+    iterate per run, (R, d) against (R, N, d) rows; k depends on none of them,
+    so it is shared. A non-finite theta or row of D raises ``NumericError``,
+    as does a diverging k; rows at x = theta never move, so only the other
+    rows are named.
     """
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite values in theta")
+    X = np.asarray(X, dtype=float)
+    _check_iterates(theta, "non-finite values in theta", X)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        D = theta - np.asarray(X, dtype=float)
-    _check_rows(D, "non-finite differences theta - x")
+        D = theta[..., None, :] - X
+    _check_rows(D, "non-finite differences theta - x", vectors=True)
     # Python floats: an overflowing k becomes inf or nan without a numpy warning
     c, lam, eta, k = model.curvature, float(cfg.lam), float(cfg.eta_z), 0.0
     if D.any():  # with every row at theta, z = x whatever k is
@@ -196,20 +210,39 @@ def quadratic_surrogate(model, theta, X, cfg):
     if not math.isfinite(weight):
         raise NumericError(f"inner ascent diverged at step {cfg.t_z}", rows=_moving_rows(D))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused below
-        objectives = weight * np.einsum("ij,ij->i", D, D)
+        objectives = weight * np.einsum("...ij,...ij->...i", D, D)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
     return D, c * (1.0 + k), objectives
 
 
 def _moving_rows(D):
-    return np.flatnonzero(D.any(axis=1))
+    return np.flatnonzero(D.any(axis=-1))
 
 
-def _check_rows(A, message):
+def _check_rows(A, message, vectors=False):
+    """Refuse a non-finite entry of ``A``, naming the rows that hold one.
+
+    A row is one entry of ``A``, or one last-axis vector if ``vectors``;
+    ``rows`` are flat indices, so over a leading run axis they count the
+    rows of every run before.
+    """
     finite = np.isfinite(A)
     if not finite.all():
-        bad = ~finite.reshape(A.shape[0], -1).all(axis=1)
+        bad = ~(finite.all(axis=-1) if vectors else finite)
         raise NumericError(message, rows=np.flatnonzero(bad))
+
+
+def _check_iterates(A, message, X):
+    """Refuse a non-finite value of an iterate, which hits every row of its run.
+
+    ``A`` belongs to one iterate (it is below 2-d, and the error has no
+    ``rows``) or holds one row per run, and then ``rows`` are the first rows
+    of the failing runs among ``X``'s (R, N, d) rows.
+    """
+    finite = np.isfinite(A)
+    if not finite.all():
+        rows = None if np.ndim(A) < 2 else np.flatnonzero(~finite.all(axis=-1)) * X.shape[-2]
+        raise NumericError(message, rows=rows)
 
 
 def exact_rows(model, theta, X, Y, lam):

@@ -107,7 +107,8 @@ class TestNormScreen:
         np.ones(3),                                # one vector, not a matrix
         np.ones((0, 2)),                           # no report
         np.ones((3, 0)),                           # no coordinate
-        np.ones((2, 2, 2)),
+        np.ones((2, 0, 2)),                        # a stack of matrices without a report
+        np.ones((0, 2, 2)),                        # an empty stack
     ])
     def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, reports):
         with pytest.raises(ShapeError):
@@ -115,9 +116,29 @@ class TestNormScreen:
         with pytest.raises(ShapeError):
             screening_deviation_bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
 
+    def test_only_the_screen_takes_a_stack_of_matrices(self):
+        stack = np.ones((2, 2, 2))
+        G, norms = norm_screen(stack, 1)
+        assert G.shape == (2, 2) and norms.shape == (2, 2)
+        with pytest.raises(ShapeError, match=r"2-d \(m, d\) matrix, got shape \(2, 2, 2\)"):
+            screening_deviation_bound(stack, np.ones(2, dtype=bool), 0, np.zeros(2))
+
     def test_screening_everything_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^screen_count=3 must be < m=3 \(keep at least one\)$"):
             norm_screen(scalars(1, 2, 3), 3)
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "screen_count must be >= 0, got -1"),          # averaged every row
+        (True, "screen_count must be an integer count, got True"),  # screened one row
+        (1.5, "screen_count must be an integer count, got 1.5"),    # a bare slicing TypeError
+    ])
+    def test_bad_counts_are_refused_by_name(self, count, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            norm_screen(scalars(1, 2, 3), count)
+
+    def test_an_integral_float_count_screens_as_its_int(self, rng):
+        reports = rng.standard_normal((5, 3))
+        assert_same_bits(screened_mean(reports, 2.0), screened_mean(reports, 2))
 
 
 class TestScreenConfig:
@@ -157,6 +178,28 @@ def assert_same_bits(out, expected):
 
 class TestNormScreenMatchesTheLoop:
     """The one-pass screened mean gives the left-to-right loop's bits."""
+
+    def test_a_stack_is_screened_slice_by_slice(self, rng):
+        base = rng.standard_normal(4)
+        stack = rng.standard_normal((6, 9, 4))
+        # norm ties: sign flips and permutations of one row, straddling the cut
+        stack[1] = [rng.permutation(base) * rng.choice([-1.0, 1.0], 4) for _ in range(9)]
+        stack[2, [0, 4, 8]] = 1e308   # rows of norm inf, past the float range
+        stack[3, [2, 5]] = np.inf
+        stack[4] = -0.0               # a slice of negative zeros
+        stack[5, :, :2] = stack[5, 0, :2]
+        for b in range(9):
+            with np.errstate(over="ignore", invalid="ignore"):  # kept rows of 1e308 or inf
+                G, norms = norm_screen(stack, b)
+                assert G.shape == (6, 4) and norms.shape == (6, 9)
+                for i, reports in enumerate(stack):
+                    alone_G, alone_norms = norm_screen(reports, b)
+                    assert_same_bits(G[i], alone_G)
+                    assert_same_bits(norms[i], alone_norms)
+                    assert_same_bits(G[i], loop_screen(reports, b))
+        assert (norms[2, [0, 4, 8]] == np.inf).all()
+        G, _ = norm_screen(stack.reshape(2, 3, 9, 4), 3)  # any number of leading axes
+        assert_same_bits(G.reshape(6, 4), norm_screen(stack, 3)[0])
 
     def test_random_screening_instances(self):
         dims = set()

@@ -1,6 +1,6 @@
 import logging
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -15,19 +15,21 @@ from conftest import (
     rowwise_ascent,
 )
 from robustgd import verify
-from robustgd.aggregation import ScreenConfig
-from robustgd.attacks import AttackSpec
+from robustgd.aggregation import ScreenConfig, norm_screen
+from robustgd.attacks import AttackSpec, craft
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss
 from robustgd.simulation import (
     DIAGNOSTIC_BLOCK_ELEMENTS,
+    RunTrace,
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
     initial_theta,
     run_training,
+    train_runs,
     validate_roster,
     variant_config,
     with_diagnostics,
@@ -351,6 +353,23 @@ class TestRunTraining:
                                   dro)
         np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
 
+    @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
+                             ids=["logistic", "quadratic"])
+    def test_round_summaries_are_the_plain_reductions(self, rng, model):
+        # each aggregate's norm is np.linalg.norm's, and each objective estimate the mean of
+        # the honest workers' objectives, bit for bit
+        # (12 workers: numpy sums 8 or more contiguous values pairwise)
+        X = rng.standard_normal((36, 7))
+        Y = rng.integers(0, 2, size=36).astype(float)
+        dro = DROConfig(3.0, 0.05, 4)
+        cfg = plain_config(0.3, 5, dro, screen_count=1, seed=6)
+        trace = run_training(model, X, Y, WorkerRoster(shards=even_shards(36, 12)[0]), cfg)
+        for t in range(5):
+            assert trace.aggregated_norms[t] == np.linalg.norm(trace.aggregated[t])
+            _, objs = worker_reports(model, trace.iterates[t], X.reshape(12, 3, 7),
+                                     Y.reshape(12, 3), dro)
+            assert trace.objective_estimates[t] == objs.mean()
+
     def test_trace_shapes_and_finiteness(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=30, dim=2, seed=3)
@@ -501,12 +520,167 @@ class TestRunTraining:
         with pytest.raises(NumericError, match="iteration 0: iterate diverged"):
             run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=[np.arange(8)]), cfg)
 
+    @pytest.mark.parametrize("iterations, message", [
+        (0, "iterations must be >= 1, got 0"),
+        (2.5, "iterations must be an integer count, got 2.5"),   # failed later in np.empty
+        (True, "iterations must be an integer count, got True"),  # a one-round run
+    ])
+    def test_bad_iteration_counts_are_refused_by_name(self, iterations, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            plain_config(0.1, iterations, DROConfig(2.0, 0.3, 2))
+
+    def test_an_integral_float_iteration_count_is_stored_as_an_int(self):
+        cfg = plain_config(0.1, 3.0, DROConfig(2.0, 0.3, 2))
+        assert cfg.iterations == 3 and type(cfg.iterations) is int
+
     def test_theta0_shape_checked(self):
         X, Y = make_cloud(n=8, dim=3, seed=1)
         roster = WorkerRoster(shards=[np.arange(8)])
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), theta0=np.zeros(2))
         with pytest.raises(ConfigError, match="theta0"):
             run_training(QuadraticLoss(), X, Y, roster, cfg)
+
+
+def assert_same_bits(a, b, name=""):
+    """Equal shapes and bits: -0.0 differs from 0.0 here, and a NaN equals only its own bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape, name
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+
+
+def batch_problem(kind, attack, R, m=12, n=4, d=5, t_z=5, iterations=12):
+    """R runs of one roster shape: each its own data, shards, eta, seed and attack seed.
+
+    The 10 honest workers are enough for numpy to sum their values pairwise.
+    """
+    rng = np.random.default_rng([R, len(kind), len(attack)])
+    model = LogisticLoss() if kind == "logistic" else QuadraticLoss(1.0)
+    X = rng.standard_normal((R, m * n, d)) + rng.standard_normal((R, 1, d))
+    Y = rng.integers(0, 2, size=(R, m * n)).astype(float)
+    dro = DROConfig(3.0, 0.05, t_z) if kind == "logistic" else DROConfig(2.0, 0.3, t_z)
+    rosters, cfgs = [], []
+    for r in range(R):
+        shards = np.split(rng.permutation(m * n), m)
+        rosters.append(WorkerRoster(shards=shards, byzantine=(0, 3),
+                                    attack=AttackSpec(kind=attack, rng_seed=10 + r)))
+        cfgs.append(plain_config(0.1 + 0.05 * r, iterations, dro, screen_count=2, seed=r))
+    return model, X, Y, rosters, cfgs
+
+
+def one_run(model, X, Y, roster, cfg):
+    """The round loop of one run on its own, the reference for the batch: (T, ...) arrays."""
+    T, d = cfg.iterations, X.shape[1]
+    honest, byzantine = list(roster.honest), list(roster.byzantine)
+    shards = np.stack([roster.shards[i] for i in honest])
+    theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
+    out = {name: [] for name in ("aggregated", "aggregated_norms", "objective_estimates",
+                                 "worker_norms", "iterates")}
+    grads = np.empty((roster.m, d))
+    for t in range(T):
+        out["iterates"].append(theta)
+        honest_grads, objs = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
+        grads[honest] = honest_grads
+        with np.errstate(over="ignore", invalid="ignore"):
+            if byzantine:
+                grads[byzantine] = craft(roster.attack, honest_grads, honest_grads.mean(axis=0),
+                                         t, roster.byzantine)
+            G, norms = norm_screen(grads, cfg.screen.screen_count)
+        out["aggregated"].append(G)
+        out["aggregated_norms"].append(np.linalg.norm(G))
+        out["objective_estimates"].append(objs.mean())
+        out["worker_norms"].append(norms)
+        theta = theta - cfg.eta * G
+    return RunTrace(theta_final=theta, **{name: np.array(v) for name, v in out.items()})
+
+
+class TestTrainRuns:
+    """A batch of runs is its runs trained one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("attack", ["aggressive", "intelligent", "counterexample"])
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_each_run_of_a_batch_is_the_run_alone(self, kind, attack, R):
+        model, X, Y, rosters, cfgs = batch_problem(kind, attack, R)
+        traces = train_runs(model, X, Y, rosters, cfgs)
+        assert len(traces) == R
+        for r, trace in enumerate(traces):
+            for alone in (run_training(model, X[r], Y[r], rosters[r], cfgs[r]),
+                          one_run(model, X[r], Y[r], rosters[r], cfgs[r])):
+                for field in fields(trace):
+                    if getattr(alone, field.name) is None:
+                        assert getattr(trace, field.name) is None, field.name
+                    else:
+                        assert_same_bits(getattr(trace, field.name), getattr(alone, field.name),
+                                         f"run {r} {field.name}")
+
+    def test_runs_differ_in_their_own_fields(self):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)
+        finals = [trace.theta_final for trace in train_runs(model, X, Y, rosters, cfgs)]
+        assert not np.array_equal(finals[0], finals[1])
+        assert not np.array_equal(finals[1], finals[2])
+
+    @pytest.mark.parametrize("t_z", [0, 4])
+    def test_a_numeric_error_names_the_run_the_iteration_and_the_worker(self, t_z):
+        model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", 3, t_z=t_z)
+        X[1, rosters[1].shards[4][1], 2] = np.nan  # run 1, worker 4's second row
+        with pytest.raises(NumericError, match=r"^run 1, iteration 0, worker 4: non-finite "
+                                               r"margins"):
+            train_runs(model, X, Y, rosters, cfgs)
+        X = np.nan_to_num(X)
+        cfgs[2] = replace(cfgs[2], theta0=np.full(5, np.inf))
+        with pytest.raises(NumericError, match=r"^run 2, iteration 0, worker 1: non-finite "
+                                               r"values in theta$"):
+            train_runs(model, X, Y, rosters, cfgs)
+
+    def test_a_diverging_run_is_named(self):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3)
+        cfgs[2] = replace(cfgs[2], eta=1e308, theta0=np.full(5, 10.0))
+        with pytest.raises(NumericError, match=r"^run 2, iteration 0: iterate diverged"):
+            train_runs(model, X, Y, rosters, cfgs)
+        # the overflow is a divergence of run 2 alone
+        with pytest.raises(NumericError, match=r"^iteration 0: iterate diverged"):
+            run_training(model, X[2], Y[2], rosters[2], cfgs[2])
+
+    @pytest.mark.parametrize("field, change, shown", [
+        ("m", lambda ro, cfg: (replace(ro, shards=np.split(np.arange(24), 8)), cfg), "8"),
+        ("byzantine", lambda ro, cfg: (replace(ro, byzantine=(1, 3)), cfg), r"\(1, 3\)"),
+        ("shard rows",
+         lambda ro, cfg: (replace(ro, shards=np.split(np.arange(36), 12)), cfg), "3"),
+        ("screen_count", lambda ro, cfg: (ro, replace(cfg, screen=ScreenConfig(3))), "3"),
+        ("dro", lambda ro, cfg: (ro, replace(cfg, dro=DROConfig(2.0, 0.3, 6))), "DROConfig"),
+        ("iterations", lambda ro, cfg: (ro, replace(cfg, iterations=13)), "13"),
+    ])
+    def test_a_batch_refuses_runs_of_another_shape_by_name(self, field, change, shown):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3)
+        rosters[2], cfgs[2] = change(rosters[2], cfgs[2])
+        with pytest.raises(ConfigError, match=rf"^run 2: {field}={shown}.* differs from run 0's"):
+            train_runs(model, X, Y, rosters, cfgs)
+
+    def test_a_batch_needs_one_roster_and_config_per_run(self):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3)
+        for args in ((X[:2], Y[:2], rosters, cfgs), (X, Y, rosters[:2], cfgs),
+                     (X, Y, rosters, cfgs[:2]), (X, Y[:, :5], rosters, cfgs),
+                     (X[:0], Y[:0], [], [])):
+            with pytest.raises(ConfigError, match=r"expected \(R, N, d\) rows"):
+                train_runs(model, *args)
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_reports_over_a_run_axis_are_each_runs_reports(self, rng, kind):
+        model = LogisticLoss() if kind == "logistic" else QuadraticLoss(1.0)
+        dro = DROConfig(3.0, 0.05, 6)
+        theta = rng.standard_normal((3, 7))
+        X = rng.standard_normal((3, 5, 4, 7))
+        Y = rng.integers(0, 2, size=(3, 5, 4)).astype(float)
+        grads, objs = worker_reports(model, theta, X, Y, dro)
+        assert grads.shape == (3, 5, 7) and objs.shape == (3, 5)
+        for r in range(3):
+            ref_grads, ref_objs = worker_reports(model, theta[r], X[r], Y[r], dro)
+            assert_same_bits(grads[r], ref_grads)
+            assert_same_bits(objs[r], ref_objs)
+        X[2, 1, 3, 0] = np.nan  # run 2, worker 1's last row: row 2 * 20 + 7 of the block
+        with pytest.raises(NumericError) as err:
+            worker_reports(model, theta, X, Y, dro)
+        np.testing.assert_array_equal(err.value.rows, [47])
 
 
 class TestDiagnostics:

@@ -150,6 +150,19 @@ class TestInnerMaximize:
         with pytest.raises(ConfigError):
             DROConfig(lam=1.0, t_z=-1)
 
+    @pytest.mark.parametrize("t_z, message", [
+        (-1, "t_z must be >= 0, got -1"),
+        (2.5, "t_z must be an integer count, got 2.5"),   # failed later in range
+        (True, "t_z must be an integer count, got True"),  # one ascent step
+    ])
+    def test_bad_step_counts_are_refused_by_name(self, t_z, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DROConfig(lam=1.0, t_z=t_z)
+
+    def test_an_integral_float_step_count_is_stored_as_an_int(self):
+        cfg = DROConfig(lam=1.0, t_z=4.0)
+        assert cfg.t_z == 4 and type(cfg.t_z) is int
+
 
 class TestLogisticLinePath:
     """The logistic ascent runs on the line x + c * theta; the row-by-row loop is its oracle."""

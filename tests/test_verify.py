@@ -5,7 +5,8 @@ The screening fuzz draws its instances one at a time and checks each with
 the detail lines pin its figures. The trace suites share their runs: a
 T-round run is the prefix of a longer run with the same seed and attack, bit
 for bit, and the suites rely on that to read T = 50 and T = 120 from the
-T = 200 run, so these tests pin the equality and the work saved.
+T = 200 run; the runs of one attack kind train as one batch, so these tests
+pin the equality, the batches and the work saved.
 """
 
 import hashlib
@@ -84,45 +85,64 @@ def test_prefix_cuts_every_per_round_field():
 
 
 def test_shared_runs_train_each_pair_once_at_its_longest_horizon(monkeypatch):
-    trained = []
-    real = verify._quadratic_run
+    alone = verify._quadratic_run(1, 50)
+    batches = []
+    real = verify.train_runs
 
-    def counting(seed, iterations, attack_kind="aggressive"):
-        trained.append((seed, attack_kind, iterations))
-        return real(seed, iterations, attack_kind)
+    def counting(model, X, Y, rosters, cfgs):
+        batches.append(([cfg.seed for cfg in cfgs], rosters[0].attack.kind, cfgs[0].iterations))
+        return real(model, X, Y, rosters, cfgs)
 
-    monkeypatch.setattr(verify, "_quadratic_run", counting)
+    monkeypatch.setattr(verify, "train_runs", counting)
     runs = verify._SharedRuns([(0, "aggressive", 120), (0, "aggressive", 200),
-                               (1, "aggressive", 50)])
+                               (1, "aggressive", 50), (1, "counterexample", 50)])
     assert runs.take(0, "aggressive", 120)[3].iterations == 120
-    assert runs.take(1, "aggressive", 50)[3].iterations == 50
+    # the first request trains both aggressive seeds as one batch, at the longest horizon of
+    # either, and cuts each run to its own longest horizon
+    assert batches == [([0, 1], "aggressive", 200)]
+    assert runs._held[1, "aggressive"][3].iterations == 50
+    shared = runs.take(1, "aggressive", 50)[3]
     assert runs.take(0, "aggressive", 200)[3].iterations == 200
-    assert trained == [(0, "aggressive", 200), (1, "aggressive", 50)]
+    assert runs.take(1, "counterexample", 50)[3].iterations == 50
+    assert batches == [([0, 1], "aggressive", 200), ([1], "counterexample", 50)]
     assert not runs._held  # every run is dropped after its last declared use
     with pytest.raises(ConfigError, match="no declared use left"):
         runs.take(0, "aggressive", 200)
+    # a run of a batch, cut and diagnosed, is the run trained alone
+    for field in fields(shared):
+        if getattr(shared, field.name) is not None:
+            np.testing.assert_array_equal(getattr(shared, field.name),
+                                          getattr(alone[3], field.name), err_msg=field.name)
 
 
 def test_run_all_trains_each_pair_once_and_reports_as_the_suites_alone(monkeypatch):
-    real_train, real_optimum = verify.run_training, verify.solve_reference_optimum
-    rounds, solves = [], []
+    real_batch, real_train = verify.train_runs, verify.run_training
+    real_optimum = verify.solve_reference_optimum
+    batches, single, solves = [], [], []
+
+    def counting_batch(model, X, Y, rosters, cfgs):
+        batches.append((len(rosters), cfgs[0].iterations))
+        return real_batch(model, X, Y, rosters, cfgs)
 
     def counting_train(model, X, Y, roster, cfg):
-        rounds.append((roster.m, cfg.iterations))
+        single.append((roster.m, cfg.iterations))
         return real_train(model, X, Y, roster, cfg)
 
     def counting_optimum(*args, **kwargs):
         solves.append(1)
         return real_optimum(*args, **kwargs)
 
+    monkeypatch.setattr(verify, "train_runs", counting_batch)
     monkeypatch.setattr(verify, "run_training", counting_train)
     monkeypatch.setattr(verify, "solve_reference_optimum", counting_optimum)
     shared = verify.run_all(fuzz_instances=50, n_seeds=4)
-    # the trace suites' runs have 20 workers; the breakpoint demo's two have 10
-    trace_runs = [T for m, T in rounds if m == 20]
-    assert sorted(trace_runs) == [120, 120, 200, 200, 200, 200]   # was 12 runs
-    assert sum(trace_runs) == 1040                                 # was 1,480 rounds
-    assert sorted(T for m, T in rounds if m == 10) == [150, 150]
+    # (R, T) of each batch: aggressive seeds 0-3, then counterexample seeds 1 and 3, each
+    # at its kind's longest horizon; was 6 runs of 1,040 rounds trained one at a time
+    assert batches == [(4, 200), (2, 200)]
+    assert sum(T for _, T in batches) == 400                      # batched rounds
+    assert sum(R * T for R, T in batches) == 1200                 # run-rounds
+    # only the breakpoint demo's two 10-worker runs train alone
+    assert single == [(10, 150), (10, 150)]
     assert len(solves) == 4  # one reference optimum per seed, for both horizons
 
     alone = [
