@@ -25,7 +25,7 @@ from .aggregation import ScreenConfig, screening_coefficient
 from .attacks import AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
-from .errors import ConfigError, DataFormatError, NumericError, RegimeError
+from .errors import ConfigError, DataFormatError, NumericError, RegimeError, require_count
 from .losses import LogisticLoss
 from .shift import ShiftSpec, misclassification_rate, perturb_test_set
 from .simulation import (
@@ -126,6 +126,7 @@ class ExperimentConfig:
         for name in ("alpha_m", "screen_count"):
             if not 0 <= getattr(self, name) < self.m:
                 raise ConfigError(f"{name} must be in [0, m={self.m}), got {getattr(self, name)}")
+        require_count("data_seed", self.data_seed, 0)
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.alpha_m > 0 and self.attack == "none":

@@ -14,18 +14,23 @@ perturbed matrix: for the logistic loss, the k gradient sums are one stacked
 product r_j^T X_j over the block (one matrix-vector product per worker) plus
 segment sums of r * c times theta; for the quadratic, c * (1 + k) times
 segment sums of theta - x. The byzantine rows of a round come from one
-``craft`` call. Everything is deterministic for a fixed seed: worker order,
-reduction order, and attack randomness are all pinned, so two runs with the
-same config produce bit-identical traces.
+``craft`` call. An intelligent attack's direction generators
+(``direction_streams``, one per byzantine worker or one shared) are built
+once when the run starts, and every round draws one vector from each, so a
+run of T rounds is the first T rounds of a longer one. Everything is
+deterministic for a fixed seed: worker order, reduction order, and attack
+randomness are all pinned, so two runs with the same config produce
+bit-identical traces.
 
 The loop runs R runs at once over a leading run axis (``train_runs``): an
 (R, k, n, d) block, (R, d) iterates, one ascent over the block and one
 screen of the (R, m, d) reports per round, one ``craft`` call per run. The
 runs of a batch share the roster shape, the inner settings and the number
 of rounds; each keeps its own data, shards, step size, initial iterate and
-attack. Every product over the run axis is the stacked form of the run's
-own (the aggregate norms are its (1, d) @ (d, 1) dot), so each run's trace
-is bit-equal to the run trained alone. ``run_training`` is the batch of one.
+attack, with its own direction generators. Every product over the run axis
+is the stacked form of the run's own (the aggregate norms are its
+(1, d) @ (d, 1) dot), so each run's trace is bit-equal to the run trained
+alone. ``run_training`` is the batch of one.
 
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
@@ -41,7 +46,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
-from .attacks import AttackSpec, craft
+from .attacks import AttackSpec, craft, direction_streams
 from .errors import ConfigError, NumericError, RegimeError, require_count
 from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
@@ -115,6 +120,7 @@ class TrainConfig:
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive, got {self.eta}")
         self.iterations = require_count("iterations", self.iterations, 1)
+        self.seed = require_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -261,6 +267,9 @@ def train_runs(model, X, Y, rosters, cfgs):
     honest_X, honest_Y = X[run_axis, shards], Y[run_axis, shards]
     k, n = shards.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
+    # each run's intelligent-direction generators, built once for all its rounds
+    streams = [direction_streams(run.attack, run.byzantine) if byzantine.size else ()
+               for run in rosters]
 
     for t in range(T):
         iterates[t] = theta
@@ -282,7 +291,7 @@ def train_runs(model, X, Y, rosters, cfgs):
                 references = np.add.reduce(honest_grads, axis=1) / k
                 for r, run in enumerate(rosters):
                     grads[r, byzantine] = craft(run.attack, honest_grads[r], references[r], t,
-                                                run.byzantine)
+                                                run.byzantine, streams[r])
             G, worker_norms[t] = norm_screen(grads, screen_count)
             # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
             aggregated_norms[t] = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0, 0]

@@ -1,11 +1,13 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from robustgd.aggregation import norm_screen
-from robustgd.attacks import AttackSpec, craft
+from robustgd.attacks import AttackSpec, craft, direction_streams
 from robustgd.errors import ConfigError
+from robustgd.simulation import initial_theta
 
 
 def honest_scalars(*values):
@@ -37,56 +39,109 @@ class TestIntelligent:
         spec = AttackSpec(kind="intelligent", ratio=0.8, rng_seed=3)
         reference = rng.standard_normal(20)
         reference *= 5.0 / np.linalg.norm(reference)
-        out = craft(spec, honest_scalars(1), reference, 7, [2, 3])
+        out = craft(spec, honest_scalars(1), reference, 7, [2, 3], direction_streams(spec, [2, 3]))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 4.0, rtol=0, atol=1e-12)
 
     def test_same_seed_reproduces_bit_identically(self):
         spec = AttackSpec(kind="intelligent", rng_seed=11)
         ref = np.array([1.0, 2.0, 3.0])
-        a = craft(spec, honest_scalars(1), ref, 4, [9])
-        b = craft(spec, honest_scalars(1), ref, 4, [9])
+        a = craft(spec, honest_scalars(1), ref, 4, [9], direction_streams(spec, [9]))
+        b = craft(spec, honest_scalars(1), ref, 4, [9], direction_streams(spec, [9]))
         np.testing.assert_array_equal(a, b)
 
     def test_each_row_is_the_workers_own_draw(self):
         # a round's rows are bit-equal to crafting each worker alone
         spec = AttackSpec(kind="intelligent", ratio=0.7, rng_seed=2)
         ref = np.array([1.0, -2.0, 0.5, 3.0])
-        together = craft(spec, honest_scalars(1), ref, 5, [1, 6, 3])
+        together = craft(spec, honest_scalars(1), ref, 5, [1, 6, 3],
+                         direction_streams(spec, [1, 6, 3]))
         for row, worker in zip(together, [1, 6, 3]):
-            np.testing.assert_array_equal(row, craft(spec, honest_scalars(1), ref, 5, [worker])[0])
+            alone = craft(spec, honest_scalars(1), ref, 5, [worker],
+                          direction_streams(spec, [worker]))
+            np.testing.assert_array_equal(row, alone[0])
 
     def test_distinct_seeds_workers_iterations_give_distinct_directions(self):
         ref = np.array([1.0, 0.0, 0.0, 0.0])
-        base = craft(AttackSpec(kind="intelligent", rng_seed=0), honest_scalars(1), ref, 0, [0])
-        for spec, it, w in [
-            (AttackSpec(kind="intelligent", rng_seed=1), 0, 0),
-            (AttackSpec(kind="intelligent", rng_seed=0), 1, 0),
-            (AttackSpec(kind="intelligent", rng_seed=0), 0, 1),
-        ]:
-            other = craft(spec, honest_scalars(1), ref, it, [w])
+
+        def rows(seed, worker, rounds):
+            # the worker's row in each of the first ``rounds`` rounds
+            spec = AttackSpec(kind="intelligent", rng_seed=seed)
+            streams = direction_streams(spec, [worker])
+            return [craft(spec, honest_scalars(1), ref, t, [worker], streams)
+                    for t in range(rounds)]
+
+        [base] = rows(0, 0, 1)
+        for other in (rows(1, 0, 1)[0], rows(0, 0, 2)[1], rows(0, 1, 1)[0]):
             assert not np.allclose(other, base)
 
     def test_shared_direction_flag_aligns_workers(self):
         spec = AttackSpec(kind="intelligent", shared_direction=True, rng_seed=5)
         ref = np.array([0.0, 3.0])
-        a, b = craft(spec, honest_scalars(1), ref, 2, [1, 8])
+        a, b = craft(spec, honest_scalars(1), ref, 2, [1, 8], direction_streams(spec, [1, 8]))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_reference_degenerates_to_zero_with_log(self, caplog):
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            out = craft(spec, honest_scalars(1), np.zeros(4), 0, [0])
+            out = craft(spec, honest_scalars(1), np.zeros(4), 0, [0], direction_streams(spec, [0]))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
         assert any("degenerate" in rec.message for rec in caplog.records)
 
     def test_zero_reference_warns_once_per_round_naming_the_workers(self, caplog):
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            out = craft(spec, honest_scalars(1), np.zeros(4), 6, (0, 1, 2))
+            out = craft(spec, honest_scalars(1), np.zeros(4), 6, (0, 1, 2),
+                        direction_streams(spec, (0, 1, 2)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
         assert [rec.getMessage() for rec in caplog.records] == [
             "intelligent attack degenerate: zero reference at iteration 6, workers [0, 1, 2]"
         ]
+
+
+class TestDirectionStreams:
+    """One generator per byzantine worker per run; round t draws its t-th vector."""
+
+    def test_one_stream_per_worker_or_one_shared_and_none_for_other_kinds(self):
+        assert len(direction_streams(AttackSpec(kind="intelligent"), (0, 4, 7))) == 3
+        shared = AttackSpec(kind="intelligent", shared_direction=True)
+        assert len(direction_streams(shared, (0, 4, 7))) == 1
+        for kind in ("aggressive", "counterexample"):
+            assert direction_streams(AttackSpec(kind=kind), (0, 4, 7)) == ()
+
+    def test_a_workers_rows_do_not_depend_on_the_other_workers(self):
+        # worker j's row in every round is the same with 3 or with 4 byzantine workers
+        spec = AttackSpec(kind="intelligent", rng_seed=7)
+        ref = np.array([0.5, -1.0, 2.0, 0.25, 1.5])
+        three, four = direction_streams(spec, (0, 1, 2)), direction_streams(spec, (0, 1, 2, 3))
+        for t in range(5):
+            a = craft(spec, honest_scalars(1), ref, t, (0, 1, 2), three)
+            b = craft(spec, honest_scalars(1), ref, t, (0, 1, 2, 3), four)
+            np.testing.assert_array_equal(a, b[:3])
+
+    def test_a_zero_reference_round_still_draws_from_each_stream(self, caplog):
+        # round t's direction is the stream's t-th draw, whatever the rounds before it were
+        spec = AttackSpec(kind="intelligent", rng_seed=4)
+        ref = np.array([1.0, 2.0, -1.0])
+        after_zero, after_ref = direction_streams(spec, (2, 5)), direction_streams(spec, (2, 5))
+        with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
+            craft(spec, honest_scalars(1), np.zeros(3), 0, (2, 5), after_zero)
+        craft(spec, honest_scalars(1), ref, 0, (2, 5), after_ref)
+        np.testing.assert_array_equal(craft(spec, honest_scalars(1), ref, 1, (2, 5), after_zero),
+                                      craft(spec, honest_scalars(1), ref, 1, (2, 5), after_ref))
+
+    def test_no_stream_is_the_initial_iterates_generator(self):
+        # numpy pads a key with zeros: an untagged [seed, worker] key is
+        # initial_theta's [seed, 0x7E] at worker 0x7E
+        spec = AttackSpec(kind="intelligent", rng_seed=3)
+        for stream in direction_streams(spec, range(200)):
+            assert not np.allclose(0.01 * stream.standard_normal(6), initial_theta(6, 3))
+
+    def test_an_intelligent_craft_needs_the_runs_streams(self):
+        spec = AttackSpec(kind="intelligent")
+        ref = np.array([1.0, 2.0])
+        for streams in ((), direction_streams(spec, (0,))):
+            with pytest.raises(ConfigError, match=r"direction streams for workers \[0, 1\]"):
+                craft(spec, honest_scalars(1), ref, 0, (0, 1), streams)
 
 
 class TestCounterexample:
@@ -110,12 +165,27 @@ class TestCounterexample:
             craft(spec, honest_scalars(1, 2, 3), np.array([1.0]), 0, [0])
 
 
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        AttackSpec(kind="nonsense")
-    with pytest.raises(ConfigError):
-        AttackSpec(kind="aggressive", scale=0.0)
-    with pytest.raises(ConfigError):
-        AttackSpec(kind="intelligent", ratio=-0.5)
-    with pytest.raises(ConfigError):
-        AttackSpec(kind="counterexample", target_rank=-1)
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="nonsense"), "unknown attack kind 'nonsense'"),
+    (dict(scale=0.0), "scale must be finite and positive, got 0.0"),
+    (dict(scale=float("inf")), "scale must be finite and positive, got inf"),
+    (dict(scale="10"), "scale must be finite and positive, got '10'"),
+    (dict(ratio=-0.5), "ratio must be finite and positive, got -0.5"),
+    (dict(ratio=float("nan")), "ratio must be finite and positive, got nan"),
+    (dict(ratio=float("inf")), "ratio must be finite and positive, got inf"),
+    (dict(ratio=True), "ratio must be finite and positive, got True"),
+    (dict(target_rank=-1), "target_rank must be >= 0, got -1"),
+    (dict(target_rank=1.5), "target_rank must be an integer count, got 1.5"),
+    (dict(rng_seed=-1), "rng_seed must be >= 0, got -1"),
+    (dict(rng_seed=1.5), "rng_seed must be an integer count, got 1.5"),
+    (dict(shared_direction="yes"), "shared_direction must be true or false, got 'yes'"),
+])
+def test_every_spec_field_is_checked_at_construction(fields, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        AttackSpec(**{"kind": "intelligent", **fields})
+
+
+def test_integral_counts_are_stored_as_ints():
+    spec = AttackSpec(kind="counterexample", target_rank=2.0, rng_seed=np.int64(7))
+    assert (spec.target_rank, spec.rng_seed) == (2, 7)
+    assert type(spec.target_rank) is int and type(spec.rng_seed) is int

@@ -91,6 +91,8 @@ def test_hostile_configs_end_in_records_or_named_refusals(tmp_path):
     ({"alpha_m": 1.5, "attack": "aggressive"}, "alpha_m takes integers"),
     ({"eta": None}, "eta takes numbers"),
     ({"seed": True}, "seed takes integers"),
+    ({"seed": -1}, "^seed must be >= 0, got -1$"),            # a numpy traceback before
+    ({"data_seed": -1}, "^data_seed must be >= 0, got -1$"),  # a numpy traceback before
     ({"check_bounds": "yes"}, "check_bounds takes true or false"),
     ({"variant": 3}, "variant takes strings"),
     ({"variant": "bogus"}, "unknown variant 'bogus'"),

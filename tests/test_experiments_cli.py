@@ -102,6 +102,12 @@ class TestPresets:
         (dict(eta=0.0), "eta"),
         (dict(attack="bogus"), "attack kind"),
         (dict(attack="aggressive", attack_scale=-1.0), "scale"),
+        # these trained the whole run and failed only when the record was written
+        (dict(preset="E3", attack_ratio=float("nan")), "^ratio must be finite and positive"),
+        (dict(preset="E3", attack_ratio=float("inf")), "^ratio must be finite and positive"),
+        (dict(preset="E1", attack_scale=float("inf")), "^scale must be finite and positive"),
+        (dict(seed=-1), "^seed must be >= 0"),
+        (dict(data_seed=-1), "^data_seed must be >= 0"),
         (dict(train_frac=1.5), "train_frac"),
         (dict(train_frac=1.0), "train_frac"),
         (dict(train_frac=0.0), "train_frac"),

@@ -14,9 +14,9 @@ from conftest import (
     quadratic_grads_z,
     rowwise_ascent,
 )
-from robustgd import verify
+from robustgd import simulation, verify
 from robustgd.aggregation import ScreenConfig, norm_screen
-from robustgd.attacks import AttackSpec, craft
+from robustgd.attacks import AttackSpec, craft, direction_streams
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
@@ -465,12 +465,14 @@ class TestRunTraining:
         with pytest.raises(NumericError, match=r"iteration 0, worker 1: inner ascent diverged"):
             run_training(LogisticLoss(), X, Y, roster, cfg)
 
-    def test_non_finite_byzantine_reports(self):
-        # an infinite attack scale makes every byzantine report non-finite
-        # (-inf * reference, NaN where the reference is zero)
+    def test_non_finite_byzantine_reports(self, monkeypatch):
+        # every byzantine report is non-finite: -inf * reference, NaN where the
+        # reference is zero (AttackSpec refuses an infinite scale, so the rows
+        # are the scale-10 rows times inf)
+        monkeypatch.setattr(simulation, "craft", lambda *args: np.inf * craft(*args))
         X, Y = make_cloud(n=30, dim=3, seed=8)
         shards, _ = even_shards(30, 6)
-        attack = AttackSpec(kind="aggressive", scale=np.inf)
+        attack = AttackSpec(kind="aggressive", scale=10.0)
         roster = WorkerRoster(shards=shards, byzantine=(0, 1), attack=attack)
         dro = DROConfig(2.0, 0.3, 3)
         trace = run_training(QuadraticLoss(), X, Y, roster,
@@ -576,6 +578,7 @@ def one_run(model, X, Y, roster, cfg):
     out = {name: [] for name in ("aggregated", "aggregated_norms", "objective_estimates",
                                  "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
+    streams = direction_streams(roster.attack, roster.byzantine) if byzantine else ()
     for t in range(T):
         out["iterates"].append(theta)
         honest_grads, objs = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
@@ -583,7 +586,7 @@ def one_run(model, X, Y, roster, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine:
                 grads[byzantine] = craft(roster.attack, honest_grads, honest_grads.mean(axis=0),
-                                         t, roster.byzantine)
+                                         t, roster.byzantine, streams)
             G, norms = norm_screen(grads, cfg.screen.screen_count)
         out["aggregated"].append(G)
         out["aggregated_norms"].append(np.linalg.norm(G))
@@ -681,6 +684,42 @@ class TestTrainRuns:
         with pytest.raises(NumericError) as err:
             worker_reports(model, theta, X, Y, dro)
         np.testing.assert_array_equal(err.value.rows, [47])
+
+
+class TestDirectionStreams:
+    """An intelligent run builds its direction generators once and draws from them each round."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_a_shorter_run_is_the_first_rounds_of_a_longer_one(self, kind, shared):
+        model, X, Y, [roster], [cfg] = batch_problem(kind, "intelligent", 1, iterations=12)
+        roster = replace(roster, attack=replace(roster.attack, shared_direction=shared))
+        longer = run_training(model, X[0], Y[0], roster, cfg)
+        shorter = run_training(model, X[0], Y[0], roster, replace(cfg, iterations=7))
+        prefix = longer.prefix(7)
+        for field in fields(shorter):
+            if getattr(shorter, field.name) is not None:
+                assert_same_bits(getattr(shorter, field.name), getattr(prefix, field.name),
+                                 field.name)
+
+    @pytest.mark.parametrize("attack, shared, per_run", [
+        ("intelligent", False, 2), ("intelligent", True, 1), ("aggressive", False, 0),
+        ("counterexample", False, 0),
+    ])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_a_run_builds_one_generator_per_byzantine_worker(self, monkeypatch, attack, shared,
+                                                             per_run, R):
+        # 12 rounds and 2 byzantine workers: a generator per worker per round would be 24
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", attack, R)
+        rosters = [replace(ro, attack=replace(ro.attack, shared_direction=shared))
+                   for ro in rosters]
+        cfgs = [replace(cfg, theta0=np.zeros(5)) for cfg in cfgs]  # initial_theta draws none
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: built.append(args) or default_rng(*args))
+        train_runs(model, X, Y, rosters, cfgs)
+        assert len(built) == R * per_run, built
 
 
 class TestDiagnostics:
