@@ -72,6 +72,8 @@ def norm_screen(reports, screen_count):
     an integer count below m (``ConfigError`` naming it). Ties in norm are
     broken by original index (lower kept first); the kept rows are summed
     left to right in ascending original index so the output is bit-stable.
+    With ``screen_count == 0`` every row is kept, so none is ranked: the
+    rows are summed in index order as they stand, with the same bits.
     """
     reports = _report_matrix(reports, stacked=True)
     screen_count = require_count("screen_count", screen_count, 0)
@@ -79,6 +81,8 @@ def norm_screen(reports, screen_count):
     if screen_count >= m:
         raise ConfigError(f"screen_count={screen_count} must be < m={m} (keep at least one)")
     norms = row_norms(reports)
+    if screen_count == 0:  # every row is kept, already in index order: nothing to rank
+        return (np.add.accumulate(reports, axis=-2)[..., -1, :] + 0.0) / m, norms
     # stable sort: equal norms keep the lower original index first
     kept = np.sort(np.argsort(norms, axis=-1, kind="stable")[..., : m - screen_count], axis=-1)
     if norms.size > m:  # more than one slice: index the stacked rows, slice i's from i * m

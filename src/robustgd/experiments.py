@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, screening_coefficient
-from .attacks import AttackSpec
+from .attacks import AGGRESSIVE, AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
 from .errors import ConfigError, DataFormatError, NumericError, RegimeError, require_count
@@ -116,8 +116,10 @@ class ExperimentConfig:
         """Refuse, at construction, the values the simulation would reject deep in a run.
 
         The specs a run builds (training, inner ascent, screening, test shift
-        and, unless the attack is 'none', the attack) are built here once, so
-        their own checks are the only copy of each rule.
+        and the attack) are built here once, so their own checks are the only
+        copy of each rule. Every record carries the attack fields, so they are
+        checked whatever the attack: under 'none' as an aggressive attack's,
+        whose rules for them are every kind's.
         """
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
@@ -135,8 +137,7 @@ class ExperimentConfig:
             )
         _train_config(self)
         _shift_spec(self)
-        if self.attack != "none":
-            _attack_spec(self)
+        _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
 
     def resolved(self):
         """The config itself: presets are applied at construction.
@@ -174,9 +175,9 @@ def prepare_data(cfg: ExperimentConfig):
     return split_and_shard(ds, train_frac=cfg.train_frac, m=cfg.m, seed=cfg.seed)
 
 
-def _attack_spec(cfg: ExperimentConfig):
+def _attack_spec(cfg: ExperimentConfig, kind=None):
     return AttackSpec(
-        kind=cfg.attack,
+        kind=cfg.attack if kind is None else kind,
         scale=cfg.attack_scale,
         ratio=cfg.attack_ratio,
         shared_direction=cfg.attack_shared_direction,

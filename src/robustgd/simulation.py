@@ -14,23 +14,26 @@ perturbed matrix: for the logistic loss, the k gradient sums are one stacked
 product r_j^T X_j over the block (one matrix-vector product per worker) plus
 segment sums of r * c times theta; for the quadratic, c * (1 + k) times
 segment sums of theta - x. The byzantine rows of a round come from one
-``craft`` call. An intelligent attack's direction generators
-(``direction_streams``, one per byzantine worker or one shared) are built
-once when the run starts, and every round draws one vector from each, so a
-run of T rounds is the first T rounds of a longer one. Everything is
-deterministic for a fixed seed: worker order, reduction order, and attack
-randomness are all pinned, so two runs with the same config produce
-bit-identical traces.
+``craft`` call. An intelligent run's directions (``DirectionBlocks``, one
+generator per byzantine worker or one shared) are built once when the run
+starts and drawn a block of rounds at a time; round t's direction is each
+generator's t-th vector, so a run of T rounds is the first T rounds of a
+longer one. With zero ascent steps (t_z = 0) the reports are the plain
+logistic loss and gradient, and with screen_count = 0 the screen keeps every
+report without ranking them; both are bit-equal to the general path.
+Everything is deterministic for a fixed seed: worker order, reduction order,
+and attack randomness are all pinned, so two runs with the same config
+produce bit-identical traces.
 
 The loop runs R runs at once over a leading run axis (``train_runs``): an
 (R, k, n, d) block, (R, d) iterates, one ascent over the block and one
 screen of the (R, m, d) reports per round, one ``craft`` call per run. The
 runs of a batch share the roster shape, the inner settings and the number
 of rounds; each keeps its own data, shards, step size, initial iterate and
-attack, with its own direction generators. Every product over the run axis
-is the stacked form of the run's own (the aggregate norms are its
-(1, d) @ (d, 1) dot), so each run's trace is bit-equal to the run trained
-alone. ``run_training`` is the batch of one.
+attack, with its own directions. Every product over the run axis is the
+stacked form of the run's own (the aggregate norms are its (1, d) @ (d, 1)
+dot), so each run's trace is bit-equal to the run trained alone.
+``run_training`` is the batch of one.
 
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
@@ -46,7 +49,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
-from .attacks import AttackSpec, craft, direction_streams
+from .attacks import INTELLIGENT, AttackSpec, DirectionBlocks, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count
 from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
@@ -267,9 +270,10 @@ def train_runs(model, X, Y, rosters, cfgs):
     honest_X, honest_Y = X[run_axis, shards], Y[run_axis, shards]
     k, n = shards.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
-    # each run's intelligent-direction generators, built once for all its rounds
-    streams = [direction_streams(run.attack, run.byzantine) if byzantine.size else ()
-               for run in rosters]
+    # each run's intelligent directions, drawn in blocks of rounds for all its rounds
+    directions = [DirectionBlocks(run.attack, run.byzantine, T, d)
+                  if byzantine.size and run.attack.kind == INTELLIGENT else None
+                  for run in rosters]
 
     for t in range(T):
         iterates[t] = theta
@@ -291,7 +295,7 @@ def train_runs(model, X, Y, rosters, cfgs):
                 references = np.add.reduce(honest_grads, axis=1) / k
                 for r, run in enumerate(rosters):
                     grads[r, byzantine] = craft(run.attack, honest_grads[r], references[r], t,
-                                                run.byzantine, streams[r])
+                                                run.byzantine, directions[r])
             G, worker_norms[t] = norm_screen(grads, screen_count)
             # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
             aggregated_norms[t] = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0, 0]

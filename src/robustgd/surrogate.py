@@ -27,7 +27,11 @@ each family):
   evaluates the surrogate at the ascent output from the margins theta . x
   and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
-  and the transport cost is c^2 * ||theta||^2 / 2.
+  and the transport cost is c^2 * ||theta||^2 / 2. With zero steps
+  (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is returned without
+  the step setup or its check, and the reports are the plain loss,
+  sigmoid(theta . x) - y and the cross-entropy, bit-equal to the general
+  formulas, whose c terms are exactly zero there.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
   z = x + k * (x - theta) with one coefficient k shared by every row.
   ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
@@ -88,14 +92,17 @@ def line_ascent(theta, X, Y, cfg):
     c <- rho * c + eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam;
     for u below about -709 the exp overflows and the middle term is 0, where
     the true value is under eta_z * 1e-308. Returns (margins X @ theta, c,
-    ||theta||^2). A non-finite theta, ||theta||^2, margin or coefficient
-    raises ``NumericError``; its ``rows`` holds the offending rows when there
-    are any. The coefficients are checked once, after the last step: a
+    ||theta||^2); with cfg.t_z = 0, c = 0 without a step or a check. A
+    non-finite theta, ||theta||^2, margin or coefficient raises
+    ``NumericError``; its ``rows`` holds the offending rows when there are
+    any. The coefficients are checked once, after the last step: a
     non-finite c stays non-finite under the update (inf times rho, or plus a
     finite term, is inf or nan), so only then does the ascent rerun from
     c = 0, checking every step, to name the first diverging step and its rows.
     """
     margins, sq_norm = _margins(theta, X)
+    if cfg.t_z == 0:  # no step: z = x
+        return margins, np.zeros(margins.shape), sq_norm
     Y = np.asarray(Y, dtype=float)
     c = _line_steps(margins, sq_norm, Y, cfg, check=False)
     if not np.isfinite(c).all():
@@ -132,10 +139,18 @@ def line_surrogate(theta, X, Y, cfg):
     r * x + (r * c) * theta, and the penalized objectives
     f(theta; z) - lam * c^2 * ||theta||^2 / 2. A row whose objective
     overflows raises ``NumericError`` as a divergence of the last step.
+    With cfg.t_z = 0 they are the plain loss at z = x, sigmoid(theta . x) - y
+    and the cross-entropy, without the c terms, which are exactly zero: the
+    margins plus 0 * ||theta||^2 differ only at -0.0, where sigmoid is 0.5
+    either way, and subtracting +0.0 leaves every objective's bits as they are.
     """
     Y = np.asarray(Y, dtype=float)
     margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-    r, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
+    if cfg.t_z == 0:
+        a = sigmoid(margins)
+        r, objectives = a - Y, cross_entropy(a, Y)
+    else:
+        r, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
     return r, c, objectives
 

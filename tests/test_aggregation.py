@@ -201,6 +201,32 @@ class TestNormScreenMatchesTheLoop:
         G, _ = norm_screen(stack.reshape(2, 3, 9, 4), 3)  # any number of leading axes
         assert_same_bits(G.reshape(6, 4), norm_screen(stack, 3)[0])
 
+    def test_screening_none_gives_the_ranked_paths_bits(self, rng):
+        # the oracle is the general path at screen_count 0: rank, sort the
+        # kept indices, gather them and accumulate in index order
+        def ranked(reports):
+            m, d = reports.shape[-2:]
+            norms = row_norms(reports)
+            kept = np.sort(np.argsort(norms, axis=-1, kind="stable"), axis=-1)
+            kept += np.arange(0, norms.size, m).reshape(*norms.shape[:-1], 1)
+            kept_sum = np.add.accumulate(reports.reshape(-1, d)[kept], axis=-2)[..., -1, :]
+            return (kept_sum + 0.0) / m, norms
+
+        stack = rng.standard_normal((5, 7, 4))
+        stack[1, 3] = 1e200  # norm inf
+        stack[2] = -0.0      # a slice of negative zeros
+        stack[3, :, 0] = -0.0
+        column = rng.standard_normal((3, 40, 1))  # d = 1, which a plain sum adds pairwise
+        column[0, 9] = -1e200
+        for reports in (stack, stack[1], stack[2], column, column[0], np.full((1, 3), -0.0)):
+            with np.errstate(over="ignore"):  # 1e200 squared
+                G, norms = norm_screen(reports, 0)
+                expected_G, expected_norms = ranked(reports)
+            assert_same_bits(G, expected_G)
+            assert_same_bits(norms, expected_norms)
+        assert np.isinf(norm_screen(stack[1], 0)[1][3])
+        assert not np.signbit(norm_screen(stack[2], 0)[0]).any()
+
     def test_random_screening_instances(self):
         dims = set()
         for rows, _, b, _ in verify._screening_instances(2000, seed=0):

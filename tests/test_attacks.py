@@ -1,11 +1,12 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from robustgd.aggregation import norm_screen
-from robustgd.attacks import AttackSpec, craft, direction_streams
+from robustgd.aggregation import norm_screen, row_norms
+from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, AttackSpec, DirectionBlocks, craft
 from robustgd.errors import ConfigError
 from robustgd.simulation import initial_theta
 
@@ -39,14 +40,15 @@ class TestIntelligent:
         spec = AttackSpec(kind="intelligent", ratio=0.8, rng_seed=3)
         reference = rng.standard_normal(20)
         reference *= 5.0 / np.linalg.norm(reference)
-        out = craft(spec, honest_scalars(1), reference, 7, [2, 3], direction_streams(spec, [2, 3]))
+        out = craft(spec, honest_scalars(1), reference, 7, [2, 3],
+                    DirectionBlocks(spec, [2, 3], 8, 20))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 4.0, rtol=0, atol=1e-12)
 
     def test_same_seed_reproduces_bit_identically(self):
         spec = AttackSpec(kind="intelligent", rng_seed=11)
         ref = np.array([1.0, 2.0, 3.0])
-        a = craft(spec, honest_scalars(1), ref, 4, [9], direction_streams(spec, [9]))
-        b = craft(spec, honest_scalars(1), ref, 4, [9], direction_streams(spec, [9]))
+        a = craft(spec, honest_scalars(1), ref, 4, [9], DirectionBlocks(spec, [9], 5, 3))
+        b = craft(spec, honest_scalars(1), ref, 4, [9], DirectionBlocks(spec, [9], 5, 3))
         np.testing.assert_array_equal(a, b)
 
     def test_each_row_is_the_workers_own_draw(self):
@@ -54,10 +56,10 @@ class TestIntelligent:
         spec = AttackSpec(kind="intelligent", ratio=0.7, rng_seed=2)
         ref = np.array([1.0, -2.0, 0.5, 3.0])
         together = craft(spec, honest_scalars(1), ref, 5, [1, 6, 3],
-                         direction_streams(spec, [1, 6, 3]))
+                         DirectionBlocks(spec, [1, 6, 3], 6, 4))
         for row, worker in zip(together, [1, 6, 3]):
             alone = craft(spec, honest_scalars(1), ref, 5, [worker],
-                          direction_streams(spec, [worker]))
+                          DirectionBlocks(spec, [worker], 6, 4))
             np.testing.assert_array_equal(row, alone[0])
 
     def test_distinct_seeds_workers_iterations_give_distinct_directions(self):
@@ -66,8 +68,8 @@ class TestIntelligent:
         def rows(seed, worker, rounds):
             # the worker's row in each of the first ``rounds`` rounds
             spec = AttackSpec(kind="intelligent", rng_seed=seed)
-            streams = direction_streams(spec, [worker])
-            return [craft(spec, honest_scalars(1), ref, t, [worker], streams)
+            directions = DirectionBlocks(spec, [worker], rounds, 4)
+            return [craft(spec, honest_scalars(1), ref, t, [worker], directions)
                     for t in range(rounds)]
 
         [base] = rows(0, 0, 1)
@@ -77,13 +79,14 @@ class TestIntelligent:
     def test_shared_direction_flag_aligns_workers(self):
         spec = AttackSpec(kind="intelligent", shared_direction=True, rng_seed=5)
         ref = np.array([0.0, 3.0])
-        a, b = craft(spec, honest_scalars(1), ref, 2, [1, 8], direction_streams(spec, [1, 8]))
+        a, b = craft(spec, honest_scalars(1), ref, 2, [1, 8], DirectionBlocks(spec, [1, 8], 3, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_reference_degenerates_to_zero_with_log(self, caplog):
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            out = craft(spec, honest_scalars(1), np.zeros(4), 0, [0], direction_streams(spec, [0]))
+            out = craft(spec, honest_scalars(1), np.zeros(4), 0, [0],
+                        DirectionBlocks(spec, [0], 1, 4))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
         assert any("degenerate" in rec.message for rec in caplog.records)
 
@@ -91,38 +94,44 @@ class TestIntelligent:
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             out = craft(spec, honest_scalars(1), np.zeros(4), 6, (0, 1, 2),
-                        direction_streams(spec, (0, 1, 2)))
+                        DirectionBlocks(spec, (0, 1, 2), 7, 4))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
         assert [rec.getMessage() for rec in caplog.records] == [
             "intelligent attack degenerate: zero reference at iteration 6, workers [0, 1, 2]"
         ]
 
 
-class TestDirectionStreams:
-    """One generator per byzantine worker per run; round t draws its t-th vector."""
+class TestDirectionBlocks:
+    """One generator per byzantine worker per run, drawn in blocks; round t gets its t-th vector."""
 
     def test_one_stream_per_worker_or_one_shared_and_none_for_other_kinds(self):
-        assert len(direction_streams(AttackSpec(kind="intelligent"), (0, 4, 7))) == 3
+        spec = AttackSpec(kind="intelligent")
+        vectors, lengths = DirectionBlocks(spec, (0, 4, 7), 2, 5).round(1)
+        assert vectors.shape == (3, 5) and lengths.shape == (3,)
         shared = AttackSpec(kind="intelligent", shared_direction=True)
-        assert len(direction_streams(shared, (0, 4, 7))) == 1
+        vectors, lengths = DirectionBlocks(shared, (0, 4, 7), 2, 5).round(1)
+        assert vectors.shape == (1, 5) and lengths.shape == (1,)
         for kind in ("aggressive", "counterexample"):
-            assert direction_streams(AttackSpec(kind=kind), (0, 4, 7)) == ()
+            with pytest.raises(ConfigError, match=f"only the intelligent attack draws directions, "
+                                                  f"got '{kind}'"):
+                DirectionBlocks(AttackSpec(kind=kind), (0, 4, 7), 2, 5)
 
     def test_a_workers_rows_do_not_depend_on_the_other_workers(self):
         # worker j's row in every round is the same with 3 or with 4 byzantine workers
         spec = AttackSpec(kind="intelligent", rng_seed=7)
         ref = np.array([0.5, -1.0, 2.0, 0.25, 1.5])
-        three, four = direction_streams(spec, (0, 1, 2)), direction_streams(spec, (0, 1, 2, 3))
+        three = DirectionBlocks(spec, (0, 1, 2), 5, 5)
+        four = DirectionBlocks(spec, (0, 1, 2, 3), 5, 5)
         for t in range(5):
             a = craft(spec, honest_scalars(1), ref, t, (0, 1, 2), three)
             b = craft(spec, honest_scalars(1), ref, t, (0, 1, 2, 3), four)
             np.testing.assert_array_equal(a, b[:3])
 
-    def test_a_zero_reference_round_still_draws_from_each_stream(self, caplog):
+    def test_a_zero_reference_round_does_not_shift_the_later_rounds(self, caplog):
         # round t's direction is the stream's t-th draw, whatever the rounds before it were
         spec = AttackSpec(kind="intelligent", rng_seed=4)
         ref = np.array([1.0, 2.0, -1.0])
-        after_zero, after_ref = direction_streams(spec, (2, 5)), direction_streams(spec, (2, 5))
+        after_zero, after_ref = (DirectionBlocks(spec, (2, 5), 2, 3) for _ in range(2))
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             craft(spec, honest_scalars(1), np.zeros(3), 0, (2, 5), after_zero)
         craft(spec, honest_scalars(1), ref, 0, (2, 5), after_ref)
@@ -133,15 +142,84 @@ class TestDirectionStreams:
         # numpy pads a key with zeros: an untagged [seed, worker] key is
         # initial_theta's [seed, 0x7E] at worker 0x7E
         spec = AttackSpec(kind="intelligent", rng_seed=3)
-        for stream in direction_streams(spec, range(200)):
-            assert not np.allclose(0.01 * stream.standard_normal(6), initial_theta(6, 3))
+        first, _ = DirectionBlocks(spec, range(200), 1, 6).round(0)
+        for vector in first:
+            assert not np.allclose(0.01 * vector, initial_theta(6, 3))
 
-    def test_an_intelligent_craft_needs_the_runs_streams(self):
+    def test_an_intelligent_craft_needs_the_runs_directions(self):
         spec = AttackSpec(kind="intelligent")
         ref = np.array([1.0, 2.0])
-        for streams in ((), direction_streams(spec, (0,))):
-            with pytest.raises(ConfigError, match=r"direction streams for workers \[0, 1\]"):
-                craft(spec, honest_scalars(1), ref, 0, (0, 1), streams)
+        for directions in (None, DirectionBlocks(spec, (0,), 1, 2)):
+            with pytest.raises(ConfigError, match=r"directions for workers \[0, 1\]"):
+                craft(spec, honest_scalars(1), ref, 0, (0, 1), directions)
+
+    def test_a_round_outside_the_run_is_refused(self):
+        directions = DirectionBlocks(AttackSpec(kind="intelligent"), (0,), 3, 2)
+        for t in (-1, 3):
+            with pytest.raises(ConfigError, match=f"round {t} outside the run's 3 rounds"):
+                directions.round(t)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_blocks_hold_the_vectors_of_one_draw_per_stream_per_round(self, shared, caplog):
+        # the oracle draws one standard_normal(out=row) per stream per round, a
+        # zero-reference round too, and scales the rows as craft did before blocks
+        B, workers, d = DIRECTION_BLOCK_ROUNDS, (1, 4, 6), 5
+        spec = AttackSpec(kind="intelligent", ratio=0.6, rng_seed=9, shared_direction=shared)
+        rounds = 2 * B + 3
+        zero_rounds = {0, B - 1, B, 2 * B}  # B and 2 * B start a block
+        rng = np.random.default_rng(0)
+        directions = DirectionBlocks(spec, workers, rounds, d)
+        keys = [0x5A5A] if shared else workers
+        oracle_streams = [np.random.default_rng([9, 0xA7, key]) for key in keys]
+        with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
+            for t in range(rounds):
+                reference = np.zeros(d) if t in zero_rounds else rng.standard_normal(d)
+                expected = np.empty((len(workers), d))
+                for row, stream in zip(expected, oracle_streams):
+                    stream.standard_normal(out=row)
+                if shared:
+                    expected[1:] = expected[0]
+                if t in zero_rounds:
+                    expected[:] = 0.0
+                else:
+                    scale = 0.6 * float(np.linalg.norm(reference))
+                    expected *= (scale / row_norms(expected))[:, None]
+                rows = craft(spec, honest_scalars(1), reference, t, workers, directions)
+                np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64),
+                                              err_msg=f"round {t}")
+        assert len(caplog.records) == len(zero_rounds)
+
+    def test_an_earlier_round_restarts_the_streams(self):
+        spec = AttackSpec(kind="intelligent", rng_seed=2)
+        B = DIRECTION_BLOCK_ROUNDS
+        ref = np.array([1.0, -1.0, 3.0])
+        directions = DirectionBlocks(spec, (0, 3), B + 4, 3)
+        late = craft(spec, honest_scalars(1), ref, B + 2, (0, 3), directions)
+        # the second block, rounds B to B + 3, now fills round 1's slot
+        early = craft(spec, honest_scalars(1), ref, 1, (0, 3), directions)
+        fresh = DirectionBlocks(spec, (0, 3), B + 4, 3)
+        np.testing.assert_array_equal(early, craft(spec, honest_scalars(1), ref, 1, (0, 3), fresh))
+        np.testing.assert_array_equal(late,
+                                      craft(spec, honest_scalars(1), ref, B + 2, (0, 3), fresh))
+
+    def test_a_long_run_holds_one_block_of_directions(self):
+        # 3 blocks and 5 rounds; their vectors alone would be 3 * B * w * d floats
+        B, workers, d = DIRECTION_BLOCK_ROUNDS, (0, 1, 2, 3), 16
+        spec = AttackSpec(kind="intelligent", rng_seed=1)
+        ref = np.linspace(-1.0, 1.0, d)
+        craft(spec, honest_scalars(1), ref, 0, workers, DirectionBlocks(spec, workers, 2, d))
+        tracemalloc.start()
+        try:
+            directions = DirectionBlocks(spec, workers, 3 * B + 5, d)
+            for t in range(3 * B + 5):
+                craft(spec, honest_scalars(1), ref, t, workers, directions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block: B * w * d floats of vectors, B * w lengths and, while it
+        # is drawn, one stream's B * d squares; 16 kB for the generators and
+        # the per-round rows. Two blocks at once would be over 260 kB.
+        assert peak < 8 * B * (len(workers) * (d + 1) + d) + 16384, peak
 
 
 class TestCounterexample:

@@ -79,6 +79,37 @@ def test_hook_bindings_resolve():
     assert cfg.screen.screen_count == ExperimentConfig(preset="E1").screen_count
 
 
+def test_the_round_loop_calls_the_traced_names():
+    # the tracer rebinds attacks.craft and aggregation.norm_screen where
+    # simulation imported them; a call around those names reads 0 calls
+    from robustgd import aggregation, attacks, simulation
+
+    assert simulation.craft is attacks.craft
+    assert simulation.norm_screen is aggregation.norm_screen
+
+
+def test_experiments_and_verify_train_through_run_training(monkeypatch):
+    # the tracer counts rounds only inside run_training, rebound at every
+    # module that holds the name; a call path around it reads rounds_per_s = 0
+    from robustgd import experiments, simulation, verify
+
+    calls = []
+    original = simulation.run_training
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (simulation, experiments, verify):
+        if vars(module).get("run_training") is original:
+            monkeypatch.setattr(module, "run_training", counted)
+    cfg = ExperimentConfig(preset="E3", variant="erm", iterations=2)
+    experiments.train(cfg, experiments.prepare_data(cfg))
+    assert len(calls) == 1
+    verify.breakpoint_suite(iterations=3)
+    assert len(calls) > 1
+
+
 def test_workload_call_shapes_bind():
     # perfbench/workload.py calls these with exactly these argument shapes
     import robustgd

@@ -98,6 +98,11 @@ def test_hostile_configs_end_in_records_or_named_refusals(tmp_path):
     ({"variant": "bogus"}, "unknown variant 'bogus'"),
     ({"preset": 5}, "preset takes strings"),
     ({"shift_norm": ["l1"]}, "shift_norm takes strings"),
+    # every record carries the attack fields, so they are checked without an attack too
+    ({"attack_ratio": float("nan")}, "^ratio must be finite and positive, got nan$"),
+    ({"preset": "E1", "attack": "none", "alpha_m": 0, "attack_scale": float("inf")},
+     "^scale must be finite and positive, got inf$"),
+    ({"attack": "none", "attack_ratio": 0}, "^ratio must be finite and positive, got 0.0$"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
 def test_wrongly_typed_config_file_fields_are_usage_errors(tmp_path, command, fields, message):

@@ -16,7 +16,7 @@ from conftest import (
 )
 from robustgd import simulation, verify
 from robustgd.aggregation import ScreenConfig, norm_screen
-from robustgd.attacks import AttackSpec, craft, direction_streams
+from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, AttackSpec, DirectionBlocks, craft
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
@@ -578,7 +578,8 @@ def one_run(model, X, Y, roster, cfg):
     out = {name: [] for name in ("aggregated", "aggregated_norms", "objective_estimates",
                                  "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
-    streams = direction_streams(roster.attack, roster.byzantine) if byzantine else ()
+    directions = (DirectionBlocks(roster.attack, roster.byzantine, T, d)
+                  if byzantine and roster.attack.kind == "intelligent" else None)
     for t in range(T):
         out["iterates"].append(theta)
         honest_grads, objs = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
@@ -586,7 +587,7 @@ def one_run(model, X, Y, roster, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine:
                 grads[byzantine] = craft(roster.attack, honest_grads, honest_grads.mean(axis=0),
-                                         t, roster.byzantine, streams)
+                                         t, roster.byzantine, directions)
             G, norms = norm_screen(grads, cfg.screen.screen_count)
         out["aggregated"].append(G)
         out["aggregated_norms"].append(np.linalg.norm(G))
@@ -686,8 +687,8 @@ class TestTrainRuns:
         np.testing.assert_array_equal(err.value.rows, [47])
 
 
-class TestDirectionStreams:
-    """An intelligent run builds its direction generators once and draws from them each round."""
+class TestDirectionBlocks:
+    """An intelligent run builds its direction generators once and draws from them in blocks."""
 
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
@@ -697,6 +698,22 @@ class TestDirectionStreams:
         longer = run_training(model, X[0], Y[0], roster, cfg)
         shorter = run_training(model, X[0], Y[0], roster, replace(cfg, iterations=7))
         prefix = longer.prefix(7)
+        for field in fields(shorter):
+            if getattr(shorter, field.name) is not None:
+                assert_same_bits(getattr(shorter, field.name), getattr(prefix, field.name),
+                                 field.name)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_run_past_a_block_is_the_first_rounds_of_a_run_twice_as_long(self, shared):
+        # T is not a multiple of the block length, so the longer run's second
+        # block starts inside the shorter run's
+        T = DIRECTION_BLOCK_ROUNDS + 44
+        model, X, Y, [roster], [cfg] = batch_problem("quadratic", "intelligent", 1,
+                                                     iterations=2 * T)
+        roster = replace(roster, attack=replace(roster.attack, shared_direction=shared))
+        longer = run_training(model, X[0], Y[0], roster, cfg)
+        shorter = run_training(model, X[0], Y[0], roster, replace(cfg, iterations=T))
+        prefix = longer.prefix(T)
         for field in fields(shorter):
             if getattr(shorter, field.name) is not None:
                 assert_same_bits(getattr(shorter, field.name), getattr(prefix, field.name),

@@ -206,6 +206,34 @@ class TestLogisticLinePath:
         np.testing.assert_allclose(c, reference, rtol=0, atol=1e-15)
 
 
+    @pytest.mark.parametrize("sq_norm", [0.0, 2.5])
+    def test_zero_steps_give_the_general_rows_bits(self, monkeypatch, sq_norm):
+        # a BLAS product never gives a margin of -0.0, so _margins hands these over
+        margins = np.tile([-0.0, 0.0, 800.0, -800.0], 2)
+        Y = np.repeat([0.0, 1.0], 4)
+        cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
+        monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
+        got = surrogate.line_surrogate(np.ones(3), np.ones((8, 3)), Y, cfg)
+        r, objectives = surrogate._line_rows(margins, np.zeros(8), sq_norm, Y, cfg.lam)
+        for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(8), objectives)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+
+    @pytest.mark.parametrize("run_axis", [False, True])
+    def test_zero_steps_give_the_general_rows_bits_on_drawn_rows(self, rng, run_axis):
+        X = rng.standard_normal((3, 50, 6)) * np.array([1.0, 1e3, 0.0])[:, None, None]
+        Y = rng.integers(0, 2, size=(3, 50)).astype(float)
+        theta = rng.standard_normal((3, 6))
+        if not run_axis:
+            X, Y, theta = X[1], Y[1], theta[1]
+        cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
+        margins, c, sq_norm = surrogate.line_ascent(theta, X, Y, cfg)
+        got = surrogate.line_surrogate(theta, X, Y, cfg)
+        r, objectives = surrogate._line_rows(margins, np.zeros(margins.shape), sq_norm, Y, cfg.lam)
+        for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(margins.shape),
+                                                            objectives)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+        np.testing.assert_array_equal(c.view(np.int64), np.zeros(margins.shape).view(np.int64))
+
     def test_ascent_steps_come_from_the_config_only(self):
         import inspect
 
