@@ -134,8 +134,7 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
         raise ShapeError(f"S must have shape ({d},), got {S.shape}")
 
     c_alpha = screening_coefficient(m - honest_count, screen_count, m)
-    gaps = reports[honest] - S
-    delta = float(np.sqrt(np.add.reduce(gaps * gaps, axis=1)).max())  # np.linalg.norm's formula
+    delta = float(row_norms(reports[honest] - S).max())
     return DeviationBound(
         c_alpha=c_alpha,
         delta=delta,

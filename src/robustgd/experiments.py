@@ -437,8 +437,47 @@ def write_records(records, path):
             fh.write(record_line(record))
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_string(value):
+    return isinstance(value, str)
+
+
+def _report_fault(record):
+    """The first field ``report_table`` reads that a record lacks or holds wrongly, or None.
+
+    The table reads the variant, the row label (the environment, else the
+    attack and shift_q; a sweep record's axis and value) and the shifted
+    misclassification.
+    """
+    cfg = record["config"]
+    wanted = [("config", "variant", VARIANTS.__contains__, f"one of {list(VARIANTS)}")]
+    if cfg.get("environment") is not None:
+        wanted.append(("config", "environment", _is_string, "a string"))
+    if not cfg.get("environment"):
+        wanted += [("config", "attack", _is_string, "a string"),
+                   ("config", "shift_q", _is_number, "a number")]
+    if "sweep" in record:
+        if not isinstance(record["sweep"], dict):
+            return f"sweep must be an object with axis and value, got {record['sweep']!r}"
+        wanted += [("sweep", "axis", _is_string, "a string"),
+                   ("sweep", "value", _is_number, "a number")]
+    wanted.append(("results", "shift_misclassification", _is_number, "a number"))
+    for section, key, valid, expected in wanted:
+        if key not in record[section]:
+            return f"{section}.{key} is missing"
+        if not valid(record[section][key]):
+            return f"{section}.{key} must be {expected}, got {record[section][key]!r}"
+    return None
+
+
 def read_records(path):
-    """The records of a JSONL file; ``DataFormatError`` names a bad file line."""
+    """The records of a JSONL file, each with the fields ``report_table`` reads.
+
+    ``DataFormatError`` names a bad file line and, for a record, the field.
+    """
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -451,6 +490,9 @@ def read_records(path):
             if not (isinstance(record, dict)
                     and all(isinstance(record.get(k), dict) for k in ("config", "results"))):
                 raise DataFormatError(f"{path}:{lineno}: not a record with config and results")
+            fault = _report_fault(record)
+            if fault:
+                raise DataFormatError(f"{path}:{lineno}: {fault}")
             records.append(record)
     return records
 

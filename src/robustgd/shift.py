@@ -11,6 +11,8 @@ of Goodfellow, Shlens & Szegedy, ICLR 2015). A larger budget lowers every
 margin further, so misclassification is non-decreasing in q.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,9 @@ class ShiftSpec:
     def __post_init__(self):
         if self.norm not in (L1, L2):
             raise ConfigError(f"norm must be {L1!r} or {L2!r}, got {self.norm!r}")
-        if self.budget < 0:
-            raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        if not (isinstance(self.budget, numbers.Real) and not isinstance(self.budget, bool)
+                and math.isfinite(self.budget) and self.budget >= 0):
+            raise ConfigError(f"budget must be finite and >= 0, got {self.budget!r}")
 
 
 def _checked(theta, X, Y):

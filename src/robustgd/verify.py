@@ -14,20 +14,17 @@ count.
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
 seed and attack are bit-equal to a T-round run (``RunTrace.prefix``). Each
-suite declares the (seed, attack, rounds) uses it will make; ``run_all``
-hands both suites one ``_SharedRuns`` built from both lists. Every run of one
-attack kind has the same shapes, so on the first request for a kind it trains
-all of that kind's seeds as one batch (``train_runs``, one round loop over a
-leading run axis, each run bit-equal to its training alone) at the longest
-horizon declared for any of them. Each run is cut to its own longest horizon
-before its diagnostics, handed out as prefixes and dropped after its last
-use. At the defaults that is two batches, 20 aggressive seeds and 10
-counterexample seeds at 200 rounds: 400 batched rounds in place of 30 runs
-of 5,200 rounds trained one at a time. A suite called alone builds the same
-map from its own uses.
+suite declares the (seed, attack, rounds) uses it will make, and
+``_shared_runs`` trains every (seed, attack) pair once, at the longest
+horizon declared for it: one ``train_runs`` batch for all pairs (one round
+loop over a leading run axis, each run with its own attack and bit-equal to
+its training alone). Each run is cut to its own horizon before its
+diagnostics, and a use of T rounds reads its ``prefix(T)``. ``run_all``
+builds the map once from both suites' uses: at the defaults one batch of 30
+runs, 20 aggressive and 10 counterexample seeds, for 200 rounds. A suite
+called alone builds it from its own uses.
 """
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,84 +129,55 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
     )
 
 
-def _quadratic_runs(seeds, horizons, attack_kind="aggressive"):
-    """Byzantine runs on the quadratic family, one per seed, trained as one batch.
+def _quadratic_runs(horizons):
+    """Byzantine runs on the quadratic family, all trained as one batch.
 
     20 workers of 10 six-dimensional points, 3 of them byzantine and 3
-    screened; unit curvature, lam = 2 and 6 inner ascent steps. A seed draws
-    its run's data, initial iterate and attack. The batch trains for the
-    longest of ``horizons``, and the run of ``seeds[i]`` is cut to
-    ``horizons[i]`` rounds before its diagnostics. Returns one (model, X, Y,
-    trace, theory inputs) per seed.
+    screened; unit curvature, lam = 2 and 6 inner ascent steps. ``horizons``
+    maps each (seed, attack kind) pair to its rounds: the seed draws the
+    run's data, initial iterate and attack, of that kind. The batch trains
+    for the longest horizon, each run bit-equal to its training alone, and
+    each run is cut to its own horizon before its diagnostics. Returns a dict
+    from each pair to its (model, X, Y, trace, theory inputs).
     """
     m, byz_count, screen_count, lam = 20, 3, 3, 2.0
     model = QuadraticLoss(1.0)
-    data = [quadratic_cloud(m * 10, 6, spread=1.0, seed=seed) for seed in seeds]
+    pairs = list(horizons)
+    data = [quadratic_cloud(m * 10, 6, spread=1.0, seed=seed) for seed, _ in pairs]
     shards, _ = even_shards(m * 10, m)
     rosters = [WorkerRoster(shards=shards, byzantine=tuple(range(byz_count)),
-                            attack=AttackSpec(kind=attack_kind, rng_seed=seed)) for seed in seeds]
+                            attack=AttackSpec(kind=kind, rng_seed=seed)) for seed, kind in pairs]
     l_f = surrogate_smoothness(model.constants(), lam)
     dro = DROConfig(lam, theoretical_ascent_step(lam), 6)
-    cfgs = [TrainConfig(eta=1.0 / l_f, iterations=max(horizons), dro=dro,
-                        screen=ScreenConfig(screen_count), seed=seed) for seed in seeds]
+    cfgs = [TrainConfig(eta=1.0 / l_f, iterations=max(horizons.values()), dro=dro,
+                        screen=ScreenConfig(screen_count), seed=seed) for seed, _ in pairs]
     traces = train_runs(model, np.stack([X for X, _ in data]), np.stack([Y for _, Y in data]),
                         rosters, cfgs)
     c_alpha = screening_coefficient(byz_count, screen_count, m)
-    runs = []
-    for (X, Y), trace, rounds in zip(data, traces, horizons):
-        trace = with_diagnostics(model, X, Y, trace.prefix(rounds), dro)
+    runs = {}
+    for pair, (X, Y), trace in zip(pairs, data, traces):
+        trace = with_diagnostics(model, X, Y, trace.prefix(horizons[pair]), dro)
         sigma = gradient_dispersion(model, X, Y, trace.iterates[0], lam)
         inputs = TheoryInputs(constants=model.constants(), lam=lam, c_alpha=c_alpha, sigma=sigma)
-        runs.append((model, X, Y, trace, inputs))
+        runs[pair] = model, X, Y, trace, inputs
     return runs
 
 
 def _quadratic_run(seed, iterations, attack_kind="aggressive"):
     """The run of ``_quadratic_runs`` for one seed, trained alone."""
-    return _quadratic_runs([seed], [iterations], attack_kind)[0]
+    return _quadratic_runs({(seed, attack_kind): iterations})[seed, attack_kind]
 
 
-class _SharedRuns:
-    """Quadratic runs shared by trace suites, each attack kind trained as one batch.
+def _shared_runs(uses):
+    """The runs for (seed, attack, rounds) uses: each pair at its longest declared horizon.
 
-    Built from every (seed, attack, rounds) use the suites will make. The
-    first request for an attack kind trains every declared seed of that kind
-    in one batch (``_quadratic_runs``) at the longest horizon declared for
-    any of them; each run is cut to its own longest horizon, held, and
-    dropped after its last declared use, and each request gets the first
-    ``rounds`` rounds of that run. The trace checks read no worker norms,
-    aggregated norms or objective estimates, so a run is held without them.
+    A use of T rounds reads ``runs[seed, attack]`` and takes its trace's
+    ``prefix(T)``.
     """
-
-    def __init__(self, uses):
-        self._horizon, self._left, self._held = {}, Counter(), {}
-        for seed, attack, rounds in uses:
-            key = (seed, attack)
-            self._horizon[key] = max(rounds, self._horizon.get(key, 0))
-            self._left[key] += 1
-
-    def take(self, seed, attack, rounds):
-        """(model, X, Y, trace of the first ``rounds`` rounds, theory inputs)."""
-        key = (seed, attack)
-        if self._left[key] < 1:
-            raise ConfigError(f"run {key} has no declared use left")
-        if key not in self._held:
-            self._train(attack)
-        model, X, Y, trace, inputs = self._held[key]
-        self._left[key] -= 1
-        if not self._left[key]:
-            del self._held[key]
-        return model, X, Y, trace.prefix(rounds), inputs
-
-    def _train(self, attack):
-        """Train every declared run of ``attack`` as one batch and hold each."""
-        seeds = sorted(seed for seed, kind in self._horizon if kind == attack)
-        horizons = [self._horizon[seed, attack] for seed in seeds]
-        for seed, (model, X, Y, trace, inputs) in zip(
-                seeds, _quadratic_runs(seeds, horizons, attack)):
-            trace = replace(trace, worker_norms=None, aggregated_norms=None,
-                            objective_estimates=None)
-            self._held[seed, attack] = model, X, Y, trace, inputs
+    horizons = {}
+    for seed, attack, rounds in uses:
+        horizons[seed, attack] = max(rounds, horizons.get((seed, attack), 0))
+    return _quadratic_runs(horizons)
 
 
 DEVIATION_ROUNDS = 120
@@ -232,17 +200,17 @@ def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
     """Aggregated-gradient deviation bound at every iteration, across seeds.
 
     The detail line ends with the tightest iteration's ||G - grad F|| / bound.
-    ``runs`` is a ``_SharedRuns`` that declares this suite's uses; by default
-    the suite builds one of its own.
+    ``runs`` is a ``_shared_runs`` map that holds this suite's uses; by
+    default the suite builds its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
     uses = _deviation_uses(n_seeds, iterations)
-    runs = _SharedRuns(uses) if runs is None else runs
+    runs = _shared_runs(uses) if runs is None else runs
     worst, tightest = np.inf, 0.0
     bad = 0
     for seed, attack, rounds in uses:
-        _, _, _, trace, inputs = runs.take(seed, attack, rounds)
-        for report in check_aggregate_deviation(trace, inputs):
+        _, _, _, trace, inputs = runs[seed, attack]
+        for report in check_aggregate_deviation(trace.prefix(rounds), inputs):
             worst = min(worst, report.margin)
             tightest = max(tightest, report.measured_value / report.bound_value)
             bad += 0 if report.satisfied else 1
@@ -259,23 +227,21 @@ def rate_bound_suite(n_seeds=20, horizons=RATE_HORIZONS, runs=None):
 
     Even seeds run the aggressive attack, odd seeds the counterexample; the
     reference optimum is solved once per seed, for all horizons. ``runs`` is
-    a ``_SharedRuns`` that declares this suite's uses; by default the suite
-    builds one of its own.
+    a ``_shared_runs`` map that holds this suite's uses; by default the suite
+    builds its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
     if not horizons:
         raise ConfigError("horizons must not be empty")
-    runs = _SharedRuns(_rate_uses(n_seeds, horizons)) if runs is None else runs
+    runs = _shared_runs(_rate_uses(n_seeds, horizons)) if runs is None else runs
     worst = np.inf
     bad = 0
     checks = 0
     for seed in range(n_seeds):
-        optimum = None
+        model, X, Y, run, inputs = runs[seed, _rate_attack(seed)]
+        theta_star, f_star = solve_reference_optimum(model, X, Y, inputs.lam)
         for T in horizons:
-            model, X, Y, trace, inputs = runs.take(seed, _rate_attack(seed), T)
-            if optimum is None:
-                optimum = solve_reference_optimum(model, X, Y, inputs.lam)
-            theta_star, f_star = optimum
+            trace = run.prefix(T)
             loaded = replace(
                 inputs, eps=float(trace.inner_eps.max()),
                 lambda_f=surrogate_smoothness(model.constants(), inputs.lam),
@@ -350,13 +316,13 @@ def breakpoint_suite(iterations=150):
 def run_all(fuzz_instances=10_000, n_seeds=20):
     """Every suite; both counts are checked before any suite runs.
 
-    The two trace suites share one ``_SharedRuns``, so each (seed, attack)
-    pair is trained once for both, in one batch per attack kind.
+    The two trace suites share one ``_shared_runs`` map, so each (seed,
+    attack) pair is trained once for both, all pairs in one batch.
     """
     fuzz_instances = require_count("fuzz_instances", fuzz_instances, 1)
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    runs = _SharedRuns(_deviation_uses(n_seeds, DEVIATION_ROUNDS)
-                       + _rate_uses(n_seeds, RATE_HORIZONS))
+    runs = _shared_runs(_deviation_uses(n_seeds, DEVIATION_ROUNDS)
+                        + _rate_uses(n_seeds, RATE_HORIZONS))
     return [
         fuzz_screening_bound(n_instances=fuzz_instances),
         deviation_trace_suite(n_seeds=n_seeds, runs=runs),

@@ -103,6 +103,7 @@ def test_hostile_configs_end_in_records_or_named_refusals(tmp_path):
     ({"preset": "E1", "attack": "none", "alpha_m": 0, "attack_scale": float("inf")},
      "^scale must be finite and positive, got inf$"),
     ({"attack": "none", "attack_ratio": 0}, "^ratio must be finite and positive, got 0.0$"),
+    ({"preset": "E1", "shift_q": float("nan")}, "^budget must be finite and >= 0, got nan$"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
 def test_wrongly_typed_config_file_fields_are_usage_errors(tmp_path, command, fields, message):

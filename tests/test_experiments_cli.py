@@ -32,6 +32,9 @@ from robustgd.experiments import (
 
 # small but non-trivial settings so the orchestration tests stay fast
 FAST = dict(m=4, iterations=4, t_z=3, screen_count=1)
+# a record line with every field the report table reads, and nothing else
+REPORTABLE = ('{"config": {"attack": "none", "shift_q": 0.0, "variant": "erm"}, '
+              '"results": {"shift_misclassification": 0.25}}\n')
 
 
 def fast_config(**overrides):
@@ -97,6 +100,8 @@ class TestPresets:
         (dict(screen_count=-1), "screen_count"),
         (dict(shift_norm="l3", shift_q=0.3), "norm"),
         (dict(shift_q=-0.5), "budget"),
+        (dict(preset="E1", shift_q=float("nan")), "^budget must be finite and >= 0, got nan$"),
+        (dict(preset="E2", shift_q=float("inf")), "^budget must be finite and >= 0, got inf$"),
         (dict(lam=-1.0), "lam"),
         (dict(eta_z=0.0), "eta_z"),
         (dict(eta=0.0), "eta"),
@@ -451,6 +456,17 @@ class TestCli:
                       "--out", str(tmp_path)])
             assert not (tmp_path / f"sweep_{axis}.jsonl").exists()
 
+    @pytest.mark.parametrize("command", [["run", "--shift-q", "nan"],
+                                         ["sweep", "--axis", "shift_q", "--values", "0.1,nan"],
+                                         ["sweep", "--axis", "shift_q", "--values", "inf"]])
+    def test_a_non_finite_shift_budget_is_a_usage_error_before_any_file(self, tmp_path, command):
+        # a NaN budget used to train the whole run and fail in its evaluation
+        with pytest.raises(SystemExit, match="budget must be finite and >= 0"):
+            main([*command, "--preset", "E1", "--variant", "erm", "--m", "4",
+                  "--iterations", "2", "--screen-count", "1", "--alpha-m", "1",
+                  "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_byzantine_sweep_without_an_attack_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit, match="attack"):
             main(["sweep", "--axis", "alpha_m", "--values", "0,2", "--variant", "erm",
@@ -533,7 +549,7 @@ class TestCli:
 
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
-        ('{"config": {}, "results": {}}\nnot json\n', r"records.jsonl:2: not a JSON line"),
+        (REPORTABLE + "not json\n", r"records.jsonl:2: not a JSON line"),
         ('\n{"results": {}}\n', r"records.jsonl:2: not a record with config and results"),
         ('{"config": [], "results": {}}\n', r"records.jsonl:1: not a record"),
         ("[1, 2]\n", r"records.jsonl:1: not a record"),
@@ -545,6 +561,47 @@ class TestCli:
         with pytest.raises(SystemExit, match=message) as exc:
             main(["report", str(path)])
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("record, message", [
+        ({"config": {}, "results": {}}, "config.variant is missing"),
+        ({"config": {"variant": "median", "environment": "E1"}, "results": {}},
+         r"config.variant must be one of \['alg2', 'dro_only', 'nbs_only', 'erm'\], "
+         r"got 'median'"),
+        ({"config": {"variant": "erm", "environment": None, "shift_q": 0.3}, "results": {}},
+         "config.attack is missing"),
+        ({"config": {"variant": "erm", "attack": "none", "shift_q": "0.3"}, "results": {}},
+         "config.shift_q must be a number, got '0.3'"),
+        ({"config": {"variant": "erm", "environment": 1}, "results": {}},
+         "config.environment must be a string, got 1"),
+        ({"config": {"variant": "erm", "environment": "E1"}, "sweep": [1],
+          "results": {"shift_misclassification": 0.25}},
+         r"sweep must be an object with axis and value, got \[1\]"),
+        ({"config": {"variant": "erm", "environment": "E1"}, "sweep": {"axis": "lam"},
+          "results": {"shift_misclassification": 0.25}}, "sweep.value is missing"),
+        ({"config": {"variant": "erm", "environment": "E1"}, "results": {}},
+         "results.shift_misclassification is missing"),
+        ({"config": {"variant": "erm", "environment": "E1"},
+          "results": {"shift_misclassification": "n/a"}},
+         "results.shift_misclassification must be a number, got 'n/a'"),
+        ({"config": {"variant": "erm", "environment": "E1"},
+          "results": {"shift_misclassification": True}},
+         "results.shift_misclassification must be a number, got True"),
+    ])
+    def test_report_refuses_a_record_without_the_fields_it_reads(self, tmp_path, capsys,
+                                                                  record, message):
+        # each ended in a traceback, or (the unknown variant) left the record out of the table
+        path = tmp_path / "records.jsonl"
+        path.write_text(REPORTABLE + json.dumps(record) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert re.fullmatch(rf"report: {re.escape(str(path))}:2: {message}", str(exc.value.code))
+        assert capsys.readouterr().out == ""
+
+    def test_report_reads_a_record_with_the_fields_it_reads(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text(REPORTABLE)
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["none,q=0.0", "0.2500"]
 
     def test_unknown_config_field_rejected(self, tmp_path):
         config_path = tmp_path / "cfg.json"

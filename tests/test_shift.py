@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -245,6 +246,14 @@ class TestPerturbation:
             ShiftSpec(norm="linf")
         with pytest.raises(ConfigError):
             ShiftSpec(budget=-0.1)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -0.1, "0.3",
+                                        True, None])
+    def test_a_budget_that_is_not_a_finite_real_at_least_0_is_refused_by_name(self, budget):
+        # NaN passed the old check and failed only in the evaluation after training
+        with pytest.raises(ConfigError, match=rf"^budget must be finite and >= 0, got "
+                                              rf"{re.escape(repr(budget))}$"):
+            ShiftSpec(norm="l1", budget=budget)
 
 
 ENTRY_POINTS = {

@@ -597,6 +597,21 @@ def one_run(model, X, Y, roster, cfg):
     return RunTrace(theta_final=theta, **{name: np.array(v) for name, v in out.items()})
 
 
+def assert_each_run_alone(model, X, Y, rosters, cfgs):
+    """Each run of the batch equals ``run_training`` and ``one_run`` of it, bit for bit."""
+    traces = train_runs(model, X, Y, rosters, cfgs)
+    assert len(traces) == len(rosters)
+    for r, trace in enumerate(traces):
+        for alone in (run_training(model, X[r], Y[r], rosters[r], cfgs[r]),
+                      one_run(model, X[r], Y[r], rosters[r], cfgs[r])):
+            for field in fields(trace):
+                if getattr(alone, field.name) is None:
+                    assert getattr(trace, field.name) is None, field.name
+                else:
+                    assert_same_bits(getattr(trace, field.name), getattr(alone, field.name),
+                                     f"run {r} {field.name}")
+
+
 class TestTrainRuns:
     """A batch of runs is its runs trained one at a time, bit for bit."""
 
@@ -604,18 +619,14 @@ class TestTrainRuns:
     @pytest.mark.parametrize("attack", ["aggressive", "intelligent", "counterexample"])
     @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
     def test_each_run_of_a_batch_is_the_run_alone(self, kind, attack, R):
-        model, X, Y, rosters, cfgs = batch_problem(kind, attack, R)
-        traces = train_runs(model, X, Y, rosters, cfgs)
-        assert len(traces) == R
-        for r, trace in enumerate(traces):
-            for alone in (run_training(model, X[r], Y[r], rosters[r], cfgs[r]),
-                          one_run(model, X[r], Y[r], rosters[r], cfgs[r])):
-                for field in fields(trace):
-                    if getattr(alone, field.name) is None:
-                        assert getattr(trace, field.name) is None, field.name
-                    else:
-                        assert_same_bits(getattr(trace, field.name), getattr(alone, field.name),
-                                         f"run {r} {field.name}")
+        assert_each_run_alone(*batch_problem(kind, attack, R))
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_each_run_of_a_batch_keeps_its_own_attack_kind(self, kind):
+        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", 3)
+        rosters = [replace(roster, attack=replace(roster.attack, kind=attack)) for roster, attack
+                   in zip(rosters, ("aggressive", "intelligent", "counterexample"))]
+        assert_each_run_alone(model, X, Y, rosters, cfgs)
 
     def test_runs_differ_in_their_own_fields(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)

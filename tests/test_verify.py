@@ -5,8 +5,8 @@ The screening fuzz draws its instances one at a time and checks each with
 the detail lines pin its figures. The trace suites share their runs: a
 T-round run is the prefix of a longer run with the same seed and attack, bit
 for bit, and the suites rely on that to read T = 50 and T = 120 from the
-T = 200 run; the runs of one attack kind train as one batch, so these tests
-pin the equality, the batches and the work saved.
+T = 200 run; every (seed, attack) pair trains in one batch, so these tests
+pin the equality, the batch, the work saved and the suites' figures.
 """
 
 import hashlib
@@ -85,34 +85,35 @@ def test_prefix_cuts_every_per_round_field():
 
 
 def test_shared_runs_train_each_pair_once_at_its_longest_horizon(monkeypatch):
-    alone = verify._quadratic_run(1, 50)
+    longest = {(0, "aggressive"): 200, (1, "aggressive"): 50, (1, "counterexample"): 50}
+    alone = {(seed, attack): verify._quadratic_run(seed, rounds, attack)
+             for (seed, attack), rounds in longest.items()}
     batches = []
     real = verify.train_runs
 
     def counting(model, X, Y, rosters, cfgs):
-        batches.append(([cfg.seed for cfg in cfgs], rosters[0].attack.kind, cfgs[0].iterations))
+        batches.append(([(cfg.seed, roster.attack.kind) for roster, cfg in zip(rosters, cfgs)],
+                        cfgs[0].iterations))
         return real(model, X, Y, rosters, cfgs)
 
     monkeypatch.setattr(verify, "train_runs", counting)
-    runs = verify._SharedRuns([(0, "aggressive", 120), (0, "aggressive", 200),
-                               (1, "aggressive", 50), (1, "counterexample", 50)])
-    assert runs.take(0, "aggressive", 120)[3].iterations == 120
-    # the first request trains both aggressive seeds as one batch, at the longest horizon of
-    # either, and cuts each run to its own longest horizon
-    assert batches == [([0, 1], "aggressive", 200)]
-    assert runs._held[1, "aggressive"][3].iterations == 50
-    shared = runs.take(1, "aggressive", 50)[3]
-    assert runs.take(0, "aggressive", 200)[3].iterations == 200
-    assert runs.take(1, "counterexample", 50)[3].iterations == 50
-    assert batches == [([0, 1], "aggressive", 200), ([1], "counterexample", 50)]
-    assert not runs._held  # every run is dropped after its last declared use
-    with pytest.raises(ConfigError, match="no declared use left"):
-        runs.take(0, "aggressive", 200)
-    # a run of a batch, cut and diagnosed, is the run trained alone
-    for field in fields(shared):
-        if getattr(shared, field.name) is not None:
-            np.testing.assert_array_equal(getattr(shared, field.name),
-                                          getattr(alone[3], field.name), err_msg=field.name)
+    runs = verify._shared_runs([(0, "aggressive", 120), (0, "aggressive", 200),
+                                (1, "aggressive", 50), (1, "counterexample", 50)])
+    # one batch of every pair, both attack kinds, at the longest horizon of any
+    assert batches == [(list(longest), 200)]
+    assert list(runs) == list(longest)
+    for pair, (model, X, Y, trace, inputs) in runs.items():
+        # each pair is cut to its own longest horizon, diagnosed, and is the run trained alone
+        assert trace.iterations == longest[pair]
+        assert trace.inner_eps is not None
+        _, X_alone, Y_alone, trace_alone, inputs_alone = alone[pair]
+        np.testing.assert_array_equal(X, X_alone)
+        np.testing.assert_array_equal(Y, Y_alone)
+        assert inputs == inputs_alone
+        for field in fields(trace):
+            np.testing.assert_array_equal(getattr(trace, field.name),
+                                          getattr(trace_alone, field.name),
+                                          err_msg=f"{pair} {field.name}")
 
 
 def test_run_all_trains_each_pair_once_and_reports_as_the_suites_alone(monkeypatch):
@@ -136,10 +137,11 @@ def test_run_all_trains_each_pair_once_and_reports_as_the_suites_alone(monkeypat
     monkeypatch.setattr(verify, "run_training", counting_train)
     monkeypatch.setattr(verify, "solve_reference_optimum", counting_optimum)
     shared = verify.run_all(fuzz_instances=50, n_seeds=4)
-    # (R, T) of each batch: aggressive seeds 0-3, then counterexample seeds 1 and 3, each
-    # at its kind's longest horizon; was 6 runs of 1,040 rounds trained one at a time
-    assert batches == [(4, 200), (2, 200)]
-    assert sum(T for _, T in batches) == 400                      # batched rounds
+    # (R, T) of the one batch: aggressive seeds 0-3 and counterexample seeds 1 and 3, at
+    # the longest horizon; was a batch per attack kind, and before that 6 runs of 1,040
+    # rounds trained one at a time
+    assert batches == [(6, 200)]
+    assert sum(T for _, T in batches) == 200                      # batched rounds
     assert sum(R * T for R, T in batches) == 1200                 # run-rounds
     # only the breakpoint demo's two 10-worker runs train alone
     assert single == [(10, 150), (10, 150)]
@@ -153,6 +155,15 @@ def test_run_all_trains_each_pair_once_and_reports_as_the_suites_alone(monkeypat
     ]
     assert shared == alone
     assert all(result.passed for result in shared)
+
+
+@pytest.mark.parametrize("suite, detail", [
+    (verify.deviation_trace_suite,
+     "violations=0, worst margin=7.674e+00, max ||G-grad F||/bound=0.0648"),
+    (verify.rate_bound_suite, "violations=0, worst margin=6.097e+00"),
+])
+def test_trace_suites_report_the_figures_they_always_reported(suite, detail):
+    assert suite(n_seeds=4).detail == detail
 
 
 def test_deviation_suite_reports_its_tightest_iteration():
