@@ -7,16 +7,20 @@ any reference vector S is bounded by ``c_alpha * ||S|| + Delta``, where
 c_alpha = 2*alpha/(1-beta) for the corrupted fraction alpha and the screened
 fraction beta (``screening_coefficient``, from the worker counts) and Delta
 is the worst honest distance to S; ``screening_deviation_bound`` computes
-the bound. Every function takes the reports as one plain (m, d) array;
-``norm_screen`` also takes a stack of them, (..., m, d), one screen per
-leading index, so a batch of training runs screens its round in one call.
+the bound, and refuses a non-finite S or a NaN honest row with
+``NumericError`` instead of returning a NaN bound. Every function takes the
+reports as one plain (m, d) array; ``norm_screen`` also takes a stack of
+them, (..., m, d), one screen per leading index, so a batch of training runs
+screens its round in one call. The screened sum adds the kept rows in index
+order whatever the stack's shape, so every screen is bit-stable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, ShapeError, require_count
+from .errors import ConfigError, NumericError, RegimeError, ShapeError, require_count
 
 
 def _report_matrix(reports, stacked=False):
@@ -84,12 +88,19 @@ def norm_screen(reports, screen_count):
     if screen_count == 0:  # every row is kept, already in index order: nothing to rank
         return (np.add.accumulate(reports, axis=-2)[..., -1, :] + 0.0) / m, norms
     # stable sort: equal norms keep the lower original index first
-    kept = np.sort(np.argsort(norms, axis=-1, kind="stable")[..., : m - screen_count], axis=-1)
+    kept = norms.argsort(axis=-1, kind="stable")[..., : m - screen_count]
+    kept.sort(axis=-1)
     if norms.size > m:  # more than one slice: index the stacked rows, slice i's from i * m
         kept += np.arange(0, norms.size, m).reshape(*norms.shape[:-1], 1)
-    # accumulate adds row by row in order (reduce would sum a single column
-    # pairwise); + 0.0 gives the +0.0 a zero-started sum has where all rows are -0.0
-    kept_sum = np.add.accumulate(reports.reshape(-1, d)[kept], axis=-2)[..., -1, :] + 0.0
+    kept_rows = reports.reshape(-1, d)[kept]  # a new C-ordered (..., m - screen_count, d) array
+    # Both sums add row by row in index order: reduce runs its inner loop
+    # along the rows' contiguous d axis, but a single column (d = 1) it would
+    # sum pairwise, so that one accumulates. + 0.0 gives the +0.0 a
+    # zero-started sum has where all rows are -0.0.
+    if d > 1:
+        kept_sum = np.add.reduce(kept_rows, axis=-2) + 0.0
+    else:
+        kept_sum = np.add.accumulate(kept_rows, axis=-2)[..., -1, :] + 0.0
     return kept_sum / (m - screen_count), norms
 
 
@@ -118,7 +129,11 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
     """Worst-case deviation of ``norm_screen(reports, screen_count)`` from S.
 
     ``honest`` is a boolean mask over the rows of ``reports``, True for the
-    honest ones. Requires counts that ``screening_coefficient`` accepts.
+    honest ones. Requires counts that ``screening_coefficient`` accepts. A
+    non-finite S, or an honest row holding NaN, has no bound: ``NumericError``
+    (naming those rows in its ``rows``). An infinite honest row gives an
+    infinite bound, and so does a finite S whose squared norm overflows
+    unless c_alpha = 0.
     """
     reports = _report_matrix(reports)
     m, d = reports.shape
@@ -134,9 +149,18 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
         raise ShapeError(f"S must have shape ({d},), got {S.shape}")
 
     c_alpha = screening_coefficient(m - honest_count, screen_count, m)
-    delta = float(row_norms(reports[honest] - S).max())
+    squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
+    if not math.isfinite(squared) and not np.isfinite(S).all():
+        raise NumericError(f"S must be finite, got {S}")
+    distances = row_norms(reports[honest] - S)
+    delta = float(distances.max())
+    if math.isnan(delta):  # a NaN honest row; an infinite one gives an infinite bound
+        rows = np.flatnonzero(honest)[np.isnan(distances)]
+        raise NumericError(f"honest rows {rows.tolist()} hold NaN: no deviation bound",
+                           rows=rows)
+    # c_alpha = 0 drops the ||S|| term, also where S * S overflows to inf
     return DeviationBound(
         c_alpha=c_alpha,
         delta=delta,
-        rhs=c_alpha * float(np.linalg.norm(S)) + delta,
+        rhs=c_alpha * math.sqrt(squared) + delta if c_alpha else delta,
     )

@@ -24,6 +24,13 @@ DIRECTION_BLOCK_ROUNDS = B rounds, so however long the run, its direction
 buffers hold at most B * w * d floats of vectors and B * w lengths for w
 byzantine workers in d dimensions, and drawing a block takes one stream's
 B * d squares at a time.
+
+``craft`` takes one run or a stack of R runs that share the byzantine ids, so
+a batch of training runs crafts its round in one call: the aggressive rows
+are one product over the stacked references, the intelligent runs' reference
+norms one stacked dot, and the counterexample runs' honest norms are ranked
+in one stable argsort over the stack; each run's rows are bit-equal to a
+call on that run alone.
 """
 
 import logging
@@ -131,38 +138,73 @@ class DirectionBlocks:
         self._start, self._stop = self._stop, self._stop + count
 
 
-def craft(spec: AttackSpec, honest_grads, reference, iteration, workers, directions=None):
-    """The byzantine rows of round ``iteration``: a (len(workers), d) matrix, row i for workers[i].
+def craft(specs, honest_grads, references, iteration, workers, directions=None):
+    """The byzantine rows of round ``iteration``, row i for workers[i], for one run or a stack.
 
-    ``honest_grads`` is the (k, d) array of the round's honest reports and
-    ``directions`` the run's ``DirectionBlocks`` for ``workers``.
+    One run: ``specs`` is its ``AttackSpec``, ``honest_grads`` the (k, d)
+    array of the round's honest reports, ``references`` its (d,) reference
+    and ``directions`` the run's ``DirectionBlocks`` for ``workers``; the
+    result is a (len(workers), d) matrix. R runs that share the byzantine
+    ids and k: a sequence of R specs, an (R, k, d) stack of honest reports,
+    (R, d) references and the R runs' directions (None for a run that draws
+    none); the result is (R, len(workers), d), each run's rows bit-equal to
+    a call on that run alone.
 
     An intelligent row is ratio * ||reference|| times a unit direction: the
     round's vector of the worker's stream (of the shared one, for every row,
-    when shared_direction is set) over its length. A round with a zero
-    reference has all-zero rows, with one warning naming the workers.
+    when shared_direction is set) over its length. A run whose round has a
+    zero reference gets all-zero rows, with one warning naming the workers.
     """
-    reference = np.asarray(reference, dtype=float)
-    rows = np.empty((len(workers), reference.size))
-    if spec.kind == AGGRESSIVE:
-        rows[:] = -spec.scale * reference
-    elif spec.kind == INTELLIGENT:
-        if directions is None or directions.workers != tuple(workers):
-            raise ConfigError(f"intelligent attack needs the run's directions for workers "
-                              f"{list(workers)}")
-        norm = float(np.linalg.norm(reference))
-        if norm == 0.0:
-            log.warning("intelligent attack degenerate: zero reference at iteration %d, "
-                        "workers %s", iteration, list(workers))
-            rows[:] = 0.0
-        else:
-            vectors, lengths = directions.round(iteration)
-            # one row per stream: the shared one broadcasts to every worker's row
-            np.multiply(vectors, (spec.ratio * norm / lengths)[:, None], out=rows)
-    else:  # counterexample: negate the honest gradient at the target norm rank
-        if spec.target_rank >= len(honest_grads):
-            raise ConfigError(f"target_rank={spec.target_rank} out of range for "
-                              f"{len(honest_grads)} honest gradients")
-        order = np.argsort(row_norms(honest_grads), kind="stable")
-        rows[:] = -honest_grads[order[spec.target_rank]]
-    return rows
+    single = isinstance(specs, AttackSpec)
+    honest_grads = np.asarray(honest_grads, dtype=float)
+    references = np.asarray(references, dtype=float)
+    if single:  # the batch of one
+        specs, directions = [specs], [directions]
+        honest_grads, references = honest_grads[None], references[None]
+    elif directions is None:
+        directions = [None] * len(specs)
+    R = len(specs)
+    rows = np.empty((R, len(workers), references.shape[-1]))
+    runs_of = {AGGRESSIVE: [], INTELLIGENT: [], COUNTEREXAMPLE: []}
+    for r, spec in enumerate(specs):
+        runs_of[spec.kind].append(r)
+    aggressive, intelligent, counterexample = runs_of.values()
+    if aggressive:
+        runs = _run_index(aggressive, R)
+        factors = np.array([-specs[r].scale for r in aggressive], dtype=float)
+        rows[runs] = (factors[:, None] * references[runs])[:, None]
+    if intelligent:
+        stacked = references[_run_index(intelligent, R)]
+        # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
+        norms = np.sqrt(stacked[:, None, :] @ stacked[:, :, None])[:, 0, 0]
+        for r, norm in zip(intelligent, norms):
+            _intelligent_rows(specs[r], norm, iteration, workers, directions[r], rows[r])
+    if counterexample:  # negate the honest gradient at the target norm rank
+        grads = honest_grads[_run_index(counterexample, R)]
+        for r, order in zip(counterexample, row_norms(grads).argsort(axis=-1, kind="stable")):
+            rank = specs[r].target_rank
+            if rank >= order.size:
+                raise ConfigError(f"target_rank={rank} out of range for "
+                                  f"{order.size} honest gradients")
+            rows[r] = -honest_grads[r, order[rank]]
+    return rows[0] if single else rows
+
+
+def _run_index(runs, R):
+    """An index of the run axis for the listed ``runs``: a plain slice when they are all R."""
+    return slice(None) if len(runs) == R else runs
+
+
+def _intelligent_rows(spec, norm, iteration, workers, directions, out):
+    """Write an intelligent run's rows of round ``iteration`` to ``out``; norm = ||reference||."""
+    if directions is None or directions.workers != tuple(workers):
+        raise ConfigError(f"intelligent attack needs the run's directions for workers "
+                          f"{list(workers)}")
+    if norm == 0.0:
+        log.warning("intelligent attack degenerate: zero reference at iteration %d, "
+                    "workers %s", iteration, list(workers))
+        out[:] = 0.0
+    else:
+        vectors, lengths = directions.round(iteration)
+        # one row per stream: the shared one broadcasts to every worker's row
+        np.multiply(vectors, (spec.ratio * norm / lengths)[:, None], out=out)

@@ -194,15 +194,19 @@ def check_aggregate_deviation(trace, inputs: TheoryInputs):
 
     The trace must carry the true-gradient diagnostics; the inner-solve
     accuracy is taken per iteration from the trace, not from ``inputs.eps``.
+    Every iterate is checked in one array pass: the bound is
+    ``aggregate_deviation_bound`` over the array of iterates, with the array
+    of their eps, each entry bit-equal to the iterate taken alone.
     """
     _require_diagnostics(trace)
-    reports = []
-    for t in range(trace.iterations):
-        grad_norm = float(np.linalg.norm(trace.true_gradients[t]))
-        per_t = replace(inputs, eps=float(trace.inner_eps[t]))
-        measured = float(np.linalg.norm(trace.aggregated[t] - trace.true_gradients[t]))
-        reports.append(BoundReport.compare(aggregate_deviation_bound(per_t, grad_norm), measured))
-    return reports
+    gradients = trace.true_gradients
+    deviations = trace.aggregated - gradients
+    # np.linalg.norm's dot, one (1, d) @ (d, 1) product per iterate
+    grad_norms = np.sqrt(gradients[:, None, :] @ gradients[:, :, None])[:, 0, 0]
+    measured = np.sqrt(deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0]
+    bounds = aggregate_deviation_bound(replace(inputs, eps=trace.inner_eps), grad_norms)
+    return [BoundReport.compare(bound, value)
+            for bound, value in zip(bounds.tolist(), measured.tolist())]
 
 
 def check_avg_sq_gradient(trace, inputs: TheoryInputs, f_star):

@@ -26,13 +26,14 @@ and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
 
 The loop runs R runs at once over a leading run axis (``train_runs``): an
-(R, k, n, d) block, (R, d) iterates, one ascent over the block and one
-screen of the (R, m, d) reports per round, one ``craft`` call per run. The
-runs of a batch share the roster shape, the inner settings and the number
-of rounds; each keeps its own data, shards, step size, initial iterate and
-attack, with its own directions. Every product over the run axis is the
-stacked form of the run's own (the aggregate norms are its (1, d) @ (d, 1)
-dot), so each run's trace is bit-equal to the run trained alone.
+(R, k, n, d) block, (R, d) iterates, and per round one ascent over the
+block, one stacked ``craft`` call for the (R, a, d) byzantine rows of every
+run and one screen of the (R, m, d) reports. The runs of a batch share the
+roster shape, the inner settings and the number of rounds; each keeps its
+own data, shards, step size, initial iterate and attack, with its own
+directions. Every product over the run axis is the stacked form of the
+run's own (the aggregate norms are its (1, d) @ (d, 1) dot), so each run's
+trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
 The round loop runs only the algorithm. The trace records every iterate, so
@@ -226,9 +227,11 @@ def train_runs(model, X, Y, rosters, cfgs):
     ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. The runs must
     share m, the byzantine ids, the shard row count, screen_count, dro and
     iterations (``ConfigError`` naming the field and the run); each keeps its
-    own data, shards, eta, seed or theta0 and attack. In a batch of more than
-    one run, an error a run raises names it ("run r, "), so a ``NumericError``
-    names the run, the iteration and the worker.
+    own data, shards, eta, seed or theta0 and attack. Each round makes one
+    ``craft`` call, over the stack of every run's honest reports, and one
+    ``norm_screen`` call, however many runs there are. In a batch of more
+    than one run, an error a run raises names it ("run r, "), so a
+    ``NumericError`` names the run, the iteration and the worker.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -270,6 +273,7 @@ def train_runs(model, X, Y, rosters, cfgs):
     honest_X, honest_Y = X[run_axis, shards], Y[run_axis, shards]
     k, n = shards.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
+    attacks = [run.attack for run in rosters]
     # each run's intelligent directions, drawn in blocks of rounds for all its rounds
     directions = [DirectionBlocks(run.attack, run.byzantine, T, d)
                   if byzantine.size and run.attack.kind == INTELLIGENT else None
@@ -293,9 +297,8 @@ def train_runs(model, X, Y, rosters, cfgs):
             if byzantine.size:
                 # np.mean's sum and division, without its overhead
                 references = np.add.reduce(honest_grads, axis=1) / k
-                for r, run in enumerate(rosters):
-                    grads[r, byzantine] = craft(run.attack, honest_grads[r], references[r], t,
-                                                run.byzantine, directions[r])
+                grads[:, byzantine] = craft(attacks, honest_grads, references, t,
+                                            roster.byzantine, directions)
             G, worker_norms[t] = norm_screen(grads, screen_count)
             # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
             aggregated_norms[t] = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0, 0]

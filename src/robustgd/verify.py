@@ -6,10 +6,11 @@ randomized screening instances, and returns structured results instead of
 printing, so callers decide how to report.
 
 The screening fuzz draws its instances one at a time in one fixed sequence
-of generator calls, so a seed names the same instances. It screens each with
-``norm_screen``, the screen the server runs, bounds it with
-``screening_deviation_bound``, and holds one instance at a time whatever the
-count.
+of generator calls, so a seed names the same instances; it fills each
+instance's rows in place. It screens each with ``norm_screen``, the screen
+the server runs, bounds it with ``screening_deviation_bound``, and holds one
+instance at a time whatever the count. The seed, like the count, must be an
+integer count.
 
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
@@ -18,13 +19,16 @@ suite declares the (seed, attack, rounds) uses it will make, and
 ``_shared_runs`` trains every (seed, attack) pair once, at the longest
 horizon declared for it: one ``train_runs`` batch for all pairs (one round
 loop over a leading run axis, each run with its own attack and bit-equal to
-its training alone). Each run is cut to its own horizon before its
+its training alone, with one stacked ``craft`` and one ``norm_screen`` call
+per round for all runs). Each run is cut to its own horizon before its
 diagnostics, and a use of T rounds reads its ``prefix(T)``. ``run_all``
 builds the map once from both suites' uses: at the defaults one batch of 30
 runs, 20 aggressive and 10 counterexample seeds, for 200 rounds. A suite
-called alone builds it from its own uses.
+called alone builds it from its own uses. The deviation suite checks every
+iterate of a run in one array pass (``check_aggregate_deviation``).
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +36,7 @@ import numpy as np
 from .aggregation import (
     ScreenConfig,
     norm_screen,
+    row_norms,
     screening_coefficient,
     screening_deviation_bound,
 )
@@ -85,20 +90,24 @@ def _screening_instances(n_instances, seed):
         a = int(rng.integers(0, b + 1))            # corrupted fraction <= screened
         k = m - a
         scale = float(np.exp(rng.normal(0.0, 1.0)))
-        S = rng.standard_normal(d) * scale
+        S = rng.standard_normal(d)
+        S *= scale
         rows = np.empty((m, d))
         honest, byz = rows[:k], rows[k:]
-        honest[:] = rng.standard_normal((k, d)) * scale + S
+        rng.standard_normal(out=honest)
+        honest *= scale
+        honest += S
         mode = int(rng.integers(0, 4))
         if mode == 0:
-            byz[:] = -rng.uniform(0.0, 3.0) * S
+            np.multiply(-rng.uniform(0.0, 3.0), S, out=byz)
         elif mode == 1:
             np.negative(honest[rng.integers(0, k, size=a)], out=byz)
         elif mode == 2:
-            byz[:] = rng.standard_normal((a, d)) * (1e3 * scale)
+            rng.standard_normal(out=byz)
+            byz *= 1e3 * scale
         else:
-            radius = np.linalg.norm(honest, axis=1).max()
-            s_norm = np.linalg.norm(S)
+            radius = row_norms(honest).max()
+            s_norm = math.sqrt(S.dot(S))
             byz[:] = -radius * (S / s_norm if s_norm > 0 else np.eye(d)[0])
         order = rng.permutation(m)
         yield rows[order], order < k, b, S
@@ -112,10 +121,12 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
     the tightest instance's ||G - S|| / rhs.
     """
     n_instances = require_count("n_instances", n_instances, 1)
+    seed = require_count("seed", seed, 0)
     worst, tightest, failures = np.inf, 0.0, 0
     for rows, honest, b, S in _screening_instances(n_instances, seed):
         G, _ = norm_screen(rows, b)
-        lhs = float(np.linalg.norm(G - S))
+        G -= S
+        lhs = math.sqrt(G.dot(G))  # np.linalg.norm's own formula, without its overhead
         rhs = screening_deviation_bound(rows, honest, b, S).rhs
         slack = rhs - lhs
         worst = min(worst, slack)

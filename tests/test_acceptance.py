@@ -6,6 +6,7 @@ experiment-scale criteria run on the synthetic stand-in corpus unless a real
 spambase CSV is supplied via ROBUSTGD_SPAMBASE.
 """
 
+import hashlib
 import os
 import time
 from dataclasses import replace
@@ -16,7 +17,15 @@ import pytest
 from robustgd.aggregation import norm_screen, screening_deviation_bound
 from robustgd.bounds import TheoryInputs, distance_contraction
 from robustgd.errors import RegimeError
-from robustgd.experiments import ExperimentConfig, run_experiment, sweep, write_records, read_records
+from robustgd.cli import main
+from robustgd.experiments import (
+    ExperimentConfig,
+    read_records,
+    record_line,
+    run_experiment,
+    sweep,
+    write_records,
+)
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
 from robustgd.surrogate import (
     DROConfig,
@@ -47,18 +56,28 @@ def preset_config(preset):
     return ExperimentConfig(preset=preset, dataset=DATASET)
 
 
+def miscls(record):
+    return record["results"]["shift_misclassification"]
+
+
 @pytest.fixture(scope="module")
-def environment_rates():
-    """Shifted misclassification for all variants in E0..E4 (production path)."""
-    rates = {}
+def environment_records():
+    """The records of all variants in E0..E4 (production path), and each preset's seconds."""
+    records = {}
     elapsed = {}
     for preset in ("E0", "E1", "E2", "E3", "E4"):
         start = time.time()
-        records = run_experiment(preset_config(preset), variants=VARIANTS)
+        records[preset] = run_experiment(preset_config(preset), variants=VARIANTS)
         elapsed[preset] = time.time() - start
-        rates[preset] = {
-            r["config"]["variant"]: r["results"]["shift_misclassification"] for r in records
-        }
+    return records, elapsed
+
+
+@pytest.fixture(scope="module")
+def environment_rates(environment_records):
+    """Shifted misclassification for all variants in E0..E4."""
+    records, elapsed = environment_records
+    rates = {preset: {r["config"]["variant"]: miscls(r) for r in preset_records}
+             for preset, preset_records in records.items()}
     return rates, elapsed
 
 
@@ -259,25 +278,32 @@ def test_criterion_7_orderings_hold_on_the_mean_over_seeds(seed_rates):
 
 
 @pytest.fixture(scope="module")
-def shift_budget_curves():
+def shift_budget_records():
     cfg = preset_config("E1")
-    curves = {}
-    for variant in ("alg2", "nbs_only"):
-        records = sweep(cfg, "shift_q", [0.0, 0.1, 0.2, 0.3, 0.4], variants=[variant])
-        curves[variant] = [r["results"]["shift_misclassification"] for r in records]
-    return curves
+    return {variant: sweep(cfg, "shift_q", [0.0, 0.1, 0.2, 0.3, 0.4], variants=[variant])
+            for variant in ("alg2", "nbs_only")}
 
 
 @pytest.fixture(scope="module")
-def byzantine_count_curve():
+def shift_budget_curves(shift_budget_records):
+    return {variant: [miscls(r) for r in records]
+            for variant, records in shift_budget_records.items()}
+
+
+@pytest.fixture(scope="module")
+def byzantine_count_records():
+    return {kind: sweep(replace(preset_config("E1"), attack=kind), "alpha_m",
+                        [0, 1, 2, 3, 4, 5], variants=["alg2"])
+            for kind in ("aggressive", "intelligent")}
+
+
+@pytest.fixture(scope="module")
+def byzantine_count_curve(byzantine_count_records):
     worst = {}
-    for kind in ("aggressive", "intelligent"):
-        cfg = replace(preset_config("E1"), attack=kind)
-        records = sweep(cfg, "alpha_m", [0, 1, 2, 3, 4, 5], variants=["alg2"])
+    for records in byzantine_count_records.values():
         for record in records:
             value = record["sweep"]["value"]
-            rate = record["results"]["shift_misclassification"]
-            worst[value] = max(worst.get(value, 0.0), rate)
+            worst[value] = max(worst.get(value, 0.0), miscls(record))
     return worst
 
 
@@ -309,3 +335,45 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     parsed = read_records(path_a)
     assert parsed == first
     announce(9, f"{len(first)} records byte-identical across reruns and reparse losslessly")
+
+
+# sha256 of the records of the E0-E4 grid and criterion 8's sweeps (the JSONL
+# lines write_records writes) and of `robustgd verify --fuzz-instances 200
+# --seeds 4` stdout. A change that moves one updates it here and says why.
+PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+PINNED_DIGESTS = {
+    "E0": "680bef5603bb669a4cf4ff5fa1e2b2ea54b5b50838d71b0421367d1b8a0c3872",
+    "E1": "df67683c5c1802b724c83ec59026bfeafef336d97ce798959db433bfec1d9ea0",
+    "E2": "1ba3b00ac441165bfcba216fa03e5cd7e82993f26493b8fe0d92597a0b10f62e",
+    "E3": "a050935b0b93e553c2845836632b99d7f44052b6d47e9e5fab01a372ce116bd3",
+    "E4": "78dd2e3e064558fa0736fb01b896926f25f58764c1ca24070c2dee8435f4dace",
+    "E1 shift_q sweep": "39a48c4e0c9dbab78c705d95302ceaf7813f71ad5bdf92261555dabe77080739",
+    "E1 alpha_m sweep": "2c2956f61872f60cbebb234cc09e60de4f3d4444fb3949353dfa7f4a5b910aef",
+    "verify stdout": "7a4ae5700d59d2c90fcf02414572bd7048a98034bfcb218a786e2f95d9dafaac",
+}
+
+
+def numpy_and_blas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return f"numpy {np.__version__}, BLAS unknown"
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+@pytest.mark.skipif(DATASET != "synthetic", reason="the digests are of the synthetic corpus")
+def test_records_and_verify_output_keep_their_digests(environment_records,
+                                                      shift_budget_records,
+                                                      byzantine_count_records, capsys):
+    def digest(records):
+        return hashlib.sha256("".join(map(record_line, records)).encode()).hexdigest()
+
+    groups = dict(environment_records[0])
+    groups["E1 shift_q sweep"] = sum(shift_budget_records.values(), [])
+    groups["E1 alpha_m sweep"] = sum(byzantine_count_records.values(), [])
+    digests = {name: digest(records) for name, records in groups.items()}
+    capsys.readouterr()
+    assert main(["verify", "--fuzz-instances", "200", "--seeds", "4"]) == 0
+    digests["verify stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    moved = {name: digest for name, digest in digests.items() if digest != PINNED_DIGESTS[name]}
+    assert not moved, f"moved to {moved}; pinned on {PINNED_ON}, ran on {numpy_and_blas()}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from robustgd.aggregation import (
     screening_deviation_bound,
 )
 from robustgd import verify
-from robustgd.errors import ConfigError, RegimeError, ShapeError
+from robustgd.errors import ConfigError, NumericError, RegimeError, ShapeError
 
 
 def scalars(*values):
@@ -234,6 +236,19 @@ class TestNormScreenMatchesTheLoop:
             dims.add(rows.shape[1])
         assert 1 in dims  # a single column, which a plain sum would add pairwise
 
+    def test_a_single_column_adds_its_kept_rows_in_order(self):
+        # left to right, 1 + 2**-53 rounds back to 1 at each of the eight
+        # steps after the first row; a pairwise sum of the nine kept rows
+        # gives 1 + 2**-50, and so does the reversed column in order
+        column = scalars(1.0, *8 * [2.0 ** -53], 5.0)
+        stack = np.stack([column, column[::-1], np.roll(column, 4)])
+        G, _ = norm_screen(stack, 1)
+        assert_same_bits(G[0], np.array([1.0 / 9]))
+        assert_same_bits(G[1], np.array([(1.0 + 2.0 ** -50) / 9]))
+        for reports, screened in zip(stack, G):
+            assert_same_bits(norm_screen(reports, 1)[0], screened)
+            assert_same_bits(screened, loop_screen(reports, 1))
+
     @pytest.mark.parametrize("m", [1, 3, 20])
     def test_rows_of_signed_zeros(self, rng, m):
         signs = rng.choice([-0.0, 0.0], size=(m, 4))
@@ -352,6 +367,38 @@ class TestDeviationBound:
         # would replace the named refusal
         with pytest.raises(ConfigError, match=r"^screen_count=4 must be < m=4 \(keep at least one\)$"):
             screening_deviation_bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
+
+    @pytest.mark.parametrize("S", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_a_non_finite_s_is_a_numeric_error(self, S):
+        with pytest.raises(NumericError, match=r"^S must be finite, got \["):
+            screening_deviation_bound(np.ones((4, 2)), mask(4, range(3)), 1, np.array(S))
+
+    @pytest.mark.parametrize("honest", [range(3), range(4)], ids=["one-byz", "all-honest"])
+    def test_a_nan_honest_row_is_a_numeric_error_naming_it(self, honest):
+        reports = np.ones((4, 2))
+        reports[[0, 2], 1] = np.nan
+        with pytest.raises(NumericError, match=r"^honest rows \[0, 2\] hold NaN") as caught:
+            screening_deviation_bound(reports, mask(4, honest), 1, np.zeros(2))
+        assert caught.value.rows.tolist() == [0, 2]
+
+    def test_non_finite_rows_that_give_a_bound_still_give_one(self):
+        reports = np.ones((4, 2))
+        reports[3] = np.nan                  # byzantine: not in the bound
+        bound = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
+        assert bound.rhs == math.sqrt(2.0)
+        reports[1, 0] = -np.inf              # an infinite honest row: an infinite bound
+        bound = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
+        assert bound.delta == bound.rhs == np.inf
+
+    def test_an_s_whose_square_overflows_keeps_a_number(self):
+        # ||S|| reads inf; c_alpha = 0 drops it instead of giving 0 * inf = nan
+        S = np.array([1e200, 0.0])
+        reports = np.tile(S, (4, 1))
+        reports[0, 1] = 1.0
+        honest = np.ones(4, dtype=bool)
+        with np.errstate(over="ignore"):  # S * S overflows, as it does in np.linalg.norm
+            assert screening_deviation_bound(reports, honest, 1, S).rhs == 1.0
+            assert screening_deviation_bound(reports, mask(4, range(3)), 1, S).rhs == np.inf
 
     def test_quick_fuzz(self, rng):
         from robustgd.verify import fuzz_screening_bound

@@ -243,6 +243,61 @@ class TestCounterexample:
             craft(spec, honest_scalars(1, 2, 3), np.array([1.0]), 0, [0])
 
 
+class TestStacked:
+    """craft over R runs at once: each run's rows are its call alone, bit for bit."""
+
+    SPECS = (
+        AttackSpec(kind="aggressive", scale=2.5),
+        AttackSpec(kind="intelligent", ratio=0.3, rng_seed=4),
+        AttackSpec(kind="counterexample", target_rank=0),
+        AttackSpec(kind="aggressive", scale=7.0),
+        AttackSpec(kind="counterexample", target_rank=3),
+        AttackSpec(kind="intelligent", ratio=0.9, rng_seed=6, shared_direction=True),
+    )
+
+    def directions(self, workers, rounds, d):
+        return [DirectionBlocks(spec, workers, rounds, d) if spec.kind == "intelligent" else None
+                for spec in self.SPECS]
+
+    def test_a_mixed_batch_is_each_run_alone(self, rng, caplog):
+        R, k, d, workers, rounds = len(self.SPECS), 5, 4, (1, 4, 6), 6
+        batch = self.directions(workers, rounds, d)
+        alone = self.directions(workers, rounds, d)
+        with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
+            for t in range(rounds):
+                honest = rng.standard_normal((R, k, d)) * rng.uniform(0.5, 2.0, (R, k, 1))
+                honest[4, 1] = -honest[4, 3]  # a norm tie around the target rank
+                references = rng.standard_normal((R, d))
+                if t == 2:
+                    references[1] = 0.0  # one intelligent run's round degenerates
+                rows = craft(self.SPECS, honest, references, t, workers, batch)
+                assert rows.shape == (R, len(workers), d)
+                for r, spec in enumerate(self.SPECS):
+                    expected = craft(spec, honest[r], references[r], t, workers, alone[r])
+                    np.testing.assert_array_equal(rows[r].view(np.int64),
+                                                  expected.view(np.int64), err_msg=f"{t} {r}")
+        # one warning per run and round with a zero reference, from the batch and the run alone
+        assert [rec.getMessage() for rec in caplog.records] == 2 * [
+            "intelligent attack degenerate: zero reference at iteration 2, workers [1, 4, 6]"]
+
+    def test_runs_without_directions_may_pass_none(self):
+        specs = [AttackSpec(kind="aggressive", scale=3.0), AttackSpec(kind="counterexample")]
+        honest = np.array([[[3.0], [1.0], [2.0]], [[3.0], [1.0], [2.0]]])
+        rows = craft(specs, honest, np.array([[1.0], [2.0]]), 0, (0, 1))
+        np.testing.assert_array_equal(rows, [[[-3.0], [-3.0]], [[-2.0], [-2.0]]])
+
+    def test_a_batch_checks_every_runs_target_rank(self):
+        specs = [AttackSpec(kind="counterexample", target_rank=1),
+                 AttackSpec(kind="counterexample", target_rank=3)]
+        with pytest.raises(ConfigError, match="^target_rank=3 out of range for 3 honest"):
+            craft(specs, np.ones((2, 3, 1)), np.ones((2, 1)), 0, [0])
+
+    def test_an_intelligent_run_of_a_batch_needs_its_directions(self):
+        specs = [AttackSpec(kind="aggressive"), AttackSpec(kind="intelligent")]
+        with pytest.raises(ConfigError, match=r"directions for workers \[0\]"):
+            craft(specs, np.ones((2, 1, 2)), np.ones((2, 2)), 0, [0])
+
+
 @pytest.mark.parametrize("fields, message", [
     (dict(kind="nonsense"), "unknown attack kind 'nonsense'"),
     (dict(scale=0.0), "scale must be finite and positive, got 0.0"),

@@ -88,6 +88,28 @@ def test_the_round_loop_calls_the_traced_names():
     assert simulation.norm_screen is aggregation.norm_screen
 
 
+def test_a_batch_crafts_and_screens_once_per_round(monkeypatch):
+    # attacks.craft.calls and aggregation.norm_screen.calls count batched
+    # rounds: one stacked call each per round, whatever the number of runs
+    from robustgd import simulation, verify
+
+    calls = {"craft": 0, "norm_screen": 0}
+
+    def counting(name):
+        real = vars(simulation)[name]
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(simulation, name, counting(name))
+    verify._quadratic_runs({(0, "aggressive"): 5, (1, "counterexample"): 5,
+                            (2, "intelligent"): 5})
+    assert calls == {"craft": 5, "norm_screen": 5}
+
+
 def test_experiments_and_verify_train_through_run_training(monkeypatch):
     # the tracer counts rounds only inside run_training, rebound at every
     # module that holds the name; a call path around it reads rounds_per_s = 0

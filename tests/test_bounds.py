@@ -259,6 +259,46 @@ class TestReportsAndOptimum:
         assert check_suboptimality(trace, loaded, theta_star, f_star, f_final).satisfied
         assert check_distance(trace, loaded, theta_star).satisfied
 
+    def test_deviation_reports_are_the_per_iterate_loops_bits(self, rng):
+        from robustgd.simulation import RunTrace
+        from robustgd.verify import _quadratic_run
+
+        def per_iterate(trace, inputs):
+            # the checker as a loop over iterates, one TheoryInputs per eps
+            reports = []
+            for t in range(trace.iterations):
+                grad_norm = float(np.linalg.norm(trace.true_gradients[t]))
+                per_t = replace(inputs, eps=float(trace.inner_eps[t]))
+                measured = float(np.linalg.norm(trace.aggregated[t] - trace.true_gradients[t]))
+                reports.append(BoundReport.compare(aggregate_deviation_bound(per_t, grad_norm),
+                                                   measured))
+            return reports
+
+        def bits(reports):
+            return [(r.bound_value.hex(), r.measured_value.hex(), r.satisfied, r.margin.hex())
+                    for r in reports]
+
+        *_, trace, inputs = _quadratic_run(seed=1, iterations=30, attack_kind="counterexample")
+        T, d = 40, 9
+        scaled = np.exp(rng.normal(0.0, 4.0, (T, 1)))
+        synthetic = RunTrace(
+            aggregated=rng.standard_normal((T, d)) * scaled, aggregated_norms=np.zeros(T),
+            objective_estimates=np.zeros(T), worker_norms=np.zeros((T, 1)),
+            iterates=np.zeros((T, d)), theta_final=np.zeros(d),
+            true_gradients=rng.standard_normal((T, d)) * scaled, true_objectives=np.zeros(T),
+            inner_eps=rng.uniform(0.0, 2.0, T))
+        synthetic.true_gradients[3] = 0.0
+        synthetic.aggregated[5] = synthetic.true_gradients[5]
+        synthetic_inputs = inputs_for(constants(1.0, 3.0, 3.0, 0.5), 2.0, c_alpha=0.4,
+                                      sigma=0.7, eps=5.0)  # eps comes from the trace instead
+        for trace, inputs in ((trace, inputs), (trace.prefix(7), inputs),
+                              (synthetic, synthetic_inputs)):
+            reports = check_aggregate_deviation(trace, inputs)
+            assert len(reports) == trace.iterations
+            assert bits(reports) == bits(per_iterate(trace, inputs))
+            assert all(type(r.bound_value) is float and type(r.satisfied) is bool
+                       for r in reports)
+
     def test_ballooning_trajectory_is_flagged_vacuous(self, caplog):
         import logging
 

@@ -468,7 +468,8 @@ class TestRunTraining:
     def test_non_finite_byzantine_reports(self, monkeypatch):
         # every byzantine report is non-finite: -inf * reference, NaN where the
         # reference is zero (AttackSpec refuses an infinite scale, so the rows
-        # are the scale-10 rows times inf)
+        # are the scale-10 rows times inf); the patch wraps the round's one
+        # stacked call, which crafts every run's rows
         monkeypatch.setattr(simulation, "craft", lambda *args: np.inf * craft(*args))
         X, Y = make_cloud(n=30, dim=3, seed=8)
         shards, _ = even_shards(30, 6)

@@ -10,6 +10,7 @@ pin the equality, the batch, the work saved and the suites' figures.
 """
 
 import hashlib
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -30,6 +31,23 @@ FIRST_500_DIGEST = "f944e703e4a39318cea8a1d81d8f95d2e8b2777e947381f3d11e8a50d875
 ])
 def test_fuzz_reports_the_figures_it_always_reported(seed, detail):
     assert verify.fuzz_screening_bound(n_instances=2000, seed=seed).detail == detail
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer count, got 1.5"),
+    (True, "seed must be an integer count, got True"),
+    ("0", "seed must be an integer count, got '0'"),
+])
+def test_fuzz_refuses_a_seed_that_is_not_a_count(seed, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        verify.fuzz_screening_bound(n_instances=3, seed=seed)
+
+
+def test_fuzz_takes_an_integral_seed_as_its_int():
+    expected = verify.fuzz_screening_bound(n_instances=30, seed=2)
+    for seed in (2.0, np.int64(2)):
+        assert verify.fuzz_screening_bound(n_instances=30, seed=seed) == expected
 
 
 def test_draw_keeps_the_per_instance_draws_instances():
