@@ -149,7 +149,8 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
         raise ShapeError(f"S must have shape ({d},), got {S.shape}")
 
     c_alpha = screening_coefficient(m - honest_count, screen_count, m)
-    squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
+    with np.errstate(over="ignore"):  # an overflowing ||S||^2 reads inf, as in row_norms
+        squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
     if not math.isfinite(squared) and not np.isfinite(S).all():
         raise NumericError(f"S must be finite, got {S}")
     distances = row_norms(reports[honest] - S)

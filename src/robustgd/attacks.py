@@ -34,14 +34,12 @@ call on that run alone.
 """
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import row_norms
-from .errors import ConfigError, require_count
+from .errors import ConfigError, require_count, require_positive
 
 log = logging.getLogger(__name__)
 
@@ -74,10 +72,7 @@ class AttackSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r}, expected one of {KINDS}")
         for name in ("scale", "ratio"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
         object.__setattr__(self, "target_rank", require_count("target_rank", self.target_rank, 0))
         object.__setattr__(self, "rng_seed", require_count("rng_seed", self.rng_seed, 0))
         if not isinstance(self.shared_direction, bool):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one count check."""
+"""Exception types shared across the package, and the one count and one real check."""
 
+import math
 import numbers
 
 
@@ -12,7 +13,14 @@ class ConfigError(ValueError):
 
 
 class RegimeError(ValueError):
-    """Parameters fall outside the regime where a formula or bound applies."""
+    """Parameters fall outside the regime where a formula or bound applies.
+
+    ``iterate``, when known, indexes the first iterate of a block outside it.
+    """
+
+    def __init__(self, message, iterate=None):
+        super().__init__(message)
+        self.iterate = iterate
 
 
 class NumericError(ArithmeticError):
@@ -45,3 +53,11 @@ def require_count(name, value, minimum):
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_positive(name, value):
+    """``value`` as a finite positive float (not a bool), or ``ConfigError`` naming ``name``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        return float(value)
+    raise ConfigError(f"{name} must be finite and positive, got {value!r}")

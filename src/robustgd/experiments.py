@@ -227,10 +227,10 @@ def train(cfg: ExperimentConfig, sharded):
 def _warn_outside_regime(iterates, lam, variant):
     """Log the first iterate with ||theta||^2 / 4 >= lam, and the largest such value.
 
-    ||theta||^2 is the dot product ``exact_rows`` tests the regime with; it
-    is taken row by row, which keeps a (T, d) temporary out of the run.
+    ||theta||^2 is the stacked (1, d) @ (d, 1) product ``exact_rows`` tests
+    the regime with, taken over views of the iterates without a (T, d) temporary.
     """
-    quarter_sq_norms = 0.25 * np.array([theta @ theta for theta in iterates])
+    quarter_sq_norms = 0.25 * (iterates[:, None, :] @ iterates[:, :, None])[:, 0, 0]
     worst = quarter_sq_norms.max()
     if worst >= lam:
         first = int(np.argmax(quarter_sq_norms >= lam))

@@ -39,8 +39,9 @@ trace is bit-equal to the run trained alone.
 The round loop runs only the algorithm. The trace records every iterate, so
 the diagnostics the bound checkers need (the true surrogate gradient and
 objective over all samples and the worst-case inner-solve error) are
-computed after the run by ``with_diagnostics``; they never feed back into
-the update. They, and ``gradient_dispersion``, are taken at the exact inner
+computed after the run by ``with_diagnostics``, in one loop over blocks of
+iterates for both families; they never feed back into the update. They, and
+``gradient_dispersion`` at a single iterate, are taken at the exact inner
 maximizer (``surrogate.exact_rows``): in closed form for the quadratic family,
 by a bracketed scalar root solve per row for the logistic loss.
 """
@@ -51,12 +52,12 @@ import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
 from .attacks import INTELLIGENT, AttackSpec, DirectionBlocks, craft
-from .errors import ConfigError, NumericError, RegimeError, require_count
+from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
-# cap, in floats, on each (B, n, d) temporary of the blocked quadratic diagnostics
+# cap, in floats, on each (B, n, d) temporary of the blocked diagnostics
 DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 13
 
 
@@ -121,8 +122,7 @@ class TrainConfig:
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        self.eta = require_positive("eta", self.eta)
         self.iterations = require_count("iterations", self.iterations, 1)
         self.seed = require_count("seed", self.seed, 0)
 
@@ -335,45 +335,35 @@ def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
     At every recorded iterate: the surrogate objective and gradient over all
     samples at the exact inner maximizers (``exact_rows``, the same numbers
     as ``surrogate_state``), and the worst distance of a worker-precision
-    ascent (``dro``, the run's inner settings) from them. For the quadratic
-    family that distance is analytic, |1 - eta_z * (lam - c)|^t_z * max ||z* - x||,
-    and the iterates go to ``exact_rows`` in blocks of B = DIAGNOSTIC_BLOCK_ELEMENTS
-    // (n * d), at least 1: each (B, n, d) temporary (the gradients, and
-    their squares inside the norm) holds at most that many floats, or one
-    iterate's n * d when that is more. Every value is bit-equal to the
-    iterate taken alone. For the logistic loss, one iterate at a time, both
-    points lie on the line x + c * theta, so the distance is
-    max |c_eps - c*| * ||theta|| with c_eps from ``line_ascent``. An iterate
-    outside the strongly concave regime raises ``RegimeError`` naming it; the
+    ascent (``dro``, the run's inner settings) from them. The iterates go to
+    ``exact_rows`` in blocks of B = max(1, DIAGNOSTIC_BLOCK_ELEMENTS // (n * d)),
+    so each (B, n, d) temporary holds at most that many floats, or one
+    iterate's n * d, and every value is bit-equal to the iterate taken alone.
+    Only the distance depends on the family: analytic for the quadratic,
+    |1 - eta_z * (lam - c)|^t_z * max ||z* - x||; for the logistic loss both
+    points lie on the line x + c * theta, so it is max |c_eps - c*| * ||theta||
+    with c_eps from ``line_ascent`` on the block. An iterate outside the
+    strongly concave regime raises ``RegimeError`` naming the first one; the
     quadratic regime does not depend on theta, so that is iterate 0.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     T, d = trace.aggregated.shape
     true_gradients, true_objectives, inner_eps = np.empty((T, d)), np.empty(T), np.empty(T)
-    if isinstance(model, QuadraticLoss):
-        # per-step contraction of ||z - z*||, over lam: ||z* - x|| = ||theta-gradient|| / lam
-        error_factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
-        block = max(1, DIAGNOSTIC_BLOCK_ELEMENTS // X.size)
-        for start in range(0, T, block):
-            stop = min(start + block, T)
-            try:
-                grads, objectives, _ = exact_rows(model, trace.iterates[start:stop], X, Y, dro.lam)
-            except RegimeError as exc:
-                raise RegimeError(f"iterate {start}: {exc}") from exc
-            true_objectives[start:stop] = objectives.mean(axis=1)
-            true_gradients[start:stop] = grads.mean(axis=1)
-            inner_eps[start:stop] = error_factor * np.linalg.norm(grads, axis=2).max(axis=1)
-    else:
-        for t, theta in enumerate(trace.iterates):
-            try:
-                grads, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
-            except RegimeError as exc:
-                raise RegimeError(f"iterate {t}: {exc}") from exc
-            true_objectives[t] = objectives.mean()
-            true_gradients[t] = grads.mean(axis=0)
+    block = max(1, DIAGNOSTIC_BLOCK_ELEMENTS // X.size)
+    for start in range(0, T, block):
+        rounds, theta = slice(start, start + block), trace.iterates[start:start + block]
+        try:
+            grads, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
+        except RegimeError as exc:
+            raise RegimeError(f"iterate {start + exc.iterate}: {exc}") from exc
+        true_objectives[rounds] = objectives.mean(axis=1)
+        true_gradients[rounds] = grads.mean(axis=1)
+        if isinstance(model, QuadraticLoss):  # ||z* - x|| = ||theta-gradient|| / lam
+            factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
+            inner_eps[rounds] = factor * np.linalg.norm(grads, axis=2).max(axis=1)
+        else:  # z_eps and z* on the line x + c * theta
             _, c_eps, sq_norm = line_ascent(theta, X, Y, dro)
-            inner_eps[t] = np.abs(c_eps - c_star).max() * np.sqrt(sq_norm)
+            inner_eps[rounds] = np.abs(c_eps - c_star).max(axis=1) * np.sqrt(sq_norm[:, 0])
     return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,
                    inner_eps=inner_eps)
 

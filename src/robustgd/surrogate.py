@@ -13,17 +13,11 @@ each family):
 
 - The logistic loss sees z only through theta . z, so its z-gradient is a
   multiple of theta and z = x + c * theta with one coefficient per row.
-  ``line_ascent`` runs that recursion in place, c <- rho * c +
-  eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam and
-  u = theta . x + c * ||theta||^2; where u is below about -709 the exp
-  overflows and eta_z * sigmoid(u) comes out as 0. A non-finite c stays
-  non-finite under that update, so the coefficients are checked once,
-  after the last step; only when that check fails does the recursion rerun
-  from c = 0 with a check per step, to name the first diverging step and
-  its rows. The rows may be a whole (k, n, d) block of k workers' shards
-  flattened to k * n rows, so one call serves every honest worker of a
-  training round; with one iterate per run, (R, d) against (R, k * n, d)
-  rows, one call serves the round of R runs. ``line_surrogate``
+  ``line_ascent`` runs that recursion in place and checks the coefficients
+  once, after the last step. The rows may be a whole (k, n, d) block of k
+  workers' shards flattened to k * n rows, so one call serves every honest
+  worker of a training round; with one iterate per run, (R, d) against
+  (R, k * n, d) rows, one call serves the round of R runs. ``line_surrogate``
   evaluates the surrogate at the ascent output from the margins theta . x
   and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
   the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
@@ -38,15 +32,17 @@ each family):
   theta-gradient c * (1 + k) * (theta - x) and the objective
   (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
 
-Over a leading run axis every product is the stacked form of the run's own
-(a (1, d) @ (d, 1) dot for ||theta||^2, an (N, d) @ (d, 1) product for the
-margins), so each run's values are bit-equal to a call with that run alone,
-and a ``NumericError``'s ``rows`` index the rows of all runs in order.
+Over a leading run axis, or a block of iterates, every product is the
+stacked form of the iterate's own (a (1, d) @ (d, 1) dot for ||theta||^2,
+an (N, d) @ (d, 1) product for the margins), so each iterate's values are
+bit-equal to a call with it alone, and a ``NumericError``'s ``rows`` index
+the rows of all iterates in order.
 
 ``exact_rows`` evaluates the surrogate at the exact maximizer for both
-families: the fixed point k = c / (lam - c) in closed form for the
-quadratic, and for the logistic loss the root of one decreasing scalar
-function per row, found by a bracketed Newton solve.
+families, at one iterate or a (B, d) block of them: the fixed point
+k = c / (lam - c) in closed form for the quadratic, and for the logistic
+loss the root of one decreasing scalar function per row, found by a
+bracketed Newton solve that stops each iterate once its rows converge.
 
 The cost is 1-strongly convex and COST_SMOOTHNESS-smooth, so for
 ``lam > L_zz`` the inner objective is strongly concave and the ascent
@@ -59,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, RegimeError, require_count
+from .errors import ConfigError, NumericError, RegimeError
+from .errors import require_count, require_positive
 from .losses import QuadraticLoss, SmoothnessConstants, cross_entropy, sigmoid
 
 COST_SMOOTHNESS = 1.0  # c(z, x) = ||z - x||^2 / 2
@@ -76,10 +73,8 @@ class DROConfig:
     t_z: int = 10
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.eta_z) and self.eta_z > 0):
-            raise ConfigError(f"eta_z must be positive, got {self.eta_z}")
+        for name in ("lam", "eta_z"):  # stored as floats
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
         object.__setattr__(self, "t_z", require_count("t_z", self.t_z, 0))  # stored as an int
 
 
@@ -158,19 +153,17 @@ def line_surrogate(theta, X, Y, cfg):
 def _margins(theta, X):
     """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin.
 
-    ``theta`` is one (d,) iterate against (N, d) rows, or one iterate per run,
-    (R, d) against (R, N, d) rows: the margins are then (R, N) and the
-    squared norms (R, 1), each from the stacked form of the run's own product.
+    ``theta`` is one (d,) iterate or a (B, d) block against (N, d) rows, or
+    one iterate per run, (R, d) against (R, N, d) rows. Each iterate's
+    products are the stacked (1, d) @ (d, 1) dot and (N, d) @ (d, 1) margins,
+    so its values are bit-equal to a call with it alone; the margins are
+    (..., N) and the squared norms (..., 1).
     """
-    theta = np.asarray(theta, dtype=float)
-    X = np.asarray(X, dtype=float)
+    theta, X = np.asarray(theta, dtype=float), np.asarray(X, dtype=float)
     _check_iterates(theta, "non-finite values in theta", X)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf are refused below
-        if theta.ndim == 1:
-            sq_norm, margins = theta @ theta, X @ theta
-        else:
-            column = theta[:, :, None]
-            sq_norm, margins = (theta[:, None, :] @ column)[:, 0], (X @ column)[..., 0]
+        column = theta[..., :, None]
+        sq_norm, margins = (theta[..., None, :] @ column)[..., 0], (X @ column)[..., 0]
     _check_iterates(sq_norm, "||theta||^2 overflows", X)
     _check_rows(margins, "non-finite margins theta . x")
     return margins, sq_norm
@@ -251,8 +244,8 @@ def _check_iterates(A, message, X):
     """Refuse a non-finite value of an iterate, which hits every row of its run.
 
     ``A`` belongs to one iterate (it is below 2-d, and the error has no
-    ``rows``) or holds one row per run, and then ``rows`` are the first rows
-    of the failing runs among ``X``'s (R, N, d) rows.
+    ``rows``) or holds one row per iterate, and then ``rows`` are the first
+    rows of the failing iterates among their N rows each, in order.
     """
     finite = np.isfinite(A)
     if not finite.all():
@@ -264,13 +257,11 @@ def exact_rows(model, theta, X, Y, lam):
     """The surrogate per row at the exact inner maximizer z*, without forming z*.
 
     Returns (theta-gradients, penalized objectives, line coefficients of z*).
-    For the quadratic family ``theta`` may also be a (B, d) block of iterates:
-    D = theta[:, None, :] - X broadcasts over the leading axis, so the
-    gradients are (B, n, d) and the objectives (B, n), each iterate's slice
-    bit-equal to a call with that iterate alone. The gradients are the one
-    (B, n, d) array it allocates, so the caller bounds B (``with_diagnostics``
-    caps it at DIAGNOSTIC_BLOCK_ELEMENTS floats). The maximizer is the end
-    of the ascent line:
+    ``theta`` is one (d,) iterate or a (B, d) block against the same (n, d)
+    rows, giving (B, n, d) gradients and (B, n) objectives, each iterate's
+    bit-equal to a call with it alone. The gradients are the one such array
+    it allocates, so the caller bounds B (``with_diagnostics`` caps it at
+    DIAGNOSTIC_BLOCK_ELEMENTS floats). The maximizer is the end of the ascent line:
 
     - quadratic: z* = x + k * (x - theta) with k = c / (lam - c) for every row.
       With s = c * lam / (lam - c) = lam * k, row i's theta-gradient is
@@ -281,27 +272,30 @@ def exact_rows(model, theta, X, Y, lam):
       r * x + (r * c) * theta and the objectives of ``line_surrogate``.
 
     Outside the strongly concave regime (lam <= c for the quadratic,
-    lam <= ||theta||^2 / 4 for the logistic loss) raises ``RegimeError``.
+    lam <= ||theta||^2 / 4 for the logistic loss) raises ``RegimeError``
+    whose ``iterate`` is the block's first iterate outside it.
     """
-    X = np.asarray(X, dtype=float)
+    theta, X = np.asarray(theta, dtype=float), np.asarray(X, dtype=float)
     if isinstance(model, QuadraticLoss):
         c = model.curvature
         if lam <= c:
-            raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}")
+            raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}",
+                              iterate=0)
         s = c * lam / (lam - c)
-        D = np.asarray(theta, dtype=float)[..., None, :] - X
+        D = theta[..., None, :] - X
         objectives = (0.5 * s) * np.einsum("...ij,...ij->...i", D, D)
         D *= s  # the gradients, in place: no second (B, n, d) array
         return D, objectives, c / (lam - c)
     Y = np.asarray(Y, dtype=float)
     margins, sq_norm = _margins(theta, X)
-    if lam <= sq_norm / 4.0:
-        raise RegimeError(
-            f"inner objective not concave: lam={lam} <= ||theta||^2/4={sq_norm / 4.0}"
-        )
+    outside = np.flatnonzero(lam <= sq_norm / 4.0)  # one entry per iterate
+    if outside.size:
+        first = int(outside[0])
+        raise RegimeError(f"inner objective not concave: lam={lam} <= "
+                          f"||theta||^2/4={sq_norm.flat[first] / 4.0}", iterate=first)
     c = _logistic_root(margins, sq_norm, Y, lam)
     r, objectives = _line_rows(margins, c, sq_norm, Y, lam)
-    return r[:, None] * X + np.outer(r * c, theta), objectives, c
+    return r[..., None] * X + (r * c)[..., None] * theta[..., None, :], objectives, c
 
 
 def _logistic_root(margins, sq_norm, Y, lam):
@@ -313,18 +307,22 @@ def _logistic_root(margins, sq_norm, Y, lam):
     the Newton point when it lies in the closed bracket, else the midpoint;
     the ends count because a saturated margin puts the root within rounding
     of one. A residual still above ROOT_TOL after ROOT_STEPS steps raises
-    ``NumericError``.
+    ``NumericError``. The margins may be a (B, n) block of iterates with
+    (B, 1) squared norms: an iterate stops once all its residuals are within
+    ROOT_TOL, so its roots are bit-equal to solving it alone.
     """
     lo, hi = -Y / lam, (1.0 - Y) / lam
     c = np.zeros_like(margins)
     for _ in range(ROOT_STEPS):
         a = sigmoid(margins + c * sq_norm)
         g = a - Y - lam * c
-        if np.all(np.abs(g) <= ROOT_TOL):
+        done = (np.abs(g) <= ROOT_TOL).all(axis=-1, keepdims=True)  # one per iterate
+        if done.all():
             return c
         lo, hi = np.where(g > 0.0, c, lo), np.where(g > 0.0, hi, c)
         newton = c - g / (sq_norm * a * (1.0 - a) - lam)
-        c = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        step = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        c = np.where(done, c, step) if done.any() else step  # a done iterate keeps its roots
     raise NumericError(f"inner maximizer not found in {ROOT_STEPS} steps",
                        rows=np.flatnonzero(np.abs(g) > ROOT_TOL))
 

@@ -337,9 +337,24 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     announce(9, f"{len(first)} records byte-identical across reruns and reparse losslessly")
 
 
-# sha256 of the records of the E0-E4 grid and criterion 8's sweeps (the JSONL
-# lines write_records writes) and of `robustgd verify --fuzz-instances 200
-# --seeds 4` stdout. A change that moves one updates it here and says why.
+@pytest.fixture(scope="module")
+def check_bounds_records():
+    """All four variants at 100 iterations with the bound check on, through with_diagnostics.
+
+    E1 gives two full-precision min_margin values and two c_alpha refusals;
+    E0 at lam = 0.5 gives four regime refusals, each naming its iterate and
+    ||theta||^2 / 4.
+    """
+    points = {"E1 check_bounds": ("E1", {}), "E0 lam=0.5 check_bounds": ("E0", {"lam": 0.5})}
+    return {name: run_experiment(replace(preset_config(preset), check_bounds=True,
+                                         iterations=100, **fields), variants=VARIANTS)
+            for name, (preset, fields) in points.items()}
+
+
+# sha256 of the records of the E0-E4 grid, criterion 8's sweeps and the two
+# check-bounds sets (the JSONL lines write_records writes) and of `robustgd
+# verify --fuzz-instances 200 --seeds 4` stdout. A change that moves one
+# updates it here and says why.
 PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 PINNED_DIGESTS = {
     "E0": "680bef5603bb669a4cf4ff5fa1e2b2ea54b5b50838d71b0421367d1b8a0c3872",
@@ -349,6 +364,8 @@ PINNED_DIGESTS = {
     "E4": "78dd2e3e064558fa0736fb01b896926f25f58764c1ca24070c2dee8435f4dace",
     "E1 shift_q sweep": "39a48c4e0c9dbab78c705d95302ceaf7813f71ad5bdf92261555dabe77080739",
     "E1 alpha_m sweep": "2c2956f61872f60cbebb234cc09e60de4f3d4444fb3949353dfa7f4a5b910aef",
+    "E1 check_bounds": "a673690477ba06d1d58666f5eebc57a7a3edd56415afdf4ae37ae9aa4b62714b",
+    "E0 lam=0.5 check_bounds": "fcc8e7081fbba803f1f639c25d99e583735bc6c328b67f58aa7b9a6d7690c26c",
     "verify stdout": "7a4ae5700d59d2c90fcf02414572bd7048a98034bfcb218a786e2f95d9dafaac",
 }
 
@@ -364,13 +381,15 @@ def numpy_and_blas():
 @pytest.mark.skipif(DATASET != "synthetic", reason="the digests are of the synthetic corpus")
 def test_records_and_verify_output_keep_their_digests(environment_records,
                                                       shift_budget_records,
-                                                      byzantine_count_records, capsys):
+                                                      byzantine_count_records,
+                                                      check_bounds_records, capsys):
     def digest(records):
         return hashlib.sha256("".join(map(record_line, records)).encode()).hexdigest()
 
     groups = dict(environment_records[0])
     groups["E1 shift_q sweep"] = sum(shift_budget_records.values(), [])
     groups["E1 alpha_m sweep"] = sum(byzantine_count_records.values(), [])
+    groups.update(check_bounds_records)
     digests = {name: digest(records) for name, records in groups.items()}
     capsys.readouterr()
     assert main(["verify", "--fuzz-instances", "200", "--seeds", "4"]) == 0

@@ -307,6 +307,7 @@ class TestStacked:
     (dict(ratio=float("nan")), "ratio must be finite and positive, got nan"),
     (dict(ratio=float("inf")), "ratio must be finite and positive, got inf"),
     (dict(ratio=True), "ratio must be finite and positive, got True"),
+    (dict(ratio=None), "ratio must be finite and positive, got None"),
     (dict(target_rank=-1), "target_rank must be >= 0, got -1"),
     (dict(target_rank=1.5), "target_rank must be an integer count, got 1.5"),
     (dict(rng_seed=-1), "rng_seed must be >= 0, got -1"),
@@ -316,6 +317,12 @@ class TestStacked:
 def test_every_spec_field_is_checked_at_construction(fields, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         AttackSpec(**{"kind": "intelligent", **fields})
+
+
+def test_real_fields_are_stored_as_floats():
+    spec = AttackSpec(kind="aggressive", scale=10, ratio=np.float64(0.5))
+    assert (spec.scale, spec.ratio) == (10.0, 0.5)
+    assert type(spec.scale) is float and type(spec.ratio) is float
 
 
 def test_integral_counts_are_stored_as_ints():

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
@@ -14,13 +15,13 @@ from conftest import (
     quadratic_grads_z,
     rowwise_ascent,
 )
-from robustgd import simulation, verify
+from robustgd import simulation, surrogate, verify
 from robustgd.aggregation import ScreenConfig, norm_screen
 from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, AttackSpec, DirectionBlocks, craft
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
-from robustgd.losses import LogisticLoss, QuadraticLoss
+from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
 from robustgd.simulation import (
     DIAGNOSTIC_BLOCK_ELEMENTS,
     RunTrace,
@@ -38,6 +39,7 @@ from robustgd.simulation import (
 from robustgd.surrogate import (
     DROConfig,
     exact_rows,
+    line_ascent,
     line_surrogate,
     quadratic_surrogate,
     surrogate_state,
@@ -536,6 +538,21 @@ class TestRunTraining:
         cfg = plain_config(0.1, 3.0, DROConfig(2.0, 0.3, 2))
         assert cfg.iterations == 3 and type(cfg.iterations) is int
 
+    @pytest.mark.parametrize("eta, message", [
+        (True, "eta must be finite and positive, got True"),  # ran with eta = 1.0
+        ("1", "eta must be finite and positive, got '1'"),    # a numpy TypeError
+        (None, "eta must be finite and positive, got None"),  # a numpy TypeError
+        (0.0, "eta must be finite and positive, got 0.0"),
+        (float("inf"), "eta must be finite and positive, got inf"),
+    ])
+    def test_bad_step_sizes_are_refused_by_name(self, eta, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            plain_config(eta, 3, DROConfig(2.0, 0.3, 2))
+
+    def test_an_integral_step_size_is_stored_as_a_float(self):
+        cfg = plain_config(np.int64(1), 3, DROConfig(2.0, 0.3, 2))
+        assert cfg.eta == 1.0 and type(cfg.eta) is float
+
     def test_theta0_shape_checked(self):
         X, Y = make_cloud(n=8, dim=3, seed=1)
         roster = WorkerRoster(shards=[np.arange(8)])
@@ -843,15 +860,19 @@ class TestDiagnostics:
 
     @staticmethod
     def per_iterate_diagnostics(model, X, Y, trace, dro):
-        """The quadratic diagnostics from ``exact_rows``, one iterate at a time."""
+        """The diagnostics from ``exact_rows`` (and ``line_ascent``), one iterate at a time."""
         T, d = trace.aggregated.shape
         grads, objs, eps = np.empty((T, d)), np.empty(T), np.empty(T)
-        factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
         for t, theta in enumerate(trace.iterates):
-            rows, objectives, _ = exact_rows(model, theta, X, Y, dro.lam)
+            rows, objectives, c_star = exact_rows(model, theta, X, Y, dro.lam)
             objs[t] = objectives.mean()
             grads[t] = rows.mean(axis=0)
-            eps[t] = factor * np.linalg.norm(rows, axis=1).max()
+            if isinstance(model, QuadraticLoss):
+                factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
+                eps[t] = factor * np.linalg.norm(rows, axis=1).max()
+            else:
+                _, c_eps, sq_norm = line_ascent(theta, X, Y, dro)
+                eps[t] = np.abs(c_eps - c_star).max() * np.sqrt(sq_norm[0])
         return grads, objs, eps
 
     @pytest.mark.parametrize("T", ["one", "block", "block + 1", 200])
@@ -866,6 +887,60 @@ class TestDiagnostics:
         np.testing.assert_array_equal(trace.true_gradients, grads)
         np.testing.assert_array_equal(trace.true_objectives, objs)
         np.testing.assert_array_equal(trace.inner_eps, eps)
+
+    @staticmethod
+    def logistic_problem(T):
+        """16 logistic rows, so a diagnostics block holds many iterates, and a trace of T.
+
+        The iterates lie at random norms from 0 to near the regime edge
+        ||theta|| = 2 * sqrt(lam), so those of one block need different
+        numbers of root steps.
+        """
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((16, 4))
+        Y = rng.integers(0, 2, size=16).astype(float)
+        dro = DROConfig(3.0, 0.05, 5)
+        trace = run_training(LogisticLoss(), X, Y, WorkerRoster(shards=[np.arange(16)]),
+                             plain_config(0.5, T, dro))
+        directions = rng.standard_normal((T, 4))
+        radii = 2.0 * np.sqrt(dro.lam) * rng.uniform(0.0, 0.999, size=(T, 1))
+        iterates = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        iterates[0] = 0.0
+        return X, Y, dro, replace(trace, iterates=iterates)
+
+    @pytest.mark.parametrize("T", ["one", "block", "block + 1", "several blocks"])
+    def test_blocked_logistic_diagnostics_are_bit_equal_per_iterate(self, T):
+        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        T = {"one": 1, "block": block, "block + 1": block + 1, "several blocks": 3 * block + 7}[T]
+        X, Y, dro, trace = self.logistic_problem(T)
+        grads, objs, eps = self.per_iterate_diagnostics(LogisticLoss(), X, Y, trace, dro)
+        diag = with_diagnostics(LogisticLoss(), X, Y, trace, dro)
+        np.testing.assert_array_equal(diag.true_gradients, grads)
+        np.testing.assert_array_equal(diag.true_objectives, objs)
+        np.testing.assert_array_equal(diag.inner_eps, eps)
+
+    def test_a_logistic_block_holds_iterates_of_different_root_step_counts(self, monkeypatch):
+        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        X, Y, dro, trace = self.logistic_problem(block)
+        calls = []  # one sigmoid per root step, and one for the rows at the root
+        monkeypatch.setattr(surrogate, "sigmoid", lambda t: calls.append(t) or sigmoid(t))
+        steps = []
+        for theta in trace.iterates:
+            before = len(calls)
+            exact_rows(LogisticLoss(), theta, X, Y, dro.lam)
+            steps.append(len(calls) - before - 1)
+        assert min(steps) <= 2 and max(steps) >= 6, sorted(set(steps))
+
+    def test_logistic_regime_error_names_an_iterate_inside_a_later_block(self):
+        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        X, Y, dro, trace = self.logistic_problem(3 * block)
+        trace.iterates[[block + 5, 2 * block + 1]] = [4.0, 0.0, 0.0, 0.0]  # ||theta||^2/4 = 4
+        with pytest.raises(RegimeError) as err:
+            exact_rows(LogisticLoss(), trace.iterates[block:2 * block], X, Y, dro.lam)
+        assert err.value.iterate == 5
+        with pytest.raises(RegimeError, match=rf"^iterate {block + 5}: inner objective not "
+                                              rf"concave: lam=3.0 <= \|\|theta\|\|\^2/4=4.0$"):
+            with_diagnostics(LogisticLoss(), X, Y, trace, dro)
 
     def test_exact_rows_broadcast_over_a_block_of_iterates(self, rng):
         model = QuadraticLoss(1.5)

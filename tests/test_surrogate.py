@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -162,6 +163,25 @@ class TestInnerMaximize:
     def test_an_integral_float_step_count_is_stored_as_an_int(self):
         cfg = DROConfig(lam=1.0, t_z=4.0)
         assert cfg.t_z == 4 and type(cfg.t_z) is int
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(lam=True), "lam must be finite and positive, got True"),  # ran with lam = 1.0
+        (dict(lam="3"), "lam must be finite and positive, got '3'"),    # a numpy TypeError
+        (dict(lam=None), "lam must be finite and positive, got None"),  # a numpy TypeError
+        (dict(lam=0.0), "lam must be finite and positive, got 0.0"),
+        (dict(lam=float("nan")), "lam must be finite and positive, got nan"),
+        (dict(lam=1.0, eta_z=True), "eta_z must be finite and positive, got True"),
+        (dict(lam=1.0, eta_z=float("inf")), "eta_z must be finite and positive, got inf"),
+        (dict(lam=1.0, eta_z=-0.1), "eta_z must be finite and positive, got -0.1"),
+    ])
+    def test_bad_real_fields_are_refused_by_name(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DROConfig(**fields)
+
+    def test_real_fields_are_stored_as_floats(self):
+        cfg = DROConfig(lam=3, eta_z=np.float64(0.5))
+        assert (cfg.lam, cfg.eta_z) == (3.0, 0.5)
+        assert type(cfg.lam) is float and type(cfg.eta_z) is float
 
 
 class TestLogisticLinePath:
