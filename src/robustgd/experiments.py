@@ -33,6 +33,7 @@ from .simulation import (
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
+    honest_objective,
     run_training,
     variant_config,
     with_diagnostics,
@@ -308,7 +309,7 @@ def _inapplicable(reason):
     return {"certified": False, "applicable": False, "reason": reason}
 
 
-def _record(cfg, sharded, trace, bounds, axis):
+def _record(cfg, sharded, trace, objective, bounds, axis):
     record = {
         "kind": "experiment",
         "config": asdict(cfg),
@@ -316,7 +317,7 @@ def _record(cfg, sharded, trace, bounds, axis):
         "trace": {
             "iterations": int(trace.iterations),
             "final_aggregated_norm": float(trace.aggregated_norms[-1]),
-            "final_objective_estimate": float(trace.objective_estimates[-1]),
+            "final_objective_estimate": objective,
         },
     }
     if bounds:
@@ -332,11 +333,12 @@ def _train_and_score(points, variants, on_record, axis=None):
     Every (variant, point) config is built, and so checked, before anything
     trains, and the data are prepared once: no sweep axis touches them.
     Variant by variant, a point that differs from the last trained one only
-    in shift_q is scored on that run; any other point trains and, with
-    check_bounds, builds its bounds report. ``evaluate`` scores every record,
-    each goes to ``on_record`` as it is made, and a failure (a non-finite
-    record field included) is raised as a ``RuntimeError`` naming the
-    variant and the config.
+    in shift_q is scored on that run; any other point trains, takes its
+    final objective estimate (``honest_objective``, once per trained run)
+    and, with check_bounds, builds its bounds report. ``evaluate`` scores
+    every record, each goes to ``on_record`` as it is made, and a failure (a
+    non-finite record field included) is raised as a ``RuntimeError`` naming
+    the variant and the config.
     """
     variants = [points[0].variant] if variants is None else variants
     runs = [[replace(point, variant=v) for point in points] for v in variants]
@@ -348,9 +350,12 @@ def _train_and_score(points, variants, on_record, axis=None):
             try:
                 if trained is None or replace(trained, shift_q=cfg.shift_q) != cfg:
                     trained, (trace, effective, roster) = cfg, train(cfg, sharded)
+                    objective = honest_objective(LogisticLoss(), sharded.train_features,
+                                                 sharded.train_labels, roster, effective.dro,
+                                                 trace)
                     bounds = cfg.check_bounds and _diagnostic_bounds(
                         sharded, trace, effective, roster)
-                record = _record(cfg, sharded, trace, bounds, axis)
+                record = _record(cfg, sharded, trace, objective, bounds, axis)
                 record_line(record)  # refuses a non-finite field by name
             except Exception as exc:
                 raise RuntimeError(

@@ -8,9 +8,10 @@ numerical checks of the convergence bounds.
 A loss class names its family (``kind``) and gives its smoothness constants;
 it evaluates nothing itself. Every value and gradient the package uses is
 taken on the line its inner ascent keeps z on: ``surrogate.line_surrogate``
-and ``surrogate.quadratic_surrogate`` at the ascent output (with zero ascent
-steps, the plain loss and its parameter gradient), ``surrogate.exact_rows``
-at the exact inner maximizer. The logistic ones are built from the
+and ``surrogate.quadratic_surrogate`` (gradients) and
+``surrogate.inner_objectives`` (values) at the ascent output, with zero
+ascent steps the plain loss and its parameter gradient, and
+``surrogate.exact_rows`` at the exact inner maximizer. The logistic ones are built from the
 branch-free ``sigmoid`` and the clipped ``cross_entropy`` below, except the
 steps of ``surrogate.line_ascent``, which evaluate eta_z * sigmoid(u) in
 place as eta_z / (1 + exp(-u)); the test shift works on the logistic

@@ -9,17 +9,19 @@ k honest shards are gathered once into one (k, n, d) block, and one batched
 ascent per round (``worker_reports``) serves every honest worker. That
 ascent is a scalar recursion on a line through each row: one coefficient per
 row for the logistic loss, one coefficient shared by every row for the
-quadratic. The reports come from those coefficients without an (n, d)
-perturbed matrix: for the logistic loss, the k gradient sums are one stacked
-product r_j^T X_j over the block (one matrix-vector product per worker) plus
-segment sums of r * c times theta; for the quadratic, c * (1 + k) times
-segment sums of theta - x. The byzantine rows of a round come from one
-``craft`` call. An intelligent run's directions (``DirectionBlocks``, one
+quadratic. A report is the worker's mean surrogate gradient and nothing
+else; it comes from those coefficients without an (n, d) perturbed matrix:
+for the logistic loss, the k gradient sums are one stacked product
+r_j^T X_j over the block (one matrix-vector product per worker) plus, when
+the ascent takes steps, segment sums of r * c times theta; for the
+quadratic, c * (1 + k) times segment sums of theta - x. A report that is
+not finite is refused in the round. The byzantine rows of a round come from
+one ``craft`` call. An intelligent run's directions (``DirectionBlocks``, one
 generator per byzantine worker or one shared) are built once when the run
 starts and drawn a block of rounds at a time; round t's direction is each
 generator's t-th vector, so a run of T rounds is the first T rounds of a
 longer one. With zero ascent steps (t_z = 0) the reports are the plain
-logistic loss and gradient, and with screen_count = 0 the screen keeps every
+logistic gradient r_j^T X_j, and with screen_count = 0 the screen keeps every
 report without ranking them; both are bit-equal to the general path.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
@@ -36,11 +38,15 @@ run's own (the aggregate norms are its (1, d) @ (d, 1) dot), so each run's
 trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
-The round loop runs only the algorithm. The trace records every iterate, so
-the diagnostics the bound checkers need (the true surrogate gradient and
-objective over all samples and the worst-case inner-solve error) are
-computed after the run by ``with_diagnostics``, in one loop over blocks of
-iterates for both families; they never feed back into the update. They, and
+The round loop runs only the algorithm: it forms no inner objective. The
+record's objective estimate, the mean honest-worker inner objective at the
+last iterate theta_{T-1}, is taken after the run by ``honest_objective``,
+over the same honest block and with the same ascent and reductions as a
+round would use. The trace records every iterate, so the diagnostics the
+bound checkers need (the true surrogate gradient and objective over all
+samples and the worst-case inner-solve error) are computed after the run by
+``with_diagnostics``, in one loop over blocks of iterates for both
+families; they never feed back into the update. They, and
 ``gradient_dispersion`` at a single iterate, are taken at the exact inner
 maximizer (``surrogate.exact_rows``): in closed form for the quadratic family,
 by a bracketed scalar root solve per row for the logistic loss.
@@ -54,7 +60,8 @@ from .aggregation import ScreenConfig, norm_screen
 from .attacks import INTELLIGENT, AttackSpec, DirectionBlocks, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss
-from .surrogate import DROConfig, exact_rows, line_ascent, line_surrogate, quadratic_surrogate
+from .surrogate import (DROConfig, exact_rows, inner_objectives, line_ascent, line_surrogate,
+                        quadratic_surrogate)
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
 # cap, in floats, on each (B, n, d) temporary of the blocked diagnostics
@@ -131,7 +138,6 @@ class TrainConfig:
 class RunTrace:
     aggregated: np.ndarray           # (T, d)
     aggregated_norms: np.ndarray     # (T,)
-    objective_estimates: np.ndarray  # (T,) mean honest-worker inner objective
     worker_norms: np.ndarray         # (T, m) reported gradient norms
     iterates: np.ndarray             # (T, d) iterate before each update
     theta_final: np.ndarray
@@ -167,7 +173,7 @@ def initial_theta(dim, seed):
 
 
 def worker_reports(model, theta, X, Y, dro: DROConfig):
-    """Honest workers' reports: (mean surrogate gradients, mean inner objectives).
+    """Honest workers' reports: their mean surrogate gradients.
 
     ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, ``Y``
     the (k, n) labels and ``theta`` the (d,) iterate; or, for R runs at once,
@@ -177,10 +183,10 @@ def worker_reports(model, theta, X, Y, dro: DROConfig):
     over its rows, evaluated from the line coefficients (``line_surrogate``,
     ``quadratic_surrogate``) without forming the ascent output. A logistic
     worker's gradient sum is X_j^T r_j + (sum of r * c) * theta over its
-    rows, the first terms one stacked product over the block; the objectives
-    and the quadratic sums are segment sums. Returns a (k, d) gradient matrix
-    and a (k,) objective vector, with a leading R axis for R runs; an
-    objective sum that overflows raises ``NumericError`` with the worker's
+    rows, the first terms one stacked product over the block; at t_z = 0 the
+    coefficients are zero and the sum is X_j^T r_j alone. The quadratic sums
+    are segment sums. Returns a (k, d) gradient matrix, (R, k, d) for R runs;
+    a report that is not finite raises ``NumericError`` with the worker's
     first row. A ``NumericError`` row indexes the block's rows in order: row
     i lies in run i // (k * n) and in worker i % (k * n) // n of that run.
     """
@@ -193,19 +199,63 @@ def worker_reports(model, theta, X, Y, dro: DROConfig):
     *runs, k, n, d = X.shape
     rows, labels = X.reshape(*runs, k * n, d), Y.reshape(*runs, k * n)
     starts = np.arange(0, k * n, n)
-    if isinstance(model, LogisticLoss):
-        r, c, objectives = line_surrogate(theta, rows, labels, dro)
-        grad_sums = np.add.reduceat(r * c, starts, axis=-1)[..., None] * theta[..., None, :]
-        grad_sums += np.matmul(r.reshape(*runs, k, 1, n), X).reshape(*runs, k, d)
-    else:
-        D, rate, objectives = quadratic_surrogate(model, theta, rows, dro)
-        grad_sums = rate * np.add.reduceat(D, starts, axis=-2)
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        objective_sums = np.add.reduceat(objectives, starts, axis=-1)
-    if not np.isfinite(objective_sums).all():  # name each such worker's first row
-        overflowed = np.flatnonzero(~np.isfinite(objective_sums))
-        raise NumericError("inner objective sum overflows", rows=n * overflowed)
-    return grad_sums / n, objective_sums / n
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused below
+        if isinstance(model, LogisticLoss):
+            r, c = line_surrogate(theta, rows, labels, dro)
+            grad_sums = np.matmul(r.reshape(*runs, k, 1, n), X).reshape(*runs, k, d)
+            if dro.t_z:
+                c_sums = np.add.reduceat(r * c, starts, axis=-1)
+                grad_sums += c_sums[..., None] * theta[..., None, :]
+        else:
+            D, rate = quadratic_surrogate(model, theta, rows, dro)
+            grad_sums = rate * np.add.reduceat(D, starts, axis=-2)
+        reports = grad_sums / n
+    if not np.isfinite(reports).all():  # name each such worker's first row
+        refused = np.flatnonzero(~np.isfinite(reports).all(axis=-1))
+        raise NumericError("non-finite gradient report", rows=n * refused)
+    return reports
+
+
+def honest_objective(model, X, Y, roster, dro: DROConfig, trace):
+    """The mean honest-worker inner objective at the run's last iterate theta_{T-1}.
+
+    ``X``, ``Y``, ``roster`` and ``dro`` are the run's own and ``trace`` its
+    ``RunTrace``. The honest block is gathered as ``train_runs`` gathers it,
+    and the per-row objectives (``inner_objectives``) are reduced as a round
+    would: a sum per worker over its rows divided by n, then a sum over the k
+    workers divided by k. A ``NumericError`` (a sum that overflows included)
+    names the iteration T - 1 and the worker; rows, labels, iterates or a
+    roster that do not fit are a ``ConfigError``.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.shape != X.shape[:1] or trace.iterates.shape[1:] != X.shape[1:]:
+        raise ConfigError(f"expected (N, d) rows, (N,) labels and (d,) iterates, got shapes "
+                          f"{X.shape}, {Y.shape} and {trace.iterates.shape[1:]}")
+    validate_roster(roster, len(X), len(roster.byzantine))  # no screen enters the estimate
+    honest, honest_X, honest_Y = _honest_block(X[None], Y[None], [roster])
+    _, k, n, d = honest_X.shape
+    try:
+        objectives = inner_objectives(model, trace.iterates[-1:], honest_X.reshape(1, k * n, d),
+                                      honest_Y.reshape(1, k * n), dro)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            sums = np.add.reduceat(objectives, np.arange(0, k * n, n), axis=-1)
+        if not np.isfinite(sums).all():  # name each such worker's first row
+            raise NumericError("inner objective sum overflows",
+                               rows=n * np.flatnonzero(~np.isfinite(sums)))
+    except NumericError as exc:
+        row = 0 if exc.rows is None else exc.rows[0]
+        raise NumericError(f"iteration {trace.iterations - 1}, worker {honest[row // n]}: "
+                           f"{exc}") from exc
+    return float(np.add.reduce(sums / n, axis=1)[0] / k)
+
+
+def _honest_block(X, Y, rosters):
+    """(honest ids, (R, k, n, d) rows, (R, k, n) labels) of the k honest workers of R runs."""
+    honest = np.array(rosters[0].honest)
+    shards = np.array([[np.asarray(run.shards[i], dtype=int) for i in honest]
+                       for run in rosters])  # (R, k, n)
+    run_axis = np.arange(len(rosters))[:, None, None]
+    return honest, X[run_axis, shards], Y[run_axis, shards]
 
 
 # what the runs of one batch share: (field, its value for a run's roster and config)
@@ -261,17 +311,12 @@ def train_runs(model, X, Y, rosters, cfgs):
     # run-major, so that each run's fields are contiguous; the loop writes
     # round t of every run through round-major views
     run_major = dict(aggregated=np.empty((R, T, d)), aggregated_norms=np.empty((R, T)),
-                     objective_estimates=np.empty((R, T)), worker_norms=np.empty((R, T, m)),
-                     iterates=np.empty((R, T, d)))
-    aggregated, aggregated_norms, objective_estimates, worker_norms, iterates = (
+                     worker_norms=np.empty((R, T, m)), iterates=np.empty((R, T, d)))
+    aggregated, aggregated_norms, worker_norms, iterates = (
         a.swapaxes(0, 1) for a in run_major.values())
-    honest = np.array(roster.honest)
+    honest, honest_X, honest_Y = _honest_block(X, Y, rosters)
     byzantine = np.array(roster.byzantine, dtype=int)
-    shards = np.array([[np.asarray(run.shards[i], dtype=int) for i in honest]
-                       for run in rosters])  # (R, k, n)
-    run_axis = np.arange(R)[:, None, None]
-    honest_X, honest_Y = X[run_axis, shards], Y[run_axis, shards]
-    k, n = shards.shape[1:]
+    k, n = honest_Y.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
     attacks = [run.attack for run in rosters]
     # each run's intelligent directions, drawn in blocks of rounds for all its rounds
@@ -282,7 +327,7 @@ def train_runs(model, X, Y, rosters, cfgs):
     for t in range(T):
         iterates[t] = theta
         try:
-            honest_grads, honest_objs = worker_reports(model, theta, honest_X, honest_Y, cfg.dro)
+            honest_grads = worker_reports(model, theta, honest_X, honest_Y, cfg.dro)
         except NumericError as exc:
             # a failure without rows (a non-finite theta of one run) hits every worker
             run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
@@ -308,7 +353,6 @@ def train_runs(model, X, Y, rosters, cfgs):
             _refuse_non_finite(step, f"iteration {t}: iterate diverged to non-finite values",
                                label)
         aggregated[t] = G
-        objective_estimates[t] = np.add.reduce(honest_objs, axis=1) / k
         theta = step
 
     return [RunTrace(theta_final=theta[r], **{name: a[r] for name, a in run_major.items()})

@@ -18,19 +18,24 @@ each family):
   workers' shards flattened to k * n rows, so one call serves every honest
   worker of a training round; with one iterate per run, (R, d) against
   (R, k * n, d) rows, one call serves the round of R runs. ``line_surrogate``
-  evaluates the surrogate at the ascent output from the margins theta . x
+  gives the theta-gradient at the ascent output from the margins theta . x
   and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
-  the theta-gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y,
-  and the transport cost is c^2 * ||theta||^2 / 2. With zero steps
-  (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is returned without
-  the step setup or its check, and the reports are the plain loss,
-  sigmoid(theta . x) - y and the cross-entropy, bit-equal to the general
-  formulas, whose c terms are exactly zero there.
+  and the gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y.
+  With zero steps (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is
+  returned without the step setup or its check, and r is the plain
+  sigmoid(theta . x) - y, bit-equal to the general formula, whose c term is
+  exactly zero there.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
   z = x + k * (x - theta) with one coefficient k shared by every row.
   ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
-  theta-gradient c * (1 + k) * (theta - x) and the objective
-  (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
+  theta-gradient c * (1 + k) * (theta - x).
+
+The training round needs only the gradients. The penalized inner objective
+at the ascent output, f(theta; z) - lam * ||z - x||^2 / 2, comes from its own
+call (``inner_objectives``, which runs the same ascent): for the logistic
+loss the cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2, the
+plain cross-entropy at t_z = 0; for the quadratic
+(c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
 
 Over a leading run axis, or a block of iterates, every product is the
 stacked form of the iterate's own (a (1, d) @ (d, 1) dot for ||theta||^2,
@@ -127,27 +132,51 @@ def _line_steps(margins, sq_norm, Y, cfg, check):
 
 
 def line_surrogate(theta, X, Y, cfg):
-    """The logistic surrogate per row at the ascent output, without forming z.
+    """The logistic surrogate gradient per row at the ascent output, without forming z.
 
-    Returns (r, c, objectives): r = sigmoid(theta . z) - y and the line
-    coefficients c of z = x + c * theta, so the row's theta-gradient is
-    r * x + (r * c) * theta, and the penalized objectives
-    f(theta; z) - lam * c^2 * ||theta||^2 / 2. A row whose objective
-    overflows raises ``NumericError`` as a divergence of the last step.
-    With cfg.t_z = 0 they are the plain loss at z = x, sigmoid(theta . x) - y
-    and the cross-entropy, without the c terms, which are exactly zero: the
-    margins plus 0 * ||theta||^2 differ only at -0.0, where sigmoid is 0.5
-    either way, and subtracting +0.0 leaves every objective's bits as they are.
+    Returns (r, c): r = sigmoid(theta . z) - y and the line coefficients c of
+    z = x + c * theta, so the row's theta-gradient is r * x + (r * c) * theta.
+    With cfg.t_z = 0, r is the plain sigmoid(theta . x) - y, without the c
+    term, which is exactly zero: the margins plus 0 * ||theta||^2 differ only
+    at -0.0, where sigmoid is 0.5 either way.
     """
     Y = np.asarray(Y, dtype=float)
     margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
     if cfg.t_z == 0:
-        a = sigmoid(margins)
-        r, objectives = a - Y, cross_entropy(a, Y)
+        return sigmoid(margins) - Y, c
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing u saturates sigmoid
+        return sigmoid(margins + c * sq_norm) - Y, c
+
+
+def inner_objectives(model, theta, X, Y, cfg):
+    """The penalized inner objective per row at the ascent output, without forming z.
+
+    f(theta; z) - lam * ||z - x||^2 / 2 after the cfg.t_z ascent steps of
+    ``line_ascent`` or ``quadratic_line_ascent``, for ``theta`` and ``X`` as
+    they take them (``Y`` is unused by the quadratic family). Logistic:
+    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, and
+    with cfg.t_z = 0 the plain cross-entropy, since subtracting +0.0 leaves
+    every objective's bits as they are. Quadratic:
+    (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2. A row whose objective
+    overflows raises ``NumericError`` as a divergence of the last step.
+    """
+    if isinstance(model, QuadraticLoss):
+        k, D = quadratic_line_ascent(model, theta, X, cfg)
+        c, lam = model.curvature, float(cfg.lam)
+        weight = 0.5 * (c * (1.0 + k) * (1.0 + k) - lam * k * k)
+        if not math.isfinite(weight):
+            raise NumericError(f"inner ascent diverged at step {cfg.t_z}", rows=_moving_rows(D))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            objectives = weight * np.einsum("...ij,...ij->...i", D, D)
     else:
-        r, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
+        Y = np.asarray(Y, dtype=float)
+        margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
+        if cfg.t_z == 0:
+            objectives = cross_entropy(sigmoid(margins), Y)
+        else:
+            _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
-    return r, c, objectives
+    return objectives
 
 
 def _margins(theta, X):
@@ -171,7 +200,7 @@ def _margins(theta, X):
 
 def _line_rows(margins, c, sq_norm, Y, lam):
     """(r, penalized objectives) of the logistic rows at z = x + c * theta."""
-    with np.errstate(over="ignore", invalid="ignore"):  # line_surrogate refuses a diverged row
+    with np.errstate(over="ignore", invalid="ignore"):  # inner_objectives refuses a diverged row
         a = sigmoid(margins + c * sq_norm)
         objectives = cross_entropy(a, Y) - lam * (0.5 * (c * c) * sq_norm)
     return a - Y, objectives
@@ -205,22 +234,13 @@ def quadratic_line_ascent(model, theta, X, cfg):
 
 
 def quadratic_surrogate(model, theta, X, cfg):
-    """The quadratic surrogate per row at the ascent output, without forming z.
+    """The quadratic surrogate gradient per row at the ascent output, without forming z.
 
-    Returns (D, g, objectives): D = theta - X and the scalar g = c * (1 + k),
-    so row i's theta-gradient is g * D_i, and the penalized objectives
-    (c * (1 + k)^2 - lam * k^2) / 2 * ||D_i||^2. A row whose objective
-    overflows raises ``NumericError`` as a divergence of the last step.
+    Returns (D, g): D = theta - X and the scalar g = c * (1 + k), so row i's
+    theta-gradient is g * D_i.
     """
     k, D = quadratic_line_ascent(model, theta, X, cfg)
-    c, lam = model.curvature, float(cfg.lam)
-    weight = 0.5 * (c * (1.0 + k) * (1.0 + k) - lam * k * k)
-    if not math.isfinite(weight):
-        raise NumericError(f"inner ascent diverged at step {cfg.t_z}", rows=_moving_rows(D))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused below
-        objectives = weight * np.einsum("...ij,...ij->...i", D, D)
-    _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
-    return D, c * (1.0 + k), objectives
+    return D, model.curvature * (1.0 + k)
 
 
 def _moving_rows(D):
@@ -269,14 +289,17 @@ def exact_rows(model, theta, X, Y, lam):
       distance ||z* - x_i|| is the gradient's norm over lam.
     - logistic: z* = x + c * theta with c the root of
       g(c) = sigmoid(theta . x + c * ||theta||^2) - y - lam * c; the rows are
-      r * x + (r * c) * theta and the objectives of ``line_surrogate``.
+      r * x + (r * c) * theta and the objectives those of ``inner_objectives``.
 
     Outside the strongly concave regime (lam <= c for the quadratic,
     lam <= ||theta||^2 / 4 for the logistic loss) raises ``RegimeError``
-    whose ``iterate`` is the block's first iterate outside it.
+    whose ``iterate`` is the block's first iterate outside it. A non-finite
+    iterate raises ``NumericError`` for both families; for a block, its
+    ``rows`` are the first rows of the failing iterates.
     """
     theta, X = np.asarray(theta, dtype=float), np.asarray(X, dtype=float)
     if isinstance(model, QuadraticLoss):
+        _check_iterates(theta, "non-finite values in theta", X)
         c = model.curvature
         if lam <= c:
             raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}",

@@ -123,7 +123,7 @@ def test_criterion_3_envelope_gradient_agreement():
         d = int(rng.integers(1, 7))
         theta, x = rng.standard_normal((2, d))
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=200)
-        D, rate, _ = quadratic_surrogate(model, theta, x.reshape(1, -1), cfg)
+        D, rate = quadratic_surrogate(model, theta, x.reshape(1, -1), cfg)
         np.testing.assert_allclose(
             rate * D[0], lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
         )

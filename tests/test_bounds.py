@@ -283,8 +283,7 @@ class TestReportsAndOptimum:
         scaled = np.exp(rng.normal(0.0, 4.0, (T, 1)))
         synthetic = RunTrace(
             aggregated=rng.standard_normal((T, d)) * scaled, aggregated_norms=np.zeros(T),
-            objective_estimates=np.zeros(T), worker_norms=np.zeros((T, 1)),
-            iterates=np.zeros((T, d)), theta_final=np.zeros(d),
+            worker_norms=np.zeros((T, 1)), iterates=np.zeros((T, d)), theta_final=np.zeros(d),
             true_gradients=rng.standard_normal((T, d)) * scaled, true_objectives=np.zeros(T),
             inner_eps=rng.uniform(0.0, 2.0, T))
         synthetic.true_gradients[3] = 0.0
@@ -309,7 +308,6 @@ class TestReportsAndOptimum:
         trace = RunTrace(
             aggregated=np.zeros((T, d)),
             aggregated_norms=np.zeros(T),
-            objective_estimates=np.zeros(T),
             worker_norms=np.zeros((T, 1)),
             iterates=iterates,
             theta_final=iterates[-1],

@@ -128,17 +128,32 @@ def test_a_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, content,
     assert not (tmp_path / "out").exists()
 
 
-# Configs the same draw reaches at seeds 1-15, one per site it found there
+# Configs the same draw reaches at seeds 1-15, one per site it found there.
+# The round forms no inner objective, so a run whose objective overflows
+# trains on and is refused by the final objective estimate at iteration
+# T - 1, by its own reports or by a later round.
 @pytest.mark.parametrize("drawn, message", [
     (dict(preset="E3", variant="dro_only", iterations=4, t_z=1, eta=3.0, lam=1e308,
           eta_z=0.5, shift_q=1000.0, attack_scale=1e-300, attack_ratio=1e-8),
-     r"iteration 1, worker 3: inner objective sum overflows"),
+     r"iteration 3, worker 4: inner objective sum overflows"),
     (dict(preset="E3", variant="nbs_only", iterations=1, eta=1e308, lam=1e-8, shift_q=1e308,
           attack_ratio=1000.0),
      r"shift_misclassification: logits theta \. x are NaN in 15 rows"),
     (dict(preset="E3", variant="dro_only", iterations=5, t_z=2, eta=1e308, lam=1000.0,
           eta_z=0.5, shift_q=0.5, attack_scale=0.5, attack_ratio=1e-8),  # inf - inf margins
      r"iteration 1, worker 3: \|\|theta\|\|\^2 overflows"),
+    (dict(preset="E0", variant="alg2", iterations=3, t_z=2, eta=0.5, lam=1e150, eta_z=3.0,
+          shift_q=1000.0, attack_scale=1000.0, attack_ratio=1e150),
+     r"iteration 2, worker 0: inner ascent diverged at step 2"),
+    (dict(preset="E0", variant="alg2", iterations=1, t_z=1, eta=3.0, lam=1.0, eta_z=1e308,
+          shift_q=1000.0, attack_scale=1e-8, attack_ratio=0.5),
+     r"iteration 0, worker 0: non-finite gradient report"),
+    (dict(preset="E0", variant="alg2", iterations=5, t_z=3, eta=1e-8, lam=1e150, eta_z=1e-8,
+          shift_q=1e-8, attack_scale=0.5, attack_ratio=0.5),
+     r"iteration 1, worker 0: \|\|theta\|\|\^2 overflows"),
+    (dict(preset="E4", variant="alg2", iterations=3, t_z=3, eta=3.0, lam=1e150, eta_z=3.0,
+          shift_q=1e-300, attack_scale=1e150, attack_ratio=1e-300),
+     r"iteration 0: non-finite aggregated gradient"),
 ])
 def test_overflowing_runs_fail_with_the_iteration_or_field(drawn, message):
     with pytest.raises(RuntimeError, match=f"variant='{drawn['variant']}'") as exc:

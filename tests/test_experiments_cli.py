@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustgd import experiments
+from robustgd import experiments, surrogate
 from robustgd import verify as verify_mod
 from robustgd.cli import main
 from robustgd.errors import ConfigError, NumericError
@@ -365,6 +365,14 @@ class TestSweep:
         scored = count_calls(monkeypatch, "evaluate")
         records = sweep(fast_config(), "shift_q", [0.0, 0.1, 0.2], variants=["alg2", "erm"])
         assert len(runs) == 2 and len(scored) == len(records) == 6
+
+    def test_the_final_objective_is_taken_once_per_trained_run(self, monkeypatch):
+        # the rounds form no inner objective: cross_entropy runs once per trained run,
+        # for its final estimate, however many budgets score the run
+        calls, real = [], surrogate.cross_entropy
+        monkeypatch.setattr(surrogate, "cross_entropy", lambda *a: calls.append(a) or real(*a))
+        records = sweep(fast_config(), "shift_q", [0.0, 0.1, 0.2], variants=["alg2", "erm"])
+        assert len(records) == 6 and len(calls) == 2
 
     def test_multi_variant_sweeps_come_variant_by_variant(self):
         records = sweep(fast_config(), "lam", [1.0, 2.0], variants=["erm", "alg2"])

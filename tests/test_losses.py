@@ -7,7 +7,7 @@ import pytest
 from conftest import central_difference, logistic_grads_z, quadratic_grads_z
 from robustgd.errors import NumericError
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
-from robustgd.surrogate import DROConfig, line_surrogate, quadratic_surrogate
+from robustgd.surrogate import DROConfig, inner_objectives, line_surrogate, quadratic_surrogate
 
 # With zero ascent steps z = x, so the surrogate per row is the plain loss
 # and its theta-gradient: the losses are checked on the formulas that ship.
@@ -15,20 +15,20 @@ PLAIN = DROConfig(lam=1.0, t_z=0)
 
 
 def logistic_values(theta, Z, Y):
-    return line_surrogate(theta, Z, Y, PLAIN)[2]
+    return inner_objectives(LogisticLoss(), theta, Z, Y, PLAIN)
 
 
 def logistic_grads_theta(theta, Z, Y):
-    r, c, _ = line_surrogate(theta, Z, Y, PLAIN)
+    r, c = line_surrogate(theta, Z, Y, PLAIN)
     return r[:, None] * Z + (r * c)[:, None] * theta
 
 
 def quadratic_values(model, theta, Z, Y=None):
-    return quadratic_surrogate(model, theta, Z, PLAIN)[2]
+    return inner_objectives(model, theta, Z, Y, PLAIN)
 
 
 def quadratic_grads_theta(model, theta, Z, Y=None):
-    D, rate, _ = quadratic_surrogate(model, theta, Z, PLAIN)
+    D, rate = quadratic_surrogate(model, theta, Z, PLAIN)
     return rate * D
 
 

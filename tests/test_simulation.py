@@ -28,6 +28,7 @@ from robustgd.simulation import (
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
+    honest_objective,
     initial_theta,
     run_training,
     train_runs,
@@ -39,6 +40,7 @@ from robustgd.simulation import (
 from robustgd.surrogate import (
     DROConfig,
     exact_rows,
+    inner_objectives,
     line_ascent,
     line_surrogate,
     quadratic_surrogate,
@@ -63,14 +65,21 @@ def per_worker_reports(model, theta, X, Y, dro):
     rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
     starts = np.arange(0, k * n, n)
     if model.kind == "logistic":
-        r, c, objectives = line_surrogate(theta, rows, labels, dro)
+        r, c = line_surrogate(theta, rows, labels, dro)
         grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
         for j, s in enumerate(starts):
             grad_sums[j] += r[s:s + n] @ rows[s:s + n]
     else:
-        D, rate, objectives = quadratic_surrogate(model, theta, rows, dro)
+        D, rate = quadratic_surrogate(model, theta, rows, dro)
         grad_sums = rate * np.add.reduceat(D, starts, axis=0)
-    return grad_sums / n, np.add.reduceat(objectives, starts) / n
+    return grad_sums / n
+
+
+def worker_objectives(model, theta, X, Y, dro):
+    """Each worker's mean inner objective over its rows of a (k, n, d) block."""
+    k, n, d = X.shape
+    objectives = inner_objectives(model, theta, X.reshape(k * n, d), Y.reshape(k * n), dro)
+    return np.add.reduceat(objectives, np.arange(0, k * n, n)) / n
 
 
 class TestWorkerGradient:
@@ -80,7 +89,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
         X, Y = x.reshape(1, -1), np.array([1.0])
-        (grad,), _ = worker_reports(model, theta, X[None], Y[None], dro)
+        (grad,) = worker_reports(model, theta, X[None], Y[None], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascent_rows(model, theta, X, Y, dro)
         np.testing.assert_allclose(grad, loss_grads_theta(model, theta, Z, Y)[0], rtol=1e-14)
@@ -90,8 +99,8 @@ class TestWorkerGradient:
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single, _ = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), dro)
-        double, _ = worker_reports(model, theta, np.stack([x, x])[None], np.zeros((1, 2)), dro)
+        single = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), dro)
+        double = worker_reports(model, theta, np.stack([x, x])[None], np.zeros((1, 2)), dro)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -101,7 +110,7 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        (grad,), _ = worker_reports(model, theta, X[None], np.zeros((1, 9)), dro)
+        (grad,) = worker_reports(model, theta, X[None], np.zeros((1, 9)), dro)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
@@ -112,7 +121,8 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(4)
         X = rng.standard_normal((4, 3, 4))
         Y = rng.integers(0, 2, size=(4, 3)).astype(float)
-        grads, objs = worker_reports(model, theta, X, Y, dro)
+        grads = worker_reports(model, theta, X, Y, dro)
+        objs = worker_objectives(model, theta, X, Y, dro)
         assert grads.shape == (4, 4) and objs.shape == (4,)
         for j in range(4):
             Z = ascent_rows(model, theta, X[j], Y[j], dro)
@@ -129,10 +139,8 @@ class TestWorkerGradient:
         theta = rng.standard_normal(57)
         X = rng.standard_normal((17, 153, 57))
         Y = rng.integers(0, 2, size=(17, 153)).astype(float)
-        grads, objs = worker_reports(model, theta, X, Y, dro)
-        ref_grads, ref_objs = per_worker_reports(model, theta, X, Y, dro)
-        np.testing.assert_array_equal(grads, ref_grads)
-        np.testing.assert_array_equal(objs, ref_objs)
+        grads = worker_reports(model, theta, X, Y, dro)
+        np.testing.assert_array_equal(grads, per_worker_reports(model, theta, X, Y, dro))
 
     @pytest.mark.parametrize("x_shape, y_shape", [((5, 2), (5,)), ((2, 0, 2), (2, 0)),
                                                   ((0, 3, 2), (0, 3)), ((2, 2, 2), (2, 3))])
@@ -172,7 +180,8 @@ class TestLogisticMarginPath:
     def test_matches_the_materialised_ascent(self, rng, t_z, theta_norm, shape):
         theta, X, Y = self.data(rng, shape, theta_norm=theta_norm)
         dro = DROConfig(3.0, 0.05, t_z)
-        grads, objs = worker_reports(self.model, theta, X, Y, dro)
+        grads = worker_reports(self.model, theta, X, Y, dro)
+        objs = worker_objectives(self.model, theta, X, Y, dro)
         ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(objs, ref_objs, rtol=1e-12)
@@ -182,7 +191,7 @@ class TestLogisticMarginPath:
         # the objectives share the reference's reduceat
         theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        _, objs = worker_reports(self.model, theta, X, Y, dro)
+        objs = worker_objectives(self.model, theta, X, Y, dro)
         _, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_array_equal(objs, ref_objs)
 
@@ -192,7 +201,7 @@ class TestLogisticMarginPath:
         # reduceat (gap 1.1e-16 here, at most 4.4e-16 over 2000 random draws)
         theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        grads, _ = worker_reports(self.model, theta, X, Y, dro)
+        grads = worker_reports(self.model, theta, X, Y, dro)
         ref_grads, _ = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-15)
 
@@ -261,7 +270,8 @@ class TestQuadraticLineReports:
         dro = DROConfig(2.0, eta_z, t_z)
         X = rng.standard_normal((4, 3, 6))
         theta = rng.standard_normal(6)
-        grads, objs = worker_reports(model, theta, X, np.zeros((4, 3)), dro)
+        grads = worker_reports(model, theta, X, np.zeros((4, 3)), dro)
+        objs = worker_objectives(model, theta, X, np.zeros((4, 3)), dro)
         ref_grads, ref_objs = self.oracle_reports(model, theta, X, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-13)
         np.testing.assert_allclose(objs, ref_objs, rtol=1e-13)
@@ -270,11 +280,15 @@ class TestQuadraticLineReports:
     def test_overflowing_objectives_name_their_rows(self, t_z, rows):
         # k ~ 49^t_z. At 60 steps k ~ 1e101 and k^2 ~ 1e203 are finite and only
         # the far row's objective, ~ 1e203 * 1e200, overflows; at 100 steps
-        # k^2 ~ 1e338 overflows for every row that moves, but not for rows 0 and 3 at theta
+        # k^2 ~ 1e338 overflows for every row that moves, but not for rows 0 and 3 at theta.
+        # The reports themselves stay finite: c * (1 + k) times a sum of theta - x
         X = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1e100, 0.0], [0.0, 0.0]]])
+        dro = DROConfig(2.0, 50.0, t_z)
+        if t_z == 60:
+            assert np.isfinite(worker_reports(QuadraticLoss(1.0), np.zeros(2), X,
+                                              np.zeros((2, 2)), dro)).all()
         with pytest.raises(NumericError, match=f"inner ascent diverged at step {t_z}") as err:
-            worker_reports(QuadraticLoss(1.0), np.zeros(2), X, np.zeros((2, 2)),
-                           DROConfig(2.0, 50.0, t_z))
+            inner_objectives(QuadraticLoss(1.0), np.zeros(2), X.reshape(4, 2), None, dro)
         np.testing.assert_array_equal(err.value.rows, rows)
 
 
@@ -309,7 +323,7 @@ class TestRunTraining:
 
         theta = initial_theta(3, 9)
         for _ in range(15):
-            theta = theta - 0.5 * worker_reports(model, theta, X[None], Y[None], dro)[0][0]
+            theta = theta - 0.5 * worker_reports(model, theta, X[None], Y[None], dro)[0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -340,7 +354,7 @@ class TestRunTraining:
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 6)
-        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0][0] for s in shards]
+        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0] for s in shards]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_worker_norms_are_the_norms_of_the_reports(self, rng):
@@ -351,16 +365,14 @@ class TestRunTraining:
         shards, _ = even_shards(20, 5)
         cfg = plain_config(0.3, 1, dro, screen_count=1, seed=6)
         trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
-        grads, _ = worker_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
-                                  dro)
+        grads = worker_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
+                               dro)
         np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
 
     @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
                              ids=["logistic", "quadratic"])
     def test_round_summaries_are_the_plain_reductions(self, rng, model):
-        # each aggregate's norm is np.linalg.norm's, and each objective estimate the mean of
-        # the honest workers' objectives, bit for bit
-        # (12 workers: numpy sums 8 or more contiguous values pairwise)
+        # each aggregate's norm is np.linalg.norm's, bit for bit
         X = rng.standard_normal((36, 7))
         Y = rng.integers(0, 2, size=36).astype(float)
         dro = DROConfig(3.0, 0.05, 4)
@@ -368,9 +380,6 @@ class TestRunTraining:
         trace = run_training(model, X, Y, WorkerRoster(shards=even_shards(36, 12)[0]), cfg)
         for t in range(5):
             assert trace.aggregated_norms[t] == np.linalg.norm(trace.aggregated[t])
-            _, objs = worker_reports(model, trace.iterates[t], X.reshape(12, 3, 7),
-                                     Y.reshape(12, 3), dro)
-            assert trace.objective_estimates[t] == objs.mean()
 
     def test_trace_shapes_and_finiteness(self):
         model = QuadraticLoss(1.0)
@@ -593,14 +602,13 @@ def one_run(model, X, Y, roster, cfg):
     honest, byzantine = list(roster.honest), list(roster.byzantine)
     shards = np.stack([roster.shards[i] for i in honest])
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
-    out = {name: [] for name in ("aggregated", "aggregated_norms", "objective_estimates",
-                                 "worker_norms", "iterates")}
+    out = {name: [] for name in ("aggregated", "aggregated_norms", "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
     directions = (DirectionBlocks(roster.attack, roster.byzantine, T, d)
                   if byzantine and roster.attack.kind == "intelligent" else None)
     for t in range(T):
         out["iterates"].append(theta)
-        honest_grads, objs = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
+        honest_grads = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
         grads[honest] = honest_grads
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine:
@@ -609,7 +617,6 @@ def one_run(model, X, Y, roster, cfg):
             G, norms = norm_screen(grads, cfg.screen.screen_count)
         out["aggregated"].append(G)
         out["aggregated_norms"].append(np.linalg.norm(G))
-        out["objective_estimates"].append(objs.mean())
         out["worker_norms"].append(norms)
         theta = theta - cfg.eta * G
     return RunTrace(theta_final=theta, **{name: np.array(v) for name, v in out.items()})
@@ -665,6 +672,17 @@ class TestTrainRuns:
                                                r"values in theta$"):
             train_runs(model, X, Y, rosters, cfgs)
 
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_a_non_finite_report_names_the_run_the_iteration_and_the_worker(self, kind):
+        # four rows at 1.7e308 in a coordinate the iterate does not weigh: finite rows and
+        # margins, but a report whose sum over the worker's rows overflows
+        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", 3, t_z=4)
+        X[1, rosters[1].shards[4], 0], Y[1, rosters[1].shards[4]] = 1.7e308, 0.0
+        cfgs = [replace(cfg, theta0=np.array([0.0, 0.1, 0.1, 0.1, 0.1])) for cfg in cfgs]
+        with pytest.raises(NumericError, match=r"^run 1, iteration 0, worker 4: non-finite "
+                                               r"gradient report$"):
+            train_runs(model, X, Y, rosters, cfgs)
+
     def test_a_diverging_run_is_named(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3)
         cfgs[2] = replace(cfgs[2], eta=1e308, theta0=np.full(5, 10.0))
@@ -704,16 +722,104 @@ class TestTrainRuns:
         theta = rng.standard_normal((3, 7))
         X = rng.standard_normal((3, 5, 4, 7))
         Y = rng.integers(0, 2, size=(3, 5, 4)).astype(float)
-        grads, objs = worker_reports(model, theta, X, Y, dro)
-        assert grads.shape == (3, 5, 7) and objs.shape == (3, 5)
+        grads = worker_reports(model, theta, X, Y, dro)
+        assert grads.shape == (3, 5, 7)
         for r in range(3):
-            ref_grads, ref_objs = worker_reports(model, theta[r], X[r], Y[r], dro)
-            assert_same_bits(grads[r], ref_grads)
-            assert_same_bits(objs[r], ref_objs)
+            assert_same_bits(grads[r], worker_reports(model, theta[r], X[r], Y[r], dro))
         X[2, 1, 3, 0] = np.nan  # run 2, worker 1's last row: row 2 * 20 + 7 of the block
         with pytest.raises(NumericError) as err:
             worker_reports(model, theta, X, Y, dro)
         np.testing.assert_array_equal(err.value.rows, [47])
+
+
+def mean_of_means(model, X, Y, roster, dro, theta):
+    """The honest workers' mean inner objectives at theta, from explicit ascent rows, averaged.
+
+    A worker's mean is its np.add.reduceat sum over n, as in a round: reduceat
+    adds a segment's first value to numpy's pairwise sum of the rest, so
+    np.mean can differ from it in the last bit.
+    """
+    means = []
+    for i in roster.honest:
+        rows, labels = X[roster.shards[i]], Y[roster.shards[i]]
+        Z = ascent_rows(model, theta, rows, labels, dro)
+        objectives = penalized_objectives(model, theta, Z, labels, rows, dro.lam)
+        means.append(np.add.reduceat(objectives, [0])[0] / len(rows))
+    return np.mean(means)
+
+
+class TestHonestObjective:
+    """The final objective estimate is taken after the run; the rounds form no objective."""
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_the_estimate_is_the_mean_of_the_honest_workers_means(self, kind, R):
+        # at t_z = 0, z = x, so the oracle's explicit rows give the objectives' bits
+        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", R, t_z=0)
+        for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
+            got = honest_objective(model, X[r], Y[r], rosters[r], cfgs[r].dro, trace)
+            assert_same_bits(got, mean_of_means(model, X[r], Y[r], rosters[r], cfgs[r].dro,
+                                                trace.iterates[-1]), f"run {r}")
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_after_ascent_steps_the_estimate_is_the_rounds_reduction(self, kind, R):
+        # the mean of the workers' row means at the last iterate, bit for bit, and the
+        # explicit rows' to rounding
+        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", R, t_z=5)
+        for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
+            roster, dro, theta = rosters[r], cfgs[r].dro, trace.iterates[-1]
+            got = honest_objective(model, X[r], Y[r], roster, dro, trace)
+            shards = np.stack([roster.shards[i] for i in roster.honest])
+            assert_same_bits(got, worker_objectives(model, theta, X[r][shards], Y[r][shards],
+                                                    dro).mean(), f"run {r}")
+            assert got == pytest.approx(mean_of_means(model, X[r], Y[r], roster, dro, theta),
+                                        rel=1e-13)
+
+    @pytest.mark.parametrize("t_z", [0, 4])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_the_rounds_form_no_inner_objective(self, monkeypatch, R, t_z):
+        calls, real = [], surrogate.cross_entropy
+        monkeypatch.setattr(surrogate, "cross_entropy", lambda *a: calls.append(a) or real(*a))
+        model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", R, t_z=t_z)
+        traces = train_runs(model, X, Y, rosters, cfgs)
+        assert calls == []
+        honest_objective(model, X[0], Y[0], rosters[0], cfgs[0].dro, traces[0])
+        assert len(calls) == 1
+        assert "objective_estimates" not in {field.name for field in fields(RunTrace)}
+
+    def test_rows_and_rosters_that_do_not_fit_are_refused(self):
+        model, X, Y, [roster], [cfg] = batch_problem("quadratic", "aggressive", 1, iterations=2)
+        [trace] = train_runs(model, X, Y, [roster], [cfg])
+        X, Y = X[0], Y[0]
+        for args, message in [((X[:, :4], Y, roster), r"\(N, d\) rows"),
+                              ((X, Y[:5], roster), r"\(N, d\) rows"),
+                              ((X, Y, replace(roster, shards=np.split(np.arange(12, 60), 12))),
+                               "shard indices out of range"),
+                              ((X, Y, replace(roster, shards=[roster.shards[0][:3],
+                                                              *roster.shards[1:]])),
+                               "same number of rows")]:
+            with pytest.raises(ConfigError, match=message):
+                honest_objective(model, *args, cfg.dro, trace)
+
+    @pytest.mark.parametrize("rows, iterations, dro, message", [
+        # three rows at 1.3e154 from the iterate: objectives of 7.6e307 whose sum overflows
+        ([[0.0, 0.0]] * 3 + [[1.3e154, 0.0]] * 3, 2, DROConfig(2.0, 0.3, 0),
+         "iteration 1, worker 1: inner objective sum overflows"),
+        # k ~ 49^60 ~ 1e101: the far row's objective overflows, the reports do not
+        ([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0], [0.0, 0.0]], 1, DROConfig(2.0, 50.0, 60),
+         "iteration 0, worker 1: inner ascent diverged at step 60"),
+    ])
+    def test_an_objective_that_overflows_names_the_last_iteration_and_the_worker(
+            self, rows, iterations, dro, message):
+        model, X = QuadraticLoss(1.0), np.array(rows)
+        Y, half = np.zeros(len(X)), len(X) // 2
+        roster = WorkerRoster(shards=[np.arange(half), np.arange(half, len(X))])
+        cfg = plain_config(0.1, iterations, dro, theta0=np.zeros(2))
+        trace = run_training(model, X, Y, roster, cfg)
+        assert np.isfinite(trace.aggregated).all()
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            honest_objective(model, X, Y, roster, dro, trace)
 
 
 class TestDirectionBlocks:

@@ -22,6 +22,7 @@ from robustgd.surrogate import (
     DROConfig,
     contraction_factor,
     exact_rows,
+    inner_objectives,
     quadratic_surrogate,
     required_iterations,
     surrogate_state,
@@ -233,7 +234,8 @@ class TestLogisticLinePath:
         Y = np.repeat([0.0, 1.0], 4)
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
         monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
-        got = surrogate.line_surrogate(np.ones(3), np.ones((8, 3)), Y, cfg)
+        got = (*surrogate.line_surrogate(np.ones(3), np.ones((8, 3)), Y, cfg),
+               surrogate.inner_objectives(LogisticLoss(), np.ones(3), np.ones((8, 3)), Y, cfg))
         r, objectives = surrogate._line_rows(margins, np.zeros(8), sq_norm, Y, cfg.lam)
         for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(8), objectives)):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
@@ -247,7 +249,8 @@ class TestLogisticLinePath:
             X, Y, theta = X[1], Y[1], theta[1]
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
         margins, c, sq_norm = surrogate.line_ascent(theta, X, Y, cfg)
-        got = surrogate.line_surrogate(theta, X, Y, cfg)
+        got = (*surrogate.line_surrogate(theta, X, Y, cfg),
+               surrogate.inner_objectives(LogisticLoss(), theta, X, Y, cfg))
         r, objectives = surrogate._line_rows(margins, np.zeros(margins.shape), sq_norm, Y, cfg.lam)
         for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(margins.shape),
                                                             objectives)):
@@ -359,6 +362,19 @@ class TestSurrogateGradient:
         with pytest.raises(RegimeError, match="not concave"):
             surrogate_state(QuadraticLoss(2.0), np.ones(1), X, Y, lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_closed_form_rows_refuse_a_non_finite_iterate(self, bad):
+        model, X = QuadraticLoss(1.0), np.zeros((3, 2))
+        with pytest.raises(NumericError, match="^non-finite values in theta$") as err:
+            exact_rows(model, [bad, 0.0], X, None, 2.0)
+        assert err.value.rows is None
+        # in a block, the first rows of the failing iterates among their 3 rows each
+        block = np.zeros((4, 2))
+        block[1, 0] = block[3, 1] = bad
+        with pytest.raises(NumericError, match="^non-finite values in theta$") as err:
+            exact_rows(model, block, X, None, 2.0)
+        np.testing.assert_array_equal(err.value.rows, [3, 9])
+
     def test_closed_form_rows_match_the_exact_maximizer(self, rng):
         for _ in range(25):
             c = float(rng.uniform(0.5, 2.0))
@@ -385,9 +401,9 @@ class TestSurrogateGradient:
         Y = np.zeros(12)
         theta = rng.standard_normal(3)
         v_exact, g_exact = surrogate_state(model, theta, X, Y, lam)
-        D, rate, objectives = quadratic_surrogate(
-            model, theta, X, DROConfig(lam, theoretical_ascent_step(lam), 200)
-        )
+        cfg = DROConfig(lam, theoretical_ascent_step(lam), 200)
+        D, rate = quadratic_surrogate(model, theta, X, cfg)
+        objectives = inner_objectives(model, theta, X, Y, cfg)
         assert objectives.mean() == pytest.approx(v_exact, rel=1e-10)
         np.testing.assert_allclose(rate * D.mean(axis=0), g_exact, atol=1e-10)
 
