@@ -224,14 +224,10 @@ def honest_objective(model, X, Y, roster, dro: DROConfig, trace):
     and the per-row objectives (``inner_objectives``) are reduced as a round
     would: a sum per worker over its rows divided by n, then a sum over the k
     workers divided by k. A ``NumericError`` (a sum that overflows included)
-    names the iteration T - 1 and the worker; rows, labels, iterates or a
-    roster that do not fit are a ``ConfigError``.
+    names the iteration T - 1 and the worker. The inputs are taken as the
+    run's training validated them.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.shape != X.shape[:1] or trace.iterates.shape[1:] != X.shape[1:]:
-        raise ConfigError(f"expected (N, d) rows, (N,) labels and (d,) iterates, got shapes "
-                          f"{X.shape}, {Y.shape} and {trace.iterates.shape[1:]}")
-    validate_roster(roster, len(X), len(roster.byzantine))  # no screen enters the estimate
     honest, honest_X, honest_Y = _honest_block(X[None], Y[None], [roster])
     _, k, n, d = honest_X.shape
     try:

@@ -154,9 +154,9 @@ def inner_objectives(model, theta, X, Y, cfg):
     f(theta; z) - lam * ||z - x||^2 / 2 after the cfg.t_z ascent steps of
     ``line_ascent`` or ``quadratic_line_ascent``, for ``theta`` and ``X`` as
     they take them (``Y`` is unused by the quadratic family). Logistic:
-    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, and
-    with cfg.t_z = 0 the plain cross-entropy, since subtracting +0.0 leaves
-    every objective's bits as they are. Quadratic:
+    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, whose
+    c terms are exactly zero at cfg.t_z = 0, so the plain cross-entropy's
+    bits. Quadratic:
     (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2. A row whose objective
     overflows raises ``NumericError`` as a divergence of the last step.
     """
@@ -171,10 +171,7 @@ def inner_objectives(model, theta, X, Y, cfg):
     else:
         Y = np.asarray(Y, dtype=float)
         margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-        if cfg.t_z == 0:
-            objectives = cross_entropy(sigmoid(margins), Y)
-        else:
-            _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
+        _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
     return objectives
 
