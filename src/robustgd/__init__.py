@@ -14,7 +14,7 @@ from .aggregation import (
     screening_coefficient,
     screening_deviation_bound,
 )
-from .attacks import AttackSpec, DirectionBlocks, craft
+from .attacks import AttackSpec, craft
 from .bounds import (
     BoundReport,
     TheoryInputs,

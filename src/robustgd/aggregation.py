@@ -49,6 +49,19 @@ def row_norms(rows):
         return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
+def dot_sq_norms(vectors):
+    """Squared Euclidean norm of each row of an (R, d) matrix, as its dot with itself.
+
+    This is the sum np.linalg.norm takes for a single vector, dot(x, x), in
+    one (1, d) @ (d, 1) product per row, so np.sqrt of it is bit-equal to
+    np.linalg.norm(row) for each row taken alone. ``row_norms`` is the
+    formula of np.linalg.norm(rows, axis=-1), a pairwise sum of the squares,
+    which can differ from the dot in the last bit. A square past the float
+    range warns here; callers that expect one silence it.
+    """
+    return (vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class ScreenConfig:
     """Number of largest-norm inputs to drop before averaging."""

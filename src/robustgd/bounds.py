@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .aggregation import dot_sq_norms
 from .errors import ConfigError, RegimeError
 from .losses import SmoothnessConstants
 from .surrogate import surrogate_state
@@ -201,9 +202,8 @@ def check_aggregate_deviation(trace, inputs: TheoryInputs):
     _require_diagnostics(trace)
     gradients = trace.true_gradients
     deviations = trace.aggregated - gradients
-    # np.linalg.norm's dot, one (1, d) @ (d, 1) product per iterate
-    grad_norms = np.sqrt(gradients[:, None, :] @ gradients[:, :, None])[:, 0, 0]
-    measured = np.sqrt(deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0]
+    # np.linalg.norm of each iterate's vector alone
+    grad_norms, measured = np.sqrt(dot_sq_norms(gradients)), np.sqrt(dot_sq_norms(deviations))
     bounds = aggregate_deviation_bound(replace(inputs, eps=trace.inner_eps), grad_norms)
     return [BoundReport.compare(bound, value)
             for bound, value in zip(bounds.tolist(), measured.tolist())]

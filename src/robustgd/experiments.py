@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .aggregation import ScreenConfig, screening_coefficient
+from .aggregation import ScreenConfig, dot_sq_norms, screening_coefficient
 from .attacks import AGGRESSIVE, AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
@@ -74,7 +74,6 @@ class ExperimentConfig:
     alpha_m: int | None = None
     attack_scale: float = 10.0
     attack_ratio: float = 0.8
-    attack_shared_direction: bool = False
     shift_norm: str | None = None
     shift_q: float | None = None
     seed: int = 0
@@ -181,7 +180,6 @@ def _attack_spec(cfg: ExperimentConfig, kind=None):
         kind=cfg.attack if kind is None else kind,
         scale=cfg.attack_scale,
         ratio=cfg.attack_ratio,
-        shared_direction=cfg.attack_shared_direction,
         rng_seed=cfg.seed,
     )
 
@@ -229,9 +227,10 @@ def _warn_outside_regime(iterates, lam, variant):
     """Log the first iterate with ||theta||^2 / 4 >= lam, and the largest such value.
 
     ||theta||^2 is the stacked (1, d) @ (d, 1) product ``exact_rows`` tests
-    the regime with, taken over views of the iterates without a (T, d) temporary.
+    the regime with (``dot_sq_norms``), taken over views of the iterates
+    without a (T, d) temporary.
     """
-    quarter_sq_norms = 0.25 * (iterates[:, None, :] @ iterates[:, :, None])[:, 0, 0]
+    quarter_sq_norms = 0.25 * dot_sq_norms(iterates)
     worst = quarter_sq_norms.max()
     if worst >= lam:
         first = int(np.argmax(quarter_sq_norms >= lam))
@@ -310,13 +309,17 @@ def _inapplicable(reason):
 
 
 def _record(cfg, sharded, trace, objective, bounds, axis):
+    # np.linalg.norm of the last aggregate; a finite G past 1e154 has norm
+    # inf, which record_line refuses by name
+    with np.errstate(over="ignore"):
+        final_norm = float(np.sqrt(dot_sq_norms(trace.aggregated[-1:]))[0])
     record = {
         "kind": "experiment",
         "config": asdict(cfg),
         "results": evaluate(trace.theta_final, sharded, cfg),
         "trace": {
             "iterations": int(trace.iterations),
-            "final_aggregated_norm": float(trace.aggregated_norms[-1]),
+            "final_aggregated_norm": final_norm,
             "final_objective_estimate": objective,
         },
     }

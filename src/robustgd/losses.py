@@ -5,10 +5,10 @@ in the experiments) and an isotropic quadratic ``c/2 * ||theta - z||^2``
 whose Lipschitz constants are exact, which makes it the workhorse for
 numerical checks of the convergence bounds.
 
-A loss class names its family (``kind``) and gives its smoothness constants;
-it evaluates nothing itself. Every value and gradient the package uses is
-taken on the line its inner ascent keeps z on: ``surrogate.line_surrogate``
-and ``surrogate.quadratic_surrogate`` (gradients) and
+A loss class gives its family's smoothness constants; it evaluates nothing
+itself. Every value and gradient the package uses is taken on the line its
+inner ascent keeps z on: ``surrogate.line_surrogate`` and
+``surrogate.quadratic_surrogate`` (gradients) and
 ``surrogate.inner_objectives`` (values) at the ascent output, with zero
 ascent steps the plain loss and its parameter gradient, and
 ``surrogate.exact_rows`` at the exact inner maximizer. The logistic ones are built from the
@@ -21,6 +21,8 @@ margins (``shift.perturb_test_set``).
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import require_positive
 
 PROB_CLAMP = 1e-12
 
@@ -72,8 +74,6 @@ def cross_entropy(a, Y):
 class LogisticLoss:
     """Binary cross-entropy with a = sigmoid(theta . z) and no bias term."""
 
-    kind = "logistic"
-
     def constants(self, data_bound, theta_bound):
         """Conservative Lipschitz estimates over ||z|| <= data_bound, ||theta|| <= theta_bound.
 
@@ -100,12 +100,8 @@ class QuadraticLoss:
     drives all checks that need exact constants.
     """
 
-    kind = "quadratic"
-
     def __init__(self, curvature=1.0):
-        if not np.isfinite(curvature) or curvature <= 0:
-            raise ValueError(f"curvature must be positive, got {curvature}")
-        self.curvature = float(curvature)
+        self.curvature = require_positive("curvature", curvature)
 
     def constants(self, data_bound=0.0, theta_bound=0.0):
         c = self.curvature

@@ -15,14 +15,16 @@ for the logistic loss, the k gradient sums are one stacked product
 r_j^T X_j over the block (one matrix-vector product per worker) plus, when
 the ascent takes steps, segment sums of r * c times theta; for the
 quadratic, c * (1 + k) times segment sums of theta - x. A report that is
-not finite is refused in the round. The byzantine rows of a round come from
-one ``craft`` call. An intelligent run's directions (``DirectionBlocks``, one
-generator per byzantine worker or one shared) are built once when the run
-starts and drawn a block of rounds at a time; round t's direction is each
-generator's t-th vector, so a run of T rounds is the first T rounds of a
-longer one. With zero ascent steps (t_z = 0) the reports are the plain
-logistic gradient r_j^T X_j, and with screen_count = 0 the screen keeps every
-report without ranking them; both are bit-equal to the general path.
+not finite is refused in the round. The batch's attack is set up once,
+before round 0 (``AttackPlan``: the runs grouped by kind, every
+counterexample target_rank checked and each intelligent run's directions
+built, one generator per byzantine worker drawn a block of rounds at a
+time), and the byzantine rows of a round come from one ``craft`` call that
+only does the round's arithmetic; round t's direction is each generator's
+t-th vector, so a run of T rounds is the first T rounds of a longer one.
+With zero ascent steps (t_z = 0) the reports are the plain logistic
+gradient r_j^T X_j, and with screen_count = 0 the screen keeps every report
+without ranking them; both are bit-equal to the general path.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
@@ -34,8 +36,7 @@ run and one screen of the (R, m, d) reports. The runs of a batch share the
 roster shape, the inner settings and the number of rounds; each keeps its
 own data, shards, step size, initial iterate and attack, with its own
 directions. Every product over the run axis is the stacked form of the
-run's own (the aggregate norms are its (1, d) @ (d, 1) dot), so each run's
-trace is bit-equal to the run trained alone.
+run's own, so each run's trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
 The round loop runs only the algorithm: it forms no inner objective. The
@@ -57,7 +58,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
-from .attacks import INTELLIGENT, AttackSpec, DirectionBlocks, craft
+from .attacks import AttackPlan, AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss
 from .surrogate import (DROConfig, exact_rows, inner_objectives, line_ascent, line_surrogate,
@@ -137,7 +138,6 @@ class TrainConfig:
 @dataclass
 class RunTrace:
     aggregated: np.ndarray           # (T, d)
-    aggregated_norms: np.ndarray     # (T,)
     worker_norms: np.ndarray         # (T, m) reported gradient norms
     iterates: np.ndarray             # (T, d) iterate before each update
     theta_final: np.ndarray
@@ -273,11 +273,12 @@ def train_runs(model, X, Y, rosters, cfgs):
     ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. The runs must
     share m, the byzantine ids, the shard row count, screen_count, dro and
     iterations (``ConfigError`` naming the field and the run); each keeps its
-    own data, shards, eta, seed or theta0 and attack. Each round makes one
-    ``craft`` call, over the stack of every run's honest reports, and one
-    ``norm_screen`` call, however many runs there are. In a batch of more
-    than one run, an error a run raises names it ("run r, "), so a
-    ``NumericError`` names the run, the iteration and the worker.
+    own data, shards, eta, seed or theta0 and attack. With byzantine
+    workers the batch builds one ``AttackPlan`` before round 0, and each
+    round makes one ``craft`` call, over the stack of every run's honest
+    reports, and one ``norm_screen`` call, however many runs there are. In
+    a batch of more than one run, an error a run raises names it ("run r, "),
+    so a ``NumericError`` names the run, the iteration and the worker.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -306,19 +307,15 @@ def train_runs(model, X, Y, rosters, cfgs):
 
     # run-major, so that each run's fields are contiguous; the loop writes
     # round t of every run through round-major views
-    run_major = dict(aggregated=np.empty((R, T, d)), aggregated_norms=np.empty((R, T)),
-                     worker_norms=np.empty((R, T, m)), iterates=np.empty((R, T, d)))
-    aggregated, aggregated_norms, worker_norms, iterates = (
-        a.swapaxes(0, 1) for a in run_major.values())
+    run_major = dict(aggregated=np.empty((R, T, d)), worker_norms=np.empty((R, T, m)),
+                     iterates=np.empty((R, T, d)))
+    aggregated, worker_norms, iterates = (a.swapaxes(0, 1) for a in run_major.values())
     honest, honest_X, honest_Y = _honest_block(X, Y, rosters)
     byzantine = np.array(roster.byzantine, dtype=int)
     k, n = honest_Y.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
-    attacks = [run.attack for run in rosters]
-    # each run's intelligent directions, drawn in blocks of rounds for all its rounds
-    directions = [DirectionBlocks(run.attack, run.byzantine, T, d)
-                  if byzantine.size and run.attack.kind == INTELLIGENT else None
-                  for run in rosters]
+    plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, k, T, d)
+            if byzantine.size else None)
 
     for t in range(T):
         iterates[t] = theta
@@ -331,18 +328,14 @@ def train_runs(model, X, Y, rosters, cfgs):
                                f"{exc}") from exc
         grads[:, honest] = honest_grads
         # The server's side of the round warns of nothing past the float
-        # range: a byzantine report there gets norm inf and is screened, a
-        # non-finite aggregate or iterate is refused below, and a finite G
-        # past 1e154 has norm inf, which the records refuse by name.
+        # range: a byzantine report there gets norm inf and is screened, and
+        # a non-finite aggregate or iterate is refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            if byzantine.size:
+            if plan is not None:
                 # np.mean's sum and division, without its overhead
                 references = np.add.reduce(honest_grads, axis=1) / k
-                grads[:, byzantine] = craft(attacks, honest_grads, references, t,
-                                            roster.byzantine, directions)
+                grads[:, byzantine] = craft(plan, honest_grads, references, t)
             G, worker_norms[t] = norm_screen(grads, screen_count)
-            # np.linalg.norm's dot, one (1, d) @ (d, 1) product per run
-            aggregated_norms[t] = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0, 0]
             step = theta - eta * G
         if not np.isfinite(step).all():  # also where G is not finite: one check for both
             _refuse_non_finite(G, f"iteration {t}: non-finite aggregated gradient", label)

@@ -174,11 +174,6 @@ def _quadratic_runs(horizons):
     return runs
 
 
-def _quadratic_run(seed, iterations, attack_kind="aggressive"):
-    """The run of ``_quadratic_runs`` for one seed, trained alone."""
-    return _quadratic_runs({(seed, attack_kind): iterations})[seed, attack_kind]
-
-
 def _shared_runs(uses):
     """The runs for (seed, attack, rounds) uses: each pair at its longest declared horizon.
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from robustgd.errors import RegimeError
-from robustgd.losses import cross_entropy, sigmoid
+from robustgd import verify
+from robustgd.losses import LogisticLoss, cross_entropy, sigmoid
 from robustgd.surrogate import line_ascent, quadratic_line_ascent
 
 
@@ -62,7 +63,7 @@ def logistic_line_steps(theta, X, Y, cfg, t_z):
 
 def loss_values(model, theta, Z, Y):
     """Per-row loss f(theta; z) at explicit rows Z, for either family."""
-    if model.kind == "logistic":
+    if isinstance(model, LogisticLoss):
         return cross_entropy(sigmoid(Z @ theta), Y)
     diff = theta - Z
     return 0.5 * model.curvature * np.einsum("ij,ij->i", diff, diff)
@@ -70,7 +71,7 @@ def loss_values(model, theta, Z, Y):
 
 def loss_grads_theta(model, theta, Z, Y):
     """Per-row gradient of the loss in the parameter at explicit rows Z."""
-    if model.kind == "logistic":
+    if isinstance(model, LogisticLoss):
         return (sigmoid(Z @ theta) - Y)[:, None] * Z
     return model.curvature * (theta - Z)
 
@@ -89,11 +90,19 @@ def ascent_rows(model, theta, X, Y, cfg, t_z=None):
     """
     cfg = cfg if t_z is None else replace(cfg, t_z=t_z)
     X = np.asarray(X, dtype=float)
-    if model.kind == "logistic":
+    if isinstance(model, LogisticLoss):
         _, c, _ = line_ascent(theta, X, Y, cfg)
         return X + c[:, None] * theta
     k, D = quadratic_line_ascent(model, theta, X, cfg)
     return X - k * D
+
+
+def quadratic_run(seed, iterations, attack_kind="aggressive"):
+    """The run of ``verify._quadratic_runs`` for one seed, trained alone.
+
+    Returns its (model, X, Y, trace, theory inputs).
+    """
+    return verify._quadratic_runs({(seed, attack_kind): iterations})[seed, attack_kind]
 
 
 def exact_inner_maximizer(model, theta, X, lam):

@@ -357,15 +357,15 @@ def check_bounds_records():
 # updates it here and says why.
 PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 PINNED_DIGESTS = {
-    "E0": "680bef5603bb669a4cf4ff5fa1e2b2ea54b5b50838d71b0421367d1b8a0c3872",
-    "E1": "df67683c5c1802b724c83ec59026bfeafef336d97ce798959db433bfec1d9ea0",
-    "E2": "1ba3b00ac441165bfcba216fa03e5cd7e82993f26493b8fe0d92597a0b10f62e",
-    "E3": "a050935b0b93e553c2845836632b99d7f44052b6d47e9e5fab01a372ce116bd3",
-    "E4": "78dd2e3e064558fa0736fb01b896926f25f58764c1ca24070c2dee8435f4dace",
-    "E1 shift_q sweep": "39a48c4e0c9dbab78c705d95302ceaf7813f71ad5bdf92261555dabe77080739",
-    "E1 alpha_m sweep": "2c2956f61872f60cbebb234cc09e60de4f3d4444fb3949353dfa7f4a5b910aef",
-    "E1 check_bounds": "a673690477ba06d1d58666f5eebc57a7a3edd56415afdf4ae37ae9aa4b62714b",
-    "E0 lam=0.5 check_bounds": "fcc8e7081fbba803f1f639c25d99e583735bc6c328b67f58aa7b9a6d7690c26c",
+    "E0": "419c3f4950ec21644acc00e1fe7d8fc717c9c4df8e8c4c71de7282c81cf687fb",
+    "E1": "10b935a7980a0f0463d782ce4ecf676bae4c6725b36be7995e3b82536f176c19",
+    "E2": "abfc9efa2e74c804777c609dbd08c5f9a43ad16118dbf886fac8d31113a8567f",
+    "E3": "3380fc4659b0a198efc27f55f0eae2d9377a9bffb56074d89a4cfedafb3a545b",
+    "E4": "c7c0bcd2bbebc1a4bdd5c0e3da2108df472755a104ec3222e182c2c99d17eb2d",
+    "E1 shift_q sweep": "f22c4202591c21005ed9c08e21193eca118feda8e6b6664adf05e79a66824f76",
+    "E1 alpha_m sweep": "019b9953b14a75a3e9839cdd8e12d563d699534337ac0edca510c06116f083a0",
+    "E1 check_bounds": "efb5a82ea34b79737b4a300fdb3b7a6c177b0caf2d118ef36d7db35c05b7f435",
+    "E0 lam=0.5 check_bounds": "ed70729956c79349f13b8f04628b97f4036fcecb7cafc0a3a53c248d2115a7f9",
     "verify stdout": "7a4ae5700d59d2c90fcf02414572bd7048a98034bfcb218a786e2f95d9dafaac",
 }
 

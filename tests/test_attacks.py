@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from robustgd.aggregation import norm_screen, row_norms
-from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, AttackSpec, DirectionBlocks, craft
+from robustgd.attacks import (
+    DIRECTION_BLOCK_ROUNDS,
+    AttackPlan,
+    AttackSpec,
+    DirectionBlocks,
+    craft,
+)
 from robustgd.errors import ConfigError
 from robustgd.simulation import initial_theta
 
@@ -15,21 +21,30 @@ def honest_scalars(*values):
     return np.array(values, dtype=float)[:, None]
 
 
+def crafter(spec, workers, rounds=1, dim=1, honest_count=1):
+    """One run alone: a plan of the one run, and round t's (a, d) rows from its ``craft``.
+
+    The rows take the run's (k, d) honest reports and its (d,) reference.
+    """
+    plan = AttackPlan([spec], workers, honest_count, rounds, dim)
+    return lambda honest, reference, t: craft(plan, honest[None], reference[None], t)[0]
+
+
 class TestAggressive:
     def test_negative_scaled_reference(self):
         spec = AttackSpec(kind="aggressive", scale=10.0)
-        out = craft(spec, honest_scalars(1), np.array([1.0, -2.0]), 0, [0])
+        out = crafter(spec, [0])(honest_scalars(1), np.array([1.0, -2.0]), 0)
         np.testing.assert_array_equal(out, np.array([[-10.0, 20.0]]))
 
     def test_one_row_per_worker(self):
         spec = AttackSpec(kind="aggressive", scale=2.0)
-        out = craft(spec, honest_scalars(1), np.array([1.0, -2.0]), 3, (0, 4, 7))
+        out = crafter(spec, (0, 4, 7))(honest_scalars(1), np.array([1.0, -2.0]), 3)
         np.testing.assert_array_equal(out, np.tile([-2.0, 4.0], (3, 1)))
 
     def test_output_norm_is_scale_times_reference_norm(self, rng):
         spec = AttackSpec(kind="aggressive", scale=3.5)
         reference = rng.standard_normal(12)
-        (out,) = craft(spec, honest_scalars(1), reference, 0, [0])
+        (out,) = crafter(spec, [0])(honest_scalars(1), reference, 0)
         assert np.linalg.norm(out) == pytest.approx(
             3.5 * np.linalg.norm(reference), rel=1e-12
         )
@@ -40,26 +55,23 @@ class TestIntelligent:
         spec = AttackSpec(kind="intelligent", ratio=0.8, rng_seed=3)
         reference = rng.standard_normal(20)
         reference *= 5.0 / np.linalg.norm(reference)
-        out = craft(spec, honest_scalars(1), reference, 7, [2, 3],
-                    DirectionBlocks(spec, [2, 3], 8, 20))
+        out = crafter(spec, [2, 3], 8, 20)(honest_scalars(1), reference, 7)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 4.0, rtol=0, atol=1e-12)
 
     def test_same_seed_reproduces_bit_identically(self):
         spec = AttackSpec(kind="intelligent", rng_seed=11)
         ref = np.array([1.0, 2.0, 3.0])
-        a = craft(spec, honest_scalars(1), ref, 4, [9], DirectionBlocks(spec, [9], 5, 3))
-        b = craft(spec, honest_scalars(1), ref, 4, [9], DirectionBlocks(spec, [9], 5, 3))
+        a = crafter(spec, [9], 5, 3)(honest_scalars(1), ref, 4)
+        b = crafter(spec, [9], 5, 3)(honest_scalars(1), ref, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_each_row_is_the_workers_own_draw(self):
         # a round's rows are bit-equal to crafting each worker alone
         spec = AttackSpec(kind="intelligent", ratio=0.7, rng_seed=2)
         ref = np.array([1.0, -2.0, 0.5, 3.0])
-        together = craft(spec, honest_scalars(1), ref, 5, [1, 6, 3],
-                         DirectionBlocks(spec, [1, 6, 3], 6, 4))
+        together = crafter(spec, [1, 6, 3], 6, 4)(honest_scalars(1), ref, 5)
         for row, worker in zip(together, [1, 6, 3]):
-            alone = craft(spec, honest_scalars(1), ref, 5, [worker],
-                          DirectionBlocks(spec, [worker], 6, 4))
+            alone = crafter(spec, [worker], 6, 4)(honest_scalars(1), ref, 5)
             np.testing.assert_array_equal(row, alone[0])
 
     def test_distinct_seeds_workers_iterations_give_distinct_directions(self):
@@ -67,34 +79,24 @@ class TestIntelligent:
 
         def rows(seed, worker, rounds):
             # the worker's row in each of the first ``rounds`` rounds
-            spec = AttackSpec(kind="intelligent", rng_seed=seed)
-            directions = DirectionBlocks(spec, [worker], rounds, 4)
-            return [craft(spec, honest_scalars(1), ref, t, [worker], directions)
-                    for t in range(rounds)]
+            run = crafter(AttackSpec(kind="intelligent", rng_seed=seed), [worker], rounds, 4)
+            return [run(honest_scalars(1), ref, t) for t in range(rounds)]
 
         [base] = rows(0, 0, 1)
         for other in (rows(1, 0, 1)[0], rows(0, 0, 2)[1], rows(0, 1, 1)[0]):
             assert not np.allclose(other, base)
 
-    def test_shared_direction_flag_aligns_workers(self):
-        spec = AttackSpec(kind="intelligent", shared_direction=True, rng_seed=5)
-        ref = np.array([0.0, 3.0])
-        a, b = craft(spec, honest_scalars(1), ref, 2, [1, 8], DirectionBlocks(spec, [1, 8], 3, 2))
-        np.testing.assert_array_equal(a, b)
-
     def test_zero_reference_degenerates_to_zero_with_log(self, caplog):
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            out = craft(spec, honest_scalars(1), np.zeros(4), 0, [0],
-                        DirectionBlocks(spec, [0], 1, 4))
+            out = crafter(spec, [0], 1, 4)(honest_scalars(1), np.zeros(4), 0)
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
         assert any("degenerate" in rec.message for rec in caplog.records)
 
     def test_zero_reference_warns_once_per_round_naming_the_workers(self, caplog):
         spec = AttackSpec(kind="intelligent")
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            out = craft(spec, honest_scalars(1), np.zeros(4), 6, (0, 1, 2),
-                        DirectionBlocks(spec, (0, 1, 2), 7, 4))
+            out = crafter(spec, (0, 1, 2), 7, 4)(honest_scalars(1), np.zeros(4), 6)
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
         assert [rec.getMessage() for rec in caplog.records] == [
             "intelligent attack degenerate: zero reference at iteration 6, workers [0, 1, 2]"
@@ -104,87 +106,67 @@ class TestIntelligent:
 class TestDirectionBlocks:
     """One generator per byzantine worker per run, drawn in blocks; round t gets its t-th vector."""
 
-    def test_one_stream_per_worker_or_one_shared_and_none_for_other_kinds(self):
-        spec = AttackSpec(kind="intelligent")
-        vectors, lengths = DirectionBlocks(spec, (0, 4, 7), 2, 5).round(1)
+    def test_one_stream_per_worker(self):
+        vectors, lengths = DirectionBlocks(0, (0, 4, 7), 2, 5).round(1)
         assert vectors.shape == (3, 5) and lengths.shape == (3,)
-        shared = AttackSpec(kind="intelligent", shared_direction=True)
-        vectors, lengths = DirectionBlocks(shared, (0, 4, 7), 2, 5).round(1)
-        assert vectors.shape == (1, 5) and lengths.shape == (1,)
-        for kind in ("aggressive", "counterexample"):
-            with pytest.raises(ConfigError, match=f"only the intelligent attack draws directions, "
-                                                  f"got '{kind}'"):
-                DirectionBlocks(AttackSpec(kind=kind), (0, 4, 7), 2, 5)
 
     def test_a_workers_rows_do_not_depend_on_the_other_workers(self):
         # worker j's row in every round is the same with 3 or with 4 byzantine workers
         spec = AttackSpec(kind="intelligent", rng_seed=7)
         ref = np.array([0.5, -1.0, 2.0, 0.25, 1.5])
-        three = DirectionBlocks(spec, (0, 1, 2), 5, 5)
-        four = DirectionBlocks(spec, (0, 1, 2, 3), 5, 5)
+        three = crafter(spec, (0, 1, 2), 5, 5)
+        four = crafter(spec, (0, 1, 2, 3), 5, 5)
         for t in range(5):
-            a = craft(spec, honest_scalars(1), ref, t, (0, 1, 2), three)
-            b = craft(spec, honest_scalars(1), ref, t, (0, 1, 2, 3), four)
+            a = three(honest_scalars(1), ref, t)
+            b = four(honest_scalars(1), ref, t)
             np.testing.assert_array_equal(a, b[:3])
 
     def test_a_zero_reference_round_does_not_shift_the_later_rounds(self, caplog):
         # round t's direction is the stream's t-th draw, whatever the rounds before it were
         spec = AttackSpec(kind="intelligent", rng_seed=4)
         ref = np.array([1.0, 2.0, -1.0])
-        after_zero, after_ref = (DirectionBlocks(spec, (2, 5), 2, 3) for _ in range(2))
+        after_zero, after_ref = (crafter(spec, (2, 5), 2, 3) for _ in range(2))
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
-            craft(spec, honest_scalars(1), np.zeros(3), 0, (2, 5), after_zero)
-        craft(spec, honest_scalars(1), ref, 0, (2, 5), after_ref)
-        np.testing.assert_array_equal(craft(spec, honest_scalars(1), ref, 1, (2, 5), after_zero),
-                                      craft(spec, honest_scalars(1), ref, 1, (2, 5), after_ref))
+            after_zero(honest_scalars(1), np.zeros(3), 0)
+        after_ref(honest_scalars(1), ref, 0)
+        np.testing.assert_array_equal(after_zero(honest_scalars(1), ref, 1),
+                                      after_ref(honest_scalars(1), ref, 1))
 
     def test_no_stream_is_the_initial_iterates_generator(self):
         # numpy pads a key with zeros: an untagged [seed, worker] key is
         # initial_theta's [seed, 0x7E] at worker 0x7E
-        spec = AttackSpec(kind="intelligent", rng_seed=3)
-        first, _ = DirectionBlocks(spec, range(200), 1, 6).round(0)
+        first, _ = DirectionBlocks(3, range(200), 1, 6).round(0)
         for vector in first:
             assert not np.allclose(0.01 * vector, initial_theta(6, 3))
 
-    def test_an_intelligent_craft_needs_the_runs_directions(self):
-        spec = AttackSpec(kind="intelligent")
-        ref = np.array([1.0, 2.0])
-        for directions in (None, DirectionBlocks(spec, (0,), 1, 2)):
-            with pytest.raises(ConfigError, match=r"directions for workers \[0, 1\]"):
-                craft(spec, honest_scalars(1), ref, 0, (0, 1), directions)
-
     def test_a_round_outside_the_run_is_refused(self):
-        directions = DirectionBlocks(AttackSpec(kind="intelligent"), (0,), 3, 2)
+        directions = DirectionBlocks(0, (0,), 3, 2)
         for t in (-1, 3):
             with pytest.raises(ConfigError, match=f"round {t} outside the run's 3 rounds"):
                 directions.round(t)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_blocks_hold_the_vectors_of_one_draw_per_stream_per_round(self, shared, caplog):
+    def test_blocks_hold_the_vectors_of_one_draw_per_stream_per_round(self, caplog):
         # the oracle draws one standard_normal(out=row) per stream per round, a
         # zero-reference round too, and scales the rows as craft did before blocks
         B, workers, d = DIRECTION_BLOCK_ROUNDS, (1, 4, 6), 5
-        spec = AttackSpec(kind="intelligent", ratio=0.6, rng_seed=9, shared_direction=shared)
+        spec = AttackSpec(kind="intelligent", ratio=0.6, rng_seed=9)
         rounds = 2 * B + 3
         zero_rounds = {0, B - 1, B, 2 * B}  # B and 2 * B start a block
         rng = np.random.default_rng(0)
-        directions = DirectionBlocks(spec, workers, rounds, d)
-        keys = [0x5A5A] if shared else workers
-        oracle_streams = [np.random.default_rng([9, 0xA7, key]) for key in keys]
+        run = crafter(spec, workers, rounds, d)
+        oracle_streams = [np.random.default_rng([9, 0xA7, worker]) for worker in workers]
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             for t in range(rounds):
                 reference = np.zeros(d) if t in zero_rounds else rng.standard_normal(d)
                 expected = np.empty((len(workers), d))
                 for row, stream in zip(expected, oracle_streams):
                     stream.standard_normal(out=row)
-                if shared:
-                    expected[1:] = expected[0]
                 if t in zero_rounds:
                     expected[:] = 0.0
                 else:
                     scale = 0.6 * float(np.linalg.norm(reference))
                     expected *= (scale / row_norms(expected))[:, None]
-                rows = craft(spec, honest_scalars(1), reference, t, workers, directions)
+                rows = run(honest_scalars(1), reference, t)
                 np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64),
                                               err_msg=f"round {t}")
         assert len(caplog.records) == len(zero_rounds)
@@ -193,32 +175,31 @@ class TestDirectionBlocks:
         spec = AttackSpec(kind="intelligent", rng_seed=2)
         B = DIRECTION_BLOCK_ROUNDS
         ref = np.array([1.0, -1.0, 3.0])
-        directions = DirectionBlocks(spec, (0, 3), B + 4, 3)
-        late = craft(spec, honest_scalars(1), ref, B + 2, (0, 3), directions)
+        run = crafter(spec, (0, 3), B + 4, 3)
+        late = run(honest_scalars(1), ref, B + 2)
         # the second block, rounds B to B + 3, now fills round 1's slot
-        early = craft(spec, honest_scalars(1), ref, 1, (0, 3), directions)
-        fresh = DirectionBlocks(spec, (0, 3), B + 4, 3)
-        np.testing.assert_array_equal(early, craft(spec, honest_scalars(1), ref, 1, (0, 3), fresh))
-        np.testing.assert_array_equal(late,
-                                      craft(spec, honest_scalars(1), ref, B + 2, (0, 3), fresh))
+        early = run(honest_scalars(1), ref, 1)
+        fresh = crafter(spec, (0, 3), B + 4, 3)
+        np.testing.assert_array_equal(early, fresh(honest_scalars(1), ref, 1))
+        np.testing.assert_array_equal(late, fresh(honest_scalars(1), ref, B + 2))
 
     def test_a_long_run_holds_one_block_of_directions(self):
         # 3 blocks and 5 rounds; their vectors alone would be 3 * B * w * d floats
         B, workers, d = DIRECTION_BLOCK_ROUNDS, (0, 1, 2, 3), 16
         spec = AttackSpec(kind="intelligent", rng_seed=1)
         ref = np.linspace(-1.0, 1.0, d)
-        craft(spec, honest_scalars(1), ref, 0, workers, DirectionBlocks(spec, workers, 2, d))
+        crafter(spec, workers, 2, d)(honest_scalars(1), ref, 0)
         tracemalloc.start()
         try:
-            directions = DirectionBlocks(spec, workers, 3 * B + 5, d)
+            run = crafter(spec, workers, 3 * B + 5, d)
             for t in range(3 * B + 5):
-                craft(spec, honest_scalars(1), ref, t, workers, directions)
+                run(honest_scalars(1), ref, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # one block: B * w * d floats of vectors, B * w lengths and, while it
-        # is drawn, one stream's B * d squares; 16 kB for the generators and
-        # the per-round rows. Two blocks at once would be over 260 kB.
+        # is drawn, one stream's B * d squares; 16 kB for the generators, the
+        # plan and the per-round rows. Two blocks at once would be over 260 kB.
         assert peak < 8 * B * (len(workers) * (d + 1) + d) + 16384, peak
 
 
@@ -226,25 +207,26 @@ class TestCounterexample:
     def test_negates_the_rank_one_honest_gradient(self):
         # honest norms ascending: 1, 2, 3, 4, 5, 6 -> rank 1 is the value 2
         spec = AttackSpec(kind="counterexample", target_rank=1)
-        out = craft(spec, honest_scalars(6, 5, 4, 3, 2, 1), np.array([3.5]), 0, [0, 1])
+        run = crafter(spec, [0, 1], honest_count=6)
+        out = run(honest_scalars(6, 5, 4, 3, 2, 1), np.array([3.5]), 0)
         np.testing.assert_array_equal(out, [[-2.0], [-2.0]])
 
     def test_all_forgeries_survive_screening_in_the_ten_input_instance(self):
         spec = AttackSpec(kind="counterexample", target_rank=1)
         honest = honest_scalars(6, 5, 4, 3, 2, 1)
-        forgeries = craft(spec, honest, np.array([3.5]), 0, range(4))
+        forgeries = crafter(spec, range(4), honest_count=6)(honest, np.array([3.5]), 0)
         out, _ = norm_screen(np.vstack([forgeries, honest]), 4)
         # kept set is {-2, -2, -2, -2, 2, 1}: forgeries dominate the average
         assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
 
-    def test_rank_out_of_range(self):
+    def test_rank_out_of_range_is_refused_by_the_plan(self):
         spec = AttackSpec(kind="counterexample", target_rank=6)
-        with pytest.raises(ConfigError):
-            craft(spec, honest_scalars(1, 2, 3), np.array([1.0]), 0, [0])
+        with pytest.raises(ConfigError, match="^target_rank=6 out of range for 3 honest"):
+            AttackPlan([spec], [0], 3, 1, 1)
 
 
 class TestStacked:
-    """craft over R runs at once: each run's rows are its call alone, bit for bit."""
+    """craft over R runs at once: each run's rows are its plan alone, bit for bit."""
 
     SPECS = (
         AttackSpec(kind="aggressive", scale=2.5),
@@ -252,17 +234,13 @@ class TestStacked:
         AttackSpec(kind="counterexample", target_rank=0),
         AttackSpec(kind="aggressive", scale=7.0),
         AttackSpec(kind="counterexample", target_rank=3),
-        AttackSpec(kind="intelligent", ratio=0.9, rng_seed=6, shared_direction=True),
+        AttackSpec(kind="intelligent", ratio=0.9, rng_seed=6),
     )
-
-    def directions(self, workers, rounds, d):
-        return [DirectionBlocks(spec, workers, rounds, d) if spec.kind == "intelligent" else None
-                for spec in self.SPECS]
 
     def test_a_mixed_batch_is_each_run_alone(self, rng, caplog):
         R, k, d, workers, rounds = len(self.SPECS), 5, 4, (1, 4, 6), 6
-        batch = self.directions(workers, rounds, d)
-        alone = self.directions(workers, rounds, d)
+        batch = AttackPlan(self.SPECS, workers, k, rounds, d)
+        alone = [crafter(spec, workers, rounds, d, k) for spec in self.SPECS]
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             for t in range(rounds):
                 honest = rng.standard_normal((R, k, d)) * rng.uniform(0.5, 2.0, (R, k, 1))
@@ -270,32 +248,21 @@ class TestStacked:
                 references = rng.standard_normal((R, d))
                 if t == 2:
                     references[1] = 0.0  # one intelligent run's round degenerates
-                rows = craft(self.SPECS, honest, references, t, workers, batch)
+                rows = craft(batch, honest, references, t)
                 assert rows.shape == (R, len(workers), d)
-                for r, spec in enumerate(self.SPECS):
-                    expected = craft(spec, honest[r], references[r], t, workers, alone[r])
+                for r, run in enumerate(alone):
+                    expected = run(honest[r], references[r], t)
                     np.testing.assert_array_equal(rows[r].view(np.int64),
                                                   expected.view(np.int64), err_msg=f"{t} {r}")
         # one warning per run and round with a zero reference, from the batch and the run alone
         assert [rec.getMessage() for rec in caplog.records] == 2 * [
             "intelligent attack degenerate: zero reference at iteration 2, workers [1, 4, 6]"]
 
-    def test_runs_without_directions_may_pass_none(self):
-        specs = [AttackSpec(kind="aggressive", scale=3.0), AttackSpec(kind="counterexample")]
-        honest = np.array([[[3.0], [1.0], [2.0]], [[3.0], [1.0], [2.0]]])
-        rows = craft(specs, honest, np.array([[1.0], [2.0]]), 0, (0, 1))
-        np.testing.assert_array_equal(rows, [[[-3.0], [-3.0]], [[-2.0], [-2.0]]])
-
     def test_a_batch_checks_every_runs_target_rank(self):
         specs = [AttackSpec(kind="counterexample", target_rank=1),
                  AttackSpec(kind="counterexample", target_rank=3)]
         with pytest.raises(ConfigError, match="^target_rank=3 out of range for 3 honest"):
-            craft(specs, np.ones((2, 3, 1)), np.ones((2, 1)), 0, [0])
-
-    def test_an_intelligent_run_of_a_batch_needs_its_directions(self):
-        specs = [AttackSpec(kind="aggressive"), AttackSpec(kind="intelligent")]
-        with pytest.raises(ConfigError, match=r"directions for workers \[0\]"):
-            craft(specs, np.ones((2, 1, 2)), np.ones((2, 2)), 0, [0])
+            AttackPlan(specs, [0], 3, 1, 1)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -312,7 +279,6 @@ class TestStacked:
     (dict(target_rank=1.5), "target_rank must be an integer count, got 1.5"),
     (dict(rng_seed=-1), "rng_seed must be >= 0, got -1"),
     (dict(rng_seed=1.5), "rng_seed must be an integer count, got 1.5"),
-    (dict(shared_direction="yes"), "shared_direction must be true or false, got 'yes'"),
 ])
 def test_every_spec_field_is_checked_at_construction(fields, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):

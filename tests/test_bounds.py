@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import quadratic_run
 from robustgd.aggregation import screening_coefficient
 from robustgd.bounds import (
     DEFAULT_R_CAP,
@@ -241,9 +242,7 @@ class TestReportsAndOptimum:
             "model", "X", "Y", "lam"]
 
     def test_trajectory_factor_and_checkers_on_a_tracked_run(self):
-        from robustgd.verify import _quadratic_run
-
-        model, X, Y, trace, base = _quadratic_run(seed=0, iterations=40)
+        model, X, Y, trace, base = quadratic_run(seed=0, iterations=40)
         theta_star, f_star = solve_reference_optimum(model, X, Y, base.lam)
         k = measured_trajectory_factor(trace, theta_star)
         assert k >= 1.0
@@ -261,8 +260,6 @@ class TestReportsAndOptimum:
 
     def test_deviation_reports_are_the_per_iterate_loops_bits(self, rng):
         from robustgd.simulation import RunTrace
-        from robustgd.verify import _quadratic_run
-
         def per_iterate(trace, inputs):
             # the checker as a loop over iterates, one TheoryInputs per eps
             reports = []
@@ -278,12 +275,12 @@ class TestReportsAndOptimum:
             return [(r.bound_value.hex(), r.measured_value.hex(), r.satisfied, r.margin.hex())
                     for r in reports]
 
-        *_, trace, inputs = _quadratic_run(seed=1, iterations=30, attack_kind="counterexample")
+        *_, trace, inputs = quadratic_run(seed=1, iterations=30, attack_kind="counterexample")
         T, d = 40, 9
         scaled = np.exp(rng.normal(0.0, 4.0, (T, 1)))
         synthetic = RunTrace(
-            aggregated=rng.standard_normal((T, d)) * scaled, aggregated_norms=np.zeros(T),
-            worker_norms=np.zeros((T, 1)), iterates=np.zeros((T, d)), theta_final=np.zeros(d),
+            aggregated=rng.standard_normal((T, d)) * scaled, worker_norms=np.zeros((T, 1)),
+            iterates=np.zeros((T, d)), theta_final=np.zeros(d),
             true_gradients=rng.standard_normal((T, d)) * scaled, true_objectives=np.zeros(T),
             inner_eps=rng.uniform(0.0, 2.0, T))
         synthetic.true_gradients[3] = 0.0
@@ -307,7 +304,6 @@ class TestReportsAndOptimum:
         iterates = np.array([[1.0, 0.0], [50.0, 0.0], [500.0, 0.0]])
         trace = RunTrace(
             aggregated=np.zeros((T, d)),
-            aggregated_norms=np.zeros(T),
             worker_norms=np.zeros((T, 1)),
             iterates=iterates,
             theta_final=iterates[-1],

@@ -162,6 +162,25 @@ class TestRecords:
                                                r"trace.final_objective_estimate"):
             write_records([record], tmp_path / "r.jsonl")
 
+    def test_the_final_aggregated_norm_is_the_last_aggregates_norm(self):
+        cfg = fast_config(attack="aggressive", alpha_m=1)
+        trace, _, _ = train(cfg, prepare_data(cfg))
+        [record] = run_experiment(cfg)
+        assert record["trace"]["final_aggregated_norm"] == np.linalg.norm(trace.aggregated[-1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_final_aggregate_whose_norm_overflows_is_refused_by_name(self):
+        # no screening: three aggressive rows of ~1e200 leave a finite G of norm inf
+        cfg = ExperimentConfig(preset="E1", variant="dro_only", iterations=2, eta=1e-300,
+                               attack_scale=1e200)
+        trace, _, _ = train(cfg, prepare_data(cfg))
+        assert np.isfinite(trace.aggregated).all()
+        with pytest.raises(RuntimeError, match="variant='dro_only'") as exc:
+            run_experiment(cfg)
+        assert isinstance(exc.value.__cause__, NumericError)
+        assert re.search(r"non-finite record fields \['trace.final_aggregated_norm'\]",
+                         str(exc.value.__cause__))
+
     def test_cli_records_match_write_records_byte_for_byte(self, tmp_path):
         main(["run", "--preset", "E1", "--variant", "alg2", "--m", "4", "--iterations", "4",
               "--t-z", "3", "--screen-count", "1", "--alpha-m", "1", "--out", str(tmp_path)])
@@ -617,10 +636,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "--config", str(config_path)])
 
-    def test_config_file_with_a_removed_field_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [("shift_steps", 20),
+                                              ("attack_shared_direction", False)])
+    def test_config_file_with_a_removed_field_is_refused(self, tmp_path, field, value):
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps({**FAST, "shift_steps": 20}))
-        with pytest.raises(SystemExit, match=r"unknown config fields: \['shift_steps'\]"):
+        config_path.write_text(json.dumps({**FAST, field: value}))
+        with pytest.raises(SystemExit, match=rf"unknown config fields: \['{field}'\]"):
             main(["run", "--config", str(config_path), "--out", str(tmp_path)])
         assert not (tmp_path / "records.jsonl").exists()
 

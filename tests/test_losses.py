@@ -1,11 +1,12 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import central_difference, logistic_grads_z, quadratic_grads_z
-from robustgd.errors import NumericError
+from robustgd.errors import ConfigError, NumericError
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
 from robustgd.surrogate import DROConfig, inner_objectives, line_surrogate, quadratic_surrogate
 
@@ -149,11 +150,19 @@ class TestQuadratic:
             lhs = np.linalg.norm(row(grads, t1, z1) - row(grads, t1, z2))
             assert lhs == pytest.approx(c * np.linalg.norm(z1 - z2), rel=1e-12)
 
-    def test_invalid_curvature(self):
-        with pytest.raises(ValueError):
-            QuadraticLoss(0.0)
-        with pytest.raises(ValueError):
-            QuadraticLoss(-1.0)
+    @pytest.mark.parametrize("curvature", [
+        0.0,
+        -1.0,
+        float("inf"),
+        float("nan"),
+        True,  # ran with curvature 1.0
+        "1",   # a numpy TypeError
+        None,  # a numpy TypeError
+    ])
+    def test_invalid_curvature(self, curvature):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"curvature must be finite and positive, got {curvature!r}")):
+            QuadraticLoss(curvature)
 
 
 def test_sigmoid_stable_branches():

@@ -13,11 +13,12 @@ from conftest import (
     loss_grads_theta,
     penalized_objectives,
     quadratic_grads_z,
+    quadratic_run,
     rowwise_ascent,
 )
-from robustgd import simulation, surrogate, verify
-from robustgd.aggregation import ScreenConfig, norm_screen
-from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, AttackSpec, DirectionBlocks, craft
+from robustgd import simulation, surrogate
+from robustgd.aggregation import ScreenConfig, dot_sq_norms, norm_screen
+from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, KINDS, AttackPlan, AttackSpec, craft
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import even_shards, quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
@@ -64,7 +65,7 @@ def per_worker_reports(model, theta, X, Y, dro):
     k, n, d = X.shape
     rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
     starts = np.arange(0, k * n, n)
-    if model.kind == "logistic":
+    if isinstance(model, LogisticLoss):
         r, c = line_surrogate(theta, rows, labels, dro)
         grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
         for j, s in enumerate(starts):
@@ -372,14 +373,15 @@ class TestRunTraining:
     @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
                              ids=["logistic", "quadratic"])
     def test_round_summaries_are_the_plain_reductions(self, rng, model):
-        # each aggregate's norm is np.linalg.norm's, bit for bit
+        # each aggregate's norm, as the record takes it, is np.linalg.norm's, bit for bit
         X = rng.standard_normal((36, 7))
         Y = rng.integers(0, 2, size=36).astype(float)
         dro = DROConfig(3.0, 0.05, 4)
         cfg = plain_config(0.3, 5, dro, screen_count=1, seed=6)
         trace = run_training(model, X, Y, WorkerRoster(shards=even_shards(36, 12)[0]), cfg)
+        norms = np.sqrt(dot_sq_norms(trace.aggregated))
         for t in range(5):
-            assert trace.aggregated_norms[t] == np.linalg.norm(trace.aggregated[t])
+            assert norms[t] == np.linalg.norm(trace.aggregated[t])
 
     def test_trace_shapes_and_finiteness(self):
         model = QuadraticLoss(1.0)
@@ -525,7 +527,8 @@ class TestRunTraining:
         cfg = plain_config(1e-300, 2, DROConfig(2.0, 0.3, 3), theta0=np.full(3, 10.0))
         trace = run_training(QuadraticLoss(), X, Y, roster, cfg)  # no screening
         assert np.isfinite(trace.aggregated).all()
-        assert (trace.aggregated_norms == np.inf).all()
+        with np.errstate(over="ignore"):  # as the record takes it
+            assert (np.sqrt(dot_sq_norms(trace.aggregated)) == np.inf).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflowing_update_names_the_iteration(self):
@@ -602,21 +605,19 @@ def one_run(model, X, Y, roster, cfg):
     honest, byzantine = list(roster.honest), list(roster.byzantine)
     shards = np.stack([roster.shards[i] for i in honest])
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
-    out = {name: [] for name in ("aggregated", "aggregated_norms", "worker_norms", "iterates")}
+    out = {name: [] for name in ("aggregated", "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
-    directions = (DirectionBlocks(roster.attack, roster.byzantine, T, d)
-                  if byzantine and roster.attack.kind == "intelligent" else None)
+    plan = AttackPlan([roster.attack], byzantine, len(honest), T, d) if byzantine else None
     for t in range(T):
         out["iterates"].append(theta)
         honest_grads = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
         grads[honest] = honest_grads
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine:
-                grads[byzantine] = craft(roster.attack, honest_grads, honest_grads.mean(axis=0),
-                                         t, roster.byzantine, directions)
+                grads[byzantine] = craft(plan, honest_grads[None],
+                                         honest_grads.mean(axis=0)[None], t)[0]
             G, norms = norm_screen(grads, cfg.screen.screen_count)
         out["aggregated"].append(G)
-        out["aggregated_norms"].append(np.linalg.norm(G))
         out["worker_norms"].append(norms)
         theta = theta - cfg.eta * G
     return RunTrace(theta_final=theta, **{name: np.array(v) for name, v in out.items()})
@@ -652,6 +653,30 @@ class TestTrainRuns:
         rosters = [replace(roster, attack=replace(roster.attack, kind=attack)) for roster, attack
                    in zip(rosters, ("aggressive", "intelligent", "counterexample"))]
         assert_each_run_alone(model, X, Y, rosters, cfgs)
+
+    def test_a_batch_builds_one_attack_plan(self, monkeypatch):
+        built, real = [], simulation.AttackPlan
+        monkeypatch.setattr(simulation, "AttackPlan", lambda *args: built.append(args) or
+                            real(*args))
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3)
+        rosters = [replace(roster, attack=replace(roster.attack, kind=kind))
+                   for roster, kind in zip(rosters, KINDS)]
+        train_runs(model, X, Y, rosters, cfgs)
+        assert [(specs, workers) for specs, workers, *_ in built] == [
+            ([roster.attack for roster in rosters], (0, 3))]
+        # a roster without byzantine workers builds none
+        run_training(model, X[0], Y[0], WorkerRoster(shards=rosters[0].shards), cfgs[0])
+        assert len(built) == 1
+
+    def test_an_out_of_range_target_rank_is_refused_before_round_0(self, monkeypatch):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "counterexample", 3)
+        rosters[1] = replace(rosters[1], attack=replace(rosters[1].attack, target_rank=10))
+        calls = []
+        monkeypatch.setattr(simulation, "worker_reports", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="^target_rank=10 out of range for 10 honest "
+                                              "gradients$"):
+            train_runs(model, X, Y, rosters, cfgs)
+        assert calls == []
 
     def test_runs_differ_in_their_own_fields(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)
@@ -824,11 +849,9 @@ class TestHonestObjective:
 class TestDirectionBlocks:
     """An intelligent run builds its direction generators once and draws from them in blocks."""
 
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    def test_a_shorter_run_is_the_first_rounds_of_a_longer_one(self, kind, shared):
+    def test_a_shorter_run_is_the_first_rounds_of_a_longer_one(self, kind):
         model, X, Y, [roster], [cfg] = batch_problem(kind, "intelligent", 1, iterations=12)
-        roster = replace(roster, attack=replace(roster.attack, shared_direction=shared))
         longer = run_training(model, X[0], Y[0], roster, cfg)
         shorter = run_training(model, X[0], Y[0], roster, replace(cfg, iterations=7))
         prefix = longer.prefix(7)
@@ -837,14 +860,12 @@ class TestDirectionBlocks:
                 assert_same_bits(getattr(shorter, field.name), getattr(prefix, field.name),
                                  field.name)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_a_run_past_a_block_is_the_first_rounds_of_a_run_twice_as_long(self, shared):
+    def test_a_run_past_a_block_is_the_first_rounds_of_a_run_twice_as_long(self):
         # T is not a multiple of the block length, so the longer run's second
         # block starts inside the shorter run's
         T = DIRECTION_BLOCK_ROUNDS + 44
         model, X, Y, [roster], [cfg] = batch_problem("quadratic", "intelligent", 1,
                                                      iterations=2 * T)
-        roster = replace(roster, attack=replace(roster.attack, shared_direction=shared))
         longer = run_training(model, X[0], Y[0], roster, cfg)
         shorter = run_training(model, X[0], Y[0], roster, replace(cfg, iterations=T))
         prefix = longer.prefix(T)
@@ -853,17 +874,14 @@ class TestDirectionBlocks:
                 assert_same_bits(getattr(shorter, field.name), getattr(prefix, field.name),
                                  field.name)
 
-    @pytest.mark.parametrize("attack, shared, per_run", [
-        ("intelligent", False, 2), ("intelligent", True, 1), ("aggressive", False, 0),
-        ("counterexample", False, 0),
+    @pytest.mark.parametrize("attack, per_run", [
+        ("intelligent", 2), ("aggressive", 0), ("counterexample", 0),
     ])
     @pytest.mark.parametrize("R", [1, 3])
-    def test_a_run_builds_one_generator_per_byzantine_worker(self, monkeypatch, attack, shared,
-                                                             per_run, R):
+    def test_a_run_builds_one_generator_per_byzantine_worker(self, monkeypatch, attack, per_run,
+                                                             R):
         # 12 rounds and 2 byzantine workers: a generator per worker per round would be 24
         model, X, Y, rosters, cfgs = batch_problem("quadratic", attack, R)
-        rosters = [replace(ro, attack=replace(ro.attack, shared_direction=shared))
-                   for ro in rosters]
         cfgs = [replace(cfg, theta0=np.zeros(5)) for cfg in cfgs]  # initial_theta draws none
         built = []
         default_rng = np.random.default_rng
@@ -945,7 +963,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_closed_form_matches_the_maximizer_rows(self, seed):
-        model, X, Y, trace, inputs = verify._quadratic_run(seed, 120)
+        model, X, Y, trace, inputs = quadratic_run(seed, 120)
         dro = DROConfig(inputs.lam, theoretical_ascent_step(inputs.lam), 6)  # the run's settings
         grads, objs, eps = self.maximizer_diagnostics(model, X, Y, trace, dro)
         np.testing.assert_allclose(trace.true_objectives, objs, rtol=1e-13)
@@ -986,7 +1004,7 @@ class TestDiagnostics:
         block = DIAGNOSTIC_BLOCK_ELEMENTS // X.size
         assert 1 < block < 200
         T = {"one": 1, "block": block, "block + 1": block + 1}.get(T, T)
-        model, X, Y, trace, inputs = verify._quadratic_run(0, T)
+        model, X, Y, trace, inputs = quadratic_run(0, T)
         dro = DROConfig(inputs.lam, theoretical_ascent_step(inputs.lam), 6)  # the run's settings
         grads, objs, eps = self.per_iterate_diagnostics(model, X, Y, trace, dro)
         np.testing.assert_array_equal(trace.true_gradients, grads)
@@ -1060,7 +1078,7 @@ class TestDiagnostics:
             assert k == one_k
 
     def test_quadratic_regime_error_names_iterate_zero(self):
-        model, X, Y, trace, _ = verify._quadratic_run(0, 40)  # several blocks
+        model, X, Y, trace, _ = quadratic_run(0, 40)  # several blocks
         with pytest.raises(RegimeError, match=r"^iterate 0: inner objective not concave"):
             with_diagnostics(model, X, Y, trace, DROConfig(1.0, 0.2, 2))
 

@@ -17,6 +17,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import quadratic_run
 from robustgd import verify
 from robustgd.errors import ConfigError
 
@@ -75,9 +76,9 @@ def test_fuzz_holds_one_instance_at_a_time():
 @pytest.mark.parametrize("attack", ["aggressive", "counterexample"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shorter_runs_are_prefixes_of_the_longest(seed, attack):
-    *_, full, _ = verify._quadratic_run(seed, 200, attack)
+    *_, full, _ = quadratic_run(seed, 200, attack)
     for T in (50, 120):
-        *_, short, _ = verify._quadratic_run(seed, T, attack)
+        *_, short, _ = quadratic_run(seed, T, attack)
         prefix = full.prefix(T)
         for field in fields(short):
             np.testing.assert_array_equal(getattr(prefix, field.name),
@@ -86,7 +87,7 @@ def test_shorter_runs_are_prefixes_of_the_longest(seed, attack):
 
 
 def test_prefix_refuses_rounds_outside_the_run():
-    *_, trace, _ = verify._quadratic_run(0, 5)
+    *_, trace, _ = quadratic_run(0, 5)
     assert trace.prefix(5) is trace
     for rounds in (0, 6):
         with pytest.raises(ConfigError, match="prefix needs 1 <= rounds <= 5"):
@@ -94,8 +95,8 @@ def test_prefix_refuses_rounds_outside_the_run():
 
 
 def test_prefix_cuts_every_per_round_field():
-    *_, trace, _ = verify._quadratic_run(0, 5)
-    assert [f.name for f in fields(trace)][:2] == ["aggregated", "aggregated_norms"]  # no eta
+    *_, trace, _ = quadratic_run(0, 5)
+    assert [f.name for f in fields(trace)][:2] == ["aggregated", "worker_norms"]  # no eta
     prefix = trace.prefix(3)
     for field in fields(trace):
         if field.name != "theta_final":
@@ -104,7 +105,7 @@ def test_prefix_cuts_every_per_round_field():
 
 def test_shared_runs_train_each_pair_once_at_its_longest_horizon(monkeypatch):
     longest = {(0, "aggressive"): 200, (1, "aggressive"): 50, (1, "counterexample"): 50}
-    alone = {(seed, attack): verify._quadratic_run(seed, rounds, attack)
+    alone = {(seed, attack): quadratic_run(seed, rounds, attack)
              for (seed, attack), rounds in longest.items()}
     batches = []
     real = verify.train_runs
@@ -188,7 +189,7 @@ def test_deviation_suite_reports_its_tightest_iteration():
     seeds, rounds = 3, 30
     reports = []
     for seed in range(seeds):
-        *_, trace, inputs = verify._quadratic_run(seed, rounds)
+        *_, trace, inputs = quadratic_run(seed, rounds)
         reports += verify.check_aggregate_deviation(trace, inputs)
     worst = min(r.margin for r in reports)
     tightest = max(r.measured_value / r.bound_value for r in reports)
