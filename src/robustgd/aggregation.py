@@ -90,7 +90,9 @@ def norm_screen(reports, screen_count):
     broken by original index (lower kept first); the kept rows are summed
     left to right in ascending original index so the output is bit-stable.
     With ``screen_count == 0`` every row is kept, so none is ranked: the
-    rows are summed in index order as they stand, with the same bits.
+    rows are summed in index order as they stand, with the same bits. The
+    kept sum is a fresh array, so it is finished (+ 0.0, then the division)
+    in place.
     """
     reports = _report_matrix(reports, stacked=True)
     screen_count = require_count("screen_count", screen_count, 0)
@@ -111,10 +113,12 @@ def norm_screen(reports, screen_count):
     # sum pairwise, so that one accumulates. + 0.0 gives the +0.0 a
     # zero-started sum has where all rows are -0.0.
     if d > 1:
-        kept_sum = np.add.reduce(kept_rows, axis=-2) + 0.0
+        kept_sum = np.add.reduce(kept_rows, axis=-2)
+        kept_sum += 0.0
     else:
         kept_sum = np.add.accumulate(kept_rows, axis=-2)[..., -1, :] + 0.0
-    return kept_sum / (m - screen_count), norms
+    kept_sum /= m - screen_count
+    return kept_sum, norms
 
 
 def screening_coefficient(byzantine, screened, m):
@@ -146,7 +150,9 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
     non-finite S, or an honest row holding NaN, has no bound: ``NumericError``
     (naming those rows in its ``rows``). An infinite honest row gives an
     infinite bound, and so does a finite S whose squared norm overflows
-    unless c_alpha = 0.
+    unless c_alpha = 0. Delta is ``row_norms(reports[honest] - S).max()``,
+    bit for bit, taken in place on the one gathered copy of the honest rows:
+    the differences, their squares and the norms overwrite it.
     """
     reports = _report_matrix(reports)
     m, d = reports.shape
@@ -162,12 +168,20 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
         raise ShapeError(f"S must have shape ({d},), got {S.shape}")
 
     c_alpha = screening_coefficient(m - honest_count, screen_count, m)
-    with np.errstate(over="ignore"):  # an overflowing ||S||^2 reads inf, as in row_norms
+    # ||S||^2 and row_norms(reports[honest] - S), in place on the one gathered
+    # copy of the honest rows. A square past the float range reads inf, as in
+    # row_norms; a non-finite S (whose differences may be inf - inf) is refused
+    # before they are read.
+    distances = reports[honest]
+    with np.errstate(over="ignore", invalid="ignore"):
         squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
+        distances -= S
+        distances *= distances
+        distances = np.add.reduce(distances, axis=-1)
     if not math.isfinite(squared) and not np.isfinite(S).all():
         raise NumericError(f"S must be finite, got {S}")
-    distances = row_norms(reports[honest] - S)
-    delta = float(distances.max())
+    np.sqrt(distances, out=distances)
+    delta = float(np.maximum.reduce(distances))
     if math.isnan(delta):  # a NaN honest row; an infinite one gives an infinite bound
         rows = np.flatnonzero(honest)[np.isnan(distances)]
         raise NumericError(f"honest rows {rows.tolist()} hold NaN: no deviation bound",

@@ -133,7 +133,8 @@ class AttackPlan:
     runs on the run axis (a plain slice when all R runs have it) and what its
     rows need: the aggressive runs' stacked -scale factors, each intelligent
     run's ratio and ``DirectionBlocks``, each counterexample run's
-    target_rank. A target_rank of k or more is refused here, before any round.
+    target_rank. A target_rank of k or more is refused here, before any round;
+    in a batch of more than one run the refusal names the run ("run r, ").
     """
 
     def __init__(self, specs, workers, honest_count, rounds, dim):
@@ -142,7 +143,8 @@ class AttackPlan:
             [r for r, spec in enumerate(specs) if spec.kind == kind] for kind in KINDS)
         for r in counterexample:
             if specs[r].target_rank >= honest_count:
-                raise ConfigError(f"target_rank={specs[r].target_rank} out of range for "
+                run = f"run {r}, " if self.runs > 1 else ""
+                raise ConfigError(f"{run}target_rank={specs[r].target_rank} out of range for "
                                   f"{honest_count} honest gradients")
         self.aggressive = self._group(aggressive,
                                       np.array([[-specs[r].scale] for r in aggressive]))

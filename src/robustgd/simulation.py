@@ -65,8 +65,9 @@ from .surrogate import (DROConfig, exact_rows, inner_objectives, line_ascent, li
                         quadratic_surrogate)
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
-# cap, in floats, on each (B, n, d) temporary of the blocked diagnostics
-DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 13
+# cap, in floats, on each (B, n, d) temporary of the blocked diagnostics (256 kB):
+# 27 iterates of verify's 200 x 6 quadratic rows, one of the experiments' logistic data
+DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -372,6 +373,8 @@ def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
     ``exact_rows`` in blocks of B = max(1, DIAGNOSTIC_BLOCK_ELEMENTS // (n * d)),
     so each (B, n, d) temporary holds at most that many floats, or one
     iterate's n * d, and every value is bit-equal to the iterate taken alone.
+    A quadratic block's gradients are row-major ((n, B, d) in memory), so
+    their mean over the n rows adds B * d contiguous floats at a time.
     Only the distance depends on the family: analytic for the quadratic,
     |1 - eta_z * (lam - c)|^t_z * max ||z* - x||; for the logistic loss both
     points lie on the line x + c * theta, so it is max |c_eps - c*| * ||theta||

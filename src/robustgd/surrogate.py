@@ -278,7 +278,12 @@ def exact_rows(model, theta, X, Y, lam):
     rows, giving (B, n, d) gradients and (B, n) objectives, each iterate's
     bit-equal to a call with it alone. The gradients are the one such array
     it allocates, so the caller bounds B (``with_diagnostics`` caps it at
-    DIAGNOSTIC_BLOCK_ELEMENTS floats). The maximizer is the end of the ascent line:
+    DIAGNOSTIC_BLOCK_ELEMENTS floats). For the quadratic family they are
+    laid out row-major, (n, B, d) in memory and handed back as its
+    (B, n, d) view, so a mean over the n rows adds B * d contiguous floats
+    per row (the same bits as adding each iterate's d); the objectives stay
+    a C-ordered (B, n) array, so a mean over n sums each iterate's pairwise,
+    as alone. The maximizer is the end of the ascent line:
 
     - quadratic: z* = x + k * (x - theta) with k = c / (lam - c) for every row.
       With s = c * lam / (lam - c) = lam * k, row i's theta-gradient is
@@ -302,8 +307,12 @@ def exact_rows(model, theta, X, Y, lam):
             raise RegimeError(f"inner objective not concave: lam={lam} <= curvature={c}",
                               iterate=0)
         s = c * lam / (lam - c)
-        D = theta[..., None, :] - X
-        objectives = (0.5 * s) * np.einsum("...ij,...ij->...i", D, D)
+        # (n, B, d) memory, handed back as its (B, n, d) view: a mean over the
+        # n rows adds runs of B * d floats, with the same bits as runs of d
+        D = np.moveaxis(theta - X.reshape(len(X), *[1] * (theta.ndim - 1), -1), 0, -2)
+        # C-ordered (B, n), so that a mean over n sums each iterate's row pairwise
+        objectives = np.einsum("...ij,...ij->...i", D, D, order="C")
+        objectives *= 0.5 * s
         D *= s  # the gradients, in place: no second (B, n, d) array
         return D, objectives, c / (lam - c)
     Y = np.asarray(Y, dtype=float)

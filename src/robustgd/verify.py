@@ -6,11 +6,14 @@ randomized screening instances, and returns structured results instead of
 printing, so callers decide how to report.
 
 The screening fuzz draws its instances one at a time in one fixed sequence
-of generator calls, so a seed names the same instances; it fills each
-instance's rows in place. It screens each with ``norm_screen``, the screen
-the server runs, bounds it with ``screening_deviation_bound``, and holds one
-instance at a time whatever the count. The seed, like the count, must be an
-integer count.
+of generator calls, so a seed names the same instances. An instance's
+normals (its scale's, S and the honest rows) come from one
+``standard_normal`` call into one buffer, and one in-place product scales S
+and the rows: a generator's draws do not depend on how they are split into
+calls, so these are the instances the per-array calls drew. It screens each
+with ``norm_screen``, the screen the server runs, bounds it with
+``screening_deviation_bound``, and holds one instance at a time whatever the
+count. The seed, like the count, must be an integer count.
 
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
@@ -89,13 +92,15 @@ def _screening_instances(n_instances, seed):
         b = int(rng.integers(0, m // 2 + 1))       # screened fraction <= 1/2
         a = int(rng.integers(0, b + 1))            # corrupted fraction <= screened
         k = m - a
-        scale = float(np.exp(rng.normal(0.0, 1.0)))
-        S = rng.standard_normal(d)
-        S *= scale
-        rows = np.empty((m, d))
+        # one call draws the scale's normal (normal(0, 1) is 0 + 1 * z), S and
+        # the honest rows, in that order; one product scales S and the rows
+        drawn = np.empty(1 + d + m * d)
+        z = drawn[:1 + d + k * d]
+        rng.standard_normal(out=z)
+        scale = float(np.exp(z[0]))
+        z[1:] *= scale
+        S, rows = drawn[1:1 + d], drawn[1 + d:].reshape(m, d)
         honest, byz = rows[:k], rows[k:]
-        rng.standard_normal(out=honest)
-        honest *= scale
         honest += S
         mode = int(rng.integers(0, 4))
         if mode == 0:

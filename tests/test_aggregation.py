@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustgd.aggregation import (
+    DeviationBound,
     ScreenConfig,
     norm_screen,
     row_norms,
@@ -404,6 +405,87 @@ class TestDeviationBound:
 
         result = fuzz_screening_bound(n_instances=1500, seed=7)
         assert result.passed, result.detail
+
+
+def reference_deviation_bound(reports, honest, screen_count, S):
+    """The bound as first written, on allocated temporaries: the oracle for the in-place one."""
+    reports, S = np.asarray(reports, dtype=float), np.asarray(S, dtype=float)
+    c_alpha = screening_coefficient(len(reports) - np.count_nonzero(honest), screen_count,
+                                    len(reports))
+    with np.errstate(over="ignore"):
+        squared = float(S.dot(S))
+    if not math.isfinite(squared) and not np.isfinite(S).all():
+        raise NumericError(f"S must be finite, got {S}")
+    distances = row_norms(reports[honest] - S)
+    delta = float(distances.max())
+    if math.isnan(delta):
+        rows = np.flatnonzero(honest)[np.isnan(distances)]
+        raise NumericError(f"honest rows {rows.tolist()} hold NaN: no deviation bound",
+                           rows=rows)
+    return DeviationBound(c_alpha=c_alpha, delta=delta,
+                          rhs=c_alpha * math.sqrt(squared) + delta if c_alpha else delta)
+
+
+def bound_bits(bound):
+    return [float(value).hex() for value in (bound.c_alpha, bound.delta, bound.rhs)]
+
+
+class TestDeviationBoundMatchesTheReference:
+    """The in-place bound returns the reference's ``DeviationBound``, bit for bit."""
+
+    def assert_same_bound(self, reports, honest, screen_count, S):
+        expected = reference_deviation_bound(reports, honest, screen_count, S)
+        bound = screening_deviation_bound(reports, honest, screen_count, S)
+        assert bound_bits(bound) == bound_bits(expected)
+        return bound
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_fuzz_instances(self, seed):
+        for rows, honest, b, S in verify._screening_instances(2000, seed):
+            self.assert_same_bound(rows, honest, b, S)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_honest_row(self, rng, value):
+        reports = rng.standard_normal((5, 3))
+        reports[1] = value
+        bound = self.assert_same_bound(reports, mask(5, range(4)), 1, rng.standard_normal(3))
+        assert bound.delta == np.inf
+
+    def test_an_honest_row_whose_square_overflows(self, rng):
+        reports = rng.standard_normal((5, 3))
+        reports[2] = 1e200
+        bound = self.assert_same_bound(reports, mask(5, range(4)), 2, rng.standard_normal(3))
+        assert bound.delta == np.inf
+
+    @pytest.mark.parametrize("honest", [range(3), range(4)], ids=["one-byz", "all-honest"])
+    def test_a_nan_honest_row(self, honest):
+        reports = np.ones((4, 2))
+        reports[[0, 2], 1] = np.nan
+        errors = []
+        for bound in (reference_deviation_bound, screening_deviation_bound):
+            with pytest.raises(NumericError) as caught:
+                bound(reports, mask(4, honest), 1, np.zeros(2))
+            errors.append((str(caught.value), caught.value.rows.tolist()))
+        assert errors[0] == errors[1] == ("honest rows [0, 2] hold NaN: no deviation bound",
+                                          [0, 2])
+
+    @pytest.mark.parametrize("honest, rhs", [(range(4), 1.0), (range(3), np.inf)],
+                             ids=["c_alpha=0", "c_alpha>0"])
+    def test_an_s_whose_square_overflows(self, honest, rhs):
+        S = np.array([1e200, 0.0])
+        reports = np.tile(S, (4, 1))
+        reports[0, 1] = 1.0
+        assert self.assert_same_bound(reports, mask(4, honest), 1, S).rhs == rhs
+
+    def test_one_column(self, rng):
+        self.assert_same_bound(rng.standard_normal((9, 1)), mask(9, range(6)), 3,
+                               rng.standard_normal(1))
+
+    @pytest.mark.parametrize("m, screen_count", [(1, 0), (2, 1)])
+    def test_a_single_honest_row(self, rng, m, screen_count):
+        bound = self.assert_same_bound(rng.standard_normal((m, 4)), mask(m, [0]), screen_count,
+                                       rng.standard_normal(4))
+        assert bound.c_alpha == 2.0 * (m - 1) / (m - screen_count)
 
 
 class TestScreeningCoefficient:

@@ -261,7 +261,7 @@ class TestStacked:
     def test_a_batch_checks_every_runs_target_rank(self):
         specs = [AttackSpec(kind="counterexample", target_rank=1),
                  AttackSpec(kind="counterexample", target_rank=3)]
-        with pytest.raises(ConfigError, match="^target_rank=3 out of range for 3 honest"):
+        with pytest.raises(ConfigError, match="^run 1, target_rank=3 out of range for 3 honest"):
             AttackPlan(specs, [0], 3, 1, 1)
 
 

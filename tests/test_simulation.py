@@ -673,9 +673,13 @@ class TestTrainRuns:
         rosters[1] = replace(rosters[1], attack=replace(rosters[1].attack, target_rank=10))
         calls = []
         monkeypatch.setattr(simulation, "worker_reports", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="^run 1, target_rank=10 out of range for 10 "
+                                              "honest gradients$"):
+            train_runs(model, X, Y, rosters, cfgs)
+        # a run alone is not named
         with pytest.raises(ConfigError, match="^target_rank=10 out of range for 10 honest "
                                               "gradients$"):
-            train_runs(model, X, Y, rosters, cfgs)
+            run_training(model, X[1], Y[1], rosters[1], cfgs[1])
         assert calls == []
 
     def test_runs_differ_in_their_own_fields(self):
@@ -1011,19 +1015,26 @@ class TestDiagnostics:
         np.testing.assert_array_equal(trace.true_objectives, objs)
         np.testing.assert_array_equal(trace.inner_eps, eps)
 
-    @staticmethod
-    def logistic_problem(T):
-        """16 logistic rows, so a diagnostics block holds many iterates, and a trace of T.
+    LOGISTIC_ROWS = 64  # of width 4: a block of DIAGNOSTIC_BLOCK_ELEMENTS holds 128 iterates
+
+    @classmethod
+    def logistic_block(cls):
+        return DIAGNOSTIC_BLOCK_ELEMENTS // (cls.LOGISTIC_ROWS * 4)
+
+    @classmethod
+    def logistic_problem(cls, T):
+        """LOGISTIC_ROWS rows, so a diagnostics block holds many iterates, and a trace of T.
 
         The iterates lie at random norms from 0 to near the regime edge
         ||theta|| = 2 * sqrt(lam), so those of one block need different
         numbers of root steps.
         """
         rng = np.random.default_rng(5)
-        X = rng.standard_normal((16, 4))
-        Y = rng.integers(0, 2, size=16).astype(float)
+        n = cls.LOGISTIC_ROWS
+        X = rng.standard_normal((n, 4))
+        Y = rng.integers(0, 2, size=n).astype(float)
         dro = DROConfig(3.0, 0.05, 5)
-        trace = run_training(LogisticLoss(), X, Y, WorkerRoster(shards=[np.arange(16)]),
+        trace = run_training(LogisticLoss(), X, Y, WorkerRoster(shards=[np.arange(n)]),
                              plain_config(0.5, T, dro))
         directions = rng.standard_normal((T, 4))
         radii = 2.0 * np.sqrt(dro.lam) * rng.uniform(0.0, 0.999, size=(T, 1))
@@ -1033,7 +1044,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("T", ["one", "block", "block + 1", "several blocks"])
     def test_blocked_logistic_diagnostics_are_bit_equal_per_iterate(self, T):
-        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        block = self.logistic_block()
         T = {"one": 1, "block": block, "block + 1": block + 1, "several blocks": 3 * block + 7}[T]
         X, Y, dro, trace = self.logistic_problem(T)
         grads, objs, eps = self.per_iterate_diagnostics(LogisticLoss(), X, Y, trace, dro)
@@ -1043,7 +1054,7 @@ class TestDiagnostics:
         np.testing.assert_array_equal(diag.inner_eps, eps)
 
     def test_a_logistic_block_holds_iterates_of_different_root_step_counts(self, monkeypatch):
-        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        block = self.logistic_block()
         X, Y, dro, trace = self.logistic_problem(block)
         calls = []  # one sigmoid per root step, and one for the rows at the root
         monkeypatch.setattr(surrogate, "sigmoid", lambda t: calls.append(t) or sigmoid(t))
@@ -1055,7 +1066,7 @@ class TestDiagnostics:
         assert min(steps) <= 2 and max(steps) >= 6, sorted(set(steps))
 
     def test_logistic_regime_error_names_an_iterate_inside_a_later_block(self):
-        block = DIAGNOSTIC_BLOCK_ELEMENTS // (16 * 4)
+        block = self.logistic_block()
         X, Y, dro, trace = self.logistic_problem(3 * block)
         trace.iterates[[block + 5, 2 * block + 1]] = [4.0, 0.0, 0.0, 0.0]  # ||theta||^2/4 = 4
         with pytest.raises(RegimeError) as err:

@@ -24,6 +24,8 @@ from robustgd.errors import ConfigError
 # sha256 of the first 500 fuzz instances at seed 0 (m, d and b as int64, rows,
 # honest indices as int64, S): the seed must keep naming the same instances
 FIRST_500_DIGEST = "f944e703e4a39318cea8a1d81d8f95d2e8b2777e947381f3d11e8a50d87523b4"
+# the same at seed 7, taken before each instance's normals came from one generator call
+FIRST_500_DIGEST_SEED_7 = "6a4753c8a711a0062246cde9bf5cfa316f6ac161ad3bccc95e9ff9680f6980c6"
 
 
 @pytest.mark.parametrize("seed, detail", [
@@ -51,14 +53,16 @@ def test_fuzz_takes_an_integral_seed_as_its_int():
         assert verify.fuzz_screening_bound(n_instances=30, seed=seed) == expected
 
 
-def test_draw_keeps_the_per_instance_draws_instances():
+@pytest.mark.parametrize("seed, expected", [(0, FIRST_500_DIGEST), (7, FIRST_500_DIGEST_SEED_7)],
+                         ids=["0", "7"])
+def test_draw_keeps_the_per_instance_draws_instances(seed, expected):
     digest = hashlib.sha256()
-    for rows, honest, b, S in verify._screening_instances(500, seed=0):
+    for rows, honest, b, S in verify._screening_instances(500, seed=seed):
         digest.update(np.array([*rows.shape, b], np.int64).tobytes())
         digest.update(rows.tobytes())
         digest.update(np.flatnonzero(honest).astype(np.int64).tobytes())
         digest.update(S.tobytes())
-    assert digest.hexdigest() == FIRST_500_DIGEST
+    assert digest.hexdigest() == expected
 
 
 def test_fuzz_holds_one_instance_at_a_time():
