@@ -8,8 +8,9 @@ the current iterate. Three behaviors:
   to plain averaging.
 - intelligent: ratio * ||reference|| times a random unit direction; norm
   calibrated to slip past norm screening.
-- counterexample: negate the honest gradient at a chosen norm rank, so the
-  forgeries tie an honest norm and survive screening while cancelling it.
+- counterexample: negate the honest gradient at norm rank TARGET_RANK = 1
+  (the second smallest), so the forgeries tie an honest norm and survive
+  screening while cancelling it.
 
 Intelligent directions come from the run's ``DirectionBlocks``: one
 generator per byzantine worker, keyed by (rng_seed, worker). Round t's
@@ -26,13 +27,14 @@ takes one stream's B * d squares at a time.
 
 The attack of a batch of R runs that share the byzantine ids is fixed for
 the whole batch, so it is set up once, in an ``AttackPlan``: the runs
-grouped by kind, the aggressive factors stacked, every counterexample
-target_rank checked against the k honest workers and each intelligent run's
-``DirectionBlocks`` built. ``craft`` then does only a round's arithmetic:
-the aggressive rows are one product over the stacked references, the
-intelligent runs' reference norms one stacked dot, and the counterexample
-runs' honest norms are ranked in one stable argsort over the stack; each
-run's rows are bit-equal to a plan of that run alone.
+grouped by kind, the aggressive factors stacked, a counterexample batch
+checked for the TARGET_RANK + 1 honest workers it ranks (the runs share k)
+and each intelligent run's ``DirectionBlocks`` built. ``craft`` then does
+only a round's arithmetic: the aggressive rows are one product over the
+stacked references, the intelligent runs' reference norms one stacked dot,
+and the counterexample runs' rows one stable argsort of the honest norms
+over the stack and one gather; each run's rows are bit-equal to a plan of
+that run alone.
 """
 
 import logging
@@ -57,6 +59,8 @@ KINDS = (AGGRESSIVE, INTELLIGENT, COUNTEREXAMPLE)
 _DIRECTION_TAG = 0xA7
 # Rounds of intelligent directions a run draws at once, per stream
 DIRECTION_BLOCK_ROUNDS = 256
+# counterexample: the honest rank, in ascending norm order, whose gradient is negated
+TARGET_RANK = 1
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,6 @@ class AttackSpec:
     kind: str
     scale: float = 10.0        # aggressive: output = -scale * reference
     ratio: float = 0.8         # intelligent: output norm = ratio * ||reference||
-    target_rank: int = 1       # counterexample: honest rank in ascending norm order
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +75,6 @@ class AttackSpec:
             raise ConfigError(f"unknown attack kind {self.kind!r}, expected one of {KINDS}")
         for name in ("scale", "ratio"):
             object.__setattr__(self, name, require_positive(name, getattr(self, name)))
-        object.__setattr__(self, "target_rank", require_count("target_rank", self.target_rank, 0))
         object.__setattr__(self, "rng_seed", require_count("rng_seed", self.rng_seed, 0))
 
 
@@ -131,28 +133,28 @@ class AttackPlan:
     number of honest reports a round ranks, and ``rounds`` and ``dim`` are
     the runs' length and dimension. Each kind present keeps the index of its
     runs on the run axis (a plain slice when all R runs have it) and what its
-    rows need: the aggressive runs' stacked -scale factors, each intelligent
-    run's ratio and ``DirectionBlocks``, each counterexample run's
-    target_rank. A target_rank of k or more is refused here, before any round;
-    in a batch of more than one run the refusal names the run ("run r, ").
+    rows need: the aggressive runs' stacked -scale factors, each
+    intelligent run's ratio and ``DirectionBlocks``, and where each
+    counterexample run's k honest rows start in their flattened stack.
+    Counterexample runs with fewer than TARGET_RANK + 1 honest workers are
+    refused here, before any round.
     """
 
     def __init__(self, specs, workers, honest_count, rounds, dim):
         self.runs, self.workers = len(specs), list(workers)
         aggressive, intelligent, counterexample = (
             [r for r, spec in enumerate(specs) if spec.kind == kind] for kind in KINDS)
-        for r in counterexample:
-            if specs[r].target_rank >= honest_count:
-                run = f"run {r}, " if self.runs > 1 else ""
-                raise ConfigError(f"{run}target_rank={specs[r].target_rank} out of range for "
-                                  f"{honest_count} honest gradients")
+        if counterexample and honest_count <= TARGET_RANK:
+            raise ConfigError(f"the counterexample attack needs at least {TARGET_RANK + 1} "
+                              f"honest workers, got {honest_count}")
         self.aggressive = self._group(aggressive,
                                       np.array([[-specs[r].scale] for r in aggressive]))
         self.intelligent = self._group(intelligent, [
             (r, specs[r].ratio, DirectionBlocks(specs[r].rng_seed, workers, rounds, dim))
             for r in intelligent])
+        # the first row of each counterexample run's block in its flattened (.., d) honest rows
         self.counterexample = self._group(counterexample,
-                                          [(r, specs[r].target_rank) for r in counterexample])
+                                          np.arange(len(counterexample)) * honest_count)
 
     def _group(self, runs, entries):
         """(index of ``runs`` on the run axis, their ``entries``), or None if there are none."""
@@ -184,9 +186,10 @@ def craft(plan, honest_grads, references, iteration):
             else:
                 vectors, lengths = directions.round(iteration)
                 np.multiply(vectors, (ratio * norm / lengths)[:, None], out=rows[r])
-    if plan.counterexample:  # negate the honest gradient at the target norm rank
-        runs, entries = plan.counterexample
-        orders = row_norms(honest_grads[runs]).argsort(axis=-1, kind="stable")
-        for (r, rank), order in zip(entries, orders):
-            rows[r] = -honest_grads[r, order[rank]]
+    if plan.counterexample:  # negate each run's honest gradient at norm rank TARGET_RANK
+        runs, starts = plan.counterexample
+        honest = honest_grads[runs]
+        ranked = row_norms(honest).argsort(axis=-1, kind="stable")[:, TARGET_RANK]
+        targets = honest.reshape(-1, honest.shape[-1]).take(ranked + starts, axis=0)
+        rows[runs] = -targets[:, None]
     return rows

@@ -14,6 +14,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import attacks, shift
 from . import verify as verify_mod
 from .errors import ConfigError, DataFormatError
 from .experiments import (
@@ -46,9 +47,9 @@ def _add_config_flags(parser):
     parser.add_argument("--eta-z", dest="eta_z", type=float)
     parser.add_argument("--t-z", dest="t_z", type=int)
     parser.add_argument("--screen-count", dest="screen_count", type=int)
-    parser.add_argument("--attack", choices=["none", "aggressive", "intelligent", "counterexample"])
+    parser.add_argument("--attack", choices=("none", *attacks.KINDS))
     parser.add_argument("--alpha-m", dest="alpha_m", type=int)
-    parser.add_argument("--shift-norm", dest="shift_norm", choices=["l1", "l2"])
+    parser.add_argument("--shift-norm", dest="shift_norm", choices=(shift.L1, shift.L2))
     parser.add_argument("--shift-q", dest="shift_q", type=float)
     parser.add_argument("--allow-excess-byzantine", dest="allow_excess_byzantine",
                         action="store_true", default=None)

@@ -107,7 +107,7 @@ def standardize(train_features, test_features):
     """Center/scale each feature by training-split statistics.
 
     Zero-variance features map to 0 in both splits. Returns the transformed
-    matrices and the parameters used.
+    training and test matrices.
     """
     mean = train_features.mean(axis=0)
     std = train_features.std(axis=0)
@@ -118,7 +118,7 @@ def standardize(train_features, test_features):
     if dead.any():
         train_z[:, dead] = 0.0
         test_z[:, dead] = 0.0
-    return train_z, test_z, {"mean": mean.tolist(), "std": std.tolist()}
+    return train_z, test_z
 
 
 def even_shards(n, m):
@@ -139,7 +139,6 @@ class ShardedData:
     shards: list          # per-worker index arrays into the train matrices
     test_features: np.ndarray
     test_labels: np.ndarray
-    normalization: dict | None
     dropped: int          # tail rows removed for divisibility
 
 
@@ -154,7 +153,7 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedD
         raise ConfigError(f"m={m} workers exceed training size {train_idx.size}")
     train_X = ds.features[train_idx]
     test_X = ds.features[test_idx]
-    train_X, test_X, norm = standardize(train_X, test_X)
+    train_X, test_X = standardize(train_X, test_X)
     rng = np.random.default_rng([seed, 0xD2])
     order = rng.permutation(train_idx.size)
     shards, dropped = even_shards(train_idx.size, m)
@@ -167,7 +166,6 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedD
         shards=shards,
         test_features=test_X,
         test_labels=ds.labels[test_idx],
-        normalization=norm,
         dropped=dropped,
     )
 

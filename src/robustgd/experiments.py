@@ -353,9 +353,8 @@ def _train_and_score(points, variants, on_record, axis=None):
             try:
                 if trained is None or replace(trained, shift_q=cfg.shift_q) != cfg:
                     trained, (trace, effective, roster) = cfg, train(cfg, sharded)
-                    objective = honest_objective(LogisticLoss(), sharded.train_features,
-                                                 sharded.train_labels, roster, effective.dro,
-                                                 trace)
+                    objective = honest_objective(sharded.train_features, sharded.train_labels,
+                                                 roster, effective.dro, trace)
                     bounds = cfg.check_bounds and _diagnostic_bounds(
                         sharded, trace, effective, roster)
                 record = _record(cfg, sharded, trace, objective, bounds, axis)

@@ -7,15 +7,16 @@ numerical checks of the convergence bounds.
 
 A loss class gives its family's smoothness constants; it evaluates nothing
 itself. Every value and gradient the package uses is taken on the line its
-inner ascent keeps z on: ``surrogate.line_surrogate`` and
-``surrogate.quadratic_surrogate`` (gradients) and
-``surrogate.inner_objectives`` (values) at the ascent output, with zero
-ascent steps the plain loss and its parameter gradient, and
-``surrogate.exact_rows`` at the exact inner maximizer. The logistic ones are built from the
-branch-free ``sigmoid`` and the clipped ``cross_entropy`` below, except the
-steps of ``surrogate.line_ascent``, which evaluate eta_z * sigmoid(u) in
-place as eta_z / (1 + exp(-u)); the test shift works on the logistic
-margins (``shift.perturb_test_set``).
+inner ascent keeps z on. At the ascent output, the gradients are formed by
+``simulation.worker_reports`` from the coefficients of
+``surrogate.line_ascent`` or ``surrogate.quadratic_line_ascent``, and the
+logistic values by ``surrogate.inner_objectives``; with zero ascent steps
+they are the plain loss and its parameter gradient. At the exact inner
+maximizer they come from ``surrogate.exact_rows``. The logistic ones are
+built from the branch-free ``sigmoid`` and the clipped ``cross_entropy``
+below, except the steps of ``surrogate.line_ascent``, which evaluate
+eta_z * sigmoid(u) in place as eta_z / (1 + exp(-u)); the test shift works
+on the logistic margins (``shift.perturb_test_set``).
 """
 
 from dataclasses import dataclass

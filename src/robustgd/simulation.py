@@ -6,25 +6,28 @@ byzantine workers report crafted vectors instead. The server screens by
 norm, averages the survivors, and steps. Every shard holds the same number
 of rows (``validate_roster`` refuses unequal sizes), so before the loop the
 k honest shards are gathered once into one (k, n, d) block, and one batched
-ascent per round (``worker_reports``) serves every honest worker. That
+ascent per round serves every honest worker: ``worker_reports`` calls
+``surrogate.line_ascent`` or ``surrogate.quadratic_line_ascent`` itself. That
 ascent is a scalar recursion on a line through each row: one coefficient per
 row for the logistic loss, one coefficient shared by every row for the
 quadratic. A report is the worker's mean surrogate gradient and nothing
 else; it comes from those coefficients without an (n, d) perturbed matrix:
 for the logistic loss, the k gradient sums are one stacked product
 r_j^T X_j over the block (one matrix-vector product per worker) plus, when
-the ascent takes steps, segment sums of r * c times theta; for the
+the ascent takes steps, segment sums of r * c times theta, with
+r = sigmoid(theta . x + c * ||theta||^2) - y; for the
 quadratic, c * (1 + k) times segment sums of theta - x. A report that is
 not finite is refused in the round. The batch's attack is set up once,
-before round 0 (``AttackPlan``: the runs grouped by kind, every
-counterexample target_rank checked and each intelligent run's directions
-built, one generator per byzantine worker drawn a block of rounds at a
-time), and the byzantine rows of a round come from one ``craft`` call that
+before round 0 (``AttackPlan``: the runs grouped by kind, a counterexample
+batch checked for the two honest workers it ranks and each intelligent
+run's directions built, one generator per byzantine worker drawn a block
+of rounds at a time), and the byzantine rows of a round come from one ``craft`` call that
 only does the round's arithmetic; round t's direction is each generator's
 t-th vector, so a run of T rounds is the first T rounds of a longer one.
 With zero ascent steps (t_z = 0) the reports are the plain logistic
-gradient r_j^T X_j, and with screen_count = 0 the screen keeps every report
-without ranking them; both are bit-equal to the general path.
+gradient r_j^T X_j with r = sigmoid(theta . x) - y, and with
+screen_count = 0 the screen keeps every report without ranking them; both
+are bit-equal to the general path.
 Everything is deterministic for a fixed seed: worker order, reduction order,
 and attack randomness are all pinned, so two runs with the same config
 produce bit-identical traces.
@@ -40,8 +43,8 @@ run's own, so each run's trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
 The round loop runs only the algorithm: it forms no inner objective. The
-record's objective estimate, the mean honest-worker inner objective at the
-last iterate theta_{T-1}, is taken after the run by ``honest_objective``,
+record's objective estimate, the mean honest-worker logistic inner objective
+at the last iterate theta_{T-1}, is taken after the run by ``honest_objective``,
 over the same honest block and with the same ascent and reductions as a
 round would use. The trace records every iterate, so the diagnostics the
 bound checkers need (the true surrogate gradient and objective over all
@@ -60,9 +63,8 @@ import numpy as np
 from .aggregation import ScreenConfig, norm_screen
 from .attacks import AttackPlan, AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
-from .losses import LogisticLoss, QuadraticLoss
-from .surrogate import (DROConfig, exact_rows, inner_objectives, line_ascent, line_surrogate,
-                        quadratic_surrogate)
+from .losses import LogisticLoss, QuadraticLoss, sigmoid
+from .surrogate import DROConfig, exact_rows, inner_objectives, line_ascent, quadratic_line_ascent
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
 # cap, in floats, on each (B, n, d) temporary of the blocked diagnostics (256 kB):
@@ -179,17 +181,21 @@ def worker_reports(model, theta, X, Y, dro: DROConfig):
     ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, ``Y``
     the (k, n) labels and ``theta`` the (d,) iterate; or, for R runs at once,
     an (R, k, n, d) block, (R, k, n) labels and (R, d) iterates, each run's
-    reports bit-equal to its own call. One ascent runs over all the rows;
-    each worker's gradient is the loss gradient at the ascent output averaged
-    over its rows, evaluated from the line coefficients (``line_surrogate``,
-    ``quadratic_surrogate``) without forming the ascent output. A logistic
+    reports bit-equal to its own call. One ascent runs over all the rows
+    (``line_ascent``, ``quadratic_line_ascent``); each worker's gradient is
+    the loss gradient at the ascent output averaged over its rows, evaluated
+    from the line coefficients without forming the ascent output. A logistic
     worker's gradient sum is X_j^T r_j + (sum of r * c) * theta over its
-    rows, the first terms one stacked product over the block; at t_z = 0 the
-    coefficients are zero and the sum is X_j^T r_j alone. The quadratic sums
-    are segment sums. Returns a (k, d) gradient matrix, (R, k, d) for R runs;
-    a report that is not finite raises ``NumericError`` with the worker's
-    first row. A ``NumericError`` row indexes the block's rows in order: row
-    i lies in run i // (k * n) and in worker i % (k * n) // n of that run.
+    rows, with r = sigmoid(theta . x + c * ||theta||^2) - y, the first terms
+    one stacked product over the block; at t_z = 0, z = x, so r is the plain
+    sigmoid(theta . x) - y and the sum is X_j^T r_j alone (bit-equal to the
+    general formula: theta . x + 0 * ||theta||^2 differs from theta . x only
+    at -0.0, where sigmoid is 0.5 either way). A quadratic
+    worker's is c * (1 + k) times the segment sum of theta - x. Returns a
+    (k, d) gradient matrix, (R, k, d) for R runs; a report that is not
+    finite raises ``NumericError`` with the worker's first row. A
+    ``NumericError`` row indexes the block's rows in order: row i lies in
+    run i // (k * n) and in worker i % (k * n) // n of that run.
     """
     theta = np.asarray(theta, dtype=float)
     if (X.ndim not in (3, 4) or 0 in X.shape or Y.shape != X.shape[:-1]
@@ -202,14 +208,16 @@ def worker_reports(model, theta, X, Y, dro: DROConfig):
     starts = np.arange(0, k * n, n)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused below
         if isinstance(model, LogisticLoss):
-            r, c = line_surrogate(theta, rows, labels, dro)
+            margins, c, sq_norm = line_ascent(theta, rows, labels, dro)
+            # theta . z with z = x + c * theta, or z = x and no c term at t_z = 0
+            r = sigmoid(margins + c * sq_norm if dro.t_z else margins) - labels
             grad_sums = np.matmul(r.reshape(*runs, k, 1, n), X).reshape(*runs, k, d)
             if dro.t_z:
                 c_sums = np.add.reduceat(r * c, starts, axis=-1)
                 grad_sums += c_sums[..., None] * theta[..., None, :]
         else:
-            D, rate = quadratic_surrogate(model, theta, rows, dro)
-            grad_sums = rate * np.add.reduceat(D, starts, axis=-2)
+            line_k, D = quadratic_line_ascent(model, theta, rows, dro)  # z = x - k * D
+            grad_sums = model.curvature * (1.0 + line_k) * np.add.reduceat(D, starts, axis=-2)
         reports = grad_sums / n
     if not np.isfinite(reports).all():  # name each such worker's first row
         refused = np.flatnonzero(~np.isfinite(reports).all(axis=-1))
@@ -217,22 +225,23 @@ def worker_reports(model, theta, X, Y, dro: DROConfig):
     return reports
 
 
-def honest_objective(model, X, Y, roster, dro: DROConfig, trace):
-    """The mean honest-worker inner objective at the run's last iterate theta_{T-1}.
+def honest_objective(X, Y, roster, dro: DROConfig, trace):
+    """The mean honest-worker logistic inner objective at the run's last iterate theta_{T-1}.
 
-    ``X``, ``Y``, ``roster`` and ``dro`` are the run's own and ``trace`` its
-    ``RunTrace``. The honest block is gathered as ``train_runs`` gathers it,
-    and the per-row objectives (``inner_objectives``) are reduced as a round
-    would: a sum per worker over its rows divided by n, then a sum over the k
-    workers divided by k. A ``NumericError`` (a sum that overflows included)
-    names the iteration T - 1 and the worker. The inputs are taken as the
-    run's training validated them.
+    ``X``, ``Y``, ``roster`` and ``dro`` are those of a logistic run and
+    ``trace`` its ``RunTrace``. The honest block is gathered as
+    ``train_runs`` gathers it, and the per-row objectives
+    (``inner_objectives``) are reduced as a round would: a sum per worker
+    over its rows divided by n, then a sum over the k workers divided by k.
+    A ``NumericError`` (a sum that overflows included) names the iteration
+    T - 1 and the worker. The inputs are taken as the run's training
+    validated them.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     honest, honest_X, honest_Y = _honest_block(X[None], Y[None], [roster])
     _, k, n, d = honest_X.shape
     try:
-        objectives = inner_objectives(model, trace.iterates[-1:], honest_X.reshape(1, k * n, d),
+        objectives = inner_objectives(trace.iterates[-1:], honest_X.reshape(1, k * n, d),
                                       honest_Y.reshape(1, k * n), dro)
         with np.errstate(over="ignore"):  # an overflowing sum is refused below
             sums = np.add.reduceat(objectives, np.arange(0, k * n, n), axis=-1)
@@ -275,11 +284,13 @@ def train_runs(model, X, Y, rosters, cfgs):
     share m, the byzantine ids, the shard row count, screen_count, dro and
     iterations (``ConfigError`` naming the field and the run); each keeps its
     own data, shards, eta, seed or theta0 and attack. With byzantine
-    workers the batch builds one ``AttackPlan`` before round 0, and each
-    round makes one ``craft`` call, over the stack of every run's honest
-    reports, and one ``norm_screen`` call, however many runs there are. In
-    a batch of more than one run, an error a run raises names it ("run r, "),
-    so a ``NumericError`` names the run, the iteration and the worker.
+    workers the batch builds one ``AttackPlan`` before round 0 (its
+    refusal of a counterexample batch with too few honest workers holds for
+    every run, so it names none), and each round makes one ``craft`` call,
+    over the stack of every run's honest reports, and one ``norm_screen``
+    call, however many runs there are. In a batch of more than one run, an
+    error a run raises names it ("run r, "), so a ``NumericError`` names the
+    run, the iteration and the worker.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

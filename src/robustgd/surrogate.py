@@ -17,25 +17,24 @@ each family):
   once, after the last step. The rows may be a whole (k, n, d) block of k
   workers' shards flattened to k * n rows, so one call serves every honest
   worker of a training round; with one iterate per run, (R, d) against
-  (R, k * n, d) rows, one call serves the round of R runs. ``line_surrogate``
-  gives the theta-gradient at the ascent output from the margins theta . x
-  and the coefficients c alone: theta . z = theta . x + c * ||theta||^2,
-  and the gradient is r * x + (r * c) * theta with r = sigmoid(theta . z) - y.
-  With zero steps (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is
-  returned without the step setup or its check, and r is the plain
-  sigmoid(theta . x) - y, bit-equal to the general formula, whose c term is
-  exactly zero there.
+  (R, k * n, d) rows, one call serves the round of R runs. It returns the
+  margins theta . x, the coefficients c and ||theta||^2, from which the
+  caller (``simulation.worker_reports``) forms the theta-gradient at the
+  ascent output: theta . z = theta . x + c * ||theta||^2, and the gradient
+  is r * x + (r * c) * theta with r = sigmoid(theta . z) - y. With zero
+  steps (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is returned
+  without the step setup or its check.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
   z = x + k * (x - theta) with one coefficient k shared by every row.
-  ``quadratic_line_ascent`` runs it; ``quadratic_surrogate`` gives the row
-  theta-gradient c * (1 + k) * (theta - x).
+  ``quadratic_line_ascent`` runs it, and the row theta-gradient is
+  c * (1 + k) * (theta - x).
 
-The training round needs only the gradients. The penalized inner objective
-at the ascent output, f(theta; z) - lam * ||z - x||^2 / 2, comes from its own
-call (``inner_objectives``, which runs the same ascent): for the logistic
-loss the cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2, the
-plain cross-entropy at t_z = 0; for the quadratic
-(c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2.
+The training round needs only the gradients. The logistic penalized inner
+objective at the ascent output, f(theta; z) - lam * ||z - x||^2 / 2, comes
+from its own call (``inner_objectives``, which runs the same ascent): the
+cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2, the plain
+cross-entropy at t_z = 0. It backs the record's final objective estimate,
+which only the experiments' logistic runs take.
 
 Over a leading run axis, or a block of iterates, every product is the
 stacked form of the iterate's own (a (1, d) @ (d, 1) dot for ||theta||^2,
@@ -131,47 +130,19 @@ def _line_steps(margins, sq_norm, Y, cfg, check):
     return c
 
 
-def line_surrogate(theta, X, Y, cfg):
-    """The logistic surrogate gradient per row at the ascent output, without forming z.
+def inner_objectives(theta, X, Y, cfg):
+    """The logistic penalized inner objective per row at the ascent output, without forming z.
 
-    Returns (r, c): r = sigmoid(theta . z) - y and the line coefficients c of
-    z = x + c * theta, so the row's theta-gradient is r * x + (r * c) * theta.
-    With cfg.t_z = 0, r is the plain sigmoid(theta . x) - y, without the c
-    term, which is exactly zero: the margins plus 0 * ||theta||^2 differ only
-    at -0.0, where sigmoid is 0.5 either way.
+    f(theta; z) - lam * ||z - x||^2 / 2 after the cfg.t_z ascent steps of
+    ``line_ascent``, for ``theta`` and ``X`` as it takes them:
+    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, whose
+    c terms are exactly zero at cfg.t_z = 0, so the plain cross-entropy's
+    bits. A row whose objective overflows raises ``NumericError`` as a
+    divergence of the last step.
     """
     Y = np.asarray(Y, dtype=float)
     margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-    if cfg.t_z == 0:
-        return sigmoid(margins) - Y, c
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing u saturates sigmoid
-        return sigmoid(margins + c * sq_norm) - Y, c
-
-
-def inner_objectives(model, theta, X, Y, cfg):
-    """The penalized inner objective per row at the ascent output, without forming z.
-
-    f(theta; z) - lam * ||z - x||^2 / 2 after the cfg.t_z ascent steps of
-    ``line_ascent`` or ``quadratic_line_ascent``, for ``theta`` and ``X`` as
-    they take them (``Y`` is unused by the quadratic family). Logistic:
-    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, whose
-    c terms are exactly zero at cfg.t_z = 0, so the plain cross-entropy's
-    bits. Quadratic:
-    (c * (1 + k)^2 - lam * k^2) / 2 * ||theta - x||^2. A row whose objective
-    overflows raises ``NumericError`` as a divergence of the last step.
-    """
-    if isinstance(model, QuadraticLoss):
-        k, D = quadratic_line_ascent(model, theta, X, cfg)
-        c, lam = model.curvature, float(cfg.lam)
-        weight = 0.5 * (c * (1.0 + k) * (1.0 + k) - lam * k * k)
-        if not math.isfinite(weight):
-            raise NumericError(f"inner ascent diverged at step {cfg.t_z}", rows=_moving_rows(D))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            objectives = weight * np.einsum("...ij,...ij->...i", D, D)
-    else:
-        Y = np.asarray(Y, dtype=float)
-        margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-        _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
+    _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
     _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
     return objectives
 
@@ -226,22 +197,9 @@ def quadratic_line_ascent(model, theta, X, cfg):
         for step in range(1, cfg.t_z + 1):
             k += eta * (c * (1.0 + k) - lam * k)
             if not math.isfinite(k):
-                raise NumericError(f"inner ascent diverged at step {step}", rows=_moving_rows(D))
+                raise NumericError(f"inner ascent diverged at step {step}",
+                                   rows=np.flatnonzero(D.any(axis=-1)))
     return k, D
-
-
-def quadratic_surrogate(model, theta, X, cfg):
-    """The quadratic surrogate gradient per row at the ascent output, without forming z.
-
-    Returns (D, g): D = theta - X and the scalar g = c * (1 + k), so row i's
-    theta-gradient is g * D_i.
-    """
-    k, D = quadratic_line_ascent(model, theta, X, cfg)
-    return D, model.curvature * (1.0 + k)
-
-
-def _moving_rows(D):
-    return np.flatnonzero(D.any(axis=-1))
 
 
 def _check_rows(A, message, vectors=False):

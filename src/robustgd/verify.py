@@ -54,7 +54,7 @@ from .bounds import (
     surrogate_smoothness,
 )
 from .data import even_shards, quadratic_cloud
-from .errors import ConfigError, require_count
+from .errors import require_count
 from .losses import QuadraticLoss
 from .simulation import (
     DROConfig,
@@ -195,27 +195,27 @@ DEVIATION_ROUNDS = 120
 RATE_HORIZONS = (50, 200)
 
 
-def _deviation_uses(n_seeds, iterations):
-    return [(seed, "aggressive", iterations) for seed in range(n_seeds)]
+def _deviation_uses(n_seeds):
+    return [(seed, "aggressive", DEVIATION_ROUNDS) for seed in range(n_seeds)]
 
 
 def _rate_attack(seed):
     return "aggressive" if seed % 2 == 0 else "counterexample"
 
 
-def _rate_uses(n_seeds, horizons):
-    return [(seed, _rate_attack(seed), T) for seed in range(n_seeds) for T in horizons]
+def _rate_uses(n_seeds):
+    return [(seed, _rate_attack(seed), T) for seed in range(n_seeds) for T in RATE_HORIZONS]
 
 
-def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
-    """Aggregated-gradient deviation bound at every iteration, across seeds.
+def deviation_trace_suite(n_seeds=20, runs=None):
+    """Aggregated-gradient deviation bound at each of DEVIATION_ROUNDS iterations, across seeds.
 
     The detail line ends with the tightest iteration's ||G - grad F|| / bound.
     ``runs`` is a ``_shared_runs`` map that holds this suite's uses; by
     default the suite builds its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    uses = _deviation_uses(n_seeds, iterations)
+    uses = _deviation_uses(n_seeds)
     runs = _shared_runs(uses) if runs is None else runs
     worst, tightest = np.inf, 0.0
     bad = 0
@@ -226,32 +226,31 @@ def deviation_trace_suite(n_seeds=20, iterations=DEVIATION_ROUNDS, runs=None):
             tightest = max(tightest, report.measured_value / report.bound_value)
             bad += 0 if report.satisfied else 1
     return SuiteResult(
-        name=f"aggregate deviation trace check ({n_seeds} seeds x {iterations} iters)",
+        name=f"aggregate deviation trace check ({n_seeds} seeds x {DEVIATION_ROUNDS} iters)",
         passed=bad == 0,
         detail=(f"violations={bad}, worst margin={worst:.3e}, "
                 f"max ||G-grad F||/bound={tightest:.4f}"),
     )
 
 
-def rate_bound_suite(n_seeds=20, horizons=RATE_HORIZONS, runs=None):
+def rate_bound_suite(n_seeds=20, runs=None):
     """Average-gradient, objective-gap, and iterate-distance bounds on tracked runs.
 
-    Even seeds run the aggressive attack, odd seeds the counterexample; the
-    reference optimum is solved once per seed, for all horizons. ``runs`` is
+    Even seeds run the aggressive attack, odd seeds the counterexample; each
+    is checked at every horizon of RATE_HORIZONS, and the reference optimum is
+    solved once per seed, for all of them. ``runs`` is
     a ``_shared_runs`` map that holds this suite's uses; by default the suite
     builds its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    if not horizons:
-        raise ConfigError("horizons must not be empty")
-    runs = _shared_runs(_rate_uses(n_seeds, horizons)) if runs is None else runs
+    runs = _shared_runs(_rate_uses(n_seeds)) if runs is None else runs
     worst = np.inf
     bad = 0
     checks = 0
     for seed in range(n_seeds):
         model, X, Y, run, inputs = runs[seed, _rate_attack(seed)]
         theta_star, f_star = solve_reference_optimum(model, X, Y, inputs.lam)
-        for T in horizons:
+        for T in RATE_HORIZONS:
             trace = run.prefix(T)
             loaded = replace(
                 inputs, eps=float(trace.inner_eps.max()),
@@ -293,7 +292,7 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
         roster = WorkerRoster(
             shards=shards,
             byzantine=tuple(range(byz_count)),
-            attack=AttackSpec(kind="counterexample", target_rank=1, rng_seed=seed),
+            attack=AttackSpec(kind="counterexample", rng_seed=seed),
         )
         cfg = TrainConfig(
             eta=1.0 / l_f,
@@ -332,8 +331,7 @@ def run_all(fuzz_instances=10_000, n_seeds=20):
     """
     fuzz_instances = require_count("fuzz_instances", fuzz_instances, 1)
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    runs = _shared_runs(_deviation_uses(n_seeds, DEVIATION_ROUNDS)
-                        + _rate_uses(n_seeds, RATE_HORIZONS))
+    runs = _shared_runs(_deviation_uses(n_seeds) + _rate_uses(n_seeds))
     return [
         fuzz_screening_bound(n_instances=fuzz_instances),
         deviation_trace_suite(n_seeds=n_seeds, runs=runs),

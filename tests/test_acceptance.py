@@ -27,16 +27,18 @@ from robustgd.experiments import (
     write_records,
 )
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
+from robustgd.simulation import worker_reports
 from robustgd.surrogate import (
     DROConfig,
     contraction_factor,
     exact_rows,
     quadratic_line_ascent,
-    quadratic_surrogate,
     required_iterations,
     theoretical_ascent_step,
 )
 from robustgd.verify import (
+    DEVIATION_ROUNDS,
+    RATE_HORIZONS,
     breakpoint_demo,
     deviation_trace_suite,
     fuzz_screening_bound,
@@ -123,9 +125,10 @@ def test_criterion_3_envelope_gradient_agreement():
         d = int(rng.integers(1, 7))
         theta, x = rng.standard_normal((2, d))
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=200)
-        D, rate = quadratic_surrogate(model, theta, x.reshape(1, -1), cfg)
+        # one worker holding the one row x: its report is the row's surrogate gradient
+        [report] = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), cfg)
         np.testing.assert_allclose(
-            rate * D[0], lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
+            report, lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
         )
 
     # logistic: the gradient at the exact maximizer against central
@@ -188,7 +191,8 @@ def test_criterion_4_inner_maximizer_rate():
 
 
 def test_criterion_5_aggregate_deviation_along_traces():
-    result = deviation_trace_suite(n_seeds=20, iterations=120)
+    assert DEVIATION_ROUNDS == 120
+    result = deviation_trace_suite(n_seeds=20)
     assert result.passed, result.detail
     announce(5, result.detail)
 
@@ -201,7 +205,8 @@ def test_criterion_6_rate_bounds_and_contraction_threshold():
     l_f = lam / (lam - 1.0) * 1.0
     assert 1.0 / l_f == pytest.approx(2.0 / (l_f + l_f))
 
-    result = rate_bound_suite(n_seeds=20, horizons=(50, 200))
+    assert RATE_HORIZONS == (50, 200)
+    result = rate_bound_suite(n_seeds=20)
     assert result.passed, result.detail
 
     # the contraction needs c_alpha < lambda_F / L_F (alpha = beta below 1/(1 + 2 L_F/lambda_F))

@@ -8,6 +8,7 @@ import pytest
 from robustgd.aggregation import norm_screen, row_norms
 from robustgd.attacks import (
     DIRECTION_BLOCK_ROUNDS,
+    TARGET_RANK,
     AttackPlan,
     AttackSpec,
     DirectionBlocks,
@@ -206,23 +207,31 @@ class TestDirectionBlocks:
 class TestCounterexample:
     def test_negates_the_rank_one_honest_gradient(self):
         # honest norms ascending: 1, 2, 3, 4, 5, 6 -> rank 1 is the value 2
-        spec = AttackSpec(kind="counterexample", target_rank=1)
+        assert TARGET_RANK == 1
+        spec = AttackSpec(kind="counterexample")
         run = crafter(spec, [0, 1], honest_count=6)
         out = run(honest_scalars(6, 5, 4, 3, 2, 1), np.array([3.5]), 0)
         np.testing.assert_array_equal(out, [[-2.0], [-2.0]])
 
     def test_all_forgeries_survive_screening_in_the_ten_input_instance(self):
-        spec = AttackSpec(kind="counterexample", target_rank=1)
+        spec = AttackSpec(kind="counterexample")
         honest = honest_scalars(6, 5, 4, 3, 2, 1)
         forgeries = crafter(spec, range(4), honest_count=6)(honest, np.array([3.5]), 0)
         out, _ = norm_screen(np.vstack([forgeries, honest]), 4)
         # kept set is {-2, -2, -2, -2, 2, 1}: forgeries dominate the average
         assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
 
-    def test_rank_out_of_range_is_refused_by_the_plan(self):
-        spec = AttackSpec(kind="counterexample", target_rank=6)
-        with pytest.raises(ConfigError, match="^target_rank=6 out of range for 3 honest"):
-            AttackPlan([spec], [0], 3, 1, 1)
+    def test_the_target_rank_is_a_module_constant_not_a_spec_field(self):
+        with pytest.raises(TypeError, match="target_rank"):
+            AttackSpec(kind="counterexample", target_rank=1)
+
+    def test_one_honest_worker_is_refused_by_the_plan(self):
+        specs = [AttackSpec(kind="aggressive"), AttackSpec(kind="counterexample")]
+        with pytest.raises(ConfigError, match="^the counterexample attack needs at least 2 "
+                                              "honest workers, got 1$"):
+            AttackPlan(specs, [0], 1, 1, 1)
+        AttackPlan(specs, [0], 2, 1, 1)
+        AttackPlan(specs[:1], [0], 1, 1, 1)  # only the counterexample ranks the honest norms
 
 
 class TestStacked:
@@ -231,9 +240,9 @@ class TestStacked:
     SPECS = (
         AttackSpec(kind="aggressive", scale=2.5),
         AttackSpec(kind="intelligent", ratio=0.3, rng_seed=4),
-        AttackSpec(kind="counterexample", target_rank=0),
+        AttackSpec(kind="counterexample"),
         AttackSpec(kind="aggressive", scale=7.0),
-        AttackSpec(kind="counterexample", target_rank=3),
+        AttackSpec(kind="counterexample"),
         AttackSpec(kind="intelligent", ratio=0.9, rng_seed=6),
     )
 
@@ -244,7 +253,8 @@ class TestStacked:
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             for t in range(rounds):
                 honest = rng.standard_normal((R, k, d)) * rng.uniform(0.5, 2.0, (R, k, 1))
-                honest[4, 1] = -honest[4, 3]  # a norm tie around the target rank
+                honest[4, 3] *= 1e-3
+                honest[4, 1] = -honest[4, 3]  # a norm tie at ranks 0 and 1
                 references = rng.standard_normal((R, d))
                 if t == 2:
                     references[1] = 0.0  # one intelligent run's round degenerates
@@ -258,11 +268,24 @@ class TestStacked:
         assert [rec.getMessage() for rec in caplog.records] == 2 * [
             "intelligent attack degenerate: zero reference at iteration 2, workers [1, 4, 6]"]
 
-    def test_a_batch_checks_every_runs_target_rank(self):
-        specs = [AttackSpec(kind="counterexample", target_rank=1),
-                 AttackSpec(kind="counterexample", target_rank=3)]
-        with pytest.raises(ConfigError, match="^run 1, target_rank=3 out of range for 3 honest"):
-            AttackPlan(specs, [0], 3, 1, 1)
+    @pytest.mark.parametrize("kinds", [
+        ("counterexample", "aggressive", "counterexample"),  # a list of runs on the run axis
+        ("counterexample", "counterexample", "counterexample"),  # every run: a slice
+        ("aggressive", "counterexample", "intelligent"),  # one run, inside the batch
+        ("intelligent", "aggressive", "counterexample"),  # one run, last, with the tie
+    ])
+    def test_counterexample_rows_are_the_per_run_loop(self, rng, kinds):
+        k, d, workers = 6, 4, (0, 2, 7)
+        plan = AttackPlan([AttackSpec(kind=kind) for kind in kinds], workers, k, 1, d)
+        honest = rng.standard_normal((3, k, d)) * rng.uniform(0.5, 2.0, (3, k, 1))
+        honest[2, 0] *= 1e-3
+        honest[2, 4] = -honest[2, 0]  # a norm tie at ranks 0 and 1
+        rows = craft(plan, honest, rng.standard_normal((3, d)), 0)
+        for r, kind in enumerate(kinds):
+            if kind == "counterexample":
+                order = row_norms(honest[r]).argsort(kind="stable")
+                expected = np.tile(-honest[r, order[TARGET_RANK]], (len(workers), 1))
+                np.testing.assert_array_equal(rows[r].view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -275,8 +298,6 @@ class TestStacked:
     (dict(ratio=float("inf")), "ratio must be finite and positive, got inf"),
     (dict(ratio=True), "ratio must be finite and positive, got True"),
     (dict(ratio=None), "ratio must be finite and positive, got None"),
-    (dict(target_rank=-1), "target_rank must be >= 0, got -1"),
-    (dict(target_rank=1.5), "target_rank must be an integer count, got 1.5"),
     (dict(rng_seed=-1), "rng_seed must be >= 0, got -1"),
     (dict(rng_seed=1.5), "rng_seed must be an integer count, got 1.5"),
 ])
@@ -292,6 +313,5 @@ def test_real_fields_are_stored_as_floats():
 
 
 def test_integral_counts_are_stored_as_ints():
-    spec = AttackSpec(kind="counterexample", target_rank=2.0, rng_seed=np.int64(7))
-    assert (spec.target_rank, spec.rng_seed) == (2, 7)
-    assert type(spec.target_rank) is int and type(spec.rng_seed) is int
+    spec = AttackSpec(kind="counterexample", rng_seed=np.int64(7))
+    assert spec.rng_seed == 7 and type(spec.rng_seed) is int

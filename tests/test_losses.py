@@ -7,30 +7,34 @@ import pytest
 
 from conftest import central_difference, logistic_grads_z, quadratic_grads_z
 from robustgd.errors import ConfigError, NumericError
-from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants, sigmoid
-from robustgd.surrogate import DROConfig, inner_objectives, line_surrogate, quadratic_surrogate
+from robustgd.losses import (LogisticLoss, QuadraticLoss, SmoothnessConstants, cross_entropy,
+                             sigmoid)
+from robustgd.surrogate import DROConfig, line_ascent, quadratic_line_ascent
 
 # With zero ascent steps z = x, so the surrogate per row is the plain loss
-# and its theta-gradient: the losses are checked on the formulas that ship.
+# and its theta-gradient: the losses are checked on the line ascents' outputs
+# (the margins theta . x, and theta - x) with the formulas they feed.
 PLAIN = DROConfig(lam=1.0, t_z=0)
 
 
 def logistic_values(theta, Z, Y):
-    return inner_objectives(LogisticLoss(), theta, Z, Y, PLAIN)
+    margins, _, _ = line_ascent(theta, Z, Y, PLAIN)
+    return cross_entropy(sigmoid(margins), Y)
 
 
 def logistic_grads_theta(theta, Z, Y):
-    r, c = line_surrogate(theta, Z, Y, PLAIN)
-    return r[:, None] * Z + (r * c)[:, None] * theta
+    margins, _, _ = line_ascent(theta, Z, Y, PLAIN)
+    return (sigmoid(margins) - Y)[:, None] * Z
 
 
 def quadratic_values(model, theta, Z, Y=None):
-    return inner_objectives(model, theta, Z, Y, PLAIN)
+    _, D = quadratic_line_ascent(model, theta, Z, PLAIN)
+    return 0.5 * model.curvature * np.einsum("ij,ij->i", D, D)
 
 
 def quadratic_grads_theta(model, theta, Z, Y=None):
-    D, rate = quadratic_surrogate(model, theta, Z, PLAIN)
-    return rate * D
+    k, D = quadratic_line_ascent(model, theta, Z, PLAIN)
+    return model.curvature * (1.0 + k) * D
 
 
 def row(batch_fn, theta, z, y=0.0):

@@ -43,8 +43,7 @@ from robustgd.surrogate import (
     exact_rows,
     inner_objectives,
     line_ascent,
-    line_surrogate,
-    quadratic_surrogate,
+    quadratic_line_ascent,
     surrogate_state,
     theoretical_ascent_step,
 )
@@ -61,25 +60,30 @@ def plain_config(eta, iterations, dro, screen_count=0, **kwargs):
 
 
 def per_worker_reports(model, theta, X, Y, dro):
-    """Reference reports: one product r_j @ X_j per worker plus sequential segment sums."""
+    """Reference reports: one product r_j @ X_j per worker plus sequential segment sums.
+
+    The logistic residual is the general r = sigmoid(theta . x + c * ||theta||^2) - y
+    at every t_z, so at t_z = 0 (c = 0) it checks the reports' plain residual.
+    """
     k, n, d = X.shape
     rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
     starts = np.arange(0, k * n, n)
     if isinstance(model, LogisticLoss):
-        r, c = line_surrogate(theta, rows, labels, dro)
+        margins, c, sq_norm = line_ascent(theta, rows, labels, dro)
+        r = sigmoid(margins + c * sq_norm) - labels
         grad_sums = np.add.reduceat(r * c, starts)[:, None] * theta
         for j, s in enumerate(starts):
             grad_sums[j] += r[s:s + n] @ rows[s:s + n]
     else:
-        D, rate = quadratic_surrogate(model, theta, rows, dro)
-        grad_sums = rate * np.add.reduceat(D, starts, axis=0)
+        line_k, D = quadratic_line_ascent(model, theta, rows, dro)
+        grad_sums = model.curvature * (1.0 + line_k) * np.add.reduceat(D, starts, axis=0)
     return grad_sums / n
 
 
-def worker_objectives(model, theta, X, Y, dro):
-    """Each worker's mean inner objective over its rows of a (k, n, d) block."""
+def worker_objectives(theta, X, Y, dro):
+    """Each worker's mean logistic inner objective over its rows of a (k, n, d) block."""
     k, n, d = X.shape
-    objectives = inner_objectives(model, theta, X.reshape(k * n, d), Y.reshape(k * n), dro)
+    objectives = inner_objectives(theta, X.reshape(k * n, d), Y.reshape(k * n), dro)
     return np.add.reduceat(objectives, np.arange(0, k * n, n)) / n
 
 
@@ -123,14 +127,17 @@ class TestWorkerGradient:
         X = rng.standard_normal((4, 3, 4))
         Y = rng.integers(0, 2, size=(4, 3)).astype(float)
         grads = worker_reports(model, theta, X, Y, dro)
-        objs = worker_objectives(model, theta, X, Y, dro)
-        assert grads.shape == (4, 4) and objs.shape == (4,)
+        assert grads.shape == (4, 4)
         for j in range(4):
             Z = ascent_rows(model, theta, X[j], Y[j], dro)
             np.testing.assert_allclose(grads[j], loss_grads_theta(model, theta, Z, Y[j]).mean(0),
                                        rtol=0, atol=1e-14)
-            obj = penalized_objectives(model, theta, Z, Y[j], X[j], dro.lam).mean()
-            assert objs[j] == pytest.approx(obj, rel=0, abs=1e-14)
+        if isinstance(model, LogisticLoss):  # the objectives are the logistic family's only
+            objs = worker_objectives(theta, X, Y, dro)
+            for j in range(4):
+                Z = ascent_rows(model, theta, X[j], Y[j], dro)
+                obj = penalized_objectives(model, theta, Z, Y[j], X[j], dro.lam).mean()
+                assert objs[j] == pytest.approx(obj, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("model", [LogisticLoss(), QuadraticLoss(1.0)],
                              ids=["logistic", "quadratic"])
@@ -142,6 +149,17 @@ class TestWorkerGradient:
         Y = rng.integers(0, 2, size=(17, 153)).astype(float)
         grads = worker_reports(model, theta, X, Y, dro)
         np.testing.assert_array_equal(grads, per_worker_reports(model, theta, X, Y, dro))
+
+    @pytest.mark.parametrize("sq_norm", [0.0, 2.5])
+    def test_zero_steps_give_the_general_residuals_bits(self, rng, monkeypatch, sq_norm):
+        # a BLAS product never gives a margin of -0.0, so _margins hands these over
+        margins = np.tile([-0.0, 0.0, 800.0, -800.0], 2)
+        monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
+        X, Y = rng.standard_normal((2, 4, 3)), np.repeat([0.0, 1.0], 4).reshape(2, 4)
+        dro = DROConfig(3.0, 0.05, 0)
+        grads = worker_reports(LogisticLoss(), np.ones(3), X, Y, dro)
+        expected = per_worker_reports(LogisticLoss(), np.ones(3), X, Y, dro)
+        np.testing.assert_array_equal(grads.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("x_shape, y_shape", [((5, 2), (5,)), ((2, 0, 2), (2, 0)),
                                                   ((0, 3, 2), (0, 3)), ((2, 2, 2), (2, 3))])
@@ -182,7 +200,7 @@ class TestLogisticMarginPath:
         theta, X, Y = self.data(rng, shape, theta_norm=theta_norm)
         dro = DROConfig(3.0, 0.05, t_z)
         grads = worker_reports(self.model, theta, X, Y, dro)
-        objs = worker_objectives(self.model, theta, X, Y, dro)
+        objs = worker_objectives(theta, X, Y, dro)
         ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(objs, ref_objs, rtol=1e-12)
@@ -192,7 +210,7 @@ class TestLogisticMarginPath:
         # the objectives share the reference's reduceat
         theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        objs = worker_objectives(self.model, theta, X, Y, dro)
+        objs = worker_objectives(theta, X, Y, dro)
         _, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_array_equal(objs, ref_objs)
 
@@ -259,9 +277,7 @@ class TestQuadraticLineReports:
         rows, starts = X.reshape(k * n, d), np.arange(0, k * n, n)
         grads_z = partial(quadratic_grads_z, curvature=model.curvature)
         Z = rowwise_ascent(grads_z, theta, rows, None, dro, dro.t_z)
-        grads = np.add.reduceat(loss_grads_theta(model, theta, Z, None), starts, axis=0)
-        objs = np.add.reduceat(penalized_objectives(model, theta, Z, None, rows, dro.lam), starts)
-        return grads / n, objs / n
+        return np.add.reduceat(loss_grads_theta(model, theta, Z, None), starts, axis=0) / n
 
     @pytest.mark.parametrize("t_z", [0, 1, 6, 40, 400])
     @pytest.mark.parametrize("curvature", [0.5, 1.0, 1.5])
@@ -272,25 +288,7 @@ class TestQuadraticLineReports:
         X = rng.standard_normal((4, 3, 6))
         theta = rng.standard_normal(6)
         grads = worker_reports(model, theta, X, np.zeros((4, 3)), dro)
-        objs = worker_objectives(model, theta, X, np.zeros((4, 3)), dro)
-        ref_grads, ref_objs = self.oracle_reports(model, theta, X, dro)
-        np.testing.assert_allclose(grads, ref_grads, rtol=1e-13)
-        np.testing.assert_allclose(objs, ref_objs, rtol=1e-13)
-
-    @pytest.mark.parametrize("t_z, rows", [(60, [2]), (100, [1, 2])])
-    def test_overflowing_objectives_name_their_rows(self, t_z, rows):
-        # k ~ 49^t_z. At 60 steps k ~ 1e101 and k^2 ~ 1e203 are finite and only
-        # the far row's objective, ~ 1e203 * 1e200, overflows; at 100 steps
-        # k^2 ~ 1e338 overflows for every row that moves, but not for rows 0 and 3 at theta.
-        # The reports themselves stay finite: c * (1 + k) times a sum of theta - x
-        X = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1e100, 0.0], [0.0, 0.0]]])
-        dro = DROConfig(2.0, 50.0, t_z)
-        if t_z == 60:
-            assert np.isfinite(worker_reports(QuadraticLoss(1.0), np.zeros(2), X,
-                                              np.zeros((2, 2)), dro)).all()
-        with pytest.raises(NumericError, match=f"inner ascent diverged at step {t_z}") as err:
-            inner_objectives(QuadraticLoss(1.0), np.zeros(2), X.reshape(4, 2), None, dro)
-        np.testing.assert_array_equal(err.value.rows, rows)
+        np.testing.assert_allclose(grads, self.oracle_reports(model, theta, X, dro), rtol=1e-13)
 
 
 class TestRunTraining:
@@ -668,17 +666,21 @@ class TestTrainRuns:
         run_training(model, X[0], Y[0], WorkerRoster(shards=rosters[0].shards), cfgs[0])
         assert len(built) == 1
 
-    def test_an_out_of_range_target_rank_is_refused_before_round_0(self, monkeypatch):
-        model, X, Y, rosters, cfgs = batch_problem("quadratic", "counterexample", 3)
-        rosters[1] = replace(rosters[1], attack=replace(rosters[1].attack, target_rank=10))
+    def test_a_counterexample_roster_with_one_honest_worker_is_refused_before_round_0(
+            self, monkeypatch):
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3, m=4)
+        kinds = ("aggressive", "counterexample", "intelligent")
+        rosters = [replace(roster, byzantine=(0, 1, 3), allow_excess_byzantine=True,
+                           attack=replace(roster.attack, kind=kind))
+                   for roster, kind in zip(rosters, kinds)]
+        assert [len(roster.honest) for roster in rosters] == [1, 1, 1]
         calls = []
         monkeypatch.setattr(simulation, "worker_reports", lambda *args: calls.append(args))
-        with pytest.raises(ConfigError, match="^run 1, target_rank=10 out of range for 10 "
-                                              "honest gradients$"):
+        # the runs of a batch share k, so the refusal names no run
+        message = "^the counterexample attack needs at least 2 honest workers, got 1$"
+        with pytest.raises(ConfigError, match=message):
             train_runs(model, X, Y, rosters, cfgs)
-        # a run alone is not named
-        with pytest.raises(ConfigError, match="^target_rank=10 out of range for 10 honest "
-                                              "gradients$"):
+        with pytest.raises(ConfigError, match=message):
             run_training(model, X[1], Y[1], rosters[1], cfgs[1])
         assert calls == []
 
@@ -781,42 +783,39 @@ class TestHonestObjective:
     """The final objective estimate is taken after the run; the rounds form no objective."""
 
     @pytest.mark.parametrize("R", [1, 3])
-    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    def test_the_estimate_is_the_mean_of_the_honest_workers_means(self, kind, R):
+    def test_the_estimate_is_the_mean_of_the_honest_workers_means(self, R):
         # at t_z = 0, z = x, so the oracle's explicit rows give the objectives' bits
-        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", R, t_z=0)
+        model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", R, t_z=0)
         for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
-            got = honest_objective(model, X[r], Y[r], rosters[r], cfgs[r].dro, trace)
+            got = honest_objective(X[r], Y[r], rosters[r], cfgs[r].dro, trace)
             assert_same_bits(got, mean_of_means(model, X[r], Y[r], rosters[r], cfgs[r].dro,
                                                 trace.iterates[-1]), f"run {r}")
 
     @pytest.mark.parametrize("R", [1, 3])
-    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    def test_after_ascent_steps_the_estimate_is_the_rounds_reduction(self, kind, R):
+    def test_after_ascent_steps_the_estimate_is_the_rounds_reduction(self, R):
         # the mean of the workers' row means at the last iterate, bit for bit, and the
         # explicit rows' to rounding
-        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", R, t_z=5)
+        model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", R, t_z=5)
         for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
             roster, dro, theta = rosters[r], cfgs[r].dro, trace.iterates[-1]
-            got = honest_objective(model, X[r], Y[r], roster, dro, trace)
+            got = honest_objective(X[r], Y[r], roster, dro, trace)
             shards = np.stack([roster.shards[i] for i in roster.honest])
-            assert_same_bits(got, worker_objectives(model, theta, X[r][shards], Y[r][shards],
+            assert_same_bits(got, worker_objectives(theta, X[r][shards], Y[r][shards],
                                                     dro).mean(), f"run {r}")
             assert got == pytest.approx(mean_of_means(model, X[r], Y[r], roster, dro, theta),
                                         rel=1e-13)
 
     @pytest.mark.parametrize("t_z", [0, 10])
-    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    def test_at_the_e3_shape_the_estimate_is_the_mean_of_the_worker_means(self, kind, t_z):
+    def test_at_the_e3_shape_the_estimate_is_the_mean_of_the_worker_means(self, t_z):
         # 17 honest workers of 153 rows and 57 features, the shape of an E3 sweep point
-        model, X, Y, [roster], [cfg] = batch_problem(kind, "aggressive", 1, m=19, n=153, d=57,
-                                                     t_z=t_z, iterations=2)
+        model, X, Y, [roster], [cfg] = batch_problem("logistic", "aggressive", 1, m=19, n=153,
+                                                     d=57, t_z=t_z, iterations=2)
         [trace] = train_runs(model, X, Y, [roster], [cfg])
         shards = np.stack([roster.shards[i] for i in roster.honest])
         assert shards.shape == (17, 153)
-        got = honest_objective(model, X[0], Y[0], roster, cfg.dro, trace)
-        assert_same_bits(got, worker_objectives(model, trace.iterates[-1], X[0][shards],
-                                                Y[0][shards], cfg.dro).mean())
+        got = honest_objective(X[0], Y[0], roster, cfg.dro, trace)
+        assert_same_bits(got, worker_objectives(trace.iterates[-1], X[0][shards], Y[0][shards],
+                                                cfg.dro).mean())
 
     @pytest.mark.parametrize("t_z", [0, 4])
     @pytest.mark.parametrize("R", [1, 3])
@@ -826,28 +825,30 @@ class TestHonestObjective:
         model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", R, t_z=t_z)
         traces = train_runs(model, X, Y, rosters, cfgs)
         assert calls == []
-        honest_objective(model, X[0], Y[0], rosters[0], cfgs[0].dro, traces[0])
+        honest_objective(X[0], Y[0], rosters[0], cfgs[0].dro, traces[0])
         assert len(calls) == 1
         assert "objective_estimates" not in {field.name for field in fields(RunTrace)}
 
-    @pytest.mark.parametrize("rows, iterations, dro, message", [
-        # three rows at 1.3e154 from the iterate: objectives of 7.6e307 whose sum overflows
-        ([[0.0, 0.0]] * 3 + [[1.3e154, 0.0]] * 3, 2, DROConfig(2.0, 0.3, 0),
+    @pytest.mark.parametrize("theta0, iterations, dro, message", [
+        # one step of eta_z = lam = 1 gives c = 1/2 on worker 0's rows at theta . x = 0 and
+        # c = 1 on worker 1's at theta . x ~ 1.3e154: penalties of c^2 * ||theta||^2 / 2,
+        # ~ 2e307 and ~ 8.3e307 at the last iterate, and worker 1's sum overflows
+        (1.3e154, 2, DROConfig(1.0, 1.0, 1),
          "iteration 1, worker 1: inner objective sum overflows"),
-        # k ~ 49^60 ~ 1e101: the far row's objective overflows, the reports do not
-        ([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0], [0.0, 0.0]], 1, DROConfig(2.0, 50.0, 60),
-         "iteration 0, worker 1: inner ascent diverged at step 60"),
+        # c = 10 on worker 1's rows: a penalty of 0.01 * 50 * ||theta||^2, whose
+        # 50 * ||theta||^2 ~ 5e308 overflows; the reports do not
+        (3.2e153, 1, DROConfig(0.01, 10.0, 1),
+         "iteration 0, worker 1: inner ascent diverged at step 1"),
     ])
     def test_an_objective_that_overflows_names_the_last_iteration_and_the_worker(
-            self, rows, iterations, dro, message):
-        model, X = QuadraticLoss(1.0), np.array(rows)
-        Y, half = np.zeros(len(X)), len(X) // 2
-        roster = WorkerRoster(shards=[np.arange(half), np.arange(half, len(X))])
-        cfg = plain_config(0.1, iterations, dro, theta0=np.zeros(2))
-        trace = run_training(model, X, Y, roster, cfg)
+            self, theta0, iterations, dro, message):
+        X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3)
+        roster = WorkerRoster(shards=[np.arange(3), np.arange(3, 6)])
+        cfg = plain_config(0.01, iterations, dro, theta0=np.array([theta0, 0.0]))
+        trace = run_training(LogisticLoss(), X, np.zeros(6), roster, cfg)
         assert np.isfinite(trace.aggregated).all()
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            honest_objective(model, X, Y, roster, dro, trace)
+            honest_objective(X, np.zeros(6), roster, dro, trace)
 
 
 class TestDirectionBlocks:

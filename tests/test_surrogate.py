@@ -22,8 +22,6 @@ from robustgd.surrogate import (
     DROConfig,
     contraction_factor,
     exact_rows,
-    inner_objectives,
-    quadratic_surrogate,
     required_iterations,
     surrogate_state,
     theoretical_ascent_step,
@@ -234,10 +232,10 @@ class TestLogisticLinePath:
         Y = np.repeat([0.0, 1.0], 4)
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
         monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
-        got = (*surrogate.line_surrogate(np.ones(3), np.ones((8, 3)), Y, cfg),
-               surrogate.inner_objectives(LogisticLoss(), np.ones(3), np.ones((8, 3)), Y, cfg))
-        r, objectives = surrogate._line_rows(margins, np.zeros(8), sq_norm, Y, cfg.lam)
-        for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(8), objectives)):
+        got = (surrogate.line_ascent(np.ones(3), np.ones((8, 3)), Y, cfg)[1],
+               surrogate.inner_objectives(np.ones(3), np.ones((8, 3)), Y, cfg))
+        _, objectives = surrogate._line_rows(margins, np.zeros(8), sq_norm, Y, cfg.lam)
+        for name, a, b in zip(("c", "objectives"), got, (np.zeros(8), objectives)):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
 
     @pytest.mark.parametrize("run_axis", [False, True])
@@ -249,12 +247,9 @@ class TestLogisticLinePath:
             X, Y, theta = X[1], Y[1], theta[1]
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
         margins, c, sq_norm = surrogate.line_ascent(theta, X, Y, cfg)
-        got = (*surrogate.line_surrogate(theta, X, Y, cfg),
-               surrogate.inner_objectives(LogisticLoss(), theta, X, Y, cfg))
-        r, objectives = surrogate._line_rows(margins, np.zeros(margins.shape), sq_norm, Y, cfg.lam)
-        for name, a, b in zip(("r", "c", "objectives"), got, (r, np.zeros(margins.shape),
-                                                            objectives)):
-            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+        objectives = surrogate.inner_objectives(theta, X, Y, cfg)
+        _, general = surrogate._line_rows(margins, np.zeros(margins.shape), sq_norm, Y, cfg.lam)
+        np.testing.assert_array_equal(objectives.view(np.int64), general.view(np.int64))
         np.testing.assert_array_equal(c.view(np.int64), np.zeros(margins.shape).view(np.int64))
 
     def test_ascent_steps_come_from_the_config_only(self):
@@ -402,10 +397,11 @@ class TestSurrogateGradient:
         theta = rng.standard_normal(3)
         v_exact, g_exact = surrogate_state(model, theta, X, Y, lam)
         cfg = DROConfig(lam, theoretical_ascent_step(lam), 200)
-        D, rate = quadratic_surrogate(model, theta, X, cfg)
-        objectives = inner_objectives(model, theta, X, Y, cfg)
+        Z = ascent_rows(model, theta, X, Y, cfg)
+        objectives = penalized_objectives(model, theta, Z, Y, X, lam)
         assert objectives.mean() == pytest.approx(v_exact, rel=1e-10)
-        np.testing.assert_allclose(rate * D.mean(axis=0), g_exact, atol=1e-10)
+        np.testing.assert_allclose(loss_grads_theta(model, theta, Z, Y).mean(axis=0), g_exact,
+                                   atol=1e-10)
 
 
 class TestExactLogisticRows:

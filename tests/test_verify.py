@@ -190,15 +190,14 @@ def test_trace_suites_report_the_figures_they_always_reported(suite, detail):
 
 
 def test_deviation_suite_reports_its_tightest_iteration():
-    seeds, rounds = 3, 30
-    reports = []
+    seeds, reports = 3, []
     for seed in range(seeds):
-        *_, trace, inputs = quadratic_run(seed, rounds)
+        *_, trace, inputs = quadratic_run(seed, verify.DEVIATION_ROUNDS)
         reports += verify.check_aggregate_deviation(trace, inputs)
     worst = min(r.margin for r in reports)
     tightest = max(r.measured_value / r.bound_value for r in reports)
     assert 0.0 < tightest < 1.0
-    result = verify.deviation_trace_suite(n_seeds=seeds, iterations=rounds)
+    result = verify.deviation_trace_suite(n_seeds=seeds)
     # the text before the figure is the one the suite printed without it
     assert result.detail == (f"violations=0, worst margin={worst:.3e}, "
                              f"max ||G-grad F||/bound={tightest:.4f}")
