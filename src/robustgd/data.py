@@ -1,10 +1,13 @@
-"""Dataset ingestion, stratified splitting, and worker sharding.
+"""Dataset ingestion, stratified splitting, and training rows for m equal workers.
 
 The real experiment corpus is the spambase email CSV (57 numeric feature
 columns plus a final 0/1 label, no header). ``synthetic_spambase_like``
 generates a stand-in with the same shape and class balance for environments
 where the file is not available; ``quadratic_cloud`` produces the sample
-clouds used by the quadratic-family theory checks.
+clouds used by the quadratic-family theory checks. ``split_and_shard``
+shuffles the training rows and drops the tail that m does not divide; no
+index lists are kept, since worker j's shard is the j-th of m equal
+contiguous blocks of the rows.
 """
 
 import csv
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, require_count
 
 log = logging.getLogger(__name__)
 
@@ -28,14 +31,6 @@ class Dataset:
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,) values in {0, 1}
     source: str
-
-    @property
-    def n(self):
-        return self.features.shape[0]
-
-    @property
-    def dim(self):
-        return self.features.shape[1]
 
 
 def load_spambase(path) -> Dataset:
@@ -121,33 +116,24 @@ def standardize(train_features, test_features):
     return train_z, test_z
 
 
-def even_shards(n, m):
-    """Split [0, n) into m contiguous equal ranges, dropping the tail remainder."""
-    if m < 1:
-        raise ConfigError(f"need m >= 1, got {m}")
-    if m > n:
-        raise ConfigError(f"m={m} workers exceed {n} samples")
-    per = n // m
-    shards = [np.arange(i * per, (i + 1) * per) for i in range(m)]
-    return shards, n - per * m
-
-
 @dataclass
 class ShardedData:
-    train_features: np.ndarray
+    train_features: np.ndarray  # worker j's rows are the j-th of m equal contiguous blocks
     train_labels: np.ndarray
-    shards: list          # per-worker index arrays into the train matrices
     test_features: np.ndarray
     test_labels: np.ndarray
     dropped: int          # tail rows removed for divisibility
 
 
 def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedData:
-    """Stratified train/test split, standardization, even sharding.
+    """Stratified train/test split, standardization, rows for m equal workers.
 
-    Training rows are shuffled by seed then dealt into m contiguous shards of
-    equal size; the divisibility tail is dropped.
+    Training rows are shuffled by seed and the divisibility tail is dropped,
+    so the kept rows split into m contiguous blocks of equal size, worker j
+    holding the j-th (``simulation.WorkerRoster``). m below 1 or above the
+    training size is a ``ConfigError``.
     """
+    m = require_count("m", m, 1)
     train_idx, test_idx = stratified_split(ds.labels, train_frac, seed)
     if m > train_idx.size:
         raise ConfigError(f"m={m} workers exceed training size {train_idx.size}")
@@ -156,14 +142,13 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedD
     train_X, test_X = standardize(train_X, test_X)
     rng = np.random.default_rng([seed, 0xD2])
     order = rng.permutation(train_idx.size)
-    shards, dropped = even_shards(train_idx.size, m)
+    dropped = train_idx.size % m
     if dropped:
         log.warning("dropping %d training rows so %d workers get equal shards", dropped, m)
-    kept = order[: train_idx.size - dropped]  # shard ranges cover exactly the kept rows
+    kept = order[: train_idx.size - dropped]
     return ShardedData(
         train_features=train_X[kept],
         train_labels=ds.labels[train_idx][kept],
-        shards=shards,
         test_features=test_X,
         test_labels=ds.labels[test_idx],
         dropped=dropped,

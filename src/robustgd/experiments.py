@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, dot_sq_norms, screening_coefficient
-from .attacks import AGGRESSIVE, AttackSpec
+from .attacks import AGGRESSIVE, AttackPlan, AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
 from .errors import ConfigError, DataFormatError, NumericError, RegimeError, require_count
@@ -119,7 +119,8 @@ class ExperimentConfig:
         and the attack) are built here once, so their own checks are the only
         copy of each rule. Every record carries the attack fields, so they are
         checked whatever the attack: under 'none' as an aggressive attack's,
-        whose rules for them are every kind's.
+        whose rules for them are every kind's. With byzantine workers the
+        run's attack plan is built too, for its rule on the honest count.
         """
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
@@ -137,7 +138,9 @@ class ExperimentConfig:
             )
         _train_config(self)
         _shift_spec(self)
-        _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
+        spec = _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
+        if self.alpha_m > 0:
+            AttackPlan([spec], range(self.alpha_m), self.m - self.alpha_m, 1, 1)
 
     def resolved(self):
         """The config itself: presets are applied at construction.
@@ -188,9 +191,9 @@ def _shift_spec(cfg: ExperimentConfig):
     return ShiftSpec(norm=cfg.shift_norm, budget=cfg.shift_q)
 
 
-def _roster(cfg: ExperimentConfig, sharded):
+def _roster(cfg: ExperimentConfig):
     return WorkerRoster(
-        shards=sharded.shards,
+        m=cfg.m,
         byzantine=tuple(range(cfg.alpha_m)),
         attack=None if cfg.alpha_m == 0 else _attack_spec(cfg),
         allow_excess_byzantine=cfg.allow_excess_byzantine,
@@ -214,7 +217,7 @@ def train(cfg: ExperimentConfig, sharded):
     leaves the strongly concave inner regime, lam > ||theta||^2 / 4, where
     the worker ascent no longer contracts; the records do not change.
     """
-    tcfg, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg, sharded))
+    tcfg, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg))
     trace = run_training(
         LogisticLoss(), sharded.train_features, sharded.train_labels, roster, tcfg
     )

@@ -3,14 +3,15 @@
 Each round the server broadcasts the iterate; honest workers run the inner
 maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
-norm, averages the survivors, and steps. Every shard holds the same number
-of rows (``validate_roster`` refuses unequal sizes), so before the loop the
-k honest shards are gathered once into one (k, n, d) block, and one batched
-ascent per round serves every honest worker: ``worker_reports`` calls
-``surrogate.line_ascent`` or ``surrogate.quadratic_line_ascent`` itself. That
-ascent is a scalar recursion on a line through each row: one coefficient per
-row for the logistic loss, one coefficient shared by every row for the
-quadratic. A report is the worker's mean surrogate gradient and nothing
+norm, averages the survivors, and steps. Worker j's shard is the j-th of m
+equal contiguous blocks of the N training rows (``validate_roster`` refuses
+an N that m does not divide), so before the loop the rows are viewed as an
+(m, n, d) block, the k honest workers' slices are copied once into one
+(k, n, d) block, and one batched ascent per round serves every honest
+worker: ``worker_reports`` calls ``surrogate.line_ascent`` or
+``surrogate.quadratic_line_ascent`` itself. That ascent is a scalar
+recursion on a line through each row: one coefficient per row for the
+logistic loss, one coefficient shared by every row for the quadratic. A report is the worker's mean surrogate gradient and nothing
 else; it comes from those coefficients without an (n, d) perturbed matrix:
 for the logistic loss, the k gradient sums are one stacked product
 r_j^T X_j over the block (one matrix-vector product per worker) plus, when
@@ -36,8 +37,8 @@ The loop runs R runs at once over a leading run axis (``train_runs``): an
 (R, k, n, d) block, (R, d) iterates, and per round one ascent over the
 block, one stacked ``craft`` call for the (R, a, d) byzantine rows of every
 run and one screen of the (R, m, d) reports. The runs of a batch share the
-roster shape, the inner settings and the number of rounds; each keeps its
-own data, shards, step size, initial iterate and attack, with its own
+roster shape, the row count, the inner settings and the number of rounds;
+each keeps its own data, step size, initial iterate and attack, with its own
 directions. Every product over the run axis is the stacked form of the
 run's own, so each run's trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
@@ -74,18 +75,21 @@ DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 15
 
 @dataclass
 class WorkerRoster:
-    """Shard assignment plus the byzantine subset and its attack behavior."""
+    """m workers, the byzantine subset and its attack behavior.
 
-    shards: list                      # per-worker sample index arrays
+    Worker j holds the j-th of m equal contiguous blocks of the training
+    rows: rows [j * n, (j + 1) * n) of N = m * n. A caller that wants
+    another partition orders the rows first.
+    """
+
+    m: int
     byzantine: tuple = ()
     attack: AttackSpec | None = None
     allow_excess_byzantine: bool = False  # more byzantine workers than screen_count
 
     def __post_init__(self):
+        self.m = m = require_count("m", self.m, 1)
         self.byzantine = tuple(sorted(set(int(i) for i in self.byzantine)))
-        m = len(self.shards)
-        if m < 1:
-            raise ConfigError("roster needs at least one worker")
         if self.byzantine and (self.byzantine[0] < 0 or self.byzantine[-1] >= m):
             raise ConfigError(f"byzantine ids out of range [0, {m})")
         if len(self.byzantine) >= m:
@@ -94,28 +98,15 @@ class WorkerRoster:
             raise ConfigError("byzantine workers declared without an attack spec")
 
     @property
-    def m(self):
-        return len(self.shards)
-
-    @property
     def honest(self):
         byz = set(self.byzantine)
         return tuple(i for i in range(self.m) if i not in byz)
 
 
 def validate_roster(roster: WorkerRoster, n_samples, screen_count):
-    seen = np.concatenate([np.asarray(s, dtype=int) for s in roster.shards])
-    if seen.size == 0:
-        raise ConfigError("empty shards")
-    if seen.min() < 0 or seen.max() >= n_samples:
-        raise ConfigError(f"shard indices out of range [0, {n_samples})")
-    if np.unique(seen).size != seen.size:
-        raise ConfigError("shards overlap")
-    sizes = sorted({len(s) for s in roster.shards})
-    if sizes[0] == 0:
-        raise ConfigError("every worker needs a non-empty shard")
-    if len(sizes) > 1:
-        raise ConfigError(f"every shard must hold the same number of rows, got sizes {sizes}")
+    if n_samples < roster.m or n_samples % roster.m:
+        raise ConfigError(f"N={n_samples} rows do not split into m={roster.m} equal "
+                          f"non-empty worker blocks")
     if len(roster.byzantine) > screen_count and not roster.allow_excess_byzantine:
         raise ConfigError(
             f"{len(roster.byzantine)} byzantine workers exceed screen_count="
@@ -238,7 +229,7 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
     validated them.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    honest, honest_X, honest_Y = _honest_block(X[None], Y[None], [roster])
+    honest, honest_X, honest_Y = _honest_block(X[None], Y[None], roster)
     _, k, n, d = honest_X.shape
     try:
         objectives = inner_objectives(trace.iterates[-1:], honest_X.reshape(1, k * n, d),
@@ -255,20 +246,24 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
     return float(np.add.reduce(sums / n, axis=1)[0] / k)
 
 
-def _honest_block(X, Y, rosters):
-    """(honest ids, (R, k, n, d) rows, (R, k, n) labels) of the k honest workers of R runs."""
-    honest = np.array(rosters[0].honest)
-    shards = np.array([[np.asarray(run.shards[i], dtype=int) for i in honest]
-                       for run in rosters])  # (R, k, n)
-    run_axis = np.arange(len(rosters))[:, None, None]
-    return honest, X[run_axis, shards], Y[run_axis, shards]
+def _honest_block(X, Y, roster):
+    """(honest ids, (R, k, n, d) rows, (R, k, n) labels) of the k honest workers of R runs.
+
+    ``X`` is (R, N, d) and ``Y`` (R, N); worker j's rows are the j-th of the
+    roster's m contiguous blocks. ``take`` copies them in C order, which
+    ``X[:, honest]`` does not promise for R > 1, so the rounds can view the
+    block as (R, k * n, d) rows without a copy.
+    """
+    honest, m = np.array(roster.honest), roster.m
+    R, N, d = X.shape
+    return (honest, X.reshape(R, m, N // m, d).take(honest, axis=1),
+            Y.reshape(R, m, N // m).take(honest, axis=1))
 
 
 # what the runs of one batch share: (field, its value for a run's roster and config)
 _SHARED = (
     ("m", lambda roster, cfg: roster.m),
     ("byzantine", lambda roster, cfg: roster.byzantine),
-    ("shard rows", lambda roster, cfg: len(roster.shards[0])),
     ("screen_count", lambda roster, cfg: cfg.screen.screen_count),
     ("dro", lambda roster, cfg: cfg.dro),
     ("iterations", lambda roster, cfg: cfg.iterations),
@@ -280,11 +275,12 @@ def train_runs(model, X, Y, rosters, cfgs):
 
     ``X`` is (R, N, d) and ``Y`` (R, N); run r trains on ``X[r]``, ``Y[r]``
     with ``rosters[r]`` and ``cfgs[r]``, and its trace is bit-equal to
-    ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. The runs must
-    share m, the byzantine ids, the shard row count, screen_count, dro and
-    iterations (``ConfigError`` naming the field and the run); each keeps its
-    own data, shards, eta, seed or theta0 and attack. With byzantine
-    workers the batch builds one ``AttackPlan`` before round 0 (its
+    ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. Worker j of
+    every run holds the j-th of m contiguous blocks of its N rows. The runs
+    share N through the shape of ``X`` and must share m, the byzantine ids,
+    screen_count, dro and iterations (``ConfigError`` naming the field and
+    the run); each keeps its own data, eta, seed or theta0 and attack. With
+    byzantine workers the batch builds one ``AttackPlan`` before round 0 (its
     refusal of a counterexample batch with too few honest workers holds for
     every run, so it names none), and each round makes one ``craft`` call,
     over the stack of every run's honest reports, and one ``norm_screen``
@@ -322,7 +318,7 @@ def train_runs(model, X, Y, rosters, cfgs):
     run_major = dict(aggregated=np.empty((R, T, d)), worker_norms=np.empty((R, T, m)),
                      iterates=np.empty((R, T, d)))
     aggregated, worker_norms, iterates = (a.swapaxes(0, 1) for a in run_major.values())
-    honest, honest_X, honest_Y = _honest_block(X, Y, rosters)
+    honest, honest_X, honest_Y = _honest_block(X, Y, roster)
     byzantine = np.array(roster.byzantine, dtype=int)
     k, n = honest_Y.shape[1:]
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round

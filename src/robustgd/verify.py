@@ -53,7 +53,7 @@ from .bounds import (
     solve_reference_optimum,
     surrogate_smoothness,
 )
-from .data import even_shards, quadratic_cloud
+from .data import quadratic_cloud
 from .errors import require_count
 from .losses import QuadraticLoss
 from .simulation import (
@@ -160,8 +160,7 @@ def _quadratic_runs(horizons):
     model = QuadraticLoss(1.0)
     pairs = list(horizons)
     data = [quadratic_cloud(m * 10, 6, spread=1.0, seed=seed) for seed, _ in pairs]
-    shards, _ = even_shards(m * 10, m)
-    rosters = [WorkerRoster(shards=shards, byzantine=tuple(range(byz_count)),
+    rosters = [WorkerRoster(m=m, byzantine=tuple(range(byz_count)),
                             attack=AttackSpec(kind=kind, rng_seed=seed)) for seed, kind in pairs]
     l_f = surrogate_smoothness(model.constants(), lam)
     dro = DROConfig(lam, theoretical_ascent_step(lam), 6)
@@ -282,7 +281,6 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
     """
     model = QuadraticLoss(1.0)
     X, Y = quadratic_cloud(m * 12, dim, spread=1e-3, center=np.ones(dim), seed=seed)
-    shards, _ = even_shards(X.shape[0], m)
     lam = 2.0
     l_f = surrogate_smoothness(model.constants(), lam)
     theta_star = X.mean(axis=0)
@@ -290,7 +288,7 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
     for frac in (0.4, 0.2):
         byz_count = int(round(frac * m))
         roster = WorkerRoster(
-            shards=shards,
+            m=m,
             byzantine=tuple(range(byz_count)),
             attack=AttackSpec(kind="counterexample", rng_seed=seed),
         )

@@ -316,15 +316,14 @@ class TestReportsAndOptimum:
 
     def test_checkers_require_tracking(self):
         from robustgd.aggregation import ScreenConfig
-        from robustgd.data import even_shards, quadratic_cloud
+        from robustgd.data import quadratic_cloud
         from robustgd.simulation import TrainConfig, WorkerRoster, run_training
         from robustgd.surrogate import DROConfig
 
         X, Y = quadratic_cloud(12, 2, seed=1)
-        shards, _ = even_shards(12, 3)
         cfg = TrainConfig(eta=0.2, iterations=3, dro=DROConfig(2.0, 0.3, 3),
                           screen=ScreenConfig(0))
-        trace = run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=shards), cfg)
+        trace = run_training(QuadraticLoss(), X, Y, WorkerRoster(m=3), cfg)
         ti = inputs_for(constants(1, 1, 1, 1), 2.0)
         with pytest.raises(ConfigError):
             check_aggregate_deviation(trace, ti)

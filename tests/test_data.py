@@ -9,7 +9,7 @@ from robustgd.data import (
     SPAMBASE_FEATURES,
     SPAMBASE_ROWS,
     Dataset,
-    even_shards,
+    ShardedData,
     load_spambase,
     split_and_shard,
     standardize,
@@ -32,17 +32,17 @@ class TestLoad:
         path = tmp_path / "mini.csv"
         write_csv(path, [spam_row(1, 0.1), spam_row(0, 0.2), spam_row(1, 0.3)])
         ds = load_spambase(path)
-        assert ds.n == 3 and ds.dim == SPAMBASE_FEATURES
+        assert ds.features.shape == (3, SPAMBASE_FEATURES)
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
 
     def test_full_size_round_trip(self, tmp_path):
         ds = synthetic_spambase_like(seed=0)
-        assert ds.n == SPAMBASE_ROWS and ds.dim == SPAMBASE_FEATURES
+        assert ds.features.shape == (SPAMBASE_ROWS, SPAMBASE_FEATURES)
         path = tmp_path / "full.csv"
-        rows = [list(ds.features[i]) + [int(ds.labels[i])] for i in range(ds.n)]
+        rows = [list(ds.features[i]) + [int(ds.labels[i])] for i in range(SPAMBASE_ROWS)]
         write_csv(path, rows)
         loaded = load_spambase(path)
-        assert loaded.n == SPAMBASE_ROWS and loaded.dim == SPAMBASE_FEATURES
+        assert loaded.features.shape == (SPAMBASE_ROWS, SPAMBASE_FEATURES)
         np.testing.assert_allclose(loaded.features, ds.features, rtol=1e-12)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
 
@@ -128,9 +128,11 @@ class TestSplit:
     def test_split_and_shard_on_the_stand_in_corpus(self):
         ds = synthetic_spambase_like(seed=0)
         sharded = split_and_shard(ds, m=20, seed=0)
-        assert len(sharded.shards) == 20
-        assert all(len(s) == 153 for s in sharded.shards)
-        assert sharded.train_features.shape == (3060, SPAMBASE_FEATURES)
+        # no index lists: worker j's 153 rows are the j-th contiguous block
+        assert [f.name for f in fields(ShardedData)] == [
+            "train_features", "train_labels", "test_features", "test_labels", "dropped"]
+        assert sharded.train_features.shape == (20 * 153, SPAMBASE_FEATURES)
+        assert sharded.train_labels.shape == (20 * 153,)
         assert sharded.dropped in (7, 8)  # 4601 * 2/3 stratified, mod 20
 
     def test_same_seed_identical_two_seeds_differ(self):
@@ -141,14 +143,14 @@ class TestSplit:
         np.testing.assert_array_equal(a.train_features, b.train_features)
         np.testing.assert_array_equal(a.test_labels, b.test_labels)
         assert not np.array_equal(a.train_features, c.train_features)
-        assert [len(s) for s in a.shards] == [len(s) for s in c.shards]
+        assert a.train_features.shape == c.train_features.shape
 
     def test_single_worker_gets_the_whole_training_split(self):
         ds = synthetic_spambase_like(seed=0)
         sharded = split_and_shard(ds, m=1, seed=0)
-        assert len(sharded.shards) == 1
+        train_idx, _ = stratified_split(ds.labels, 2.0 / 3.0, seed=0)
         assert sharded.dropped == 0
-        assert len(sharded.shards[0]) == sharded.train_features.shape[0]
+        assert sharded.train_features.shape[0] == train_idx.size
 
     def test_dropping_the_tail_logs_a_warning(self, caplog):
         import logging
@@ -173,15 +175,19 @@ class TestSplit:
         np.testing.assert_allclose(train_z[:, :2].std(axis=0), 1.0, rtol=1e-12)
         assert (train_z[:, 2] == 0.0).all() and (test_z[:, 2] == 0.0).all()
 
-    def test_shards_partition_prefix_evenly(self):
-        shards, dropped = even_shards(23, 4)
-        assert dropped == 3
-        assert [len(s) for s in shards] == [5, 5, 5, 5]
-        np.testing.assert_array_equal(np.concatenate(shards), np.arange(20))
-        with pytest.raises(ConfigError):
-            even_shards(3, 5)
-        with pytest.raises(ConfigError):
-            even_shards(3, 0)
+    def test_the_tail_that_m_does_not_divide_is_dropped(self):
+        # 23 of 34 rows train: 8 of 12 positives and 15 of 22 negatives
+        ds = Dataset(features=np.arange(68.0).reshape(34, 2),
+                     labels=np.array([1] * 12 + [0] * 22), source="x")
+        sharded = split_and_shard(ds, m=4, seed=0)
+        assert sharded.dropped == 3
+        assert sharded.train_features.shape == (20, 2) and sharded.train_labels.shape == (20,)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_fewer_than_one_worker_is_refused(self, m):
+        ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5), source="x")
+        with pytest.raises(ConfigError, match=rf"^m must be >= 1, got {m}$"):
+            split_and_shard(ds, m=m, seed=0)
 
 
 def test_synthetic_corpus_is_deterministic_per_seed():

@@ -122,6 +122,17 @@ class TestPresets:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**fields)
 
+    def test_a_counterexample_config_with_one_honest_worker_is_refused_at_construction(self):
+        # it used to pass here and fail inside train, when the run built its attack plan
+        with pytest.raises(ConfigError, match="^the counterexample attack needs at least 2 "
+                                              "honest workers, got 1$"):
+            ExperimentConfig(preset="E1", attack="counterexample", alpha_m=19,
+                             allow_excess_byzantine=True)
+        assert ExperimentConfig(preset="E1", attack="counterexample", alpha_m=18,
+                                allow_excess_byzantine=True).alpha_m == 18
+        # without byzantine workers no plan is built, so one worker stays legal
+        assert ExperimentConfig(attack="counterexample", m=1, screen_count=0).m == 1
+
     def test_preset_on_an_expanded_config_is_refused(self):
         # E1's attack and shift are explicit by now: E3 would only relabel them
         with pytest.raises(ConfigError, match="E3"):
@@ -504,6 +515,17 @@ class TestCli:
         with pytest.raises(SystemExit, match="screen_count"):
             main(["run", "--m", "4", "--screen-count", "4", "--out", str(tmp_path)])
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("command", [["run", "--alpha-m", "19"],
+                                         ["sweep", "--axis", "alpha_m", "--values", "19"]])
+    def test_a_counterexample_run_with_one_honest_worker_is_a_usage_error(self, tmp_path,
+                                                                          command):
+        # it used to end in a RuntimeError traceback from inside train
+        with pytest.raises(SystemExit, match="the counterexample attack needs at least 2 "
+                                             "honest workers, got 1$"):
+            main([*command, "--preset", "E1", "--attack", "counterexample",
+                  "--allow-excess-byzantine", "--iterations", "3", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_and_report_commands(self, tmp_path, capsys):
         code = main([

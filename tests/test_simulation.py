@@ -20,7 +20,7 @@ from robustgd import simulation, surrogate
 from robustgd.aggregation import ScreenConfig, dot_sq_norms, norm_screen
 from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, KINDS, AttackPlan, AttackSpec, craft
 from robustgd.bounds import surrogate_smoothness
-from robustgd.data import even_shards, quadratic_cloud
+from robustgd.data import quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
 from robustgd.simulation import (
@@ -78,6 +78,12 @@ def per_worker_reports(model, theta, X, Y, dro):
         line_k, D = quadratic_line_ascent(model, theta, rows, dro)
         grad_sums = model.curvature * (1.0 + line_k) * np.add.reduceat(D, starts, axis=0)
     return grad_sums / n
+
+
+def worker_rows(m, N):
+    """Each worker's row indices: worker j holds rows [j * n, (j + 1) * n) of N = m * n."""
+    n = N // m
+    return np.array([np.arange(j * n, (j + 1) * n) for j in range(m)])
 
 
 def worker_objectives(theta, X, Y, dro):
@@ -258,7 +264,7 @@ class TestLogisticMarginPath:
     def test_run_training_names_the_iteration_and_the_worker(self, rng, t_z):
         theta, X, Y = self.data(rng, (12,))
         X[9, 0] = np.nan  # worker 2's second row
-        roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 8), np.arange(8, 12)])
+        roster = WorkerRoster(m=3)
         cfg = plain_config(0.1, 3, DROConfig(3.0, 0.05, t_z), theta0=theta)
         with pytest.raises(NumericError, match=r"iteration 0, worker 2: non-finite"):
             run_training(self.model, X, Y, roster, cfg)
@@ -295,8 +301,7 @@ class TestRunTraining:
     def test_clean_run_descends_and_converges_linearly(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=40, dim=3, seed=5)
-        shards, _ = even_shards(40, 4)
-        roster = WorkerRoster(shards=shards)
+        roster = WorkerRoster(m=4)
         lam = 2.0
         l_f = surrogate_smoothness(model.constants(), lam)
         # half the exact step so the distance contracts by 1/2 each round
@@ -316,7 +321,7 @@ class TestRunTraining:
         X = rng.standard_normal((12, 3))
         Y = rng.integers(0, 2, size=12).astype(float)
         dro = DROConfig(3.0, 0.05, 5)
-        roster = WorkerRoster(shards=[np.arange(12)])
+        roster = WorkerRoster(m=1)
         cfg = plain_config(0.5, 15, dro, seed=9)
         trace = run_training(model, X, Y, roster, cfg)
 
@@ -328,9 +333,8 @@ class TestRunTraining:
     def test_bit_identical_reruns(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=50, dim=4, seed=2)
-        shards, _ = even_shards(50, 10)
         roster = WorkerRoster(
-            shards=shards, byzantine=(0, 1),
+            m=10, byzantine=(0, 1),
             attack=AttackSpec(kind="intelligent", rng_seed=3),
         )
         cfg = plain_config(0.2, 12, DROConfig(2.0, 0.3, 6), screen_count=2, seed=4)
@@ -347,13 +351,13 @@ class TestRunTraining:
         X = rng.standard_normal((20, 3))
         Y = rng.integers(0, 2, size=20).astype(float)
         dro = DROConfig(3.0, 0.05, 4)
-        shards, _ = even_shards(20, 5)
-        roster = WorkerRoster(shards=shards)
+        roster = WorkerRoster(m=5)
         cfg = plain_config(0.3, 3, dro, seed=6)
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 6)
-        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0] for s in shards]
+        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0]
+                 for s in worker_rows(5, 20)]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
     def test_worker_norms_are_the_norms_of_the_reports(self, rng):
@@ -361,9 +365,8 @@ class TestRunTraining:
         X = rng.standard_normal((20, 3))
         Y = rng.integers(0, 2, size=20).astype(float)
         dro = DROConfig(3.0, 0.05, 4)
-        shards, _ = even_shards(20, 5)
         cfg = plain_config(0.3, 1, dro, screen_count=1, seed=6)
-        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=5), cfg)
         grads = worker_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
                                dro)
         np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
@@ -376,7 +379,7 @@ class TestRunTraining:
         Y = rng.integers(0, 2, size=36).astype(float)
         dro = DROConfig(3.0, 0.05, 4)
         cfg = plain_config(0.3, 5, dro, screen_count=1, seed=6)
-        trace = run_training(model, X, Y, WorkerRoster(shards=even_shards(36, 12)[0]), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=12), cfg)
         norms = np.sqrt(dot_sq_norms(trace.aggregated))
         for t in range(5):
             assert norms[t] == np.linalg.norm(trace.aggregated[t])
@@ -384,8 +387,7 @@ class TestRunTraining:
     def test_trace_shapes_and_finiteness(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=30, dim=2, seed=3)
-        shards, _ = even_shards(30, 6)
-        roster = WorkerRoster(shards=shards)
+        roster = WorkerRoster(m=6)
         cfg = plain_config(0.2, 7, DROConfig(2.0, 0.3, 4), seed=0)
         trace = run_training(model, X, Y, roster, cfg)
         assert trace.iterations == 7
@@ -400,9 +402,8 @@ class TestRunTraining:
         # eta-step along the aggregate: bitwise, with byzantine workers present
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=40, dim=3, seed=7)
-        shards, _ = even_shards(40, 8)
         roster = WorkerRoster(
-            shards=shards, byzantine=(0, 1),
+            m=8, byzantine=(0, 1),
             attack=AttackSpec(kind="aggressive", rng_seed=2),
         )
         cfg = plain_config(0.3, 9, DROConfig(2.0, 0.3, 5), screen_count=2, seed=5)
@@ -414,38 +415,49 @@ class TestRunTraining:
 
     def test_roster_validation(self):
         X, Y = make_cloud(n=12, dim=2, seed=0)
-        shards, _ = even_shards(12, 3)
-        overlapping = [np.arange(6), np.arange(4, 10), np.arange(10, 12)]
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
-        with pytest.raises(ConfigError, match="overlap"):
-            run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=overlapping), cfg)
         attack = AttackSpec(kind="aggressive")
-        crowded = WorkerRoster(shards=shards, byzantine=(0,), attack=attack)
+        crowded = WorkerRoster(m=3, byzantine=(0,), attack=attack)
         with pytest.raises(ConfigError, match="screen_count"):
             run_training(QuadraticLoss(), X, Y, crowded, cfg)  # screen_count=0 < 1 byz
-        ok = WorkerRoster(shards=shards, byzantine=(0,), attack=attack,
+        ok = WorkerRoster(m=3, byzantine=(0,), attack=attack,
                           allow_excess_byzantine=True)
         run_training(QuadraticLoss(), X, Y, ok, cfg)  # override permits the demo regime
         with pytest.raises(ConfigError):
-            WorkerRoster(shards=shards, byzantine=(0, 1, 2), attack=attack)
+            WorkerRoster(m=3, byzantine=(0, 1, 2), attack=attack)
         with pytest.raises(ConfigError):
-            WorkerRoster(shards=shards, byzantine=(5,), attack=attack)
+            WorkerRoster(m=3, byzantine=(5,), attack=attack)
         with pytest.raises(ConfigError):
-            WorkerRoster(shards=shards, byzantine=(0,))  # no attack spec
+            WorkerRoster(m=3, byzantine=(0,))  # no attack spec
 
-    def test_unequal_shards_are_refused_with_their_sizes(self):
-        X, Y = make_cloud(n=12, dim=2, seed=0)
-        roster = WorkerRoster(shards=[np.arange(4), np.arange(4, 7), np.arange(7, 12)])
+    @pytest.mark.parametrize("N, m", [(12, 5), (13, 3), (2, 3), (0, 3)])
+    def test_rows_that_m_does_not_divide_are_refused_naming_n_and_m(self, N, m):
+        X, Y = make_cloud(n=N, dim=2, seed=0)
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
-        with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
-            validate_roster(roster, 12, cfg.screen.screen_count)
-        with pytest.raises(ConfigError, match=r"same number of rows, got sizes \[3, 4, 5\]"):
-            run_training(QuadraticLoss(), X, Y, roster, cfg)
+        message = rf"^N={N} rows do not split into m={m} equal non-empty worker blocks$"
+        with pytest.raises(ConfigError, match=message):
+            validate_roster(WorkerRoster(m=m), N, cfg.screen.screen_count)
+        with pytest.raises(ConfigError, match=message):
+            run_training(QuadraticLoss(), X, Y, WorkerRoster(m=m), cfg)
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "m must be >= 1, got 0"),
+        (2.5, "m must be an integer count, got 2.5"),
+        (True, "m must be an integer count, got True"),
+        ("3", "m must be an integer count, got '3'"),
+    ])
+    def test_the_worker_count_is_checked_by_name(self, m, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            WorkerRoster(m=m)
+
+    def test_an_integral_float_worker_count_is_stored_as_an_int(self):
+        roster = WorkerRoster(m=3.0)
+        assert roster.m == 3 and type(roster.m) is int
 
     def test_zero_reference_warns_once_per_round(self, caplog):
         # every row at theta0 = 0: the honest reports, and so their mean, are exactly zero
         X = np.zeros((12, 2))
-        roster = WorkerRoster(shards=even_shards(12, 6)[0], byzantine=(0, 1, 2),
+        roster = WorkerRoster(m=6, byzantine=(0, 1, 2),
                               attack=AttackSpec(kind="intelligent"))
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), screen_count=3, theta0=np.zeros(2))
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
@@ -459,7 +471,7 @@ class TestRunTraining:
         # workers 0 and 1 hold rows at theta0 = 0, where the quadratic ascent
         # stays put; only worker 2's rows can diverge
         X = np.vstack([np.zeros((4, 2)), np.ones((2, 2))])
-        roster = WorkerRoster(shards=[np.arange(2), np.arange(2, 4), np.arange(4, 6)])
+        roster = WorkerRoster(m=3)
         cfg = plain_config(0.1, 3, DROConfig(2.0, 50.0, 500), theta0=np.zeros(2))
         with pytest.raises(NumericError, match=r"iteration 0, worker 2: inner ascent diverged"):
             run_training(QuadraticLoss(), X, np.zeros(6), roster, cfg)
@@ -468,8 +480,7 @@ class TestRunTraining:
         # at theta = 0 every row's line coordinate grows by 149x per step alike
         X = rng.standard_normal((12, 3))
         Y = rng.integers(0, 2, size=12).astype(float)
-        shards, _ = even_shards(12, 4)
-        roster = WorkerRoster(shards=shards, byzantine=(0,),
+        roster = WorkerRoster(m=4, byzantine=(0,),
                               attack=AttackSpec(kind="aggressive"))
         cfg = plain_config(0.1, 3, DROConfig(3.0, 50.0, 500), screen_count=1,
                            theta0=np.zeros(3))
@@ -483,19 +494,18 @@ class TestRunTraining:
         # stacked call, which crafts every run's rows
         monkeypatch.setattr(simulation, "craft", lambda *args: np.inf * craft(*args))
         X, Y = make_cloud(n=30, dim=3, seed=8)
-        shards, _ = even_shards(30, 6)
         attack = AttackSpec(kind="aggressive", scale=10.0)
-        roster = WorkerRoster(shards=shards, byzantine=(0, 1), attack=attack)
+        roster = WorkerRoster(m=6, byzantine=(0, 1), attack=attack)
         dro = DROConfig(2.0, 0.3, 3)
         trace = run_training(QuadraticLoss(), X, Y, roster,
                              plain_config(0.2, 4, dro, screen_count=2, seed=1))
         assert np.isfinite(trace.aggregated).all()
         assert not np.isfinite(trace.worker_norms[:, :2]).any()
-        clean = run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=shards[2:]),
+        clean = run_training(QuadraticLoss(), X[10:], Y[10:], WorkerRoster(m=4),
                              plain_config(0.2, 4, dro, seed=1))
         np.testing.assert_array_equal(trace.aggregated, clean.aggregated)
         # more non-finite reports than the screen drops: the run fails with context
-        excess = WorkerRoster(shards=shards, byzantine=(0, 1), attack=attack,
+        excess = WorkerRoster(m=6, byzantine=(0, 1), attack=attack,
                               allow_excess_byzantine=True)
         with pytest.raises(NumericError, match="iteration 0: non-finite aggregated"):
             run_training(QuadraticLoss(), X, Y, excess,
@@ -505,22 +515,20 @@ class TestRunTraining:
     def test_a_report_past_the_float_range_is_screened(self):
         # -1e308 times a reference entry above 1.8 overflows to -inf
         X, Y = make_cloud(n=30, dim=3, seed=8)
-        shards, _ = even_shards(30, 6)
         attack = AttackSpec(kind="aggressive", scale=1e308)
-        roster = WorkerRoster(shards=shards, byzantine=(0,), attack=attack)
+        roster = WorkerRoster(m=6, byzantine=(0,), attack=attack)
         dro = DROConfig(2.0, 0.3, 3)
         cfg = plain_config(0.1, 3, dro, screen_count=1, theta0=np.full(3, 10.0))
         trace = run_training(QuadraticLoss(), X, Y, roster, cfg)
         assert (trace.worker_norms[:, 0] == np.inf).all()
-        clean = run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=shards[1:]),
+        clean = run_training(QuadraticLoss(), X[5:], Y[5:], WorkerRoster(m=5),
                              plain_config(0.1, 3, dro, theta0=np.full(3, 10.0)))
         np.testing.assert_array_equal(trace.aggregated, clean.aggregated)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_huge_finite_aggregate_has_norm_inf(self):
         X, Y = make_cloud(n=30, dim=3, seed=8)
-        shards, _ = even_shards(30, 6)
-        roster = WorkerRoster(shards=shards, byzantine=(0,), allow_excess_byzantine=True,
+        roster = WorkerRoster(m=6, byzantine=(0,), allow_excess_byzantine=True,
                               attack=AttackSpec(kind="aggressive", scale=1e200))
         cfg = plain_config(1e-300, 2, DROConfig(2.0, 0.3, 3), theta0=np.full(3, 10.0))
         trace = run_training(QuadraticLoss(), X, Y, roster, cfg)  # no screening
@@ -533,7 +541,7 @@ class TestRunTraining:
         X, Y = make_cloud(n=8, dim=3, seed=1)
         cfg = plain_config(1e308, 3, DROConfig(2.0, 0.3, 2), theta0=np.full(3, 10.0))
         with pytest.raises(NumericError, match="iteration 0: iterate diverged"):
-            run_training(QuadraticLoss(), X, Y, WorkerRoster(shards=[np.arange(8)]), cfg)
+            run_training(QuadraticLoss(), X, Y, WorkerRoster(m=1), cfg)
 
     @pytest.mark.parametrize("iterations, message", [
         (0, "iterations must be >= 1, got 0"),
@@ -565,7 +573,7 @@ class TestRunTraining:
 
     def test_theta0_shape_checked(self):
         X, Y = make_cloud(n=8, dim=3, seed=1)
-        roster = WorkerRoster(shards=[np.arange(8)])
+        roster = WorkerRoster(m=1)
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), theta0=np.zeros(2))
         with pytest.raises(ConfigError, match="theta0"):
             run_training(QuadraticLoss(), X, Y, roster, cfg)
@@ -579,7 +587,7 @@ def assert_same_bits(a, b, name=""):
 
 
 def batch_problem(kind, attack, R, m=12, n=4, d=5, t_z=5, iterations=12):
-    """R runs of one roster shape: each its own data, shards, eta, seed and attack seed.
+    """R runs of one roster shape: each its own data and row order, eta, seed and attack seed.
 
     The 10 honest workers are enough for numpy to sum their values pairwise.
     """
@@ -590,8 +598,9 @@ def batch_problem(kind, attack, R, m=12, n=4, d=5, t_z=5, iterations=12):
     dro = DROConfig(3.0, 0.05, t_z) if kind == "logistic" else DROConfig(2.0, 0.3, t_z)
     rosters, cfgs = [], []
     for r in range(R):
-        shards = np.split(rng.permutation(m * n), m)
-        rosters.append(WorkerRoster(shards=shards, byzantine=(0, 3),
+        order = rng.permutation(m * n)
+        X[r], Y[r] = X[r][order], Y[r][order]
+        rosters.append(WorkerRoster(m=m, byzantine=(0, 3),
                                     attack=AttackSpec(kind=attack, rng_seed=10 + r)))
         cfgs.append(plain_config(0.1 + 0.05 * r, iterations, dro, screen_count=2, seed=r))
     return model, X, Y, rosters, cfgs
@@ -601,7 +610,7 @@ def one_run(model, X, Y, roster, cfg):
     """The round loop of one run on its own, the reference for the batch: (T, ...) arrays."""
     T, d = cfg.iterations, X.shape[1]
     honest, byzantine = list(roster.honest), list(roster.byzantine)
-    shards = np.stack([roster.shards[i] for i in honest])
+    shards = worker_rows(roster.m, X.shape[0])[honest]
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
     out = {name: [] for name in ("aggregated", "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
@@ -663,7 +672,7 @@ class TestTrainRuns:
         assert [(specs, workers) for specs, workers, *_ in built] == [
             ([roster.attack for roster in rosters], (0, 3))]
         # a roster without byzantine workers builds none
-        run_training(model, X[0], Y[0], WorkerRoster(shards=rosters[0].shards), cfgs[0])
+        run_training(model, X[0], Y[0], WorkerRoster(m=rosters[0].m), cfgs[0])
         assert len(built) == 1
 
     def test_a_counterexample_roster_with_one_honest_worker_is_refused_before_round_0(
@@ -684,6 +693,19 @@ class TestTrainRuns:
             run_training(model, X[1], Y[1], rosters[1], cfgs[1])
         assert calls == []
 
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_the_rounds_get_one_c_ordered_honest_block(self, monkeypatch, R):
+        # a C-ordered (R, k, n, d) block is viewed as (R, k * n, d) rows without a copy
+        blocks, real = [], simulation.worker_reports
+        monkeypatch.setattr(simulation, "worker_reports",
+                            lambda model, theta, X, *args: blocks.append(X) or
+                            real(model, theta, X, *args))
+        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", R)
+        train_runs(model, X, Y, rosters, cfgs)
+        assert all(block is blocks[0] for block in blocks)
+        assert blocks[0].shape == (R, 10, 4, 5) and blocks[0].flags["C_CONTIGUOUS"]
+        assert_same_bits(blocks[0], X.reshape(R, 12, 4, 5)[:, [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]])
+
     def test_runs_differ_in_their_own_fields(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)
         finals = [trace.theta_final for trace in train_runs(model, X, Y, rosters, cfgs)]
@@ -693,7 +715,7 @@ class TestTrainRuns:
     @pytest.mark.parametrize("t_z", [0, 4])
     def test_a_numeric_error_names_the_run_the_iteration_and_the_worker(self, t_z):
         model, X, Y, rosters, cfgs = batch_problem("logistic", "aggressive", 3, t_z=t_z)
-        X[1, rosters[1].shards[4][1], 2] = np.nan  # run 1, worker 4's second row
+        X[1, worker_rows(12, 48)[4][1], 2] = np.nan  # run 1, worker 4's second row
         with pytest.raises(NumericError, match=r"^run 1, iteration 0, worker 4: non-finite "
                                                r"margins"):
             train_runs(model, X, Y, rosters, cfgs)
@@ -708,7 +730,7 @@ class TestTrainRuns:
         # four rows at 1.7e308 in a coordinate the iterate does not weigh: finite rows and
         # margins, but a report whose sum over the worker's rows overflows
         model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", 3, t_z=4)
-        X[1, rosters[1].shards[4], 0], Y[1, rosters[1].shards[4]] = 1.7e308, 0.0
+        X[1, worker_rows(12, 48)[4], 0], Y[1, worker_rows(12, 48)[4]] = 1.7e308, 0.0
         cfgs = [replace(cfg, theta0=np.array([0.0, 0.1, 0.1, 0.1, 0.1])) for cfg in cfgs]
         with pytest.raises(NumericError, match=r"^run 1, iteration 0, worker 4: non-finite "
                                                r"gradient report$"):
@@ -724,10 +746,8 @@ class TestTrainRuns:
             run_training(model, X[2], Y[2], rosters[2], cfgs[2])
 
     @pytest.mark.parametrize("field, change, shown", [
-        ("m", lambda ro, cfg: (replace(ro, shards=np.split(np.arange(24), 8)), cfg), "8"),
+        ("m", lambda ro, cfg: (replace(ro, m=8), cfg), "8"),
         ("byzantine", lambda ro, cfg: (replace(ro, byzantine=(1, 3)), cfg), r"\(1, 3\)"),
-        ("shard rows",
-         lambda ro, cfg: (replace(ro, shards=np.split(np.arange(36), 12)), cfg), "3"),
         ("screen_count", lambda ro, cfg: (ro, replace(cfg, screen=ScreenConfig(3))), "3"),
         ("dro", lambda ro, cfg: (ro, replace(cfg, dro=DROConfig(2.0, 0.3, 6))), "DROConfig"),
         ("iterations", lambda ro, cfg: (ro, replace(cfg, iterations=13)), "13"),
@@ -772,7 +792,8 @@ def mean_of_means(model, X, Y, roster, dro, theta):
     """
     means = []
     for i in roster.honest:
-        rows, labels = X[roster.shards[i]], Y[roster.shards[i]]
+        shard = worker_rows(roster.m, X.shape[0])[i]
+        rows, labels = X[shard], Y[shard]
         Z = ascent_rows(model, theta, rows, labels, dro)
         objectives = penalized_objectives(model, theta, Z, labels, rows, dro.lam)
         means.append(np.add.reduceat(objectives, [0])[0] / len(rows))
@@ -799,7 +820,7 @@ class TestHonestObjective:
         for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
             roster, dro, theta = rosters[r], cfgs[r].dro, trace.iterates[-1]
             got = honest_objective(X[r], Y[r], roster, dro, trace)
-            shards = np.stack([roster.shards[i] for i in roster.honest])
+            shards = worker_rows(roster.m, X.shape[1])[list(roster.honest)]
             assert_same_bits(got, worker_objectives(theta, X[r][shards], Y[r][shards],
                                                     dro).mean(), f"run {r}")
             assert got == pytest.approx(mean_of_means(model, X[r], Y[r], roster, dro, theta),
@@ -811,7 +832,7 @@ class TestHonestObjective:
         model, X, Y, [roster], [cfg] = batch_problem("logistic", "aggressive", 1, m=19, n=153,
                                                      d=57, t_z=t_z, iterations=2)
         [trace] = train_runs(model, X, Y, [roster], [cfg])
-        shards = np.stack([roster.shards[i] for i in roster.honest])
+        shards = worker_rows(roster.m, X.shape[1])[list(roster.honest)]
         assert shards.shape == (17, 153)
         got = honest_objective(X[0], Y[0], roster, cfg.dro, trace)
         assert_same_bits(got, worker_objectives(trace.iterates[-1], X[0][shards], Y[0][shards],
@@ -843,7 +864,7 @@ class TestHonestObjective:
     def test_an_objective_that_overflows_names_the_last_iteration_and_the_worker(
             self, theta0, iterations, dro, message):
         X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3)
-        roster = WorkerRoster(shards=[np.arange(3), np.arange(3, 6)])
+        roster = WorkerRoster(m=2)
         cfg = plain_config(0.01, iterations, dro, theta0=np.array([theta0, 0.0]))
         trace = run_training(LogisticLoss(), X, np.zeros(6), roster, cfg)
         assert np.isfinite(trace.aggregated).all()
@@ -900,10 +921,9 @@ class TestDiagnostics:
     def test_quadratic_diagnostics_use_the_closed_form(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=24, dim=3, seed=4)
-        shards, _ = even_shards(24, 4)
         lam = 2.0
         cfg = plain_config(0.3, 5, DROConfig(lam, 0.3, 3), seed=2)
-        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=4), cfg)
         diag = with_diagnostics(model, X, Y, trace, cfg.dro)
         assert trace.true_gradients is None  # the input trace is left as it was
         np.testing.assert_array_equal(diag.iterates, trace.iterates)
@@ -921,10 +941,9 @@ class TestDiagnostics:
         model = LogisticLoss()
         X = rng.standard_normal((16, 3))
         Y = rng.integers(0, 2, size=16).astype(float)
-        shards, _ = even_shards(16, 4)
         lam = 3.0
         cfg = plain_config(0.5, 4, DROConfig(lam, 0.05, 5), seed=3)
-        trace = run_training(model, X, Y, WorkerRoster(shards=shards), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=4), cfg)
         diag = with_diagnostics(model, X, Y, trace, cfg.dro)
         converged = DROConfig(lam, theoretical_ascent_step(lam), 400)
         for t, theta in enumerate(diag.iterates):
@@ -947,7 +966,7 @@ class TestDiagnostics:
         X = rng.standard_normal((8, 3))
         Y = rng.integers(0, 2, size=8).astype(float)
         cfg = plain_config(0.5, 4, DROConfig(3.0, 0.05, 5), seed=3)
-        trace = run_training(model, X, Y, WorkerRoster(shards=[np.arange(8)]), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=1), cfg)
         iterates = trace.iterates.copy()
         iterates[2] = [4.0, 0.0, 0.0]  # ||theta||^2 / 4 = 4 > lam
         with pytest.raises(RegimeError, match=r"iterate 2: inner objective not concave: lam=3.0"):
@@ -982,7 +1001,7 @@ class TestDiagnostics:
         model = QuadraticLoss(2.0)
         X, Y = make_cloud(n=12, dim=2, seed=1)
         cfg = plain_config(0.1, 2, DROConfig(3.0, 0.2, 2), seed=0)
-        trace = run_training(model, X, Y, WorkerRoster(shards=[np.arange(12)]), cfg)
+        trace = run_training(model, X, Y, WorkerRoster(m=1), cfg)
         with pytest.raises(RegimeError, match="not concave"):
             with_diagnostics(model, X, Y, trace, DROConfig(lam, 0.2, 2))
 
@@ -1035,7 +1054,7 @@ class TestDiagnostics:
         X = rng.standard_normal((n, 4))
         Y = rng.integers(0, 2, size=n).astype(float)
         dro = DROConfig(3.0, 0.05, 5)
-        trace = run_training(LogisticLoss(), X, Y, WorkerRoster(shards=[np.arange(n)]),
+        trace = run_training(LogisticLoss(), X, Y, WorkerRoster(m=1),
                              plain_config(0.5, T, dro))
         directions = rng.standard_normal((T, 4))
         radii = 2.0 * np.sqrt(dro.lam) * rng.uniform(0.0, 0.999, size=(T, 1))
@@ -1101,9 +1120,8 @@ class TestVariants:
         self.X, _ = make_cloud(n=24, dim=3, seed=11)
         rng = np.random.default_rng(11)
         self.Y = rng.integers(0, 2, size=24).astype(float)
-        shards, _ = even_shards(24, 6)
         self.roster = WorkerRoster(
-            shards=shards, byzantine=(0,), attack=AttackSpec(kind="aggressive", rng_seed=1),
+            m=6, byzantine=(0,), attack=AttackSpec(kind="aggressive", rng_seed=1),
         )
         self.cfg = plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), screen_count=1, seed=2)
 
@@ -1123,18 +1141,18 @@ class TestVariants:
     def test_erm_with_clean_roster_is_textbook_distributed_descent(self):
         # t_z = 0 and no screening: the update is full-batch descent on the
         # empirical loss (worker shards average back to the global mean)
-        clean = WorkerRoster(shards=self.roster.shards)
+        clean = WorkerRoster(m=6)
         trace = self.run("erm", clean, self.cfg)
 
         theta = initial_theta(3, 2)
         for _ in range(self.cfg.iterations):
             grads = [loss_grads_theta(self.model, theta, self.X[s], self.Y[s]).mean(axis=0)
-                     for s in clean.shards]
+                     for s in worker_rows(6, 24)]
             theta = theta - self.cfg.eta * np.mean(grads, axis=0)
         np.testing.assert_allclose(trace.theta_final, theta, atol=1e-12)
 
     def test_plain_mean_variant_with_clean_roster_matches_average(self):
-        clean = WorkerRoster(shards=self.roster.shards)
+        clean = WorkerRoster(m=6)
         dro_only = self.run("dro_only", clean, self.cfg)
         alg2 = self.run("alg2", clean, plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), seed=2))
         # with nothing to screen and b=0 both reduce to the same mean
