@@ -36,6 +36,7 @@ from .experiments import ExperimentConfig, run_experiment, sweep
 from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
 from .shift import ShiftSpec, misclassification_rate, perturb_test_set
 from .simulation import (
+    ReportPlan,
     RunTrace,
     TrainConfig,
     WorkerRoster,

@@ -84,9 +84,10 @@ class DirectionBlocks:
     One stream per worker in ``workers``, keyed by (rng_seed, worker).
     ``round(t)`` gives the streams' t-th ``dim``-vectors and their lengths; a
     block of min(DIRECTION_BLOCK_ROUNDS, rounds) rounds is drawn when a round
-    outside the current one is asked for. Rounds are read forward in
-    training; an earlier round restarts the streams, so round t's vectors
-    never depend on the rounds read before it.
+    outside the current one is asked for. The generators are made when the
+    first block is drawn, so a plan that only checks a config makes none.
+    Rounds are read forward in training; an earlier round restarts the
+    streams, so round t's vectors never depend on the rounds read before it.
     """
 
     def __init__(self, rng_seed, workers, rounds, dim):
@@ -98,7 +99,7 @@ class DirectionBlocks:
         self._restart()
 
     def _restart(self):
-        self._streams = [np.random.default_rng(key) for key in self._keys]
+        self._streams = None  # made by the first block drawn
         self._start = self._stop = 0  # the rounds the block holds
 
     def round(self, t):
@@ -115,6 +116,8 @@ class DirectionBlocks:
         return self._block[:, t - self._start], self._lengths[:, t - self._start]
 
     def _draw_block(self):
+        if self._streams is None:
+            self._streams = [np.random.default_rng(key) for key in self._keys]
         count = min(self._block.shape[1], self.rounds - self._stop)
         rows, lengths = self._block[:, :count], self._lengths[:, :count]
         for stream_rows, stream_lengths, stream in zip(rows, lengths, self._streams):

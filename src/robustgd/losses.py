@@ -8,13 +8,14 @@ numerical checks of the convergence bounds.
 A loss class gives its family's smoothness constants; it evaluates nothing
 itself. Every value and gradient the package uses is taken on the line its
 inner ascent keeps z on. At the ascent output, the gradients are formed by
-``simulation.worker_reports`` from the coefficients of
-``surrogate.line_ascent`` or ``surrogate.quadratic_line_ascent``, and the
-logistic values by ``surrogate.inner_objectives``; with zero ascent steps
+``simulation.worker_reports`` from the line coefficients (the logistic step
+loop ``surrogate._line_steps``, the quadratic's one coefficient k from
+``surrogate.quadratic_line_ascent``), and the logistic values by
+``surrogate.inner_objectives``; with zero ascent steps
 they are the plain loss and its parameter gradient. At the exact inner
 maximizer they come from ``surrogate.exact_rows``. The logistic ones are
 built from the branch-free ``sigmoid`` and the clipped ``cross_entropy``
-below, except the steps of ``surrogate.line_ascent``, which evaluate
+below, except the steps of ``surrogate._line_steps``, which evaluate
 eta_z * sigmoid(u) in place as eta_z / (1 + exp(-u)); the test shift works
 on the logistic margins (``shift.perturb_test_set``).
 """
@@ -51,16 +52,21 @@ class SmoothnessConstants:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-def sigmoid(t):
+def sigmoid(t, out=None):
     """Numerically stable logistic function, elementwise.
 
     With e = exp(-|t|) in [0, 1] this is 1/(1 + e) for t >= 0 and e/(1 + e)
     otherwise; neither branch can overflow, so both are computed and selected
-    without masking.
+    without masking. e, 1 + e and the result share one buffer: ``out`` if
+    given (it may be ``t`` itself), else a new array of t's shape.
     """
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    positive = t >= 0
+    e = np.copysign(t, -1.0, out=np.empty(t.shape) if out is None else out)  # -|t|
+    np.exp(e, out=e)
+    numerators = np.where(positive, 1.0, e)
+    e += 1.0
+    return np.divide(numerators, e, out=e)
 
 
 def cross_entropy(a, Y):

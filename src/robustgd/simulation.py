@@ -6,19 +6,25 @@ byzantine workers report crafted vectors instead. The server screens by
 norm, averages the survivors, and steps. Worker j's shard is the j-th of m
 equal contiguous blocks of the N training rows (``validate_roster`` refuses
 an N that m does not divide), so before the loop the rows are viewed as an
-(m, n, d) block, the k honest workers' slices are copied once into one
-(k, n, d) block, and one batched ascent per round serves every honest
-worker: ``worker_reports`` calls ``surrogate.line_ascent`` or
-``surrogate.quadratic_line_ascent`` itself. That ascent is a scalar
-recursion on a line through each row: one coefficient per row for the
-logistic loss, one coefficient shared by every row for the quadratic. A report is the worker's mean surrogate gradient and nothing
-else; it comes from those coefficients without an (n, d) perturbed matrix:
-for the logistic loss, the k gradient sums are one stacked product
-r_j^T X_j over the block (one matrix-vector product per worker) plus, when
-the ascent takes steps, segment sums of r * c times theta, with
-r = sigmoid(theta . x + c * ||theta||^2) - y; for the
-quadratic, c * (1 + k) times segment sums of theta - x. A report that is
-not finite is refused in the round. The batch's attack is set up once,
+(m, n, d) block and the k honest workers' slices are copied once into one
+C-ordered (k, n, d) block. The honest side of the rounds is set up once,
+before round 0, in a ``ReportPlan``: the block's (k * n, d) row view and
+labels, the workers' segment starts, and for the logistic loss eta_z * y,
+rho and every scratch buffer a round needs. Each round, one
+``worker_reports(plan, theta)`` call does only the round's arithmetic: one
+batched ascent that serves every honest worker, a scalar recursion on a
+line through each row (``surrogate._line_steps``, one coefficient per row,
+for the logistic loss; ``surrogate.quadratic_line_ascent``, one coefficient
+shared by every row, for the quadratic). A report is the worker's mean
+surrogate gradient and nothing else; it comes from those coefficients
+without an (n, d) perturbed matrix: for the logistic loss, the k gradient sums are one stacked product r_j^T X_j over
+the block (one matrix-vector product per worker) plus, when the ascent
+takes steps, segment sums of r * c times theta, with
+r = sigmoid(theta . x + c * ||theta||^2) - y; for the quadratic,
+c * (1 + k) times segment sums of theta - x. A report that is not finite is
+refused in the round, and so is a logistic inner penalty
+lam * c^2 * ||theta||^2 / 2 that overflows the inner objective, in the
+round where it breaks. The batch's attack is set up once,
 before round 0 (``AttackPlan``: the runs grouped by kind, a counterexample
 batch checked for the two honest workers it ranks and each intelligent
 run's directions built, one generator per byzantine worker drawn a block
@@ -43,8 +49,10 @@ directions. Every product over the run axis is the stacked form of the
 run's own, so each run's trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
-The round loop runs only the algorithm: it forms no inner objective. The
-record's objective estimate, the mean honest-worker logistic inner objective
+The round loop runs only the algorithm: it forms no inner objective, and
+checks the penalty against the objective's overflow from max |c| and
+||theta||^2, which it already holds (only a penalty above the plan's cap
+has its objectives formed, to decide). The record's objective estimate, the mean honest-worker logistic inner objective
 at the last iterate theta_{T-1}, is taken after the run by ``honest_objective``,
 over the same honest block and with the same ascent and reductions as a
 round would use. The trace records every iterate, so the diagnostics the
@@ -65,7 +73,8 @@ from .aggregation import ScreenConfig, norm_screen
 from .attacks import AttackPlan, AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss, sigmoid
-from .surrogate import DROConfig, exact_rows, inner_objectives, line_ascent, quadratic_line_ascent
+from .surrogate import (DROConfig, _line_steps, _margins, exact_rows, inner_objectives,
+                        line_ascent, quadratic_line_ascent)
 
 VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
 # cap, in floats, on each (B, n, d) temporary of the blocked diagnostics (256 kB):
@@ -166,54 +175,124 @@ def initial_theta(dim, seed):
     return 0.01 * rng.standard_normal(dim)
 
 
-def worker_reports(model, theta, X, Y, dro: DROConfig):
-    """Honest workers' reports: their mean surrogate gradients.
+class ReportPlan:
+    """The honest side of a batch's rounds, set up once before round 0.
 
-    ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]``, ``Y``
-    the (k, n) labels and ``theta`` the (d,) iterate; or, for R runs at once,
-    an (R, k, n, d) block, (R, k, n) labels and (R, d) iterates, each run's
-    reports bit-equal to its own call. One ascent runs over all the rows
-    (``line_ascent``, ``quadratic_line_ascent``); each worker's gradient is
-    the loss gradient at the ascent output averaged over its rows, evaluated
-    from the line coefficients without forming the ascent output. A logistic
-    worker's gradient sum is X_j^T r_j + (sum of r * c) * theta over its
-    rows, with r = sigmoid(theta . x + c * ||theta||^2) - y, the first terms
-    one stacked product over the block; at t_z = 0, z = x, so r is the plain
+    ``X`` is a (k, n, d) block holding worker j's n rows at ``X[j]`` and
+    ``Y`` the (k, n) labels; or, for R runs at once, an (R, k, n, d) block
+    and (R, k, n) labels. The plan keeps the block C-ordered (copied only if
+    it is not) with its (..., k * n, d) row view and labels, the segment
+    starts of the k workers, n and the inner settings ``dro``. For the
+    logistic loss it also holds eta_z * y, rho = 1 - eta_z * lam and the
+    round's scratch buffers: the margins, c, the step buffer and the
+    sigmoid's output, so that ``worker_reports`` allocates only what it
+    returns and a segment sum.
+    """
+
+    def __init__(self, model, X, Y, dro: DROConfig):
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        if X.ndim not in (3, 4) or 0 in X.shape or Y.shape != X.shape[:-1]:
+            raise ConfigError(f"expected a (k, n, d) row block with (k, n) labels, or each "
+                              f"with a leading run axis, got shapes {X.shape} and {Y.shape}")
+        *runs, k, n, d = X.shape
+        self.block = np.ascontiguousarray(X)
+        self.rows = self.block.reshape(*runs, k * n, d)
+        self.labels = np.ascontiguousarray(Y).reshape(*runs, k * n)
+        self.theta_shape, self.n, self.starts = (*runs, d), n, np.arange(0, k * n, n)
+        # r as one (1, n) row per worker, and the reports it gives
+        self.residual_shape, self.report_shape = (*runs, k, 1, n), (*runs, k, d)
+        self.model, self.dro, self.logistic = model, dro, isinstance(model, LogisticLoss)
+        if self.logistic:
+            self.eta_y, self.rho = dro.eta_z * self.labels, 1.0 - dro.eta_z * dro.lam
+            # no objective sum of n rows with penalties below this overflows
+            self.penalty_cap = np.finfo(float).max / (4 * n)
+            self.margins = np.empty((*runs, k * n, 1))
+            self.c, self.v, self.neg_margins = (np.empty(self.labels.shape) for _ in range(3))
+
+
+def worker_reports(plan: ReportPlan, theta):
+    """Honest workers' reports at ``theta``: their mean surrogate gradients.
+
+    ``theta`` is the (d,) iterate, or (R, d) for a plan of R runs, each run's
+    reports bit-equal to a plan of its own. One ascent runs over all the rows
+    (``surrogate._line_steps`` for the logistic loss,
+    ``surrogate.quadratic_line_ascent`` for the quadratic); each worker's gradient is the loss gradient at the ascent
+    output averaged over its rows, evaluated from the line coefficients
+    without forming the ascent output. A logistic worker's gradient sum is
+    X_j^T r_j + (sum of r * c) * theta over its rows, with
+    r = sigmoid(theta . x + c * ||theta||^2) - y, the first terms one stacked
+    product over the block; at t_z = 0, z = x, so r is the plain
     sigmoid(theta . x) - y and the sum is X_j^T r_j alone (bit-equal to the
     general formula: theta . x + 0 * ||theta||^2 differs from theta . x only
-    at -0.0, where sigmoid is 0.5 either way). A quadratic
-    worker's is c * (1 + k) times the segment sum of theta - x. Returns a
-    (k, d) gradient matrix, (R, k, d) for R runs; a report that is not
-    finite raises ``NumericError`` with the worker's first row. A
-    ``NumericError`` row indexes the block's rows in order: row i lies in
-    run i // (k * n) and in worker i % (k * n) // n of that run.
+    at -0.0, where sigmoid is 0.5 either way). A quadratic worker's is
+    c * (1 + k) times the segment sum of theta - x. Returns a new (k, d)
+    gradient matrix, (R, k, d) for R runs.
+
+    Refused with ``NumericError``: a non-finite theta, ||theta||^2, margin
+    or row of theta - x; a diverging ascent, named by its first diverging
+    step; a logistic inner penalty lam * c^2 * ||theta||^2 / 2 that makes a
+    row's inner objective or a worker's sum of them overflow, named as
+    ``honest_objective`` names it (checked exactly only when max |c| puts a
+    penalty above the plan's cap); and a report that is not finite, with the
+    worker's first row. A ``NumericError`` row indexes the block's rows in
+    order: row i lies in run i // (k * n) and in worker i % (k * n) // n of
+    that run.
     """
     theta = np.asarray(theta, dtype=float)
-    if (X.ndim not in (3, 4) or 0 in X.shape or Y.shape != X.shape[:-1]
-            or theta.shape != X.shape[:-3] + X.shape[-1:]):
-        raise ConfigError(f"expected a (k, n, d) row block with (k, n) labels and a (d,) "
-                          f"iterate, or each with a leading run axis, got shapes {X.shape}, "
-                          f"{Y.shape} and {theta.shape}")
-    *runs, k, n, d = X.shape
-    rows, labels = X.reshape(*runs, k * n, d), Y.reshape(*runs, k * n)
-    starts = np.arange(0, k * n, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused below
-        if isinstance(model, LogisticLoss):
-            margins, c, sq_norm = line_ascent(theta, rows, labels, dro)
-            # theta . z with z = x + c * theta, or z = x and no c term at t_z = 0
-            r = sigmoid(margins + c * sq_norm if dro.t_z else margins) - labels
-            grad_sums = np.matmul(r.reshape(*runs, k, 1, n), X).reshape(*runs, k, d)
+    if theta.shape != plan.theta_shape:
+        raise ConfigError(f"expected an iterate of shape {plan.theta_shape}, got {theta.shape}")
+    dro = plan.dro
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
+        if plan.logistic:
+            margins, sq_norm = _margins(theta, plan.rows, out=plan.margins)
+            r = plan.v
             if dro.t_z:
-                c_sums = np.add.reduceat(r * c, starts, axis=-1)
+                c = plan.c
+                steps = (c, plan.v, np.negative(margins, out=plan.neg_margins), sq_norm,
+                         plan.eta_y, dro.eta_z, plan.rho, dro.t_z)
+                _line_steps(*steps)
+                # nan or inf if a coefficient is, and the largest penalty otherwise
+                top = float(np.abs(c, out=plan.v).max())
+                if not dro.lam * (0.5 * (top * top) * float(sq_norm.max())) <= plan.penalty_cap:
+                    if not np.isfinite(c).all():
+                        _line_steps(*steps, check=True)  # raises at the first diverging step
+                    _objective_sums(inner_objectives(theta, plan.rows, plan.labels, dro),
+                                    plan.starts, plan.n)
+                # theta . z with z = x + c * theta
+                np.add(margins, np.multiply(c, sq_norm, out=r), out=r)
+                sigmoid(r, out=r)
+            else:
+                sigmoid(margins, out=r)
+            r -= plan.labels
+            grad_sums = np.matmul(r.reshape(plan.residual_shape),
+                                  plan.block).reshape(plan.report_shape)
+            if dro.t_z:
+                c_sums = np.add.reduceat(np.multiply(r, c, out=plan.neg_margins), plan.starts,
+                                         axis=-1)
                 grad_sums += c_sums[..., None] * theta[..., None, :]
         else:
-            line_k, D = quadratic_line_ascent(model, theta, rows, dro)  # z = x - k * D
-            grad_sums = model.curvature * (1.0 + line_k) * np.add.reduceat(D, starts, axis=-2)
-        reports = grad_sums / n
-    if not np.isfinite(reports).all():  # name each such worker's first row
-        refused = np.flatnonzero(~np.isfinite(reports).all(axis=-1))
-        raise NumericError("non-finite gradient report", rows=n * refused)
-    return reports
+            line_k, D = quadratic_line_ascent(plan.model, theta, plan.rows, dro)  # z = x - k * D
+            grad_sums = (plan.model.curvature * (1.0 + line_k)
+                         * np.add.reduceat(D, plan.starts, axis=-2))
+        grad_sums /= plan.n
+    if not np.isfinite(grad_sums).all():  # name each such worker's first row
+        refused = np.flatnonzero(~np.isfinite(grad_sums).all(axis=-1))
+        raise NumericError("non-finite gradient report", rows=plan.n * refused)
+    return grad_sums
+
+
+def _objective_sums(objectives, starts, n):
+    """Each worker's sum of its n rows' inner objectives, refusing a sum that overflows.
+
+    ``objectives`` is (..., k * n) and ``starts`` the k segment starts; the
+    ``NumericError`` names each such worker's first row.
+    """
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        sums = np.add.reduceat(objectives, starts, axis=-1)
+    if not np.isfinite(sums).all():
+        raise NumericError("inner objective sum overflows",
+                           rows=n * np.flatnonzero(~np.isfinite(sums)))
+    return sums
 
 
 def honest_objective(X, Y, roster, dro: DROConfig, trace):
@@ -234,11 +313,7 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
     try:
         objectives = inner_objectives(trace.iterates[-1:], honest_X.reshape(1, k * n, d),
                                       honest_Y.reshape(1, k * n), dro)
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            sums = np.add.reduceat(objectives, np.arange(0, k * n, n), axis=-1)
-        if not np.isfinite(sums).all():  # name each such worker's first row
-            raise NumericError("inner objective sum overflows",
-                               rows=n * np.flatnonzero(~np.isfinite(sums)))
+        sums = _objective_sums(objectives, np.arange(0, k * n, n), n)
     except NumericError as exc:
         row = 0 if exc.rows is None else exc.rows[0]
         raise NumericError(f"iteration {trace.iterations - 1}, worker {honest[row // n]}: "
@@ -321,14 +396,15 @@ def train_runs(model, X, Y, rosters, cfgs):
     honest, honest_X, honest_Y = _honest_block(X, Y, roster)
     byzantine = np.array(roster.byzantine, dtype=int)
     k, n = honest_Y.shape[1:]
+    report_plan = ReportPlan(model, honest_X, honest_Y, cfg.dro)
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
-    plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, k, T, d)
-            if byzantine.size else None)
+    attack_plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, k, T, d)
+                   if byzantine.size else None)
 
     for t in range(T):
         iterates[t] = theta
         try:
-            honest_grads = worker_reports(model, theta, honest_X, honest_Y, cfg.dro)
+            honest_grads = worker_reports(report_plan, theta)
         except NumericError as exc:
             # a failure without rows (a non-finite theta of one run) hits every worker
             run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
@@ -339,10 +415,10 @@ def train_runs(model, X, Y, rosters, cfgs):
         # range: a byzantine report there gets norm inf and is screened, and
         # a non-finite aggregate or iterate is refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            if plan is not None:
+            if attack_plan is not None:
                 # np.mean's sum and division, without its overhead
                 references = np.add.reduce(honest_grads, axis=1) / k
-                grads[:, byzantine] = craft(plan, honest_grads, references, t)
+                grads[:, byzantine] = craft(attack_plan, honest_grads, references, t)
             G, worker_norms[t] = norm_screen(grads, screen_count)
             step = theta - eta * G
         if not np.isfinite(step).all():  # also where G is not finite: one check for both

@@ -13,17 +13,18 @@ each family):
 
 - The logistic loss sees z only through theta . z, so its z-gradient is a
   multiple of theta and z = x + c * theta with one coefficient per row.
-  ``line_ascent`` runs that recursion in place and checks the coefficients
-  once, after the last step. The rows may be a whole (k, n, d) block of k
-  workers' shards flattened to k * n rows, so one call serves every honest
-  worker of a training round; with one iterate per run, (R, d) against
-  (R, k * n, d) rows, one call serves the round of R runs. It returns the
-  margins theta . x, the coefficients c and ||theta||^2, from which the
-  caller (``simulation.worker_reports``) forms the theta-gradient at the
-  ascent output: theta . z = theta . x + c * ||theta||^2, and the gradient
-  is r * x + (r * c) * theta with r = sigmoid(theta . z) - y. With zero
-  steps (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is returned
-  without the step setup or its check.
+  One step loop runs that recursion in place (``_line_steps``), and
+  ``line_ascent`` checks the coefficients once, after the last step. It
+  returns the margins theta . x, the coefficients c and ||theta||^2, from
+  which the theta-gradient at the ascent output follows:
+  theta . z = theta . x + c * ||theta||^2, and the gradient is
+  r * x + (r * c) * theta with r = sigmoid(theta . z) - y. With zero steps
+  (t_z = 0, the ``nbs_only`` and ``erm`` variants) c = 0 is returned
+  without the step setup or its check. The training round does not call
+  ``line_ascent``: ``simulation.ReportPlan`` sets up eta_z * y, rho and the
+  buffers once per batch, and each round runs ``_margins`` and
+  ``_line_steps`` into them over the whole (R, k * n, d) block of every
+  honest worker of every run.
 - The quadratic c/2 * ||theta - z||^2 has z-gradient c * (z - theta), so
   z = x + k * (x - theta) with one coefficient k shared by every row.
   ``quadratic_line_ascent`` runs it, and the row theta-gradient is
@@ -34,7 +35,9 @@ objective at the ascent output, f(theta; z) - lam * ||z - x||^2 / 2, comes
 from its own call (``inner_objectives``, which runs the same ascent): the
 cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2, the plain
 cross-entropy at t_z = 0. It backs the record's final objective estimate,
-which only the experiments' logistic runs take.
+which only the experiments' logistic runs take, and a round's refusal of a
+penalty that overflows the objective, which it runs only when the largest
+coefficient puts a penalty above a cap.
 
 Over a leading run axis, or a block of iterates, every product is the
 stacked form of the iterate's own (a (1, d) @ (d, 1) dot for ||theta||^2,
@@ -87,47 +90,50 @@ def line_ascent(theta, X, Y, cfg):
 
     grad_z f = (sigmoid(theta . z) - y) * theta, so each of the cfg.t_z steps
     is c <- c + eta_z * ((sigmoid(u) - y) - lam * c) from
-    c = 0, with u = theta . x + c * ||theta||^2. It runs in place as
-    c <- rho * c + eta_z / (1 + exp(-u)) - eta_z * y with rho = 1 - eta_z * lam;
-    for u below about -709 the exp overflows and the middle term is 0, where
-    the true value is under eta_z * 1e-308. Returns (margins X @ theta, c,
-    ||theta||^2); with cfg.t_z = 0, c = 0 without a step or a check. A
-    non-finite theta, ||theta||^2, margin or coefficient raises
-    ``NumericError``; its ``rows`` holds the offending rows when there are
-    any. The coefficients are checked once, after the last step: a
+    c = 0, with u = theta . x + c * ||theta||^2 (``_line_steps``). Returns
+    (margins X @ theta, c, ||theta||^2); with cfg.t_z = 0, c = 0 without a
+    step or a check. A non-finite theta, ||theta||^2, margin or coefficient
+    raises ``NumericError``; its ``rows`` holds the offending rows when there
+    are any. The coefficients are checked once, after the last step: a
     non-finite c stays non-finite under the update (inf times rho, or plus a
     finite term, is inf or nan), so only then does the ascent rerun from
     c = 0, checking every step, to name the first diverging step and its rows.
     """
-    margins, sq_norm = _margins(theta, X)
-    if cfg.t_z == 0:  # no step: z = x
-        return margins, np.zeros(margins.shape), sq_norm
-    Y = np.asarray(Y, dtype=float)
-    c = _line_steps(margins, sq_norm, Y, cfg, check=False)
-    if not np.isfinite(c).all():
-        _line_steps(margins, sq_norm, Y, cfg, check=True)  # raises at the first diverging step
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the checks
+        margins, sq_norm = _margins(theta, X)
+        c = np.zeros(margins.shape)
+        if cfg.t_z == 0:  # no step: z = x
+            return margins, c, sq_norm
+        steps = (c, np.empty_like(c), -margins, sq_norm, cfg.eta_z * np.asarray(Y, dtype=float),
+                 cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam, cfg.t_z)
+        _line_steps(*steps)
+        if not np.isfinite(c).all():
+            _line_steps(*steps, check=True)  # raises at the first diverging step
     return margins, c, sq_norm
 
 
-def _line_steps(margins, sq_norm, Y, cfg, check):
-    """c after cfg.t_z in-place line steps; ``check`` refuses a non-finite c at every step."""
-    eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
-    neg_margins, eta_y = -margins, eta * Y
-    c = np.zeros(margins.shape)
-    v = np.empty_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence handled by the caller
-        for k in range(cfg.t_z):
-            np.multiply(c, sq_norm, out=v)
-            np.subtract(neg_margins, v, out=v)  # -u
-            np.exp(v, out=v)
-            v += 1.0
-            np.divide(eta, v, out=v)  # eta_z * sigmoid(u)
-            c *= rho
-            c += v
-            c -= eta_y
-            if check:
-                _check_rows(c, f"inner ascent diverged at step {k + 1}")
-    return c
+def _line_steps(c, v, neg_margins, sq_norm, eta_y, eta, rho, t_z, check=False):
+    """Write into ``c`` the coefficients after ``t_z`` in-place line steps from c = 0.
+
+    Each step is c <- rho * c + eta / (1 + exp(-u)) - eta_y with
+    u = theta . x + c * ||theta||^2, rho = 1 - eta_z * lam and eta_y = eta_z * y;
+    for u below about -709 the exp overflows and the middle term is 0, where
+    the true value is under eta_z * 1e-308. ``c`` is overwritten and ``v`` is
+    scratch of its shape; ``check`` refuses a non-finite c at every step.
+    The caller ignores numpy's overflow and invalid warnings.
+    """
+    c.fill(0.0)
+    for k in range(1, t_z + 1):
+        np.multiply(c, sq_norm, out=v)
+        np.subtract(neg_margins, v, out=v)  # -u
+        np.exp(v, out=v)
+        v += 1.0
+        np.divide(eta, v, out=v)  # eta_z * sigmoid(u)
+        c *= rho
+        c += v
+        c -= eta_y
+        if check:
+            _check_rows(c, f"inner ascent diverged at step {k}")
 
 
 def inner_objectives(theta, X, Y, cfg):
@@ -147,21 +153,25 @@ def inner_objectives(theta, X, Y, cfg):
     return objectives
 
 
-def _margins(theta, X):
+def _margins(theta, X, out=None):
     """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin.
 
     ``theta`` is one (d,) iterate or a (B, d) block against (N, d) rows, or
     one iterate per run, (R, d) against (R, N, d) rows. Each iterate's
     products are the stacked (1, d) @ (d, 1) dot and (N, d) @ (d, 1) margins,
     so its values are bit-equal to a call with it alone; the margins are
-    (..., N) and the squared norms (..., 1).
+    (..., N), written into ``out`` if given, of shape (..., N, 1), and the
+    squared norms are (..., 1). theta . theta is finite only if every theta_i
+    is, so one check on it covers both; only a failed one looks at theta to
+    tell which. The caller ignores numpy's overflow and invalid warnings.
     """
     theta, X = np.asarray(theta, dtype=float), np.asarray(X, dtype=float)
-    _check_iterates(theta, "non-finite values in theta", X)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf are refused below
-        column = theta[..., :, None]
-        sq_norm, margins = (theta[..., None, :] @ column)[..., 0], (X @ column)[..., 0]
-    _check_iterates(sq_norm, "||theta||^2 overflows", X)
+    column = theta[..., :, None]
+    sq_norm = (theta[..., None, :] @ column)[..., 0]
+    margins = np.matmul(X, column, out=out)[..., 0]
+    if not np.isfinite(sq_norm).all():
+        _check_iterates(theta, "non-finite values in theta", X)
+        _check_iterates(sq_norm, "||theta||^2 overflows", X)
     _check_rows(margins, "non-finite margins theta . x")
     return margins, sq_norm
 
@@ -274,7 +284,8 @@ def exact_rows(model, theta, X, Y, lam):
         D *= s  # the gradients, in place: no second (B, n, d) array
         return D, objectives, c / (lam - c)
     Y = np.asarray(Y, dtype=float)
-    margins, sq_norm = _margins(theta, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _margins
+        margins, sq_norm = _margins(theta, X)
     outside = np.flatnonzero(lam <= sq_norm / 4.0)  # one entry per iterate
     if outside.size:
         first = int(outside[0])

@@ -42,22 +42,29 @@ def rowwise_ascent(grads_z, theta, X, Y, cfg, t_z):
     return Z
 
 
-def logistic_line_steps(theta, X, Y, cfg, t_z):
+def logistic_line_steps(theta, X, Y, cfg, t_z, in_place_form=False):
     """Every coefficient of the logistic line ascent, by the plain update.
 
     Row k is c after k steps of c += eta_z * ((sigmoid(u) - y) - lam * c) with
     u = theta . x + c * ||theta||^2, from c = 0: the reference for
-    ``line_ascent``. Overflow runs on into inf and nan, so a diverging row
-    stays non-finite from its first non-finite step on.
+    ``line_ascent``. With ``in_place_form`` each step is the package's
+    c = rho * c + eta_z / (1 + exp(-u)) - eta_z * y, rho = 1 - eta_z * lam,
+    written out for every step alike, whose bits the ascent must give.
+    Overflow runs on into inf and nan, so a diverging row stays non-finite
+    from its first non-finite step on.
     """
     theta = np.asarray(theta, dtype=float)
     margins, sq_norm = np.asarray(X, dtype=float) @ theta, theta @ theta
     Y = np.asarray(Y, dtype=float)
+    eta, rho = cfg.eta_z, 1.0 - cfg.eta_z * cfg.lam
     steps = [np.zeros(margins.shape[0])]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(t_z):
             c = steps[-1]
-            steps.append(c + cfg.eta_z * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c))
+            if in_place_form:
+                steps.append(c * rho + eta / (np.exp(-margins - c * sq_norm) + 1.0) - eta * Y)
+            else:
+                steps.append(c + eta * ((sigmoid(margins + c * sq_norm) - Y) - cfg.lam * c))
     return np.array(steps)
 
 

@@ -27,7 +27,7 @@ from robustgd.experiments import (
     write_records,
 )
 from robustgd.losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
-from robustgd.simulation import worker_reports
+from robustgd.simulation import ReportPlan, worker_reports
 from robustgd.surrogate import (
     DROConfig,
     contraction_factor,
@@ -126,7 +126,8 @@ def test_criterion_3_envelope_gradient_agreement():
         theta, x = rng.standard_normal((2, d))
         cfg = DROConfig(lam, theoretical_ascent_step(lam), t_z=200)
         # one worker holding the one row x: its report is the row's surrogate gradient
-        [report] = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), cfg)
+        [report] = worker_reports(ReportPlan(model, x.reshape(1, 1, -1), np.zeros((1, 1)), cfg),
+                                  theta)
         np.testing.assert_allclose(
             report, lam * (theta - x) / (lam - 1.0), rtol=1e-10, atol=1e-10
         )

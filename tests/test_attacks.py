@@ -15,6 +15,7 @@ from robustgd.attacks import (
     craft,
 )
 from robustgd.errors import ConfigError
+from robustgd.experiments import ExperimentConfig
 from robustgd.simulation import initial_theta
 
 
@@ -139,6 +140,19 @@ class TestDirectionBlocks:
         first, _ = DirectionBlocks(3, range(200), 1, 6).round(0)
         for vector in first:
             assert not np.allclose(0.01 * vector, initial_theta(6, 3))
+
+    @pytest.mark.parametrize("preset", ["E1", "E3"])
+    def test_building_a_config_makes_no_generator(self, monkeypatch, preset):
+        # a config checks its attack through an AttackPlan, whose direction
+        # streams are made only when the first block is drawn
+        made, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        cfg = ExperimentConfig(preset=preset)
+        assert made == []
+        directions = DirectionBlocks(0, range(cfg.alpha_m), 3, 2)
+        assert made == []
+        directions.round(0)
+        assert made == [([0, 0xA7, worker],) for worker in range(cfg.alpha_m)]
 
     def test_a_round_outside_the_run_is_refused(self):
         directions = DirectionBlocks(0, (0,), 3, 2)

@@ -50,14 +50,18 @@ NAMED = re.compile(r"\biteration \d+\b|\b(?:{})\b".format(
 def hostile_configs():
     rng = np.random.default_rng(FUZZ_SEED)
     for _ in range(FUZZ_CONFIGS):
-        yield dict(
-            preset=f"E{rng.integers(5)}",
-            variant=str(rng.choice(VARIANTS)),
-            iterations=int(rng.integers(1, 6)),
-            t_z=int(rng.integers(0, 4)),
-            check_bounds=bool(rng.integers(2)),
-            **{name: float(rng.choice(VALUES)) for name in DRAWN},
-        )
+        yield _draw(rng)
+
+
+def _draw(rng):
+    return dict(
+        preset=f"E{rng.integers(5)}",
+        variant=str(rng.choice(VARIANTS)),
+        iterations=int(rng.integers(1, 6)),
+        t_z=int(rng.integers(0, 4)),
+        check_bounds=bool(rng.integers(2)),
+        **{name: float(rng.choice(VALUES)) for name in DRAWN},
+    )
 
 
 def test_hostile_configs_end_in_records_or_named_refusals(tmp_path):
@@ -129,13 +133,14 @@ def test_a_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, content,
 
 
 # Configs the same draw reaches at seeds 1-15, one per site it found there.
-# The round forms no inner objective, so a run whose objective overflows
-# trains on and is refused by the final objective estimate at iteration
-# T - 1, by its own reports or by a later round.
+# The round forms no inner objective, but it checks the inner penalty
+# lam * c^2 * ||theta||^2 / 2 against the objective's overflow, so a run whose
+# objective overflows is refused in that round, before its reports, the
+# server's step or a later round break.
 @pytest.mark.parametrize("drawn, message", [
     (dict(preset="E3", variant="dro_only", iterations=4, t_z=1, eta=3.0, lam=1e308,
           eta_z=0.5, shift_q=1000.0, attack_scale=1e-300, attack_ratio=1e-8),
-     r"iteration 3, worker 4: inner objective sum overflows"),
+     r"iteration 1, worker 3: inner objective sum overflows"),
     (dict(preset="E3", variant="nbs_only", iterations=1, eta=1e308, lam=1e-8, shift_q=1e308,
           attack_ratio=1000.0),
      r"shift_misclassification: logits theta \. x are NaN in 15 rows"),
@@ -144,22 +149,94 @@ def test_a_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, content,
      r"iteration 1, worker 3: \|\|theta\|\|\^2 overflows"),
     (dict(preset="E0", variant="alg2", iterations=3, t_z=2, eta=0.5, lam=1e150, eta_z=3.0,
           shift_q=1000.0, attack_scale=1000.0, attack_ratio=1e150),
-     r"iteration 2, worker 0: inner ascent diverged at step 2"),
+     r"iteration 0, worker 0: inner ascent diverged at step 2"),
     (dict(preset="E0", variant="alg2", iterations=1, t_z=1, eta=3.0, lam=1.0, eta_z=1e308,
           shift_q=1000.0, attack_scale=1e-8, attack_ratio=0.5),
-     r"iteration 0, worker 0: non-finite gradient report"),
+     r"iteration 0, worker 0: inner ascent diverged at step 1"),
     (dict(preset="E0", variant="alg2", iterations=5, t_z=3, eta=1e-8, lam=1e150, eta_z=1e-8,
           shift_q=1e-8, attack_scale=0.5, attack_ratio=0.5),
-     r"iteration 1, worker 0: \|\|theta\|\|\^2 overflows"),
+     r"iteration 0, worker 0: inner ascent diverged at step 3"),
     (dict(preset="E4", variant="alg2", iterations=3, t_z=3, eta=3.0, lam=1e150, eta_z=3.0,
           shift_q=1e-300, attack_scale=1e150, attack_ratio=1e-300),
-     r"iteration 0: non-finite aggregated gradient"),
+     r"iteration 0, worker 3: inner ascent diverged at step 3"),
 ])
 def test_overflowing_runs_fail_with_the_iteration_or_field(drawn, message):
     with pytest.raises(RuntimeError, match=f"variant='{drawn['variant']}'") as exc:
         run_experiment(ExperimentConfig(**drawn))
     assert isinstance(exc.value.__cause__, NumericError)
     assert re.fullmatch(message, str(exc.value.__cause__))
+
+
+# The 14 configs of the draw at seeds 0-15 whose inner penalty overflows while their
+# reports stay finite, each refused in the round where the penalty breaks: iteration
+# 0 or 1, not the last one (seed, draw index).
+PENALTY_CONFIGS = {
+    (0, 28): (dict(preset="E2", variant="dro_only", iterations=5, t_z=2, check_bounds=True,
+                   eta=1e308, lam=1e150, eta_z=1e-8, shift_q=1e-300, attack_scale=1e150,
+                   attack_ratio=1.0),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (1, 26): (dict(preset="E1", variant="alg2", iterations=5, t_z=2, check_bounds=False, eta=1e150,
+                   lam=1e308, eta_z=0.5, shift_q=1e308, attack_scale=1e150, attack_ratio=1e150),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (1, 28): (dict(preset="E4", variant="alg2", iterations=5, t_z=2, check_bounds=True, eta=1e-8,
+                   lam=1e308, eta_z=1.0, shift_q=1e308, attack_scale=1e-8, attack_ratio=1e-300),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (2, 2): (dict(preset="E1", variant="alg2", iterations=4, t_z=1, check_bounds=True, eta=1000.0,
+                  lam=1e308, eta_z=1.0, shift_q=1e-8, attack_scale=1000.0, attack_ratio=1e308),
+             "iteration 1, worker 3: inner ascent diverged at step 1"),
+    (2, 43): (dict(preset="E2", variant="alg2", iterations=2, t_z=2, check_bounds=True, eta=1e308,
+                   lam=1.0, eta_z=1e150, shift_q=1000.0, attack_scale=1e150, attack_ratio=1e308),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (2, 59): (dict(preset="E0", variant="alg2", iterations=3, t_z=2, check_bounds=True, eta=0.5,
+                   lam=1e150, eta_z=3.0, shift_q=1000.0, attack_scale=1000.0, attack_ratio=1e150),
+              "iteration 0, worker 0: inner ascent diverged at step 2"),
+    (4, 19): (dict(preset="E3", variant="alg2", iterations=3, t_z=2, check_bounds=False,
+                   eta=1e-300, lam=1000.0, eta_z=1e150, shift_q=1e-8, attack_scale=1e150,
+                   attack_ratio=0.5),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (6, 45): (dict(preset="E2", variant="dro_only", iterations=2, t_z=2, check_bounds=True,
+                   eta=1e308, lam=1e150, eta_z=1.0, shift_q=1e-300, attack_scale=1e-300,
+                   attack_ratio=1e150),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (7, 39): (dict(preset="E3", variant="dro_only", iterations=2, t_z=2, check_bounds=True,
+                   eta=1.0, lam=1e150, eta_z=0.5, shift_q=1e-8, attack_scale=1e150,
+                   attack_ratio=1e150),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (8, 17): (dict(preset="E3", variant="alg2", iterations=5, t_z=2, check_bounds=True, eta=1e308,
+                   lam=1.0, eta_z=1e150, shift_q=1000.0, attack_scale=1.0, attack_ratio=0.5),
+              "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (12, 15): (dict(preset="E1", variant="dro_only", iterations=4, t_z=2, check_bounds=False,
+                    eta=1000.0, lam=1e150, eta_z=1e-8, shift_q=1000.0, attack_scale=0.5,
+                    attack_ratio=1e150),
+               "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (12, 21): (dict(preset="E2", variant="alg2", iterations=4, t_z=2, check_bounds=False,
+                    eta=1e150, lam=1e150, eta_z=3.0, shift_q=1e-8, attack_scale=0.5,
+                    attack_ratio=1e-300),
+               "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (13, 21): (dict(preset="E1", variant="dro_only", iterations=2, t_z=2, check_bounds=False,
+                    eta=1e308, lam=1.0, eta_z=1e150, shift_q=1e308, attack_scale=3.0,
+                    attack_ratio=1.0),
+               "iteration 0, worker 3: inner ascent diverged at step 2"),
+    (13, 55): (dict(preset="E1", variant="alg2", iterations=4, t_z=2, check_bounds=False,
+                    eta=1e150, lam=1000.0, eta_z=1.0, shift_q=3.0, attack_scale=1000.0,
+                    attack_ratio=1.0),
+               "iteration 1, worker 3: inner ascent diverged at step 2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PENALTY_CONFIGS), ids=lambda key: f"seed{key[0]}-{key[1]}")
+def test_a_penalty_that_overflows_is_refused_in_the_round_where_it_breaks(key):
+    drawn, message = PENALTY_CONFIGS[key]
+    seed, index = key
+    rng = np.random.default_rng(seed)
+    for _ in range(index):  # the draw of hostile_configs at this seed
+        _draw(rng)
+    assert _draw(rng) == drawn
+    with pytest.raises(RuntimeError, match=f"variant='{drawn['variant']}'") as exc:
+        run_experiment(ExperimentConfig(**drawn))
+    assert isinstance(exc.value.__cause__, NumericError)
+    assert str(exc.value.__cause__) == message
+    assert int(message.split()[1].rstrip(",")) < drawn["iterations"] - 1
 
 
 def test_a_final_iterate_whose_norm_overflows_makes_the_bounds_report_inapplicable():

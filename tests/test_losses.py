@@ -197,6 +197,13 @@ def test_sigmoid_is_bit_equal_to_the_two_branch_form(rng):
     got, expected = sigmoid(t), two_branch_sigmoid(t)
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
     assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+    # into a buffer, or over t itself, with the same bits
+    buffer = np.empty_like(t)
+    assert sigmoid(t, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer.view(np.int64), expected.view(np.int64))
+    assert sigmoid(t, out=t) is t
+    np.testing.assert_array_equal(t.view(np.int64), expected.view(np.int64))
+    assert sigmoid(0.0) == 0.5 and sigmoid(np.float64(-800.0)) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_smoothness_constants_validation():

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     ascent_rows,
     exact_inner_maximizer,
+    logistic_line_steps,
     loss_grads_theta,
     penalized_objectives,
     quadratic_grads_z,
@@ -25,6 +26,7 @@ from robustgd.errors import ConfigError, NumericError, RegimeError
 from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
 from robustgd.simulation import (
     DIAGNOSTIC_BLOCK_ELEMENTS,
+    ReportPlan,
     RunTrace,
     TrainConfig,
     WorkerRoster,
@@ -57,6 +59,11 @@ def plain_config(eta, iterations, dro, screen_count=0, **kwargs):
     return TrainConfig(
         eta=eta, iterations=iterations, dro=dro, screen=ScreenConfig(screen_count), **kwargs
     )
+
+
+def plan_reports(model, theta, X, Y, dro):
+    """``worker_reports`` at theta through a ``ReportPlan`` of its own."""
+    return worker_reports(ReportPlan(model, X, Y, dro), theta)
 
 
 def per_worker_reports(model, theta, X, Y, dro):
@@ -100,7 +107,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(6)
         x = rng.standard_normal(6)
         X, Y = x.reshape(1, -1), np.array([1.0])
-        (grad,) = worker_reports(model, theta, X[None], Y[None], dro)
+        (grad,) = plan_reports(model, theta, X[None], Y[None], dro)
         # the surrogate gradient of one sample: the loss gradient at the ascent output
         Z = ascent_rows(model, theta, X, Y, dro)
         np.testing.assert_allclose(grad, loss_grads_theta(model, theta, Z, Y)[0], rtol=1e-14)
@@ -110,8 +117,8 @@ class TestWorkerGradient:
         dro = DROConfig(2.0, 0.25, 12)
         theta = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        single = worker_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), dro)
-        double = worker_reports(model, theta, np.stack([x, x])[None], np.zeros((1, 2)), dro)
+        single = plan_reports(model, theta, x.reshape(1, 1, -1), np.zeros((1, 1)), dro)
+        double = plan_reports(model, theta, np.stack([x, x])[None], np.zeros((1, 2)), dro)
         np.testing.assert_allclose(double, single, rtol=1e-15)
 
     def test_quadratic_shard_matches_closed_form(self, rng):
@@ -121,7 +128,7 @@ class TestWorkerGradient:
         dro = DROConfig(lam, theoretical_ascent_step(lam), 80)
         theta = rng.standard_normal(5)
         X = rng.standard_normal((9, 5))
-        (grad,) = worker_reports(model, theta, X[None], np.zeros((1, 9)), dro)
+        (grad,) = plan_reports(model, theta, X[None], np.zeros((1, 9)), dro)
         expected = lam * (theta - X.mean(axis=0)) / (lam - 1.0)
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
@@ -132,7 +139,7 @@ class TestWorkerGradient:
         theta = 0.5 * rng.standard_normal(4)
         X = rng.standard_normal((4, 3, 4))
         Y = rng.integers(0, 2, size=(4, 3)).astype(float)
-        grads = worker_reports(model, theta, X, Y, dro)
+        grads = plan_reports(model, theta, X, Y, dro)
         assert grads.shape == (4, 4)
         for j in range(4):
             Z = ascent_rows(model, theta, X[j], Y[j], dro)
@@ -153,17 +160,18 @@ class TestWorkerGradient:
         theta = rng.standard_normal(57)
         X = rng.standard_normal((17, 153, 57))
         Y = rng.integers(0, 2, size=(17, 153)).astype(float)
-        grads = worker_reports(model, theta, X, Y, dro)
+        grads = plan_reports(model, theta, X, Y, dro)
         np.testing.assert_array_equal(grads, per_worker_reports(model, theta, X, Y, dro))
 
     @pytest.mark.parametrize("sq_norm", [0.0, 2.5])
     def test_zero_steps_give_the_general_residuals_bits(self, rng, monkeypatch, sq_norm):
         # a BLAS product never gives a margin of -0.0, so _margins hands these over
         margins = np.tile([-0.0, 0.0, 800.0, -800.0], 2)
-        monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
+        for module in (simulation, surrogate):
+            monkeypatch.setattr(module, "_margins", lambda theta, X, out=None: (margins, sq_norm))
         X, Y = rng.standard_normal((2, 4, 3)), np.repeat([0.0, 1.0], 4).reshape(2, 4)
         dro = DROConfig(3.0, 0.05, 0)
-        grads = worker_reports(LogisticLoss(), np.ones(3), X, Y, dro)
+        grads = plan_reports(LogisticLoss(), np.ones(3), X, Y, dro)
         expected = per_worker_reports(LogisticLoss(), np.ones(3), X, Y, dro)
         np.testing.assert_array_equal(grads.view(np.int64), expected.view(np.int64))
 
@@ -171,8 +179,17 @@ class TestWorkerGradient:
                                                   ((0, 3, 2), (0, 3)), ((2, 2, 2), (2, 3))])
     def test_reports_need_a_row_block(self, x_shape, y_shape):
         with pytest.raises(ConfigError, match=r"\(k, n, d\) row block"):
-            worker_reports(QuadraticLoss(), np.zeros(2), np.zeros(x_shape), np.zeros(y_shape),
-                           DROConfig(2.0, 0.3, 2))
+            ReportPlan(QuadraticLoss(), np.zeros(x_shape), np.zeros(y_shape),
+                       DROConfig(2.0, 0.3, 2))
+
+    @pytest.mark.parametrize("x_shape, theta_shape", [((2, 3, 4), (3,)), ((2, 3, 4), (1, 4)),
+                                                      ((5, 2, 3, 4), (4,)),
+                                                      ((5, 2, 3, 4), (4, 4))])
+    def test_reports_need_the_plans_iterate_shape(self, x_shape, theta_shape):
+        plan = ReportPlan(LogisticLoss(), np.zeros(x_shape), np.zeros(x_shape[:-1]),
+                          DROConfig(2.0, 0.3, 2))
+        with pytest.raises(ConfigError, match=r"^expected an iterate of shape"):
+            worker_reports(plan, np.zeros(theta_shape))
 
 
 def z_path_reports(model, theta, X, Y, dro):
@@ -205,7 +222,7 @@ class TestLogisticMarginPath:
     def test_matches_the_materialised_ascent(self, rng, t_z, theta_norm, shape):
         theta, X, Y = self.data(rng, shape, theta_norm=theta_norm)
         dro = DROConfig(3.0, 0.05, t_z)
-        grads = worker_reports(self.model, theta, X, Y, dro)
+        grads = plan_reports(self.model, theta, X, Y, dro)
         objs = worker_objectives(theta, X, Y, dro)
         ref_grads, ref_objs = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-15)
@@ -226,7 +243,7 @@ class TestLogisticMarginPath:
         # reduceat (gap 1.1e-16 here, at most 4.4e-16 over 2000 random draws)
         theta, X, Y = self.data(rng, shape)
         dro = DROConfig(3.0, 0.05, 0)
-        grads = worker_reports(self.model, theta, X, Y, dro)
+        grads = plan_reports(self.model, theta, X, Y, dro)
         ref_grads, _ = z_path_reports(self.model, theta, X, Y, dro)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-15)
 
@@ -238,7 +255,7 @@ class TestLogisticMarginPath:
         dro = DROConfig(3.0, 0.05, t_z)
         tracemalloc.start()
         try:
-            worker_reports(self.model, theta, X, Y, dro)
+            plan_reports(self.model, theta, X, Y, dro)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -249,7 +266,7 @@ class TestLogisticMarginPath:
         _, X, Y = self.data(rng, (2, 4))
         theta = np.array([1.0, np.nan, 0.0, 0.0, 0.0])
         with pytest.raises(NumericError, match="theta"):
-            worker_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
+            plan_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("t_z", [0, 4])
@@ -257,7 +274,7 @@ class TestLogisticMarginPath:
         theta, X, Y = self.data(rng, (2, 4))
         X[1, 1, 2] = bad  # row 5 of the block
         with pytest.raises(NumericError) as err:
-            worker_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
+            plan_reports(self.model, theta, X, Y, DROConfig(3.0, 0.05, t_z))
         np.testing.assert_array_equal(err.value.rows, [5])
 
     @pytest.mark.parametrize("t_z", [0, 4])
@@ -293,8 +310,139 @@ class TestQuadraticLineReports:
         dro = DROConfig(2.0, eta_z, t_z)
         X = rng.standard_normal((4, 3, 6))
         theta = rng.standard_normal(6)
-        grads = worker_reports(model, theta, X, np.zeros((4, 3)), dro)
+        grads = plan_reports(model, theta, X, np.zeros((4, 3)), dro)
         np.testing.assert_allclose(grads, self.oracle_reports(model, theta, X, dro), rtol=1e-13)
+
+
+def line_step_reports(theta, X, Y, dro):
+    """Logistic reports from the in-place-form line step oracle, reduced as a round reduces them.
+
+    ``X`` is a (k, n, d) block or an (R, k, n, d) one with (d,) or (R, d)
+    iterates; each run's c is ``logistic_line_steps``'s last row.
+    """
+    if X.ndim == 4:
+        return np.stack([line_step_reports(*run, dro) for run in zip(theta, X, Y)])
+    k, n, d = X.shape
+    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    c = logistic_line_steps(theta, rows, labels, dro, dro.t_z, in_place_form=True)[-1]
+    r = sigmoid(rows @ theta + c * (theta @ theta)) - labels
+    sums = np.matmul(r.reshape(k, 1, n), X).reshape(k, d)
+    sums += np.add.reduceat(r * c, np.arange(0, k * n, n))[:, None] * theta
+    return sums / n
+
+
+class TestReportPlan:
+    """A plan sets a batch's honest side up once; each call does only the round's arithmetic."""
+
+    @staticmethod
+    def problem(rng, R, k=3, n=5, d=4):
+        shape = (k, n) if R is None else (R, k, n)
+        X = rng.standard_normal((*shape, d))
+        Y = rng.integers(0, 2, size=shape).astype(float)
+        theta = rng.standard_normal(d if R is None else (R, d))
+        return theta, X, Y
+
+    @pytest.mark.parametrize("R", [None, 3])
+    @pytest.mark.parametrize("t_z", [1, 2, 10])
+    def test_reports_are_the_line_step_oracles_bits(self, rng, t_z, R):
+        theta, X, Y = self.problem(rng, R)
+        plan = ReportPlan(LogisticLoss(), X, Y, DROConfig(3.0, 0.3, t_z))
+        for scale in (1.0, 0.1, 3.0):  # one plan, several rounds
+            assert_same_bits(worker_reports(plan, scale * theta),
+                             line_step_reports(scale * theta, X, Y, plan.dro))
+
+    @pytest.mark.parametrize("model, t_z", [(LogisticLoss(), 0), (LogisticLoss(), 4),
+                                            (QuadraticLoss(1.0), 4)],
+                             ids=["logistic-0", "logistic-4", "quadratic-4"])
+    @pytest.mark.parametrize("R", [None, 3])
+    def test_each_call_returns_new_memory(self, rng, model, t_z, R):
+        theta, X, Y = self.problem(rng, R)
+        plan = ReportPlan(model, X, Y, DROConfig(3.0, 0.3, t_z))
+        first = worker_reports(plan, theta)
+        kept = first.copy()
+        second = worker_reports(plan, 0.5 * theta)
+        assert not np.shares_memory(first, second)
+        buffers = [value for value in vars(plan).values() if isinstance(value, np.ndarray)]
+        assert not any(np.shares_memory(report, buffer)
+                       for report in (first, second) for buffer in buffers)
+        assert_same_bits(first, kept)
+        assert_same_bits(second, plan_reports(model, 0.5 * theta, X, Y, plan.dro))
+
+    def test_a_diverging_quadratic_k_raises_at_the_first_call_with_a_moving_row(self, rng):
+        # |1 - eta_z * (lam - c)| = 49 per step: k leaves the floats within 200 steps
+        model, dro = QuadraticLoss(1.0), DROConfig(2.0, 50.0, 500)
+        point = rng.standard_normal(4)
+        X = np.tile(point, (2, 3, 1))  # every row at one point
+        plan = ReportPlan(model, X, np.zeros((2, 3)), dro)
+        assert_same_bits(worker_reports(plan, point), np.zeros((2, 4)))  # no row moves
+        theta = point + 1.0
+        with pytest.raises(NumericError) as alone:
+            quadratic_line_ascent(model, theta, X.reshape(6, 4), dro)
+        with pytest.raises(NumericError) as err:
+            worker_reports(plan, theta)
+        assert re.fullmatch(r"inner ascent diverged at step \d+", str(err.value))
+        assert str(err.value) == str(alone.value)
+        np.testing.assert_array_equal(err.value.rows, np.arange(6))
+        np.testing.assert_array_equal(alone.value.rows, np.arange(6))
+
+    @pytest.mark.parametrize("t_z", [1, 3])
+    def test_a_step_size_whose_rho_overflows_diverges_at_step_1_on_every_row(self, rng, t_z):
+        # eta_z * lam = inf: the plain step's rho * 0 is nan on every row
+        theta, X, Y = self.problem(rng, None)
+        dro = DROConfig(3.0, 1e308, t_z)
+        rows, labels = X.reshape(15, 4), Y.reshape(15)
+        for refuse in (lambda: plan_reports(LogisticLoss(), theta, X, Y, dro),
+                       lambda: line_ascent(theta, rows, labels, dro)):
+            with pytest.raises(NumericError, match="^inner ascent diverged at step 1$") as err:
+                refuse()
+            np.testing.assert_array_equal(err.value.rows, np.arange(15))
+        steps = logistic_line_steps(theta, rows, labels, dro, 1, in_place_form=True)
+        assert np.isnan(steps[1]).all()
+
+    @staticmethod
+    def penalty_problem(theta0, ones):
+        """theta = (theta0, 0) against two workers' four rows at (-20, 0); worker 1's first ``ones``
+        rows have label 1.
+
+        One step of eta_z = 0.5 from c = 0 gives c = 0.5 * (sigmoid(-20 * theta0) - y): under
+        1e-17 where y = 0 and ~ -0.5 where y = 1, whose penalty lam * 0.5 * c^2 * ||theta||^2
+        is ~ lam * theta0^2 / 8.
+        """
+        Y = np.zeros((2, 4))
+        Y[1, :ones] = 1.0
+        return np.array([theta0, 0.0]), np.tile([-20.0, 0.0], (2, 4, 1)), Y
+
+    @pytest.mark.parametrize("theta0, ones, message, rows", [
+        (2.0, 4, "inner objective sum overflows", [4]),  # four penalties of ~ 0.5e308
+        (4.0, 1, "inner ascent diverged at step 1", [4]),  # one of ~ 2e308
+        (4.0, 4, "inner ascent diverged at step 1", [4, 5, 6, 7]),
+    ])
+    def test_a_penalty_that_breaks_the_objective_is_refused(self, theta0, ones, message, rows):
+        # as the objectives of the same ascent refuse it: a row's, or a worker's sum
+        theta, X, Y = self.penalty_problem(theta0, ones)
+        dro = DROConfig(1e308, 0.5, 1)
+        with pytest.raises(NumericError, match=f"^{message}$") as err:
+            plan_reports(LogisticLoss(), theta, X, Y, dro)
+        np.testing.assert_array_equal(err.value.rows, rows)
+        with pytest.raises(NumericError, match=f"^{message}$") as objective:
+            simulation._objective_sums(inner_objectives(theta, X.reshape(8, 2), Y.reshape(8), dro),
+                                       np.array([0, 4]), 4)
+        np.testing.assert_array_equal(objective.value.rows, rows)
+
+    @pytest.mark.parametrize("t_z, checks", [(1, 1), (0, 0)])
+    def test_a_penalty_that_breaks_nothing_changes_no_report(self, monkeypatch, t_z, checks):
+        # one penalty of ~ 0.5e308, above the plan's cap, in a finite sum: the exact check
+        # runs and passes; at t_z = 0 there is no penalty (and ||theta||^2 = 16 penalties
+        # would overflow) and no check
+        calls, real = [], simulation.inner_objectives
+        monkeypatch.setattr(simulation, "inner_objectives", lambda *a: calls.append(a) or real(*a))
+        theta, X, Y = self.penalty_problem(2.0 if t_z else 4.0, 1 if t_z else 4)
+        plan = ReportPlan(LogisticLoss(), X, Y, DROConfig(1e308, 0.5, t_z))
+        assert plan.penalty_cap < 0.5e308
+        expected = (line_step_reports(theta, X, Y, plan.dro) if t_z
+                    else per_worker_reports(LogisticLoss(), theta, X, Y, plan.dro))
+        assert_same_bits(worker_reports(plan, theta), expected)
+        assert len(calls) == checks
 
 
 class TestRunTraining:
@@ -326,8 +474,9 @@ class TestRunTraining:
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 9)
+        plan = ReportPlan(model, X[None], Y[None], dro)
         for _ in range(15):
-            theta = theta - 0.5 * worker_reports(model, theta, X[None], Y[None], dro)[0]
+            theta = theta - 0.5 * worker_reports(plan, theta)[0]
         np.testing.assert_array_equal(trace.theta_final, theta)
 
     def test_bit_identical_reruns(self):
@@ -356,7 +505,7 @@ class TestRunTraining:
         trace = run_training(model, X, Y, roster, cfg)
 
         theta = initial_theta(3, 6)
-        grads = [worker_reports(model, theta, X[s][None], Y[s][None], dro)[0]
+        grads = [plan_reports(model, theta, X[s][None], Y[s][None], dro)[0]
                  for s in worker_rows(5, 20)]
         np.testing.assert_allclose(trace.aggregated[0], np.mean(grads, axis=0), atol=1e-12)
 
@@ -367,7 +516,7 @@ class TestRunTraining:
         dro = DROConfig(3.0, 0.05, 4)
         cfg = plain_config(0.3, 1, dro, screen_count=1, seed=6)
         trace = run_training(model, X, Y, WorkerRoster(m=5), cfg)
-        grads = worker_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
+        grads = plan_reports(model, initial_theta(3, 6), X.reshape(5, 4, 3), Y.reshape(5, 4),
                                dro)
         np.testing.assert_array_equal(trace.worker_norms[0], np.linalg.norm(grads, axis=1))
 
@@ -617,7 +766,7 @@ def one_run(model, X, Y, roster, cfg):
     plan = AttackPlan([roster.attack], byzantine, len(honest), T, d) if byzantine else None
     for t in range(T):
         out["iterates"].append(theta)
-        honest_grads = worker_reports(model, theta, X[shards], Y[shards], cfg.dro)
+        honest_grads = plan_reports(model, theta, X[shards], Y[shards], cfg.dro)
         grads[honest] = honest_grads
         with np.errstate(over="ignore", invalid="ignore"):
             if byzantine:
@@ -694,17 +843,25 @@ class TestTrainRuns:
         assert calls == []
 
     @pytest.mark.parametrize("R", [1, 3])
-    def test_the_rounds_get_one_c_ordered_honest_block(self, monkeypatch, R):
-        # a C-ordered (R, k, n, d) block is viewed as (R, k * n, d) rows without a copy
-        blocks, real = [], simulation.worker_reports
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_the_rounds_get_one_c_ordered_honest_block(self, monkeypatch, kind, R):
+        # one ReportPlan per batch, built before round 0 and used by every round; its
+        # C-ordered (R, k, n, d) block is viewed as (R, k * n, d) rows without a copy
+        built, used = [], []
+        real_plan, real_reports = simulation.ReportPlan, simulation.worker_reports
+        monkeypatch.setattr(simulation, "ReportPlan",
+                            lambda *args: built.append(real_plan(*args)) or built[-1])
         monkeypatch.setattr(simulation, "worker_reports",
-                            lambda model, theta, X, *args: blocks.append(X) or
-                            real(model, theta, X, *args))
-        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", R)
+                            lambda plan, theta: used.append(plan) or real_reports(plan, theta))
+        model, X, Y, rosters, cfgs = batch_problem(kind, "aggressive", R)
         train_runs(model, X, Y, rosters, cfgs)
-        assert all(block is blocks[0] for block in blocks)
-        assert blocks[0].shape == (R, 10, 4, 5) and blocks[0].flags["C_CONTIGUOUS"]
-        assert_same_bits(blocks[0], X.reshape(R, 12, 4, 5)[:, [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]])
+        [plan] = built
+        assert len(used) == cfgs[0].iterations and all(p is plan for p in used)
+        assert plan.block.shape == (R, 10, 4, 5) and plan.block.flags["C_CONTIGUOUS"]
+        assert plan.rows.shape == (R, 40, 5) and np.shares_memory(plan.rows, plan.block)
+        honest = [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+        assert_same_bits(plan.block, X.reshape(R, 12, 4, 5)[:, honest])
+        assert_same_bits(plan.labels, Y.reshape(R, 12, 4)[:, honest].reshape(R, 40))
 
     def test_runs_differ_in_their_own_fields(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)
@@ -773,13 +930,13 @@ class TestTrainRuns:
         theta = rng.standard_normal((3, 7))
         X = rng.standard_normal((3, 5, 4, 7))
         Y = rng.integers(0, 2, size=(3, 5, 4)).astype(float)
-        grads = worker_reports(model, theta, X, Y, dro)
+        grads = plan_reports(model, theta, X, Y, dro)
         assert grads.shape == (3, 5, 7)
         for r in range(3):
-            assert_same_bits(grads[r], worker_reports(model, theta[r], X[r], Y[r], dro))
+            assert_same_bits(grads[r], plan_reports(model, theta[r], X[r], Y[r], dro))
         X[2, 1, 3, 0] = np.nan  # run 2, worker 1's last row: row 2 * 20 + 7 of the block
         with pytest.raises(NumericError) as err:
-            worker_reports(model, theta, X, Y, dro)
+            plan_reports(model, theta, X, Y, dro)
         np.testing.assert_array_equal(err.value.rows, [47])
 
 
@@ -850,25 +1007,28 @@ class TestHonestObjective:
         assert len(calls) == 1
         assert "objective_estimates" not in {field.name for field in fields(RunTrace)}
 
-    @pytest.mark.parametrize("theta0, iterations, dro, message", [
+    @pytest.mark.parametrize("theta0, dro, message", [
         # one step of eta_z = lam = 1 gives c = 1/2 on worker 0's rows at theta . x = 0 and
         # c = 1 on worker 1's at theta . x ~ 1.3e154: penalties of c^2 * ||theta||^2 / 2,
-        # ~ 2e307 and ~ 8.3e307 at the last iterate, and worker 1's sum overflows
-        (1.3e154, 2, DROConfig(1.0, 1.0, 1),
-         "iteration 1, worker 1: inner objective sum overflows"),
+        # ~ 2e307 and ~ 8.3e307, and worker 1's sum overflows
+        (1.3e154, DROConfig(1.0, 1.0, 1), "worker 1: inner objective sum overflows"),
         # c = 10 on worker 1's rows: a penalty of 0.01 * 50 * ||theta||^2, whose
         # 50 * ||theta||^2 ~ 5e308 overflows; the reports do not
-        (3.2e153, 1, DROConfig(0.01, 10.0, 1),
-         "iteration 0, worker 1: inner ascent diverged at step 1"),
+        (3.2e153, DROConfig(0.01, 10.0, 1), "worker 1: inner ascent diverged at step 1"),
     ])
-    def test_an_objective_that_overflows_names_the_last_iteration_and_the_worker(
-            self, theta0, iterations, dro, message):
+    def test_an_objective_that_overflows_names_the_iteration_and_the_worker(
+            self, theta0, dro, message):
+        # the round where the penalty breaks refuses the run, and the estimate refuses a
+        # trace that ends at that iterate, naming its last iteration
         X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3)
         roster = WorkerRoster(m=2)
-        cfg = plain_config(0.01, iterations, dro, theta0=np.array([theta0, 0.0]))
-        trace = run_training(LogisticLoss(), X, np.zeros(6), roster, cfg)
-        assert np.isfinite(trace.aggregated).all()
-        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        cfg = plain_config(0.01, 2, dro, theta0=np.array([theta0, 0.0]))
+        with pytest.raises(NumericError, match=f"^iteration 0, {re.escape(message)}$"):
+            run_training(LogisticLoss(), X, np.zeros(6), roster, cfg)
+        iterates = np.array([[0.0, 0.0], cfg.theta0])
+        trace = RunTrace(aggregated=np.zeros((2, 2)), worker_norms=np.zeros((2, 2)),
+                         iterates=iterates, theta_final=iterates[-1])
+        with pytest.raises(NumericError, match=f"^iteration 1, {re.escape(message)}$"):
             honest_objective(X, np.zeros(6), roster, dro, trace)
 
 
