@@ -96,8 +96,9 @@ def _streamed(args, stem, runner):
     """Run with each record appended to disk as it finishes; partial files survive errors.
 
     The output directory and files are made at the first record, so a run
-    that fails before it, as on a dataset that cannot be read or parsed (a
-    usage error naming the path and line), writes nothing.
+    that fails before it writes nothing. A dataset that cannot be read or
+    parsed (naming the path and line) and a split the config cannot make
+    from it (too many workers, an empty test split) are usage errors.
     """
     out = Path(args.out or os.environ.get("ROBUSTGD_OUT", "results"))
     jsonl, records = out / f"{stem}.jsonl", []
@@ -112,6 +113,8 @@ def _streamed(args, stem, runner):
         runner(sink)
     except DataFormatError as exc:
         raise SystemExit(f"dataset {exc}") from exc
+    except ConfigError as exc:
+        raise SystemExit(f"data: {exc}") from exc
     export_csv(records, out / f"{stem}.csv")
     print(f"wrote {len(records)} records to {jsonl}")
     print(report_table(records), end="")

@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +19,7 @@ from robustgd.data import (
     synthetic_spambase_like,
 )
 from robustgd.errors import ConfigError, DataFormatError
+from robustgd.experiments import ExperimentConfig, prepare_data
 
 
 def write_csv(path, rows):
@@ -90,12 +93,13 @@ class TestLoad:
         path.write_text(newline.join(",".join(map(str, row)) for row in rows[:2]), newline="")
         np.testing.assert_array_equal(load_spambase(path).labels, [1, 0])
 
-    def test_non_finite_and_bad_label_rejected(self, tmp_path):
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_and_bad_label_rejected(self, tmp_path, token):
         path = tmp_path / "nan.csv"
         row = spam_row(1)
-        row[0] = "nan"
+        row[0] = token
         write_csv(path, [row])
-        with pytest.raises(DataFormatError, match="line 1"):
+        with pytest.raises(DataFormatError, match="line 1: non-finite value"):
             load_spambase(path)
         path2 = tmp_path / "label.csv"
         write_csv(path2, [spam_row(2)])
@@ -170,7 +174,8 @@ class TestSplit:
         train = rng.standard_normal((50, 3)) * np.array([2.0, 0.5, 1.0]) + 1.0
         train[:, 2] = 7.0  # zero variance
         test = rng.standard_normal((20, 3))
-        train_z, test_z = standardize(train, test)
+        train_z, test_z = standardize(np.vstack([train, test]), np.arange(50),
+                                      np.arange(50), np.arange(50, 70))
         np.testing.assert_allclose(train_z[:, :2].mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(train_z[:, :2].std(axis=0), 1.0, rtol=1e-12)
         assert (train_z[:, 2] == 0.0).all() and (test_z[:, 2] == 0.0).all()
@@ -182,6 +187,12 @@ class TestSplit:
         sharded = split_and_shard(ds, m=4, seed=0)
         assert sharded.dropped == 3
         assert sharded.train_features.shape == (20, 2) and sharded.train_labels.shape == (20,)
+
+    def test_an_empty_test_split_is_refused(self):
+        ds = synthetic_spambase_like(seed=0)
+        with pytest.raises(ConfigError, match=r"^train_frac=0.9999 leaves an empty test split "
+                                              r"\(4601 training rows, 0 test rows\)$"):
+            split_and_shard(ds, train_frac=0.9999, m=20, seed=0)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_fewer_than_one_worker_is_refused(self, m):
@@ -197,3 +208,50 @@ def test_synthetic_corpus_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert not np.array_equal(a.features, c.features)
+
+
+# sha256 of the stand-in corpus, an integer copy of it and their splits for m in (1, 7, 20)
+DATA_DIGESTS = {
+    0: "7c67f6044333ab514b18f5441d833277d2bdb39175a3bb9a3b3ddfff5019bcfb",
+    1: "2a903b2dd061bd6e4c28453a88c5f943af12241eae0ad4fa4d7ea26d796bd0c6",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_corpus_and_its_splits_keep_their_bits(seed):
+    ds = synthetic_spambase_like(seed=seed)
+    counts = (np.abs(ds.features) * 100).astype(int)
+    counts[:, 5] = 3  # a dead column
+    datasets = [ds, Dataset(features=counts, labels=ds.labels, source="counts")]
+    digest = hashlib.sha256()
+    for data in datasets:
+        before = data.features.copy()
+        arrays = [data.features, data.labels]
+        for m in (1, 7, 20):
+            sharded = split_and_shard(data, m=m, seed=seed)
+            split = [sharded.train_features, sharded.train_labels,
+                     sharded.test_features, sharded.test_labels]
+            assert all(a.flags.c_contiguous and a.flags.owndata for a in split)
+            assert sharded.train_features.dtype == sharded.test_features.dtype == np.float64
+            arrays += split
+        assert data.features.dtype == before.dtype
+        assert data.features.tobytes() == before.tobytes()
+        for a in arrays:
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == DATA_DIGESTS[seed]
+
+
+def test_preparing_the_e1_data_holds_one_training_matrix_at_a_time():
+    cfg = ExperimentConfig(preset="E1")
+    prepare_data(cfg)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        sharded = prepare_data(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_bytes = SPAMBASE_FEATURES * 8
+    training_rows = sharded.train_features.shape[0] + sharded.dropped
+    # the corpus, the sorted training gather and np.std's temporary of its size
+    assert peak <= (SPAMBASE_ROWS + 2 * training_rows) * row_bytes + 256 * 1024

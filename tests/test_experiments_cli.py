@@ -582,6 +582,22 @@ class TestCli:
                   "--iterations", "2", "--screen-count", "1", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"preset": "E0", "m": 4000}, r"m=4000 workers exceed training size 3067"),
+        ({"preset": "E1", "train_frac": 0.9999},
+         r"train_frac=0.9999 leaves an empty test split \(4601 training rows, 0 test rows\)"),
+    ], ids=["too-many-workers", "empty-test-split"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
+    def test_a_split_the_data_cannot_make_is_a_usage_error_before_any_file(
+            self, tmp_path, command, fields, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^data: {message}$"):
+            main([*command, "--config", str(config_path), "--variant", "erm",
+                  "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "lam", "--values", "1,2"]])
     def test_unknown_variant_is_a_usage_error_before_any_file(self, tmp_path, command):
         with pytest.raises(SystemExit, match="unknown variant 'bogus'"):
