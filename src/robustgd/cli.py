@@ -20,6 +20,7 @@ from .errors import ConfigError, DataFormatError
 from .experiments import (
     PRESETS,
     SWEEP_AXES,
+    VARIANTS,
     ExperimentConfig,
     export_csv,
     read_records,
@@ -29,7 +30,6 @@ from .experiments import (
     sweep,
     sweep_points,
 )
-from .simulation import VARIANTS
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 

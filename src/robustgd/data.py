@@ -43,12 +43,15 @@ def load_spambase(path) -> Dataset:
     Raw features are returned as-is; standardization happens at split time so
     its parameters can come from the training rows only. A file that cannot
     be read, or a row that is not UTF-8 text of 58 finite numbers ending in a
-    0/1 label, raises ``DataFormatError`` naming the path and the line.
+    0/1 label, raises ``DataFormatError`` naming the path and the line. The
+    bytes are decoded once up front to name an undecodable line, and the
+    rows are read through a text wrapper that decodes them a chunk at a
+    time, so no full-file string is held while the rows are parsed.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -56,7 +59,8 @@ def load_spambase(path) -> Dataset:
         raise DataFormatError(
             f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
     rows, labels = [], []
-    reader = csv.reader(io.StringIO(text, newline=""))  # split into lines as open(newline="")
+    # split into lines as open(newline="")
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
         for row in reader:
             where = f"{path}, line {reader.line_num}"

@@ -1,10 +1,14 @@
 """Experiment orchestration: environment presets, one train-and-score loop, and records.
 
-An experiment trains one or more algorithm variants on a sharded dataset
-under a configured byzantine attack, then scores clean and shift-perturbed
-misclassification on the held-out split. ``run_experiment`` and ``sweep`` are
-thin callers of one loop that trains each variant once per training config
-and scores every config. Each (variant, config) produces one JSON record;
+An experiment trains one or more algorithm variants (``VARIANTS``: which of
+screening and the inner ascent stay on, applied where ``_train_config``
+builds a run's ``TrainConfig``) on m workers, the first alpha_m of them
+byzantine under a configured attack, then scores clean and shift-perturbed
+misclassification on the held-out split. Every rule on a config's fields is
+checked when the ``ExperimentConfig`` is built, the excess-byzantine rule of
+the screening variants included, so a refused config prepares no data.
+``run_experiment`` and ``sweep`` are thin callers of one loop that trains
+each variant once per training config and scores every config. Each (variant, config) produces one JSON record;
 records are emitted line-delimited, contain no timestamps, and are
 byte-identical across reruns of the same config, so diffing output files is
 a meaningful regression check.
@@ -29,13 +33,11 @@ from .errors import ConfigError, DataFormatError, NumericError, RegimeError, req
 from .losses import LogisticLoss
 from .shift import ShiftSpec, misclassification_rate, perturb_test_set
 from .simulation import (
-    VARIANTS,
     TrainConfig,
     WorkerRoster,
     gradient_dispersion,
     honest_objective,
     run_training,
-    variant_config,
     with_diagnostics,
 )
 from .surrogate import DROConfig
@@ -52,6 +54,12 @@ PRESETS = {
 }
 
 SWEEP_AXES = ("shift_q", "alpha_m", "lam", "t_z")
+
+# Algorithm variants: which of the two robustness measures stay on. alg2
+# keeps both; dro_only drops screening (plain averaging); nbs_only drops the
+# data perturbation (zero ascent steps); erm drops both.
+VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
+SCREENING = ("alg2", "nbs_only")
 
 
 @dataclass(frozen=True)
@@ -117,30 +125,38 @@ class ExperimentConfig:
 
         The specs a run builds (training, inner ascent, screening, test shift
         and the attack) are built here once, so their own checks are the only
-        copy of each rule. Every record carries the attack fields, so they are
-        checked whatever the attack: under 'none' as an aggressive attack's,
-        whose rules for them are every kind's. With byzantine workers the
-        run's attack plan is built too, for its rule on the honest count.
+        copy of each rule: the roster's for m and alpha_m among them. Every
+        record carries the attack fields, so they are checked whatever the
+        attack: under 'none' as an aggressive attack's, whose rules for them
+        are every kind's. With byzantine workers the run's attack plan is
+        built too, for its rule on the honest count. A variant that screens
+        (``SCREENING``) is refused more byzantine workers than screen_count
+        unless allow_excess_byzantine is set; dro_only and erm screen none.
         """
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        for name in ("alpha_m", "screen_count"):
-            if not 0 <= getattr(self, name) < self.m:
-                raise ConfigError(f"{name} must be in [0, m={self.m}), got {getattr(self, name)}")
-        require_count("data_seed", self.data_seed, 0)
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.alpha_m > 0 and self.attack == "none":
             raise ConfigError(
                 f"alpha_m={self.alpha_m} byzantine workers need an attack, got attack='none'"
             )
+        roster = _roster(self)
+        if not 0 <= self.screen_count < self.m:
+            raise ConfigError(f"screen_count must be in [0, m={self.m}), got {self.screen_count}")
+        require_count("data_seed", self.data_seed, 0)
+        if not 0.0 < self.train_frac < 1.0:
+            raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         _train_config(self)
         _shift_spec(self)
-        spec = _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
-        if self.alpha_m > 0:
-            AttackPlan([spec], range(self.alpha_m), self.m - self.alpha_m, 1, 1)
+        _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
+        if roster.alpha_m:
+            AttackPlan([roster.attack], roster.byzantine, self.m - self.alpha_m, 1, 1)
+        if (self.variant in SCREENING and self.alpha_m > self.screen_count
+                and not self.allow_excess_byzantine):
+            raise ConfigError(
+                f"alpha_m={self.alpha_m} byzantine workers exceed screen_count="
+                f"{self.screen_count} under variant {self.variant!r}; set "
+                f"allow_excess_byzantine to demo this regime"
+            )
 
     def resolved(self):
         """The config itself: presets are applied at construction.
@@ -192,20 +208,22 @@ def _shift_spec(cfg: ExperimentConfig):
 
 
 def _roster(cfg: ExperimentConfig):
-    return WorkerRoster(
-        m=cfg.m,
-        byzantine=tuple(range(cfg.alpha_m)),
-        attack=None if cfg.alpha_m == 0 else _attack_spec(cfg),
-        allow_excess_byzantine=cfg.allow_excess_byzantine,
-    )
+    return WorkerRoster(cfg.m, cfg.alpha_m, None if cfg.alpha_m == 0 else _attack_spec(cfg))
 
 
 def _train_config(cfg: ExperimentConfig):
+    """The run's ``TrainConfig`` under cfg.variant (``VARIANTS``).
+
+    dro_only and erm screen none; nbs_only and erm take no ascent steps,
+    their inner settings built from the config's own t_z first, so every
+    variant checks it.
+    """
+    dro = DROConfig(cfg.lam, cfg.eta_z, cfg.t_z)
     return TrainConfig(
         eta=cfg.eta,
         iterations=cfg.iterations,
-        dro=DROConfig(cfg.lam, cfg.eta_z, cfg.t_z),
-        screen=ScreenConfig(cfg.screen_count),
+        dro=dro if cfg.variant in ("alg2", "dro_only") else replace(dro, t_z=0),
+        screen=ScreenConfig(cfg.screen_count if cfg.variant in SCREENING else 0),
         seed=cfg.seed,
     )
 
@@ -217,7 +235,7 @@ def train(cfg: ExperimentConfig, sharded):
     leaves the strongly concave inner regime, lam > ||theta||^2 / 4, where
     the worker ascent no longer contracts; the records do not change.
     """
-    tcfg, roster = variant_config(cfg.variant, _train_config(cfg), _roster(cfg))
+    tcfg, roster = _train_config(cfg), _roster(cfg)
     trace = run_training(
         LogisticLoss(), sharded.train_features, sharded.train_labels, roster, tcfg
     )
@@ -277,7 +295,7 @@ def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRos
     X, Y = sharded.train_features, sharded.train_labels
     try:
         c_alpha = screening_coefficient(
-            len(roster.byzantine), effective.screen.screen_count, roster.m)
+            roster.alpha_m, effective.screen.screen_count, roster.m)
         diagnosed = with_diagnostics(model, X, Y, trace, effective.dro)  # names a failing iterate
     except RegimeError as exc:
         return _inapplicable(str(exc))
@@ -388,20 +406,17 @@ def sweep_points(cfg: ExperimentConfig, axis, values):
     Each value is first cast to the axis's declared type, so a non-integral
     value on an integer axis is refused before any point is built. Points on
     the alpha_m axis beyond the screening count carry the excess-byzantine
-    override, since probing that regime is the point.
+    override, since probing that regime is the point; it is set in the same
+    ``replace`` as the value, which would refuse the value without it.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     values = [_as_declared(axis, value) for value in values]
     if not values:
         raise ConfigError(f"sweep axis {axis} needs at least one value")
-    points = []
-    for value in values:
-        point = replace(cfg, **{axis: value})
-        if axis == "alpha_m" and point.alpha_m > cfg.screen_count:
-            point = replace(point, allow_excess_byzantine=True)
-        points.append(point)
-    return points
+    return [replace(cfg, **{axis: value}, allow_excess_byzantine=cfg.allow_excess_byzantine
+                    or (axis == "alpha_m" and value > cfg.screen_count))
+            for value in values]
 
 
 def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):

@@ -4,13 +4,15 @@ Each round the server broadcasts the iterate; honest workers run the inner
 maximization over their shard and report the mean surrogate gradient;
 byzantine workers report crafted vectors instead. The server screens by
 norm, averages the survivors, and steps. Worker j's shard is the j-th of m
-equal contiguous blocks of the N training rows (``validate_roster`` refuses
-an N that m does not divide), so before the loop the rows are viewed as an
-(m, n, d) block and the k honest workers' slices are copied once into one
-C-ordered (k, n, d) block. The honest side of the rounds is set up once,
-before round 0, in a ``ReportPlan``: the block's (k * n, d) row view and
-labels, the workers' segment starts, and for the logistic loss eta_z * y,
-rho and every scratch buffer a round needs. Each round, one
+equal contiguous blocks of the N training rows (``train_runs`` refuses an N
+that m does not divide), and workers 0 .. alpha_m - 1 are byzantine, so
+before the loop the rows are viewed as an (m, n, d) block and the k honest
+workers' rows are its last k blocks: a C-ordered (k, n, d) view for one
+run, copied once into C order for a batch of several. The honest side of
+the rounds is set up once, before round 0, in a ``ReportPlan``: the block's
+(k * n, d) row view and labels, the workers' segment starts, and for the
+logistic loss eta_z * y, rho and every scratch buffer a round needs. Each
+round, the reports are written back by slices, and one
 ``worker_reports(plan, theta)`` call does only the round's arithmetic: one
 batched ascent that serves every honest worker, a scalar recursion on a
 line through each row (``surrogate._line_steps``, one coefficient per row,
@@ -76,7 +78,6 @@ from .losses import LogisticLoss, QuadraticLoss, sigmoid
 from .surrogate import (DROConfig, _line_steps, _margins, exact_rows, inner_objectives,
                         line_ascent, quadratic_line_ascent)
 
-VARIANTS = ("alg2", "dro_only", "nbs_only", "erm")
 # cap, in floats, on each (B, n, d) temporary of the blocked diagnostics (256 kB):
 # 27 iterates of verify's 200 x 6 quadratic rows, one of the experiments' logistic data
 DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 15
@@ -84,43 +85,30 @@ DIAGNOSTIC_BLOCK_ELEMENTS = 2 ** 15
 
 @dataclass
 class WorkerRoster:
-    """m workers, the byzantine subset and its attack behavior.
+    """m workers, the first alpha_m of them byzantine, and their attack behavior.
 
     Worker j holds the j-th of m equal contiguous blocks of the training
-    rows: rows [j * n, (j + 1) * n) of N = m * n. A caller that wants
-    another partition orders the rows first.
+    rows: rows [j * n, (j + 1) * n) of N = m * n. Workers 0 .. alpha_m - 1
+    are byzantine and the other m - alpha_m honest. A caller that wants
+    another partition or byzantine set orders the rows first.
     """
 
     m: int
-    byzantine: tuple = ()
+    alpha_m: int = 0
     attack: AttackSpec | None = None
-    allow_excess_byzantine: bool = False  # more byzantine workers than screen_count
 
     def __post_init__(self):
-        self.m = m = require_count("m", self.m, 1)
-        self.byzantine = tuple(sorted(set(int(i) for i in self.byzantine)))
-        if self.byzantine and (self.byzantine[0] < 0 or self.byzantine[-1] >= m):
-            raise ConfigError(f"byzantine ids out of range [0, {m})")
-        if len(self.byzantine) >= m:
-            raise ConfigError("at least one worker must be honest")
-        if self.byzantine and self.attack is None:
+        self.m = require_count("m", self.m, 1)
+        self.alpha_m = require_count("alpha_m", self.alpha_m, 0)
+        if self.alpha_m >= self.m:
+            raise ConfigError(f"alpha_m must be < m={self.m} so that a worker is honest, "
+                              f"got {self.alpha_m}")
+        if self.alpha_m and self.attack is None:
             raise ConfigError("byzantine workers declared without an attack spec")
 
     @property
-    def honest(self):
-        byz = set(self.byzantine)
-        return tuple(i for i in range(self.m) if i not in byz)
-
-
-def validate_roster(roster: WorkerRoster, n_samples, screen_count):
-    if n_samples < roster.m or n_samples % roster.m:
-        raise ConfigError(f"N={n_samples} rows do not split into m={roster.m} equal "
-                          f"non-empty worker blocks")
-    if len(roster.byzantine) > screen_count and not roster.allow_excess_byzantine:
-        raise ConfigError(
-            f"{len(roster.byzantine)} byzantine workers exceed screen_count="
-            f"{screen_count}; set allow_excess_byzantine to demo this regime"
-        )
+    def byzantine(self):
+        return range(self.alpha_m)
 
 
 @dataclass
@@ -308,7 +296,7 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
     validated them.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    honest, honest_X, honest_Y = _honest_block(X[None], Y[None], roster)
+    honest_X, honest_Y = _honest_block(X[None], Y[None], roster)
     _, k, n, d = honest_X.shape
     try:
         objectives = inner_objectives(trace.iterates[-1:], honest_X.reshape(1, k * n, d),
@@ -316,29 +304,27 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
         sums = _objective_sums(objectives, np.arange(0, k * n, n), n)
     except NumericError as exc:
         row = 0 if exc.rows is None else exc.rows[0]
-        raise NumericError(f"iteration {trace.iterations - 1}, worker {honest[row // n]}: "
-                           f"{exc}") from exc
+        raise NumericError(f"iteration {trace.iterations - 1}, "
+                           f"worker {roster.alpha_m + row // n}: {exc}") from exc
     return float(np.add.reduce(sums / n, axis=1)[0] / k)
 
 
 def _honest_block(X, Y, roster):
-    """(honest ids, (R, k, n, d) rows, (R, k, n) labels) of the k honest workers of R runs.
+    """((R, k, n, d) rows, (R, k, n) labels) of the k honest workers of R runs.
 
     ``X`` is (R, N, d) and ``Y`` (R, N); worker j's rows are the j-th of the
-    roster's m contiguous blocks. ``take`` copies them in C order, which
-    ``X[:, honest]`` does not promise for R > 1, so the rounds can view the
-    block as (R, k * n, d) rows without a copy.
+    roster's m contiguous blocks, so the honest workers' rows are the blocks
+    after the first alpha_m: a view, C-ordered for one run.
     """
-    honest, m = np.array(roster.honest), roster.m
+    m, a = roster.m, roster.alpha_m
     R, N, d = X.shape
-    return (honest, X.reshape(R, m, N // m, d).take(honest, axis=1),
-            Y.reshape(R, m, N // m).take(honest, axis=1))
+    return X.reshape(R, m, N // m, d)[:, a:], Y.reshape(R, m, N // m)[:, a:]
 
 
 # what the runs of one batch share: (field, its value for a run's roster and config)
 _SHARED = (
     ("m", lambda roster, cfg: roster.m),
-    ("byzantine", lambda roster, cfg: roster.byzantine),
+    ("alpha_m", lambda roster, cfg: roster.alpha_m),
     ("screen_count", lambda roster, cfg: cfg.screen.screen_count),
     ("dro", lambda roster, cfg: cfg.dro),
     ("iterations", lambda roster, cfg: cfg.iterations),
@@ -351,17 +337,18 @@ def train_runs(model, X, Y, rosters, cfgs):
     ``X`` is (R, N, d) and ``Y`` (R, N); run r trains on ``X[r]``, ``Y[r]``
     with ``rosters[r]`` and ``cfgs[r]``, and its trace is bit-equal to
     ``run_training(model, X[r], Y[r], rosters[r], cfgs[r])``. Worker j of
-    every run holds the j-th of m contiguous blocks of its N rows. The runs
-    share N through the shape of ``X`` and must share m, the byzantine ids,
-    screen_count, dro and iterations (``ConfigError`` naming the field and
-    the run); each keeps its own data, eta, seed or theta0 and attack. With
-    byzantine workers the batch builds one ``AttackPlan`` before round 0 (its
-    refusal of a counterexample batch with too few honest workers holds for
-    every run, so it names none), and each round makes one ``craft`` call,
-    over the stack of every run's honest reports, and one ``norm_screen``
-    call, however many runs there are. In a batch of more than one run, an
-    error a run raises names it ("run r, "), so a ``NumericError`` names the
-    run, the iteration and the worker.
+    every run holds the j-th of m contiguous blocks of its N rows, which m
+    must divide (``ConfigError`` naming both), and workers 0 .. alpha_m - 1
+    are byzantine. The runs share N through the shape of ``X`` and must
+    share m, alpha_m, screen_count, dro and iterations (``ConfigError``
+    naming the field and the run); each keeps its own data, eta, seed or
+    theta0 and attack. With byzantine workers the batch builds one
+    ``AttackPlan`` before round 0 (its refusal of a counterexample batch
+    with too few honest workers holds for every run, so it names none), and
+    each round makes one ``craft`` call, over the stack of every run's honest
+    reports, and one ``norm_screen`` call, however many runs there are. In a
+    batch of more than one run, an error a run raises names it ("run r, "),
+    so a ``NumericError`` names the run, the iteration and the worker.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -374,7 +361,6 @@ def train_runs(model, X, Y, rosters, cfgs):
     _, N, d = X.shape
     theta = np.empty((R, d))
     for r, (roster, cfg) in enumerate(zip(rosters, cfgs)):
-        validate_roster(roster, N, cfg.screen.screen_count)
         for field, value in _SHARED:
             if value(roster, cfg) != value(rosters[0], cfgs[0]):
                 raise ConfigError(f"run {r}: {field}={value(roster, cfg)!r} differs from run "
@@ -386,20 +372,20 @@ def train_runs(model, X, Y, rosters, cfgs):
         theta[r] = theta0
     eta = np.array([[cfg.eta] for cfg in cfgs])  # (R, 1)
     roster, cfg = rosters[0], cfgs[0]  # their shared fields
-    m, T, screen_count = roster.m, cfg.iterations, cfg.screen.screen_count
+    m, a, T, screen_count = roster.m, roster.alpha_m, cfg.iterations, cfg.screen.screen_count
+    if N < m or N % m:
+        raise ConfigError(f"N={N} rows do not split into m={m} equal non-empty worker blocks")
 
     # run-major, so that each run's fields are contiguous; the loop writes
     # round t of every run through round-major views
     run_major = dict(aggregated=np.empty((R, T, d)), worker_norms=np.empty((R, T, m)),
                      iterates=np.empty((R, T, d)))
-    aggregated, worker_norms, iterates = (a.swapaxes(0, 1) for a in run_major.values())
-    honest, honest_X, honest_Y = _honest_block(X, Y, roster)
-    byzantine = np.array(roster.byzantine, dtype=int)
-    k, n = honest_Y.shape[1:]
-    report_plan = ReportPlan(model, honest_X, honest_Y, cfg.dro)
+    aggregated, worker_norms, iterates = (v.swapaxes(0, 1) for v in run_major.values())
+    report_plan = ReportPlan(model, *_honest_block(X, Y, roster), cfg.dro)
+    k, n = m - a, N // m
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
     attack_plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, k, T, d)
-                   if byzantine.size else None)
+                   if a else None)
 
     for t in range(T):
         iterates[t] = theta
@@ -408,9 +394,9 @@ def train_runs(model, X, Y, rosters, cfgs):
         except NumericError as exc:
             # a failure without rows (a non-finite theta of one run) hits every worker
             run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
-            raise NumericError(f"{label[run]}iteration {t}, worker {honest[row // n]}: "
+            raise NumericError(f"{label[run]}iteration {t}, worker {a + row // n}: "
                                f"{exc}") from exc
-        grads[:, honest] = honest_grads
+        grads[:, a:] = honest_grads
         # The server's side of the round warns of nothing past the float
         # range: a byzantine report there gets norm inf and is screened, and
         # a non-finite aggregate or iterate is refused below.
@@ -418,7 +404,7 @@ def train_runs(model, X, Y, rosters, cfgs):
             if attack_plan is not None:
                 # np.mean's sum and division, without its overhead
                 references = np.add.reduce(honest_grads, axis=1) / k
-                grads[:, byzantine] = craft(attack_plan, honest_grads, references, t)
+                grads[:, :a] = craft(attack_plan, honest_grads, references, t)
             G, worker_norms[t] = norm_screen(grads, screen_count)
             step = theta - eta * G
         if not np.isfinite(step).all():  # also where G is not finite: one check for both
@@ -485,24 +471,6 @@ def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
             inner_eps[rounds] = np.abs(c_eps - c_star).max(axis=1) * np.sqrt(sq_norm[:, 0])
     return replace(trace, true_gradients=true_gradients, true_objectives=true_objectives,
                    inner_eps=inner_eps)
-
-
-def variant_config(variant, cfg: TrainConfig, roster: WorkerRoster):
-    """Per-variant surgery: which of the two robustness measures stay on.
-
-    alg2 keeps both; dro_only drops screening (plain averaging); nbs_only
-    drops the data perturbation (zero ascent steps); erm drops both.
-    """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    new_cfg, new_roster = cfg, roster
-    if variant in ("dro_only", "erm"):
-        new_cfg = replace(new_cfg, screen=ScreenConfig(0))
-        if roster.byzantine:
-            new_roster = replace(roster, allow_excess_byzantine=True)
-    if variant in ("nbs_only", "erm"):
-        new_cfg = replace(new_cfg, dro=replace(new_cfg.dro, t_z=0))
-    return new_cfg, new_roster
 
 
 def gradient_dispersion(model, X, Y, theta, lam):

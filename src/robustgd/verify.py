@@ -160,8 +160,8 @@ def _quadratic_runs(horizons):
     model = QuadraticLoss(1.0)
     pairs = list(horizons)
     data = [quadratic_cloud(m * 10, 6, spread=1.0, seed=seed) for seed, _ in pairs]
-    rosters = [WorkerRoster(m=m, byzantine=tuple(range(byz_count)),
-                            attack=AttackSpec(kind=kind, rng_seed=seed)) for seed, kind in pairs]
+    rosters = [WorkerRoster(m, byz_count, AttackSpec(kind=kind, rng_seed=seed))
+               for seed, kind in pairs]
     l_f = surrogate_smoothness(model.constants(), lam)
     dro = DROConfig(lam, theoretical_ascent_step(lam), 6)
     cfgs = [TrainConfig(eta=1.0 / l_f, iterations=max(horizons.values()), dro=dro,
@@ -287,11 +287,7 @@ def breakpoint_demo(iterations=150, m=10, dim=4, seed=0):
     out = {}
     for frac in (0.4, 0.2):
         byz_count = int(round(frac * m))
-        roster = WorkerRoster(
-            m=m,
-            byzantine=tuple(range(byz_count)),
-            attack=AttackSpec(kind="counterexample", rng_seed=seed),
-        )
+        roster = WorkerRoster(m, byz_count, AttackSpec(kind="counterexample", rng_seed=seed))
         cfg = TrainConfig(
             eta=1.0 / l_f,
             iterations=iterations,

@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustgd.experiments import ExperimentConfig
@@ -69,7 +70,7 @@ def test_retired_spans_are_still_traced():
 
 def test_hook_bindings_resolve():
     # the tracer's work counters bind these parameters and fields by name
-    from robustgd.experiments import _train_config
+    from robustgd.experiments import _roster, _train_config
     from robustgd.simulation import run_training
 
     assert {"roster", "cfg"} <= set(inspect.signature(run_training).parameters)
@@ -77,6 +78,11 @@ def test_hook_bindings_resolve():
     # _count_training reads cfg.screen.screen_count of the TrainConfig it is given
     cfg = _train_config(ExperimentConfig(preset="E1"))
     assert cfg.screen.screen_count == ExperimentConfig(preset="E1").screen_count
+    # and np.asarray(roster.byzantine, dtype=int) as the byzantine ids: a plain
+    # count there would read as one id and skew byz_kept_frac without an error
+    for preset, ids in (("E1", [0, 1, 2]), ("E0", [])):
+        byzantine = np.asarray(_roster(ExperimentConfig(preset=preset)).byzantine, dtype=int)
+        assert byzantine.tolist() == ids, preset
 
 
 def test_the_round_loop_calls_the_traced_names():

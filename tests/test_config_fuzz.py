@@ -32,8 +32,7 @@ import pytest
 from robustgd.cli import main
 from robustgd.data import SPAMBASE_FEATURES
 from robustgd.errors import ConfigError, DataFormatError, NumericError, RegimeError, ShapeError
-from robustgd.experiments import ExperimentConfig, run_experiment, write_records
-from robustgd.simulation import VARIANTS
+from robustgd.experiments import VARIANTS, ExperimentConfig, run_experiment, write_records
 
 FUZZ_SEED = 0
 FUZZ_CONFIGS = 64

@@ -55,6 +55,18 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def fail_alg2_training(monkeypatch):
+    """Make experiments.train raise a NumericError for variant alg2, as a diverging run does."""
+    real = experiments.train
+
+    def train(cfg, sharded):
+        if cfg.variant == "alg2":
+            raise NumericError("iteration 0: non-finite aggregated gradient")
+        return real(cfg, sharded)
+
+    monkeypatch.setattr(experiments, "train", train)
+
+
 class TestPresets:
     def test_environments_expand_to_the_protocol_constants(self):
         cfg = ExperimentConfig(preset="E1")
@@ -72,8 +84,8 @@ class TestPresets:
             assert ExperimentConfig(preset=name).shift_norm == "l2"
 
     def test_resolution_is_one_shot_so_overrides_stick(self):
-        cfg = replace(ExperimentConfig(preset="E1"), alpha_m=5)
-        assert cfg.alpha_m == 5 and cfg.environment == "E1"
+        cfg = replace(ExperimentConfig(preset="E1"), alpha_m=2)
+        assert cfg.alpha_m == 2 and cfg.environment == "E1"
 
     def test_explicit_fields_win_over_the_preset(self):
         cfg = ExperimentConfig(preset="E1", shift_q=0.1, attack="intelligent")
@@ -132,6 +144,26 @@ class TestPresets:
                                 allow_excess_byzantine=True).alpha_m == 18
         # without byzantine workers no plan is built, so one worker stays legal
         assert ExperimentConfig(attack="counterexample", m=1, screen_count=0).m == 1
+
+    @pytest.mark.parametrize("variant", ["alg2", "nbs_only"])
+    def test_a_screening_variant_is_refused_more_byzantine_workers_than_it_screens(self,
+                                                                               variant):
+        # refused when built, before any data are prepared
+        message = (f"^alpha_m=5 byzantine workers exceed screen_count=3 under variant "
+                   f"'{variant}'; set allow_excess_byzantine")
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(preset="E1", variant=variant, alpha_m=5)
+        with pytest.raises(ConfigError, match=message):
+            replace(ExperimentConfig(preset="E1", variant=variant), alpha_m=5)
+        cfg = ExperimentConfig(preset="E1", variant=variant, alpha_m=5,
+                               allow_excess_byzantine=True)
+        assert (cfg.alpha_m, cfg.screen_count) == (5, 3)
+
+    @pytest.mark.parametrize("variant", ["dro_only", "erm"])
+    def test_a_variant_that_screens_none_takes_any_byzantine_count(self, variant):
+        cfg = ExperimentConfig(preset="E1", variant=variant, alpha_m=5)
+        assert not cfg.allow_excess_byzantine
+        assert experiments._train_config(cfg).screen.screen_count == 0
 
     def test_preset_on_an_expanded_config_is_refused(self):
         # E1's attack and shift are explicit by now: E3 would only relabel them
@@ -290,11 +322,14 @@ class TestRecords:
             run_experiment(cfg)
         assert not [r for r in caplog.records if r.name == "robustgd.experiments"]
 
-    def test_failures_carry_config_context_and_flush_partials(self):
+    def test_failures_carry_config_context_and_flush_partials(self, monkeypatch):
+        fail_alg2_training(monkeypatch)
         sunk = []
-        cfg = fast_config(attack="aggressive", alpha_m=2)  # 2 byz > screen_count=1
-        with pytest.raises(RuntimeError, match="variant='alg2'"):
+        cfg = fast_config(attack="aggressive", alpha_m=1)
+        with pytest.raises(RuntimeError, match="variant='alg2'") as exc:
             run_experiment(cfg, variants=["dro_only", "alg2"], on_record=sunk.append)
+        assert "'alpha_m': 1" in str(exc.value)
+        assert isinstance(exc.value.__cause__, NumericError)
         assert len(sunk) == 1  # dro_only finished before the failure
         assert sunk[0]["config"]["variant"] == "dro_only"
 
@@ -376,12 +411,13 @@ class TestSweep:
             assert record["bounds"] == expected["bounds"]
             assert {k: v for k, v in record.items() if k != "sweep"} == expected
 
-    def test_failing_shift_sweep_names_the_variant_and_config(self):
-        cfg = fast_config(attack="aggressive", alpha_m=2)  # 2 byz > screen_count=1
+    def test_failing_shift_sweep_names_the_variant_and_config(self, monkeypatch):
+        fail_alg2_training(monkeypatch)
+        cfg = fast_config(attack="aggressive", alpha_m=2, screen_count=2)
         with pytest.raises(RuntimeError, match="variant='alg2'") as exc:
             sweep(cfg, "shift_q", [0.0, 0.1], variants=["alg2"])
         assert "'shift_q': 0.0" in str(exc.value) and "'alpha_m': 2" in str(exc.value)
-        assert isinstance(exc.value.__cause__, ConfigError)
+        assert isinstance(exc.value.__cause__, NumericError)
 
     def test_alpha_axis_prepares_the_data_once(self, monkeypatch):
         prepared = count_calls(monkeypatch, "prepare_data")
@@ -526,6 +562,31 @@ class TestCli:
             main([*command, "--preset", "E1", "--attack", "counterexample",
                   "--allow-excess-byzantine", "--iterations", "3", "--out", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, counts", [
+        (["run", "--alpha-m", "5"], (5, 3)),
+        (["run", "--screen-count", "0"], (3, 0)),
+        (["sweep", "--axis", "lam", "--values", "1,2", "--alpha-m", "5"], (5, 3)),
+    ])
+    def test_more_byzantine_workers_than_the_screen_drops_is_a_usage_error(self, tmp_path,
+                                                                           command, counts):
+        message = "alpha_m={} byzantine workers exceed screen_count={} ".format(*counts)
+        with pytest.raises(SystemExit, match=f"^{message}"):
+            main([*command, "--preset", "E1", "--iterations", "3", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, alpha_ms", [
+        (["run", "--variant", "dro_only", "--alpha-m", "5"], [5]),
+        (["run", "--variant", "erm", "--alpha-m", "5"], [5]),
+        (["run", "--alpha-m", "5", "--allow-excess-byzantine"], [5]),
+        (["sweep", "--axis", "alpha_m", "--values", "0,5"], [0, 5]),
+    ])
+    def test_unscreened_variants_and_the_opt_in_train_past_the_screen_count(self, tmp_path,
+                                                                           command, alpha_ms):
+        assert main([*command, "--preset", "E1", "--iterations", "3",
+                     "--out", str(tmp_path)]) == 0
+        [path] = tmp_path.glob("*.jsonl")
+        assert [r["config"]["alpha_m"] for r in read_records(path)] == alpha_ms
 
     def test_sweep_and_report_commands(self, tmp_path, capsys):
         code = main([

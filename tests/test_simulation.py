@@ -23,6 +23,7 @@ from robustgd.attacks import DIRECTION_BLOCK_ROUNDS, KINDS, AttackPlan, AttackSp
 from robustgd.bounds import surrogate_smoothness
 from robustgd.data import quadratic_cloud
 from robustgd.errors import ConfigError, NumericError, RegimeError
+from robustgd.experiments import ExperimentConfig, _roster, _train_config
 from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
 from robustgd.simulation import (
     DIAGNOSTIC_BLOCK_ELEMENTS,
@@ -35,8 +36,6 @@ from robustgd.simulation import (
     initial_theta,
     run_training,
     train_runs,
-    validate_roster,
-    variant_config,
     with_diagnostics,
     worker_reports,
 )
@@ -482,10 +481,7 @@ class TestRunTraining:
     def test_bit_identical_reruns(self):
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=50, dim=4, seed=2)
-        roster = WorkerRoster(
-            m=10, byzantine=(0, 1),
-            attack=AttackSpec(kind="intelligent", rng_seed=3),
-        )
+        roster = WorkerRoster(m=10, alpha_m=2, attack=AttackSpec(kind="intelligent", rng_seed=3))
         cfg = plain_config(0.2, 12, DROConfig(2.0, 0.3, 6), screen_count=2, seed=4)
         a = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), cfg.dro)
         b = with_diagnostics(model, X, Y, run_training(model, X, Y, roster, cfg), cfg.dro)
@@ -551,10 +547,7 @@ class TestRunTraining:
         # eta-step along the aggregate: bitwise, with byzantine workers present
         model = QuadraticLoss(1.0)
         X, Y = make_cloud(n=40, dim=3, seed=7)
-        roster = WorkerRoster(
-            m=8, byzantine=(0, 1),
-            attack=AttackSpec(kind="aggressive", rng_seed=2),
-        )
+        roster = WorkerRoster(m=8, alpha_m=2, attack=AttackSpec(kind="aggressive", rng_seed=2))
         cfg = plain_config(0.3, 9, DROConfig(2.0, 0.3, 5), screen_count=2, seed=5)
         trace = run_training(model, X, Y, roster, cfg)
         np.testing.assert_array_equal(trace.iterates[0], initial_theta(3, 5))
@@ -562,30 +555,28 @@ class TestRunTraining:
         np.testing.assert_array_equal(trace.iterates[1:], stepped[:-1])
         np.testing.assert_array_equal(trace.theta_final, stepped[-1])
 
-    def test_roster_validation(self):
-        X, Y = make_cloud(n=12, dim=2, seed=0)
-        cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
-        attack = AttackSpec(kind="aggressive")
-        crowded = WorkerRoster(m=3, byzantine=(0,), attack=attack)
-        with pytest.raises(ConfigError, match="screen_count"):
-            run_training(QuadraticLoss(), X, Y, crowded, cfg)  # screen_count=0 < 1 byz
-        ok = WorkerRoster(m=3, byzantine=(0,), attack=attack,
-                          allow_excess_byzantine=True)
-        run_training(QuadraticLoss(), X, Y, ok, cfg)  # override permits the demo regime
-        with pytest.raises(ConfigError):
-            WorkerRoster(m=3, byzantine=(0, 1, 2), attack=attack)
-        with pytest.raises(ConfigError):
-            WorkerRoster(m=3, byzantine=(5,), attack=attack)
-        with pytest.raises(ConfigError):
-            WorkerRoster(m=3, byzantine=(0,))  # no attack spec
+    @pytest.mark.parametrize("alpha_m, attack, message", [
+        (3, AttackSpec(kind="aggressive"), "alpha_m must be < m=3 so that a worker is honest, "
+                                           "got 3"),
+        (-1, AttackSpec(kind="aggressive"), "alpha_m must be >= 0, got -1"),
+        (1.5, AttackSpec(kind="aggressive"), "alpha_m must be an integer count, got 1.5"),
+        (1, None, "byzantine workers declared without an attack spec"),
+    ])
+    def test_the_byzantine_count_is_checked_by_name(self, alpha_m, attack, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            WorkerRoster(m=3, alpha_m=alpha_m, attack=attack)
+
+    def test_the_first_alpha_m_workers_are_byzantine(self):
+        roster = WorkerRoster(m=3, alpha_m=2.0, attack=AttackSpec(kind="aggressive"))
+        assert roster.alpha_m == 2 and type(roster.alpha_m) is int
+        assert roster.byzantine == range(2)
+        assert WorkerRoster(m=3).byzantine == range(0)
 
     @pytest.mark.parametrize("N, m", [(12, 5), (13, 3), (2, 3), (0, 3)])
     def test_rows_that_m_does_not_divide_are_refused_naming_n_and_m(self, N, m):
         X, Y = make_cloud(n=N, dim=2, seed=0)
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), seed=0)
         message = rf"^N={N} rows do not split into m={m} equal non-empty worker blocks$"
-        with pytest.raises(ConfigError, match=message):
-            validate_roster(WorkerRoster(m=m), N, cfg.screen.screen_count)
         with pytest.raises(ConfigError, match=message):
             run_training(QuadraticLoss(), X, Y, WorkerRoster(m=m), cfg)
 
@@ -606,8 +597,7 @@ class TestRunTraining:
     def test_zero_reference_warns_once_per_round(self, caplog):
         # every row at theta0 = 0: the honest reports, and so their mean, are exactly zero
         X = np.zeros((12, 2))
-        roster = WorkerRoster(m=6, byzantine=(0, 1, 2),
-                              attack=AttackSpec(kind="intelligent"))
+        roster = WorkerRoster(m=6, alpha_m=3, attack=AttackSpec(kind="intelligent"))
         cfg = plain_config(0.1, 2, DROConfig(2.0, 0.3, 2), screen_count=3, theta0=np.zeros(2))
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             run_training(QuadraticLoss(), X, np.zeros(12), roster, cfg)
@@ -629,8 +619,7 @@ class TestRunTraining:
         # at theta = 0 every row's line coordinate grows by 149x per step alike
         X = rng.standard_normal((12, 3))
         Y = rng.integers(0, 2, size=12).astype(float)
-        roster = WorkerRoster(m=4, byzantine=(0,),
-                              attack=AttackSpec(kind="aggressive"))
+        roster = WorkerRoster(m=4, alpha_m=1, attack=AttackSpec(kind="aggressive"))
         cfg = plain_config(0.1, 3, DROConfig(3.0, 50.0, 500), screen_count=1,
                            theta0=np.zeros(3))
         with pytest.raises(NumericError, match=r"iteration 0, worker 1: inner ascent diverged"):
@@ -644,7 +633,7 @@ class TestRunTraining:
         monkeypatch.setattr(simulation, "craft", lambda *args: np.inf * craft(*args))
         X, Y = make_cloud(n=30, dim=3, seed=8)
         attack = AttackSpec(kind="aggressive", scale=10.0)
-        roster = WorkerRoster(m=6, byzantine=(0, 1), attack=attack)
+        roster = WorkerRoster(m=6, alpha_m=2, attack=attack)
         dro = DROConfig(2.0, 0.3, 3)
         trace = run_training(QuadraticLoss(), X, Y, roster,
                              plain_config(0.2, 4, dro, screen_count=2, seed=1))
@@ -654,10 +643,8 @@ class TestRunTraining:
                              plain_config(0.2, 4, dro, seed=1))
         np.testing.assert_array_equal(trace.aggregated, clean.aggregated)
         # more non-finite reports than the screen drops: the run fails with context
-        excess = WorkerRoster(m=6, byzantine=(0, 1), attack=attack,
-                              allow_excess_byzantine=True)
         with pytest.raises(NumericError, match="iteration 0: non-finite aggregated"):
-            run_training(QuadraticLoss(), X, Y, excess,
+            run_training(QuadraticLoss(), X, Y, roster,
                          plain_config(0.2, 4, dro, screen_count=1, seed=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -665,7 +652,7 @@ class TestRunTraining:
         # -1e308 times a reference entry above 1.8 overflows to -inf
         X, Y = make_cloud(n=30, dim=3, seed=8)
         attack = AttackSpec(kind="aggressive", scale=1e308)
-        roster = WorkerRoster(m=6, byzantine=(0,), attack=attack)
+        roster = WorkerRoster(m=6, alpha_m=1, attack=attack)
         dro = DROConfig(2.0, 0.3, 3)
         cfg = plain_config(0.1, 3, dro, screen_count=1, theta0=np.full(3, 10.0))
         trace = run_training(QuadraticLoss(), X, Y, roster, cfg)
@@ -677,8 +664,7 @@ class TestRunTraining:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_huge_finite_aggregate_has_norm_inf(self):
         X, Y = make_cloud(n=30, dim=3, seed=8)
-        roster = WorkerRoster(m=6, byzantine=(0,), allow_excess_byzantine=True,
-                              attack=AttackSpec(kind="aggressive", scale=1e200))
+        roster = WorkerRoster(m=6, alpha_m=1, attack=AttackSpec(kind="aggressive", scale=1e200))
         cfg = plain_config(1e-300, 2, DROConfig(2.0, 0.3, 3), theta0=np.full(3, 10.0))
         trace = run_training(QuadraticLoss(), X, Y, roster, cfg)  # no screening
         assert np.isfinite(trace.aggregated).all()
@@ -749,16 +735,19 @@ def batch_problem(kind, attack, R, m=12, n=4, d=5, t_z=5, iterations=12):
     for r in range(R):
         order = rng.permutation(m * n)
         X[r], Y[r] = X[r][order], Y[r][order]
-        rosters.append(WorkerRoster(m=m, byzantine=(0, 3),
+        rosters.append(WorkerRoster(m=m, alpha_m=2,
                                     attack=AttackSpec(kind=attack, rng_seed=10 + r)))
         cfgs.append(plain_config(0.1 + 0.05 * r, iterations, dro, screen_count=2, seed=r))
     return model, X, Y, rosters, cfgs
 
 
 def one_run(model, X, Y, roster, cfg):
-    """The round loop of one run on its own, the reference for the batch: (T, ...) arrays."""
+    """The round loop of one run on its own, the reference for the batch: (T, ...) arrays.
+
+    It scatters the reports by worker id lists, where the batch writes slices.
+    """
     T, d = cfg.iterations, X.shape[1]
-    honest, byzantine = list(roster.honest), list(roster.byzantine)
+    honest, byzantine = list(range(roster.alpha_m, roster.m)), list(roster.byzantine)
     shards = worker_rows(roster.m, X.shape[0])[honest]
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
     out = {name: [] for name in ("aggregated", "worker_norms", "iterates")}
@@ -819,7 +808,7 @@ class TestTrainRuns:
                    for roster, kind in zip(rosters, KINDS)]
         train_runs(model, X, Y, rosters, cfgs)
         assert [(specs, workers) for specs, workers, *_ in built] == [
-            ([roster.attack for roster in rosters], (0, 3))]
+            ([roster.attack for roster in rosters], range(2))]
         # a roster without byzantine workers builds none
         run_training(model, X[0], Y[0], WorkerRoster(m=rosters[0].m), cfgs[0])
         assert len(built) == 1
@@ -828,10 +817,9 @@ class TestTrainRuns:
             self, monkeypatch):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3, m=4)
         kinds = ("aggressive", "counterexample", "intelligent")
-        rosters = [replace(roster, byzantine=(0, 1, 3), allow_excess_byzantine=True,
-                           attack=replace(roster.attack, kind=kind))
+        rosters = [replace(roster, alpha_m=3, attack=replace(roster.attack, kind=kind))
                    for roster, kind in zip(rosters, kinds)]
-        assert [len(roster.honest) for roster in rosters] == [1, 1, 1]
+        assert [roster.m - roster.alpha_m for roster in rosters] == [1, 1, 1]
         calls = []
         monkeypatch.setattr(simulation, "worker_reports", lambda *args: calls.append(args))
         # the runs of a batch share k, so the refusal names no run
@@ -846,7 +834,8 @@ class TestTrainRuns:
     @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
     def test_the_rounds_get_one_c_ordered_honest_block(self, monkeypatch, kind, R):
         # one ReportPlan per batch, built before round 0 and used by every round; its
-        # C-ordered (R, k, n, d) block is viewed as (R, k * n, d) rows without a copy
+        # C-ordered (R, k, n, d) block is viewed as (R, k * n, d) rows without a copy,
+        # and for one run it is a view of the training rows
         built, used = [], []
         real_plan, real_reports = simulation.ReportPlan, simulation.worker_reports
         monkeypatch.setattr(simulation, "ReportPlan",
@@ -859,9 +848,9 @@ class TestTrainRuns:
         assert len(used) == cfgs[0].iterations and all(p is plan for p in used)
         assert plan.block.shape == (R, 10, 4, 5) and plan.block.flags["C_CONTIGUOUS"]
         assert plan.rows.shape == (R, 40, 5) and np.shares_memory(plan.rows, plan.block)
-        honest = [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
-        assert_same_bits(plan.block, X.reshape(R, 12, 4, 5)[:, honest])
-        assert_same_bits(plan.labels, Y.reshape(R, 12, 4)[:, honest].reshape(R, 40))
+        assert np.shares_memory(plan.block, X) == (R == 1)
+        assert_same_bits(plan.block, X.reshape(R, 12, 4, 5)[:, 2:])
+        assert_same_bits(plan.labels, Y.reshape(R, 12, 4)[:, 2:].reshape(R, 40))
 
     def test_runs_differ_in_their_own_fields(self):
         model, X, Y, rosters, cfgs = batch_problem("quadratic", "intelligent", 3)
@@ -878,7 +867,7 @@ class TestTrainRuns:
             train_runs(model, X, Y, rosters, cfgs)
         X = np.nan_to_num(X)
         cfgs[2] = replace(cfgs[2], theta0=np.full(5, np.inf))
-        with pytest.raises(NumericError, match=r"^run 2, iteration 0, worker 1: non-finite "
+        with pytest.raises(NumericError, match=r"^run 2, iteration 0, worker 2: non-finite "
                                                r"values in theta$"):
             train_runs(model, X, Y, rosters, cfgs)
 
@@ -904,7 +893,7 @@ class TestTrainRuns:
 
     @pytest.mark.parametrize("field, change, shown", [
         ("m", lambda ro, cfg: (replace(ro, m=8), cfg), "8"),
-        ("byzantine", lambda ro, cfg: (replace(ro, byzantine=(1, 3)), cfg), r"\(1, 3\)"),
+        ("alpha_m", lambda ro, cfg: (replace(ro, alpha_m=3), cfg), "3"),
         ("screen_count", lambda ro, cfg: (ro, replace(cfg, screen=ScreenConfig(3))), "3"),
         ("dro", lambda ro, cfg: (ro, replace(cfg, dro=DROConfig(2.0, 0.3, 6))), "DROConfig"),
         ("iterations", lambda ro, cfg: (ro, replace(cfg, iterations=13)), "13"),
@@ -948,7 +937,7 @@ def mean_of_means(model, X, Y, roster, dro, theta):
     np.mean can differ from it in the last bit.
     """
     means = []
-    for i in roster.honest:
+    for i in range(roster.alpha_m, roster.m):
         shard = worker_rows(roster.m, X.shape[0])[i]
         rows, labels = X[shard], Y[shard]
         Z = ascent_rows(model, theta, rows, labels, dro)
@@ -977,7 +966,7 @@ class TestHonestObjective:
         for r, trace in enumerate(train_runs(model, X, Y, rosters, cfgs)):
             roster, dro, theta = rosters[r], cfgs[r].dro, trace.iterates[-1]
             got = honest_objective(X[r], Y[r], roster, dro, trace)
-            shards = worker_rows(roster.m, X.shape[1])[list(roster.honest)]
+            shards = worker_rows(roster.m, X.shape[1])[roster.alpha_m:]
             assert_same_bits(got, worker_objectives(theta, X[r][shards], Y[r][shards],
                                                     dro).mean(), f"run {r}")
             assert got == pytest.approx(mean_of_means(model, X[r], Y[r], roster, dro, theta),
@@ -989,7 +978,7 @@ class TestHonestObjective:
         model, X, Y, [roster], [cfg] = batch_problem("logistic", "aggressive", 1, m=19, n=153,
                                                      d=57, t_z=t_z, iterations=2)
         [trace] = train_runs(model, X, Y, [roster], [cfg])
-        shards = worker_rows(roster.m, X.shape[1])[list(roster.honest)]
+        shards = worker_rows(roster.m, X.shape[1])[roster.alpha_m:]
         assert shards.shape == (17, 153)
         got = honest_objective(X[0], Y[0], roster, cfg.dro, trace)
         assert_same_bits(got, worker_objectives(trace.iterates[-1], X[0][shards], Y[0][shards],
@@ -1275,52 +1264,52 @@ class TestDiagnostics:
 
 
 class TestVariants:
+    """The variant table, applied where ``experiments._train_config`` builds a run's config."""
+
+    FIELDS = dict(m=6, attack="aggressive", eta=0.4, iterations=6, lam=3.0, eta_z=0.05, t_z=8,
+                  screen_count=1, seed=2)
+
     def setup_method(self):
         self.model = LogisticLoss()
         self.X, _ = make_cloud(n=24, dim=3, seed=11)
         rng = np.random.default_rng(11)
         self.Y = rng.integers(0, 2, size=24).astype(float)
-        self.roster = WorkerRoster(
-            m=6, byzantine=(0,), attack=AttackSpec(kind="aggressive", rng_seed=1),
-        )
-        self.cfg = plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), screen_count=1, seed=2)
 
-    def run(self, variant, roster, cfg):
-        vcfg, vroster = variant_config(variant, cfg, roster)
-        return run_training(self.model, self.X, self.Y, vroster, vcfg)
+    def run(self, variant, alpha_m=1, **fields):
+        cfg = ExperimentConfig(variant=variant, alpha_m=alpha_m, **{**self.FIELDS, **fields})
+        return run_training(self.model, self.X, self.Y, _roster(cfg), _train_config(cfg))
+
+    @pytest.mark.parametrize("variant, screen_count, t_z", [
+        ("alg2", 1, 8), ("dro_only", 0, 8), ("nbs_only", 1, 0), ("erm", 0, 0),
+    ])
+    def test_each_variant_keeps_its_robustness_measures(self, variant, screen_count, t_z):
+        cfg = _train_config(ExperimentConfig(variant=variant, **self.FIELDS))
+        assert (cfg.screen.screen_count, cfg.dro) == (screen_count, DROConfig(3.0, 0.05, t_z))
+        assert (cfg.eta, cfg.iterations, cfg.seed, cfg.theta0) == (0.4, 6, 2, None)
 
     def test_zero_ascent_steps_match_plain_gradients(self):
-        nbs = self.run("nbs_only", self.roster, self.cfg)
-        erm = self.run("erm", self.roster, self.cfg)
+        nbs = self.run("nbs_only")
+        erm = self.run("erm")
         # honest workers of both variants see z = x, so norms agree at round 0
-        honest = [i for i in range(6) if i != 0]
-        np.testing.assert_array_equal(
-            nbs.worker_norms[0, honest], erm.worker_norms[0, honest]
-        )
+        np.testing.assert_array_equal(nbs.worker_norms[0, 1:], erm.worker_norms[0, 1:])
 
     def test_erm_with_clean_roster_is_textbook_distributed_descent(self):
         # t_z = 0 and no screening: the update is full-batch descent on the
         # empirical loss (worker shards average back to the global mean)
-        clean = WorkerRoster(m=6)
-        trace = self.run("erm", clean, self.cfg)
+        trace = self.run("erm", alpha_m=0)
 
         theta = initial_theta(3, 2)
-        for _ in range(self.cfg.iterations):
+        for _ in range(6):
             grads = [loss_grads_theta(self.model, theta, self.X[s], self.Y[s]).mean(axis=0)
                      for s in worker_rows(6, 24)]
-            theta = theta - self.cfg.eta * np.mean(grads, axis=0)
+            theta = theta - 0.4 * np.mean(grads, axis=0)
         np.testing.assert_allclose(trace.theta_final, theta, atol=1e-12)
 
     def test_plain_mean_variant_with_clean_roster_matches_average(self):
-        clean = WorkerRoster(m=6)
-        dro_only = self.run("dro_only", clean, self.cfg)
-        alg2 = self.run("alg2", clean, plain_config(0.4, 6, DROConfig(3.0, 0.05, 8), seed=2))
+        dro_only = self.run("dro_only", alpha_m=0)
+        alg2 = self.run("alg2", alpha_m=0, screen_count=0)
         # with nothing to screen and b=0 both reduce to the same mean
         np.testing.assert_allclose(dro_only.theta_final, alg2.theta_final, atol=1e-12)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            variant_config("median", self.cfg, self.roster)
 
 
 class TestGradientDispersion:
