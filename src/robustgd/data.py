@@ -7,16 +7,19 @@ where the file is not available; ``quadratic_cloud`` produces the sample
 clouds used by the quadratic-family theory checks. ``split_and_shard``
 shuffles the training rows and drops the tail that m does not divide; no
 index lists are kept, since worker j's shard is the j-th of m equal
-contiguous blocks of the rows. Besides the corpus it holds one full
-training matrix at a time: the sorted gather that gives the statistics,
-then the kept rows; on the spambase shape its traced peak is about 4.8 MiB
-(2.0 MiB of it the corpus).
+contiguous blocks of the rows. Data preparation holds the corpus and, at
+most, its train and test outputs: the stand-in's Gaussian blocks are drawn
+a slab of rows at a time, and the training statistics are taken in place on
+a gathered copy that is dropped before the outputs are gathered. On the
+spambase shape the traced peak is about 4.2 MiB, of which the corpus is
+2.0 MiB and the train and test matrices 2.0 MiB.
 """
 
 import csv
 import io
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ log = logging.getLogger(__name__)
 SPAMBASE_FEATURES = 57
 SPAMBASE_ROWS = 4601
 SPAMBASE_SPAM_ROWS = 1813
+_SLAB_ROWS = 512  # rows of Gaussian draws the stand-in corpus holds at a time
 
 
 @dataclass
@@ -93,11 +97,18 @@ def load_spambase(path) -> Dataset:
 
 
 def stratified_split(labels, train_frac, seed):
-    """Per-class shuffled split; train takes round(train_frac * class size) rows."""
+    """Per-class shuffled split; train takes round(train_frac * class size) rows.
+
+    Classes 0 then 1 are split; a label outside {0, 1} is a ``ConfigError``
+    naming the first one.
+    """
     labels = np.asarray(labels)
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ConfigError(f"labels must be 0 or 1, got {labels[bad.argmax()]}")
     rng = np.random.default_rng([seed, 0xD1])
     train_idx, test_idx = [], []
-    for cls in np.unique(labels):
+    for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
         take = int(np.floor(train_frac * members.size + 0.5))
@@ -109,15 +120,20 @@ def stratified_split(labels, train_frac, seed):
 def standardize(features, train_idx, *row_sets):
     """Each row set of ``features`` as a new float matrix, standardized by the train_idx rows.
 
-    The mean and std come from the train_idx rows gathered in that order;
-    that matrix is dropped before the row sets are gathered, in their given
-    order, and centered, scaled and zeroed in place, so the peak is one
-    training matrix plus its std temporary. Zero-variance features map to 0
-    in every set. An integer corpus is gathered into float.
+    The mean and std come from the train_idx rows gathered in that order,
+    by numpy's formulas (sum / n, then the root of the centered squares'
+    sum / n) taken in place on that gathered copy, which is dropped before
+    the row sets are gathered, in their given order, and centered, scaled
+    and zeroed in place; so beside ``features`` the peak is the larger of
+    that copy and the outputs. Zero-variance features map to 0 in every set. An integer
+    corpus is gathered into float.
     """
     train = features[train_idx].astype(float, copy=False)
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    count = train.shape[0]
+    mean = train.sum(axis=0) / count
+    train -= mean
+    train *= train
+    std = np.sqrt(train.sum(axis=0) / count)
     del train
     scale = np.where(std > 0.0, std, 1.0)
     dead = std == 0.0
@@ -186,7 +202,23 @@ def synthetic_spambase_like(seed=0, n=SPAMBASE_ROWS, dim=SPAMBASE_FEATURES,
     and pure-noise columns. A small fraction of labels is flipped so the
     achievable error floor is positive. Per-feature scales vary by orders of
     magnitude, so standardization matters, as with the real file.
+
+    The Gaussian blocks are drawn a slab of rows at a time, so the corpus is
+    the only full-size matrix held. A count below its minimum, more
+    positives than rows, fewer columns than markers + diffuse, or a flip
+    fraction outside [0, 1] is a ``ConfigError`` naming the field.
     """
+    n = require_count("n", n, 1)
+    positives = require_count("positives", positives, 0)
+    markers = require_count("markers", markers, 1)
+    diffuse = require_count("diffuse", diffuse, 0)
+    dim = require_count("dim", dim, 1)
+    if positives > n:
+        raise ConfigError(f"positives={positives} exceed the n={n} rows")
+    if dim < markers + diffuse:
+        raise ConfigError(f"dim={dim} is below markers + diffuse = {markers + diffuse}")
+    if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
+        raise ConfigError(f"flip must be a fraction in [0, 1], got {flip!r}")
     rng = np.random.default_rng([seed, 0xD3])
     classes = np.zeros(n, dtype=int)
     classes[:positives] = 1
@@ -201,16 +233,28 @@ def synthetic_spambase_like(seed=0, n=SPAMBASE_ROWS, dim=SPAMBASE_FEATURES,
         features[:, j] = present * (1.2 + 0.5 * rng.exponential(1.0, size=n))
     offsets = rng.uniform(0.25, 0.45, size=diffuse) * rng.choice([-1.0, 1.0], size=diffuse)
     signs = np.where(pos, 0.5, -0.5)
-    features[:, markers:markers + diffuse] = (
-        rng.standard_normal((n, diffuse)) + np.outer(signs, offsets)
-    )
-    features[:, markers + diffuse:] = rng.standard_normal((n, dim - markers - diffuse))
+    for rows, draws in _normal_slabs(rng, n, diffuse):
+        draws += signs[rows, None] * offsets
+        features[rows, markers:markers + diffuse] = draws
+    for rows, draws in _normal_slabs(rng, n, dim - markers - diffuse):
+        features[rows, markers + diffuse:] = draws
     features *= np.exp(rng.normal(0.0, 0.8, size=dim))
 
     labels = classes.copy()
     flips = rng.permutation(n)[: int(round(flip * n))]
     labels[flips] = 1 - labels[flips]
     return Dataset(features=features, labels=labels, source=f"synthetic(seed={seed})")
+
+
+def _normal_slabs(rng, n, width):
+    """An (n, width) block of standard normals as (row slice, draws) slabs.
+
+    A ``Generator`` draws the same values however a block is split into
+    calls, so the slabs hold the bits of one whole-block draw.
+    """
+    for lo in range(0, n, _SLAB_ROWS):
+        hi = min(n, lo + _SLAB_ROWS)
+        yield slice(lo, hi), rng.standard_normal((hi - lo, width))
 
 
 def quadratic_cloud(n, dim, spread=1.0, center=None, seed=0):

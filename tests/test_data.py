@@ -1,13 +1,19 @@
 import hashlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustgd
 from robustgd.data import (
+    _SLAB_ROWS,
     SPAMBASE_FEATURES,
     SPAMBASE_ROWS,
     Dataset,
@@ -212,6 +218,21 @@ class TestSplit:
                                               r"\(4601 training rows, 0 test rows\)$"):
             split_and_shard(ds, train_frac=0.9999, m=20, seed=0)
 
+    @pytest.mark.parametrize("labels, bad", [([0, 1, 2, 1, 2], 2), ([1, 0, -1, 0], -1)])
+    def test_a_label_other_than_0_or_1_is_refused_at_the_split(self, labels, bad):
+        with pytest.raises(ConfigError, match=rf"^labels must be 0 or 1, got {bad}$"):
+            stratified_split(np.array(labels), 2.0 / 3.0, seed=0)
+        ds = Dataset(features=np.zeros((len(labels), 2)), labels=np.array(labels), source="x")
+        with pytest.raises(ConfigError, match=rf"^labels must be 0 or 1, got {bad}$"):
+            split_and_shard(ds, m=1, seed=0)
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_a_single_class_splits_as_before(self, cls):
+        # the absent class shuffles with permutation(0), which draws nothing
+        train_idx, test_idx = stratified_split(np.full(9, cls), 2.0 / 3.0, seed=3)
+        assert train_idx.tolist() == [0, 1, 2, 3, 5, 8]
+        assert test_idx.tolist() == [4, 6, 7]
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_fewer_than_one_worker_is_refused(self, m):
         ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5), source="x")
@@ -226,6 +247,77 @@ def test_synthetic_corpus_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert not np.array_equal(a.features, c.features)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"n": 10}, r"^positives=1813 exceed the n=10 rows$"),
+    ({"flip": 1.5}, r"^flip must be a fraction in \[0, 1\], got 1.5$"),
+    ({"markers": 0}, r"^markers must be >= 1, got 0$"),
+    ({"dim": 20}, r"^dim=20 is below markers \+ diffuse = 36$"),
+])
+def test_synthetic_parameters_it_cannot_honour_are_refused(params, message):
+    with pytest.raises(ConfigError, match=message):
+        synthetic_spambase_like(seed=0, **params)
+
+
+def whole_block_corpus(seed, n, positives):
+    """The stand-in corpus drawn with each Gaussian block in one call: (features, labels)."""
+    dim, markers, diffuse, flip = SPAMBASE_FEATURES, 6, 30, 0.05
+    rng = np.random.default_rng([seed, 0xD3])
+    classes = np.zeros(n, dtype=int)
+    classes[:positives] = 1
+    classes = classes[rng.permutation(n)]
+    features = np.zeros((n, dim))
+    pos = classes == 1
+    hit_rates = np.concatenate([[0.80], np.linspace(0.55, 0.30, markers - 1)])
+    leak_rates = np.concatenate([[0.01], np.full(markers - 1, 0.03)])
+    for j in range(markers):
+        present = np.where(pos, rng.random(n) < hit_rates[j], rng.random(n) < leak_rates[j])
+        features[:, j] = present * (1.2 + 0.5 * rng.exponential(1.0, size=n))
+    offsets = rng.uniform(0.25, 0.45, size=diffuse) * rng.choice([-1.0, 1.0], size=diffuse)
+    signs = np.where(pos, 0.5, -0.5)
+    features[:, markers:markers + diffuse] = (
+        rng.standard_normal((n, diffuse)) + np.outer(signs, offsets))
+    features[:, markers + diffuse:] = rng.standard_normal((n, dim - markers - diffuse))
+    features *= np.exp(rng.normal(0.0, 0.8, size=dim))
+    labels = classes.copy()
+    flips = rng.permutation(n)[: int(round(flip * n))]
+    labels[flips] = 1 - labels[flips]
+    return features, labels
+
+
+@pytest.mark.parametrize("n", [1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, SPAMBASE_ROWS])
+def test_slab_draws_keep_the_bits_of_whole_block_draws(n):
+    positives = (n + 1) // 3
+    ds = synthetic_spambase_like(seed=4, n=n, positives=positives)
+    features, labels = whole_block_corpus(4, n, positives)
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_drawing_the_stand_in_corpus_holds_little_beside_it():
+    synthetic_spambase_like(seed=0)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        synthetic_spambase_like(seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= SPAMBASE_ROWS * SPAMBASE_FEATURES * 8 + 512 * 1024
+
+
+def test_preparing_and_running_e1_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call: about 1.5 MB of RSS and 11 ms
+    code = ("import sys\n"
+            "from robustgd.experiments import ExperimentConfig, prepare_data, run_experiment\n"
+            "cfg = ExperimentConfig(preset='E1', iterations=3)\n"
+            "prepare_data(cfg)\n"
+            "run_experiment(cfg)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(robustgd.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # sha256 of the stand-in corpus, an integer copy of it and their splits for m in (1, 7, 20)
@@ -260,7 +352,7 @@ def test_the_corpus_and_its_splits_keep_their_bits(seed):
     assert digest.hexdigest() == DATA_DIGESTS[seed]
 
 
-def test_preparing_the_e1_data_holds_one_training_matrix_at_a_time():
+def test_preparing_the_e1_data_holds_the_corpus_and_its_outputs():
     cfg = ExperimentConfig(preset="E1")
     prepare_data(cfg)  # imports and first-call caches
     tracemalloc.start()
@@ -269,7 +361,5 @@ def test_preparing_the_e1_data_holds_one_training_matrix_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    row_bytes = SPAMBASE_FEATURES * 8
-    training_rows = sharded.train_features.shape[0] + sharded.dropped
-    # the corpus, the sorted training gather and np.std's temporary of its size
-    assert peak <= (SPAMBASE_ROWS + 2 * training_rows) * row_bytes + 256 * 1024
+    outputs = sharded.train_features.nbytes + sharded.test_features.nbytes
+    assert peak <= SPAMBASE_ROWS * SPAMBASE_FEATURES * 8 + outputs + 256 * 1024
