@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregation import dot_sq_norms
 from .errors import ConfigError, RegimeError
-from .losses import SmoothnessConstants
+from .losses import QuadraticLoss, SmoothnessConstants
 from .surrogate import surrogate_state
 
 log = logging.getLogger(__name__)
@@ -67,7 +67,11 @@ def admissible_r_max(c_alpha):
 
 
 def default_r(c_alpha):
-    """Midpoint of the admissible r interval, clipped to DEFAULT_R_CAP."""
+    """Midpoint of the admissible r interval, clipped to DEFAULT_R_CAP; the r the rate bounds take.
+
+    Inside (0, ``admissible_r_max``) for every c_alpha < 1, which is the
+    only range where the interval is not refused.
+    """
     return min(DEFAULT_R_CAP, admissible_r_max(c_alpha) / 2.0)
 
 
@@ -77,8 +81,7 @@ class TheoryInputs:
 
     ``c_alpha`` is ``aggregation.screening_coefficient`` of the worker counts,
     ``eps`` the inner-solve accuracy, ``sigma`` the gradient dispersion bound,
-    ``r`` the free parameter (None picks the default midpoint), ``k`` the
-    trajectory-boundedness factor used by the convex-gap bound, and
+    ``k`` the trajectory-boundedness factor used by the convex-gap bound, and
     ``lambda_f`` the strong-convexity modulus (0 when unused).
     """
 
@@ -88,7 +91,6 @@ class TheoryInputs:
     eps: float = 0.0
     sigma: float = 0.0
     lambda_f: float = 0.0
-    r: float | None = None
     k: float = 1.0
 
     def __post_init__(self):
@@ -103,13 +105,6 @@ class TheoryInputs:
     def delta(self):
         return error_floor(self.constants, self.eps, self.sigma)
 
-    def resolved_r(self):
-        r = default_r(self.c_alpha) if self.r is None else self.r
-        hi = admissible_r_max(self.c_alpha)
-        if not 0.0 < r < hi:
-            raise RegimeError(f"r={r} outside the admissible interval (0, {hi})")
-        return r
-
 
 def aggregate_deviation_bound(inputs: TheoryInputs, grad_norm):
     """Bound on ||screened aggregate - true gradient|| at one iterate."""
@@ -117,8 +112,11 @@ def aggregate_deviation_bound(inputs: TheoryInputs, grad_norm):
 
 
 def avg_sq_gradient_bound(inputs: TheoryInputs, f0_minus_fstar, T):
-    """Bound on the average squared true-gradient norm over T rounds at eta = 1/L_F."""
-    r = inputs.resolved_r()
+    """Bound on the average squared true-gradient norm over T rounds at eta = 1/L_F.
+
+    The free parameter r is ``default_r(c_alpha)``.
+    """
+    r = default_r(inputs.c_alpha)
     denom = 1.0 - (1.0 + r) * inputs.c_alpha ** 2
     first = 2.0 * inputs.l_f * f0_minus_fstar / (denom * T)
     floor = 0.0 if inputs.delta == 0.0 else (1.0 + 1.0 / r) * inputs.delta ** 2 / denom
@@ -128,10 +126,10 @@ def avg_sq_gradient_bound(inputs: TheoryInputs, f0_minus_fstar, T):
 def suboptimality_bound(inputs: TheoryInputs, theta0_dist, T):
     """Bound on the final objective gap for convex losses at eta = 1/L_F.
 
-    Uses D = k * ||theta_0 - theta*||; the max of a 1/T term and an error
-    floor driven by Delta.
+    Uses D = k * ||theta_0 - theta*|| and r = ``default_r(c_alpha)``; the max
+    of a 1/T term and an error floor driven by Delta.
     """
-    r = inputs.resolved_r()
+    r = default_r(inputs.c_alpha)
     denom = 1.0 - (1.0 + r) * inputs.c_alpha ** 2
     D = inputs.k * theta0_dist
     decay = 4.0 * inputs.l_f * D ** 2 / (denom * T)
@@ -257,18 +255,16 @@ def solve_reference_optimum(model, X, Y, lam):
 
     Descends from theta = 0 with step 1/L_F for up to REFERENCE_ITERATIONS
     steps, stopping early once the true-gradient norm falls to REFERENCE_TOL.
-    A model without exact constants (the logistic loss, whose constants are
-    estimated from data) has no certified step and raises ``ConfigError``.
+    Only the quadratic family has exact constants; any other model (the
+    logistic loss, whose constants are estimated from data) has no certified
+    step and raises ``ConfigError``.
     """
+    if not isinstance(model, QuadraticLoss):
+        raise ConfigError(f"{type(model).__name__} has no exact constants to "
+                          f"certify a step size")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    try:
-        constants = model.constants()
-    except TypeError as exc:
-        raise ConfigError("cannot derive a step size for this model") from exc
-    if not constants.exact:
-        raise ConfigError("estimated constants give no certified step size")
-    eta = 1.0 / surrogate_smoothness(constants, lam)
+    eta = 1.0 / surrogate_smoothness(model.constants(), lam)
     theta = np.zeros(X.shape[1])
     value, grad = surrogate_state(model, theta, X, Y, lam)
     for _ in range(REFERENCE_ITERATIONS):

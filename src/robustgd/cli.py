@@ -165,13 +165,12 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    records = []
-    for path in args.records:
-        try:
-            records.extend(read_records(path))
-        except (OSError, DataFormatError) as exc:
-            raise SystemExit(f"report: {exc}") from exc
-    print(report_table(records), end="")
+    try:
+        records = [record for path in args.records for record in read_records(path)]
+        table = report_table(records)
+    except (OSError, DataFormatError) as exc:
+        raise SystemExit(f"report: {exc}") from exc
+    print(table, end="")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The real experiment corpus is the spambase email CSV (57 numeric feature
 columns plus a final 0/1 label, no header). ``synthetic_spambase_like``
-generates a stand-in with the same shape and class balance for environments
-where the file is not available; ``quadratic_cloud`` produces the sample
+generates a stand-in of exactly that shape and class balance (4,601 rows,
+1,813 of them spam) from a seed alone, for environments where the file is
+not available; ``quadratic_cloud`` produces the sample
 clouds used by the quadratic-family theory checks. ``split_and_shard``
 shuffles the training rows and drops the tail that m does not divide; no
 index lists are kept, since worker j's shard is the j-th of m equal
@@ -19,7 +20,6 @@ import csv
 import io
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,38 +190,24 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedD
     )
 
 
-def synthetic_spambase_like(seed=0, n=SPAMBASE_ROWS, dim=SPAMBASE_FEATURES,
-                            positives=SPAMBASE_SPAM_ROWS, markers=6, diffuse=30,
-                            flip=0.05) -> Dataset:
+def synthetic_spambase_like(seed) -> Dataset:
     """Stand-in corpus with the spambase shape and a word-frequency-like mix.
 
-    Three feature groups mimic email term statistics: sparse "marker"
+    Three feature groups mimic email term statistics: 6 sparse "marker"
     columns that are strong evidence when present but near-zero otherwise
-    (an adversary can plant them within a small norm budget), diffuse
+    (an adversary can plant them within a small norm budget), 30 diffuse
     Gaussian columns that are individually weak but collectively predictive,
-    and pure-noise columns. A small fraction of labels is flipped so the
+    and 21 pure-noise columns. 5% of the labels are flipped so the
     achievable error floor is positive. Per-feature scales vary by orders of
     magnitude, so standardization matters, as with the real file.
 
     The Gaussian blocks are drawn a slab of rows at a time, so the corpus is
-    the only full-size matrix held. A count below its minimum, more
-    positives than rows, fewer columns than markers + diffuse, or a flip
-    fraction outside [0, 1] is a ``ConfigError`` naming the field.
+    the only full-size matrix held.
     """
-    n = require_count("n", n, 1)
-    positives = require_count("positives", positives, 0)
-    markers = require_count("markers", markers, 1)
-    diffuse = require_count("diffuse", diffuse, 0)
-    dim = require_count("dim", dim, 1)
-    if positives > n:
-        raise ConfigError(f"positives={positives} exceed the n={n} rows")
-    if dim < markers + diffuse:
-        raise ConfigError(f"dim={dim} is below markers + diffuse = {markers + diffuse}")
-    if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
-        raise ConfigError(f"flip must be a fraction in [0, 1], got {flip!r}")
+    n, dim, markers, diffuse, flip = SPAMBASE_ROWS, SPAMBASE_FEATURES, 6, 30, 0.05
     rng = np.random.default_rng([seed, 0xD3])
     classes = np.zeros(n, dtype=int)
-    classes[:positives] = 1
+    classes[:SPAMBASE_SPAM_ROWS] = 1
     classes = classes[rng.permutation(n)]
 
     features = np.zeros((n, dim))

@@ -466,6 +466,13 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _is_string(value):
     return isinstance(value, str)
 
@@ -474,8 +481,9 @@ def _report_fault(record):
     """The first field ``report_table`` reads that a record lacks or holds wrongly, or None.
 
     The table reads the variant, the row label (the environment, else the
-    attack and shift_q; a sweep record's axis and value) and the shifted
-    misclassification.
+    attack and shift_q; for a sweep record, then its axis and value) and the
+    shifted misclassification. ``record_line`` writes no non-finite number,
+    so a number field that holds one is refused too.
     """
     cfg = record["config"]
     wanted = [("config", "variant", VARIANTS.__contains__, f"one of {list(VARIANTS)}")]
@@ -493,18 +501,30 @@ def _report_fault(record):
     for section, key, valid, expected in wanted:
         if key not in record[section]:
             return f"{section}.{key} is missing"
-        if not valid(record[section][key]):
-            return f"{section}.{key} must be {expected}, got {record[section][key]!r}"
+        value = record[section][key]
+        if not valid(value):
+            return f"{section}.{key} must be {expected}, got {value!r}"
+        if valid is _is_number and not _is_finite(value):
+            return f"{section}.{key} must be finite, got {value!r}"
     return None
 
 
 def read_records(path):
     """The records of a JSONL file, each with the fields ``report_table`` reads.
 
-    ``DataFormatError`` names a bad file line and, for a record, the field.
+    ``DataFormatError`` names a bad file line and, for a record, the field;
+    a file that is not UTF-8 names the line of its first undecodable byte.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())
+        raise DataFormatError(
+            f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None
     records = []
-    with open(path) as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -539,21 +559,32 @@ def export_csv(records, path):
 
 
 def report_table(records):
-    """Environment-by-variant comparison of shifted misclassification."""
+    """Environment-by-variant comparison of shifted misclassification.
+
+    A row is the environment, else the attack and shift_q, followed for a
+    sweep record by its axis and value. Two records that put different
+    values in one cell (two seeds of one config, say) raise
+    ``DataFormatError`` naming the row and the variant; equal values, as
+    from a rerun, share the cell.
+    """
     cells = {}
     rows = []
     for record in records:
         cfg = record["config"]
         label = cfg.get("environment") or f"{cfg['attack']},q={cfg['shift_q']}"
         if record.get("sweep"):
-            label = f"{record['sweep']['axis']}={record['sweep']['value']}"
+            label += f",{record['sweep']['axis']}={record['sweep']['value']}"
         if label not in rows:
             rows.append(label)
-        cells[(label, cfg["variant"])] = record["results"]["shift_misclassification"]
+        value = record["results"]["shift_misclassification"]
+        if cells.setdefault((label, cfg["variant"]), value) != value:
+            raise DataFormatError(f"row {label!r}, variant {cfg['variant']!r}: records give "
+                                  f"{cells[label, cfg['variant']]!r} and {value!r}")
     variants = [v for v in VARIANTS if any((r, v) in cells for r in rows)]
     out = io.StringIO()
     header = ["environment"] + list(variants)
     widths = [max(12, len(h)) for h in header]
+    widths[0] = max([widths[0], *map(len, rows)])  # a sweep row's label outgrows the header
     out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
     for row in rows:
         line = [row.ljust(widths[0])]

@@ -33,17 +33,15 @@ PROB_CLAMP = 1e-12
 class SmoothnessConstants:
     """The four gradient Lipschitz constants of a loss f(theta; z).
 
-    ``exact`` is False when the values are conservative estimates (the
-    logistic constants over a norm-bounded domain) rather than tight
-    constants; estimated constants must not be used where a check relies
-    on exactness.
+    Only ``QuadraticLoss`` gives exact ones; the logistic constants are
+    conservative estimates over a norm-bounded domain, so a check that
+    relies on exactness takes the quadratic family only.
     """
 
     l_tt: float
     l_tz: float
     l_zt: float
     l_zz: float
-    exact: bool = True
 
     def __post_init__(self):
         for name in ("l_tt", "l_tz", "l_zt", "l_zz"):
@@ -96,7 +94,6 @@ class LogisticLoss:
             l_tz=cross,
             l_zt=cross,
             l_zz=theta_bound ** 2 / 4.0,
-            exact=False,
         )
 
 
@@ -110,6 +107,6 @@ class QuadraticLoss:
     def __init__(self, curvature=1.0):
         self.curvature = require_positive("curvature", curvature)
 
-    def constants(self, data_bound=0.0, theta_bound=0.0):
+    def constants(self):
         c = self.curvature
-        return SmoothnessConstants(l_tt=c, l_tz=c, l_zt=c, l_zz=c, exact=True)
+        return SmoothnessConstants(l_tt=c, l_tz=c, l_zt=c, l_zz=c)

@@ -325,9 +325,9 @@ def _logistic_root(margins, sq_norm, Y, lam):
                        rows=np.flatnonzero(np.abs(g) > ROOT_TOL))
 
 
-def theoretical_ascent_step(lam, l_c=COST_SMOOTHNESS):
+def theoretical_ascent_step(lam):
     """Step size 2/(L_g + lam_g) for the strongly concave inner objective."""
-    return 2.0 / (lam * l_c + lam)
+    return 2.0 / (lam * COST_SMOOTHNESS + lam)
 
 
 def surrogate_state(model, theta, X, Y, lam):
@@ -340,12 +340,12 @@ def surrogate_state(model, theta, X, Y, lam):
     return float(objectives.mean()), grads.mean(axis=0)
 
 
-def contraction_factor(l_zz, lam, l_c=COST_SMOOTHNESS):
+def contraction_factor(l_zz, lam):
     """Per-iteration distance contraction of the inner ascent at the theoretical step."""
-    return (2.0 * l_zz + lam * l_c - lam) / (lam * l_c + lam)
+    return (2.0 * l_zz + lam * COST_SMOOTHNESS - lam) / (lam * COST_SMOOTHNESS + lam)
 
 
-def required_iterations(constants: SmoothnessConstants, lam, l_c, eps, d_z):
+def required_iterations(constants: SmoothnessConstants, lam, eps, d_z):
     """Iterations needed to bring the ascent within eps of the exact maximizer.
 
     Returns (iterations, p) with p the contraction factor; the count is
@@ -355,7 +355,7 @@ def required_iterations(constants: SmoothnessConstants, lam, l_c, eps, d_z):
         raise RegimeError(f"need lam > L_zz, got lam={lam}, L_zz={constants.l_zz}")
     if eps <= 0 or d_z <= 0:
         raise ConfigError("eps and d_z must be positive")
-    p = contraction_factor(constants.l_zz, lam, l_c)
+    p = contraction_factor(constants.l_zz, lam)
     if not 0.0 < p < 1.0:
         raise RegimeError(f"contraction factor {p} outside (0, 1)")
     ratio = math.log(d_z / eps) / math.log(1.0 / p)

@@ -17,18 +17,19 @@ count. The seed, like the count, must be an integer count.
 
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
-seed and attack are bit-equal to a T-round run (``RunTrace.prefix``). Each
-suite declares the (seed, attack, rounds) uses it will make, and
-``_shared_runs`` trains every (seed, attack) pair once, at the longest
-horizon declared for it: one ``train_runs`` batch for all pairs (one round
-loop over a leading run axis, each run with its own attack and bit-equal to
-its training alone, with one stacked ``craft`` and one ``norm_screen`` call
-per round for all runs). Each run is cut to its own horizon before its
-diagnostics, and a use of T rounds reads its ``prefix(T)``. ``run_all``
-builds the map once from both suites' uses: at the defaults one batch of 30
-runs, 20 aggressive and 10 counterexample seeds, for 200 rounds. A suite
-called alone builds it from its own uses. The deviation suite checks every
-iterate of a run in one array pass (``check_aggregate_deviation``).
+seed and attack are bit-equal to a T-round run (``RunTrace.prefix``), and a
+diagnostic is bit-equal per iterate. ``_quadratic_runs(pairs, rounds)``
+trains every (seed, attack) pair once, as one ``train_runs`` batch (one
+round loop over a leading run axis, each run with its own attack and
+bit-equal to its training alone, with one stacked ``craft`` and one
+``norm_screen`` call per round for all runs), and diagnoses every iterate.
+``run_all`` trains one batch for both suites, for 200 rounds: at the
+defaults 30 runs, every seed under the aggressive attack and the odd seeds
+under the counterexample. The deviation suite reads
+``prefix(DEVIATION_ROUNDS)`` of the aggressive runs, and the rate suite
+``prefix(T)`` for each T of RATE_HORIZONS. A suite called alone trains its
+own pairs for its longest horizon. The deviation suite checks every iterate
+of a run in one array pass (``check_aggregate_deviation``).
 """
 
 import math
@@ -145,82 +146,61 @@ def fuzz_screening_bound(n_instances=10_000, seed=0):
     )
 
 
-def _quadratic_runs(horizons):
-    """Byzantine runs on the quadratic family, all trained as one batch.
+def _quadratic_runs(pairs, rounds):
+    """Byzantine runs on the quadratic family, all trained as one batch of ``rounds`` rounds.
 
     20 workers of 10 six-dimensional points, 3 of them byzantine and 3
-    screened; unit curvature, lam = 2 and 6 inner ascent steps. ``horizons``
-    maps each (seed, attack kind) pair to its rounds: the seed draws the
-    run's data, initial iterate and attack, of that kind. The batch trains
-    for the longest horizon, each run bit-equal to its training alone, and
-    each run is cut to its own horizon before its diagnostics. Returns a dict
-    from each pair to its (model, X, Y, trace, theory inputs).
+    screened; unit curvature, lam = 2 and 6 inner ascent steps. Each
+    (seed, attack kind) of ``pairs`` is one run: the seed draws its data,
+    initial iterate and attack, of that kind. Each run is bit-equal to its
+    training alone and is diagnosed at every iterate. Returns a dict from
+    each pair to its (model, X, Y, trace, theory inputs).
     """
     m, byz_count, screen_count, lam = 20, 3, 3, 2.0
     model = QuadraticLoss(1.0)
-    pairs = list(horizons)
     data = [quadratic_cloud(m * 10, 6, spread=1.0, seed=seed) for seed, _ in pairs]
     rosters = [WorkerRoster(m, byz_count, AttackSpec(kind=kind, rng_seed=seed))
                for seed, kind in pairs]
     l_f = surrogate_smoothness(model.constants(), lam)
     dro = DROConfig(lam, theoretical_ascent_step(lam), 6)
-    cfgs = [TrainConfig(eta=1.0 / l_f, iterations=max(horizons.values()), dro=dro,
+    cfgs = [TrainConfig(eta=1.0 / l_f, iterations=rounds, dro=dro,
                         screen=ScreenConfig(screen_count), seed=seed) for seed, _ in pairs]
     traces = train_runs(model, np.stack([X for X, _ in data]), np.stack([Y for _, Y in data]),
                         rosters, cfgs)
     c_alpha = screening_coefficient(byz_count, screen_count, m)
     runs = {}
     for pair, (X, Y), trace in zip(pairs, data, traces):
-        trace = with_diagnostics(model, X, Y, trace.prefix(horizons[pair]), dro)
+        trace = with_diagnostics(model, X, Y, trace, dro)
         sigma = gradient_dispersion(model, X, Y, trace.iterates[0], lam)
         inputs = TheoryInputs(constants=model.constants(), lam=lam, c_alpha=c_alpha, sigma=sigma)
         runs[pair] = model, X, Y, trace, inputs
     return runs
 
 
-def _shared_runs(uses):
-    """The runs for (seed, attack, rounds) uses: each pair at its longest declared horizon.
-
-    A use of T rounds reads ``runs[seed, attack]`` and takes its trace's
-    ``prefix(T)``.
-    """
-    horizons = {}
-    for seed, attack, rounds in uses:
-        horizons[seed, attack] = max(rounds, horizons.get((seed, attack), 0))
-    return _quadratic_runs(horizons)
-
-
 DEVIATION_ROUNDS = 120
 RATE_HORIZONS = (50, 200)
-
-
-def _deviation_uses(n_seeds):
-    return [(seed, "aggressive", DEVIATION_ROUNDS) for seed in range(n_seeds)]
 
 
 def _rate_attack(seed):
     return "aggressive" if seed % 2 == 0 else "counterexample"
 
 
-def _rate_uses(n_seeds):
-    return [(seed, _rate_attack(seed), T) for seed in range(n_seeds) for T in RATE_HORIZONS]
-
-
 def deviation_trace_suite(n_seeds=20, runs=None):
     """Aggregated-gradient deviation bound at each of DEVIATION_ROUNDS iterations, across seeds.
 
     The detail line ends with the tightest iteration's ||G - grad F|| / bound.
-    ``runs`` is a ``_shared_runs`` map that holds this suite's uses; by
-    default the suite builds its own.
+    ``runs`` is a ``_quadratic_runs`` map that holds this suite's pairs for
+    at least DEVIATION_ROUNDS rounds; by default the suite trains its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    uses = _deviation_uses(n_seeds)
-    runs = _shared_runs(uses) if runs is None else runs
+    if runs is None:
+        runs = _quadratic_runs([(seed, "aggressive") for seed in range(n_seeds)],
+                               DEVIATION_ROUNDS)
     worst, tightest = np.inf, 0.0
     bad = 0
-    for seed, attack, rounds in uses:
-        _, _, _, trace, inputs = runs[seed, attack]
-        for report in check_aggregate_deviation(trace.prefix(rounds), inputs):
+    for seed in range(n_seeds):
+        _, _, _, trace, inputs = runs[seed, "aggressive"]
+        for report in check_aggregate_deviation(trace.prefix(DEVIATION_ROUNDS), inputs):
             worst = min(worst, report.margin)
             tightest = max(tightest, report.measured_value / report.bound_value)
             bad += 0 if report.satisfied else 1
@@ -237,12 +217,14 @@ def rate_bound_suite(n_seeds=20, runs=None):
 
     Even seeds run the aggressive attack, odd seeds the counterexample; each
     is checked at every horizon of RATE_HORIZONS, and the reference optimum is
-    solved once per seed, for all of them. ``runs`` is
-    a ``_shared_runs`` map that holds this suite's uses; by default the suite
-    builds its own.
+    solved once per seed, for all of them. ``runs`` is a ``_quadratic_runs``
+    map that holds this suite's pairs for at least the longest horizon; by
+    default the suite trains its own.
     """
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    runs = _shared_runs(_rate_uses(n_seeds)) if runs is None else runs
+    if runs is None:
+        runs = _quadratic_runs([(seed, _rate_attack(seed)) for seed in range(n_seeds)],
+                               max(RATE_HORIZONS))
     worst = np.inf
     bad = 0
     checks = 0
@@ -320,12 +302,16 @@ def breakpoint_suite(iterations=150):
 def run_all(fuzz_instances=10_000, n_seeds=20):
     """Every suite; both counts are checked before any suite runs.
 
-    The two trace suites share one ``_shared_runs`` map, so each (seed,
-    attack) pair is trained once for both, all pairs in one batch.
+    The two trace suites share one ``_quadratic_runs`` map: every seed under
+    the aggressive attack and the odd seeds under the counterexample, each
+    pair trained once for both suites, all in one batch of the longest
+    horizon.
     """
     fuzz_instances = require_count("fuzz_instances", fuzz_instances, 1)
     n_seeds = require_count("n_seeds", n_seeds, 1)
-    runs = _shared_runs(_deviation_uses(n_seeds) + _rate_uses(n_seeds))
+    pairs = [(seed, "aggressive") for seed in range(n_seeds)]
+    pairs += [(seed, "counterexample") for seed in range(1, n_seeds, 2)]
+    runs = _quadratic_runs(pairs, max(RATE_HORIZONS))
     return [
         fuzz_screening_bound(n_instances=fuzz_instances),
         deviation_trace_suite(n_seeds=n_seeds, runs=runs),

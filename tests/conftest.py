@@ -109,7 +109,7 @@ def quadratic_run(seed, iterations, attack_kind="aggressive"):
 
     Returns its (model, X, Y, trace, theory inputs).
     """
-    return verify._quadratic_runs({(seed, attack_kind): iterations})[seed, attack_kind]
+    return verify._quadratic_runs([(seed, attack_kind)], iterations)[seed, attack_kind]
 
 
 def exact_inner_maximizer(model, theta, X, lam):

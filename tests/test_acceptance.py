@@ -185,7 +185,7 @@ def test_criterion_4_inner_maximizer_rate():
         steps = 0
         while quadratic_ascent_distance(model, theta, x, lam, steps, z_star) > eps:
             steps += 1
-        predicted, _ = required_iterations(model.constants(), lam, 1.0, eps, d_z)
+        predicted, _ = required_iterations(model.constants(), lam, eps, d_z)
         assert steps == predicted
         measured_counts.append(steps)
     announce(4, f"per-step factor matches p to 1e-6; measured==predicted counts {measured_counts}")

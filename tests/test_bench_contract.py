@@ -111,8 +111,7 @@ def test_a_batch_crafts_and_screens_once_per_round(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(simulation, name, counting(name))
-    verify._quadratic_runs({(0, "aggressive"): 5, (1, "counterexample"): 5,
-                            (2, "intelligent"): 5})
+    verify._quadratic_runs([(0, "aggressive"), (1, "counterexample"), (2, "intelligent")], 5)
     assert calls == {"craft": 5, "norm_screen": 5}
 
 

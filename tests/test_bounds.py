@@ -78,18 +78,14 @@ class TestAvgSqGradientBound:
         )
 
     def test_denominator_arithmetic(self):
-        # 1 of 5 byzantine and screened: C=0.5, r=1 -> denominator 1 - 2*0.25 = 0.5
+        # 1 of 5 byzantine and screened: C=0.5, r = 1.5 (the midpoint of (0, 3))
+        # -> denominator 1 - 2.5*0.25 = 0.375
         ti = TheoryInputs(constants=constants(1, 0, 0, 0.5), lam=1.0,
-                          c_alpha=screening_coefficient(1, 1, 5), r=1.0)
+                          c_alpha=screening_coefficient(1, 1, 5))
         assert ti.c_alpha == pytest.approx(0.5)
+        assert default_r(ti.c_alpha) == pytest.approx(1.5)
         value = avg_sq_gradient_bound(ti, f0_minus_fstar=1.0, T=10)
-        assert value == pytest.approx(2 * 1.0 * 1.0 / (0.5 * 10))
-
-    def test_r_outside_interval_rejected(self):
-        ti = TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0,
-                          c_alpha=screening_coefficient(1, 1, 5), r=100.0)
-        with pytest.raises(RegimeError):
-            avg_sq_gradient_bound(ti, 1.0, 10)
+        assert value == pytest.approx(2 * 1.0 * 1.0 / (0.375 * 10))
 
     def test_no_admissible_r_at_breakpoint(self):
         # alpha = beta = 3/8 and 1/2: c_alpha = 1.2 and 2
@@ -150,11 +146,12 @@ class TestSuboptimalityBound:
 
     def test_long_horizon_returns_error_floor(self):
         ti = inputs_for(constants(1, 1, 1, 1), 2.0, c_alpha=screening_coefficient(1, 1, 10),
-                        eps=0.01, sigma=0.05, r=0.5, k=1.0)
+                        eps=0.01, sigma=0.05, k=1.0)
         decayed = suboptimality_bound(ti, 1.0, T=1)
         floor = suboptimality_bound(ti, 1.0, T=10 ** 12)
         assert floor < decayed
-        r, lf, delta = 0.5, ti.l_f, ti.delta
+        r, lf, delta = default_r(ti.c_alpha), ti.l_f, ti.delta
+        assert r == pytest.approx(9.625)  # C = 2/9: the midpoint of (0, 19.25)
         denom = 1 - (1 + r) * ti.c_alpha ** 2
         expected = math.sqrt(2 * (1 + 1 / r) / denom) * 1.0 * delta + (1 + 1 / r) * delta ** 2 / (2 * lf)
         assert floor == pytest.approx(expected, rel=1e-12)
@@ -198,12 +195,11 @@ class TestMonotonicityInAlpha:
     def test_bounds_nondecreasing_in_corruption_level(self):
         # 0 to 9 byzantine of 100 with 9 screened (alpha up to beta = 0.09): the grid
         # stays inside every bound's admissible range for these constants
-        r = 0.05
         prev = (-np.inf,) * 4
         for byzantine in range(10):
             ti = TheoryInputs(constants=constants(1, 1, 1, 1), lam=2.0,
                               c_alpha=screening_coefficient(byzantine, 9, 100),
-                              eps=0.01, sigma=0.05, lambda_f=0.5, r=r, k=1.2)
+                              eps=0.01, sigma=0.05, lambda_f=0.5, k=1.2)
             vals = (
                 aggregate_deviation_bound(ti, 1.0),
                 avg_sq_gradient_bound(ti, 1.0, 50),
@@ -341,6 +337,7 @@ def test_c_alpha_validation(c_alpha):
 
 def test_theory_inputs_take_c_alpha_not_fractions():
     settable = [f.name for f in fields(TheoryInputs)]
-    assert settable == ["constants", "lam", "c_alpha", "eps", "sigma", "lambda_f", "r", "k"]
+    # r is always default_r(c_alpha), inside its interval whenever c_alpha < 1
+    assert settable == ["constants", "lam", "c_alpha", "eps", "sigma", "lambda_f", "k"]
     # a tiny c_alpha squares to 0.0: the interval is unbounded, not a division by zero
     assert admissible_r_max(1e-170) == math.inf

@@ -16,6 +16,7 @@ from robustgd.data import (
     _SLAB_ROWS,
     SPAMBASE_FEATURES,
     SPAMBASE_ROWS,
+    SPAMBASE_SPAM_ROWS,
     Dataset,
     ShardedData,
     load_spambase,
@@ -240,6 +241,13 @@ class TestSplit:
             split_and_shard(ds, m=m, seed=0)
 
 
+def test_the_stand_in_corpus_takes_only_a_seed():
+    # its shape, class balance, column groups and flip fraction are the spambase stand-in's
+    assert list(inspect.signature(synthetic_spambase_like).parameters) == ["seed"]
+    ds = synthetic_spambase_like(seed=0)
+    assert ds.features.shape == (SPAMBASE_ROWS, SPAMBASE_FEATURES)
+
+
 def test_synthetic_corpus_is_deterministic_per_seed():
     a = synthetic_spambase_like(seed=2)
     b = synthetic_spambase_like(seed=2)
@@ -249,23 +257,12 @@ def test_synthetic_corpus_is_deterministic_per_seed():
     assert not np.array_equal(a.features, c.features)
 
 
-@pytest.mark.parametrize("params, message", [
-    ({"n": 10}, r"^positives=1813 exceed the n=10 rows$"),
-    ({"flip": 1.5}, r"^flip must be a fraction in \[0, 1\], got 1.5$"),
-    ({"markers": 0}, r"^markers must be >= 1, got 0$"),
-    ({"dim": 20}, r"^dim=20 is below markers \+ diffuse = 36$"),
-])
-def test_synthetic_parameters_it_cannot_honour_are_refused(params, message):
-    with pytest.raises(ConfigError, match=message):
-        synthetic_spambase_like(seed=0, **params)
-
-
-def whole_block_corpus(seed, n, positives):
+def whole_block_corpus(seed):
     """The stand-in corpus drawn with each Gaussian block in one call: (features, labels)."""
-    dim, markers, diffuse, flip = SPAMBASE_FEATURES, 6, 30, 0.05
+    n, dim, markers, diffuse, flip = SPAMBASE_ROWS, SPAMBASE_FEATURES, 6, 30, 0.05
     rng = np.random.default_rng([seed, 0xD3])
     classes = np.zeros(n, dtype=int)
-    classes[:positives] = 1
+    classes[:SPAMBASE_SPAM_ROWS] = 1
     classes = classes[rng.permutation(n)]
     features = np.zeros((n, dim))
     pos = classes == 1
@@ -286,11 +283,13 @@ def whole_block_corpus(seed, n, positives):
     return features, labels
 
 
-@pytest.mark.parametrize("n", [1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, SPAMBASE_ROWS])
-def test_slab_draws_keep_the_bits_of_whole_block_draws(n):
-    positives = (n + 1) // 3
-    ds = synthetic_spambase_like(seed=4, n=n, positives=positives)
-    features, labels = whole_block_corpus(4, n, positives)
+@pytest.mark.parametrize("slab_rows", [1, _SLAB_ROWS, SPAMBASE_ROWS - 1, SPAMBASE_ROWS,
+                                       SPAMBASE_ROWS + 1])
+def test_slab_draws_keep_the_bits_of_whole_block_draws(monkeypatch, slab_rows):
+    # one-row slabs, the module's 512, then 4,601 rows as 4,600 + 1, one full slab, one short slab
+    monkeypatch.setattr("robustgd.data._SLAB_ROWS", slab_rows)
+    ds = synthetic_spambase_like(seed=4)
+    features, labels = whole_block_corpus(4)
     assert ds.features.tobytes() == features.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
 

@@ -730,6 +730,76 @@ class TestCli:
         assert main(["report", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[1].split() == ["none,q=0.0", "0.2500"]
 
+    @staticmethod
+    def record(environment, miscls, sweep=None, variant="alg2"):
+        record = {"config": {"environment": environment, "variant": variant},
+                  "results": {"shift_misclassification": miscls}}
+        if sweep:
+            record["sweep"] = {"axis": "shift_q", "value": sweep}
+        return json.dumps(record) + "\n"
+
+    def test_report_keeps_the_sweeps_of_two_environments_apart(self, tmp_path, capsys):
+        # the rows were "shift_q=0.1" alone, and E3's values filled both
+        paths = [tmp_path / "e1.jsonl", tmp_path / "e3.jsonl"]
+        paths[0].write_text(self.record("E1", 0.125, sweep=0.1) + self.record("E1", 0.25, sweep=0.2))
+        paths[1].write_text(self.record("E3", 0.375, sweep=0.1) + self.record("E3", 0.5, sweep=0.2))
+        assert main(["report", *map(str, paths)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines] == [
+            ["E1,shift_q=0.1", "0.1250"], ["E1,shift_q=0.2", "0.2500"],
+            ["E3,shift_q=0.1", "0.3750"], ["E3,shift_q=0.2", "0.5000"]]
+        # the labels are wider than the header: the values still sit under theirs
+        assert {line.index(" 0.") + 1 for line in lines} == {header.index("alg2")}
+
+    def test_report_refuses_two_records_with_different_values_in_one_cell(self, tmp_path,
+                                                                         capsys):
+        # two seeds of one config: the table showed the last of them only
+        path = tmp_path / "records.jsonl"
+        path.write_text(self.record("E1", 0.125) + self.record("E1", 0.25))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == "report: row 'E1', variant 'alg2': records give 0.125 and 0.25"
+        assert capsys.readouterr().out == ""
+
+    def test_report_takes_a_rerun_and_a_repeated_sweep_value_once(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text(self.record("E1", 0.125) * 2 + self.record("E3", 0.5, sweep=0.1) * 2)
+        assert main(["report", str(path), str(path)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["E1", "0.1250"], ["E3,shift_q=0.1", "0.5000"]]
+
+    def test_a_sweep_that_repeats_a_value_reports_it_once(self, tmp_path, capsys):
+        assert main(["sweep", "--axis", "lam", "--values", "2,2", "--variant", "alg2",
+                     "--m", "4", "--iterations", "2", "--t-z", "2", "--screen-count", "1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "sweep_lam.jsonl")]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["none,q=0.0,lam=2.0"]
+
+    def test_report_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        # was a UnicodeDecodeError traceback
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(REPORTABLE.encode() * 2 + b'{"note": "caf\xe9"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == f"report: {path}:3: byte 0xe9 is not UTF-8"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "int-past-float"])
+    @pytest.mark.parametrize("field, value", [
+        ("results.shift_misclassification", "0.25"), ("config.shift_q", "0.0")])
+    def test_report_refuses_a_number_that_is_not_finite(self, tmp_path, capsys, token, field,
+                                                        value):
+        # json reads NaN and Infinity, and the table printed nan; the long int overflowed
+        path = tmp_path / "records.jsonl"
+        path.write_text(REPORTABLE + REPORTABLE.replace(value, token))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code.startswith(f"report: {path}:2: {field} must be finite, got ")
+        assert capsys.readouterr().out == ""
+
     def test_unknown_config_field_rejected(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"bogus": 1}))

@@ -1,5 +1,7 @@
+import inspect
 import math
 import re
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -92,11 +94,10 @@ class TestLogistic:
         assert np.isfinite(row(logistic_values, theta, np.array([1.0]), 0))
         assert np.isfinite(row(logistic_values, -theta, np.array([1.0]), 1))
 
-    def test_constants_are_flagged_estimates(self):
+    def test_constants_are_the_norm_bound_estimates(self):
         constants = self.model.constants(data_bound=3.0, theta_bound=2.0)
         assert constants.l_tt == pytest.approx(2.25)
         assert constants.l_zz == pytest.approx(1.0)
-        assert not constants.exact
 
     def test_non_finite_inputs_raise(self):
         with pytest.raises(NumericError):
@@ -129,7 +130,12 @@ class TestQuadratic:
     @pytest.mark.parametrize("c", [1.0, 2.0])
     def test_constants_equal_curvature_exactly(self, c):
         constants = QuadraticLoss(c).constants()
-        assert constants == SmoothnessConstants(c, c, c, c, exact=True)
+        assert constants == SmoothnessConstants(c, c, c, c)
+
+    def test_constants_take_no_bounds_and_carry_no_exactness_flag(self):
+        # the quadratic's constants hold everywhere, and only its constants are exact
+        assert list(inspect.signature(QuadraticLoss().constants).parameters) == []
+        assert [f.name for f in fields(SmoothnessConstants)] == ["l_tt", "l_tz", "l_zt", "l_zz"]
 
     def test_gradients_match_central_differences(self, rng):
         model = QuadraticLoss(1.7)

@@ -1,3 +1,4 @@
+import inspect
 import re
 from functools import partial
 
@@ -476,20 +477,28 @@ class TestExactLogisticRows:
 
 
 class TestIterationCount:
+    def test_the_cost_smoothness_is_the_module_constant(self):
+        # c(z, x) = ||z - x||^2 / 2 is the only cost: no function takes its smoothness
+        assert surrogate.COST_SMOOTHNESS == 1.0
+        for fn, params in ((theoretical_ascent_step, ["lam"]),
+                           (contraction_factor, ["l_zz", "lam"]),
+                           (required_iterations, ["constants", "lam", "eps", "d_z"])):
+            assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
     def test_power_of_two_case(self):
         model = QuadraticLoss(1.0)
-        n, p = required_iterations(model.constants(), lam=2.0, l_c=1.0, eps=1.0 / 1024.0, d_z=1.0)
+        n, p = required_iterations(model.constants(), lam=2.0, eps=1.0 / 1024.0, d_z=1.0)
         assert p == pytest.approx(0.5)
         assert n == 10
 
     def test_already_accurate_needs_zero(self):
         model = QuadraticLoss(1.0)
-        n, _ = required_iterations(model.constants(), lam=2.0, l_c=1.0, eps=1.0, d_z=1.0)
+        n, _ = required_iterations(model.constants(), lam=2.0, eps=1.0, d_z=1.0)
         assert n == 0
 
     def test_power_of_three_case(self):
         model = QuadraticLoss(1.0)
-        n, p = required_iterations(model.constants(), lam=3.0, l_c=1.0, eps=1.0 / 9.0, d_z=1.0)
+        n, p = required_iterations(model.constants(), lam=3.0, eps=1.0 / 9.0, d_z=1.0)
         assert p == pytest.approx(1.0 / 3.0)
         assert n == 2
 
@@ -511,13 +520,13 @@ class TestIterationCount:
                 if np.linalg.norm(Z[0] - z_star) <= eps:
                     break
                 steps += 1
-            predicted, _ = required_iterations(model.constants(), lam, 1.0, eps, d_z)
+            predicted, _ = required_iterations(model.constants(), lam, eps, d_z)
             assert steps == predicted
 
     def test_regime_errors(self):
         model = QuadraticLoss(2.0)
         with pytest.raises(RegimeError):
-            required_iterations(model.constants(), lam=1.5, l_c=1.0, eps=0.1, d_z=1.0)
+            required_iterations(model.constants(), lam=1.5, eps=0.1, d_z=1.0)
         with pytest.raises(ConfigError):
-            required_iterations(model.constants(), lam=3.0, l_c=1.0, eps=0.0, d_z=1.0)
+            required_iterations(model.constants(), lam=3.0, eps=0.0, d_z=1.0)
 

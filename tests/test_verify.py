@@ -10,6 +10,7 @@ pin the equality, the batch, the work saved and the suites' figures.
 """
 
 import hashlib
+import inspect
 import re
 import tracemalloc
 from dataclasses import fields
@@ -107,28 +108,27 @@ def test_prefix_cuts_every_per_round_field():
             assert len(getattr(prefix, field.name)) == 3, field.name
 
 
-def test_shared_runs_train_each_pair_once_at_its_longest_horizon(monkeypatch):
-    longest = {(0, "aggressive"): 200, (1, "aggressive"): 50, (1, "counterexample"): 50}
-    alone = {(seed, attack): quadratic_run(seed, rounds, attack)
-             for (seed, attack), rounds in longest.items()}
+def test_quadratic_runs_train_one_batch_with_each_pair_once(monkeypatch):
+    pairs = [(0, "aggressive"), (1, "aggressive"), (1, "counterexample")]
+    alone = {(seed, attack): quadratic_run(seed, 200, attack) for seed, attack in pairs}
     batches = []
     real = verify.train_runs
 
     def counting(model, X, Y, rosters, cfgs):
         batches.append(([(cfg.seed, roster.attack.kind) for roster, cfg in zip(rosters, cfgs)],
-                        cfgs[0].iterations))
+                        [cfg.iterations for cfg in cfgs]))
         return real(model, X, Y, rosters, cfgs)
 
     monkeypatch.setattr(verify, "train_runs", counting)
-    runs = verify._shared_runs([(0, "aggressive", 120), (0, "aggressive", 200),
-                                (1, "aggressive", 50), (1, "counterexample", 50)])
-    # one batch of every pair, both attack kinds, at the longest horizon of any
-    assert batches == [(list(longest), 200)]
-    assert list(runs) == list(longest)
+    assert list(inspect.signature(verify._quadratic_runs).parameters) == ["pairs", "rounds"]
+    runs = verify._quadratic_runs(pairs, 200)
+    # one batch of every pair, both attack kinds, all at the one horizon
+    assert batches == [(pairs, [200] * 3)]
+    assert list(runs) == pairs
     for pair, (model, X, Y, trace, inputs) in runs.items():
-        # each pair is cut to its own longest horizon, diagnosed, and is the run trained alone
-        assert trace.iterations == longest[pair]
-        assert trace.inner_eps is not None
+        # each pair is diagnosed at every iterate and is the run trained alone
+        assert trace.iterations == 200
+        assert len(trace.inner_eps) == len(trace.true_gradients) == 200
         _, X_alone, Y_alone, trace_alone, inputs_alone = alone[pair]
         np.testing.assert_array_equal(X, X_alone)
         np.testing.assert_array_equal(Y, Y_alone)
