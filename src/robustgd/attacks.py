@@ -27,14 +27,15 @@ takes one stream's B * d squares at a time.
 
 The attack of a batch of R runs that share the byzantine ids is fixed for
 the whole batch, so it is set up once, in an ``AttackPlan``: the runs
-grouped by kind, the aggressive factors stacked, a counterexample batch
-checked for the TARGET_RANK + 1 honest workers it ranks (the runs share k)
-and each intelligent run's ``DirectionBlocks`` built. ``craft`` then does
-only a round's arithmetic: the aggressive rows are one product over the
-stacked references, the intelligent runs' reference norms one stacked dot,
-and the counterexample runs' rows one stable argsort of the honest norms
-over the stack and one gather; each run's rows are bit-equal to a plan of
-that run alone.
+grouped by kind, the aggressive factors stacked and each intelligent run's
+``DirectionBlocks`` built. The plan and ``craft`` only craft; the rules of a
+run's byzantine side, the counterexample's TARGET_RANK + 1 honest workers
+among them, are ``simulation.WorkerRoster``'s. ``craft`` does only a round's
+arithmetic: the aggressive rows are one product over the stacked references,
+the intelligent runs' reference norms one stacked dot, and the
+counterexample runs' rows one stable argsort of the honest norms over the
+stack and one gather by (run, rank); each run's rows are bit-equal to a plan
+of that run alone.
 """
 
 import logging
@@ -81,25 +82,20 @@ class AttackSpec:
 class DirectionBlocks:
     """A run's intelligent directions for its ``rounds`` rounds, drawn a block of rounds at a time.
 
-    One stream per worker in ``workers``, keyed by (rng_seed, worker).
-    ``round(t)`` gives the streams' t-th ``dim``-vectors and their lengths; a
-    block of min(DIRECTION_BLOCK_ROUNDS, rounds) rounds is drawn when a round
-    outside the current one is asked for. The generators are made when the
-    first block is drawn, so a plan that only checks a config makes none.
-    Rounds are read forward in training; an earlier round restarts the
-    streams, so round t's vectors never depend on the rounds read before it.
+    One stream per worker in ``workers``, keyed by (rng_seed, worker), made
+    when the blocks are built. ``round(t)`` gives the streams' t-th
+    ``dim``-vectors and their lengths; a block of
+    min(DIRECTION_BLOCK_ROUNDS, rounds) rounds is drawn when a later round
+    than the current block's is asked for. Rounds are read forward, as
+    training reads them: a round before the current block is refused.
     """
 
     def __init__(self, rng_seed, workers, rounds, dim):
-        self.rounds = require_count("rounds", rounds, 1)
-        self._keys = [[rng_seed, _DIRECTION_TAG, worker] for worker in workers]
+        self.rounds = rounds = require_count("rounds", rounds, 1)
+        self._streams = [np.random.default_rng([rng_seed, _DIRECTION_TAG, w]) for w in workers]
         # stream-major, so that each stream fills its block with one contiguous call
-        self._block = np.empty((len(self._keys), min(DIRECTION_BLOCK_ROUNDS, self.rounds), dim))
+        self._block = np.empty((len(self._streams), min(DIRECTION_BLOCK_ROUNDS, rounds), dim))
         self._lengths = np.empty(self._block.shape[:2])
-        self._restart()
-
-    def _restart(self):
-        self._streams = None  # made by the first block drawn
         self._start = self._stop = 0  # the rounds the block holds
 
     def round(self, t):
@@ -110,14 +106,13 @@ class DirectionBlocks:
         if not 0 <= t < self.rounds:
             raise ConfigError(f"round {t} outside the run's {self.rounds} rounds")
         if t < self._start:
-            self._restart()
+            raise ConfigError(f"round {t} precedes the drawn rounds {self._start} to "
+                              f"{self._stop - 1}; directions are read forward")
         while t >= self._stop:
             self._draw_block()
         return self._block[:, t - self._start], self._lengths[:, t - self._start]
 
     def _draw_block(self):
-        if self._streams is None:
-            self._streams = [np.random.default_rng(key) for key in self._keys]
         count = min(self._block.shape[1], self.rounds - self._stop)
         rows, lengths = self._block[:, :count], self._lengths[:, :count]
         for stream_rows, stream_lengths, stream in zip(rows, lengths, self._streams):
@@ -132,32 +127,25 @@ class DirectionBlocks:
 class AttackPlan:
     """The attack of R runs that share the byzantine ``workers``, set up once for the batch.
 
-    ``specs`` holds each run's ``AttackSpec``, ``honest_count`` is k, the
-    number of honest reports a round ranks, and ``rounds`` and ``dim`` are
+    ``specs`` holds each run's ``AttackSpec``, and ``rounds`` and ``dim`` are
     the runs' length and dimension. Each kind present keeps the index of its
     runs on the run axis (a plain slice when all R runs have it) and what its
     rows need: the aggressive runs' stacked -scale factors, each
-    intelligent run's ratio and ``DirectionBlocks``, and where each
-    counterexample run's k honest rows start in their flattened stack.
-    Counterexample runs with fewer than TARGET_RANK + 1 honest workers are
-    refused here, before any round.
+    intelligent run's ratio and ``DirectionBlocks``, and each counterexample
+    run's position in the stack of those runs. The plan checks no rule: the
+    roster (``simulation.WorkerRoster``) holds them.
     """
 
-    def __init__(self, specs, workers, honest_count, rounds, dim):
+    def __init__(self, specs, workers, rounds, dim):
         self.runs, self.workers = len(specs), list(workers)
         aggressive, intelligent, counterexample = (
             [r for r, spec in enumerate(specs) if spec.kind == kind] for kind in KINDS)
-        if counterexample and honest_count <= TARGET_RANK:
-            raise ConfigError(f"the counterexample attack needs at least {TARGET_RANK + 1} "
-                              f"honest workers, got {honest_count}")
         self.aggressive = self._group(aggressive,
                                       np.array([[-specs[r].scale] for r in aggressive]))
         self.intelligent = self._group(intelligent, [
             (r, specs[r].ratio, DirectionBlocks(specs[r].rng_seed, workers, rounds, dim))
             for r in intelligent])
-        # the first row of each counterexample run's block in its flattened (.., d) honest rows
-        self.counterexample = self._group(counterexample,
-                                          np.arange(len(counterexample)) * honest_count)
+        self.counterexample = self._group(counterexample, np.arange(len(counterexample)))
 
     def _group(self, runs, entries):
         """(index of ``runs`` on the run axis, their ``entries``), or None if there are none."""
@@ -190,9 +178,8 @@ def craft(plan, honest_grads, references, iteration):
                 vectors, lengths = directions.round(iteration)
                 np.multiply(vectors, (ratio * norm / lengths)[:, None], out=rows[r])
     if plan.counterexample:  # negate each run's honest gradient at norm rank TARGET_RANK
-        runs, starts = plan.counterexample
+        runs, positions = plan.counterexample
         honest = honest_grads[runs]
         ranked = row_norms(honest).argsort(axis=-1, kind="stable")[:, TARGET_RANK]
-        targets = honest.reshape(-1, honest.shape[-1]).take(ranked + starts, axis=0)
-        rows[runs] = -targets[:, None]
+        rows[runs] = -honest[positions, ranked][:, None]
     return rows

@@ -95,12 +95,19 @@ def _build_config(args):
 def _streamed(args, stem, runner):
     """Run with each record appended to disk as it finishes; partial files survive errors.
 
-    The output directory and files are made at the first record, so a run
-    that fails before it writes nothing. A dataset that cannot be read or
-    parsed (naming the path and line) and a split the config cannot make
-    from it (too many workers, an empty test split) are usage errors.
+    An output path that exists and is not a directory, or lies below a file,
+    is a usage error before anything trains. The output directory and files
+    are made at the first record, so a run that fails before it writes
+    nothing, and an ``OSError`` while they are written is a usage error
+    naming the output directory (the dataset loader turns its own into
+    ``DataFormatError``). A dataset that cannot be read or parsed (naming
+    the path and line) and a split the config cannot make from it (too many
+    workers, an empty test split) are usage errors.
     """
     out = Path(args.out or os.environ.get("ROBUSTGD_OUT", "results"))
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise SystemExit(f"output directory {out}: {existing} is not a directory")
     jsonl, records = out / f"{stem}.jsonl", []
 
     def sink(record):
@@ -111,11 +118,13 @@ def _streamed(args, stem, runner):
 
     try:
         runner(sink)
+        export_csv(records, out / f"{stem}.csv")
     except DataFormatError as exc:
         raise SystemExit(f"dataset {exc}") from exc
     except ConfigError as exc:
         raise SystemExit(f"data: {exc}") from exc
-    export_csv(records, out / f"{stem}.csv")
+    except OSError as exc:
+        raise SystemExit(f"output directory {out}: {exc}") from exc
     print(f"wrote {len(records)} records to {jsonl}")
     print(report_table(records), end="")
 

@@ -38,7 +38,6 @@ _SLAB_ROWS = 512  # rows of Gaussian draws the stand-in corpus holds at a time
 class Dataset:
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,) values in {0, 1}
-    source: str
 
 
 def load_spambase(path) -> Dataset:
@@ -92,7 +91,6 @@ def load_spambase(path) -> Dataset:
     return Dataset(
         features=np.asarray(rows, dtype=float),
         labels=np.asarray(labels, dtype=int),
-        source=str(path),
     )
 
 
@@ -153,7 +151,6 @@ class ShardedData:
     train_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
-    dropped: int          # tail rows removed for divisibility
 
 
 def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedData:
@@ -186,7 +183,6 @@ def split_and_shard(ds: Dataset, train_frac=2.0 / 3.0, m=20, seed=0) -> ShardedD
         train_labels=ds.labels[kept],
         test_features=test_X,
         test_labels=ds.labels[test_idx],
-        dropped=dropped,
     )
 
 
@@ -229,7 +225,7 @@ def synthetic_spambase_like(seed) -> Dataset:
     labels = classes.copy()
     flips = rng.permutation(n)[: int(round(flip * n))]
     labels[flips] = 1 - labels[flips]
-    return Dataset(features=features, labels=labels, source=f"synthetic(seed={seed})")
+    return Dataset(features=features, labels=labels)
 
 
 def _normal_slabs(rng, n, width):

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, dot_sq_norms, screening_coefficient
-from .attacks import AGGRESSIVE, AttackPlan, AttackSpec
+from .attacks import AGGRESSIVE, AttackSpec
 from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
 from .errors import ConfigError, DataFormatError, NumericError, RegimeError, require_count
@@ -124,22 +124,18 @@ class ExperimentConfig:
         """Refuse, at construction, the values the simulation would reject deep in a run.
 
         The specs a run builds (training, inner ascent, screening, test shift
-        and the attack) are built here once, so their own checks are the only
-        copy of each rule: the roster's for m and alpha_m among them. Every
-        record carries the attack fields, so they are checked whatever the
-        attack: under 'none' as an aggressive attack's, whose rules for them
-        are every kind's. With byzantine workers the run's attack plan is
-        built too, for its rule on the honest count. A variant that screens
-        (``SCREENING``) is refused more byzantine workers than screen_count
-        unless allow_excess_byzantine is set; dro_only and erm screen none.
+        and the roster with its attack) are built here once, so their own
+        checks are the only copy of each rule: the roster's for m, alpha_m
+        and the byzantine side among them. Every record carries the attack
+        fields, so under attack 'none', which builds no attack, they are
+        checked as an aggressive attack's, whose rules for them are every
+        kind's. A variant that screens (``SCREENING``) is refused more
+        byzantine workers than screen_count unless allow_excess_byzantine is
+        set; dro_only and erm screen none.
         """
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.alpha_m > 0 and self.attack == "none":
-            raise ConfigError(
-                f"alpha_m={self.alpha_m} byzantine workers need an attack, got attack='none'"
-            )
-        roster = _roster(self)
+        _roster(self)
         if not 0 <= self.screen_count < self.m:
             raise ConfigError(f"screen_count must be in [0, m={self.m}), got {self.screen_count}")
         require_count("data_seed", self.data_seed, 0)
@@ -147,9 +143,8 @@ class ExperimentConfig:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         _train_config(self)
         _shift_spec(self)
-        _attack_spec(self, AGGRESSIVE if self.attack == "none" else self.attack)
-        if roster.alpha_m:
-            AttackPlan([roster.attack], roster.byzantine, self.m - self.alpha_m, 1, 1)
+        if self.attack == "none":
+            _attack_spec(self, AGGRESSIVE)
         if (self.variant in SCREENING and self.alpha_m > self.screen_count
                 and not self.allow_excess_byzantine):
             raise ConfigError(
@@ -208,7 +203,7 @@ def _shift_spec(cfg: ExperimentConfig):
 
 
 def _roster(cfg: ExperimentConfig):
-    return WorkerRoster(cfg.m, cfg.alpha_m, None if cfg.alpha_m == 0 else _attack_spec(cfg))
+    return WorkerRoster(cfg.m, cfg.alpha_m, None if cfg.attack == "none" else _attack_spec(cfg))
 
 
 def _train_config(cfg: ExperimentConfig):
@@ -480,18 +475,20 @@ def _is_string(value):
 def _report_fault(record):
     """The first field ``report_table`` reads that a record lacks or holds wrongly, or None.
 
-    The table reads the variant, the row label (the environment, else the
-    attack and shift_q; for a sweep record, then its axis and value) and the
-    shifted misclassification. ``record_line`` writes no non-finite number,
-    so a number field that holds one is refused too.
+    The table reads the variant, the row label (the environment, else every
+    field a preset sets, typed as E0 holds it; for a sweep record, then its
+    axis and value) and the shifted misclassification. ``record_line``
+    writes no non-finite number, so a number field that holds one is refused
+    too.
     """
     cfg = record["config"]
     wanted = [("config", "variant", VARIANTS.__contains__, f"one of {list(VARIANTS)}")]
     if cfg.get("environment") is not None:
         wanted.append(("config", "environment", _is_string, "a string"))
     if not cfg.get("environment"):
-        wanted += [("config", "attack", _is_string, "a string"),
-                   ("config", "shift_q", _is_number, "a number")]
+        wanted += [("config", key, _is_string, "a string") if isinstance(value, str)
+                   else ("config", key, _is_number, "a number")
+                   for key, value in PRESETS["E0"].items()]
     if "sweep" in record:
         if not isinstance(record["sweep"], dict):
             return f"sweep must be an object with axis and value, got {record['sweep']!r}"
@@ -561,17 +558,18 @@ def export_csv(records, path):
 def report_table(records):
     """Environment-by-variant comparison of shifted misclassification.
 
-    A row is the environment, else the attack and shift_q, followed for a
-    sweep record by its axis and value. Two records that put different
-    values in one cell (two seeds of one config, say) raise
-    ``DataFormatError`` naming the row and the variant; equal values, as
-    from a rerun, share the cell.
+    A row is the environment, else every field a preset sets as
+    ``field=value`` (so runs that differ only in shift_norm, as E1 and E2
+    do, stay apart), followed for a sweep record by its axis and value. Two
+    records that put different values in one cell (two seeds of one config,
+    say) raise ``DataFormatError`` naming the row and the variant; equal
+    values, as from a rerun, share the cell.
     """
     cells = {}
     rows = []
     for record in records:
         cfg = record["config"]
-        label = cfg.get("environment") or f"{cfg['attack']},q={cfg['shift_q']}"
+        label = cfg.get("environment") or ",".join(f"{key}={cfg[key]}" for key in PRESETS["E0"])
         if record.get("sweep"):
             label += f",{record['sweep']['axis']}={record['sweep']['value']}"
         if label not in rows:

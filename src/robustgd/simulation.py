@@ -26,13 +26,16 @@ r = sigmoid(theta . x + c * ||theta||^2) - y; for the quadratic,
 c * (1 + k) times segment sums of theta - x. A report that is not finite is
 refused in the round, and so is a logistic inner penalty
 lam * c^2 * ||theta||^2 / 2 that overflows the inner objective, in the
-round where it breaks. The batch's attack is set up once,
-before round 0 (``AttackPlan``: the runs grouped by kind, a counterexample
-batch checked for the two honest workers it ranks and each intelligent
-run's directions built, one generator per byzantine worker drawn a block
-of rounds at a time), and the byzantine rows of a round come from one ``craft`` call that
-only does the round's arithmetic; round t's direction is each generator's
-t-th vector, so a run of T rounds is the first T rounds of a longer one.
+round where it breaks. A run's byzantine side is ruled by its
+``WorkerRoster``: an attack for any byzantine worker, and for the
+counterexample attack the TARGET_RANK + 1 = 2 honest workers it ranks, both
+refused when the roster is built. The batch's attack is set up once, before
+round 0 (``AttackPlan``: the runs grouped by kind and each intelligent run's
+directions built, one generator per byzantine worker drawn a block of
+rounds at a time), and the byzantine rows of a round come from one
+``craft`` call that only does the round's arithmetic; round t's direction
+is each generator's t-th vector, so a run of T rounds is the first T
+rounds of a longer one.
 With zero ascent steps (t_z = 0) the reports are the plain logistic
 gradient r_j^T X_j with r = sigmoid(theta . x) - y, and with
 screen_count = 0 the screen keeps every report without ranking them; both
@@ -72,7 +75,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .aggregation import ScreenConfig, norm_screen
-from .attacks import AttackPlan, AttackSpec, craft
+from .attacks import COUNTEREXAMPLE, TARGET_RANK, AttackPlan, AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss, sigmoid
 from .surrogate import (DROConfig, _line_steps, _margins, exact_rows, inner_objectives,
@@ -90,7 +93,10 @@ class WorkerRoster:
     Worker j holds the j-th of m equal contiguous blocks of the training
     rows: rows [j * n, (j + 1) * n) of N = m * n. Workers 0 .. alpha_m - 1
     are byzantine and the other m - alpha_m honest. A caller that wants
-    another partition or byzantine set orders the rows first.
+    another partition or byzantine set orders the rows first. The roster
+    holds every rule of the run's byzantine side, checked when it is built:
+    at least one honest worker, an attack for any byzantine worker, and for
+    the counterexample attack the TARGET_RANK + 1 honest workers it ranks.
     """
 
     m: int
@@ -104,7 +110,11 @@ class WorkerRoster:
             raise ConfigError(f"alpha_m must be < m={self.m} so that a worker is honest, "
                               f"got {self.alpha_m}")
         if self.alpha_m and self.attack is None:
-            raise ConfigError("byzantine workers declared without an attack spec")
+            raise ConfigError(f"alpha_m={self.alpha_m} byzantine workers need an attack, got none")
+        honest = self.m - self.alpha_m
+        if self.alpha_m and self.attack.kind == COUNTEREXAMPLE and honest <= TARGET_RANK:
+            raise ConfigError(f"the counterexample attack needs at least {TARGET_RANK + 1} "
+                              f"honest workers, got {honest}")
 
     @property
     def byzantine(self):
@@ -342,11 +352,10 @@ def train_runs(model, X, Y, rosters, cfgs):
     are byzantine. The runs share N through the shape of ``X`` and must
     share m, alpha_m, screen_count, dro and iterations (``ConfigError``
     naming the field and the run); each keeps its own data, eta, seed or
-    theta0 and attack. With byzantine workers the batch builds one
-    ``AttackPlan`` before round 0 (its refusal of a counterexample batch
-    with too few honest workers holds for every run, so it names none), and
-    each round makes one ``craft`` call, over the stack of every run's honest
-    reports, and one ``norm_screen`` call, however many runs there are. In a
+    theta0 and attack, which its roster has checked. With byzantine workers
+    the batch builds one ``AttackPlan`` before round 0, and each round makes
+    one ``craft`` call, over the stack of every run's honest reports, and one
+    ``norm_screen`` call, however many runs there are. In a
     batch of more than one run, an error a run raises names it ("run r, "),
     so a ``NumericError`` names the run, the iteration and the worker.
     """
@@ -384,7 +393,7 @@ def train_runs(model, X, Y, rosters, cfgs):
     report_plan = ReportPlan(model, *_honest_block(X, Y, roster), cfg.dro)
     k, n = m - a, N // m
     grads = np.empty((R, m, d))  # every report of the round; nothing keeps it past the round
-    attack_plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, k, T, d)
+    attack_plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, T, d)
                    if a else None)
 
     for t in range(T):

@@ -16,19 +16,19 @@ from robustgd.attacks import (
 )
 from robustgd.errors import ConfigError
 from robustgd.experiments import ExperimentConfig
-from robustgd.simulation import initial_theta
+from robustgd.simulation import WorkerRoster, initial_theta
 
 
 def honest_scalars(*values):
     return np.array(values, dtype=float)[:, None]
 
 
-def crafter(spec, workers, rounds=1, dim=1, honest_count=1):
+def crafter(spec, workers, rounds=1, dim=1):
     """One run alone: a plan of the one run, and round t's (a, d) rows from its ``craft``.
 
     The rows take the run's (k, d) honest reports and its (d,) reference.
     """
-    plan = AttackPlan([spec], workers, honest_count, rounds, dim)
+    plan = AttackPlan([spec], workers, rounds, dim)
     return lambda honest, reference, t: craft(plan, honest[None], reference[None], t)[0]
 
 
@@ -142,17 +142,21 @@ class TestDirectionBlocks:
             assert not np.allclose(0.01 * vector, initial_theta(6, 3))
 
     @pytest.mark.parametrize("preset", ["E1", "E3"])
-    def test_building_a_config_makes_no_generator(self, monkeypatch, preset):
-        # a config checks its attack through an AttackPlan, whose direction
-        # streams are made only when the first block is drawn
+    def test_building_a_config_makes_no_plan_and_no_generator(self, monkeypatch, preset):
+        # a config checks its attack through its roster; the blocks make
+        # their streams when they are built, and drawing makes none
         made, default_rng = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        plans, plan_init = [], AttackPlan.__init__
+        monkeypatch.setattr(AttackPlan, "__init__",
+                            lambda self, *a: plans.append(a) or plan_init(self, *a))
         cfg = ExperimentConfig(preset=preset)
-        assert made == []
+        assert made == [] and plans == []
         directions = DirectionBlocks(0, range(cfg.alpha_m), 3, 2)
-        assert made == []
-        directions.round(0)
         assert made == [([0, 0xA7, worker],) for worker in range(cfg.alpha_m)]
+        directions.round(0)
+        directions.round(2)
+        assert len(made) == cfg.alpha_m
 
     def test_a_round_outside_the_run_is_refused(self):
         directions = DirectionBlocks(0, (0,), 3, 2)
@@ -186,17 +190,14 @@ class TestDirectionBlocks:
                                               err_msg=f"round {t}")
         assert len(caplog.records) == len(zero_rounds)
 
-    def test_an_earlier_round_restarts_the_streams(self):
-        spec = AttackSpec(kind="intelligent", rng_seed=2)
+    def test_an_earlier_round_is_refused(self):
         B = DIRECTION_BLOCK_ROUNDS
-        ref = np.array([1.0, -1.0, 3.0])
-        run = crafter(spec, (0, 3), B + 4, 3)
-        late = run(honest_scalars(1), ref, B + 2)
-        # the second block, rounds B to B + 3, now fills round 1's slot
-        early = run(honest_scalars(1), ref, 1)
-        fresh = crafter(spec, (0, 3), B + 4, 3)
-        np.testing.assert_array_equal(early, fresh(honest_scalars(1), ref, 1))
-        np.testing.assert_array_equal(late, fresh(honest_scalars(1), ref, B + 2))
+        directions = DirectionBlocks(2, (0, 3), B + 4, 3)
+        directions.round(B + 2)
+        directions.round(B)  # the current block, rounds B to B + 3
+        with pytest.raises(ConfigError, match=f"^round 1 precedes the drawn rounds {B} to "
+                                              f"{B + 3}; directions are read forward$"):
+            directions.round(1)
 
     def test_a_long_run_holds_one_block_of_directions(self):
         # 3 blocks and 5 rounds; their vectors alone would be 3 * B * w * d floats
@@ -223,14 +224,14 @@ class TestCounterexample:
         # honest norms ascending: 1, 2, 3, 4, 5, 6 -> rank 1 is the value 2
         assert TARGET_RANK == 1
         spec = AttackSpec(kind="counterexample")
-        run = crafter(spec, [0, 1], honest_count=6)
+        run = crafter(spec, [0, 1])
         out = run(honest_scalars(6, 5, 4, 3, 2, 1), np.array([3.5]), 0)
         np.testing.assert_array_equal(out, [[-2.0], [-2.0]])
 
     def test_all_forgeries_survive_screening_in_the_ten_input_instance(self):
         spec = AttackSpec(kind="counterexample")
         honest = honest_scalars(6, 5, 4, 3, 2, 1)
-        forgeries = crafter(spec, range(4), honest_count=6)(honest, np.array([3.5]), 0)
+        forgeries = crafter(spec, range(4))(honest, np.array([3.5]), 0)
         out, _ = norm_screen(np.vstack([forgeries, honest]), 4)
         # kept set is {-2, -2, -2, -2, 2, 1}: forgeries dominate the average
         assert out[0] == pytest.approx(-5.0 / 6.0, abs=1e-15)
@@ -239,13 +240,14 @@ class TestCounterexample:
         with pytest.raises(TypeError, match="target_rank"):
             AttackSpec(kind="counterexample", target_rank=1)
 
-    def test_one_honest_worker_is_refused_by_the_plan(self):
-        specs = [AttackSpec(kind="aggressive"), AttackSpec(kind="counterexample")]
+    def test_one_honest_worker_is_refused_by_the_roster(self):
+        counterexample = AttackSpec(kind="counterexample")
         with pytest.raises(ConfigError, match="^the counterexample attack needs at least 2 "
                                               "honest workers, got 1$"):
-            AttackPlan(specs, [0], 1, 1, 1)
-        AttackPlan(specs, [0], 2, 1, 1)
-        AttackPlan(specs[:1], [0], 1, 1, 1)  # only the counterexample ranks the honest norms
+            WorkerRoster(4, 3, counterexample)
+        WorkerRoster(4, 2, counterexample)
+        WorkerRoster(4, 3, AttackSpec(kind="aggressive"))  # only the counterexample ranks them
+        WorkerRoster(1, 0, counterexample)  # no byzantine worker crafts
 
 
 class TestStacked:
@@ -262,8 +264,8 @@ class TestStacked:
 
     def test_a_mixed_batch_is_each_run_alone(self, rng, caplog):
         R, k, d, workers, rounds = len(self.SPECS), 5, 4, (1, 4, 6), 6
-        batch = AttackPlan(self.SPECS, workers, k, rounds, d)
-        alone = [crafter(spec, workers, rounds, d, k) for spec in self.SPECS]
+        batch = AttackPlan(self.SPECS, workers, rounds, d)
+        alone = [crafter(spec, workers, rounds, d) for spec in self.SPECS]
         with caplog.at_level(logging.WARNING, logger="robustgd.attacks"):
             for t in range(rounds):
                 honest = rng.standard_normal((R, k, d)) * rng.uniform(0.5, 2.0, (R, k, 1))
@@ -290,7 +292,7 @@ class TestStacked:
     ])
     def test_counterexample_rows_are_the_per_run_loop(self, rng, kinds):
         k, d, workers = 6, 4, (0, 2, 7)
-        plan = AttackPlan([AttackSpec(kind=kind) for kind in kinds], workers, k, 1, d)
+        plan = AttackPlan([AttackSpec(kind=kind) for kind in kinds], workers, 1, d)
         honest = rng.standard_normal((3, k, d)) * rng.uniform(0.5, 2.0, (3, k, 1))
         honest[2, 0] *= 1e-3
         honest[2, 4] = -honest[2, 0]  # a norm tie at ranks 0 and 1

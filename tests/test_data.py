@@ -149,7 +149,7 @@ class TestSplit:
 
     def test_split_always_standardizes_from_the_training_rows(self):
         ds = synthetic_spambase_like(seed=0)
-        assert [f.name for f in fields(Dataset)] == ["features", "labels", "source"]
+        assert [f.name for f in fields(Dataset)] == ["features", "labels"]
         assert "apply_standardization" not in inspect.signature(split_and_shard).parameters
         sharded = split_and_shard(ds, m=4, seed=0)
         np.testing.assert_allclose(sharded.train_features.mean(axis=0), 0.0, atol=0.05)
@@ -159,10 +159,11 @@ class TestSplit:
         sharded = split_and_shard(ds, m=20, seed=0)
         # no index lists: worker j's 153 rows are the j-th contiguous block
         assert [f.name for f in fields(ShardedData)] == [
-            "train_features", "train_labels", "test_features", "test_labels", "dropped"]
+            "train_features", "train_labels", "test_features", "test_labels"]
         assert sharded.train_features.shape == (20 * 153, SPAMBASE_FEATURES)
         assert sharded.train_labels.shape == (20 * 153,)
-        assert sharded.dropped in (7, 8)  # 4601 * 2/3 stratified, mod 20
+        train_idx, _ = stratified_split(ds.labels, 2.0 / 3.0, seed=0)
+        assert train_idx.size - 20 * 153 in (7, 8)  # 4601 * 2/3 stratified, mod 20
 
     def test_same_seed_identical_two_seeds_differ(self):
         ds = synthetic_spambase_like(seed=0)
@@ -178,7 +179,6 @@ class TestSplit:
         ds = synthetic_spambase_like(seed=0)
         sharded = split_and_shard(ds, m=1, seed=0)
         train_idx, _ = stratified_split(ds.labels, 2.0 / 3.0, seed=0)
-        assert sharded.dropped == 0
         assert sharded.train_features.shape[0] == train_idx.size
 
     def test_dropping_the_tail_logs_a_warning(self, caplog):
@@ -187,11 +187,14 @@ class TestSplit:
         ds = synthetic_spambase_like(seed=0)
         with caplog.at_level(logging.WARNING, logger="robustgd.data"):
             sharded = split_and_shard(ds, m=20, seed=0)
-        assert sharded.dropped > 0
-        assert any("dropping" in record.message for record in caplog.records)
+        train_idx, _ = stratified_split(ds.labels, 2.0 / 3.0, seed=0)
+        dropped = train_idx.size - sharded.train_features.shape[0]
+        assert dropped > 0
+        assert [record.getMessage() for record in caplog.records] == [
+            f"dropping {dropped} training rows so 20 workers get equal shards"]
 
     def test_too_many_workers_rejected(self):
-        ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5), source="x")
+        ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5))
         with pytest.raises(ConfigError):
             split_and_shard(ds, m=9, seed=0)
 
@@ -208,9 +211,8 @@ class TestSplit:
     def test_the_tail_that_m_does_not_divide_is_dropped(self):
         # 23 of 34 rows train: 8 of 12 positives and 15 of 22 negatives
         ds = Dataset(features=np.arange(68.0).reshape(34, 2),
-                     labels=np.array([1] * 12 + [0] * 22), source="x")
+                     labels=np.array([1] * 12 + [0] * 22))
         sharded = split_and_shard(ds, m=4, seed=0)
-        assert sharded.dropped == 3
         assert sharded.train_features.shape == (20, 2) and sharded.train_labels.shape == (20,)
 
     def test_an_empty_test_split_is_refused(self):
@@ -223,7 +225,7 @@ class TestSplit:
     def test_a_label_other_than_0_or_1_is_refused_at_the_split(self, labels, bad):
         with pytest.raises(ConfigError, match=rf"^labels must be 0 or 1, got {bad}$"):
             stratified_split(np.array(labels), 2.0 / 3.0, seed=0)
-        ds = Dataset(features=np.zeros((len(labels), 2)), labels=np.array(labels), source="x")
+        ds = Dataset(features=np.zeros((len(labels), 2)), labels=np.array(labels))
         with pytest.raises(ConfigError, match=rf"^labels must be 0 or 1, got {bad}$"):
             split_and_shard(ds, m=1, seed=0)
 
@@ -236,7 +238,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_fewer_than_one_worker_is_refused(self, m):
-        ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5), source="x")
+        ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5))
         with pytest.raises(ConfigError, match=rf"^m must be >= 1, got {m}$"):
             split_and_shard(ds, m=m, seed=0)
 
@@ -331,7 +333,7 @@ def test_the_corpus_and_its_splits_keep_their_bits(seed):
     ds = synthetic_spambase_like(seed=seed)
     counts = (np.abs(ds.features) * 100).astype(int)
     counts[:, 5] = 3  # a dead column
-    datasets = [ds, Dataset(features=counts, labels=ds.labels, source="counts")]
+    datasets = [ds, Dataset(features=counts, labels=ds.labels)]
     digest = hashlib.sha256()
     for data in datasets:
         before = data.features.copy()

@@ -34,8 +34,8 @@ from robustgd.experiments import (
 # small but non-trivial settings so the orchestration tests stay fast
 FAST = dict(m=4, iterations=4, t_z=3, screen_count=1)
 # a record line with every field the report table reads, and nothing else
-REPORTABLE = ('{"config": {"attack": "none", "shift_q": 0.0, "variant": "erm"}, '
-              '"results": {"shift_misclassification": 0.25}}\n')
+REPORTABLE = ('{"config": {"alpha_m": 0, "attack": "none", "shift_norm": "l1", "shift_q": 0.0, '
+              '"variant": "erm"}, "results": {"shift_misclassification": 0.25}}\n')
 
 
 def fast_config(**overrides):
@@ -142,8 +142,16 @@ class TestPresets:
                              allow_excess_byzantine=True)
         assert ExperimentConfig(preset="E1", attack="counterexample", alpha_m=18,
                                 allow_excess_byzantine=True).alpha_m == 18
-        # without byzantine workers no plan is built, so one worker stays legal
+        # without byzantine workers nothing is crafted, so one worker stays legal
         assert ExperimentConfig(attack="counterexample", m=1, screen_count=0).m == 1
+
+    def test_byzantine_workers_without_an_attack_are_refused_by_name(self):
+        with pytest.raises(ConfigError, match="^alpha_m=3 byzantine workers need an attack, "
+                                              "got none$"):
+            ExperimentConfig(alpha_m=3, attack="none")
+        with pytest.raises(ConfigError, match="^alpha_m=3 byzantine workers need an attack"):
+            ExperimentConfig(preset="E1", attack="none")
+        assert ExperimentConfig(preset="E1", attack="none", alpha_m=0).alpha_m == 0
 
     @pytest.mark.parametrize("variant", ["alg2", "nbs_only"])
     def test_a_screening_variant_is_refused_more_byzantine_workers_than_it_screens(self,
@@ -552,6 +560,41 @@ class TestCli:
             main(["run", "--m", "4", "--screen-count", "4", "--out", str(tmp_path)])
         assert not (tmp_path / "records.jsonl").exists()
 
+    def test_byzantine_workers_without_an_attack_are_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--alpha-m", "3", "--attack", "none", "--out", str(tmp_path)])
+        assert exc.value.code == "alpha_m=3 byzantine workers need an attack, got none"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_an_output_path_below_a_file_is_a_usage_error_before_training(
+            self, tmp_path, monkeypatch, below, from_env):
+        # it trained the first variant, then ended in a FileExistsError or
+        # NotADirectoryError traceback from the first record's mkdir
+        monkeypatch.setattr(experiments, "train", lambda *args: pytest.fail("trained"))
+        existing = tmp_path / "results"
+        existing.write_text("kept\n")
+        out = existing / below if below else existing
+        flags = ["--preset", "E0", "--iterations", "2"]
+        if from_env:
+            monkeypatch.setenv("ROBUSTGD_OUT", str(out))
+        else:
+            flags += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flags])
+        assert exc.value.code == f"output directory {out}: {existing} is not a directory"
+        assert existing.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("blocked", ["records.jsonl", "records.csv"])
+    def test_an_output_file_that_cannot_be_written_is_a_usage_error(self, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--variant", "erm", "--m", "4", "--iterations", "2", "--t-z", "0",
+                  "--screen-count", "1", "--out", str(tmp_path)])
+        assert exc.value.code.startswith(f"output directory {tmp_path}: [Errno ")
+        assert exc.value.code.endswith(f": '{tmp_path / blocked}'")
+
     @pytest.mark.parametrize("command", [["run", "--alpha-m", "19"],
                                          ["sweep", "--axis", "alpha_m", "--values", "19"]])
     def test_a_counterexample_run_with_one_honest_worker_is_a_usage_error(self, tmp_path,
@@ -696,8 +739,14 @@ class TestCli:
          r"got 'median'"),
         ({"config": {"variant": "erm", "environment": None, "shift_q": 0.3}, "results": {}},
          "config.attack is missing"),
-        ({"config": {"variant": "erm", "attack": "none", "shift_q": "0.3"}, "results": {}},
-         "config.shift_q must be a number, got '0.3'"),
+        ({"config": {"variant": "erm", "attack": "none", "alpha_m": 0, "shift_q": "0.3"},
+          "results": {}}, "config.shift_q must be a number, got '0.3'"),
+        # a preset sets all four, and E1 and E2 differ only in shift_norm
+        ({"config": {"variant": "erm", "attack": "none", "shift_q": 0.3}, "results": {}},
+         "config.alpha_m is missing"),
+        ({"config": {"variant": "erm", "attack": "none", "alpha_m": 0, "shift_q": 0.3,
+                     "shift_norm": 1}, "results": {}},
+         "config.shift_norm must be a string, got 1"),
         ({"config": {"variant": "erm", "environment": 1}, "results": {}},
          "config.environment must be a string, got 1"),
         ({"config": {"variant": "erm", "environment": "E1"}, "sweep": [1],
@@ -728,7 +777,8 @@ class TestCli:
         path = tmp_path / "records.jsonl"
         path.write_text(REPORTABLE)
         assert main(["report", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines()[1].split() == ["none,q=0.0", "0.2500"]
+        assert capsys.readouterr().out.splitlines()[1].split() == [
+            "attack=none,alpha_m=0,shift_q=0.0,shift_norm=l1", "0.2500"]
 
     @staticmethod
     def record(environment, miscls, sweep=None, variant="alg2"):
@@ -761,6 +811,27 @@ class TestCli:
         assert exc.value.code == "report: row 'E1', variant 'alg2': records give 0.125 and 0.25"
         assert capsys.readouterr().out == ""
 
+    def test_report_keeps_an_l1_and_an_l2_run_of_one_attack_apart(self, tmp_path, capsys):
+        # both were row 'aggressive,q=0.3', which refused the two values as a conflict
+        def record(miscls, **fields):
+            cfg = {"environment": None, "variant": "alg2", "attack": "aggressive",
+                   "alpha_m": 3, "shift_q": 0.3, "shift_norm": "l1", "seed": 0, **fields}
+            return json.dumps({"config": cfg,
+                               "results": {"shift_misclassification": miscls}}) + "\n"
+
+        path = tmp_path / "records.jsonl"
+        path.write_text(record(0.125) + record(0.25, shift_norm="l2"))
+        assert main(["report", str(path)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["attack=aggressive,alpha_m=3,shift_q=0.3,shift_norm=l1", "0.1250"],
+                        ["attack=aggressive,alpha_m=3,shift_q=0.3,shift_norm=l2", "0.2500"]]
+        # two seeds of one config still share a cell, and still conflict
+        path.write_text(record(0.125) + record(0.25, seed=1))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == ("report: row 'attack=aggressive,alpha_m=3,shift_q=0.3,"
+                                  "shift_norm=l1', variant 'alg2': records give 0.125 and 0.25")
+
     def test_report_takes_a_rerun_and_a_repeated_sweep_value_once(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
         path.write_text(self.record("E1", 0.125) * 2 + self.record("E3", 0.5, sweep=0.1) * 2)
@@ -775,7 +846,8 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(tmp_path / "sweep_lam.jsonl")]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split()[0] for row in rows] == ["none,q=0.0,lam=2.0"]
+        assert [row.split()[0] for row in rows] == [
+            "attack=none,alpha_m=0,shift_q=0.0,shift_norm=l1,lam=2.0"]
 
     def test_report_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):
         # was a UnicodeDecodeError traceback

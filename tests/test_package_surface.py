@@ -1,4 +1,4 @@
-"""No public function, class or method of the package exists only for its tests.
+"""No public function, class, method or dataclass field of the package exists only for its tests.
 
 The scan reads the AST of every module of ``src/robustgd`` but
 ``__init__.py`` (whose re-exports call nothing), and collects the public
@@ -8,6 +8,10 @@ somewhere in the package outside its own definition. The few that are not
 are listed in ``KEPT`` with the reason they stay; an entry kept because the
 bench calls it must be referenced in ``perfbench/``, and an entry the package
 has come to reference is stale.
+
+Every field of a top-level dataclass must be read as an attribute
+(``value.field``, not an assignment to it) somewhere in ``src/robustgd`` or
+``perfbench/``: a field that is only set carries nothing to any reader.
 """
 
 import ast
@@ -81,3 +85,27 @@ def test_the_names_kept_for_the_bench_are_the_ones_it_calls():
     for qualname, reason in KEPT.items():
         if reason == BENCH:
             assert qualname.rpartition(".")[2] in bench, qualname
+
+
+def _dataclass_fields(tree):
+    """(class.field) of each field of each top-level dataclass of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _referenced_names(decorator) for decorator in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}"
+
+
+def _unread_fields():
+    """The dataclass fields of the package that no module of it or of the bench reads."""
+    trees = list(_modules().values())
+    bench = [ast.parse(path.read_text()) for path in PERFBENCH.glob("*.py")]
+    read = {node.attr for tree in trees + bench for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [qualname for tree in trees for qualname in _dataclass_fields(tree)
+            if qualname.rpartition(".")[2] not in read]
+
+
+def test_every_dataclass_field_is_read_in_the_package_or_the_bench():
+    assert _unread_fields() == []

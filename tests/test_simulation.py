@@ -560,7 +560,7 @@ class TestRunTraining:
                                            "got 3"),
         (-1, AttackSpec(kind="aggressive"), "alpha_m must be >= 0, got -1"),
         (1.5, AttackSpec(kind="aggressive"), "alpha_m must be an integer count, got 1.5"),
-        (1, None, "byzantine workers declared without an attack spec"),
+        (1, None, "alpha_m=1 byzantine workers need an attack, got none"),
     ])
     def test_the_byzantine_count_is_checked_by_name(self, alpha_m, attack, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -752,7 +752,7 @@ def one_run(model, X, Y, roster, cfg):
     theta = initial_theta(d, cfg.seed) if cfg.theta0 is None else np.asarray(cfg.theta0)
     out = {name: [] for name in ("aggregated", "worker_norms", "iterates")}
     grads = np.empty((roster.m, d))
-    plan = AttackPlan([roster.attack], byzantine, len(honest), T, d) if byzantine else None
+    plan = AttackPlan([roster.attack], byzantine, T, d) if byzantine else None
     for t in range(T):
         out["iterates"].append(theta)
         honest_grads = plan_reports(model, theta, X[shards], Y[shards], cfg.dro)
@@ -813,22 +813,17 @@ class TestTrainRuns:
         run_training(model, X[0], Y[0], WorkerRoster(m=rosters[0].m), cfgs[0])
         assert len(built) == 1
 
-    def test_a_counterexample_roster_with_one_honest_worker_is_refused_before_round_0(
-            self, monkeypatch):
-        model, X, Y, rosters, cfgs = batch_problem("quadratic", "aggressive", 3, m=4)
-        kinds = ("aggressive", "counterexample", "intelligent")
-        rosters = [replace(roster, alpha_m=3, attack=replace(roster.attack, kind=kind))
-                   for roster, kind in zip(rosters, kinds)]
-        assert [roster.m - roster.alpha_m for roster in rosters] == [1, 1, 1]
-        calls = []
-        monkeypatch.setattr(simulation, "worker_reports", lambda *args: calls.append(args))
-        # the runs of a batch share k, so the refusal names no run
+    def test_a_counterexample_roster_with_one_honest_worker_is_refused_when_built(self):
+        _, _, _, rosters, _ = batch_problem("quadratic", "aggressive", 3, m=4)
         message = "^the counterexample attack needs at least 2 honest workers, got 1$"
+        for kind in ("aggressive", "intelligent"):
+            roster = replace(rosters[0], alpha_m=3, attack=replace(rosters[0].attack, kind=kind))
+            assert roster.m - roster.alpha_m == 1
         with pytest.raises(ConfigError, match=message):
-            train_runs(model, X, Y, rosters, cfgs)
+            replace(rosters[1], alpha_m=3, attack=replace(rosters[1].attack,
+                                                          kind="counterexample"))
         with pytest.raises(ConfigError, match=message):
-            run_training(model, X[1], Y[1], rosters[1], cfgs[1])
-        assert calls == []
+            WorkerRoster(4, 3, AttackSpec(kind="counterexample"))
 
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
