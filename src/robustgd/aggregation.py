@@ -107,7 +107,8 @@ def norm_screen(reports, screen_count):
     kept.sort(axis=-1)
     if norms.size > m:  # more than one slice: index the stacked rows, slice i's from i * m
         kept += np.arange(0, norms.size, m).reshape(*norms.shape[:-1], 1)
-    kept_rows = reports.reshape(-1, d)[kept]  # a new C-ordered (..., m - screen_count, d) array
+    # a new C-ordered (..., m - screen_count, d) array; take skips fancy indexing's overhead
+    kept_rows = reports.reshape(-1, d).take(kept, axis=0)
     # Both sums add row by row in index order: reduce runs its inner loop
     # along the rows' contiguous d axis, but a single column (d = 1) it would
     # sum pairwise, so that one accumulates. + 0.0 gives the +0.0 a
@@ -172,7 +173,7 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
     # copy of the honest rows. A square past the float range reads inf, as in
     # row_norms; a non-finite S (whose differences may be inf - inf) is refused
     # before they are read.
-    distances = reports[honest]
+    distances = reports.compress(honest, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
         distances -= S

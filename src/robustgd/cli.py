@@ -3,7 +3,8 @@
 Config precedence: dataclass defaults < preset < JSON config file (--config)
 < explicit flags, for every field including the variant. The preset may come
 from the file or from --preset; the layering and the type and range checks
-are ExperimentConfig's, so the API and the CLI agree. The
+are ExperimentConfig's, so the API and the CLI agree. ``run`` takes the
+preset 'all', as it takes the variant 'all', and layers each preset in turn. The
 output directory comes from --out or the ROBUSTGD_OUT environment variable.
 """
 
@@ -37,7 +38,8 @@ _CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON file of experiment config fields")
     parser.add_argument("--dataset", help="spambase CSV path, or 'synthetic'")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="environment preset")
+    parser.add_argument("--preset", choices=[*sorted(PRESETS), "all"],
+                        help="environment preset, or 'all' (run only)")
     parser.add_argument("--variant", help=f"one of {VARIANTS} or 'all'")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--iterations", type=int)
@@ -59,11 +61,13 @@ def _add_config_flags(parser):
 
 
 def _build_config(args):
-    """(config, variants): config-file fields < explicit flags, handed to ExperimentConfig
+    """(configs, variants): config-file fields < explicit flags, handed to ExperimentConfig
     to layer on the preset.
 
-    The variant follows the same rule; 'all' stands for every variant. Every
-    refusal is a usage error, raised before any file is written.
+    The variant and the preset follow the same rule. The preset 'all' gives
+    one config per preset, each layered as that preset alone would be, and
+    the variant 'all' every variant; variants is None for each config's own.
+    Every refusal is a usage error, raised before any file is written.
     """
     values = {}
     if args.config:
@@ -85,11 +89,12 @@ def _build_config(args):
     every = values.get("variant") == "all"
     if every:
         del values["variant"]
+    presets = sorted(PRESETS) if values.get("preset") == "all" else [values.get("preset")]
     try:
-        cfg = ExperimentConfig(**values)
+        configs = [ExperimentConfig(**{**values, "preset": preset}) for preset in presets]
     except ConfigError as exc:
         raise SystemExit(str(exc)) from exc
-    return cfg, list(VARIANTS) if every else [cfg.variant]
+    return configs, list(VARIANTS) if every else None
 
 
 def _streamed(args, stem, runner):
@@ -130,9 +135,9 @@ def _streamed(args, stem, runner):
 
 
 def cmd_run(args):
-    cfg, variants = _build_config(args)
+    configs, variants = _build_config(args)
     _streamed(args, "records",
-              lambda sink: run_experiment(cfg, variants=variants, on_record=sink))
+              lambda sink: run_experiment(configs, variants=variants, on_record=sink))
     return 0
 
 
@@ -153,7 +158,10 @@ def _grid_values(args, cfg):
 
 
 def cmd_sweep(args):
-    cfg, variants = _build_config(args)
+    configs, variants = _build_config(args)
+    if len(configs) > 1:
+        raise SystemExit("sweep takes one preset, not 'all'")
+    [cfg] = configs
     values = _grid_values(args, cfg)
     _streamed(args, f"sweep_{args.axis}",
               lambda sink: sweep(cfg, args.axis, values, variants=variants, on_record=sink))

@@ -7,11 +7,16 @@ byzantine under a configured attack, then scores clean and shift-perturbed
 misclassification on the held-out split. Every rule on a config's fields is
 checked when the ``ExperimentConfig`` is built, the excess-byzantine rule of
 the screening variants included, so a refused config prepares no data.
-``run_experiment`` and ``sweep`` are thin callers of one loop that trains
-each variant once per training config and scores every config. Each (variant, config) produces one JSON record;
-records are emitted line-delimited, contain no timestamps, and are
-byte-identical across reruns of the same config, so diffing output files is
-a meaningful regression check.
+``run_experiment`` (one config or several, such as the E0-E4 grid) and
+``sweep`` are thin callers of one loop. Within a call it prepares each
+distinct data set once and trains each distinct run once: configs that
+differ only in what evaluation reads (shift_q, shift_norm, environment)
+share the run, as E1 and E2 do. Each record is then scored with only its
+own work, the shift of its budget on the run's once-checked test set.
+Each (variant, config) produces one JSON record; records are emitted
+line-delimited, contain no timestamps, and are byte-identical across
+reruns of the same config, and across calls that group configs
+differently, so diffing output files is a meaningful regression check.
 """
 
 import csv
@@ -21,7 +26,8 @@ import logging
 import math
 import numbers
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .bounds import TheoryInputs, check_aggregate_deviation
 from .data import load_spambase, split_and_shard, synthetic_spambase_like
 from .errors import ConfigError, DataFormatError, NumericError, RegimeError, require_count
 from .losses import LogisticLoss
-from .shift import ShiftSpec, misclassification_rate, perturb_test_set
+from .shift import ShiftBuffer, ShiftScorer, ShiftSpec
 from .simulation import (
     TrainConfig,
     WorkerRoster,
@@ -257,20 +263,26 @@ def _warn_outside_regime(iterates, lam, variant):
         )
 
 
-def evaluate(theta, sharded, cfg: ExperimentConfig):
+def evaluate(theta, sharded, cfg: ExperimentConfig, scorer=None):
     """Clean misclassification and misclassification under the shift of budget shift_q.
 
-    A rate with NaN logits raises ``NumericError`` naming the result.
+    ``scorer`` is theta's ``ShiftScorer`` on the sharded test set, which a
+    caller that scores several configs on one run builds once; by default
+    one is built here. The shift is taken first, so its refusals come before
+    a rate's, and a rate with NaN logits raises ``NumericError`` naming the
+    result.
     """
-    X, Y = sharded.test_features, sharded.test_labels
-    results = {"clean_misclassification": X,
-               "shift_misclassification": perturb_test_set(theta, X, Y, _shift_spec(cfg))}
-    for name, features in results.items():
-        try:
-            results[name] = misclassification_rate(theta, features, Y)
-        except NumericError as exc:
-            raise NumericError(f"{name}: {exc}", rows=exc.rows) from exc
-    return results
+    if scorer is None:
+        scorer = ShiftScorer(theta, sharded.test_features, sharded.test_labels)
+    features = scorer.shifted(_shift_spec(cfg))
+    name = "clean_misclassification"
+    try:
+        clean = scorer.clean_rate()
+        name = "shift_misclassification"
+        shifted = scorer.rate(features)
+    except NumericError as exc:
+        raise NumericError(f"{name}: {exc}", rows=exc.rows) from exc
+    return {"clean_misclassification": clean, "shift_misclassification": shifted}
 
 
 def _diagnostic_bounds(sharded, trace, effective: TrainConfig, roster: WorkerRoster):
@@ -324,23 +336,63 @@ def _inapplicable(reason):
     return {"certified": False, "applicable": False, "reason": reason}
 
 
-def _record(cfg, sharded, trace, objective, bounds, axis):
+# a record's config fields; the evaluation-only ones do not change training,
+# and a data preparation reads only its own
+_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+_EVALUATION_ONLY = ("shift_q", "shift_norm", "environment")
+_training_key = attrgetter(*(name for name in _FIELDS if name not in _EVALUATION_ONLY))
+_data_key = attrgetter("dataset", "data_seed", "train_frac", "m", "seed")
+_field_values = attrgetter(*_FIELDS)
+
+
+def _config_dict(cfg):
+    """``asdict(cfg)``, built from the fields directly: every field is a scalar."""
+    return dict(zip(_FIELDS, _field_values(cfg)))
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What the records of one trained run read of it; the trace is not kept."""
+
+    iterations: int
+    final_norm: float
+    objective: float
+    bounds: dict | bool
+    scorer: ShiftScorer
+
+
+def _trained_run(cfg, sharded, buffer):
+    """Train cfg, then take its objective estimate, bounds report and ``ShiftScorer``.
+
+    The final objective estimate is ``honest_objective``'s, and with
+    check_bounds the bounds report is ``_diagnostic_bounds``'. The scorer
+    checks theta_T on the test set and shifts into ``buffer``.
+    """
+    trace, effective, roster = train(cfg, sharded)
+    objective = honest_objective(sharded.train_features, sharded.train_labels,
+                                 roster, effective.dro, trace)
+    bounds = cfg.check_bounds and _diagnostic_bounds(sharded, trace, effective, roster)
     # np.linalg.norm of the last aggregate; a finite G past 1e154 has norm
     # inf, which record_line refuses by name
     with np.errstate(over="ignore"):
         final_norm = float(np.sqrt(dot_sq_norms(trace.aggregated[-1:]))[0])
+    scorer = ShiftScorer(trace.theta_final, sharded.test_features, sharded.test_labels, buffer)
+    return _Run(int(trace.iterations), final_norm, objective, bounds, scorer)
+
+
+def _record(cfg, sharded, run: _Run, axis):
     record = {
         "kind": "experiment",
-        "config": asdict(cfg),
-        "results": evaluate(trace.theta_final, sharded, cfg),
+        "config": _config_dict(cfg),
+        "results": evaluate(run.scorer.theta, sharded, cfg, run.scorer),
         "trace": {
-            "iterations": int(trace.iterations),
-            "final_aggregated_norm": final_norm,
-            "final_objective_estimate": objective,
+            "iterations": run.iterations,
+            "final_aggregated_norm": run.final_norm,
+            "final_objective_estimate": run.objective,
         },
     }
-    if bounds:
-        record["bounds"] = bounds
+    if run.bounds:
+        record["bounds"] = run.bounds
     if axis is not None:
         record["sweep"] = {"axis": axis, "value": getattr(cfg, axis)}
     return record
@@ -349,50 +401,60 @@ def _record(cfg, sharded, trace, objective, bounds, axis):
 def _train_and_score(points, variants, on_record, axis=None):
     """The one loop behind ``run_experiment`` and ``sweep``: a record per (variant, point).
 
-    Every (variant, point) config is built, and so checked, before anything
-    trains, and the data are prepared once: no sweep axis touches them.
-    Variant by variant, a point that differs from the last trained one only
-    in shift_q is scored on that run; any other point trains, takes its
-    final objective estimate (``honest_objective``, once per trained run)
-    and, with check_bounds, builds its bounds report. ``evaluate`` scores
-    every record, each goes to ``on_record`` as it is made, and a failure (a
-    non-finite record field included) is raised as a ``RuntimeError`` naming
-    the variant and the config.
+    Records come variant by variant, point by point; with ``variants`` None
+    each point is scored under its own variant. Every config is built, and
+    so checked, before anything trains, and the data are prepared first,
+    once per distinct (dataset, data_seed, train_frac, m, seed). Each
+    distinct run, the config without its evaluation-only fields (shift_q,
+    shift_norm, environment), trains once in the call (``_trained_run``);
+    its records read that run's summary, and ``evaluate`` scores each of
+    them on the run's ``ShiftScorer``, whose shifts share one buffer per
+    data preparation. Nothing is kept across calls. Each record goes to
+    ``on_record`` as it is made, and a failure (a non-finite record field
+    included) is raised as a ``RuntimeError`` naming the variant and the
+    config.
     """
-    variants = [points[0].variant] if variants is None else variants
-    runs = [[replace(point, variant=v) for point in points] for v in variants]
-    sharded = prepare_data(points[0])
-    records = []
-    for configs in runs:
-        trained = None  # config of the last trained run
-        for cfg in configs:
-            try:
-                if trained is None or replace(trained, shift_q=cfg.shift_q) != cfg:
-                    trained, (trace, effective, roster) = cfg, train(cfg, sharded)
-                    objective = honest_objective(sharded.train_features, sharded.train_labels,
-                                                 roster, effective.dro, trace)
-                    bounds = cfg.check_bounds and _diagnostic_bounds(
-                        sharded, trace, effective, roster)
-                record = _record(cfg, sharded, trace, objective, bounds, axis)
-                record_line(record)  # refuses a non-finite field by name
-            except Exception as exc:
-                raise RuntimeError(
-                    f"experiment failed for variant={cfg.variant!r}, config={asdict(cfg)}"
-                ) from exc
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
+    configs = points if variants is None else [
+        point if point.variant == v else replace(point, variant=v)
+        for v in variants for point in points]
+    data = {}
+    for cfg in configs:
+        if _data_key(cfg) not in data:
+            sharded = prepare_data(cfg)
+            data[_data_key(cfg)] = sharded, ShiftBuffer(sharded.test_features)
+    runs, records = {}, []
+    for cfg in configs:
+        sharded, buffer = data[_data_key(cfg)]
+        try:
+            run = runs.get(_training_key(cfg))
+            if run is None:
+                run = runs[_training_key(cfg)] = _trained_run(cfg, sharded, buffer)
+            record = _record(cfg, sharded, run, axis)
+            record_line(record)  # refuses a non-finite field by name
+        except Exception as exc:
+            raise RuntimeError(
+                f"experiment failed for variant={cfg.variant!r}, config={_config_dict(cfg)}"
+            ) from exc
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
     return records
 
 
-def run_experiment(cfg: ExperimentConfig, variants=None, on_record=None):
-    """Train and score each requested variant (default: cfg.variant); one record per variant.
+def run_experiment(configs, variants=None, on_record=None):
+    """Train and score each requested variant of one config or of a sequence of configs.
 
-    ``on_record`` is called with each finished record as it is produced, so
-    callers can flush partial results; a failure mid-way surfaces with the
-    variant and full config in the error context.
+    ``configs`` is one ``ExperimentConfig`` or several; ``variants`` defaults
+    to each config's own. One record per (variant, config), variant by
+    variant, config by config, and each run that configs share (the E1 and
+    E2 presets differ only in the test shift) trains once. ``on_record`` is
+    called with each finished record as it is produced, so callers can
+    flush partial results; a failure mid-way surfaces with the variant and
+    full config in the error context.
     """
-    return _train_and_score([cfg], variants, on_record)
+    if isinstance(configs, ExperimentConfig):
+        configs = [configs]
+    return _train_and_score(list(configs), variants, on_record)
 
 
 def sweep_points(cfg: ExperimentConfig, axis, values):
@@ -475,20 +537,20 @@ def _is_string(value):
 def _report_fault(record):
     """The first field ``report_table`` reads that a record lacks or holds wrongly, or None.
 
-    The table reads the variant, the row label (the environment, else every
-    field a preset sets, typed as E0 holds it; for a sweep record, then its
-    axis and value) and the shifted misclassification. ``record_line``
-    writes no non-finite number, so a number field that holds one is refused
-    too.
+    The table reads the variant, the row label (every field a preset sets,
+    typed as E0 holds it: all of them without an environment, the ones the
+    record holds with one; for a sweep record, then its axis and value) and
+    the shifted misclassification. ``record_line`` writes no non-finite
+    number, so a number field that holds one is refused too.
     """
     cfg = record["config"]
     wanted = [("config", "variant", VARIANTS.__contains__, f"one of {list(VARIANTS)}")]
     if cfg.get("environment") is not None:
         wanted.append(("config", "environment", _is_string, "a string"))
-    if not cfg.get("environment"):
-        wanted += [("config", key, _is_string, "a string") if isinstance(value, str)
-                   else ("config", key, _is_number, "a number")
-                   for key, value in PRESETS["E0"].items()]
+    wanted += [("config", key, _is_string, "a string") if isinstance(value, str)
+               else ("config", key, _is_number, "a number")
+               for key, value in PRESETS["E0"].items()
+               if not cfg.get("environment") or key in cfg]
     if "sweep" in record:
         if not isinstance(record["sweep"], dict):
             return f"sweep must be an object with axis and value, got {record['sweep']!r}"
@@ -558,20 +620,31 @@ def export_csv(records, path):
 def report_table(records):
     """Environment-by-variant comparison of shifted misclassification.
 
-    A row is the environment, else every field a preset sets as
-    ``field=value`` (so runs that differ only in shift_norm, as E1 and E2
-    do, stay apart), followed for a sweep record by its axis and value. Two
-    records that put different values in one cell (two seeds of one config,
-    say) raise ``DataFormatError`` naming the row and the variant; equal
-    values, as from a rerun, share the cell.
+    A row is the environment followed by every field of its preset that the
+    record sets otherwise (``E1,alpha_m=2``; an environment that names no
+    preset is compared with E0, the base of a config without one), else
+    every field a preset sets as ``field=value`` (so runs that differ only
+    in shift_norm, as E1 and E2 do, stay apart). A sweep record's own axis
+    is left out of these and follows them with its value. Two records that
+    put different values in one cell (two seeds of one config, say) raise
+    ``DataFormatError`` naming the row and the variant; equal values, as
+    from a rerun, share the cell.
     """
     cells = {}
     rows = []
     for record in records:
-        cfg = record["config"]
-        label = cfg.get("environment") or ",".join(f"{key}={cfg[key]}" for key in PRESETS["E0"])
-        if record.get("sweep"):
-            label += f",{record['sweep']['axis']}={record['sweep']['value']}"
+        cfg, sweep = record["config"], record.get("sweep")
+        environment = cfg.get("environment")
+        axis = sweep["axis"] if sweep else None
+        if environment:
+            label = environment + "".join(
+                f",{key}={cfg[key]}"
+                for key, value in PRESETS.get(environment, PRESETS["E0"]).items()
+                if key != axis and key in cfg and cfg[key] != value)
+        else:
+            label = ",".join(f"{key}={cfg[key]}" for key in PRESETS["E0"] if key != axis)
+        if sweep:
+            label += f",{axis}={sweep['value']}"
         if label not in rows:
             rows.append(label)
         value = record["results"]["shift_misclassification"]

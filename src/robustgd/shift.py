@@ -9,6 +9,12 @@ x - s * q * sign(theta_j) * e_j with j = argmax |theta_j| for L1 (the lowest
 such index on ties) and x - s * q * theta / ||theta|| for L2 (the linear case
 of Goodfellow, Shlens & Szegedy, ICLR 2015). A larger budget lowers every
 margin further, so misclassification is non-decreasing in q.
+
+A ``ShiftScorer`` scores one model on one test set at many budgets: it
+checks theta, X and Y once, takes the clean rate once, and writes each
+budget's rows into one reused ``ShiftBuffer``, which the models of one test
+set share; an L1 budget rewrites only the moved column. ``perturb_test_set``
+is the same rule into a fresh buffer.
 """
 
 import math
@@ -51,30 +57,111 @@ def _checked(theta, X, Y):
     return theta, X, Y
 
 
+ALL_COLUMNS = -1  # ShiftBuffer.moved after an L2 shift
+
+
+class ShiftBuffer:
+    """One reused matrix for shifted copies of a test set X, and which of its columns moved.
+
+    The matrix is made at the first shift. ``moved`` is then the column the
+    last L1 shift rewrote, or ``ALL_COLUMNS`` after an L2 shift, so an L1
+    shift restores only what differs from X before it rewrites its column.
+    """
+
+    def __init__(self, X):
+        self.X = X
+        self.rows = None
+        self.moved = None
+
+    def l1(self, j, offsets):
+        """The rows of X with column j set to X[:, j] - offsets."""
+        if self.rows is None:
+            self.rows = self.X.copy()
+        elif self.moved == ALL_COLUMNS:
+            np.copyto(self.rows, self.X)
+        elif self.moved != j:
+            self.rows[:, self.moved] = self.X[:, self.moved]
+        np.subtract(self.X[:, j], offsets, out=self.rows[:, j])
+        self.moved = j
+        return self.rows
+
+    def l2(self, signs, step):
+        """The rows X - outer(signs, step)."""
+        if self.rows is None:
+            self.rows = np.empty(self.X.shape)
+        np.multiply.outer(signs, step, out=self.rows)
+        np.subtract(self.X, self.rows, out=self.rows)
+        self.moved = ALL_COLUMNS
+        return self.rows
+
+
+class ShiftScorer:
+    """One model's misclassification on one test set, clean and under any budget ball.
+
+    theta, X and Y are checked once, when it is built, as ``perturb_test_set``
+    checks them, and the clean rate is taken once. Each shift is written into
+    ``buffer``, a ``ShiftBuffer`` over this X that the models of one test set
+    share (a fresh one by default, or when it is over another X): an L1
+    shift rewrites only its moved column, ``X[:, j] - s * (q * sign(theta_j))``,
+    and an L2 shift subtracts into the buffer, the same operations as an
+    update of a copy of X, so the bits are equal.
+    """
+
+    def __init__(self, theta, X, Y, buffer=None):
+        theta, X, Y = _checked(theta, X, Y)
+        if not np.all(np.isfinite(theta)):
+            raise NumericError("non-finite values in theta")
+        self.theta, self.X, self.Y = theta, X, Y
+        self.buffer = buffer if buffer is not None and buffer.X is X else ShiftBuffer(X)
+        self.scale = np.abs(theta).max(initial=0.0)
+        self._labels, self._signs = Y.astype(int), 2.0 * Y - 1.0
+        self._finite_x = bool(np.isfinite(X).all())
+        self._clean = None
+
+    def shifted(self, spec: ShiftSpec):
+        """The loss-maximizing point of the budget ball around each row of X.
+
+        X itself under a zero budget or theta = 0, where every row stays where
+        it is, else the buffer. Non-finite shifted rows raise ``NumericError``.
+        """
+        if spec.budget == 0.0 or self.scale == 0.0:
+            return self.X
+        theta = self.theta
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+            if spec.norm == L1:
+                j = int(np.argmax(np.abs(theta)))
+                Z = self.buffer.l1(j, self._signs * (spec.budget * np.sign(theta[j])))
+                # the other columns are X's
+                finite = self._finite_x and np.isfinite(Z[:, j]).all()
+            else:
+                unit = theta / self.scale  # ||theta|| itself may overflow
+                Z = self.buffer.l2(self._signs, spec.budget * (unit / np.linalg.norm(unit)))
+                finite = np.isfinite(Z).all()
+        if not finite:
+            raise NumericError("shifted features are non-finite")
+        return Z
+
+    def clean_rate(self):
+        """``misclassification_rate`` on X, taken at the first call."""
+        if self._clean is None:
+            self._clean = misclassification_rate(self.theta, self.X, self.Y)
+        return self._clean
+
+    def rate(self, features):
+        """``misclassification_rate`` on rows of X's shape, such as ``shifted`` returns."""
+        return _rate(self.theta, features, self._labels)
+
+
 def perturb_test_set(theta, X, Y, spec: ShiftSpec):
     """The loss-maximizing point of the budget ball around each row of X.
 
     Returns a new feature matrix; with theta = 0 or a zero budget every row
     stays where it is. A non-finite theta or output row raises ``NumericError``.
+    The rule is ``ShiftScorer.shifted``, into a fresh buffer.
     """
-    theta, X, Y = _checked(theta, X, Y)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite values in theta")
-    Z = X.copy()
-    scale = np.abs(theta).max(initial=0.0)
-    if spec.budget == 0.0 or scale == 0.0:
-        return Z
-    s = 2.0 * Y - 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
-        if spec.norm == L1:
-            j = int(np.argmax(np.abs(theta)))
-            Z[:, j] -= s * (spec.budget * np.sign(theta[j]))
-        else:
-            unit = theta / scale  # ||theta|| itself may overflow
-            Z -= np.outer(s, spec.budget * (unit / np.linalg.norm(unit)))
-    if not np.all(np.isfinite(Z)):
-        raise NumericError("shifted features are non-finite")
-    return Z
+    scorer = ShiftScorer(theta, X, Y)
+    Z = scorer.shifted(spec)
+    return Z.copy() if Z is scorer.X else Z
 
 
 def misclassification_rate(theta, X, Y):
@@ -86,10 +173,14 @@ def misclassification_rate(theta, X, Y):
     non-finite input) has none and raises ``NumericError`` naming its rows.
     """
     theta, X, Y = _checked(theta, X, Y)
+    return _rate(theta, X, Y.astype(int))
+
+
+def _rate(theta, X, labels):
     with np.errstate(over="ignore", invalid="ignore"):  # NaN logits are refused below
         logits = X @ theta
     nan_rows = np.flatnonzero(np.isnan(logits))
     if nan_rows.size:
         raise NumericError(f"logits theta . x are NaN in {nan_rows.size} rows", rows=nan_rows)
     predictions = (logits >= 0.0).astype(int)
-    return float(np.mean(predictions != Y.astype(int)))
+    return float(np.mean(predictions != labels))

@@ -396,32 +396,33 @@ def train_runs(model, X, Y, rosters, cfgs):
     attack_plan = (AttackPlan([run.attack for run in rosters], roster.byzantine, T, d)
                    if a else None)
 
-    for t in range(T):
-        iterates[t] = theta
-        try:
-            honest_grads = worker_reports(report_plan, theta)
-        except NumericError as exc:
-            # a failure without rows (a non-finite theta of one run) hits every worker
-            run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
-            raise NumericError(f"{label[run]}iteration {t}, worker {a + row // n}: "
-                               f"{exc}") from exc
-        grads[:, a:] = honest_grads
-        # The server's side of the round warns of nothing past the float
-        # range: a byzantine report there gets norm inf and is screened, and
-        # a non-finite aggregate or iterate is refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # The round warns of nothing past the float range: the honest reports
+    # run under these settings already, a byzantine report there gets norm
+    # inf and is screened, and a non-finite aggregate or iterate is refused
+    # in its round. One errstate holds for every round.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            iterates[t] = theta
+            try:
+                honest_grads = worker_reports(report_plan, theta)
+            except NumericError as exc:
+                # a failure without rows (a non-finite theta of one run) hits every worker
+                run, row = divmod(0 if exc.rows is None else exc.rows[0], k * n)
+                raise NumericError(f"{label[run]}iteration {t}, worker {a + row // n}: "
+                                   f"{exc}") from exc
+            grads[:, a:] = honest_grads
             if attack_plan is not None:
                 # np.mean's sum and division, without its overhead
                 references = np.add.reduce(honest_grads, axis=1) / k
                 grads[:, :a] = craft(attack_plan, honest_grads, references, t)
             G, worker_norms[t] = norm_screen(grads, screen_count)
             step = theta - eta * G
-        if not np.isfinite(step).all():  # also where G is not finite: one check for both
-            _refuse_non_finite(G, f"iteration {t}: non-finite aggregated gradient", label)
-            _refuse_non_finite(step, f"iteration {t}: iterate diverged to non-finite values",
-                               label)
-        aggregated[t] = G
-        theta = step
+            if not np.isfinite(step).all():  # also where G is not finite: one check for both
+                _refuse_non_finite(G, f"iteration {t}: non-finite aggregated gradient", label)
+                _refuse_non_finite(step, f"iteration {t}: iterate diverged to non-finite values",
+                                   label)
+            aggregated[t] = G
+            theta = step
 
     return [RunTrace(theta_final=theta[r], **{name: a[r] for name, a in run_major.items()})
             for r in range(R)]

@@ -116,7 +116,7 @@ def _screening_instances(n_instances, seed):
             s_norm = math.sqrt(S.dot(S))
             byz[:] = -radius * (S / s_norm if s_norm > 0 else np.eye(d)[0])
         order = rng.permutation(m)
-        yield rows[order], order < k, b, S
+        yield rows.take(order, axis=0), order < k, b, S
 
 
 def fuzz_screening_bound(n_instances=10_000, seed=0):

@@ -17,8 +17,10 @@ from robustgd.cli import main
 from robustgd.errors import ConfigError, NumericError
 from robustgd.experiments import (
     PRESETS,
+    VARIANTS,
     ExperimentConfig,
     _diagnostic_bounds,
+    evaluate,
     export_csv,
     prepare_data,
     read_records,
@@ -475,6 +477,130 @@ class TestSweep:
             sweep(fast_config(), "lam", [])
 
 
+def with_theta(monkeypatch, change):
+    """Make experiments.train return its trace with theta_T replaced by change(theta_T)."""
+    real = experiments.train
+
+    def train(cfg, sharded):
+        trace, effective, roster = real(cfg, sharded)
+        return replace(trace, theta_final=change(trace.theta_final.copy())), effective, roster
+
+    monkeypatch.setattr(experiments, "train", train)
+
+
+def with_test_value(monkeypatch, row, column, value):
+    """Make experiments.prepare_data return data whose test row holds value in column."""
+    real = experiments.prepare_data
+
+    def prepare_data(cfg):
+        sharded = real(cfg)
+        sharded.test_features[row, column] = value
+        return sharded
+
+    monkeypatch.setattr(experiments, "prepare_data", prepare_data)
+
+
+def refusal(call):
+    """The exception call() raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return exc.value
+
+
+class TestOneCall:
+    """Several configs in one call: each distinct run trains once, each record scores alone."""
+
+    @staticmethod
+    def grid():
+        return [ExperimentConfig(preset=preset, iterations=6) for preset in PRESETS]
+
+    def test_the_grid_trains_each_distinct_run_once_on_one_data_preparation(self,
+                                                                             monkeypatch):
+        prepared = count_calls(monkeypatch, "prepare_data")
+        trained = count_calls(monkeypatch, "train")
+        records = run_experiment(self.grid(), variants=VARIANTS)
+        assert len(records) == 20 and len(trained) == 12 and len(prepared) == 1
+        # E2 and E4 differ from E1 and E3 only in the shift norm: they train nothing
+        assert sorted({cfg.environment for cfg, _ in trained}) == ["E0", "E1", "E3"]
+
+    def test_each_presets_records_equal_its_own_call_byte_for_byte(self):
+        grid = run_experiment(self.grid(), variants=VARIANTS)
+        assert [(r["config"]["variant"], r["config"]["environment"]) for r in grid] == [
+            (variant, preset) for variant in VARIANTS for preset in PRESETS]
+        for cfg in self.grid():
+            alone = run_experiment(cfg, variants=VARIANTS)
+            together = [r for r in grid if r["config"]["environment"] == cfg.environment]
+            assert "".join(map(record_line, together)) == "".join(map(record_line, alone))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("theta", ["trained", "zero", "tie"])
+    def test_a_shift_sweep_scores_each_budget_as_evaluate_does(self, monkeypatch, norm, theta):
+        def tie(values):
+            j = int(np.argmax(np.abs(values)))
+            values[0 if j else 1] = -values[j]
+            return values
+
+        change = {"trained": lambda v: v, "zero": np.zeros_like, "tie": tie}[theta]
+        with_theta(monkeypatch, change)
+        cfg = fast_config(attack="aggressive", alpha_m=1, shift_norm=norm)
+        records = sweep(cfg, "shift_q", [0.3, 0.0, 0.1, 0.3], variants=["alg2", "erm"])
+        sharded = prepare_data(cfg)
+        for record in records:
+            point = replace(cfg, variant=record["config"]["variant"],
+                            shift_q=record["sweep"]["value"])
+            theta_final = experiments.train(point, sharded)[0].theta_final
+            assert record["results"] == evaluate(theta_final, sharded, point)
+            X, Y = sharded.test_features, sharded.test_labels
+            shifted = shift.perturb_test_set(theta_final, X, Y, experiments._shift_spec(point))
+            assert record["results"] == {
+                "clean_misclassification": shift.misclassification_rate(theta_final, X, Y),
+                "shift_misclassification": shift.misclassification_rate(theta_final, shifted,
+                                                                        Y)}
+
+    def test_a_non_finite_theta_is_refused_as_evaluate_refuses_it(self, monkeypatch):
+        with_theta(monkeypatch, lambda v: np.full_like(v, np.nan))
+        cfg = fast_config(variant="erm")
+        exc = refusal(lambda: sweep(cfg, "shift_q", [0.0, 0.1]))
+        assert isinstance(exc, RuntimeError) and "variant='erm'" in str(exc)
+        sharded = prepare_data(cfg)
+        alone = refusal(lambda: evaluate(experiments.train(cfg, sharded)[0].theta_final,
+                                         sharded, cfg))
+        assert str(exc.__cause__) == str(alone) == "non-finite values in theta"
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("budget, message", [
+        (0.1, "shifted features are non-finite"),
+        (0.0, "clean_misclassification: logits theta . x are NaN in 1 rows"),
+    ])
+    def test_a_nan_test_row_is_refused_as_evaluate_refuses_it(self, monkeypatch, norm, budget,
+                                                              message):
+        with_test_value(monkeypatch, 3, 0, np.nan)
+        cfg = fast_config(variant="erm", shift_norm=norm, shift_q=budget)
+        exc = refusal(lambda: run_experiment(cfg))
+        sharded = experiments.prepare_data(cfg)
+        alone = refusal(lambda: evaluate(experiments.train(cfg, sharded)[0].theta_final,
+                                         sharded, cfg))
+        assert str(exc.__cause__) == str(alone) == message
+        rows = [None if e.rows is None else e.rows.tolist() for e in (exc.__cause__, alone)]
+        assert rows[0] == rows[1] == ([3] if budget == 0.0 else None)
+
+    def test_a_failing_record_of_a_shared_run_names_its_own_config(self, monkeypatch):
+        # an infinite test value keeps every clean logit finite or infinite, so the
+        # E1 record at budget 0 is scored; the E2 record shifts it and is refused
+        with_test_value(monkeypatch, 3, 0, np.inf)
+        trained = count_calls(monkeypatch, "train")
+        configs = [ExperimentConfig(preset="E1", iterations=4, shift_q=0.0),
+                   ExperimentConfig(preset="E2", iterations=4)]
+        written = []
+        exc = refusal(lambda: run_experiment(configs, variants=["erm"],
+                                             on_record=written.append))
+        assert isinstance(exc, RuntimeError)
+        assert "variant='erm'" in str(exc) and "'environment': 'E2'" in str(exc)
+        assert "'shift_norm': 'l2'" in str(exc) and "'shift_q': 0.3" in str(exc)
+        assert str(exc.__cause__) == "shifted features are non-finite"
+        assert [r["config"]["environment"] for r in written] == ["E1"] and len(trained) == 1
+
+
 class TestCli:
     def test_run_writes_records_and_csv(self, tmp_path, capsys):
         code = main([
@@ -749,6 +875,9 @@ class TestCli:
          "config.shift_norm must be a string, got 1"),
         ({"config": {"variant": "erm", "environment": 1}, "results": {}},
          "config.environment must be a string, got 1"),
+        # with an environment, a preset field the record holds labels the row too
+        ({"config": {"variant": "erm", "environment": "E1", "alpha_m": "2"}, "results": {}},
+         "config.alpha_m must be a number, got '2'"),
         ({"config": {"variant": "erm", "environment": "E1"}, "sweep": [1],
           "results": {"shift_misclassification": 0.25}},
          r"sweep must be an object with axis and value, got \[1\]"),
@@ -832,6 +961,46 @@ class TestCli:
         assert exc.value.code == ("report: row 'attack=aggressive,alpha_m=3,shift_q=0.3,"
                                   "shift_norm=l1', variant 'alg2': records give 0.125 and 0.25")
 
+    def test_report_keeps_a_preset_run_with_an_overridden_field_apart(self, tmp_path, capsys):
+        # both were row 'E1', which refused their two values as a conflict
+        run = ["run", "--preset", "E1", "--iterations", "20"]
+        assert main([*run, "--out", str(tmp_path / "a")]) == 0
+        assert main([*run, "--alpha-m", "2", "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "a" / "records.jsonl"),
+                     str(tmp_path / "b" / "records.jsonl")]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["E1", "E1,alpha_m=2"]
+        assert rows[0][1] != rows[1][1]
+
+    def test_a_sweep_row_names_its_axis_once(self, tmp_path, capsys):
+        assert main(["sweep", "--preset", "E1", "--axis", "alpha_m", "--values", "1,2",
+                     "--variant", "erm", "--shift-norm", "l2", "--iterations", "2",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "sweep_alpha_m.jsonl")]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["E1,shift_norm=l2,alpha_m=1",
+                                                    "E1,shift_norm=l2,alpha_m=2"]
+
+    def test_run_takes_every_preset_each_layered_as_alone(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"shift_q": 0.1, "iterations": 2}))
+        trained = count_calls(monkeypatch, "train")
+        assert main(["run", "--preset", "all", "--config", str(config_path), "--variant",
+                     "erm", "--shift-norm", "l2", "--out", str(tmp_path / "out")]) == 0
+        records = read_records(tmp_path / "out" / "records.jsonl")
+        assert [r["config"] for r in records] == [
+            asdict(ExperimentConfig(preset=preset, shift_q=0.1, iterations=2, variant="erm",
+                                    shift_norm="l2")) for preset in sorted(PRESETS)]
+        assert len(trained) == 3  # E0, E1 (E2 with the norm set) and E3 (E4)
+
+    def test_sweep_refuses_every_preset_before_any_file(self, tmp_path):
+        with pytest.raises(SystemExit, match="^sweep takes one preset, not 'all'$"):
+            main(["sweep", "--preset", "all", "--axis", "lam", "--values", "1",
+                  "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_takes_a_rerun_and_a_repeated_sweep_value_once(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
         path.write_text(self.record("E1", 0.125) * 2 + self.record("E3", 0.5, sweep=0.1) * 2)
@@ -897,7 +1066,7 @@ class TestCli:
         built = []
         monkeypatch.setattr(cli, "cmd_run", lambda args: built.append(cli._build_config(args)))
         main(["run", flag, value])
-        [(cfg, _)] = built
+        [([cfg], _)] = built
         assert getattr(cfg, field) == value
 
     def test_the_readme_names_the_fields_only_a_config_file_sets(self):

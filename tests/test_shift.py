@@ -8,7 +8,8 @@ from conftest import logistic_grads_z, loss_values
 from robustgd.errors import ConfigError, NumericError, ShapeError
 from robustgd.losses import LogisticLoss
 from robustgd.experiments import ExperimentConfig, prepare_data, sweep, train
-from robustgd.shift import ShiftSpec, misclassification_rate, perturb_test_set
+from robustgd.shift import (ShiftBuffer, ShiftScorer, ShiftSpec, misclassification_rate,
+                            perturb_test_set)
 
 
 # -- oracle: projected gradient ascent with a best-so-far iterate ------------
@@ -254,6 +255,85 @@ class TestPerturbation:
         with pytest.raises(ConfigError, match=rf"^budget must be finite and >= 0, got "
                                               rf"{re.escape(repr(budget))}$"):
             ShiftSpec(norm="l1", budget=budget)
+
+
+def copy_then_update(theta, X, Y, norm, budget):
+    """The shift as a copy of X updated in place: the reference for the buffer's bits."""
+    Z = X.copy()
+    scale = np.abs(theta).max(initial=0.0)
+    if budget == 0.0 or scale == 0.0:
+        return Z
+    s = 2.0 * Y - 1.0
+    if norm == "l1":
+        j = int(np.argmax(np.abs(theta)))
+        Z[:, j] -= s * (budget * np.sign(theta[j]))
+    else:
+        unit = theta / scale
+        Z -= np.outer(s, budget * (unit / np.linalg.norm(unit)))
+    return Z
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestSharedBuffer:
+    @staticmethod
+    def models(rng, d):
+        """Models that move different L1 columns, a zero one and one with tied |theta_j|."""
+        theta = rng.standard_normal((3, d))
+        tie = rng.standard_normal(d)
+        j = int(np.argmax(np.abs(tie)))
+        tie[(j + 2) % d] = -tie[j]
+        return [*theta, np.zeros(d), tie]
+
+    def test_scorers_sharing_one_buffer_give_the_copy_then_update_bits(self, rng):
+        # each L1 budget rewrites one column from X, after restoring the one
+        # another model or an L2 budget moved; every matrix has the reference's bits
+        _, X, Y = instance(rng, n=40, d=5)
+        X[3, 1] = -0.0
+        buffer = ShiftBuffer(X)
+        scorers = [ShiftScorer(theta, X, Y, buffer) for theta in self.models(rng, 5)]
+        steps = [(norm, q) for q in (0.3, 0.0, 0.1) for norm in ("l1", "l2", "l1")]
+        for step in range(len(steps) * len(scorers)):
+            scorer = scorers[(3 * step) % len(scorers)]
+            norm, q = steps[step % len(steps)]
+            expected = copy_then_update(scorer.theta, X, Y, norm, q)
+            Z = scorer.shifted(ShiftSpec(norm=norm, budget=q))
+            np.testing.assert_array_equal(bits(Z), bits(expected), err_msg=f"{step}: {norm} {q}")
+            assert scorer.rate(Z) == misclassification_rate(scorer.theta, expected, Y)
+            assert scorer.clean_rate() == misclassification_rate(scorer.theta, X, Y)
+        assert buffer.rows is not X
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_perturb_test_set_gives_the_copy_then_update_bits(self, rng, norm):
+        _, X, Y = instance(rng, n=30, d=4)
+        for theta in self.models(rng, 4):
+            for q in (0.0, 0.2):
+                Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
+                expected = copy_then_update(theta, X, Y, norm, q)
+                np.testing.assert_array_equal(bits(Z), bits(expected))
+                assert Z is not X and Z.flags.c_contiguous
+
+    def test_a_buffer_over_another_x_is_not_used(self, rng):
+        theta, X, Y = instance(rng, n=10, d=3)
+        other = ShiftBuffer(X.copy())
+        scorer = ShiftScorer(theta, X, Y, other)
+        Z = scorer.shifted(ShiftSpec(norm="l1", budget=0.5))
+        np.testing.assert_array_equal(Z, copy_then_update(theta, X, Y, "l1", 0.5))
+        assert other.rows is None
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_row_is_refused_only_where_a_budget_moves_it(self, rng, norm, bad):
+        # the moved column is finite: the L1 check still sees the row's other column
+        theta, X, Y = instance(rng, n=10, d=3)
+        theta[:] = [2.0, 0.5, 0.25]
+        X[4, 2] = bad
+        scorer = ShiftScorer(theta, X, Y)
+        assert scorer.shifted(ShiftSpec(norm=norm, budget=0.0)) is X
+        with pytest.raises(NumericError, match="^shifted features are non-finite$"):
+            scorer.shifted(ShiftSpec(norm=norm, budget=0.1))
 
 
 ENTRY_POINTS = {
