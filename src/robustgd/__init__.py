@@ -34,7 +34,7 @@ from .errors import (
 )
 from .experiments import ExperimentConfig, run_experiment, sweep
 from .losses import LogisticLoss, QuadraticLoss, SmoothnessConstants
-from .shift import ShiftSpec, misclassification_rate, perturb_test_set
+from .shift import ShiftSpec, misclassification_rate
 from .simulation import (
     ReportPlan,
     RunTrace,

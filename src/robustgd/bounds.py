@@ -5,7 +5,9 @@ objective, the deviation bound for the screened aggregate, and the three
 rate bounds (average squared gradient for nonconvex losses, objective gap
 for convex losses, iterate distance for strongly convex objectives). The
 ``check_*`` functions compare a recorded training trace against the bound it
-should satisfy and report measured value, bound value, and margin.
+should satisfy and report measured value, bound value, and margin; the
+convex and strongly convex ones measure against theta*, which
+``solve_reference_optimum`` gives in closed form for the quadratic family.
 
 Screening enters every bound as one number, c_alpha, taken from the worker
 counts by ``aggregation.screening_coefficient``; the rate bounds need c_alpha < 1.
@@ -31,9 +33,6 @@ log = logging.getLogger(__name__)
 VACUOUS_TRAJECTORY_FACTOR = 100.0
 # the largest free parameter r that default_r picks
 DEFAULT_R_CAP = 10.0
-# step cap and gradient-norm stop of the descent in solve_reference_optimum
-REFERENCE_ITERATIONS = 100_000
-REFERENCE_TOL = 1e-13
 
 
 def surrogate_smoothness(constants: SmoothnessConstants, lam):
@@ -251,25 +250,16 @@ def check_distance(trace, inputs: TheoryInputs, theta_star):
 
 
 def solve_reference_optimum(model, X, Y, lam):
-    """Locate theta* and F(theta*) by a long clean full-batch descent run.
+    """theta* and F(theta*) of the surrogate objective, in closed form.
 
-    Descends from theta = 0 with step 1/L_F for up to REFERENCE_ITERATIONS
-    steps, stopping early once the true-gradient norm falls to REFERENCE_TOL.
-    Only the quadratic family has exact constants; any other model (the
-    logistic loss, whose constants are estimated from data) has no certified
-    step and raises ``ConfigError``.
+    For the quadratic loss of curvature c, row i's surrogate term is
+    s/2 * ||theta - x_i||^2 with s = c * lam / (lam - c) (``exact_rows``), so
+    F is least at the data mean; its value there is ``surrogate_state``'s.
+    Any other model (the logistic loss, whose constants are estimated from
+    data) has no closed form and raises ``ConfigError``.
     """
     if not isinstance(model, QuadraticLoss):
-        raise ConfigError(f"{type(model).__name__} has no exact constants to "
-                          f"certify a step size")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    eta = 1.0 / surrogate_smoothness(model.constants(), lam)
-    theta = np.zeros(X.shape[1])
-    value, grad = surrogate_state(model, theta, X, Y, lam)
-    for _ in range(REFERENCE_ITERATIONS):
-        if np.linalg.norm(grad) <= REFERENCE_TOL:
-            break
-        theta = theta - eta * grad
-        value, grad = surrogate_state(model, theta, X, Y, lam)
+        raise ConfigError(f"{type(model).__name__} has no closed-form optimum")
+    theta = np.asarray(X, dtype=float).mean(axis=0)
+    value, _ = surrogate_state(model, theta, X, Y, lam)
     return theta, value

@@ -12,11 +12,14 @@ the screening variants included, so a refused config prepares no data.
 distinct data set once and trains each distinct run once: configs that
 differ only in what evaluation reads (shift_q, shift_norm, environment)
 share the run, as E1 and E2 do. Each record is then scored with only its
-own work, the shift of its budget on the run's once-checked test set.
+own work, the shift of its budget on the run's ``ShiftScorer``, and a
+sweep builds each (variant, value) config once.
 Each (variant, config) produces one JSON record; records are emitted
 line-delimited, contain no timestamps, and are byte-identical across
 reruns of the same config, and across calls that group configs
 differently, so diffing output files is a meaningful regression check.
+One rule reads, checks and labels a record's report row (``_report_row``),
+for ``read_records`` and ``report_table`` alike.
 """
 
 import csv
@@ -263,17 +266,13 @@ def _warn_outside_regime(iterates, lam, variant):
         )
 
 
-def evaluate(theta, sharded, cfg: ExperimentConfig, scorer=None):
+def evaluate(scorer: ShiftScorer, cfg: ExperimentConfig):
     """Clean misclassification and misclassification under the shift of budget shift_q.
 
-    ``scorer`` is theta's ``ShiftScorer`` on the sharded test set, which a
-    caller that scores several configs on one run builds once; by default
-    one is built here. The shift is taken first, so its refusals come before
-    a rate's, and a rate with NaN logits raises ``NumericError`` naming the
-    result.
+    ``scorer`` is the ``ShiftScorer`` of the run's theta on its test set. The
+    shift is taken first, so its refusals come before a rate's, and a rate
+    with NaN logits raises ``NumericError`` naming the result.
     """
-    if scorer is None:
-        scorer = ShiftScorer(theta, sharded.test_features, sharded.test_labels)
     features = scorer.shifted(_shift_spec(cfg))
     name = "clean_misclassification"
     try:
@@ -376,15 +375,15 @@ def _trained_run(cfg, sharded, buffer):
     # inf, which record_line refuses by name
     with np.errstate(over="ignore"):
         final_norm = float(np.sqrt(dot_sq_norms(trace.aggregated[-1:]))[0])
-    scorer = ShiftScorer(trace.theta_final, sharded.test_features, sharded.test_labels, buffer)
+    scorer = ShiftScorer(trace.theta_final, buffer, sharded.test_labels)
     return _Run(int(trace.iterations), final_norm, objective, bounds, scorer)
 
 
-def _record(cfg, sharded, run: _Run, axis):
+def _record(cfg, run: _Run, axis):
     record = {
         "kind": "experiment",
         "config": _config_dict(cfg),
-        "results": evaluate(run.scorer.theta, sharded, cfg, run.scorer),
+        "results": evaluate(run.scorer, cfg),
         "trace": {
             "iterations": run.iterations,
             "final_aggregated_norm": run.final_norm,
@@ -398,25 +397,20 @@ def _record(cfg, sharded, run: _Run, axis):
     return record
 
 
-def _train_and_score(points, variants, on_record, axis=None):
-    """The one loop behind ``run_experiment`` and ``sweep``: a record per (variant, point).
+def _train_and_score(configs, on_record, axis=None):
+    """The one loop behind ``run_experiment`` and ``sweep``: a record per config, in order.
 
-    Records come variant by variant, point by point; with ``variants`` None
-    each point is scored under its own variant. Every config is built, and
-    so checked, before anything trains, and the data are prepared first,
-    once per distinct (dataset, data_seed, train_frac, m, seed). Each
-    distinct run, the config without its evaluation-only fields (shift_q,
-    shift_norm, environment), trains once in the call (``_trained_run``);
-    its records read that run's summary, and ``evaluate`` scores each of
-    them on the run's ``ShiftScorer``, whose shifts share one buffer per
-    data preparation. Nothing is kept across calls. Each record goes to
-    ``on_record`` as it is made, and a failure (a non-finite record field
-    included) is raised as a ``RuntimeError`` naming the variant and the
-    config.
+    Every config is built, and so checked, before this loop, and the data
+    are prepared first, once per distinct (dataset, data_seed, train_frac,
+    m, seed). Each distinct run, the config without its evaluation-only
+    fields (shift_q, shift_norm, environment), trains once in the call
+    (``_trained_run``); its records read that run's summary, and
+    ``evaluate`` scores each of them on the run's ``ShiftScorer``, whose
+    shifts share one buffer per data preparation. Nothing is kept across
+    calls. Each record goes to ``on_record`` as it is made, and a failure (a
+    non-finite record field included) is raised as a ``RuntimeError``
+    naming the variant and the config.
     """
-    configs = points if variants is None else [
-        point if point.variant == v else replace(point, variant=v)
-        for v in variants for point in points]
     data = {}
     for cfg in configs:
         if _data_key(cfg) not in data:
@@ -429,7 +423,7 @@ def _train_and_score(points, variants, on_record, axis=None):
             run = runs.get(_training_key(cfg))
             if run is None:
                 run = runs[_training_key(cfg)] = _trained_run(cfg, sharded, buffer)
-            record = _record(cfg, sharded, run, axis)
+            record = _record(cfg, run, axis)
             record_line(record)  # refuses a non-finite field by name
         except Exception as exc:
             raise RuntimeError(
@@ -452,38 +446,48 @@ def run_experiment(configs, variants=None, on_record=None):
     flush partial results; a failure mid-way surfaces with the variant and
     full config in the error context.
     """
-    if isinstance(configs, ExperimentConfig):
-        configs = [configs]
-    return _train_and_score(list(configs), variants, on_record)
+    configs = [configs] if isinstance(configs, ExperimentConfig) else list(configs)
+    if variants is not None:
+        configs = [cfg if cfg.variant == v else replace(cfg, variant=v)
+                   for v in variants for cfg in configs]
+    return _train_and_score(configs, on_record)
 
 
 def sweep_points(cfg: ExperimentConfig, axis, values):
-    """One config per grid value, each checked at construction.
+    """One config per grid value, each checked at construction (``_grid``)."""
+    return _grid(cfg, axis, values, [cfg.variant])
+
+
+def _grid(cfg, axis, values, variants):
+    """One config per (variant, grid value), variant by variant, each built once.
 
     Each value is first cast to the axis's declared type, so a non-integral
     value on an integer axis is refused before any point is built. Points on
     the alpha_m axis beyond the screening count carry the excess-byzantine
     override, since probing that regime is the point; it is set in the same
-    ``replace`` as the value, which would refuse the value without it.
+    ``replace`` as the variant and the value, which would refuse the value
+    without it.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     values = [_as_declared(axis, value) for value in values]
     if not values:
         raise ConfigError(f"sweep axis {axis} needs at least one value")
-    return [replace(cfg, **{axis: value}, allow_excess_byzantine=cfg.allow_excess_byzantine
+    return [replace(cfg, variant=variant, **{axis: value},
+                    allow_excess_byzantine=cfg.allow_excess_byzantine
                     or (axis == "alpha_m" and value > cfg.screen_count))
-            for value in values]
+            for variant in variants for value in values]
 
 
 def sweep(cfg: ExperimentConfig, axis, values, variants=None, on_record=None):
     """Grid over one config axis; one record per (variant, value), variant by variant.
 
-    The loop of ``run_experiment`` over the ``sweep_points`` configs: each
-    variant trains once per training config, so a shift_q grid scores every
-    budget on one run, each as ``run_experiment`` would, bounds included.
+    The loop of ``run_experiment`` over the ``_grid`` configs: each variant
+    trains once per training config, so a shift_q grid scores every budget
+    on one run, each as ``run_experiment`` would, bounds included.
     """
-    return _train_and_score(sweep_points(cfg, axis, values), variants, on_record, axis)
+    grid = _grid(cfg, axis, values, [cfg.variant] if variants is None else variants)
+    return _train_and_score(grid, on_record, axis)
 
 
 def record_line(record):
@@ -534,38 +538,47 @@ def _is_string(value):
     return isinstance(value, str)
 
 
-def _report_fault(record):
-    """The first field ``report_table`` reads that a record lacks or holds wrongly, or None.
+def _report_row(record):
+    """The row ``report_table`` gives a record: (label, variant, shifted misclassification).
 
-    The table reads the variant, the row label (every field a preset sets,
-    typed as E0 holds it: all of them without an environment, the ones the
-    record holds with one; for a sweep record, then its axis and value) and
-    the shifted misclassification. ``record_line`` writes no non-finite
-    number, so a number field that holds one is refused too.
+    The row reads the variant, the label's fields (every field a preset
+    sets, typed as E0 holds it: all of them without an environment, the ones
+    the record holds with one; for a sweep record, then its axis and value)
+    and the shifted misclassification. The first of them that the record
+    lacks or holds wrongly raises ``DataFormatError`` naming it;
+    ``record_line`` writes no non-finite number, so a number field that
+    holds one is refused too.
     """
-    cfg = record["config"]
+    cfg, sweep = record["config"], record.get("sweep")
+    if "sweep" in record and not isinstance(sweep, dict):
+        raise DataFormatError(f"sweep must be an object with axis and value, got {sweep!r}")
+    environment = cfg.get("environment")
+    keys = [key for key in PRESETS["E0"] if not environment or key in cfg]
     wanted = [("config", "variant", VARIANTS.__contains__, f"one of {list(VARIANTS)}")]
-    if cfg.get("environment") is not None:
+    if environment is not None:
         wanted.append(("config", "environment", _is_string, "a string"))
-    wanted += [("config", key, _is_string, "a string") if isinstance(value, str)
-               else ("config", key, _is_number, "a number")
-               for key, value in PRESETS["E0"].items()
-               if not cfg.get("environment") or key in cfg]
-    if "sweep" in record:
-        if not isinstance(record["sweep"], dict):
-            return f"sweep must be an object with axis and value, got {record['sweep']!r}"
+    wanted += [("config", key, _is_string, "a string") if isinstance(PRESETS["E0"][key], str)
+               else ("config", key, _is_number, "a number") for key in keys]
+    if sweep is not None:
         wanted += [("sweep", "axis", _is_string, "a string"),
                    ("sweep", "value", _is_number, "a number")]
     wanted.append(("results", "shift_misclassification", _is_number, "a number"))
     for section, key, valid, expected in wanted:
         if key not in record[section]:
-            return f"{section}.{key} is missing"
+            raise DataFormatError(f"{section}.{key} is missing")
         value = record[section][key]
         if not valid(value):
-            return f"{section}.{key} must be {expected}, got {value!r}"
+            raise DataFormatError(f"{section}.{key} must be {expected}, got {value!r}")
         if valid is _is_number and not _is_finite(value):
-            return f"{section}.{key} must be finite, got {value!r}"
-    return None
+            raise DataFormatError(f"{section}.{key} must be finite, got {value!r}")
+    axis = sweep and sweep["axis"]
+    base = PRESETS.get(environment, PRESETS["E0"])
+    parts = [f"{key}={cfg[key]}" for key in keys
+             if key != axis and not (environment and cfg[key] == base[key])]
+    label = ",".join([environment, *parts] if environment else parts)
+    if sweep:
+        label += f",{axis}={sweep['value']}"
+    return label, cfg["variant"], record["results"]["shift_misclassification"]
 
 
 def read_records(path):
@@ -594,9 +607,10 @@ def read_records(path):
             if not (isinstance(record, dict)
                     and all(isinstance(record.get(k), dict) for k in ("config", "results"))):
                 raise DataFormatError(f"{path}:{lineno}: not a record with config and results")
-            fault = _report_fault(record)
-            if fault:
-                raise DataFormatError(f"{path}:{lineno}: {fault}")
+            try:
+                _report_row(record)
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             records.append(record)
     return records
 
@@ -633,24 +647,12 @@ def report_table(records):
     cells = {}
     rows = []
     for record in records:
-        cfg, sweep = record["config"], record.get("sweep")
-        environment = cfg.get("environment")
-        axis = sweep["axis"] if sweep else None
-        if environment:
-            label = environment + "".join(
-                f",{key}={cfg[key]}"
-                for key, value in PRESETS.get(environment, PRESETS["E0"]).items()
-                if key != axis and key in cfg and cfg[key] != value)
-        else:
-            label = ",".join(f"{key}={cfg[key]}" for key in PRESETS["E0"] if key != axis)
-        if sweep:
-            label += f",{axis}={sweep['value']}"
+        label, variant, value = _report_row(record)
         if label not in rows:
             rows.append(label)
-        value = record["results"]["shift_misclassification"]
-        if cells.setdefault((label, cfg["variant"]), value) != value:
-            raise DataFormatError(f"row {label!r}, variant {cfg['variant']!r}: records give "
-                                  f"{cells[label, cfg['variant']]!r} and {value!r}")
+        if cells.setdefault((label, variant), value) != value:
+            raise DataFormatError(f"row {label!r}, variant {variant!r}: records give "
+                                  f"{cells[label, variant]!r} and {value!r}")
     variants = [v for v in VARIANTS if any((r, v) in cells for r in rows)]
     out = io.StringIO()
     header = ["environment"] + list(variants)

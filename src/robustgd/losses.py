@@ -17,7 +17,7 @@ maximizer they come from ``surrogate.exact_rows``. The logistic ones are
 built from the branch-free ``sigmoid`` and the clipped ``cross_entropy``
 below, except the steps of ``surrogate._line_steps``, which evaluate
 eta_z * sigmoid(u) in place as eta_z / (1 + exp(-u)); the test shift works
-on the logistic margins (``shift.perturb_test_set``).
+on the logistic margins (``shift.ShiftScorer``).
 """
 
 from dataclasses import dataclass

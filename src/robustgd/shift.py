@@ -12,9 +12,8 @@ margin further, so misclassification is non-decreasing in q.
 
 A ``ShiftScorer`` scores one model on one test set at many budgets: it
 checks theta, X and Y once, takes the clean rate once, and writes each
-budget's rows into one reused ``ShiftBuffer``, which the models of one test
-set share; an L1 budget rewrites only the moved column. ``perturb_test_set``
-is the same rule into a fresh buffer.
+budget's rows into the ``ShiftBuffer`` it reads X from, which the models of
+one test set share; an L1 budget rewrites only the moved column.
 """
 
 import math
@@ -69,7 +68,7 @@ class ShiftBuffer:
     """
 
     def __init__(self, X):
-        self.X = X
+        self.X = np.asarray(X, dtype=float)
         self.rows = None
         self.moved = None
 
@@ -98,21 +97,19 @@ class ShiftBuffer:
 class ShiftScorer:
     """One model's misclassification on one test set, clean and under any budget ball.
 
-    theta, X and Y are checked once, when it is built, as ``perturb_test_set``
-    checks them, and the clean rate is taken once. Each shift is written into
-    ``buffer``, a ``ShiftBuffer`` over this X that the models of one test set
-    share (a fresh one by default, or when it is over another X): an L1
-    shift rewrites only its moved column, ``X[:, j] - s * (q * sign(theta_j))``,
+    X is ``buffer.X``, the test set of a ``ShiftBuffer`` that the models of
+    one test set share. theta, X and Y are checked once, when it is built,
+    and the clean rate is taken once. Each shift is written into the buffer:
+    an L1 shift rewrites only its moved column, ``X[:, j] - s * (q * sign(theta_j))``,
     and an L2 shift subtracts into the buffer, the same operations as an
     update of a copy of X, so the bits are equal.
     """
 
-    def __init__(self, theta, X, Y, buffer=None):
-        theta, X, Y = _checked(theta, X, Y)
+    def __init__(self, theta, buffer, Y):
+        theta, X, Y = _checked(theta, buffer.X, Y)
         if not np.all(np.isfinite(theta)):
             raise NumericError("non-finite values in theta")
-        self.theta, self.X, self.Y = theta, X, Y
-        self.buffer = buffer if buffer is not None and buffer.X is X else ShiftBuffer(X)
+        self.theta, self.X, self.Y, self.buffer = theta, X, Y, buffer
         self.scale = np.abs(theta).max(initial=0.0)
         self._labels, self._signs = Y.astype(int), 2.0 * Y - 1.0
         self._finite_x = bool(np.isfinite(X).all())
@@ -150,18 +147,6 @@ class ShiftScorer:
     def rate(self, features):
         """``misclassification_rate`` on rows of X's shape, such as ``shifted`` returns."""
         return _rate(self.theta, features, self._labels)
-
-
-def perturb_test_set(theta, X, Y, spec: ShiftSpec):
-    """The loss-maximizing point of the budget ball around each row of X.
-
-    Returns a new feature matrix; with theta = 0 or a zero budget every row
-    stays where it is. A non-finite theta or output row raises ``NumericError``.
-    The rule is ``ShiftScorer.shifted``, into a fresh buffer.
-    """
-    scorer = ShiftScorer(theta, X, Y)
-    Z = scorer.shifted(spec)
-    return Z.copy() if Z is scorer.X else Z
 
 
 def misclassification_rate(theta, X, Y):

@@ -45,6 +45,7 @@ RETIRED = {
     "losses.logistic.grads_theta",
     "losses.quadratic.values",
     "aggregation.check_screening_bound",
+    "shift.perturb_test_set",
 }
 
 

@@ -217,23 +217,35 @@ class TestReportsAndOptimum:
         bad = BoundReport.compare(1.0, 1.5)
         assert not bad.satisfied and bad.margin == pytest.approx(-0.5)
 
-    def test_reference_optimum_matches_closed_form(self, rng):
-        model = QuadraticLoss(1.0)
-        lam = 2.0
-        X = rng.standard_normal((25, 4))
-        theta_star, f_star = solve_reference_optimum(model, X, np.zeros(25), lam)
-        np.testing.assert_allclose(theta_star, X.mean(axis=0), atol=1e-10)
-        expected, _ = surrogate_state(model, X.mean(axis=0), X, np.zeros(25), lam)
-        assert f_star == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("curvature", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("excess", [1e-3, 0.5, 4.0])
+    def test_reference_optimum_is_a_stationary_minimum(self, rng, curvature, excess):
+        # oracle: the surrogate gradient vanishes at theta* up to rounding, and no
+        # nearby point has a lower objective
+        model, lam = QuadraticLoss(curvature), curvature + excess
+        X = rng.standard_normal((25, 4)) * 3.0 + rng.standard_normal(4)
+        Y = np.zeros(25)
+        theta_star, f_star = solve_reference_optimum(model, X, Y, lam)
+        value, grad = surrogate_state(model, theta_star, X, Y, lam)
+        assert value == f_star
+        s = curvature * lam / (lam - curvature)  # the surrogate's curvature
+        scale = s * np.abs(X).max()
+        assert np.linalg.norm(grad) <= 64 * np.finfo(float).eps * scale
+        for radius in (1e-4, 1e-2, 1.0):
+            for _ in range(20):
+                nearby = theta_star + radius * rng.standard_normal(4)
+                assert surrogate_state(model, nearby, X, Y, lam)[0] >= f_star
 
-    def test_reference_optimum_requires_eta_for_estimates(self):
+    def test_reference_optimum_requires_the_quadratic_family(self):
         import inspect
 
         from robustgd.losses import LogisticLoss
 
-        with pytest.raises(ConfigError, match="step size"):
+        with pytest.raises(ConfigError, match="no closed-form optimum"):
             solve_reference_optimum(LogisticLoss(), np.zeros((3, 2)), np.zeros(3), 3.0)
-        # the step always comes from exact constants: no step, start or stopping settings
+        with pytest.raises(RegimeError, match="not concave"):
+            solve_reference_optimum(QuadraticLoss(2.0), np.zeros((3, 2)), np.zeros(3), 2.0)
+        # theta* is the data mean: no step, start or stopping settings
         assert list(inspect.signature(solve_reference_optimum).parameters) == [
             "model", "X", "Y", "lam"]
 

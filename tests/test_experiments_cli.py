@@ -40,6 +40,12 @@ REPORTABLE = ('{"config": {"alpha_m": 0, "attack": "none", "shift_norm": "l1", "
               '"variant": "erm"}, "results": {"shift_misclassification": 0.25}}\n')
 
 
+def scorer_of(theta, sharded):
+    """theta's ``ShiftScorer`` on the sharded test set, over a buffer of its own."""
+    return shift.ShiftScorer(theta, shift.ShiftBuffer(sharded.test_features),
+                             sharded.test_labels)
+
+
 def fast_config(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
 
@@ -443,6 +449,17 @@ class TestSweep:
         records = sweep(fast_config(), "shift_q", [0.0, 0.1, 0.2], variants=["alg2", "erm"])
         assert len(runs) == 2 and len(scored) == len(records) == 6
 
+    def test_each_variant_and_point_config_is_built_once(self, monkeypatch):
+        # each point was built under the base variant, then again under each variant:
+        # 33 configs for these 22 records
+        cfg = ExperimentConfig(preset="E3", iterations=2)
+        built, real = [], ExperimentConfig.__post_init__
+        monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        records = sweep(cfg, "shift_q", [i / 20 for i in range(11)],
+                        variants=["nbs_only", "erm"])
+        assert len(records) == 22 and len(built) == 22
+
     def test_the_final_objective_is_taken_once_per_trained_run(self, monkeypatch):
         # the rounds form no inner objective: cross_entropy runs once per trained run,
         # for its final estimate, however many budgets score the run
@@ -549,9 +566,9 @@ class TestOneCall:
             point = replace(cfg, variant=record["config"]["variant"],
                             shift_q=record["sweep"]["value"])
             theta_final = experiments.train(point, sharded)[0].theta_final
-            assert record["results"] == evaluate(theta_final, sharded, point)
+            assert record["results"] == evaluate(scorer_of(theta_final, sharded), point)
             X, Y = sharded.test_features, sharded.test_labels
-            shifted = shift.perturb_test_set(theta_final, X, Y, experiments._shift_spec(point))
+            shifted = scorer_of(theta_final, sharded).shifted(experiments._shift_spec(point))
             assert record["results"] == {
                 "clean_misclassification": shift.misclassification_rate(theta_final, X, Y),
                 "shift_misclassification": shift.misclassification_rate(theta_final, shifted,
@@ -563,8 +580,8 @@ class TestOneCall:
         exc = refusal(lambda: sweep(cfg, "shift_q", [0.0, 0.1]))
         assert isinstance(exc, RuntimeError) and "variant='erm'" in str(exc)
         sharded = prepare_data(cfg)
-        alone = refusal(lambda: evaluate(experiments.train(cfg, sharded)[0].theta_final,
-                                         sharded, cfg))
+        alone = refusal(lambda: evaluate(
+            scorer_of(experiments.train(cfg, sharded)[0].theta_final, sharded), cfg))
         assert str(exc.__cause__) == str(alone) == "non-finite values in theta"
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -578,8 +595,8 @@ class TestOneCall:
         cfg = fast_config(variant="erm", shift_norm=norm, shift_q=budget)
         exc = refusal(lambda: run_experiment(cfg))
         sharded = experiments.prepare_data(cfg)
-        alone = refusal(lambda: evaluate(experiments.train(cfg, sharded)[0].theta_final,
-                                         sharded, cfg))
+        alone = refusal(lambda: evaluate(
+            scorer_of(experiments.train(cfg, sharded)[0].theta_final, sharded), cfg))
         assert str(exc.__cause__) == str(alone) == message
         rows = [None if e.rows is None else e.rows.tolist() for e in (exc.__cause__, alone)]
         assert rows[0] == rows[1] == ([3] if budget == 0.0 else None)
@@ -1136,6 +1153,84 @@ class TestCli:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.strip() == "verify: fuzz_instances must be >= 1, got -5"
+
+
+def reportable(environment=..., variant="alg2", miscls=0.25, sweep=None, **fields):
+    """A record with a report row: ``...`` leaves the environment out."""
+    cfg = {"variant": variant, **fields}
+    if environment is not ...:
+        cfg["environment"] = environment
+    record = {"config": cfg, "results": {"shift_misclassification": miscls}}
+    if sweep is not None:
+        record["sweep"] = dict(zip(("axis", "value"), sweep))
+    return record
+
+
+E0_FIELDS = PRESETS["E0"]
+# today's label of each record
+LABELS = [
+    (reportable("E1"), "E1"),
+    (reportable("E1", alpha_m=2), "E1,alpha_m=2"),
+    (reportable("E2", **PRESETS["E2"]), "E2"),
+    (reportable("E2", **{**PRESETS["E2"], "shift_q": 0.1}), "E2,shift_q=0.1"),
+    (reportable("X9", **PRESETS["E1"]), "X9,attack=aggressive,alpha_m=3,shift_q=0.3"),
+    (reportable("X9"), "X9"),
+    (reportable("", **{**E0_FIELDS, "shift_norm": "l2"}),
+     "attack=none,alpha_m=0,shift_q=0.0,shift_norm=l2"),
+    (reportable(None, **E0_FIELDS), "attack=none,alpha_m=0,shift_q=0.0,shift_norm=l1"),
+    (reportable(**{**PRESETS["E3"], "alpha_m": 2}),
+     "attack=intelligent,alpha_m=2,shift_q=0.3,shift_norm=l1"),
+    (reportable("E3", sweep=("shift_q", 0.05), **{**PRESETS["E3"], "shift_q": 0.05}),
+     "E3,shift_q=0.05"),
+    (reportable("E1", sweep=("alpha_m", 1), alpha_m=1, shift_norm="l2"),
+     "E1,shift_norm=l2,alpha_m=1"),
+    (reportable(sweep=("lam", 2.0), lam=2.0, **E0_FIELDS),
+     "attack=none,alpha_m=0,shift_q=0.0,shift_norm=l1,lam=2.0"),
+]
+# what a field of a fuzzed record is set to; ... deletes it
+RETYPES = [..., None, "", "E1", "X9", "l2", "erm", 0, 3, 0.5, True, float("nan"), [], {},
+           {"axis": "lam"}, {"axis": "alpha_m", "value": 2}]
+
+
+class TestReportRule:
+    def test_a_fixed_record_set_keeps_its_labels(self):
+        records = [record for record, _ in LABELS]
+        rows = report_table(records).splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [label for _, label in LABELS]
+
+    def test_every_record_read_records_accepts_gets_a_row(self, tmp_path):
+        # and a record it refuses is refused by report_table with the same message
+        rng = np.random.default_rng(0)
+        seeds = [reportable("E1", alpha_m=2), reportable("X9", **PRESETS["E1"]),
+                 reportable("", **E0_FIELDS), reportable(**E0_FIELDS),
+                 reportable("E3", sweep=("shift_q", 0.05), shift_q=0.05)]
+        places = [("config", key) for key in ("variant", "environment", *E0_FIELDS)]
+        places += [("results", "shift_misclassification"), ("sweep", "axis"),
+                   ("sweep", "value"), (None, "sweep")]
+        path, accepted = tmp_path / "records.jsonl", 0
+        for _ in range(600):
+            record = json.loads(json.dumps(seeds[rng.integers(len(seeds))]))
+            for _ in range(rng.integers(1, 4)):
+                section, key = places[rng.integers(len(places))]
+                target = record if section is None else record.get(section)
+                if isinstance(target, dict):
+                    value = RETYPES[rng.integers(len(RETYPES))]
+                    if value is ...:
+                        target.pop(key, None)
+                    else:
+                        target[key] = json.loads(json.dumps(value))  # a copy of its own
+            path.write_text(json.dumps(record) + "\n")
+            try:
+                [read] = read_records(path)
+            except experiments.DataFormatError as exc:
+                with pytest.raises(experiments.DataFormatError) as refused:
+                    report_table([record])
+                assert str(exc) == f"{path}:1: {refused.value}", record
+                continue
+            accepted += 1
+            header, row = report_table([read]).splitlines()
+            assert row.split()[-1] == f"{record['results']['shift_misclassification']:.4f}"
+        assert 50 < accepted < 550  # both paths are taken
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

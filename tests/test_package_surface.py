@@ -27,7 +27,6 @@ KEPT = {
     "ExperimentConfig.resolved": BENCH,
     "write_records": BENCH,
     "required_iterations": "acceptance criterion 4 checks the ascent against the count it gives",
-    "perturb_test_set": "the public one-budget shift, bound by name by the bench's tracer",
 }
 
 

@@ -8,8 +8,7 @@ from conftest import logistic_grads_z, loss_values
 from robustgd.errors import ConfigError, NumericError, ShapeError
 from robustgd.losses import LogisticLoss
 from robustgd.experiments import ExperimentConfig, prepare_data, sweep, train
-from robustgd.shift import (ShiftBuffer, ShiftScorer, ShiftSpec, misclassification_rate,
-                            perturb_test_set)
+from robustgd.shift import ShiftBuffer, ShiftScorer, ShiftSpec, misclassification_rate
 
 
 # -- oracle: projected gradient ascent with a best-so-far iterate ------------
@@ -75,8 +74,13 @@ NORMS = {
 }
 
 
+def perturb(theta, X, Y, spec):
+    """The shifted rows of one budget, from a scorer over a buffer of its own."""
+    return ShiftScorer(theta, ShiftBuffer(X), Y).shifted(spec)
+
+
 def shifted_rate(theta, X, Y, norm, budget):
-    Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=budget))
+    Z = perturb(theta, X, Y, ShiftSpec(norm=norm, budget=budget))
     return misclassification_rate(theta, Z, Y)
 
 
@@ -124,16 +128,16 @@ class TestOracleProjections:
 class TestPerturbation:
     def test_zero_budget_is_identity(self, rng):
         theta, X, Y = instance(rng, n=10, d=4)
-        Z = perturb_test_set(theta, X, Y, ShiftSpec(norm="l2", budget=0.0))
+        Z = perturb(theta, X, Y, ShiftSpec(norm="l2", budget=0.0))
         np.testing.assert_array_equal(Z, X)
-        assert Z is not X
+        assert Z is X  # no row moves, so the buffer is not written
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_zero_model_returns_x_bitwise_without_warnings(self, rng, norm):
         _, X, Y = instance(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Z = perturb_test_set(np.zeros(6), X, Y, ShiftSpec(norm=norm, budget=0.3))
+            Z = perturb(np.zeros(6), X, Y, ShiftSpec(norm=norm, budget=0.3))
         np.testing.assert_array_equal(Z, X)
 
     def test_l2_shift_is_the_normalized_gradient_step(self):
@@ -141,7 +145,7 @@ class TestPerturbation:
         x = np.array([0.3, -0.7])
         y = 0.0
         q = 0.25
-        Z = perturb_test_set(theta, x.reshape(1, -1), np.array([y]), ShiftSpec(norm="l2", budget=q))
+        Z = perturb(theta, x.reshape(1, -1), np.array([y]), ShiftSpec(norm="l2", budget=q))
         # steepest ascent for a linear logit: x + q * (a - y) theta / ||(a - y) theta||
         g = logistic_grads_z(theta, x.reshape(1, -1), np.array([y]))[0]
         expected = x + q * g / np.linalg.norm(g)
@@ -152,7 +156,7 @@ class TestPerturbation:
         # gradient proportional to (3, -1) for y=0: all budget goes to coordinate 0
         theta = np.array([3.0, -1.0])
         x = np.zeros(2)
-        Z = perturb_test_set(theta, x.reshape(1, -1), np.zeros(1), ShiftSpec(norm="l1", budget=0.3))
+        Z = perturb(theta, x.reshape(1, -1), np.zeros(1), ShiftSpec(norm="l1", budget=0.3))
         np.testing.assert_allclose(Z[0] - x, [0.3, 0.0], atol=1e-15)
         # oracle: the best vertex of the L1 ball maximizes the logit increase
         vertices = [np.array(v) for v in
@@ -163,7 +167,7 @@ class TestPerturbation:
     def test_l1_tie_moves_the_lowest_index(self):
         theta = np.array([0.5, -2.0, 2.0, -2.0])
         X = np.zeros((2, 4))
-        Z = perturb_test_set(theta, X, np.array([1.0, 0.0]), ShiftSpec(norm="l1", budget=0.3))
+        Z = perturb(theta, X, np.array([1.0, 0.0]), ShiftSpec(norm="l1", budget=0.3))
         # |theta_1| = |theta_2| = |theta_3|: coordinate 1 moves, against the label
         np.testing.assert_array_equal(Z, [[0.0, 0.3, 0.0, 0.0], [0.0, -0.3, 0.0, 0.0]])
 
@@ -173,7 +177,7 @@ class TestPerturbation:
         for _ in range(20):
             theta, X, Y = instance(rng)
             q = float(rng.uniform(0.01, 2.0))
-            Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
+            Z = perturb(theta, X, Y, ShiftSpec(norm=norm, budget=q))
             np.testing.assert_allclose(measure(Z - X), q, rtol=1e-12)
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -183,7 +187,7 @@ class TestPerturbation:
             theta, X, Y = instance(rng)
             q = float(rng.uniform(0.01, 2.0))
             s = 2.0 * Y - 1.0
-            Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
+            Z = perturb(theta, X, Y, ShiftSpec(norm=norm, budget=q))
             np.testing.assert_allclose(s * (Z @ theta), s * (X @ theta) - q * dual(theta),
                                        rtol=1e-12, atol=1e-12)
 
@@ -194,31 +198,31 @@ class TestPerturbation:
             theta, X, Y = instance(rng, theta_scale=float(rng.uniform(0.1, 3.0)))
             q = float(rng.uniform(0.05, 1.0))
             _, oracle_loss = projected_ascent(theta, X, Y, norm, q)
-            Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
+            Z = perturb(theta, X, Y, ShiftSpec(norm=norm, budget=q))
             assert (loss_values(model, theta, Z, Y) >= oracle_loss - 1e-12).all()
 
     def test_loss_never_decreases_per_sample(self, rng):
         model = LogisticLoss()
         theta, X, Y = instance(rng, n=60, d=5)
         before = loss_values(model, theta, X, Y)
-        Z = perturb_test_set(theta, X, Y, ShiftSpec(norm="l2", budget=0.3))
+        Z = perturb(theta, X, Y, ShiftSpec(norm="l2", budget=0.3))
         after = loss_values(model, theta, Z, Y)
         assert (after >= before - 1e-15).all()
 
     def test_huge_model_does_not_overflow_the_norm(self):
         theta = np.array([3e200, 4e200])
-        Z = perturb_test_set(theta, np.zeros((1, 2)), np.zeros(1), ShiftSpec(norm="l2", budget=1.0))
+        Z = perturb(theta, np.zeros((1, 2)), np.zeros(1), ShiftSpec(norm="l2", budget=1.0))
         np.testing.assert_allclose(Z, [[0.6, 0.8]], rtol=1e-15)
 
     def test_non_finite_theta_raises(self, rng):
         _, X, Y = instance(rng, d=2)
         with pytest.raises(NumericError, match="theta"):
-            perturb_test_set(np.array([np.nan, 1.0]), X, Y, ShiftSpec(norm="l1", budget=0.1))
+            perturb(np.array([np.nan, 1.0]), X, Y, ShiftSpec(norm="l1", budget=0.1))
 
     def test_non_finite_output_row_raises(self):
         X = np.array([[0.0, 0.0], [1.7e308, 0.0]])
         with pytest.raises(NumericError, match="non-finite"):
-            perturb_test_set(np.array([1.0, 0.0]), X, np.zeros(2),
+            perturb(np.array([1.0, 0.0]), X, np.zeros(2),
                              ShiftSpec(norm="l1", budget=1e308))
 
     @pytest.mark.parametrize("theta_scale", [1.0, 1e20])
@@ -293,7 +297,7 @@ class TestSharedBuffer:
         _, X, Y = instance(rng, n=40, d=5)
         X[3, 1] = -0.0
         buffer = ShiftBuffer(X)
-        scorers = [ShiftScorer(theta, X, Y, buffer) for theta in self.models(rng, 5)]
+        scorers = [ShiftScorer(theta, buffer, Y) for theta in self.models(rng, 5)]
         steps = [(norm, q) for q in (0.3, 0.0, 0.1) for norm in ("l1", "l2", "l1")]
         for step in range(len(steps) * len(scorers)):
             scorer = scorers[(3 * step) % len(scorers)]
@@ -306,22 +310,23 @@ class TestSharedBuffer:
         assert buffer.rows is not X
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_perturb_test_set_gives_the_copy_then_update_bits(self, rng, norm):
+    def test_a_fresh_buffer_gives_the_copy_then_update_bits(self, rng, norm):
         _, X, Y = instance(rng, n=30, d=4)
         for theta in self.models(rng, 4):
             for q in (0.0, 0.2):
-                Z = perturb_test_set(theta, X, Y, ShiftSpec(norm=norm, budget=q))
+                Z = perturb(theta, X, Y, ShiftSpec(norm=norm, budget=q))
                 expected = copy_then_update(theta, X, Y, norm, q)
                 np.testing.assert_array_equal(bits(Z), bits(expected))
-                assert Z is not X and Z.flags.c_contiguous
+                assert (Z is X) == (q == 0.0 or not theta.any()) and Z.flags.c_contiguous
 
-    def test_a_buffer_over_another_x_is_not_used(self, rng):
+    def test_the_scorer_reads_x_from_its_buffer(self, rng):
         theta, X, Y = instance(rng, n=10, d=3)
-        other = ShiftBuffer(X.copy())
-        scorer = ShiftScorer(theta, X, Y, other)
+        buffer = ShiftBuffer(X.tolist())
+        scorer = ShiftScorer(theta, buffer, Y)
+        assert scorer.X is buffer.X
         Z = scorer.shifted(ShiftSpec(norm="l1", budget=0.5))
         np.testing.assert_array_equal(Z, copy_then_update(theta, X, Y, "l1", 0.5))
-        assert other.rows is None
+        assert Z is buffer.rows
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -330,14 +335,14 @@ class TestSharedBuffer:
         theta, X, Y = instance(rng, n=10, d=3)
         theta[:] = [2.0, 0.5, 0.25]
         X[4, 2] = bad
-        scorer = ShiftScorer(theta, X, Y)
+        scorer = ShiftScorer(theta, ShiftBuffer(X), Y)
         assert scorer.shifted(ShiftSpec(norm=norm, budget=0.0)) is X
         with pytest.raises(NumericError, match="^shifted features are non-finite$"):
             scorer.shifted(ShiftSpec(norm=norm, budget=0.1))
 
 
 ENTRY_POINTS = {
-    "perturb": lambda theta, X, Y: perturb_test_set(theta, X, Y, ShiftSpec(norm="l1", budget=0.1)),
+    "perturb": lambda theta, X, Y: perturb(theta, X, Y, ShiftSpec(norm="l1", budget=0.1)),
     "miscls": misclassification_rate,
 }
 
