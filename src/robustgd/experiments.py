@@ -408,8 +408,9 @@ def _train_and_score(configs, on_record, axis=None):
     ``evaluate`` scores each of them on the run's ``ShiftScorer``, whose
     shifts share one buffer per data preparation. Nothing is kept across
     calls. Each record goes to ``on_record`` as it is made, and a failure (a
-    non-finite record field included) is raised as a ``RuntimeError``
-    naming the variant and the config.
+    non-finite record field included, found by walking the record: only
+    its writer serializes it) is raised as a ``RuntimeError`` naming the
+    variant and the config.
     """
     data = {}
     for cfg in configs:
@@ -424,7 +425,8 @@ def _train_and_score(configs, on_record, axis=None):
             if run is None:
                 run = runs[_training_key(cfg)] = _trained_run(cfg, sharded, buffer)
             record = _record(cfg, run, axis)
-            record_line(record)  # refuses a non-finite field by name
+            if next(_non_finite_fields(record), None) is not None:
+                raise _non_finite_error(record)
         except Exception as exc:
             raise RuntimeError(
                 f"experiment failed for variant={cfg.variant!r}, config={_config_dict(cfg)}"
@@ -499,10 +501,13 @@ def record_line(record):
     try:
         return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericError(
-            f"non-finite record fields {list(_non_finite_fields(record))} "
-            f"for config={record.get('config')}"
-        ) from exc
+        raise _non_finite_error(record) from exc
+
+
+def _non_finite_error(record):
+    """The ``NumericError`` that names a record's non-finite fields."""
+    return NumericError(f"non-finite record fields {list(_non_finite_fields(record))} "
+                        f"for config={record.get('config')}")
 
 
 def _non_finite_fields(value, path=""):

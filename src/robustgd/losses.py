@@ -11,8 +11,8 @@ inner ascent keeps z on. At the ascent output, the gradients are formed by
 ``simulation.worker_reports`` from the line coefficients (the logistic step
 loop ``surrogate._line_steps``, the quadratic's one coefficient k from
 ``surrogate.quadratic_line_ascent``), and the logistic values by
-``surrogate.inner_objectives``; with zero ascent steps
-they are the plain loss and its parameter gradient. At the exact inner
+``simulation._objective_sums`` from the same coefficients; with zero ascent
+steps they are the plain loss and its parameter gradient. At the exact inner
 maximizer they come from ``surrogate.exact_rows``. The logistic ones are
 built from the branch-free ``sigmoid`` and the clipped ``cross_entropy``
 below, except the steps of ``surrogate._line_steps``, which evaluate

@@ -54,17 +54,21 @@ directions. Every product over the run axis is the stacked form of the
 run's own, so each run's trace is bit-equal to the run trained alone.
 ``run_training`` is the batch of one.
 
-The round loop runs only the algorithm: it forms no inner objective, and
-checks the penalty against the objective's overflow from max |c| and
-||theta||^2, which it already holds (only a penalty above the plan's cap
-has its objectives formed, to decide). The record's objective estimate, the mean honest-worker logistic inner objective
-at the last iterate theta_{T-1}, is taken after the run by ``honest_objective``,
-over the same honest block and with the same ascent and reductions as a
-round would use. The trace records every iterate, so the diagnostics the
-bound checkers need (the true surrogate gradient and objective over all
-samples and the worst-case inner-solve error) are computed after the run by
-``with_diagnostics``, in one loop over blocks of iterates for both
-families; they never feed back into the update. They, and
+The logistic ascent over a worker block has one implementation, the
+plan's: ``_ascend`` runs it into the plan's buffers, and ``_objective_sums``
+turns its output into each worker's sum of inner objectives. The round
+loop runs only the algorithm: it forms no inner objective, and checks the
+penalty against the objective's overflow from max |c| and ||theta||^2,
+which it already holds (only a penalty above the plan's cap has its
+objectives formed, from the round's own coefficients, to decide). The
+record's objective estimate, the mean honest-worker logistic inner
+objective at the last iterate theta_{T-1}, is taken after the run by
+``honest_objective``, through a plan over the same honest block, with the
+same ascent and reductions as a round would use. The trace records every
+iterate, so the diagnostics the bound checkers need (the true surrogate
+gradient and objective over all samples and the worst-case inner-solve
+error) are computed after the run by ``with_diagnostics``, in one loop over
+blocks of iterates for both families; they never feed back into the update. They, and
 ``gradient_dispersion`` at a single iterate, are taken at the exact inner
 maximizer (``surrogate.exact_rows``): in closed form for the quadratic family,
 by a bracketed scalar root solve per row for the logistic loss.
@@ -78,7 +82,7 @@ from .aggregation import ScreenConfig, norm_screen
 from .attacks import COUNTEREXAMPLE, TARGET_RANK, AttackPlan, AttackSpec, craft
 from .errors import ConfigError, NumericError, RegimeError, require_count, require_positive
 from .losses import LogisticLoss, QuadraticLoss, sigmoid
-from .surrogate import (DROConfig, _line_steps, _margins, exact_rows, inner_objectives,
+from .surrogate import (DROConfig, _check_rows, _line_rows, _line_steps, _margins, exact_rows,
                         line_ascent, quadratic_line_ascent)
 
 # cap, in floats, on each (B, n, d) temporary of the blocked diagnostics (256 kB):
@@ -242,20 +246,13 @@ def worker_reports(plan: ReportPlan, theta):
     dro = plan.dro
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
         if plan.logistic:
-            margins, sq_norm = _margins(theta, plan.rows, out=plan.margins)
+            margins, c, sq_norm, steps = _ascend(plan, theta)
             r = plan.v
             if dro.t_z:
-                c = plan.c
-                steps = (c, plan.v, np.negative(margins, out=plan.neg_margins), sq_norm,
-                         plan.eta_y, dro.eta_z, plan.rho, dro.t_z)
-                _line_steps(*steps)
                 # nan or inf if a coefficient is, and the largest penalty otherwise
                 top = float(np.abs(c, out=plan.v).max())
                 if not dro.lam * (0.5 * (top * top) * float(sq_norm.max())) <= plan.penalty_cap:
-                    if not np.isfinite(c).all():
-                        _line_steps(*steps, check=True)  # raises at the first diverging step
-                    _objective_sums(inner_objectives(theta, plan.rows, plan.labels, dro),
-                                    plan.starts, plan.n)
+                    _objective_sums(plan, margins, c, sq_norm, steps)
                 # theta . z with z = x + c * theta
                 np.add(margins, np.multiply(c, sq_norm, out=r), out=r)
                 sigmoid(r, out=r)
@@ -279,17 +276,47 @@ def worker_reports(plan: ReportPlan, theta):
     return grad_sums
 
 
-def _objective_sums(objectives, starts, n):
-    """Each worker's sum of its n rows' inner objectives, refusing a sum that overflows.
+def _ascend(plan, theta):
+    """The logistic ascent of a round over the plan's rows, into its buffers.
 
-    ``objectives`` is (..., k * n) and ``starts`` the k segment starts; the
-    ``NumericError`` names each such worker's first row.
+    ``theta`` has the plan's iterate shape. Returns (margins, c, ||theta||^2,
+    steps): the margins theta . x, the line coefficients after dro.t_z steps
+    of ``surrogate._line_steps`` (the scalar 0.0 at t_z = 0, with no step),
+    the squared norms and the ``_line_steps`` arguments that took them (None
+    at t_z = 0). The margins and c are views of the plan's buffers, valid
+    until its next ascent. A non-finite theta, ||theta||^2 or margin raises
+    ``NumericError``; c is not checked. The caller ignores numpy's overflow
+    and invalid warnings.
     """
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        sums = np.add.reduceat(objectives, starts, axis=-1)
+    margins, sq_norm = _margins(theta, plan.rows, out=plan.margins)
+    if not plan.dro.t_z:  # no step: z = x
+        return margins, 0.0, sq_norm, None
+    steps = (plan.c, plan.v, np.negative(margins, out=plan.neg_margins), sq_norm, plan.eta_y,
+             plan.dro.eta_z, plan.rho, plan.dro.t_z)
+    _line_steps(*steps)
+    return margins, plan.c, sq_norm, steps
+
+
+def _objective_sums(plan, margins, c, sq_norm, steps):
+    """Each worker's sum of its n rows' logistic inner objectives at an ``_ascend`` output.
+
+    A row's objective is the cross-entropy at theta . z minus
+    lam * c^2 * ||theta||^2 / 2 (``surrogate._line_rows``), whose c terms are
+    exactly zero at t_z = 0, so the plain cross-entropy's bits. Returns the
+    (..., k) sums. Refused with ``NumericError``: a non-finite coefficient,
+    named by its first diverging step (the ascent reruns from c = 0,
+    checking every step); a row whose objective overflows, as a divergence
+    at step t_z; and a worker's sum that overflows, naming the worker's
+    first row. The caller ignores numpy's overflow and invalid warnings.
+    """
+    if steps is not None and not np.isfinite(c).all():
+        _line_steps(*steps, check=True)  # raises at the first diverging step
+    _, objectives = _line_rows(margins, c, sq_norm, plan.labels, plan.dro.lam)
+    _check_rows(objectives, f"inner ascent diverged at step {plan.dro.t_z}")
+    sums = np.add.reduceat(objectives, plan.starts, axis=-1)
     if not np.isfinite(sums).all():
         raise NumericError("inner objective sum overflows",
-                           rows=n * np.flatnonzero(~np.isfinite(sums)))
+                           rows=plan.n * np.flatnonzero(~np.isfinite(sums)))
     return sums
 
 
@@ -297,26 +324,24 @@ def honest_objective(X, Y, roster, dro: DROConfig, trace):
     """The mean honest-worker logistic inner objective at the run's last iterate theta_{T-1}.
 
     ``X``, ``Y``, ``roster`` and ``dro`` are those of a logistic run and
-    ``trace`` its ``RunTrace``. The honest block is gathered as
-    ``train_runs`` gathers it, and the per-row objectives
-    (``inner_objectives``) are reduced as a round would: a sum per worker
-    over its rows divided by n, then a sum over the k workers divided by k.
-    A ``NumericError`` (a sum that overflows included) names the iteration
-    T - 1 and the worker. The inputs are taken as the run's training
-    validated them.
+    ``trace`` its ``RunTrace``. A ``ReportPlan`` over the honest block, gathered
+    as ``train_runs`` gathers it, runs a round's ascent (``_ascend``), and
+    the per-row objectives (``_objective_sums``) are reduced as a round
+    would: a sum per worker over its rows divided by n, then a sum over the
+    k workers divided by k. A ``NumericError`` (a sum that overflows
+    included) names the iteration T - 1 and the worker. The inputs are
+    taken as the run's training validated them.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    honest_X, honest_Y = _honest_block(X[None], Y[None], roster)
-    _, k, n, d = honest_X.shape
+    plan = ReportPlan(LogisticLoss(), *_honest_block(X[None], Y[None], roster), dro)
     try:
-        objectives = inner_objectives(trace.iterates[-1:], honest_X.reshape(1, k * n, d),
-                                      honest_Y.reshape(1, k * n), dro)
-        sums = _objective_sums(objectives, np.arange(0, k * n, n), n)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
+            sums = _objective_sums(plan, *_ascend(plan, trace.iterates[-1:]))  # (1, k)
     except NumericError as exc:
         row = 0 if exc.rows is None else exc.rows[0]
         raise NumericError(f"iteration {trace.iterations - 1}, "
-                           f"worker {roster.alpha_m + row // n}: {exc}") from exc
-    return float(np.add.reduce(sums / n, axis=1)[0] / k)
+                           f"worker {roster.alpha_m + row // plan.n}: {exc}") from exc
+    return float(np.add.reduce(sums / plan.n, axis=1)[0] / sums.shape[1])
 
 
 def _honest_block(X, Y, roster):

@@ -31,13 +31,13 @@ each family):
   c * (1 + k) * (theta - x).
 
 The training round needs only the gradients. The logistic penalized inner
-objective at the ascent output, f(theta; z) - lam * ||z - x||^2 / 2, comes
-from its own call (``inner_objectives``, which runs the same ascent): the
-cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2, the plain
-cross-entropy at t_z = 0. It backs the record's final objective estimate,
-which only the experiments' logistic runs take, and a round's refusal of a
-penalty that overflows the objective, which it runs only when the largest
-coefficient puts a penalty above a cap.
+objective of a row on the line, f(theta; z) - lam * ||z - x||^2 / 2, is the
+cross-entropy at theta . z minus lam * c^2 * ||theta||^2 / 2 (``_line_rows``),
+the plain cross-entropy at c = 0. At the ascent output it is formed from the
+round's own coefficients (``simulation._objective_sums``): for the record's
+final objective estimate, which only the experiments' logistic runs take,
+and for a round's refusal of a penalty that overflows the objective, which
+it forms only when the largest coefficient puts a penalty above a cap.
 
 Over a leading run axis, or a block of iterates, every product is the
 stacked form of the iterate's own (a (1, d) @ (d, 1) dot for ||theta||^2,
@@ -136,23 +136,6 @@ def _line_steps(c, v, neg_margins, sq_norm, eta_y, eta, rho, t_z, check=False):
             _check_rows(c, f"inner ascent diverged at step {k}")
 
 
-def inner_objectives(theta, X, Y, cfg):
-    """The logistic penalized inner objective per row at the ascent output, without forming z.
-
-    f(theta; z) - lam * ||z - x||^2 / 2 after the cfg.t_z ascent steps of
-    ``line_ascent``, for ``theta`` and ``X`` as it takes them:
-    cross_entropy(sigmoid(theta . z), y) - lam * c^2 * ||theta||^2 / 2, whose
-    c terms are exactly zero at cfg.t_z = 0, so the plain cross-entropy's
-    bits. A row whose objective overflows raises ``NumericError`` as a
-    divergence of the last step.
-    """
-    Y = np.asarray(Y, dtype=float)
-    margins, c, sq_norm = line_ascent(theta, X, Y, cfg)
-    _, objectives = _line_rows(margins, c, sq_norm, Y, cfg.lam)
-    _check_rows(objectives, f"inner ascent diverged at step {cfg.t_z}")
-    return objectives
-
-
 def _margins(theta, X, out=None):
     """(X @ theta, ||theta||^2), refusing a non-finite theta, norm or margin.
 
@@ -178,7 +161,7 @@ def _margins(theta, X, out=None):
 
 def _line_rows(margins, c, sq_norm, Y, lam):
     """(r, penalized objectives) of the logistic rows at z = x + c * theta."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inner_objectives refuses a diverged row
+    with np.errstate(over="ignore", invalid="ignore"):  # _objective_sums refuses a diverged row
         a = sigmoid(margins + c * sq_norm)
         objectives = cross_entropy(a, Y) - lam * (0.5 * (c * c) * sq_norm)
     return a - Y, objectives
@@ -259,7 +242,7 @@ def exact_rows(model, theta, X, Y, lam):
       distance ||z* - x_i|| is the gradient's norm over lam.
     - logistic: z* = x + c * theta with c the root of
       g(c) = sigmoid(theta . x + c * ||theta||^2) - y - lam * c; the rows are
-      r * x + (r * c) * theta and the objectives those of ``inner_objectives``.
+      r * x + (r * c) * theta and the objectives those of ``_line_rows``.
 
     Outside the strongly concave regime (lam <= c for the quadratic,
     lam <= ||theta||^2 / 4 for the logistic loss) raises ``RegimeError``

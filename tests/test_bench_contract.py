@@ -4,13 +4,17 @@
 and skips a name it cannot find, so a rename in the package would turn its
 per-layer metrics into silent zeros. These tests read the tracer's tables
 and the other bindings the benchmark relies on (the call shapes of
-``perfbench/workload.py`` included), without editing them.
+``perfbench/workload.py`` included), without editing them, and run each
+workload's short body once, as the bench starts it.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +24,9 @@ import pytest
 from robustgd.experiments import ExperimentConfig
 from robustgd.simulation import RunTrace
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _tracer():
@@ -169,3 +175,18 @@ def test_verify_suites_report_python_bools():
 def test_experiment_config_resolved_exists():
     cfg = ExperimentConfig(preset="E1")
     assert cfg.resolved() == cfg
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_each_workload_runs_short_and_counts_its_training(workload):
+    # one short body as the bench runs it: a training path around run_training,
+    # where the tracer counts, would read 0 rounds and 0 s of training
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "perfbench/workload.py", "--workload", workload,
+                           "--seed", "0", "--short"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    assert result["rounds"] > 0
+    assert result["train_s"] > 0

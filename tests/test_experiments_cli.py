@@ -241,6 +241,16 @@ class TestRecords:
         assert re.search(r"non-finite record fields \['trace.final_aggregated_norm'\]",
                          str(exc.value.__cause__))
 
+    def test_the_cli_serializes_each_record_once(self, monkeypatch, tmp_path):
+        # the non-finite check walks the record; only the sink's record_line serializes it
+        calls, real = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        main(["run", "--preset", "E1", "--variant", "alg2", "--iterations", "2",
+              "--out", str(tmp_path)])
+        lines = (tmp_path / "records.jsonl").read_text().splitlines()
+        assert len(lines) >= 1
+        assert len(calls) == len(lines)
+
     def test_cli_records_match_write_records_byte_for_byte(self, tmp_path):
         main(["run", "--preset", "E1", "--variant", "alg2", "--m", "4", "--iterations", "4",
               "--t-z", "3", "--screen-count", "1", "--alpha-m", "1", "--out", str(tmp_path)])

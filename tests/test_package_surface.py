@@ -1,13 +1,15 @@
-"""No public function, class, method or dataclass field of the package exists only for its tests.
+"""No function, class, method or dataclass field of the package exists only for its tests.
 
 The scan reads the AST of every module of ``src/robustgd`` but
-``__init__.py`` (whose re-exports call nothing), and collects the public
-top-level functions and classes and the public methods of those classes. Each
-must be referenced by name (a name, an attribute or an imported name)
-somewhere in the package outside its own definition. The few that are not
-are listed in ``KEPT`` with the reason they stay; an entry kept because the
-bench calls it must be referenced in ``perfbench/``, and an entry the package
-has come to reference is stale.
+``__init__.py`` (whose re-exports call nothing), and collects the top-level
+functions and classes and the methods of those classes, dunder methods left
+out. Each must be referenced by name (a name, an attribute or an imported
+name) somewhere in the package outside its own definition; tests do not
+count. The few public ones that are not are listed in ``KEPT`` with the
+reason they stay; an entry kept because the bench calls it must be
+referenced in ``perfbench/``, and an entry the package has come to reference
+is stale. A private one (a leading underscore) has no such list: a helper
+that nothing in the package calls goes.
 
 Every field of a top-level dataclass must be read as an attribute
 (``value.field``, not an assignment to it) somewhere in ``src/robustgd`` or
@@ -35,14 +37,18 @@ def _modules():
             if path.name != "__init__.py"}
 
 
-def _public_definitions(tree):
-    """(qualified name, name, node) of each public top-level function, class and method."""
+def _definitions(tree):
+    """(qualified name, name, node) of each top-level function and class and each method.
+
+    Dunder methods (``__init__``, ``__post_init__``) are called by Python, not by name.
+    """
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    if isinstance(sub, ast.FunctionDef) and not (
+                            sub.name.startswith("__") and sub.name.endswith("__")):
                         yield f"{node.name}.{sub.name}", sub.name, sub
 
 
@@ -63,20 +69,26 @@ def _referenced_names(tree, skip=None):
     return names
 
 
-def _unreferenced():
+def _unreferenced(private):
+    """The public (or, if ``private``, private) definitions no other code of the package names."""
     modules = _modules()
     everywhere = {path: _referenced_names(tree) for path, tree in modules.items()}
     found = []
     for path, tree in modules.items():
         others = set().union(*(names for p, names in everywhere.items() if p != path))
-        for qualname, name, node in _public_definitions(tree):
-            if name not in others and name not in _referenced_names(tree, skip=node):
+        for qualname, name, node in _definitions(tree):
+            if (name.startswith("_") == private and name not in others
+                    and name not in _referenced_names(tree, skip=node)):
                 found.append(qualname)
     return found
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    assert sorted(_unreferenced()) == sorted(KEPT)
+    assert sorted(_unreferenced(private=False)) == sorted(KEPT)
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    assert _unreferenced(private=True) == []
 
 
 def test_the_names_kept_for_the_bench_are_the_ones_it_calls():

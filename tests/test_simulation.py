@@ -42,7 +42,6 @@ from robustgd.simulation import (
 from robustgd.surrogate import (
     DROConfig,
     exact_rows,
-    inner_objectives,
     line_ascent,
     quadratic_line_ascent,
     surrogate_state,
@@ -95,7 +94,9 @@ def worker_rows(m, N):
 def worker_objectives(theta, X, Y, dro):
     """Each worker's mean logistic inner objective over its rows of a (k, n, d) block."""
     k, n, d = X.shape
-    objectives = inner_objectives(theta, X.reshape(k * n, d), Y.reshape(k * n), dro)
+    rows, labels = X.reshape(k * n, d), Y.reshape(k * n)
+    margins, c, sq_norm = line_ascent(theta, rows, labels, dro)
+    _, objectives = surrogate._line_rows(margins, c, sq_norm, labels, dro.lam)
     return np.add.reduceat(objectives, np.arange(0, k * n, n)) / n
 
 
@@ -423,25 +424,31 @@ class TestReportPlan:
         with pytest.raises(NumericError, match=f"^{message}$") as err:
             plan_reports(LogisticLoss(), theta, X, Y, dro)
         np.testing.assert_array_equal(err.value.rows, rows)
-        with pytest.raises(NumericError, match=f"^{message}$") as objective:
-            simulation._objective_sums(inner_objectives(theta, X.reshape(8, 2), Y.reshape(8), dro),
-                                       np.array([0, 4]), 4)
+        plan = ReportPlan(LogisticLoss(), X, Y, dro)
+        with pytest.raises(NumericError, match=f"^{message}$") as objective, \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulation._objective_sums(plan, *simulation._ascend(plan, theta))
         np.testing.assert_array_equal(objective.value.rows, rows)
 
     @pytest.mark.parametrize("t_z, checks", [(1, 1), (0, 0)])
     def test_a_penalty_that_breaks_nothing_changes_no_report(self, monkeypatch, t_z, checks):
         # one penalty of ~ 0.5e308, above the plan's cap, in a finite sum: the exact check
-        # runs and passes; at t_z = 0 there is no penalty (and ||theta||^2 = 16 penalties
-        # would overflow) and no check
-        calls, real = [], simulation.inner_objectives
-        monkeypatch.setattr(simulation, "inner_objectives", lambda *a: calls.append(a) or real(*a))
+        # runs on the round's own coefficients, with no second run of the step loop
+        # wherever it is bound, and passes; at t_z = 0 there is no penalty (and
+        # ||theta||^2 = 16 penalties would overflow), no step and no check
+        calls, real = [], simulation._objective_sums
+        monkeypatch.setattr(simulation, "_objective_sums", lambda *a: calls.append(a) or real(*a))
+        steps, real_steps = [], surrogate._line_steps
+        for module in (surrogate, simulation):
+            monkeypatch.setattr(module, "_line_steps", lambda *a, **kw: steps.append(a)
+                                or real_steps(*a, **kw))
         theta, X, Y = self.penalty_problem(2.0 if t_z else 4.0, 1 if t_z else 4)
         plan = ReportPlan(LogisticLoss(), X, Y, DROConfig(1e308, 0.5, t_z))
         assert plan.penalty_cap < 0.5e308
         expected = (line_step_reports(theta, X, Y, plan.dro) if t_z
                     else per_worker_reports(LogisticLoss(), theta, X, Y, plan.dro))
         assert_same_bits(worker_reports(plan, theta), expected)
-        assert len(calls) == checks
+        assert len(calls) == len(steps) == checks
 
 
 class TestRunTraining:

@@ -16,9 +16,10 @@ from conftest import (
     quadratic_grads_z,
     rowwise_ascent,
 )
-from robustgd import surrogate
+from robustgd import simulation, surrogate
 from robustgd.errors import ConfigError, NumericError, RegimeError
-from robustgd.losses import LogisticLoss, QuadraticLoss, sigmoid
+from robustgd.losses import LogisticLoss, QuadraticLoss, cross_entropy, sigmoid
+from robustgd.simulation import ReportPlan
 from robustgd.surrogate import (
     DROConfig,
     contraction_factor,
@@ -228,15 +229,19 @@ class TestLogisticLinePath:
 
     @pytest.mark.parametrize("sq_norm", [0.0, 2.5])
     def test_zero_steps_give_the_general_rows_bits(self, monkeypatch, sq_norm):
-        # a BLAS product never gives a margin of -0.0, so _margins hands these over
+        # a BLAS product never gives a margin of -0.0, so _margins hands these over; a plan
+        # of eight one-row workers gives each row's objective as its worker's sum
         margins = np.tile([-0.0, 0.0, 800.0, -800.0], 2)
         Y = np.repeat([0.0, 1.0], 4)
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
-        monkeypatch.setattr(surrogate, "_margins", lambda theta, X: (margins, sq_norm))
-        got = (surrogate.line_ascent(np.ones(3), np.ones((8, 3)), Y, cfg)[1],
-               surrogate.inner_objectives(np.ones(3), np.ones((8, 3)), Y, cfg))
+        for module in (surrogate, simulation):
+            monkeypatch.setattr(module, "_margins", lambda theta, X, out=None: (margins, sq_norm))
+        plan = ReportPlan(LogisticLoss(), np.ones((8, 1, 3)), Y.reshape(8, 1), cfg)
+        c = surrogate.line_ascent(np.ones(3), np.ones((8, 3)), Y, cfg)[1]
+        sums = simulation._objective_sums(plan, *simulation._ascend(plan, np.ones(3)))
         _, objectives = surrogate._line_rows(margins, np.zeros(8), sq_norm, Y, cfg.lam)
-        for name, a, b in zip(("c", "objectives"), got, (np.zeros(8), objectives)):
+        for name, a, b in (("c", c, np.zeros(8)), ("objectives", sums, objectives),
+                           ("cross-entropy", sums, cross_entropy(sigmoid(margins), Y))):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
 
     @pytest.mark.parametrize("run_axis", [False, True])
@@ -248,9 +253,13 @@ class TestLogisticLinePath:
             X, Y, theta = X[1], Y[1], theta[1]
         cfg = DROConfig(lam=3.0, eta_z=0.05, t_z=0)
         margins, c, sq_norm = surrogate.line_ascent(theta, X, Y, cfg)
-        objectives = surrogate.inner_objectives(theta, X, Y, cfg)
+        # one-row workers: each worker's sum is its row's objective
+        plan = ReportPlan(LogisticLoss(), X[..., None, :], Y[..., None], cfg)
+        objectives = simulation._objective_sums(plan, *simulation._ascend(plan, theta))
         _, general = surrogate._line_rows(margins, np.zeros(margins.shape), sq_norm, Y, cfg.lam)
         np.testing.assert_array_equal(objectives.view(np.int64), general.view(np.int64))
+        np.testing.assert_array_equal(objectives.view(np.int64),
+                                      cross_entropy(sigmoid(margins), Y).view(np.int64))
         np.testing.assert_array_equal(c.view(np.int64), np.zeros(margins.shape).view(np.int64))
 
     def test_ascent_steps_come_from_the_config_only(self):
