@@ -13,6 +13,19 @@ reports as one plain (m, d) array; ``norm_screen`` also takes a stack of
 them, (..., m, d), one screen per leading index, so a batch of training runs
 screens its round in one call. The screened sum adds the kept rows in index
 order whatever the stack's shape, so every screen is bit-stable.
+
+The screen and the bound each have a public entry and a private body.
+``_screen`` and ``_bound`` hold every check and all the arithmetic and enter
+no ``np.errstate``; ``norm_screen`` and ``screening_deviation_bound`` are
+those bodies inside their own errstate (the bound also builds its
+``DeviationBound``). The server round, the trace suites and every other
+caller use the public entries; the round must, since the benchmark's tracer
+times ``norm_screen`` by name. Only the screening fuzz of ``verify`` calls
+the bodies: it checks thousands of instances under one errstate of its own,
+so no instance pays for two contexts and a result object. It rechecks the
+two instances behind its reported figures through the public entries, so
+the figures it reports are theirs, and a body that drifts from its entry
+on either instance fails the fuzz.
 """
 
 import math
@@ -45,8 +58,13 @@ def row_norms(rows):
     1e308, say) gets norm +inf without a numpy warning, so screening ranks it
     above every finite row.
     """
-    with np.errstate(over="ignore"):  # np.linalg.norm's own formula, without its overhead
-        return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    with np.errstate(over="ignore"):
+        return _row_norms(rows)
+
+
+def _row_norms(rows):
+    """``row_norms`` without its errstate: the caller silences an overflow."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))  # np.linalg.norm's own formula
 
 
 def dot_sq_norms(vectors):
@@ -92,14 +110,21 @@ def norm_screen(reports, screen_count):
     With ``screen_count == 0`` every row is kept, so none is ranked: the
     rows are summed in index order as they stand, with the same bits. The
     kept sum is a fresh array, so it is finished (+ 0.0, then the division)
-    in place.
+    in place. A row, or a kept sum, past the float range reads inf without a
+    numpy warning.
     """
+    with np.errstate(over="ignore"):
+        return _screen(reports, screen_count)
+
+
+def _screen(reports, screen_count):
+    """``norm_screen`` without its errstate: the caller silences an overflow."""
     reports = _report_matrix(reports, stacked=True)
     screen_count = require_count("screen_count", screen_count, 0)
     m, d = reports.shape[-2:]
     if screen_count >= m:
         raise ConfigError(f"screen_count={screen_count} must be < m={m} (keep at least one)")
-    norms = row_norms(reports)
+    norms = _row_norms(reports)
     if screen_count == 0:  # every row is kept, already in index order: nothing to rank
         return (np.add.accumulate(reports, axis=-2)[..., -1, :] + 0.0) / m, norms
     # stable sort: equal norms keep the lower original index first
@@ -155,6 +180,17 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
     bit for bit, taken in place on the one gathered copy of the honest rows:
     the differences, their squares and the norms overwrite it.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_alpha, delta, rhs = _bound(reports, honest, screen_count, S)
+    return DeviationBound(c_alpha=c_alpha, delta=delta, rhs=rhs)
+
+
+def _bound(reports, honest, screen_count, S):
+    """(c_alpha, delta, rhs) of ``screening_deviation_bound``, without its errstate.
+
+    The caller silences the overflow and the invalid value that a square
+    past the float range, or a non-finite S, can give on the way.
+    """
     reports = _report_matrix(reports)
     m, d = reports.shape
     honest = np.asarray(honest)
@@ -174,11 +210,10 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
     # row_norms; a non-finite S (whose differences may be inf - inf) is refused
     # before they are read.
     distances = reports.compress(honest, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
-        distances -= S
-        distances *= distances
-        distances = np.add.reduce(distances, axis=-1)
+    squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
+    distances -= S
+    distances *= distances
+    distances = np.add.reduce(distances, axis=-1)
     if not math.isfinite(squared) and not np.isfinite(S).all():
         raise NumericError(f"S must be finite, got {S}")
     np.sqrt(distances, out=distances)
@@ -188,8 +223,4 @@ def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBoun
         raise NumericError(f"honest rows {rows.tolist()} hold NaN: no deviation bound",
                            rows=rows)
     # c_alpha = 0 drops the ||S|| term, also where S * S overflows to inf
-    return DeviationBound(
-        c_alpha=c_alpha,
-        delta=delta,
-        rhs=c_alpha * math.sqrt(squared) + delta if c_alpha else delta,
-    )
+    return c_alpha, delta, c_alpha * math.sqrt(squared) + delta if c_alpha else delta

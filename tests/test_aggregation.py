@@ -6,6 +6,8 @@ import pytest
 from robustgd.aggregation import (
     DeviationBound,
     ScreenConfig,
+    _bound,
+    _screen,
     norm_screen,
     row_norms,
     screening_coefficient,
@@ -27,6 +29,15 @@ def mask(m, honest):
 
 def screened_mean(reports, screen_count):
     return norm_screen(reports, screen_count)[0]
+
+
+# the public entries and their bodies, which run under their callers' errstate,
+# refuse the same input with the same message
+SCREENS = pytest.mark.parametrize("screen", [norm_screen, _screen], ids=["public", "body"])
+BOUNDS = pytest.mark.parametrize("bound", [screening_deviation_bound, _bound],
+                                 ids=["public", "body"])
+BOTH = pytest.mark.parametrize("screen, bound", [(norm_screen, screening_deviation_bound),
+                                                 (_screen, _bound)], ids=["public", "body"])
 
 
 class TestNormScreen:
@@ -113,31 +124,36 @@ class TestNormScreen:
         np.ones((2, 0, 2)),                        # a stack of matrices without a report
         np.ones((0, 2, 2)),                        # an empty stack
     ])
-    def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, reports):
+    @BOTH
+    def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, screen, bound,
+                                                                     reports):
         with pytest.raises(ShapeError):
-            norm_screen(reports, 0)
+            screen(reports, 0)
         with pytest.raises(ShapeError):
-            screening_deviation_bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
+            bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
 
-    def test_only_the_screen_takes_a_stack_of_matrices(self):
+    @BOTH
+    def test_only_the_screen_takes_a_stack_of_matrices(self, screen, bound):
         stack = np.ones((2, 2, 2))
-        G, norms = norm_screen(stack, 1)
+        G, norms = screen(stack, 1)
         assert G.shape == (2, 2) and norms.shape == (2, 2)
         with pytest.raises(ShapeError, match=r"2-d \(m, d\) matrix, got shape \(2, 2, 2\)"):
-            screening_deviation_bound(stack, np.ones(2, dtype=bool), 0, np.zeros(2))
+            bound(stack, np.ones(2, dtype=bool), 0, np.zeros(2))
 
-    def test_screening_everything_is_config_error(self):
+    @SCREENS
+    def test_screening_everything_is_config_error(self, screen):
         with pytest.raises(ConfigError, match=r"^screen_count=3 must be < m=3 \(keep at least one\)$"):
-            norm_screen(scalars(1, 2, 3), 3)
+            screen(scalars(1, 2, 3), 3)
 
     @pytest.mark.parametrize("count, message", [
         (-1, "screen_count must be >= 0, got -1"),          # averaged every row
         (True, "screen_count must be an integer count, got True"),  # screened one row
         (1.5, "screen_count must be an integer count, got 1.5"),    # a bare slicing TypeError
     ])
-    def test_bad_counts_are_refused_by_name(self, count, message):
+    @SCREENS
+    def test_bad_counts_are_refused_by_name(self, screen, count, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            norm_screen(scalars(1, 2, 3), count)
+            screen(scalars(1, 2, 3), count)
 
     def test_an_integral_float_count_screens_as_its_int(self, rng):
         reports = rng.standard_normal((5, 3))
@@ -336,15 +352,15 @@ class TestDeviationBound:
         assert slack >= 0.0
         assert slack == pytest.approx(bound.c_alpha * np.linalg.norm(S), rel=1e-12)
 
-    def test_alpha_above_beta_is_inapplicable(self):
+    @BOUNDS
+    def test_alpha_above_beta_is_inapplicable(self, bound):
         with pytest.raises(RegimeError):
-            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, range(4)), 1,
-                                      np.array([0.0]))
+            bound(scalars(1, 2, 3, 4, 5, 6), mask(6, range(4)), 1, np.array([0.0]))
 
-    def test_alpha_above_half_is_inapplicable(self):
+    @BOUNDS
+    def test_alpha_above_half_is_inapplicable(self, bound):
         with pytest.raises(RegimeError):
-            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, [0, 1]), 5,
-                                      np.array([0.0]))
+            bound(scalars(1, 2, 3, 4, 5, 6), mask(6, [0, 1]), 5, np.array([0.0]))
 
     @pytest.mark.parametrize("honest, error, message", [
         (np.zeros(3, dtype=bool), ConfigError, "honest mask must mark at least one row"),
@@ -354,32 +370,37 @@ class TestDeviationBound:
         (np.array([0, 1, 2]), ShapeError, r"got int64 of shape \(3,\)"),   # indices, not a mask
         (np.array([1.0, 1.0, 0.0]), ShapeError, r"got float64 of shape \(3,\)"),
     ])
-    def test_bad_honest_masks_are_named(self, honest, error, message):
+    @BOUNDS
+    def test_bad_honest_masks_are_named(self, bound, honest, error, message):
         with pytest.raises(error, match=message):
-            screening_deviation_bound(scalars(1, 2, 3), honest, 1, np.array([0.0]))
+            bound(scalars(1, 2, 3), honest, 1, np.array([0.0]))
 
-    def test_s_of_the_wrong_shape_is_named(self):
+    @BOUNDS
+    def test_s_of_the_wrong_shape_is_named(self, bound):
         with pytest.raises(ShapeError, match=r"S must have shape \(1,\), got \(2,\)"):
-            screening_deviation_bound(scalars(1, 2, 3), np.ones(3, dtype=bool), 1, np.zeros(2))
+            bound(scalars(1, 2, 3), np.ones(3, dtype=bool), 1, np.zeros(2))
 
     @pytest.mark.parametrize("honest", [[0, 1, 2, 3], [0, 1, 2]], ids=["all-honest", "one-byz"])
-    def test_screening_every_input_is_a_config_error_without_a_warning(self, honest):
+    @BOUNDS
+    def test_screening_every_input_is_a_config_error_without_a_warning(self, bound, honest):
         # tier-1 turns a RuntimeWarning into an error, so a 0/0 or x/0 on the way
         # would replace the named refusal
         with pytest.raises(ConfigError, match=r"^screen_count=4 must be < m=4 \(keep at least one\)$"):
-            screening_deviation_bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
+            bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
 
     @pytest.mark.parametrize("S", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
-    def test_a_non_finite_s_is_a_numeric_error(self, S):
+    @BOUNDS
+    def test_a_non_finite_s_is_a_numeric_error(self, bound, S):
         with pytest.raises(NumericError, match=r"^S must be finite, got \["):
-            screening_deviation_bound(np.ones((4, 2)), mask(4, range(3)), 1, np.array(S))
+            bound(np.ones((4, 2)), mask(4, range(3)), 1, np.array(S))
 
     @pytest.mark.parametrize("honest", [range(3), range(4)], ids=["one-byz", "all-honest"])
-    def test_a_nan_honest_row_is_a_numeric_error_naming_it(self, honest):
+    @BOUNDS
+    def test_a_nan_honest_row_is_a_numeric_error_naming_it(self, bound, honest):
         reports = np.ones((4, 2))
         reports[[0, 2], 1] = np.nan
         with pytest.raises(NumericError, match=r"^honest rows \[0, 2\] hold NaN") as caught:
-            screening_deviation_bound(reports, mask(4, honest), 1, np.zeros(2))
+            bound(reports, mask(4, honest), 1, np.zeros(2))
         assert caught.value.rows.tolist() == [0, 2]
 
     def test_non_finite_rows_that_give_a_bound_still_give_one(self):
@@ -431,7 +452,11 @@ def bound_bits(bound):
 
 
 class TestDeviationBoundMatchesTheReference:
-    """The in-place bound returns the reference's ``DeviationBound``, bit for bit."""
+    """The in-place bound returns the reference's ``DeviationBound``, bit for bit.
+
+    The bodies ``_screen`` and ``_bound``, under the errstate the fuzz holds
+    around them, give the public functions' bits.
+    """
 
     def assert_same_bound(self, reports, honest, screen_count, S):
         expected = reference_deviation_bound(reports, honest, screen_count, S)
@@ -442,7 +467,14 @@ class TestDeviationBoundMatchesTheReference:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_fuzz_instances(self, seed):
         for rows, honest, b, S in verify._screening_instances(2000, seed):
-            self.assert_same_bound(rows, honest, b, S)
+            bound = self.assert_same_bound(rows, honest, b, S)
+            G, norms = norm_screen(rows, b)
+            with np.errstate(over="ignore", invalid="ignore"):  # the fuzz's
+                body_G, body_norms = _screen(rows, b)
+                body_bound = _bound(rows, honest, b, S)
+            assert_same_bits(body_G, G)
+            assert_same_bits(body_norms, norms)
+            assert [value.hex() for value in body_bound] == bound_bits(bound)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_an_infinite_honest_row(self, rng, value):
