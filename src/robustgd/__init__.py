@@ -8,7 +8,6 @@ checkers that verify recorded traces against them.
 """
 
 from .aggregation import (
-    DeviationBound,
     ScreenConfig,
     norm_screen,
     screening_coefficient,

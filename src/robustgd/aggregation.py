@@ -14,18 +14,14 @@ them, (..., m, d), one screen per leading index, so a batch of training runs
 screens its round in one call. The screened sum adds the kept rows in index
 order whatever the stack's shape, so every screen is bit-stable.
 
-The screen and the bound each have a public entry and a private body.
-``_screen`` and ``_bound`` hold every check and all the arithmetic and enter
-no ``np.errstate``; ``norm_screen`` and ``screening_deviation_bound`` are
-those bodies inside their own errstate (the bound also builds its
-``DeviationBound``). The server round, the trace suites and every other
-caller use the public entries; the round must, since the benchmark's tracer
-times ``norm_screen`` by name. Only the screening fuzz of ``verify`` calls
-the bodies: it checks thousands of instances under one errstate of its own,
-so no instance pays for two contexts and a result object. It rechecks the
-two instances behind its reported figures through the public entries, so
-the figures it reports are theirs, and a body that drifts from its entry
-on either instance fails the fuzz.
+``norm_screen`` has a private body, ``_screen``, that holds every check and
+all the arithmetic and enters no ``np.errstate``; ``norm_screen`` is that
+body inside its own errstate. The server round and every other caller use
+``norm_screen``; the round must, since the benchmark's tracer times it by
+name. The screening fuzz of ``verify`` checks thousands of instances under
+one errstate of its own, so it calls ``_screen``.
+``screening_deviation_bound`` has one form, which enters no errstate: its
+caller silences an overflow, as the fuzz does.
 """
 
 import math
@@ -89,13 +85,6 @@ class ScreenConfig:
     def __post_init__(self):
         count = require_count("screen_count", self.screen_count, 0)
         object.__setattr__(self, "screen_count", count)  # stored as an int
-
-
-@dataclass(frozen=True)
-class DeviationBound:
-    c_alpha: float  # screening_coefficient of the instance
-    delta: float    # max over honest i of ||g_i - S||
-    rhs: float      # c_alpha * ||S|| + delta
 
 
 def norm_screen(reports, screen_count):
@@ -168,28 +157,24 @@ def screening_coefficient(byzantine, screened, m):
     return 2.0 * byzantine / (m - screened)
 
 
-def screening_deviation_bound(reports, honest, screen_count, S) -> DeviationBound:
-    """Worst-case deviation of ``norm_screen(reports, screen_count)`` from S.
+def screening_deviation_bound(reports, honest, screen_count, S):
+    """(c_alpha, Delta, rhs) bounding ||norm_screen(reports, screen_count)[0] - S||.
 
-    ``honest`` is a boolean mask over the rows of ``reports``, True for the
-    honest ones. Requires counts that ``screening_coefficient`` accepts. A
-    non-finite S, or an honest row holding NaN, has no bound: ``NumericError``
-    (naming those rows in its ``rows``). An infinite honest row gives an
-    infinite bound, and so does a finite S whose squared norm overflows
-    unless c_alpha = 0. Delta is ``row_norms(reports[honest] - S).max()``,
-    bit for bit, taken in place on the one gathered copy of the honest rows:
-    the differences, their squares and the norms overwrite it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_alpha, delta, rhs = _bound(reports, honest, screen_count, S)
-    return DeviationBound(c_alpha=c_alpha, delta=delta, rhs=rhs)
+    rhs = c_alpha * ||S|| + Delta is the worst-case deviation. ``honest`` is
+    a boolean mask over the rows of ``reports``, True for the honest ones.
+    Requires counts that ``screening_coefficient`` accepts. A non-finite S,
+    or an honest row holding NaN, has no bound: ``NumericError`` (naming
+    those rows in its ``rows``). An infinite honest row gives an infinite
+    bound, and so does a finite S whose squared norm overflows unless
+    c_alpha = 0. Delta is ``row_norms(reports[honest] - S).max()``, bit for
+    bit, taken in place on the one gathered copy of the honest rows: the
+    differences, their squares and the norms overwrite it.
 
-
-def _bound(reports, honest, screen_count, S):
-    """(c_alpha, delta, rhs) of ``screening_deviation_bound``, without its errstate.
-
-    The caller silences the overflow and the invalid value that a square
-    past the float range, or a non-finite S, can give on the way.
+    It enters no ``np.errstate``: a square or a difference past the float
+    range reads inf, and numpy warns of that overflow unless the caller
+    silences it (the screening fuzz does, once for all its instances). A
+    non-finite S is refused before it meets a row, so no invalid value
+    (inf - inf) can arise.
     """
     reports = _report_matrix(reports)
     m, d = reports.shape
@@ -205,17 +190,15 @@ def _bound(reports, honest, screen_count, S):
         raise ShapeError(f"S must have shape ({d},), got {S.shape}")
 
     c_alpha = screening_coefficient(m - honest_count, screen_count, m)
-    # ||S||^2 and row_norms(reports[honest] - S), in place on the one gathered
-    # copy of the honest rows. A square past the float range reads inf, as in
-    # row_norms; a non-finite S (whose differences may be inf - inf) is refused
-    # before they are read.
-    distances = reports.compress(honest, axis=0)
     squared = float(S.dot(S))  # np.linalg.norm's own formula, without its overhead
+    if not math.isfinite(squared) and not np.isfinite(S).all():
+        raise NumericError(f"S must be finite, got {S}")
+    # row_norms(reports[honest] - S), in place on the one gathered copy of the
+    # honest rows; a square past the float range reads inf, as in row_norms
+    distances = reports.compress(honest, axis=0)
     distances -= S
     distances *= distances
     distances = np.add.reduce(distances, axis=-1)
-    if not math.isfinite(squared) and not np.isfinite(S).all():
-        raise NumericError(f"S must be finite, got {S}")
     np.sqrt(distances, out=distances)
     delta = float(np.maximum.reduce(distances))
     if math.isnan(delta):  # a NaN honest row; an infinite one gives an infinite bound

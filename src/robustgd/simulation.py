@@ -500,9 +500,7 @@ def with_diagnostics(model, X, Y, trace: RunTrace, dro: DROConfig):
         true_gradients[rounds] = grads.mean(axis=1)
         if isinstance(model, QuadraticLoss):  # ||z* - x|| = ||theta-gradient|| / lam
             factor = abs(1.0 - dro.eta_z * (dro.lam - model.curvature)) ** dro.t_z / dro.lam
-            # np.linalg.norm's sum of squares; sqrt is monotone and correctly
-            # rounded, so the root of the largest is the largest norm, bit for bit
-            inner_eps[rounds] = factor * np.sqrt(np.add.reduce(grads * grads, axis=2).max(axis=1))
+            inner_eps[rounds] = factor * np.linalg.norm(grads, axis=2).max(axis=1)
         else:  # z_eps and z* on the line x + c * theta
             _, c_eps, sq_norm = line_ascent(theta, X, Y, dro)
             inner_eps[rounds] = np.abs(c_eps - c_star).max(axis=1) * np.sqrt(sq_norm[:, 0])

@@ -10,18 +10,15 @@ of generator calls, so a seed names the same instances. An instance's
 normals (its scale's, S and the honest rows) come from one
 ``standard_normal`` call into one buffer, and one in-place product scales S
 and the rows: a generator's draws do not depend on how they are split into
-calls, so these are the instances the per-array calls drew. It screens and
-bounds each with ``aggregation._screen`` and ``aggregation._bound``, the
-bodies of ``norm_screen`` (the screen the server runs) and
-``screening_deviation_bound``, all under one ``np.errstate`` around the whole
-loop, so no instance enters a context of its own or builds a
-``DeviationBound``. It then rechecks the two instances that set the reported
-figures, the worst slack and the largest ||G - S|| / rhs, through the public
-entries, and fails naming the instance if either figure differs: the
-figures it reports are the public functions', and a body that drifts from
-its entry on either instance fails the suite. It holds at most three instances whatever the
-count: the one being checked and the two behind the figures. The seed, like
-the count, must be an integer count.
+calls, so these are the instances the per-array calls drew. It screens each
+with ``aggregation._screen``, the body of ``norm_screen`` (the screen the
+server runs), and bounds it with ``screening_deviation_bound``, all under
+one ``np.errstate(over="ignore")`` around the whole loop, so no instance
+enters a context of its own. That is what ``norm_screen`` silences and all
+the bound needs. It covers the draw and the figures too, where an overflow
+reads inf (an infinite ||G - S|| fails its instance); an invalid value
+anywhere still warns. It holds one instance at a time whatever the count.
+The seed, like the count, must be an integer count.
 
 The two trace suites check prefixes of shared runs. A round depends only on
 the rounds before it, so the first T rounds of a longer run with the same
@@ -47,10 +44,8 @@ import numpy as np
 
 from .aggregation import (
     ScreenConfig,
-    _bound,
     _row_norms,
     _screen,
-    norm_screen,
     screening_coefficient,
     screening_deviation_bound,
 )
@@ -122,57 +117,39 @@ def _screening_instances(n_instances, seed):
             rng.standard_normal(out=byz)
             byz *= 1e3 * scale
         else:
-            radius = _row_norms(honest).max()  # finite rows: no errstate needed
+            radius = _row_norms(honest).max()  # under the fuzz's errstate
             s_norm = math.sqrt(S.dot(S))
             byz[:] = -radius * (S / s_norm if s_norm > 0 else np.eye(d)[0])
         order = rng.permutation(m)
         yield rows.take(order, axis=0), order < k, b, S
 
 
-_FIGURES = ("worst slack", "max ||G-S||/rhs")
-
-
-def _figures(G, S, rhs):
-    """(rhs - ||G - S||, ||G - S|| / rhs) for a screened mean G, which is overwritten."""
-    G -= S
-    lhs = math.sqrt(G.dot(G))  # np.linalg.norm's own formula, without its overhead
-    return rhs - lhs, lhs / rhs
-
-
 def fuzz_screening_bound(n_instances=10_000, seed=0):
     """Randomized instances of the screened-mean deviation inequality.
 
-    Each instance is screened and bounded by the bodies of ``norm_screen``,
-    the screen the server runs, and ``screening_deviation_bound``, under one
-    errstate for the whole loop; the detail line adds the tightest instance's
-    ||G - S|| / rhs. The instances that set the worst slack and that ratio
-    are checked again through the public functions, and the suite fails,
-    naming the instance, if a figure differs.
+    Each instance is screened by ``_screen``, the body of ``norm_screen``,
+    the screen the server runs, and bounded by ``screening_deviation_bound``,
+    under one errstate for the whole loop; the detail line adds the tightest
+    instance's ||G - S|| / rhs.
     """
     n_instances = require_count("n_instances", n_instances, 1)
     seed = require_count("seed", seed, 0)
     worst, tightest, failures = np.inf, 0.0, 0
-    setters = {}  # 0 (the slack) or 1 (the ratio) -> (its figure, index, instance that set it)
-    with np.errstate(over="ignore", invalid="ignore"):  # what the public entries silence
-        for index, instance in enumerate(_screening_instances(n_instances, seed)):
-            rows, honest, b, S = instance
-            slack, ratio = _figures(_screen(rows, b)[0], S, _bound(rows, honest, b, S)[2])
-            if slack < worst:  # strict, as min() and max(): a tie keeps the earlier instance
-                worst = slack
-                setters[0] = worst, index, instance
-            if ratio > tightest:
-                tightest = ratio
-                setters[1] = tightest, index, instance
+    with np.errstate(over="ignore"):  # see the module docstring
+        for rows, honest, b, S in _screening_instances(n_instances, seed):
+            G, _ = _screen(rows, b)
+            G -= S
+            lhs = math.sqrt(G.dot(G))  # np.linalg.norm's own formula, without its overhead
+            rhs = screening_deviation_bound(rows, honest, b, S)[2]
+            slack = rhs - lhs
+            worst = min(worst, slack)
+            tightest = max(tightest, lhs / rhs)
             failures += 0 if slack >= 0.0 else 1
-    differ = [f"public functions give another {_FIGURES[which]} at instance {index}"
-              for which, (value, index, (rows, honest, b, S)) in setters.items()
-              if _figures(norm_screen(rows, b)[0], S,
-                          screening_deviation_bound(rows, honest, b, S).rhs)[which] != value]
     return SuiteResult(
         name=f"screening deviation fuzz ({n_instances} instances)",
-        passed=failures == 0 and not differ,
-        detail="; ".join([f"failures={failures}, {_FIGURES[0]}={worst:.3e}, "
-                          f"{_FIGURES[1]}={tightest:.4f}", *differ]),
+        passed=failures == 0,
+        detail=(f"failures={failures}, worst slack={worst:.3e}, "
+                f"max ||G-S||/rhs={tightest:.4f}"),
     )
 
 

@@ -93,7 +93,7 @@ def test_criterion_1_screening_bound_fuzz_and_toy_instance():
 
     grads, S = np.array([[4.0], [6.0], [-5.9]]), np.array([5.0])
     lhs = np.linalg.norm(norm_screen(grads, 1)[0] - S)
-    rhs = screening_deviation_bound(grads, np.array([True, True, False]), 1, S).rhs
+    rhs = screening_deviation_bound(grads, np.array([True, True, False]), 1, S)[2]
     assert lhs == pytest.approx(5.95, abs=1e-12)
     assert rhs == pytest.approx(6.0, abs=1e-12)
     assert lhs <= rhs

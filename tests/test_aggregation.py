@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from robustgd.aggregation import (
-    DeviationBound,
     ScreenConfig,
-    _bound,
     _screen,
     norm_screen,
     row_norms,
@@ -31,13 +29,9 @@ def screened_mean(reports, screen_count):
     return norm_screen(reports, screen_count)[0]
 
 
-# the public entries and their bodies, which run under their callers' errstate,
+# the public screen and its body, which runs under its caller's errstate,
 # refuse the same input with the same message
 SCREENS = pytest.mark.parametrize("screen", [norm_screen, _screen], ids=["public", "body"])
-BOUNDS = pytest.mark.parametrize("bound", [screening_deviation_bound, _bound],
-                                 ids=["public", "body"])
-BOTH = pytest.mark.parametrize("screen, bound", [(norm_screen, screening_deviation_bound),
-                                                 (_screen, _bound)], ids=["public", "body"])
 
 
 class TestNormScreen:
@@ -124,21 +118,20 @@ class TestNormScreen:
         np.ones((2, 0, 2)),                        # a stack of matrices without a report
         np.ones((0, 2, 2)),                        # an empty stack
     ])
-    @BOTH
-    def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, screen, bound,
-                                                                     reports):
+    @SCREENS
+    def test_reports_that_are_not_an_m_by_d_matrix_are_a_shape_error(self, screen, reports):
         with pytest.raises(ShapeError):
             screen(reports, 0)
         with pytest.raises(ShapeError):
-            bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
+            screening_deviation_bound(reports, np.ones(2, dtype=bool), 0, np.zeros(2))
 
-    @BOTH
-    def test_only_the_screen_takes_a_stack_of_matrices(self, screen, bound):
+    @SCREENS
+    def test_only_the_screen_takes_a_stack_of_matrices(self, screen):
         stack = np.ones((2, 2, 2))
         G, norms = screen(stack, 1)
         assert G.shape == (2, 2) and norms.shape == (2, 2)
         with pytest.raises(ShapeError, match=r"2-d \(m, d\) matrix, got shape \(2, 2, 2\)"):
-            bound(stack, np.ones(2, dtype=bool), 0, np.zeros(2))
+            screening_deviation_bound(stack, np.ones(2, dtype=bool), 0, np.zeros(2))
 
     @SCREENS
     def test_screening_everything_is_config_error(self, screen):
@@ -317,50 +310,59 @@ class TestNormScreenMatchesTheLoop:
             G, _ = norm_screen(rows, b)
             assert_same_bits(G, loop_screen(rows, b))
             lhs = np.linalg.norm(G - S)
-            assert screening_deviation_bound(rows, mask(len(rows), honest), b, S).rhs - lhs >= 0.0
+            assert screening_deviation_bound(rows, mask(len(rows), honest), b, S)[2] - lhs >= 0.0
             if rows is huge:
                 assert np.isfinite(lhs)  # the 1e308 row is screened
+
+    def test_a_kept_sum_past_the_float_range_reads_inf_without_a_warning(self):
+        # tier-1 turns a RuntimeWarning into an error; norm_screen's errstate
+        # covers the kept sum as well as the norms
+        assert screened_mean(scalars(1e308, 1e308, 0.0), 0).tolist() == [np.inf]
+        assert screened_mean(scalars(1e308, 1e308, -1e308, 1.0), 1).tolist() == [np.inf]
+        rows = np.array([[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        assert screened_mean(rows, 1).tolist() == [np.inf, 1.0 / 3.0]
 
 
 class TestDeviationBound:
     def test_toy_instance_values(self):
-        bound = screening_deviation_bound(scalars(4, 6, -5.9), mask(3, [0, 1]), 1, np.array([5.0]))
-        assert bound.c_alpha == pytest.approx(1.0)
-        assert bound.delta == pytest.approx(1.0)
-        assert bound.rhs == pytest.approx(6.0)
+        c_alpha, delta, rhs = screening_deviation_bound(scalars(4, 6, -5.9), mask(3, [0, 1]), 1,
+                                                        np.array([5.0]))
+        assert c_alpha == pytest.approx(1.0)
+        assert delta == pytest.approx(1.0)
+        assert rhs == pytest.approx(6.0)
 
     def test_toy_instance_check_slack(self):
         grads, S = scalars(4, 6, -5.9), np.array([5.0])
-        bound = screening_deviation_bound(grads, mask(3, [0, 1]), 1, S)
-        slack = bound.rhs - np.linalg.norm(screened_mean(grads, 1) - S)
+        rhs = screening_deviation_bound(grads, mask(3, [0, 1]), 1, S)[2]
+        slack = rhs - np.linalg.norm(screened_mean(grads, 1) - S)
         assert slack == pytest.approx(0.05, abs=1e-12)  # 6 - 5.95
 
     def test_all_honest_rhs_is_delta(self, rng):
         vectors = rng.standard_normal((8, 3))
         S = rng.standard_normal(3)
-        bound = screening_deviation_bound(vectors, np.ones(8, dtype=bool), 2, S)
-        assert bound.c_alpha == 0.0
+        c_alpha, _, rhs = screening_deviation_bound(vectors, np.ones(8, dtype=bool), 2, S)
+        assert c_alpha == 0.0
         expected = np.linalg.norm(vectors - S, axis=1).max()
-        assert bound.rhs == pytest.approx(expected, rel=1e-15)
+        assert rhs == pytest.approx(expected, rel=1e-15)
 
     def test_identical_inputs_slack_is_calpha_norm_s(self, rng):
         v = rng.standard_normal(6)
         S = rng.standard_normal(6)
         grads = np.tile(v, (10, 1))
-        bound = screening_deviation_bound(grads, mask(10, range(7)), 3, S)
-        slack = bound.rhs - np.linalg.norm(screened_mean(grads, 3) - S)
+        c_alpha, _, rhs = screening_deviation_bound(grads, mask(10, range(7)), 3, S)
+        slack = rhs - np.linalg.norm(screened_mean(grads, 3) - S)
         assert slack >= 0.0
-        assert slack == pytest.approx(bound.c_alpha * np.linalg.norm(S), rel=1e-12)
+        assert slack == pytest.approx(c_alpha * np.linalg.norm(S), rel=1e-12)
 
-    @BOUNDS
-    def test_alpha_above_beta_is_inapplicable(self, bound):
+    def test_alpha_above_beta_is_inapplicable(self):
         with pytest.raises(RegimeError):
-            bound(scalars(1, 2, 3, 4, 5, 6), mask(6, range(4)), 1, np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, range(4)), 1,
+                                      np.array([0.0]))
 
-    @BOUNDS
-    def test_alpha_above_half_is_inapplicable(self, bound):
+    def test_alpha_above_half_is_inapplicable(self):
         with pytest.raises(RegimeError):
-            bound(scalars(1, 2, 3, 4, 5, 6), mask(6, [0, 1]), 5, np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3, 4, 5, 6), mask(6, [0, 1]), 5,
+                                      np.array([0.0]))
 
     @pytest.mark.parametrize("honest, error, message", [
         (np.zeros(3, dtype=bool), ConfigError, "honest mask must mark at least one row"),
@@ -370,47 +372,49 @@ class TestDeviationBound:
         (np.array([0, 1, 2]), ShapeError, r"got int64 of shape \(3,\)"),   # indices, not a mask
         (np.array([1.0, 1.0, 0.0]), ShapeError, r"got float64 of shape \(3,\)"),
     ])
-    @BOUNDS
-    def test_bad_honest_masks_are_named(self, bound, honest, error, message):
+    def test_bad_honest_masks_are_named(self, honest, error, message):
         with pytest.raises(error, match=message):
-            bound(scalars(1, 2, 3), honest, 1, np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3), honest, 1, np.array([0.0]))
 
-    @BOUNDS
-    def test_s_of_the_wrong_shape_is_named(self, bound):
+    def test_s_of_the_wrong_shape_is_named(self):
         with pytest.raises(ShapeError, match=r"S must have shape \(1,\), got \(2,\)"):
-            bound(scalars(1, 2, 3), np.ones(3, dtype=bool), 1, np.zeros(2))
+            screening_deviation_bound(scalars(1, 2, 3), np.ones(3, dtype=bool), 1, np.zeros(2))
 
     @pytest.mark.parametrize("honest", [[0, 1, 2, 3], [0, 1, 2]], ids=["all-honest", "one-byz"])
-    @BOUNDS
-    def test_screening_every_input_is_a_config_error_without_a_warning(self, bound, honest):
+    def test_screening_every_input_is_a_config_error_without_a_warning(self, honest):
         # tier-1 turns a RuntimeWarning into an error, so a 0/0 or x/0 on the way
         # would replace the named refusal
         with pytest.raises(ConfigError, match=r"^screen_count=4 must be < m=4 \(keep at least one\)$"):
-            bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
+            screening_deviation_bound(scalars(1, 2, 3, 4), mask(4, honest), 4, np.array([0.0]))
 
     @pytest.mark.parametrize("S", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
-    @BOUNDS
-    def test_a_non_finite_s_is_a_numeric_error(self, bound, S):
+    def test_a_non_finite_s_is_a_numeric_error(self, S):
         with pytest.raises(NumericError, match=r"^S must be finite, got \["):
-            bound(np.ones((4, 2)), mask(4, range(3)), 1, np.array(S))
+            screening_deviation_bound(np.ones((4, 2)), mask(4, range(3)), 1, np.array(S))
+
+    def test_a_non_finite_s_is_refused_before_it_meets_a_row(self):
+        # inf - inf would warn of an invalid value, which tier-1 turns into an
+        # error; the caller holds no errstate here
+        with pytest.raises(NumericError, match=r"^S must be finite, got \[ inf -inf\]$"):
+            screening_deviation_bound(np.full((4, 2), np.inf), mask(4, range(3)), 1,
+                                      np.array([np.inf, -np.inf]))
 
     @pytest.mark.parametrize("honest", [range(3), range(4)], ids=["one-byz", "all-honest"])
-    @BOUNDS
-    def test_a_nan_honest_row_is_a_numeric_error_naming_it(self, bound, honest):
+    def test_a_nan_honest_row_is_a_numeric_error_naming_it(self, honest):
         reports = np.ones((4, 2))
         reports[[0, 2], 1] = np.nan
         with pytest.raises(NumericError, match=r"^honest rows \[0, 2\] hold NaN") as caught:
-            bound(reports, mask(4, honest), 1, np.zeros(2))
+            screening_deviation_bound(reports, mask(4, honest), 1, np.zeros(2))
         assert caught.value.rows.tolist() == [0, 2]
 
     def test_non_finite_rows_that_give_a_bound_still_give_one(self):
         reports = np.ones((4, 2))
         reports[3] = np.nan                  # byzantine: not in the bound
-        bound = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
-        assert bound.rhs == math.sqrt(2.0)
+        _, _, rhs = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
+        assert rhs == math.sqrt(2.0)
         reports[1, 0] = -np.inf              # an infinite honest row: an infinite bound
-        bound = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
-        assert bound.delta == bound.rhs == np.inf
+        _, delta, rhs = screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
+        assert delta == rhs == np.inf
 
     def test_an_s_whose_square_overflows_keeps_a_number(self):
         # ||S|| reads inf; c_alpha = 0 drops it instead of giving 0 * inf = nan
@@ -418,8 +422,18 @@ class TestDeviationBound:
         reports = np.tile(S, (4, 1))
         reports[0, 1] = 1.0
         honest = np.ones(4, dtype=bool)
-        assert screening_deviation_bound(reports, honest, 1, S).rhs == 1.0
-        assert screening_deviation_bound(reports, mask(4, range(3)), 1, S).rhs == np.inf
+        with np.errstate(over="ignore"):  # the bound leaves an overflow to its caller
+            assert screening_deviation_bound(reports, honest, 1, S)[2] == 1.0
+            assert screening_deviation_bound(reports, mask(4, range(3)), 1, S)[2] == np.inf
+
+    def test_an_overflow_warns_unless_the_caller_silences_it(self):
+        reports = np.zeros((4, 2))
+        reports[1, 0] = 1e200
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))
+        with np.errstate(over="ignore"):
+            assert screening_deviation_bound(reports, mask(4, range(3)), 1, np.zeros(2))[1:] == (
+                np.inf, np.inf)
 
     def test_quick_fuzz(self, rng):
         from robustgd.verify import fuzz_screening_bound
@@ -443,51 +457,50 @@ def reference_deviation_bound(reports, honest, screen_count, S):
         rows = np.flatnonzero(honest)[np.isnan(distances)]
         raise NumericError(f"honest rows {rows.tolist()} hold NaN: no deviation bound",
                            rows=rows)
-    return DeviationBound(c_alpha=c_alpha, delta=delta,
-                          rhs=c_alpha * math.sqrt(squared) + delta if c_alpha else delta)
+    return c_alpha, delta, c_alpha * math.sqrt(squared) + delta if c_alpha else delta
 
 
 def bound_bits(bound):
-    return [float(value).hex() for value in (bound.c_alpha, bound.delta, bound.rhs)]
+    return [float(value).hex() for value in bound]
 
 
 class TestDeviationBoundMatchesTheReference:
-    """The in-place bound returns the reference's ``DeviationBound``, bit for bit.
+    """The in-place bound returns the reference's (c_alpha, Delta, rhs), bit for bit.
 
-    The bodies ``_screen`` and ``_bound``, under the errstate the fuzz holds
-    around them, give the public functions' bits.
+    The bound runs under ``np.errstate(over="ignore")``, as in the fuzz; so
+    does ``_screen``, the body of ``norm_screen``, which gives the public
+    screen's bits.
     """
 
     def assert_same_bound(self, reports, honest, screen_count, S):
         expected = reference_deviation_bound(reports, honest, screen_count, S)
-        bound = screening_deviation_bound(reports, honest, screen_count, S)
+        with np.errstate(over="ignore"):
+            bound = screening_deviation_bound(reports, honest, screen_count, S)
         assert bound_bits(bound) == bound_bits(expected)
         return bound
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_fuzz_instances(self, seed):
         for rows, honest, b, S in verify._screening_instances(2000, seed):
-            bound = self.assert_same_bound(rows, honest, b, S)
+            self.assert_same_bound(rows, honest, b, S)
             G, norms = norm_screen(rows, b)
-            with np.errstate(over="ignore", invalid="ignore"):  # the fuzz's
+            with np.errstate(over="ignore"):  # the fuzz's
                 body_G, body_norms = _screen(rows, b)
-                body_bound = _bound(rows, honest, b, S)
             assert_same_bits(body_G, G)
             assert_same_bits(body_norms, norms)
-            assert [value.hex() for value in body_bound] == bound_bits(bound)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_an_infinite_honest_row(self, rng, value):
         reports = rng.standard_normal((5, 3))
         reports[1] = value
-        bound = self.assert_same_bound(reports, mask(5, range(4)), 1, rng.standard_normal(3))
-        assert bound.delta == np.inf
+        _, delta, _ = self.assert_same_bound(reports, mask(5, range(4)), 1, rng.standard_normal(3))
+        assert delta == np.inf
 
     def test_an_honest_row_whose_square_overflows(self, rng):
         reports = rng.standard_normal((5, 3))
         reports[2] = 1e200
-        bound = self.assert_same_bound(reports, mask(5, range(4)), 2, rng.standard_normal(3))
-        assert bound.delta == np.inf
+        _, delta, _ = self.assert_same_bound(reports, mask(5, range(4)), 2, rng.standard_normal(3))
+        assert delta == np.inf
 
     @pytest.mark.parametrize("honest", [range(3), range(4)], ids=["one-byz", "all-honest"])
     def test_a_nan_honest_row(self, honest):
@@ -507,7 +520,7 @@ class TestDeviationBoundMatchesTheReference:
         S = np.array([1e200, 0.0])
         reports = np.tile(S, (4, 1))
         reports[0, 1] = 1.0
-        assert self.assert_same_bound(reports, mask(4, honest), 1, S).rhs == rhs
+        assert self.assert_same_bound(reports, mask(4, honest), 1, S)[2] == rhs
 
     def test_one_column(self, rng):
         self.assert_same_bound(rng.standard_normal((9, 1)), mask(9, range(6)), 3,
@@ -515,9 +528,9 @@ class TestDeviationBoundMatchesTheReference:
 
     @pytest.mark.parametrize("m, screen_count", [(1, 0), (2, 1)])
     def test_a_single_honest_row(self, rng, m, screen_count):
-        bound = self.assert_same_bound(rng.standard_normal((m, 4)), mask(m, [0]), screen_count,
-                                       rng.standard_normal(4))
-        assert bound.c_alpha == 2.0 * (m - 1) / (m - screen_count)
+        c_alpha, _, _ = self.assert_same_bound(rng.standard_normal((m, 4)), mask(m, [0]),
+                                               screen_count, rng.standard_normal(4))
+        assert c_alpha == 2.0 * (m - 1) / (m - screen_count)
 
 
 class TestScreeningCoefficient:
