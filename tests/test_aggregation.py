@@ -152,6 +152,14 @@ class TestNormScreen:
         reports = rng.standard_normal((5, 3))
         assert_same_bits(screened_mean(reports, 2.0), screened_mean(reports, 2))
 
+    def test_a_kept_sum_past_the_float_range_reads_inf_without_a_warning(self):
+        # tier-1 turns a RuntimeWarning into an error; norm_screen's errstate
+        # covers the kept sum as well as the norms
+        assert screened_mean(scalars(1e308, 1e308, 0.0), 0).tolist() == [np.inf]
+        assert screened_mean(scalars(1e308, 1e308, -1e308, 1.0), 1).tolist() == [np.inf]
+        rows = np.array([[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        assert screened_mean(rows, 1).tolist() == [np.inf, 1.0 / 3.0]
+
 
 class TestScreenConfig:
     def test_integral_counts_are_stored_as_ints(self):
@@ -313,14 +321,6 @@ class TestNormScreenMatchesTheLoop:
             assert screening_deviation_bound(rows, mask(len(rows), honest), b, S)[2] - lhs >= 0.0
             if rows is huge:
                 assert np.isfinite(lhs)  # the 1e308 row is screened
-
-    def test_a_kept_sum_past_the_float_range_reads_inf_without_a_warning(self):
-        # tier-1 turns a RuntimeWarning into an error; norm_screen's errstate
-        # covers the kept sum as well as the norms
-        assert screened_mean(scalars(1e308, 1e308, 0.0), 0).tolist() == [np.inf]
-        assert screened_mean(scalars(1e308, 1e308, -1e308, 1.0), 1).tolist() == [np.inf]
-        rows = np.array([[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
-        assert screened_mean(rows, 1).tolist() == [np.inf, 1.0 / 3.0]
 
 
 class TestDeviationBound:

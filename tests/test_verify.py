@@ -83,6 +83,7 @@ def test_fuzz_holds_one_instance_at_a_time():
 def test_fuzz_enters_no_context_per_instance(monkeypatch):
     # a timing-free guard: a per-instance context would show as more entries
     # at 500 instances than at 50
+    verify.fuzz_screening_bound(n_instances=1)  # numpy.random's first import enters one
     entered, real = [], np.errstate
     monkeypatch.setattr(np, "errstate", lambda **flags: entered.append(flags) or real(**flags))
     for n in (50, 500):
